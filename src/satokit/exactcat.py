@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactlin import Matrix, Subspace, mat_mul_rows, rref_rows, solve_in_rows
+from .exactlin import (Matrix, Subspace, mat_mul_rows, rref_transform,
+                       solve_in_rows)
 
 
 class FdSpace:
@@ -112,13 +113,9 @@ class LinMap:
         if not self.is_iso():
             raise ValueError("not an isomorphism")
         f = self.source.field
-        n = self.source.dim
-        aug = [list(self.matrix.entries[i])
-               + [f.one() if j == i else f.zero() for j in range(n)]
-               for i in range(n)]
-        red, _ = rref_rows(f, aug)
-        inv_rows = [r[n:] for r in red]
-        return LinMap(self.target, self.source, Matrix(f, inv_rows, n))
+        _, _, inv_rows, _, _ = rref_transform(f, self.matrix.entries)
+        return LinMap(self.target, self.source,
+                      Matrix(f, inv_rows, self.source.dim))
 
 
 @lru_cache(maxsize=2048)
@@ -127,13 +124,13 @@ def canonical_section(j):
     if not j.is_epi():
         raise ValueError("section of a non-epi")
     f = j.source.field
-    rref, piv, transform = _rref_with_transform(f, j.matrix.entries)
-    sec = []
+    rref, piv, transform, _, _ = rref_transform(f, j.matrix.entries)
+    coeffs = []
     for t in range(j.target.dim):
         e = [f.zero()] * j.target.dim
         e[t] = f.one()
-        c = solve_in_rows(f, rref, piv, e)
-        sec.append(mat_mul_rows(f, [list(c)], transform)[0])
+        coeffs.append(solve_in_rows(f, rref, piv, e))
+    sec = mat_mul_rows(f, coeffs, transform)
     return LinMap(j.target, j.source, Matrix(f, sec, j.source.dim))
 
 
@@ -257,33 +254,15 @@ def pullback_admissible_monos(m1, m2):
 def _corestrict(mono, w, p):
     # express each basis vector of w through the mono
     f = mono.source.field
-    t_rows, t_piv, transform = _rref_with_transform(f, mono.matrix.entries)
-    out = []
+    t_rows, t_piv, transform, _, _ = rref_transform(f, mono.matrix.entries)
+    coeffs = []
     for v in w.rows:
         c = solve_in_rows(f, t_rows, t_piv, v)
         if c is None:
             raise ValueError("subspace does not factor through the mono")
-        out.append(mat_mul_rows(f, [list(c)], transform)[0])
+        coeffs.append(c)
+    out = mat_mul_rows(f, coeffs, transform)
     return LinMap(p, mono.source, Matrix(f, out, mono.source.dim))
-
-
-def _rref_with_transform(field, rows):
-    """(rref, pivots, T) with T . rows == rref."""
-    n = len(rows)
-    m = len(rows[0]) if rows else 0
-    aug = [list(rows[i]) + [field.one() if j == i else field.zero()
-                            for j in range(n)] for i in range(n)]
-    red, _ = rref_rows(field, aug)
-    kept = [r for r in red if any(x != 0 for x in r[:m])]
-    rref = [r[:m] for r in kept]
-    transform = [list(r[m:]) for r in kept]
-    pivots = []
-    for r in rref:
-        for jj, x in enumerate(r):
-            if x != 0:
-                pivots.append(jj)
-                break
-    return rref, pivots, transform
 
 
 def pullback_mediator(into1, into2, cone1, cone2):
@@ -297,13 +276,14 @@ def pullback_mediator(into1, into2, cone1, cone2):
                     zip(into1.matrix.entries, into2.matrix.entries)]
     target_rows = [list(a) + list(b) for a, b in
                    zip(cone1.matrix.entries, cone2.matrix.entries)]
-    rref, piv, transform = _rref_with_transform(f, stacked_rows)
-    u_rows = []
+    rref, piv, transform, _, _ = rref_transform(f, stacked_rows)
+    coeffs = []
     for row in target_rows:
         c = solve_in_rows(f, rref, piv, row)
         if c is None:
             return None
-        u_rows.append(mat_mul_rows(f, [list(c)], transform)[0])
+        coeffs.append(c)
+    u_rows = mat_mul_rows(f, coeffs, transform)
     u = LinMap(cone1.source, into1.source,
                Matrix(f, u_rows, into1.source.dim))
     if u.then(into1) != cone1 or u.then(into2) != cone2:
@@ -497,29 +477,12 @@ class Grid3x3:
                        {k: v for k, v in self.row_maps.items()})
 
 
-def _pivots_of(rows):
-    piv = []
-    for r in rows:
-        for j, x in enumerate(r):
-            if x != 0:
-                piv.append(j)
-                break
-    return piv
-
-
-def subquotient_basis(small, big):
-    """Canonical rref basis of span(big)/span(small), in small's quotient
-    coordinates."""
-    return small.basis_of_quotient(big)
-
-
 def _induced_quotient_map(field, src_small, src_big, dst_small, dst_big,
                           carrier):
     """Map  span(src_big)/span(src_small) -> span(dst_big)/span(dst_small)
     induced by the ambient carrier rows, in canonical subquotient bases."""
-    src_basis = subquotient_basis(src_small, src_big)
-    dst_basis = subquotient_basis(dst_small, dst_big)
-    dst_piv = _pivots_of(dst_basis)
+    src_basis, _ = src_small.basis_of_quotient(src_big)
+    dst_basis, dst_piv = dst_small.basis_of_quotient(dst_big)
     rows_out = []
     for c in src_basis:
         v = src_small.lift_coords(c)

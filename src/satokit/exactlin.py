@@ -7,6 +7,7 @@ subspaces is equality of data.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
 
@@ -183,10 +184,26 @@ def _rref_rows_f2(rows):
             basis.append((p, m))
     basis.sort()
     pivots = [p for p, _ in basis]
-    out = []
-    for _, m in sorted(basis):
-        out.append(tuple((m >> j) & 1 for j in range(ncols)))
+    out = [tuple((m >> j) & 1 for j in range(ncols)) for _, m in basis]
     return out, pivots
+
+
+def rref_transform(field, rows):
+    """Row reduction with its transform, from one pass over rows | identity.
+
+    Returns (rref, pivots, transform, kernel, kernel_pivots): rref and
+    pivots are those of rref_rows(field, rows), transform . rows == rref,
+    and kernel is the rref basis of the left kernel {x : x . rows == 0}.
+    """
+    n = len(rows)
+    m = len(rows[0]) if rows else 0
+    one, z = field.one(), field.zero()
+    aug = [tuple(r) + tuple(one if j == i else z for j in range(n))
+           for i, r in enumerate(rows)]
+    red, pivots = rref_rows(field, aug)
+    k = bisect_left(pivots, m)
+    return ([r[:m] for r in red[:k]], pivots[:k], [r[m:] for r in red[:k]],
+            [r[m:] for r in red[k:]], [p - m for p in pivots[k:]])
 
 
 def reduce_row(field, v, rows, pivots):
@@ -216,23 +233,6 @@ def solve_in_rows(field, rows, pivots, target):
     if any(x != 0 for x in v):
         return None
     return tuple(coeffs)
-
-
-def left_kernel_rows(field, rows):
-    """Basis (rref) of {x : x . rows == 0} for a list of rows."""
-    n = len(rows)
-    if n == 0:
-        return [], []
-    m = len(rows[0])
-    aug = [tuple(rows[i]) + tuple(field.one() if j == i else field.zero()
-                                 for j in range(n))
-           for i in range(n)]
-    red, _ = rref_rows(field, aug)
-    out = []
-    for r in red:
-        if all(x == 0 for x in r[:m]):
-            out.append(r[m:])
-    return rref_rows(field, out) if out else ([], [])
 
 
 def det_rows(field, rows):
@@ -415,7 +415,7 @@ class Matrix:
 
     def left_kernel(self):
         """Subspace {x : x @ self == 0} of k^nrows."""
-        rows, piv = left_kernel_rows(self.field, list(self.entries))
+        _, _, _, rows, piv = rref_transform(self.field, self.entries)
         return Subspace(self.field, self.nrows, rows, piv)
 
     def right_kernel(self):
@@ -494,10 +494,9 @@ class Subspace:
         if not self.rows or not other.rows:
             return Subspace.zero(self.field, self.ambient)
         stacked = list(self.rows) + list(other.rows)
-        ker, _ = left_kernel_rows(self.field, stacked)
+        _, _, _, ker, _ = rref_transform(self.field, stacked)
         a = len(self.rows)
-        vecs = [mat_mul_rows(self.field, [k[:a]], list(self.rows))[0]
-                for k in ker]
+        vecs = mat_mul_rows(self.field, [k[:a] for k in ker], list(self.rows))
         return Subspace.from_rows(self.field, self.ambient, vecs)
 
     def join(self, other):
@@ -537,12 +536,12 @@ class Subspace:
         return out
 
     def basis_of_quotient(self, larger):
-        """Canonical rref basis of larger/self in quotient coordinates."""
+        """Canonical rref basis of larger/self in quotient coordinates, with
+        its pivots."""
         if not larger.contains(self):
             raise ValueError("quotient requires containment")
-        rows = [self.proj_coords(r) for r in larger.rows]
-        rr, _ = rref_rows(self.field, rows)
-        return rr
+        return rref_rows(self.field,
+                         [self.proj_coords(r) for r in larger.rows])
 
 
 def all_vectors(field, n):
@@ -583,26 +582,6 @@ def all_subspaces(field, ambient):
         frontier = nxt
     out.sort(key=lambda s: (s.dim, s.rows))
     return out
-
-
-# ---------------------------------------------------------------------------
-# subspace-level operations
-
-def rref_basis(m):
-    """Row space of a Matrix, in canonical echelon form."""
-    return m.row_space()
-
-
-def kernel(m):
-    """Kernel {x in k^ncols : m x = 0}; dim = ncols - rank."""
-    return m.right_kernel()
-
-
-def subspace_meet_join(a, b):
-    """(a n b, a + b); dims satisfy the modular identity."""
-    if a.ambient != b.ambient or a.field != b.field:
-        raise ValueError("ambient mismatch")
-    return a.meet(b), a.join(b)
 
 
 # ---------------------------------------------------------------------------
@@ -770,38 +749,14 @@ def snf_with_transforms(m, want_transforms=True):
     return rows, U, V
 
 
-def int_solve_nonsingular(rows, vec):
-    """Solve M z = vec for square nonsingular integer M; result must be
-    integral (raises otherwise)."""
-    n = len(rows)
-    work = [[Fraction(x) for x in r] + [Fraction(v)]
-            for r, v in zip(rows, vec)]
-    for col in range(n):
-        src = next(r for r in range(col, n) if work[r][col] != 0)
-        work[col], work[src] = work[src], work[col]
-        piv = work[col][col]
-        work[col] = [x / piv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                c = work[r][col]
-                work[r] = [a - c * b for a, b in zip(work[r], work[col])]
-    out = []
-    for r in range(n):
-        v = work[r][n]
-        if v.denominator != 1:
-            raise ValueError("solution is not integral")
-        out.append(int(v))
-    return out
-
-
 def int_inverse_unimodular(rows):
     """Inverse of a unimodular integer matrix, entrywise integer."""
-    n = len(rows)
-    cols = []
-    for k in range(n):
-        e = [1 if i == k else 0 for i in range(n)]
-        cols.append(int_solve_nonsingular(rows, e))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    _, pivots, inv, _, _ = rref_transform(QQ, rows)
+    if len(pivots) != len(rows):
+        raise ValueError("matrix is singular")
+    if any(x.denominator != 1 for r in inv for x in r):
+        raise ValueError("inverse is not integral")
+    return [[int(x) for x in r] for r in inv]
 
 
 def _egcd(a, b):

@@ -19,6 +19,8 @@ procedure for isomorphism reduce to solving linear congruences.
 
 from __future__ import annotations
 
+import math
+
 from .abgroup import GroupElem
 from .exactlin import (int_inverse_unimodular, smith_normal_form,
                        snf_with_transforms, solve_mod)
@@ -415,7 +417,7 @@ class CyclicCohomology:
                     if si == 0:
                         cols.append([v[r][i] for r in range(N)])
                 else:
-                    g = _gcd(si, d)
+                    g = math.gcd(si, d)
                     t = d // g if g else 1
                     cols.append([t * v[r][i] for r in range(N)])
             self._lbasis = _transpose(cols)
@@ -434,6 +436,7 @@ class CyclicCohomology:
             self._ur = []
             self._snf_r = []
             return
+        self._snf_l = snf_with_transforms(self._lbasis)
         rel_in_l = []
         for col in rel_cols:
             rel_in_l.append(self._coords_in_kernel(col))
@@ -457,10 +460,9 @@ class CyclicCohomology:
     def _coords_in_kernel(self, vec):
         """Coordinates of an integer cocycle vector in the kernel lattice."""
         z = self.rank_kernel()
-        lb = self._lbasis  # N x z
-        # solve lb . y = vec; lb has full column rank; extend to square by
-        # solving the least-squares-free way: use snf on lb
-        s, u, v = snf_with_transforms(lb)
+        # solve lbasis . y = vec through the Smith form of lbasis (N x z, of
+        # full column rank), computed once in _build
+        s, u, v = self._snf_l
         uv = [sum(u[i][k] * vec[k] for k in range(self.N))
               for i in range(len(u))]
         y = [0] * z
@@ -520,13 +522,6 @@ class CyclicCohomology:
         lb = self._lbasis
         return [sum(lb[r][i] * zc[i] for i in range(z))
                 for r in range(self.N)]
-
-
-def _gcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _transpose(rows):

@@ -19,8 +19,10 @@ of this model at all.  Every mono the model can express is admissible.
 
 from __future__ import annotations
 
-from .exactlin import (Matrix, Subspace, det_rows, rref_rows, solve_in_rows)
-from .laurent import (LaurentMatrix, LaurentPoly, left_inverse,
+from .exactcat import FdSpace, LinMap, check_ses
+from .exactlin import (Matrix, Subspace, det_rows, rref_rows, rref_transform,
+                       solve_in_rows)
+from .laurent import (LaurentMatrix, LaurentPoly, RatFunc, left_inverse,
                       ratfunc_min_valuation, right_inverse)
 
 
@@ -50,17 +52,22 @@ class TateSpace:
 
 
 class Lattice:
-    """Element of the Sato Grassmannian of a TateSpace, canonical form."""
+    """Element of the Sato Grassmannian of a TateSpace, canonical form.
 
-    __slots__ = ("space", "lo", "hi", "rows")
+    rows are the rref basis of the lattice modulo t^hi O^n in its window, and
+    pivots their pivot columns.
+    """
 
-    def __init__(self, space, lo, hi, rows, _normalized=False):
+    __slots__ = ("space", "lo", "hi", "rows", "pivots")
+
+    def __init__(self, space, lo, hi, rows, pivots, _normalized=False):
         if not _normalized:
             raise ValueError("use lattice_normalize to build lattices")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
@@ -87,7 +94,7 @@ class Lattice:
 
 def standard_lattice(space, shift=0):
     """t^shift O^n."""
-    return Lattice(space, shift, shift, (), _normalized=True)
+    return Lattice(space, shift, shift, (), (), _normalized=True)
 
 
 def lattice_normalize(space, lo, hi, raw_basis):
@@ -103,20 +110,18 @@ def lattice_normalize(space, lo, hi, raw_basis):
         raise ValueError("basis rows must have length %d" % width)
     rows, pivots = rref_rows(field, rows)
     if n == 0:
-        return Lattice(space, 0, 0, (), _normalized=True)
+        return Lattice(space, 0, 0, (), (), _normalized=True)
 
-    # deep strip: drop full monomial levels at the hi end
+    # deep strip: drop full monomial levels at the hi end.  The level's
+    # columns are the last n pivots, so the other rows vanish there and stay
+    # in rref once cut short.
     while hi > lo:
-        level = set(range((hi - 1 - lo) * n, (hi - lo) * n))
-        if not level.issubset(set(pivots)):
+        cut = (hi - 1 - lo) * n
+        if pivots[-n:] != list(range(cut, cut + n)):
             break
-        keep = []
-        for r, p in zip(rows, pivots):
-            if p not in level:
-                keep.append(r[: (hi - 1 - lo) * n])
+        rows = [r[:cut] for r in rows[:-n]]
+        pivots = pivots[:-n]
         hi -= 1
-        rows, pivots = rref_rows(field, [list(r) for r in keep]) \
-            if keep else ([], [])
     # shallow strip: drop all-zero levels at the lo end
     while lo < hi:
         if any(p < n for p in pivots):
@@ -127,38 +132,41 @@ def lattice_normalize(space, lo, hi, raw_basis):
         pivots = [p - n for p in pivots]
         lo += 1
     if lo == hi:
-        rows = []
-    return Lattice(space, lo, hi, rows, _normalized=True)
+        rows, pivots = [], []
+    return Lattice(space, lo, hi, rows, pivots, _normalized=True)
 
 
 def window_rows(lat, LO, HI):
-    """Basis rows of lat / t^HI O^n inside the window [LO, HI)."""
+    """Basis rows of lat / t^HI O^n inside the window [LO, HI), in rref.
+
+    The rows of lat, moved into the window, sit above unit rows for the
+    monomials t^lat.hi ... t^(HI-1), which lie beyond them, so the stack is
+    already in rref.
+    """
     n = lat.space.rank
     if LO > lat.lo or HI < lat.hi:
         raise ValueError("window does not contain the lattice window")
     width = (HI - LO) * n
     field = lat.field
     z = field.zero()
-    out = []
-    off = (lat.lo - LO) * n
-    for r in lat.rows:
-        row = [z] * width
-        for k, x in enumerate(r):
-            row[off + k] = x
-        out.append(row)
     one = field.one()
-    for e in range(lat.hi, HI):
-        for i in range(n):
-            row = [z] * width
-            row[(e - LO) * n + i] = one
-            out.append(row)
-    rows, _ = rref_rows(field, out)
-    return rows
+    off = (lat.lo - LO) * n
+    tail = (lat.hi - LO) * n
+    out = [(z,) * off + r + (z,) * (width - tail) for r in lat.rows]
+    for c in range(tail, width):
+        row = [z] * width
+        row[c] = one
+        out.append(tuple(row))
+    return out
 
 
 def window_subspace(lat, LO, HI):
-    return Subspace(lat.field, (HI - LO) * lat.space.rank,
-                    window_rows(lat, LO, HI))
+    n = lat.space.rank
+    off = (lat.lo - LO) * n
+    pivots = [off + p for p in lat.pivots] + \
+        list(range((lat.hi - LO) * n, (HI - LO) * n))
+    return Subspace(lat.field, (HI - LO) * n, window_rows(lat, LO, HI),
+                    pivots)
 
 
 def common_window(*lats):
@@ -176,14 +184,8 @@ def lattice_contains(a, b):
     """True iff b <= a as subspaces of k((t))^n."""
     _check_same_space(a, b)
     LO, HI = common_window(a, b)
-    arows = window_rows(a, LO, HI)
-    piv = [next(j for j, x in enumerate(r) if x != 0) for r in arows]
-    field = a.field
-    from .exactlin import reduce_row
-    for r in window_rows(b, LO, HI):
-        if any(x != 0 for x in reduce_row(field, r, arows, piv)):
-            return False
-    return True
+    a_w = window_subspace(a, LO, HI)
+    return all(a_w.contains_vector(r) for r in window_rows(b, LO, HI))
 
 
 def lattice_meet(a, b):
@@ -317,7 +319,6 @@ class TateSES:
 
 def _verify_one_sided(m, inv_rows, left):
     """Exact check of C . m = I (left) or m . B = I (right) over k(t)."""
-    from .laurent import RatFunc
 
     def lift_rows(rows):
         return [[x if isinstance(x, RatFunc) else RatFunc.from_poly(x)
@@ -467,13 +468,8 @@ def lift_lattice(ses, u):
             vec = tuple(p.shift(e) for p in irows[k])
             wrow = window_coords_of_laurent(field, b, LO_t, u.hi, vec)
             gen.append(u_w.proj_coords(wrow))
-    ker, _ = _left_kernel(field, gen)
+    _, _, _, ker, _ = rref_transform(field, gen)
     return lattice_normalize(src, LO, HI, ker)
-
-
-def _left_kernel(field, rows):
-    from .exactlin import left_kernel_rows
-    return left_kernel_rows(field, rows)
 
 
 def project_lattice(ses, u):
@@ -660,7 +656,6 @@ def fd_ses_of_pair(ses, u_sub, u):
         lift(u)/lift(u') >--> u/u' -->> proj(u)/proj(u')
 
     returned as validated exactcat data in canonical quotient bases."""
-    from .exactcat import FdSpace, LinMap, check_ses
     grid = LatticeGrid(ses, u_sub, u)
     field = ses.field
     q_left = LatticeQuotient(grid.left[0], grid.left[1])

@@ -7,6 +7,7 @@ line `verify` verb and the acceptance tests are thin wrappers around these.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 
@@ -61,13 +62,12 @@ class SuiteResult:
 
 
 def _timed(fn):
+    @functools.wraps(fn)
     def wrapped(*args, **kwargs):
         t0 = time.monotonic()
         name, checked, failures, detail = fn(*args, **kwargs)
         return SuiteResult(name, checked, failures,
                            time.monotonic() - t0, detail)
-    wrapped.__name__ = fn.__name__
-    wrapped.__doc__ = fn.__doc__
     return wrapped
 
 

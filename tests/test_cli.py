@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from satokit import verify
 from satokit.cli import main
 from satokit.complexes import projective_plane, sphere_3, torus
 from satokit.fileio import (ParseError, format_cochain, format_lattice,
@@ -277,6 +278,15 @@ def test_cli_verify_json_deterministic(capsys):
     assert out1 == out2
     data = json.loads(out1)
     assert data["status"] == "pass"
+
+
+def test_cli_verify_passes_seed_and_trials(capsys):
+    rc = main(["--json", "verify", "lattice-index", "--trials", "3",
+               "--seed", "5"])
+    assert rc == 0
+    data = json.loads(capsys.readouterr().out)
+    want = verify.suite_lattice_index(seed=5, trials=3).checked
+    assert [r["checked"] for r in data["results"]] == [want]
 
 
 def test_cli_sset_diagnosis_passthrough(tmp_path, capsys):

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from satokit.exactlin import (
     F2, F3, F5, QQ, Field, IntMatrix, Matrix, Subspace, all_subspaces,
-    all_vectors, det_rows, kernel, rref_basis, smith_normal_form,
-    snf_with_transforms, solve_in_rows, solve_mod, subspace_meet_join,
+    all_vectors, det_rows, int_inverse_unimodular, mat_mul_rows, rref_rows,
+    rref_transform, smith_normal_form, snf_with_transforms, solve_in_rows,
+    solve_mod,
 )
 
 
@@ -25,19 +26,19 @@ def test_field_construction():
 
 def test_rref_identity_f2():
     m = Matrix.identity(F2, 3)
-    s = rref_basis(m)
+    s = m.row_space()
     assert s.dim == 3 and s == Subspace.full(F2, 3)
 
 
 def test_rref_zero():
     m = Matrix.zero(F5, 2, 3)
-    assert rref_basis(m).dim == 0
+    assert m.row_space().dim == 0
 
 
 def test_rref_hand_reduction_f2():
     # (1,1,0),(0,1,1): subtract second from first -> (1,0,1); frozen result
     m = Matrix(F2, [(1, 1, 0), (0, 1, 1)])
-    s = rref_basis(m)
+    s = m.row_space()
     assert s.rows == ((1, 0, 1), (0, 1, 1))
 
 
@@ -61,9 +62,9 @@ def test_rref_idempotent_and_representation_free():
 # --- kernel oracle: enumerate all vectors ------------------------------
 
 def test_kernel_identity_and_zero():
-    assert kernel(Matrix.identity(F3, 2)).dim == 0
+    assert Matrix.identity(F3, 2).right_kernel().dim == 0
     z = Matrix.zero(F3, 1, 2)  # zero map F_3^2 -> F_3 (columns = domain)
-    assert kernel(z).dim == 2
+    assert z.right_kernel().dim == 2
 
 
 def test_kernel_enumeration_oracle_f2():
@@ -71,7 +72,7 @@ def test_kernel_enumeration_oracle_f2():
     expected = [v for v in all_vectors(F2, 2)
                 if all(sum(r[j] * v[j] for j in range(2)) % 2 == 0
                        for r in m.entries)]
-    got = kernel(m)
+    got = m.right_kernel()
     assert got.rows == ((1, 1),)
     assert sorted(expected) == sorted(
         v for v in all_vectors(F2, 2) if got.contains_vector(v))
@@ -83,7 +84,7 @@ def test_rank_nullity(rows, cols, data):
     entries = [[data.draw(st.integers(0, 4)) for _ in range(cols)]
                for _ in range(rows)]
     m = Matrix(F5, entries)
-    assert m.rank() + kernel(m).dim == cols
+    assert m.rank() + m.right_kernel().dim == cols
 
 
 # --- meet/join oracle: exhaustive vector check -------------------------
@@ -91,17 +92,17 @@ def test_rank_nullity(rows, cols, data):
 def test_meet_join_coordinate_planes_f2():
     a = Subspace.from_rows(F2, 3, [(1, 0, 0), (0, 1, 0)])
     b = Subspace.from_rows(F2, 3, [(0, 1, 0), (0, 0, 1)])
-    meet, join = subspace_meet_join(a, b)
+    meet, join = a.meet(b), a.join(b)
     assert meet == Subspace.from_rows(F2, 3, [(0, 1, 0)])
     assert join == Subspace.full(F2, 3)
 
 
 def test_meet_join_trivial_cases():
     a = Subspace.from_rows(F5, 2, [(1, 2)])
-    meet, join = subspace_meet_join(a, a)
+    meet, join = a.meet(a), a.join(a)
     assert meet == a and join == a
     z = Subspace.zero(F5, 2)
-    meet, join = subspace_meet_join(z, a)
+    meet, join = z.meet(a), z.join(a)
     assert meet == z and join == a
 
 
@@ -112,7 +113,7 @@ def test_meet_join_exhaustive_f2_dim_le_4():
         vectors = list(all_vectors(F2, ambient))
         for a in subs:
             for b in subs:
-                meet, join = subspace_meet_join(a, b)
+                meet, join = a.meet(b), a.join(b)
                 assert meet.dim + join.dim == a.dim + b.dim
                 for v in vectors:
                     in_meet = a.contains_vector(v) and b.contains_vector(v)
@@ -132,6 +133,56 @@ def test_solve_in_rows():
     c = solve_in_rows(F5, s.rows, s.pivots, (2, 1, 2))
     assert c == (2, 1)
     assert solve_in_rows(F5, s.rows, s.pivots, (0, 0, 1)) is None
+
+
+_FIELD_ENTRIES = [
+    (F2, st.integers(0, 1)),
+    (F5, st.integers(0, 4)),
+    (QQ, st.fractions(min_value=-3, max_value=3, max_denominator=3)),
+]
+
+
+@settings(max_examples=90, deadline=None)
+@given(st.sampled_from(range(len(_FIELD_ENTRIES))), st.integers(0, 5),
+       st.integers(1, 5), st.data())
+def test_rref_transform_invariants(which, nrows, ncols, data):
+    field, entry = _FIELD_ENTRIES[which]
+    rows = [tuple(field.normalize(data.draw(entry)) for _ in range(ncols))
+            for _ in range(nrows)]
+    rref, piv, t, ker, kpiv = rref_transform(field, rows)
+    assert (rref, piv) == rref_rows(field, rows)
+    assert mat_mul_rows(field, t, rows) == rref
+    assert all(x == 0 for r in mat_mul_rows(field, ker, rows) for x in r)
+    assert len(ker) + len(rref) == len(rows)
+    assert rref_rows(field, ker) == (ker, kpiv)
+
+
+def _elementary_product(rng, n, steps):
+    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        move = rng.randrange(3)
+        if move == 0:
+            q = rng.randrange(-4, 5)
+            m[i] = [a + q * b for a, b in zip(m[i], m[j])]
+        elif move == 1:
+            m[i], m[j] = m[j], m[i]
+        else:
+            m[i] = [-a for a in m[i]]
+    return m
+
+
+def test_int_inverse_unimodular():
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        m = _elementary_product(rng, n, rng.randint(0, 12))
+        inv = int_inverse_unimodular(m)
+        assert all(type(x) is int for r in inv for x in r)
+        assert IntMatrix(m).mul(IntMatrix(inv)) == IntMatrix.identity(n)
+        assert IntMatrix(inv).mul(IntMatrix(m)) == IntMatrix.identity(n)
+    with pytest.raises(ValueError):
+        int_inverse_unimodular([[2, 0], [0, 1]])
 
 
 def test_det_rows():

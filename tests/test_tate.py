@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from satokit.exactlin import F2, F5
+from satokit.exactlin import F2, F5, rref_rows
 from satokit.laurent import LaurentMatrix, LaurentPoly
 from satokit.tate import (
     Lattice, LatticeGridError, LatticeQuotient, TateSES, TateSESInvalid,
@@ -11,7 +11,7 @@ from satokit.tate import (
     lattice_grid, lattice_join, lattice_meet, lattice_normalize,
     laurent_vector_from_window, lift_lattice, project_lattice,
     relative_index, split_tate_ses, standard_lattice, twist_tate_ses,
-    window_coords_of_laurent, window_rows,
+    window_coords_of_laurent, window_rows, window_subspace,
 )
 
 K1 = TateSpace(F5, 1)
@@ -96,6 +96,33 @@ def test_normalization_representation_free(lo, hi, data):
         lattice_normalize(K2, lo, hi, rows + mixed)
     widened = window_rows(lat, lo - 1, hi + 1)
     assert lattice_normalize(K2, lo - 1, hi + 1, widened) == lat
+
+
+def _drawn_lattice(data):
+    space = TateSpace(data.draw(st.sampled_from([F2, F5])),
+                      data.draw(st.integers(1, 3)))
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    return _random_lattice(rng, space, bound=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_normalize_output_is_rref(data):
+    lat = _drawn_lattice(data)
+    rows, pivots = rref_rows(lat.field, lat.rows)
+    assert tuple(rows) == lat.rows and tuple(pivots) == lat.pivots
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(0, 3), st.integers(0, 3))
+def test_window_rows_are_rref(data, below, above):
+    # the invariant that lets window_rows skip its own reduction
+    lat = _drawn_lattice(data)
+    LO, HI = lat.lo - below, lat.hi + above
+    rows = window_rows(lat, LO, HI)
+    assert rref_rows(lat.field, rows)[0] == rows
+    sub = window_subspace(lat, LO, HI)
+    assert (list(sub.rows), list(sub.pivots)) == rref_rows(lat.field, rows)
 
 
 # --- containment, meet, join, index -------------------------------------
