@@ -9,7 +9,9 @@ interface; the text output is cosmetic.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
 from . import verify as verify_mod
@@ -77,12 +79,27 @@ def _load_ses(i_path, j_path):
 
 
 def _emit(args, payload, text_lines, code=PASS):
-    if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+    try:
+        if args.json:
+            print(json.dumps(payload, sort_keys=True, indent=2))
+        else:
+            for line in text_lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
     return code
+
+
+def _drop_stdout():
+    """Send what stdout still buffers, and all later output, to the null
+    device, once its reader has gone (as in `satokit ... | head`)."""
+    devnull = open(os.devnull, "w")
+    try:
+        os.dup2(devnull.fileno(), sys.stdout.fileno())
+    except (AttributeError, OSError, ValueError):
+        pass  # not a file descriptor, e.g. a replaced sys.stdout
+    sys.stdout = devnull
 
 
 def cmd_index(args):
@@ -146,7 +163,7 @@ def cmd_ses_check(args):
 def cmd_mu_eval(args):
     ses = _load_ses(args.i, args.j)
     u = _load_lattice(args.lattice)
-    group = parse_group(args.group)
+    group = args.group
     gen = group.elem([int(x) for x in args.generator.split(",")]) \
         if args.generator else group.elem([1] * group.ngens)
     chi = DimTheory(group, gen)
@@ -171,7 +188,7 @@ def _coords(text, group):
 
 
 def cmd_det_symmetry(args):
-    field = Field.parse(args.field)
+    field = args.field
     theory = ungraded_det(field) if args.ungraded else graded_det(field)
     import random
     from .exactcat import complete_grid_3x3, inclusion_map
@@ -209,7 +226,7 @@ def cmd_det_symmetry(args):
 
 def cmd_cohomology(args):
     cx = _load_sset(args.sset)
-    group = parse_group(args.group)
+    group = args.group
     res = cohomology(cx, args.degree, group)
     pres = format_group(type(group)(res.group_presentation))
     return _emit(args, {"command": "cohomology", "status": "pass",
@@ -277,7 +294,7 @@ def cmd_gerbe_torsor(args):
 
 
 def cmd_s_enumerate(args):
-    field = Field.parse(args.field)
+    field = args.field
     try:
         sk = enumerate_s_skeleton(field, args.dim_cap, args.level_cap,
                                   budget=args.budget)
@@ -299,6 +316,11 @@ def cmd_verify(args):
         if n not in verify_mod.SUITES:
             raise CliError("unknown suite %r (have: %s)"
                            % (n, ", ".join(verify_mod.SUITES)))
+    if args.suite != "all":
+        params = verify_mod.suite_parameters(args.suite)
+        for flag in ("seed", "trials"):
+            if getattr(args, flag) is not None and flag not in params:
+                raise CliError("suite %r takes no --%s" % (args.suite, flag))
     results = [verify_mod.run_suite(n, seed=args.seed, trials=args.trials)
                for n in names]
     ok = all(r.passed for r in results)
@@ -315,6 +337,17 @@ def cmd_verify(args):
     return PASS if ok else FAIL
 
 
+def _arg_type(parse):
+    """An argparse type for which a ValueError of parse is a usage error."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return convert
+
+
+@functools.cache  # parsing leaves the parser as it was
 def build_parser():
     p = argparse.ArgumentParser(
         prog="satokit",
@@ -324,84 +357,84 @@ def build_parser():
                    help="emit the stable JSON report")
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def lat2(name, fn, doc):
+    def verb(name, fn, doc):
         q = sub.add_parser(name, help=doc)
+        # --json is taken after the verb too; SUPPRESS keeps the verb's
+        # parser from overwriting a --json given before the verb
+        q.add_argument("--json", action="store_true",
+                       default=argparse.SUPPRESS,
+                       help="emit the stable JSON report")
+        q.set_defaults(fn=fn)
+        return q
+
+    for name, fn, doc in [("index", cmd_index,
+                           "relative index of two lattices"),
+                          ("meet", cmd_meet, "intersection of two lattices"),
+                          ("join", cmd_join, "sum of two lattices")]:
+        q = verb(name, fn, doc)
         q.add_argument("a")
         q.add_argument("b")
-        q.set_defaults(fn=fn)
-
-    lat2("index", cmd_index, "relative index of two lattices")
-    lat2("meet", cmd_meet, "intersection of two lattices")
-    lat2("join", cmd_join, "sum of two lattices")
 
     for name, fn, doc in [("lift", cmd_lift,
                            "preimage of a lattice along the mono of a SES"),
                           ("project", cmd_project,
                            "image of a lattice along the epi of a SES")]:
-        q = sub.add_parser(name, help=doc)
+        q = verb(name, fn, doc)
         q.add_argument("i", help=".lmx file of the mono")
         q.add_argument("j", help=".lmx file of the epi")
         q.add_argument("lattice", help=".lat file")
-        q.set_defaults(fn=fn)
 
-    q = sub.add_parser("ses-check", help="validate a Laurent-matrix SES")
+    q = verb("ses-check", cmd_ses_check, "validate a Laurent-matrix SES")
     q.add_argument("i")
     q.add_argument("j")
-    q.set_defaults(fn=cmd_ses_check)
 
-    q = sub.add_parser("mu-eval",
-                       help="evaluate the combined dimensional theory")
+    q = verb("mu-eval", cmd_mu_eval,
+             "evaluate the combined dimensional theory")
     q.add_argument("i")
     q.add_argument("j")
     q.add_argument("lattice")
-    q.add_argument("--group", default="Z")
+    q.add_argument("--group", type=_arg_type(parse_group), default="Z")
     q.add_argument("--generator", default=None,
                    help="image of the one-dimensional class, comma coords")
     q.add_argument("--d1", default=None, help="anchor value on the sub")
     q.add_argument("--d2", default=None, help="anchor value on the quotient")
-    q.set_defaults(fn=cmd_mu_eval)
 
-    q = sub.add_parser("det-symmetry",
-                       help="pair/grid symmetry criteria for determinants")
-    q.add_argument("--field", default="F5")
+    q = verb("det-symmetry", cmd_det_symmetry,
+             "pair/grid symmetry criteria for determinants")
+    q.add_argument("--field", type=_arg_type(Field.parse), default="F5")
     q.add_argument("--ungraded", action="store_true")
     q.add_argument("--trials", type=int, default=50)
     q.add_argument("--seed", type=int, default=0)
-    q.set_defaults(fn=cmd_det_symmetry)
 
-    q = sub.add_parser("cohomology", help="H^n of a simplicial set")
+    q = verb("cohomology", cmd_cohomology, "H^n of a simplicial set")
     q.add_argument("sset")
     q.add_argument("--degree", type=int, required=True)
-    q.add_argument("--group", default="Z")
-    q.set_defaults(fn=cmd_cohomology)
+    q.add_argument("--group", type=_arg_type(parse_group), default="Z")
 
-    q = sub.add_parser("classify",
-                       help="cohomology class of a multiplicative torsor")
+    q = verb("classify", cmd_classify,
+             "cohomology class of a multiplicative torsor")
     q.add_argument("sset")
     q.add_argument("cochain", help=".coch file with the alpha values")
     q.add_argument("--other", default=None,
                    help="second .coch: decide isomorphism and transport")
-    q.set_defaults(fn=cmd_classify)
 
-    q = sub.add_parser("gerbe-torsor",
-                       help="induced degree-2 torsor of a gerbe")
+    q = verb("gerbe-torsor", cmd_gerbe_torsor,
+             "induced degree-2 torsor of a gerbe")
     q.add_argument("sset")
     q.add_argument("cochain", help=".coch file with the beta values")
-    q.set_defaults(fn=cmd_gerbe_torsor)
 
-    q = sub.add_parser("s-enumerate", help="enumerate an S-construction "
-                                           "skeleton")
-    q.add_argument("--field", default="F2")
+    q = verb("s-enumerate", cmd_s_enumerate,
+             "enumerate an S-construction skeleton")
+    q.add_argument("--field", type=_arg_type(Field.parse), default="F2")
     q.add_argument("--dim-cap", type=int, default=2)
     q.add_argument("--level-cap", type=int, default=4)
     q.add_argument("--budget", type=int, default=20000)
-    q.set_defaults(fn=cmd_s_enumerate)
 
-    q = sub.add_parser("verify", help="run a verification suite")
+    q = verb("verify", cmd_verify, "run a verification suite")
     q.add_argument("suite", help="suite name or 'all'")
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=int, default=None,
+                   help="seed for a suite that takes one (default: its own)")
     q.add_argument("--trials", type=int, default=None)
-    q.set_defaults(fn=cmd_verify)
     return p
 
 

@@ -11,18 +11,31 @@ from bisect import bisect_left
 from fractions import Fraction
 
 
+# Miller-Rabin with the first twelve primes as bases decides primality for
+# every n below 3.18 * 10^23, so characteristics are capped at 2^64.
+MAX_CHARACTERISTIC = 2 ** 64
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n):
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -32,6 +45,8 @@ class Field:
     __slots__ = ("p",)
 
     def __init__(self, p=None):
+        if p is not None and p >= MAX_CHARACTERISTIC:
+            raise ValueError("characteristic %d is above the cap 2^64" % p)
         if p is not None and not _is_prime(p):
             raise ValueError("characteristic must be prime, got %r" % (p,))
         object.__setattr__(self, "p", p)

@@ -55,6 +55,21 @@ def _parse_kv(parts, key, line):
     raise ParseError("missing %s= in header" % key, line)
 
 
+def _parse_int_kv(parts, key, line):
+    value = _parse_kv(parts, key, line)
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError("bad %s=%s" % (key, value), line)
+
+
+def _parse_field_kv(parts, line):
+    try:
+        return Field.parse(_parse_kv(parts, "field", line))
+    except ValueError as exc:
+        raise ParseError("bad field: %s" % exc, line)
+
+
 # --- lattices ---------------------------------------------------------------
 
 def parse_lattice(text):
@@ -67,16 +82,16 @@ def parse_lattice(text):
     parts = header.split()
     if not parts or parts[0] != "tate":
         raise ParseError("lattice header must start with 'tate'", ln)
-    rank = int(_parse_kv(parts, "rank", ln))
-    field = Field.parse(_parse_kv(parts, "field", ln))
+    rank = _parse_int_kv(parts, "rank", ln)
+    field = _parse_field_kv(parts, ln)
     if len(body) < 2:
         raise ParseError("missing bounds line", ln)
     ln2, bline = body[1]
     bparts = bline.split()
     if not bparts or bparts[0] != "bounds":
         raise ParseError("expected bounds line", ln2)
-    lo = int(_parse_kv(bparts, "lo", ln2))
-    hi = int(_parse_kv(bparts, "hi", ln2))
+    lo = _parse_int_kv(bparts, "lo", ln2)
+    hi = _parse_int_kv(bparts, "hi", ln2)
     width = (hi - lo) * rank
     rows = []
     for ln3, rline in body[2:]:
@@ -133,9 +148,9 @@ def parse_laurent_matrix(text):
     parts = header.split()
     if not parts or parts[0] != "lmx":
         raise ParseError("matrix header must start with 'lmx'", ln)
-    nrows = int(_parse_kv(parts, "rows", ln))
-    ncols = int(_parse_kv(parts, "cols", ln))
-    field = Field.parse(_parse_kv(parts, "field", ln))
+    nrows = _parse_int_kv(parts, "rows", ln)
+    ncols = _parse_int_kv(parts, "cols", ln)
+    field = _parse_field_kv(parts, ln)
     entries = []
     for ln2, eline in body[1:]:
         entries.append(_parse_laurent_entry(field, eline, ln2))

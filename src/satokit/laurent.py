@@ -10,44 +10,56 @@ gcd reduction to hold degrees down.
 from __future__ import annotations
 
 
+def _canonical(p, d):
+    """Sorted nonzero terms of an exponent -> raw coefficient sum dict, the
+    sums reduced mod p once each (p is None over Q)."""
+    if p is None:
+        return tuple(sorted([(e, c) for e, c in d.items() if c]))
+    return tuple(sorted([(e, c) for e, c in
+                         [(e, c % p) for e, c in d.items()] if c]))
+
+
 class LaurentPoly:
     """Finite map exponent -> nonzero scalar; canonical, immutable."""
 
     __slots__ = ("field", "terms")
 
     def __init__(self, field, terms):
-        if isinstance(terms, dict):
-            items = terms.items()
-        else:
-            items = terms
-        clean = {}
+        items = terms.items() if isinstance(terms, dict) else terms
+        d = {}
         for e, c in items:
-            c = field.normalize(c)
-            if c != 0:
-                clean[int(e)] = field.add(clean.get(int(e), field.zero()), c) \
-                    if int(e) in clean else c
-        clean = {e: c for e, c in clean.items() if c != 0}
+            e = int(e)
+            d[e] = d.get(e, 0) + field.normalize(c)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "terms", tuple(sorted(clean.items())))
+        object.__setattr__(self, "terms", _canonical(field.p, d))
+
+    @classmethod
+    def _raw(cls, field, terms):
+        # trusted path: terms is a sorted tuple of nonzero normalized scalars
+        x = object.__new__(cls)
+        object.__setattr__(x, "field", field)
+        object.__setattr__(x, "terms", terms)
+        return x
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
 
     @classmethod
     def zero(cls, field):
-        return cls(field, ())
+        return cls._raw(field, ())
 
     @classmethod
     def one(cls, field):
-        return cls(field, ((0, field.one()),))
+        return cls._raw(field, ((0, field.one()),))
 
     @classmethod
     def t_power(cls, field, e, c=None):
-        return cls(field, ((e, field.one() if c is None else c),))
+        c = field.one() if c is None else field.normalize(c)
+        return cls._raw(field, ((int(e), c),) if c else ())
 
     @classmethod
     def const(cls, field, c):
-        return cls(field, ((0, c),))
+        return cls.t_power(field, 0, c)
 
     def is_zero(self):
         return not self.terms
@@ -70,36 +82,68 @@ class LaurentPoly:
         return self.field.zero()
 
     def add(self, other):
-        f = self.field
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         d = dict(self.terms)
         for e, c in other.terms:
-            d[e] = f.add(d.get(e, f.zero()), c)
-        return LaurentPoly(f, d)
+            d[e] = d.get(e, 0) + c
+        return LaurentPoly._raw(self.field, _canonical(self.field.p, d))
 
     def sub(self, other):
-        return self.add(other.neg())
+        if not other.terms:
+            return self
+        d = dict(self.terms)
+        for e, c in other.terms:
+            d[e] = d.get(e, 0) - c
+        return LaurentPoly._raw(self.field, _canonical(self.field.p, d))
 
     def neg(self):
-        f = self.field
-        return LaurentPoly(f, [(e, f.neg(c)) for e, c in self.terms])
+        p = self.field.p
+        if p is None:
+            terms = tuple([(e, -c) for e, c in self.terms])
+        else:
+            terms = tuple([(e, p - c) for e, c in self.terms])
+        return LaurentPoly._raw(self.field, terms)
 
     def mul(self, other):
-        f = self.field
+        x, y = (self, other) if len(self.terms) <= len(other.terms) \
+            else (other, self)
+        if not x.terms:
+            return x
+        if len(x.terms) == 1:
+            k, c = x.terms[0]
+            return y._times(k, c)
         d = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
+        for e1, c1 in x.terms:
+            for e2, c2 in y.terms:
                 e = e1 + e2
-                d[e] = f.add(d.get(e, f.zero()), f.mul(c1, c2))
-        return LaurentPoly(f, d)
+                d[e] = d.get(e, 0) + c1 * c2
+        return LaurentPoly._raw(self.field, _canonical(self.field.p, d))
+
+    def _times(self, k, c):
+        """Multiply by c t^k, for a nonzero normalized c."""
+        p = self.field.p
+        if c == 1:
+            if not k:
+                return self
+            terms = [(e + k, x) for e, x in self.terms]
+        elif p is None:
+            terms = [(e + k, c * x) for e, x in self.terms]
+        else:
+            terms = [(e + k, c * x % p) for e, x in self.terms]
+        return LaurentPoly._raw(self.field, tuple(terms))
 
     def scale(self, c):
-        f = self.field
-        c = f.normalize(c)
-        return LaurentPoly(f, [(e, f.mul(c, x)) for e, x in self.terms])
+        c = self.field.normalize(c)
+        if not c:
+            return LaurentPoly._raw(self.field, ())
+        return self._times(0, c)
 
     def shift(self, k):
         """Multiply by t^k."""
-        return LaurentPoly(self.field, [(e + k, c) for e, c in self.terms])
+        return self._times(k, 1)
 
     def monic(self):
         if not self.terms:
@@ -143,7 +187,8 @@ def poly_divmod(a, b):
                 rem.pop(k, None)
             else:
                 rem[k] = v
-    return LaurentPoly(f, quo), LaurentPoly(f, rem)
+    return (LaurentPoly._raw(f, tuple(sorted(quo.items()))),
+            LaurentPoly._raw(f, tuple(sorted(rem.items()))))
 
 
 def poly_gcd(a, b):
@@ -181,6 +226,10 @@ class RatFunc:
         field = num.field
         if num.is_zero():
             return num, LaurentPoly.one(field)
+        if len(den.terms) == 1:
+            # a monomial c t^e is a unit of k[t, 1/t]: the gcd would be 1
+            (e, c), = den.terms
+            return num._times(-e, field.inv(c)), LaurentPoly.one(field)
         # strip monomial content so den is a val-0 polynomial
         shift = den.val()
         den = den.shift(-shift)
@@ -217,10 +266,14 @@ class RatFunc:
         return self.num.val() - self.den.val()
 
     def add(self, other):
+        if self.den == other.den:
+            return RatFunc(self.num.add(other.num), self.den)
         n = self.num.mul(other.den).add(other.num.mul(self.den))
         return RatFunc(n, self.den.mul(other.den))
 
     def sub(self, other):
+        if self.den == other.den:
+            return RatFunc(self.num.sub(other.num), self.den)
         n = self.num.mul(other.den).sub(other.num.mul(self.den))
         return RatFunc(n, self.den.mul(other.den))
 

@@ -318,15 +318,20 @@ class TateSES:
 
 
 def _verify_one_sided(m, inv_rows, left):
-    """Exact check of C . m = I (left) or m . B = I (right) over k(t)."""
+    """Exact check of C . m = I (left) or m . B = I (right) over k(t).
 
-    def lift_rows(rows):
-        return [[x if isinstance(x, RatFunc) else RatFunc.from_poly(x)
-                 for x in row] for row in rows]
-
+    A polynomial inverse is checked in k[t, 1/t], a subring of k(t)."""
     field = m.field
-    zero = RatFunc.from_poly(LaurentPoly.zero(field))
-    one = RatFunc.from_poly(LaurentPoly.one(field))
+    if all(isinstance(x, LaurentPoly) for row in inv_rows for x in row):
+        def lift_rows(rows):
+            return rows
+        zero, one = LaurentPoly.zero(field), LaurentPoly.one(field)
+    else:
+        def lift_rows(rows):
+            return [[x if isinstance(x, RatFunc) else RatFunc.from_poly(x)
+                     for x in row] for row in rows]
+        zero = RatFunc.from_poly(LaurentPoly.zero(field))
+        one = RatFunc.from_poly(LaurentPoly.one(field))
     if left:
         a, b = lift_rows(inv_rows), lift_rows(m.entries)
     else:

@@ -661,17 +661,19 @@ SUITES = {
 }
 
 
-def run_suite(name, seed=0, trials=None):
-    """Run one suite by name with its default parameters."""
-    fn = SUITES[name]
-    kwargs = {}
+def suite_parameters(name):
+    """Names of the parameters the suite takes."""
     import inspect
-    params = inspect.signature(fn).parameters
-    if "seed" in params:
-        kwargs["seed"] = seed
-    if trials is not None and "trials" in params:
-        kwargs["trials"] = trials
-    return fn(**kwargs)
+    return frozenset(inspect.signature(SUITES[name]).parameters)
+
+
+def run_suite(name, seed=None, trials=None):
+    """Run one suite by name; seed and trials reach the suites that take
+    them, and None keeps a suite's default."""
+    params = suite_parameters(name)
+    kwargs = {k: v for k, v in (("seed", seed), ("trials", trials))
+              if v is not None and k in params}
+    return SUITES[name](**kwargs)
 
 
 def run_all(seed=0):

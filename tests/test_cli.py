@@ -295,3 +295,74 @@ def test_cli_sset_diagnosis_passthrough(tmp_path, capsys):
     rc = main(["cohomology", f, "--degree", "0", "--group", "Z"])
     assert rc == 2
     assert "dangling" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,text,line", [
+    ("f4.lat", "tate rank=1 field=F4\nbounds lo=0 hi=1\n1\n", 1),
+    ("rank.lat", "# note\ntate rank=x field=F5\nbounds lo=0 hi=1\n1\n", 2),
+    ("lo.lat", "tate rank=1 field=F5\nbounds lo=q hi=1\n1\n", 2),
+    ("big.lat", "tate rank=1 field=F1000000000000000000000000000057\n"
+                "bounds lo=0 hi=1\n1\n", 1),
+    ("f4.lmx", "lmx rows=1 cols=1 field=F4\n1*t^0\n", 1),
+    ("rows.lmx", "\nlmx rows=x cols=1 field=F5\n1*t^0\n", 2),
+    ("cols.lmx", "lmx rows=1 cols=x field=F5\n1*t^0\n", 1),
+])
+def test_cli_malformed_header_exits_2(tmp_path, capsys, name, text, line):
+    f = _write(tmp_path, name, text)
+    if name.endswith(".lat"):
+        argv = ["index", f, f]
+    else:
+        ok = _write(tmp_path, "ok.lmx", "lmx rows=1 cols=1 field=F5\n1*t^0\n")
+        argv = ["ses-check", f, ok]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "line %d" % line in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,msg", [
+    (["det-symmetry", "--field", "F4"], "prime"),
+    (["s-enumerate", "--field", "F1000000000000000000000000000057"], "cap"),
+    (["cohomology", "x.sset", "--degree", "1", "--group", "Zq"], "syntax"),
+])
+def test_cli_bad_flag_value_exits_2(capsys, argv, msg):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert msg in capsys.readouterr().err
+
+
+def test_cli_verify_refuses_flags_a_suite_lacks(capsys):
+    for flag in ("--seed", "--trials"):
+        rc = main(["--json", "verify", "cohomology", flag, "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "takes no %s" % flag in captured.err
+
+
+def test_cli_json_before_or_after_verb(capsys):
+    outs = []
+    for argv in (["--json", "verify", "lattice-index", "--trials", "3"],
+                 ["verify", "lattice-index", "--trials", "3", "--json"],
+                 ["verify", "--json", "lattice-index", "--trials", "3"]):
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+    assert json.loads(outs[0])["command"] == "verify"
+
+
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_cli_closed_stdout_keeps_exit_code(monkeypatch, lat_files, capsys):
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    assert main(["--json", "index", lat_files[0], lat_files[1]]) == 0
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    assert main(["det-symmetry", "--trials", "3", "--ungraded"]) == 1

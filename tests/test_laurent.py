@@ -119,3 +119,136 @@ def test_solve_right_unsolvable():
     # no X with [1 0] X = I works when the rhs needs the second coordinate
     m2 = LaurentMatrix(F2, [[z, z]])
     assert right_inverse(m2) is None
+
+
+# --- the trusted constructors agree with the checking one ------------------
+
+from fractions import Fraction
+
+from hypothesis import assume, given, settings, strategies as st
+
+from satokit.tate import split_tate_ses
+
+FIELDS = [F2, F5, QQ]
+
+
+def _coeffs(field):
+    if field.is_rational:
+        return st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return st.integers(-2 * field.p, 2 * field.p)
+
+
+@st.composite
+def field_and_terms(draw, n=2):
+    """A field and n raw term lists over it, with repeated exponents and
+    coefficients that may cancel."""
+    field = draw(st.sampled_from(FIELDS))
+    term = st.tuples(st.integers(-3, 3), _coeffs(field))
+    return (field,) + tuple(draw(st.lists(term, max_size=6))
+                            for _ in range(n))
+
+
+def _naive(field, *term_lists, op):
+    """The operation on plain dicts, handed to the checking constructor."""
+    d1, d2 = ({} for _ in range(2))
+    for d, terms in zip((d1, d2), term_lists):
+        for e, c in terms:
+            d[e] = d.get(e, 0) + Fraction(c)
+    out = {}
+    if op in ("add", "sub"):
+        sign = 1 if op == "add" else -1
+        for e in set(d1) | set(d2):
+            out[e] = d1.get(e, 0) + sign * d2.get(e, 0)
+    else:
+        for e1, c1 in d1.items():
+            for e2, c2 in d2.items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    if field.is_rational:
+        return LaurentPoly(field, out)
+    # exact sums over Z reduce to the same class mod p as the field ones
+    return LaurentPoly(field, {e: int(c) for e, c in out.items()})
+
+
+def _same(a, b):
+    assert a.terms == b.terms
+    assert hash(a) == hash(b)
+    assert a == b
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_and_terms())
+def test_binary_ops_equal_checking_path(data):
+    field, t1, t2 = data
+    a, b = LaurentPoly(field, t1), LaurentPoly(field, t2)
+    for op in ("add", "sub", "mul"):
+        _same(getattr(a, op)(b), _naive(field, a.terms, b.terms, op=op))
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_and_terms(n=1), st.integers(-4, 4), st.integers(-7, 7))
+def test_unary_ops_equal_checking_path(data, k, c):
+    field, t = data
+    a = LaurentPoly(field, t)
+    _same(a.neg(), LaurentPoly(field, [(e, -x) for e, x in a.terms]))
+    for s in (c, 0):
+        _same(a.scale(s), LaurentPoly(field, [(e, s * x)
+                                              for e, x in a.terms]))
+    for s in (k, 0):
+        _same(a.shift(s), LaurentPoly(field, [(e + s, x)
+                                              for e, x in a.terms]))
+
+
+def _gcd_normalized(num, den):
+    """RatFunc normalisation through the gcd, with no monomial shortcut."""
+    field = num.field
+    e = den.val()
+    den, num = den.shift(-e), num.shift(-e)
+    nv = min(num.val(), 0)
+    g = poly_gcd(num.shift(-nv), den)
+    num_p, r1 = poly_divmod(num.shift(-nv), g)
+    den, r2 = poly_divmod(den, g)
+    assert r1.is_zero() and r2.is_zero()
+    inv = field.inv(den.terms[-1][1])
+    return num_p.shift(nv).scale(inv), den.scale(inv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_and_terms(n=1), st.integers(-3, 3), st.integers(1, 4))
+def test_monomial_denominator_equals_gcd_path(data, e, c):
+    field, t = data
+    num = LaurentPoly(field, t)
+    den = LaurentPoly.t_power(field, e, c)
+    assume(not num.is_zero() and not den.is_zero())
+    f = RatFunc(num, den)
+    assert (f.num, f.den) == _gcd_normalized(num, den)
+    assert f.den == LaurentPoly.one(field)
+
+
+def test_shared_denominator_cancels_common_factor():
+    # 1/(t^2 - 1) + t/(t^2 - 1) = 1/(t - 1) over F5 and Q
+    for field in (F5, QQ):
+        den = P(field, (2, 1), (0, -1))
+        a = RatFunc(LaurentPoly.one(field), den)
+        b = RatFunc(P(field, (1, 1)), den)
+        assert a.den == b.den == den
+        s = a.add(b)
+        assert s.num == LaurentPoly.one(field)
+        assert s.den == P(field, (1, 1), (0, -1))
+        # the difference keeps the denominator: (1 - t)/(t^2 - 1)
+        d = a.sub(b)
+        assert d == RatFunc(P(field, (0, -1)), P(field, (1, 1), (0, 1)))
+
+
+def test_seed_inverses_rejects_perturbed_entry():
+    ses = split_tate_ses(F5, 1, 1)
+    ri = LaurentMatrix(F5, [[LaurentPoly.one(F5)], [LaurentPoly.zero(F5)]])
+    ses.seed_inverses(ri=ri)
+    bad = LaurentMatrix(F5, [[P(F5, (0, 1), (1, 1))],
+                             [LaurentPoly.zero(F5)]])
+    with pytest.raises(ValueError):
+        split_tate_ses(F5, 1, 1).seed_inverses(ri=bad)
+    lj = LaurentMatrix(F5, [[LaurentPoly.zero(F5), LaurentPoly.one(F5)]])
+    ses.seed_inverses(lj=lj)
+    bad = LaurentMatrix(F5, [[LaurentPoly.zero(F5), P(F5, (0, 2))]])
+    with pytest.raises(ValueError):
+        split_tate_ses(F5, 1, 1).seed_inverses(lj=bad)
