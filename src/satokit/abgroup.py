@@ -32,9 +32,6 @@ class AbelianGroup:
     def ngens(self):
         return len(self.factors)
 
-    def is_trivial(self):
-        return not self.factors
-
     def reduce(self, coords):
         coords = tuple(int(x) for x in coords)
         if len(coords) != len(self.factors):

@@ -164,8 +164,8 @@ def cmd_mu_eval(args):
     ses = _load_ses(args.i, args.j)
     u = _load_lattice(args.lattice)
     group = args.group
-    gen = group.elem([int(x) for x in args.generator.split(",")]) \
-        if args.generator else group.elem([1] * group.ngens)
+    gen = group.elem(_coords(args.generator, group) if args.generator
+                     else [1] * group.ngens)
     chi = DimTheory(group, gen)
     d1 = RelDimTheory.standard(chi, ses.sub_space,
                                group.elem(_coords(args.d1, group)))
@@ -181,7 +181,10 @@ def cmd_mu_eval(args):
 def _coords(text, group):
     if text is None:
         return [0] * group.ngens
-    out = [int(x) for x in text.split(",")]
+    try:
+        out = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise CliError("expected integer coordinates, got %r" % text)
     if len(out) != group.ngens:
         raise CliError("expected %d coordinates" % group.ngens)
     return out

@@ -16,7 +16,8 @@ theory is built from two theories along a short exact sequence.
 
 from __future__ import annotations
 
-from .exactcat import SES, canonical_section, check_ses, split_ses
+from .exactcat import (SES, FdSpace, LinMap, canonical_section, check_ses,
+                       split_ses)
 from .exactlin import det_rows
 from .tate import (delta_scalar_canonical, fd_ses_of_pair,
                    lambda_scalar_chain, lattice_meet, relative_index,
@@ -59,9 +60,6 @@ class GradedLine:
                               self.label)
         return GradedLine(self.field, self.degree + other.degree,
                           "%s(x)%s" % (self.label, other.label))
-
-    def dual(self):
-        return GradedLine(self.field, -self.degree, self.label + "*")
 
 
 class LineIso:
@@ -143,18 +141,13 @@ def lambda_ses(ses, section=None, graded=True):
     """
     if section is None:
         section = canonical_section(ses.j)
-    if section.then(ses.j) != _identity_of(ses.quot):
+    if section.then(ses.j) != LinMap.identity(ses.quot):
         raise ValueError("section does not split the epi")
     rows = list(ses.i.matrix.entries) + list(section.matrix.entries)
     scalar = det_rows(ses.total.field, rows)
     mk = _line_maker(graded)
     src = mk(ses.sub).tensor(mk(ses.quot))
     return LineIso(src, mk(ses.total), scalar)
-
-
-def _identity_of(space):
-    from .exactcat import LinMap
-    return LinMap.identity(space)
 
 
 def _line_maker(graded):
@@ -240,8 +233,6 @@ def pair_criterion(theory, dim_a, dim_b):
     ses_ab = split_ses(f, dim_a, dim_b)
     lam_ab = theory.lambda_scalar(ses_ab)
     # b included as the second block, a recovered by the first projection
-    from .exactcat import FdSpace, LinMap, Matrix
-    from .exactlin import Matrix as _M
     one, z = f.one(), f.zero()
     total = FdSpace(f, dim_a + dim_b)
     i2 = LinMap(FdSpace(f, dim_b), total,

@@ -38,9 +38,6 @@ class DimTheory:
     def of_dim(self, d):
         return self.generator_image.scale(d)
 
-    def of_space(self, space):
-        return self.of_dim(space.dim)
-
     def __eq__(self, other):
         return (isinstance(other, DimTheory) and self.group == other.group
                 and self.generator_image == other.generator_image)

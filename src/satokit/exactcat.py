@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactlin import (Matrix, Subspace, mat_mul_rows, rref_transform,
-                       solve_in_rows)
+from .exactlin import (Matrix, Quotient, Subspace, mat_mul_rows,
+                       rref_transform, solve_in_rows)
 
 
 class FdSpace:
@@ -124,14 +124,21 @@ def canonical_section(j):
     if not j.is_epi():
         raise ValueError("section of a non-epi")
     f = j.source.field
-    rref, piv, transform, _, _ = rref_transform(f, j.matrix.entries)
-    coeffs = []
-    for t in range(j.target.dim):
-        e = [f.zero()] * j.target.dim
-        e[t] = f.one()
-        coeffs.append(solve_in_rows(f, rref, piv, e))
-    sec = mat_mul_rows(f, coeffs, transform)
+    n = j.target.dim
+    one, z = f.one(), f.zero()
+    units = [[one if c == t else z for c in range(n)] for t in range(n)]
+    sec = _solve_rows(f, j.matrix.entries, units)
     return LinMap(j.target, j.source, Matrix(f, sec, j.source.dim))
+
+
+def _solve_rows(f, rows, targets):
+    """Rows x with x . rows == t for each target t, in the order of targets,
+    or None when some target is not in the row space of rows."""
+    rref, piv, transform, _, _ = rref_transform(f, rows)
+    coeffs = [solve_in_rows(f, rref, piv, t) for t in targets]
+    if None in coeffs:
+        return None
+    return mat_mul_rows(f, coeffs, transform)
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +232,6 @@ def quotient_map(sub):
     return LinMap(src, tgt, Matrix(sub.field, sub.quotient_rows(), tgt.dim))
 
 
-def sub_quotient_ses(sub):
-    """The SES  span(sub) >--> k^ambient -->> k^ambient/span(sub)."""
-    return check_ses(inclusion_map(sub), quotient_map(sub))
-
-
 # ---------------------------------------------------------------------------
 # pullbacks of monos, pushouts of epis, factorization
 
@@ -254,14 +256,9 @@ def pullback_admissible_monos(m1, m2):
 def _corestrict(mono, w, p):
     # express each basis vector of w through the mono
     f = mono.source.field
-    t_rows, t_piv, transform, _, _ = rref_transform(f, mono.matrix.entries)
-    coeffs = []
-    for v in w.rows:
-        c = solve_in_rows(f, t_rows, t_piv, v)
-        if c is None:
-            raise ValueError("subspace does not factor through the mono")
-        coeffs.append(c)
-    out = mat_mul_rows(f, coeffs, transform)
+    out = _solve_rows(f, mono.matrix.entries, w.rows)
+    if out is None:
+        raise ValueError("subspace does not factor through the mono")
     return LinMap(p, mono.source, Matrix(f, out, mono.source.dim))
 
 
@@ -276,14 +273,9 @@ def pullback_mediator(into1, into2, cone1, cone2):
                     zip(into1.matrix.entries, into2.matrix.entries)]
     target_rows = [list(a) + list(b) for a, b in
                    zip(cone1.matrix.entries, cone2.matrix.entries)]
-    rref, piv, transform, _, _ = rref_transform(f, stacked_rows)
-    coeffs = []
-    for row in target_rows:
-        c = solve_in_rows(f, rref, piv, row)
-        if c is None:
-            return None
-        coeffs.append(c)
-    u_rows = mat_mul_rows(f, coeffs, transform)
+    u_rows = _solve_rows(f, stacked_rows, target_rows)
+    if u_rows is None:
+        return None
     u = LinMap(cone1.source, into1.source,
                Matrix(f, u_rows, into1.source.dim))
     if u.then(into1) != cone1 or u.then(into2) != cone2:
@@ -477,24 +469,18 @@ class Grid3x3:
                        {k: v for k, v in self.row_maps.items()})
 
 
-def _induced_quotient_map(field, src_small, src_big, dst_small, dst_big,
-                          carrier):
-    """Map  span(src_big)/span(src_small) -> span(dst_big)/span(dst_small)
-    induced by the ambient carrier rows, in canonical subquotient bases."""
-    src_basis, _ = src_small.basis_of_quotient(src_big)
-    dst_basis, dst_piv = dst_small.basis_of_quotient(dst_big)
-    rows_out = []
-    for c in src_basis:
-        v = src_small.lift_coords(c)
-        w = mat_mul_rows(field, [list(v)], carrier)[0]
-        coords = solve_in_rows(field, dst_basis, dst_piv,
-                               dst_small.proj_coords(w))
-        if coords is None:
+def induced_map(src, dst):
+    """The map src -> dst between Quotients of one ambient space induced by
+    its identity, in their canonical bases."""
+    rows = []
+    for k in range(src.dim):
+        c = dst.coords(src.lift(k))
+        if c is None:
             raise GridError("image escapes the target subquotient")
-        rows_out.append(coords)
-    src = FdSpace(field, len(src_basis))
-    tgt = FdSpace(field, len(dst_basis))
-    return LinMap(src, tgt, Matrix(field, rows_out, tgt.dim))
+        rows.append(c)
+    f = src.small.field
+    return LinMap(FdSpace(f, src.dim), FdSpace(f, dst.dim),
+                  Matrix(f, rows, dst.dim))
 
 
 def complete_grid_3x3(top_mono, left_mono, p_top=None, p_left=None):
@@ -524,46 +510,29 @@ def complete_grid_3x3(top_mono, left_mono, p_top=None, p_left=None):
         if given != w:
             raise GridError("not-cartesian")
 
+    zero = Subspace.zero(f, amb.dim)
     full = Subspace.full(f, amb.dim)
     usum = u_top.join(u_left)
-    zero_of = Subspace.zero(f, amb.dim)
-    ident = [list(r) for r in Matrix.identity(f, amb.dim).entries]
-
-    def space(small, big):
-        return FdSpace(f, big.dim - small.dim)
-
     # entries: tl = w, tm = u_top, tr = u_top/w
     #          ml = u_left, mm = x, mr = x/u_left
     #          bl = u_left/w, bm = x/u_top, br = x/(u_top + u_left)
-    spaces = {
-        "tl": space(zero_of, w), "tm": space(zero_of, u_top),
-        "tr": space(w, u_top),
-        "ml": space(zero_of, u_left), "mm": amb,
-        "mr": space(u_left, full),
-        "bl": space(w, u_left), "bm": space(u_top, full),
-        "br": space(usum, full),
+    quots = {
+        "tl": Quotient(zero, w), "tm": Quotient(zero, u_top),
+        "tr": Quotient(w, u_top),
+        "ml": Quotient(zero, u_left), "mm": Quotient(zero, full),
+        "mr": Quotient(u_left, full),
+        "bl": Quotient(w, u_left), "bm": Quotient(u_top, full),
+        "br": Quotient(usum, full),
     }
+    spaces = {k: FdSpace(f, q.dim) for k, q in quots.items()}
 
-    def imap(src_small, src_big, dst_small, dst_big):
-        return _induced_quotient_map(f, src_small, src_big, dst_small,
-                                     dst_big, ident)
+    def maps(keys):
+        a, b, c = (quots[k] for k in keys)
+        return induced_map(a, b), induced_map(b, c)
 
-    row_maps = {
-        0: (imap(zero_of, w, zero_of, u_top),
-            imap(zero_of, u_top, w, u_top)),
-        1: (imap(zero_of, u_left, zero_of, full),
-            imap(zero_of, full, u_left, full)),
-        2: (imap(w, u_left, u_top, full),
-            imap(u_top, full, usum, full)),
-    }
-    col_maps = {
-        0: (imap(zero_of, w, zero_of, u_left),
-            imap(zero_of, u_left, w, u_left)),
-        1: (imap(zero_of, u_top, zero_of, full),
-            imap(zero_of, full, u_top, full)),
-        2: (imap(w, u_top, u_left, full),
-            imap(u_left, full, usum, full)),
-    }
+    row_maps = {r: maps(keys) for r, keys in enumerate(Grid3x3.ROW_KEYS)}
+    col_maps = {c: maps(keys)
+                for c, keys in enumerate(zip(*Grid3x3.ROW_KEYS))}
     grid = Grid3x3(spaces, row_maps, col_maps)
     grid.validate()
     return grid

@@ -55,14 +55,6 @@ class Field:
         raise AttributeError("Field is immutable")
 
     @classmethod
-    def prime(cls, p):
-        return cls(p)
-
-    @classmethod
-    def rationals(cls):
-        return cls(None)
-
-    @classmethod
     def parse(cls, text):
         """Parse 'F<p>' or 'Q'."""
         text = text.strip()
@@ -365,9 +357,6 @@ class Matrix:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i):
-        return self.entries[i]
-
     def mul(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch: %dx%d @ %dx%d"
@@ -377,41 +366,10 @@ class Matrix:
         rows = mat_mul_rows(self.field, self.entries, list(other.entries))
         return Matrix._raw(self.field, rows, other.ncols)
 
-    __matmul__ = mul
-
-    def add(self, other):
-        f = self.field
-        return Matrix(f, [[f.add(a, b) for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.entries, other.entries)],
-                      self.ncols)
-
-    def sub(self, other):
-        f = self.field
-        return Matrix(f, [[f.sub(a, b) for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.entries, other.entries)],
-                      self.ncols)
-
-    def neg(self):
-        f = self.field
-        return Matrix(f, [[f.neg(a) for a in r] for r in self.entries],
-                      self.ncols)
-
-    def scale(self, c):
-        f = self.field
-        c = f.normalize(c)
-        return Matrix(f, [[f.mul(c, a) for a in r] for r in self.entries],
-                      self.ncols)
-
     def transpose(self):
         return Matrix(self.field,
                       [[self.entries[i][j] for i in range(self.nrows)]
                        for j in range(self.ncols)], self.nrows)
-
-    def stack(self, other):
-        if self.ncols != other.ncols:
-            raise ValueError("column mismatch in stack")
-        return Matrix(self.field, list(self.entries) + list(other.entries),
-                      self.ncols)
 
     def is_zero(self):
         return all(x == 0 for r in self.entries for x in r)
@@ -550,13 +508,35 @@ class Subspace:
             out.append(self.proj_coords(e))
         return out
 
-    def basis_of_quotient(self, larger):
-        """Canonical rref basis of larger/self in quotient coordinates, with
-        its pivots."""
-        if not larger.contains(self):
+
+class Quotient:
+    """The subquotient big/small of nested subspaces, in its canonical basis.
+
+    basis is the rref basis of big/small in small's quotient coordinates
+    (Subspace.proj_coords), with its pivots; lift(k) is the canonical coset
+    representative of basis[k].
+    """
+
+    __slots__ = ("small", "basis", "pivots")
+
+    def __init__(self, small, big):
+        if not big.contains(small):
             raise ValueError("quotient requires containment")
-        return rref_rows(self.field,
-                         [self.proj_coords(r) for r in larger.rows])
+        self.small = small
+        self.basis, self.pivots = rref_rows(
+            small.field, [small.proj_coords(r) for r in big.rows])
+
+    @property
+    def dim(self):
+        return len(self.basis)
+
+    def coords(self, v):
+        """Coordinates of v + small in basis, or None when v is not in big."""
+        return solve_in_rows(self.small.field, self.basis, self.pivots,
+                             self.small.proj_coords(v))
+
+    def lift(self, k):
+        return self.small.lift_coords(self.basis[k])
 
 
 def all_vectors(field, n):

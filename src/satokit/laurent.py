@@ -396,10 +396,6 @@ class LaurentMatrix:
         vals = [x.val() for r in self.entries for x in r if not x.is_zero()]
         return min(vals) if vals else None
 
-    def max_degree(self):
-        vals = [x.deg() for r in self.entries for x in r if not x.is_zero()]
-        return max(vals) if vals else None
-
     def rank(self):
         return _rank_ratfunc(self)
 

@@ -11,8 +11,8 @@ its canonical coordinates, and degeneracies repeat a subspace.
 
 from __future__ import annotations
 
-from .exactcat import FdSpace, LinMap, check_ses, _induced_quotient_map
-from .exactlin import Matrix, Subspace, all_subspaces
+from .exactcat import FdSpace, LinMap, check_ses, induced_map
+from .exactlin import Quotient, Subspace, all_subspaces
 
 
 class SObjectError(Exception):
@@ -82,10 +82,8 @@ class SObject:
         (i, j), (k, l) = ij, kl
         if not (i <= k and j <= l):
             raise SObjectError("map requires (i,j) <= (k,l)")
-        ident = [list(r)
-                 for r in Matrix.identity(self.field, self.ambient).entries]
-        lm = _induced_quotient_map(self.field, self.sub_at(i), self.sub_at(j),
-                                   self.sub_at(k), self.sub_at(l), ident)
+        lm = induced_map(Quotient(self.sub_at(i), self.sub_at(j)),
+                         Quotient(self.sub_at(k), self.sub_at(l)))
         ci = self.choices.get((i, j))
         ck = self.choices.get((k, l))
         if ci is None and ck is None:
@@ -135,8 +133,7 @@ class SObject:
         return True
 
 
-def build_s_object(field, ambient, chain, quotient_choices=None,
-                   validate=True):
+def build_s_object(field, ambient, chain, quotient_choices=None):
     """Validated SObject from a chain of subspaces (monos by inclusion) and
     optional basis choices for the quotient entries."""
     subs = []
@@ -146,8 +143,7 @@ def build_s_object(field, ambient, chain, quotient_choices=None,
         else:
             subs.append(Subspace.from_rows(field, ambient, item))
     obj = SObject(field, ambient, subs, quotient_choices)
-    if validate:
-        obj.validate()
+    obj.validate()
     return obj
 
 
@@ -218,17 +214,8 @@ class SSkeleton:
         self.faces = faces              # (level, idx, i) -> idx in level-1
         self.degeneracies = degeneracies
 
-    def object(self, level, idx):
-        return self.levels[level][idx]
-
     def counts(self):
         return [len(l) for l in self.levels]
-
-    def face_index(self, level, idx, i):
-        return self.faces[(level, idx, i)]
-
-    def degeneracy_index(self, level, idx, i):
-        return self.degeneracies[(level, idx, i)]
 
     def check_simplicial_identities(self):
         """All face/face, face/degeneracy identities on the incidence data."""

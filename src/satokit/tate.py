@@ -20,8 +20,8 @@ of this model at all.  Every mono the model can express is admissible.
 from __future__ import annotations
 
 from .exactcat import FdSpace, LinMap, check_ses
-from .exactlin import (Matrix, Subspace, det_rows, rref_rows, rref_transform,
-                       solve_in_rows)
+from .exactlin import (Matrix, Quotient, Subspace, det_rows, rref_rows,
+                       rref_transform)
 from .laurent import (LaurentMatrix, LaurentPoly, RatFunc, left_inverse,
                       ratfunc_min_valuation, right_inverse)
 
@@ -87,9 +87,6 @@ class Lattice:
     @property
     def field(self):
         return self.space.field
-
-    def window_dim(self):
-        return (self.hi - self.lo) * self.space.rank
 
 
 def standard_lattice(space, shift=0):
@@ -204,10 +201,14 @@ def lattice_join(a, b):
 
 
 def relative_index(a, b):
-    """dim(a / a n b) - dim(b / a n b)."""
+    """dim(a / a n b) - dim(b / a n b).
+
+    This is the difference of the row counts of window_rows(a, LO, HI) and
+    window_rows(b, LO, HI) in any common window: each lattice contributes
+    its own rows plus n unit rows per level from its hi up to HI.
+    """
     _check_same_space(a, b)
-    LO, HI = common_window(a, b)
-    return len(window_rows(a, LO, HI)) - len(window_rows(b, LO, HI))
+    return len(a.rows) - len(b.rows) + a.space.rank * (b.hi - a.hi)
 
 
 def laurent_vector_from_window(field, n, LO, row):
@@ -393,14 +394,17 @@ def twist_tate_ses(ses, aut, aut_inv):
     return check_tate_ses(ses.i.mul(aut), aut_inv.mul(ses.j))
 
 
-def _polynomial_rows(ratfunc_rows):
+def _polynomial_rows(inv_rows):
+    # entries are RatFuncs from the k(t) solver or seeded LaurentPolys
     rows = []
-    for r in ratfunc_rows:
+    for r in inv_rows:
         row = []
         for x in r:
-            if x.den.terms != ((0, x.den.field.one()),):
-                raise ValueError("inverse has a nontrivial denominator")
-            row.append(x.num)
+            if isinstance(x, RatFunc):
+                if x.den.terms != ((0, x.den.field.one()),):
+                    raise ValueError("inverse has a nontrivial denominator")
+                x = x.num
+            row.append(x)
         rows.append(row)
     return rows
 
@@ -512,53 +516,32 @@ class LatticeQuotient:
     """The finite-dimensional quotient big/small of nested lattices,
     materialized in the canonical window [lo(big), hi(small))."""
 
-    __slots__ = ("field", "n", "LO", "HI", "small_w", "basis", "pivots")
+    __slots__ = ("n", "lo", "hi", "quotient")
 
-    def __init__(self, small, big, LO=None, HI=None):
-        if not lattice_contains(big, small):
-            raise ValueError("quotient requires small <= big")
-        if LO is None:
-            LO = big.lo
-        if HI is None:
-            HI = small.hi
-        LO = min(LO, big.lo)
-        HI = max(HI, small.hi)
-        field = small.field
-        n = small.space.rank
-        small_w = window_subspace(small, LO, HI)
-        big_w = window_subspace(big, LO, HI)
-        rows = [small_w.proj_coords(r) for r in big_w.rows]
-        basis, pivots = rref_rows(field, rows)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "LO", LO)
-        object.__setattr__(self, "HI", HI)
-        object.__setattr__(self, "small_w", small_w)
-        object.__setattr__(self, "basis", tuple(basis))
-        object.__setattr__(self, "pivots", tuple(pivots))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
+    def __init__(self, small, big):
+        _check_same_space(small, big)
+        # for small <= big this is [big.lo, small.hi); otherwise Quotient
+        # refuses
+        self.lo, self.hi = common_window(small, big)
+        self.n = small.space.rank
+        self.quotient = Quotient(window_subspace(small, self.lo, self.hi),
+                                 window_subspace(big, self.lo, self.hi))
 
     @property
     def dim(self):
-        return len(self.basis)
+        return self.quotient.dim
 
-    def coords_of_window_row(self, wrow):
-        c = solve_in_rows(self.field, self.basis, self.pivots,
-                          self.small_w.proj_coords(wrow))
+    def coords_of_laurent(self, vec):
+        wrow = window_coords_of_laurent(self.quotient.small.field, self.n,
+                                        self.lo, self.hi, vec)
+        c = self.quotient.coords(wrow)
         if c is None:
             raise ValueError("vector does not lie in the quotient")
         return c
 
-    def coords_of_laurent(self, vec):
-        wrow = window_coords_of_laurent(self.field, self.n, self.LO, self.HI,
-                                        vec)
-        return self.coords_of_window_row(wrow)
-
     def laurent_of_basis_index(self, k):
-        wrow = self.small_w.lift_coords(self.basis[k])
-        return laurent_vector_from_window(self.field, self.n, self.LO, wrow)
+        return laurent_vector_from_window(self.quotient.small.field, self.n,
+                                          self.lo, self.quotient.lift(k))
 
 
 def lambda_scalar_chain(a, b, c):
@@ -566,29 +549,17 @@ def lambda_scalar_chain(a, b, c):
 
     a <= b <= c lattices; the scalar is the determinant of the matrix that
     expresses (basis of b/a, canonically lifted basis of c/b) in the
-    canonical basis of c/a.
+    canonical basis of c/a.  Each Quotient checks its containment, so a
+    chain that is not nested raises ValueError.
     """
     _check_same_space(a, b)
     _check_same_space(b, c)
     LO, HI = common_window(a, b, c)
-    field = a.field
-    a_w = window_subspace(a, LO, HI)
-    b_w = window_subspace(b, LO, HI)
-    c_w = window_subspace(c, LO, HI)
-    beta_ba, _ = rref_rows(field, [a_w.proj_coords(r) for r in b_w.rows])
-    beta_ca, piv_ca = rref_rows(field, [a_w.proj_coords(r) for r in c_w.rows])
-    beta_cb, _ = rref_rows(field, [b_w.proj_coords(r) for r in c_w.rows])
-    stacked = list(beta_ba)
-    for r in beta_cb:
-        wrow = b_w.lift_coords(r)
-        stacked.append(a_w.proj_coords(wrow))
-    rows = []
-    for r in stacked:
-        cc = solve_in_rows(field, beta_ca, piv_ca, r)
-        if cc is None:
-            raise ValueError("chain is not nested")
-        rows.append(cc)
-    return det_rows(field, rows)
+    a_w, b_w, c_w = (window_subspace(x, LO, HI) for x in (a, b, c))
+    ca = Quotient(a_w, c_w)
+    parts = (Quotient(a_w, b_w), Quotient(b_w, c_w))
+    return det_rows(a.field, [ca.coords(q.lift(k))
+                              for q in parts for k in range(q.dim)])
 
 
 def delta_scalar_canonical(u, v):

@@ -18,9 +18,10 @@ from .complexes import (circle, full_simplex, projective_plane,
                         simplex_boundary, sphere_3, torus)
 from .detline import check_symmetry, graded_det, ungraded_det
 from .dimtorsor import DimTheory, RelDimTheory, mu_combine
-from .exactcat import (LinMap, complete_grid_3x3, epi_mono_factorize,
-                       factorization_connector, inclusion_map,
-                       is_cartesian_square, is_cocartesian_square)
+from .exactcat import (FdSpace, LinMap, complete_grid_3x3,
+                       epi_mono_factorize, factorization_connector,
+                       inclusion_map, is_cartesian_square,
+                       is_cocartesian_square)
 from .exactlin import F2, F5, Matrix, Subspace, all_subspaces, all_vectors
 from .laurent import LaurentMatrix, LaurentPoly
 from .simptors import (Cochain, MultTorsorRep, GerbeRep, check_mult_torsor,
@@ -260,17 +261,12 @@ def suite_lift_project(seed=0, trials=1000, emax=2):
 
 def _all_monos(field, a, b, vectors):
     if a == 0:
-        yield LinMap.zero(_fd(field, 0), _fd(field, b))
+        yield LinMap.zero(FdSpace(field, 0), FdSpace(field, b))
         return
     for rows in itertools.product(vectors[b], repeat=a):
         m = Matrix(field, [list(r) for r in rows], b)
         if m.rank() == a:
-            yield LinMap(_fd(field, a), _fd(field, b), m)
-
-
-def _fd(field, n):
-    from .exactcat import FdSpace
-    return FdSpace(field, n)
+            yield LinMap(FdSpace(field, a), FdSpace(field, b), m)
 
 
 @_timed
@@ -294,7 +290,7 @@ def suite_factorization(max_dim=3):
         epis = []
         for c in range(b + 1):
             for rows in itertools.product(vectors[c], repeat=b):
-                m = LinMap(_fd(field, b), _fd(field, c),
+                m = LinMap(FdSpace(field, b), FdSpace(field, c),
                            Matrix(field, [list(r) for r in rows], c))
                 if m.is_epi():
                     epis.append(m)
@@ -674,7 +670,3 @@ def run_suite(name, seed=None, trials=None):
     kwargs = {k: v for k, v in (("seed", seed), ("trials", trials))
               if v is not None and k in params}
     return SUITES[name](**kwargs)
-
-
-def run_all(seed=0):
-    return [run_suite(name, seed=seed) for name in SUITES]

@@ -101,6 +101,16 @@ def test_cli_index_json_deterministic(lat_files, capsys):
     assert data["status"] == "pass" and data["index"] == 2
 
 
+def test_cli_index_far_pair(tmp_path, capsys):
+    space = TateSpace(F5, 2)
+    fa = _write(tmp_path, "a.lat", format_lattice(standard_lattice(space)))
+    fb = _write(tmp_path, "b.lat",
+                format_lattice(standard_lattice(space, 3000000)))
+    rc = main(["--json", "index", fa, fb])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["index"] == 6000000
+
+
 def test_cli_meet_join_roundtrip(tmp_path, capsys):
     space = TateSpace(F5, 2)
     a = lattice_normalize(space, -1, 0, [[1, 0]])
@@ -157,6 +167,24 @@ def test_cli_mu_eval(tmp_path, capsys):
                "--d1", "5", "--d2", "-3"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "2"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--d1", "x"], ["--d2", "x"], ["--generator", "y"],
+    ["--generator", "1,2"],
+])
+def test_cli_mu_eval_bad_flag_exits_2(tmp_path, capsys, flags):
+    from satokit.tate import split_tate_ses
+    ses = split_tate_ses(F5, 1, 1)
+    fi = _write(tmp_path, "i.lmx", format_laurent_matrix(ses.i))
+    fj = _write(tmp_path, "j.lmx", format_laurent_matrix(ses.j))
+    fu = _write(tmp_path, "u.lat",
+                format_lattice(standard_lattice(TateSpace(F5, 2))))
+    rc = main(["mu-eval", fi, fj, fu, "--group", "Z"] + flags)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_cli_cohomology(tmp_path, capsys):

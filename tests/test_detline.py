@@ -160,15 +160,14 @@ def test_mult_diagram_two_paths_exhaustive_f2():
                 continue
             full = Subspace.full(F2, 3)
             # lambda for the chain via grid machinery on subquotients
-            from satokit.exactcat import _induced_quotient_map, GridError
-            from satokit.exactlin import Matrix as M
+            from satokit.exactcat import induced_map, GridError
+            from satokit.exactlin import Quotient
             # two-path equality through concrete SES data
             zero = Subspace.zero(F2, 3)
-            ident = [list(r) for r in M.identity(F2, 3).entries]
 
             def ses_of(small, mid, big):
-                i = _induced_quotient_map(F2, small, mid, small, big, ident)
-                j = _induced_quotient_map(F2, small, big, mid, big, ident)
+                i = induced_map(Quotient(small, mid), Quotient(small, big))
+                j = induced_map(Quotient(small, big), Quotient(mid, big))
                 return check_ses(i, j)
 
             lam_12 = th.lambda_scalar(ses_of(zero, a1, a2))

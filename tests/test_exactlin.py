@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from satokit.exactlin import (
-    F2, F3, F5, QQ, Field, IntMatrix, Matrix, Subspace, all_subspaces,
-    all_vectors, det_rows, int_inverse_unimodular, mat_mul_rows, rref_rows,
-    rref_transform, smith_normal_form, snf_with_transforms, solve_in_rows,
-    solve_mod,
+    F2, F3, F5, QQ, Field, IntMatrix, Matrix, Quotient, Subspace,
+    all_subspaces, all_vectors, det_rows, int_inverse_unimodular,
+    mat_mul_rows, rref_rows, rref_transform, smith_normal_form,
+    snf_with_transforms, solve_in_rows, solve_mod,
 )
 
 
@@ -156,6 +156,41 @@ def test_rref_transform_invariants(which, nrows, ncols, data):
     assert len(ker) + len(rref) == len(rows)
     assert rref_rows(field, ker) == (ker, kpiv)
 
+
+
+@settings(max_examples=90, deadline=None)
+@given(st.sampled_from(range(len(_FIELD_ENTRIES))), st.integers(1, 5),
+       st.integers(0, 3), st.integers(0, 3), st.data())
+def test_quotient_invariants(which, ambient, n_small, n_extra, data):
+    field, entry = _FIELD_ENTRIES[which]
+
+    def draw_rows(n):
+        return [tuple(field.normalize(data.draw(entry))
+                      for _ in range(ambient)) for _ in range(n)]
+
+    small = Subspace.from_rows(field, ambient, draw_rows(n_small))
+    big = small.join(Subspace.from_rows(field, ambient, draw_rows(n_extra)))
+    q = Quotient(small, big)
+    assert q.dim == big.dim - small.dim
+    for k in range(q.dim):
+        assert q.coords(q.lift(k)) == tuple(
+            field.one() if i == k else field.zero() for i in range(q.dim))
+    units = Subspace.full(field, ambient).rows
+    outside = [e for e in units if not big.contains_vector(e)]
+    assert bool(outside) == (big.dim < ambient)
+    for v in list(units) + draw_rows(3) + list(big.rows):
+        c = q.coords(v)
+        if not big.contains_vector(v):
+            assert c is None
+            continue
+        rest = list(v)
+        for k, ck in enumerate(c):
+            rest = [field.sub(x, field.mul(ck, y))
+                    for x, y in zip(rest, q.lift(k))]
+        assert small.contains_vector(rest)
+    if big != small:
+        with pytest.raises(ValueError):
+            Quotient(big, small)
 
 def _elementary_product(rng, n, steps):
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

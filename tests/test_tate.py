@@ -6,11 +6,12 @@ from satokit.exactlin import F2, F5, rref_rows
 from satokit.laurent import LaurentMatrix, LaurentPoly
 from satokit.tate import (
     Lattice, LatticeGridError, LatticeQuotient, TateSES, TateSESInvalid,
-    TateSpace, check_tate_ses, common_window, delta_scalar_canonical,
-    diagnose_tate_ses, fd_ses_of_pair, lambda_scalar_chain, lattice_contains,
-    lattice_grid, lattice_join, lattice_meet, lattice_normalize,
-    laurent_vector_from_window, lift_lattice, project_lattice,
-    relative_index, split_tate_ses, standard_lattice, twist_tate_ses,
+    TateSpace, check_tate_ses, common_window, compose_filtration,
+    delta_scalar_canonical, diagnose_tate_ses, fd_ses_of_pair,
+    lambda_scalar_chain, lattice_contains, lattice_grid, lattice_join,
+    lattice_meet, lattice_normalize, laurent_vector_from_window,
+    lift_lattice, project_lattice, quotient_ses, relative_index,
+    split_tate_ses, standard_lattice, twist_tate_ses,
     window_coords_of_laurent, window_rows, window_subspace,
 )
 
@@ -525,3 +526,29 @@ def test_quotient_dim_matches_index():
         v = lattice_join(u, _random_lattice(rng, K2, 1))
         q = LatticeQuotient(u, v)
         assert q.dim == relative_index(v, u)
+
+
+def test_relative_index_closed_form_matches_window_count():
+    # the definition: row counts of both lattices in their common window
+    rng = random.Random(47)
+    for field in (F2, F5):
+        for rank in (1, 2, 3):
+            space = TateSpace(field, rank)
+            for _ in range(15):
+                a, b = (_random_lattice(rng, space, 2) for _ in range(2))
+                s = rng.randint(-4, 4)
+                b = lattice_normalize(space, b.lo + s, b.hi + s,
+                                      window_rows(b, b.lo, b.hi))
+                LO, HI = common_window(a, b)
+                assert relative_index(a, b) == (len(window_rows(a, LO, HI))
+                                                - len(window_rows(b, LO, HI)))
+
+
+def test_compose_filtration_with_seeded_inverses():
+    from satokit.verify import TwistedChain
+    ch = TwistedChain(random.Random(1), F5, 1, 2, 3)
+    composed = compose_filtration(ch.ses23, ch.ses12)
+    assert diagnose_tate_ses(composed.i, composed.j) is None
+    assert composed.i == ch.ses13.i and composed.j == ch.ses13.j
+    q = quotient_ses(ch.ses23, ch.ses12, composed)
+    assert diagnose_tate_ses(q.i, q.j) is None
