@@ -22,9 +22,9 @@ from .exactlin import Field
 from .fileio import (ParseError, format_cochain, format_lattice,
                      parse_cochain, parse_lattice, parse_laurent_matrix,
                      parse_simplicial_set)
-from .simptors import (GerbeError, GerbeRep, check_mult_torsor,
-                       classify_torsor, cohomology, gerbe_to_torsor,
-                       iso_decide)
+from .simptors import (DegreeRangeError, GerbeError, GerbeRep,
+                       check_mult_torsor, classify_torsor, cohomology,
+                       gerbe_to_torsor, iso_decide)
 from .swald import BudgetExceeded, enumerate_s_skeleton
 from .tate import (TateSESInvalid, check_tate_ses, diagnose_tate_ses,
                    lattice_join, lattice_meet, lift_lattice, project_lattice,
@@ -69,13 +69,38 @@ def _load_sset(path):
         raise CliError("%s: %s" % (path, exc))
 
 
-def _load_ses(i_path, j_path):
+def _load_pair(i_path, j_path):
+    """The matrices of i.lmx and j.lmx, refused unless i . j is defined."""
     i = _load_lmx(i_path)
     j = _load_lmx(j_path)
+    if i.field != j.field:
+        raise CliError("%s is over %s but %s is over %s"
+                       % (i_path, i.field, j_path, j.field))
+    if i.ncols != j.nrows:
+        raise CliError("middle ranks disagree: %s has %d columns, %s has %d "
+                       "rows" % (i_path, i.ncols, j_path, j.nrows))
+    return i, j
+
+
+def _load_ses_and_lattice(args):
     try:
-        return check_tate_ses(i, j)
+        ses = check_tate_ses(*_load_pair(args.i, args.j))
     except TateSESInvalid as exc:
         raise CliError("sequence invalid: %s" % exc.code, FAIL)
+    u = _load_lattice(args.lattice)
+    if u.space != ses.total_space:
+        raise CliError("%s lives in %s, not in the middle space %s"
+                       % (args.lattice, u.space, ses.total_space))
+    return ses, u
+
+
+def _load_lattice_pair(args):
+    a = _load_lattice(args.a)
+    b = _load_lattice(args.b)
+    if a.space != b.space:
+        raise CliError("%s lives in %s but %s in %s"
+                       % (args.a, a.space, args.b, b.space))
+    return a, b
 
 
 def _emit(args, payload, text_lines, code=PASS):
@@ -103,16 +128,14 @@ def _drop_stdout():
 
 
 def cmd_index(args):
-    a = _load_lattice(args.a)
-    b = _load_lattice(args.b)
+    a, b = _load_lattice_pair(args)
     idx = relative_index(a, b)
     return _emit(args, {"command": "index", "status": "pass", "index": idx},
                  [str(idx)])
 
 
 def _binary_lattice_op(args, op, name):
-    a = _load_lattice(args.a)
-    b = _load_lattice(args.b)
+    a, b = _load_lattice_pair(args)
     out = op(a, b)
     text = format_lattice(out)
     return _emit(args, {"command": name, "status": "pass", "lattice": text},
@@ -128,8 +151,7 @@ def cmd_join(args):
 
 
 def cmd_lift(args):
-    ses = _load_ses(args.i, args.j)
-    u = _load_lattice(args.lattice)
+    ses, u = _load_ses_and_lattice(args)
     out = lift_lattice(ses, u)
     text = format_lattice(out)
     return _emit(args, {"command": "lift", "status": "pass", "lattice": text},
@@ -137,8 +159,7 @@ def cmd_lift(args):
 
 
 def cmd_project(args):
-    ses = _load_ses(args.i, args.j)
-    u = _load_lattice(args.lattice)
+    ses, u = _load_ses_and_lattice(args)
     out = project_lattice(ses, u)
     text = format_lattice(out)
     return _emit(args, {"command": "project", "status": "pass",
@@ -146,12 +167,7 @@ def cmd_project(args):
 
 
 def cmd_ses_check(args):
-    i = _load_lmx(args.i)
-    j = _load_lmx(args.j)
-    try:
-        code = diagnose_tate_ses(i, j)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    code = diagnose_tate_ses(*_load_pair(args.i, args.j))
     if code is None:
         return _emit(args, {"command": "ses-check", "status": "pass"},
                      ["valid admissible short exact sequence"])
@@ -161,8 +177,7 @@ def cmd_ses_check(args):
 
 
 def cmd_mu_eval(args):
-    ses = _load_ses(args.i, args.j)
-    u = _load_lattice(args.lattice)
+    ses, u = _load_ses_and_lattice(args)
     group = args.group
     gen = group.elem(_coords(args.generator, group) if args.generator
                      else [1] * group.ngens)
@@ -230,7 +245,10 @@ def cmd_det_symmetry(args):
 def cmd_cohomology(args):
     cx = _load_sset(args.sset)
     group = args.group
-    res = cohomology(cx, args.degree, group)
+    try:
+        res = cohomology(cx, args.degree, group)
+    except DegreeRangeError as exc:
+        raise CliError("--degree %d: %s" % (args.degree, exc))
     pres = format_group(type(group)(res.group_presentation))
     return _emit(args, {"command": "cohomology", "status": "pass",
                         "degree": args.degree,

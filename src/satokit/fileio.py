@@ -83,6 +83,8 @@ def parse_lattice(text):
     if not parts or parts[0] != "tate":
         raise ParseError("lattice header must start with 'tate'", ln)
     rank = _parse_int_kv(parts, "rank", ln)
+    if rank < 0:
+        raise ParseError("negative rank=%d" % rank, ln)
     field = _parse_field_kv(parts, ln)
     if len(body) < 2:
         raise ParseError("missing bounds line", ln)
@@ -92,6 +94,8 @@ def parse_lattice(text):
         raise ParseError("expected bounds line", ln2)
     lo = _parse_int_kv(bparts, "lo", ln2)
     hi = _parse_int_kv(bparts, "hi", ln2)
+    if lo > hi:
+        raise ParseError("bounds lo=%d above hi=%d" % (lo, hi), ln2)
     width = (hi - lo) * rank
     rows = []
     for ln3, rline in body[2:]:

@@ -1,10 +1,12 @@
 """Laurent polynomials, rational functions, and Laurent-polynomial matrices.
 
 Morphisms between formal-Laurent-series spaces are matrices of Laurent
-polynomials acting on row vectors.  Rank and one-sided inverses are computed
-over the rational function field; rational functions are kept as numerator /
-denominator pairs of Laurent polynomials with monomial content stripped and a
-gcd reduction to hold degrees down.
+polynomials acting on row vectors.  k[t, 1/t] is a Euclidean domain, so one
+echelon form by Euclidean row steps gives both the rank (over k(t)) and the
+one-sided inverses: these are Laurent matrices whenever such inverses exist,
+and are otherwise solved over k(t).  Rational functions are kept as numerator
+/ denominator pairs of Laurent polynomials with monomial content stripped and
+a gcd reduction to hold degrees down.
 """
 
 from __future__ import annotations
@@ -56,10 +58,6 @@ class LaurentPoly:
     def t_power(cls, field, e, c=None):
         c = field.one() if c is None else field.normalize(c)
         return cls._raw(field, ((int(e), c),) if c else ())
-
-    @classmethod
-    def const(cls, field, c):
-        return cls.t_power(field, 0, c)
 
     def is_zero(self):
         return not self.terms
@@ -305,15 +303,7 @@ class LaurentMatrix:
     __slots__ = ("field", "nrows", "ncols", "entries")
 
     def __init__(self, field, entries, ncols=None):
-        rows = []
-        for row in entries:
-            out = []
-            for x in row:
-                if isinstance(x, LaurentPoly):
-                    out.append(x)
-                else:
-                    out.append(LaurentPoly.const(field, x))
-            rows.append(tuple(out))
+        rows = [tuple(row) for row in entries]
         nrows = len(rows)
         if nrows:
             ncols = len(rows[0])
@@ -397,114 +387,90 @@ class LaurentMatrix:
         return min(vals) if vals else None
 
     def rank(self):
-        return _rank_ratfunc(self)
+        return len(_echelon(self)[2])
 
 
-def _to_ratfunc_rows(m):
-    return [[RatFunc.from_poly(x) for x in row] for row in m.entries]
+def _echelon(m):
+    """(H, U, pivots) with U . m == H in row echelon form over k[t, 1/t], U
+    invertible there, and pivots the columns of H's leading entries.
 
-
-def _rank_ratfunc(m):
-    rows = _to_ratfunc_rows(m)
-    nrows, ncols = m.nrows, m.ncols
-    rank = 0
-    for col in range(ncols):
-        src = None
-        for r in range(rank, nrows):
-            if not rows[r][col].is_zero():
-                src = r
-                break
-        if src is None:
-            continue
-        rows[rank], rows[src] = rows[src], rows[rank]
-        piv = rows[rank][col]
-        for r in range(rank + 1, nrows):
-            if not rows[r][col].is_zero():
-                c = rows[r][col].div(piv)
-                rows[r] = [rows[r][k].sub(c.mul(rows[rank][k]))
-                           for k in range(ncols)]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def solve_right(m, rhs_rows):
-    """X with m . X = rhs, X over rational functions; None if unsolvable.
-
-    m is (a x b) of rank a, rhs a list of a rows of length c; the solution is
-    returned as a list of b rows of length c of RatFunc.  Solving happens on
-    the transposed system by elimination over the fraction field.
+    Reduces m | identity by Euclidean steps: in each column the entry of least
+    size deg - val (0 exactly on the units c t^e) divides the others with
+    remainder, by poly_divmod of the entries shifted to valuation 0, until
+    one is left.  Its row is then scaled by a unit, so that the pivot has
+    valuation 0 and leading coefficient 1: a unit pivot becomes 1.
     """
-    a, b = m.nrows, m.ncols
-    c = len(rhs_rows[0]) if rhs_rows else 0
-    # m X = rhs  <=>  X^T m^T = rhs^T; eliminate on [m^T | rhs^T] columns
-    mt = [[RatFunc.from_poly(m.entries[i][j]) for i in range(a)]
-          for j in range(b)]
-    rt = [[RatFunc.from_poly(rhs_rows[i][j]) if isinstance(rhs_rows[i][j],
-                                                           LaurentPoly)
-           else rhs_rows[i][j] for i in range(a)] for j in range(c)]
-    # each row of rt must be expressed as a combination of rows of mt
-    work = [list(r) for r in mt]
-    zero = RatFunc.from_poly(LaurentPoly.zero(m.field))
-    one = RatFunc.from_poly(LaurentPoly.one(m.field))
-    coefs = [[one if i == j else zero for j in range(b)] for i in range(b)]
+    f = m.field
+    n, ncols = m.nrows, m.ncols
+    one, z = LaurentPoly.one(f), LaurentPoly.zero(f)
+    rows = [list(r) + [one if i == j else z for j in range(n)]
+            for i, r in enumerate(m.entries)]
     pivots = []
-    rank = 0
-    for col in range(a):
-        src = None
-        for r in range(rank, b):
-            if not work[r][col].is_zero():
-                src = r
+    for col in range(ncols):
+        top = len(pivots)
+        if top == n:
+            break
+        while True:
+            live = [r for r in range(top, n) if rows[r][col].terms]
+            if not live:
                 break
-        if src is None:
-            continue
-        work[rank], work[src] = work[src], work[rank]
-        coefs[rank], coefs[src] = coefs[src], coefs[rank]
-        inv = one.div(work[rank][col])
-        work[rank] = [x.mul(inv) for x in work[rank]]
-        coefs[rank] = [x.mul(inv) for x in coefs[rank]]
-        for r in range(b):
-            if r != rank and not work[r][col].is_zero():
-                f = work[r][col]
-                work[r] = [work[r][k].sub(f.mul(work[rank][k]))
-                           for k in range(a)]
-                coefs[r] = [coefs[r][k].sub(f.mul(coefs[rank][k]))
-                            for k in range(b)]
-        pivots.append(col)
-        rank += 1
-    xt = []
-    for target in rt:
-        res = list(target)
-        combo = [zero] * b
-        for rr, col in enumerate(pivots):
-            f = res[col]
-            if not f.is_zero():
-                res = [res[k].sub(f.mul(work[rr][k])) for k in range(a)]
-                combo = [combo[k].add(f.mul(coefs[rr][k])) for k in range(b)]
-        if any(not x.is_zero() for x in res):
-            return None
-        xt.append(combo)
-    # xt is X^T (c rows of length b); transpose back
-    return [[xt[j][i] for j in range(c)] for i in range(b)]
+            best = min(live, key=lambda r: rows[r][col].deg()
+                       - rows[r][col].val())
+            rows[top], rows[best] = rows[best], rows[top]
+            a = rows[top][col]
+            va = a.val()
+            if len(live) == 1:
+                c = f.inv(a.terms[-1][1])
+                rows[top][col:] = [x._times(-va, c) for x in rows[top][col:]]
+                pivots.append(col)
+                break
+            a0 = a.shift(-va)
+            for r in range(top + 1, n):
+                b = rows[r][col]
+                if b.terms:
+                    vb = b.val()
+                    q = poly_divmod(b.shift(-vb), a0)[0].shift(vb - va)
+                    rows[r][col:] = [x.sub(q.mul(y)) for x, y in
+                                     zip(rows[r][col:], rows[top][col:])]
+    return ([r[:ncols] for r in rows], [r[ncols:] for r in rows], pivots)
+
+
+def _left_inverse_rows(m):
+    """C = H1^-1 . U1 with C . m == identity, from the top c x c block H1 of
+    H and the top c rows U1 of U, for m (b x c) of full column rank; None
+    otherwise.  When every pivot is a unit (scaled to 1 by _echelon) the
+    back-substitution stays in k[t, 1/t]; only then does a Laurent C exist."""
+    h, u, pivots = _echelon(m)
+    c = m.ncols
+    if len(pivots) < c:
+        return None
+    unit = all(h[k][k] == LaurentPoly.one(m.field) for k in range(c))
+    lift = (lambda x: x) if unit else RatFunc.from_poly
+    inv = [None] * c
+    for k in reversed(range(c)):
+        row = [lift(x) for x in u[k]]
+        for j in range(k + 1, c):
+            if h[k][j].terms:
+                x = lift(h[k][j])
+                row = [y.sub(x.mul(w)) for y, w in zip(row, inv[j])]
+        p = lift(h[k][k])
+        inv[k] = row if unit else [y.div(p) for y in row]
+    return [[RatFunc.from_poly(x) for x in r] for r in inv] if unit else inv
 
 
 def right_inverse(m):
-    """B (b x a, rational functions) with m . B = identity, for m of full
-    row rank; None when rank deficient."""
-    a = m.nrows
-    one = LaurentPoly.one(m.field)
-    z = LaurentPoly.zero(m.field)
-    ident = [[one if i == j else z for j in range(a)] for i in range(a)]
-    return solve_right(m, ident)
+    """B with m . B = identity as rows of RatFunc (denominator 1 when B is
+    polynomial), for m of full row rank; None otherwise."""
+    ct = _left_inverse_rows(m.transpose())
+    if ct is None:
+        return None
+    return [[row[i] for row in ct] for i in range(m.ncols)]
 
 
 def left_inverse(m):
-    """C (c x b) with C . m = identity for m (b x c) of full column rank."""
-    bt = right_inverse(m.transpose())
-    if bt is None:
-        return None
-    return [[bt[j][i] for j in range(len(bt))] for i in range(len(bt[0]))]
+    """C with C . m = identity as rows of RatFunc (denominator 1 when C is
+    polynomial), for m of full column rank; None otherwise."""
+    return _left_inverse_rows(m)
 
 
 def ratfunc_min_valuation(rows):

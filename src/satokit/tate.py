@@ -10,7 +10,8 @@ data equality.
 Morphisms are Laurent-polynomial matrices, admissible exactly when they have
 full row rank (monos) or full column rank (epis) over the rational function
 field; short exact sequences of spaces then restrict and project lattices,
-with sandwich bounds derived from one-sided inverses over k(t).
+with sandwich bounds derived from one-sided inverses (Laurent matrices when
+such inverses exist, else over k(t)).
 
 The classical non-admissible monomorphism k[t] -> k[[t]] is not representable
 here: k[t] is not a finite-rank Laurent-series space, so it is not an object
@@ -303,8 +304,8 @@ class TateSES:
         return self._cache["lj"]
 
     def seed_inverses(self, ri=None, lj=None):
-        """Install known one-sided inverses (Laurent matrices), bypassing the
-        k(t) solver; both are verified exactly before being accepted."""
+        """Install known one-sided inverses (Laurent matrices) in place of
+        computed ones; both are verified exactly before being accepted."""
         if ri is not None:
             rows = [list(r) for r in ri.entries]
             if not _verify_one_sided(self.i, rows, left=False):
@@ -395,7 +396,7 @@ def twist_tate_ses(ses, aut, aut_inv):
 
 
 def _polynomial_rows(inv_rows):
-    # entries are RatFuncs from the k(t) solver or seeded LaurentPolys
+    # entries are RatFuncs from laurent or seeded LaurentPolys
     rows = []
     for r in inv_rows:
         row = []
@@ -410,8 +411,8 @@ def _polynomial_rows(inv_rows):
 
 
 def retraction_of_mono(ses):
-    """LaurentMatrix r with i . r = identity; requires a polynomial right
-    inverse (twisted coordinate splits always have one)."""
+    """LaurentMatrix r with i . r = identity; ValueError when there is none,
+    i.e. the maximal minors of i do not generate the ring k[t, 1/t]."""
     rows = _polynomial_rows(ses.right_inverse_of_i())
     return LaurentMatrix(ses.field, rows, ses.i.nrows)
 

@@ -334,6 +334,8 @@ def test_cli_sset_diagnosis_passthrough(tmp_path, capsys):
     ("f4.lmx", "lmx rows=1 cols=1 field=F4\n1*t^0\n", 1),
     ("rows.lmx", "\nlmx rows=x cols=1 field=F5\n1*t^0\n", 2),
     ("cols.lmx", "lmx rows=1 cols=x field=F5\n1*t^0\n", 1),
+    ("neg.lat", "tate rank=-1 field=F5\nbounds lo=0 hi=1\n", 1),
+    ("lohi.lat", "tate rank=1 field=F5\n# swapped\nbounds lo=2 hi=1\n", 3),
 ])
 def test_cli_malformed_header_exits_2(tmp_path, capsys, name, text, line):
     f = _write(tmp_path, name, text)
@@ -347,6 +349,47 @@ def test_cli_malformed_header_exits_2(tmp_path, capsys, name, text, line):
     assert rc == 2
     assert "line %d" % line in err
     assert "Traceback" not in err
+
+
+@pytest.fixture
+def mismatched_files(tmp_path):
+    """Files named by what they hold: the mono i and epi j of the split
+    F5((t)) >--> F5((t))^2 -->> F5((t)), the epis j3 of a split into
+    F5((t))^3 and jF2 of one over F2, standard lattices u2/u3 in F5((t))^2
+    and F5((t))^3 and uF2 in F2((t))^2, and the torus."""
+    from satokit.tate import split_tate_ses
+    files = {"i.lmx": format_laurent_matrix(split_tate_ses(F5, 1, 1).i),
+             "j.lmx": format_laurent_matrix(split_tate_ses(F5, 1, 1).j),
+             "j3.lmx": format_laurent_matrix(split_tate_ses(F5, 1, 2).j),
+             "jF2.lmx": format_laurent_matrix(split_tate_ses(F2, 1, 1).j),
+             "torus.sset": format_simplicial_set(torus())}
+    for name, field, n in (("u2", F5, 2), ("u3", F5, 3), ("uF2", F2, 2)):
+        files[name + ".lat"] = format_lattice(
+            standard_lattice(TateSpace(field, n)))
+    return {name: _write(tmp_path, name, text)
+            for name, text in files.items()}
+
+
+@pytest.mark.parametrize("argv,msg", [
+    (["lift", "i.lmx", "j3.lmx", "u2.lat"], "middle ranks disagree"),
+    (["project", "i.lmx", "jF2.lmx", "u2.lat"], "over F2"),
+    (["mu-eval", "i.lmx", "j3.lmx", "u2.lat"], "middle ranks disagree"),
+    (["mu-eval", "i.lmx", "jF2.lmx", "u2.lat"], "over F2"),
+    (["lift", "i.lmx", "j.lmx", "u3.lat"], "not in the middle space"),
+    (["project", "i.lmx", "j.lmx", "uF2.lat"], "not in the middle space"),
+    (["index", "u2.lat", "u3.lat"], "lives in"),
+    (["meet", "u2.lat", "uF2.lat"], "lives in"),
+    (["join", "u3.lat", "u2.lat"], "lives in"),
+    (["cohomology", "torus.sset", "--degree", "-1"], "negative degree"),
+    (["cohomology", "torus.sset", "--degree", "9"], "degree 9"),
+])
+def test_cli_mismatched_inputs_exit_2(mismatched_files, capsys, argv, msg):
+    rc = main([mismatched_files.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and msg in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv,msg", [

@@ -268,6 +268,21 @@ def test_snf_matches_minor_gcd_oracle(rows):
     assert rank == len(factors)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda ncols: st.lists(
+    st.lists(st.integers(-4, 4) | st.integers(-60, 60), min_size=ncols,
+             max_size=ncols),
+    min_size=1, max_size=5)))
+def test_snf_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    s = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
+    diag = [abs(int(s[i, i])) for i in range(min(s.shape))]
+    factors, rank = smith_normal_form(rows)
+    assert factors == [d for d in diag if d]
+    assert rank == len(factors)
+
+
 def test_snf_transforms_multiply_out():
     rows = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
     s, u, v = snf_with_transforms(rows)

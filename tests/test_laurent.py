@@ -5,7 +5,7 @@ import pytest
 from satokit.exactlin import F2, F5, QQ
 from satokit.laurent import (
     LaurentMatrix, LaurentPoly, RatFunc, left_inverse, poly_divmod, poly_gcd,
-    ratfunc_min_valuation, right_inverse, solve_right,
+    ratfunc_min_valuation, right_inverse,
 )
 
 
@@ -252,3 +252,61 @@ def test_seed_inverses_rejects_perturbed_entry():
     bad = LaurentMatrix(F5, [[LaurentPoly.zero(F5), P(F5, (0, 2))]])
     with pytest.raises(ValueError):
         split_tate_ses(F5, 1, 1).seed_inverses(lj=bad)
+
+
+# --- rank and one-sided inverses against sympy over k(t) -------------------
+
+def _entries(draw, field, nrows, ncols):
+    term = st.tuples(st.integers(-2, 2), _coeffs(field))
+    return [[LaurentPoly(field, draw(st.lists(term, max_size=2)))
+             for _ in range(ncols)] for _ in range(nrows)]
+
+
+@st.composite
+def laurent_matrices(draw):
+    """A 1..4 x 1..4 Laurent matrix; about a third of them are products
+    through a smaller inner dimension, so rank deficient."""
+    field = draw(st.sampled_from(FIELDS))
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if draw(st.integers(0, 2)) == 0:
+        k = draw(st.integers(0, min(nrows, ncols) - 1))
+        left = LaurentMatrix(field, _entries(draw, field, nrows, k), k)
+        right = LaurentMatrix(field, _entries(draw, field, k, ncols), ncols)
+        return left.mul(right)
+    return LaurentMatrix(field, _entries(draw, field, nrows, ncols), ncols)
+
+
+def _sympy_rank(m):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    t = sympy.Symbol("t")
+    if m.field.is_rational:
+        dom = sympy.QQ.frac_field(t)
+    else:
+        dom = sympy.GF(m.field.p).frac_field(t)
+
+    def conv(x):
+        return dom.convert(sum((sympy.Rational(c.numerator, c.denominator)
+                                if m.field.is_rational else int(c)) * t ** e
+                               for e, c in x.terms))
+
+    rows = [[conv(x) for x in row] for row in m.entries]
+    return DomainMatrix(rows, (m.nrows, m.ncols), dom).rank()
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent_matrices())
+def test_rank_and_inverses_against_sympy(m):
+    pytest.importorskip("sympy")
+    from satokit.tate import _verify_one_sided
+    rank = m.rank()
+    assert rank == _sympy_rank(m)
+    b, c = right_inverse(m), left_inverse(m)
+    if rank == m.nrows:
+        assert _verify_one_sided(m, b, left=False)
+    else:
+        assert b is None
+    if rank == m.ncols:
+        assert _verify_one_sided(m, c, left=True)
+    else:
+        assert c is None

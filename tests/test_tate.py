@@ -552,3 +552,33 @@ def test_compose_filtration_with_seeded_inverses():
     assert composed.i == ch.ses13.i and composed.j == ch.ses13.j
     q = quotient_ses(ch.ses23, ch.ses12, composed)
     assert diagnose_tate_ses(q.i, q.j) is None
+
+
+def test_twisted_splits_have_polynomial_one_sided_inverses():
+    # a twisted coordinate split always has Laurent one-sided inverses, and
+    # the unseeded right_inverse/left_inverse must find them
+    from satokit.tate import retraction_of_mono, section_of_epi
+    from satokit.verify import rand_automorphism
+    for seed in range(300):
+        rng = random.Random(seed)
+        for trial in range(4):
+            k = (F5, F2)[trial % 2]
+            a, c = rng.randint(1, 2), rng.randint(1, 2)
+            ses = twist_tate_ses(split_tate_ses(k, a, c),
+                                 *rand_automorphism(rng, k, a + c))
+            witness = (seed, trial, k, a, c)
+            r = retraction_of_mono(ses)
+            s = section_of_epi(ses)
+            assert ses.i.mul(r) == LaurentMatrix.identity(k, a), witness
+            assert s.mul(ses.j) == LaurentMatrix.identity(k, c), witness
+
+
+def test_retraction_refuses_a_non_unit_minor():
+    # i = [1+t, 0]: every right inverse has first entry 1/(1+t)
+    from satokit.tate import retraction_of_mono
+    one, z = LaurentPoly.one(F5), LaurentPoly.zero(F5)
+    i = LaurentMatrix(F5, [[LaurentPoly(F5, [(0, 1), (1, 1)]), z]])
+    j = LaurentMatrix(F5, [[z], [one]])
+    ses = check_tate_ses(i, j)
+    with pytest.raises(ValueError, match="nontrivial denominator"):
+        retraction_of_mono(ses)
