@@ -245,10 +245,7 @@ def cmd_det_symmetry(args):
 def cmd_cohomology(args):
     cx = _load_sset(args.sset)
     group = args.group
-    try:
-        res = cohomology(cx, args.degree, group)
-    except DegreeRangeError as exc:
-        raise CliError("--degree %d: %s" % (args.degree, exc))
+    res = cohomology(cx, args.degree, group)
     pres = format_group(type(group)(res.group_presentation))
     return _emit(args, {"command": "cohomology", "status": "pass",
                         "degree": args.degree,
@@ -467,6 +464,9 @@ def main(argv=None):
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code
+    except DegreeRangeError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return USAGE
     except (TateSESInvalid,) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return FAIL

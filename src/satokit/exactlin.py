@@ -461,16 +461,17 @@ class Subspace:
         return all(self.contains_vector(r) for r in other.rows)
 
     def meet(self, other):
-        """Intersection, via the left kernel of the stacked bases."""
+        """Intersection by Zassenhaus: in the rref of the rows (u|u) of self
+        above (w|0) of other, the rows (0|x) are the rref basis of u n w."""
         if self.ambient != other.ambient or self.field != other.field:
             raise ValueError("ambient mismatch")
-        if not self.rows or not other.rows:
-            return Subspace.zero(self.field, self.ambient)
-        stacked = list(self.rows) + list(other.rows)
-        _, _, _, ker, _ = rref_transform(self.field, stacked)
-        a = len(self.rows)
-        vecs = mat_mul_rows(self.field, [k[:a] for k in ker], list(self.rows))
-        return Subspace.from_rows(self.field, self.ambient, vecs)
+        n = self.ambient
+        z = (self.field.zero(),) * n
+        red, pivots = rref_rows(self.field, [r + r for r in self.rows]
+                                + [r + z for r in other.rows])
+        k = bisect_left(pivots, n)
+        return Subspace(self.field, n, [r[n:] for r in red[k:]],
+                        [p - n for p in pivots[k:]])
 
     def join(self, other):
         if self.ambient != other.ambient or self.field != other.field:

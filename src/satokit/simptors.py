@@ -412,7 +412,7 @@ class CyclicCohomology:
             s, _, v = snf_with_transforms(D)
             cols = []
             for i in range(N):
-                si = s[i][i] if i < len(s) and i < N else 0
+                si = _diag(s, i)
                 if d == 0:
                     if si == 0:
                         cols.append([v[r][i] for r in range(N)])
@@ -449,7 +449,7 @@ class CyclicCohomology:
         self._snf_r = s_r
         factors = []
         for i in range(z):
-            si = s_r[i][i] if i < len(s_r) and i < len(s_r[0]) else 0
+            si = _diag(s_r, i)
             if si != 1:
                 factors.append(si)
         self.factors = tuple(factors)
@@ -492,19 +492,16 @@ class CyclicCohomology:
     def classify(self, vec):
         """Class coordinates of an integer cocycle vector, one coordinate per
         invariant factor of the cohomology group."""
-        if self.N == 0 or not self.factors:
-            if not self.is_cocycle(vec):
-                raise ValueError("not a cocycle")
-            return ()
         if not self.is_cocycle(vec):
             raise ValueError("not a cocycle")
+        if self.N == 0 or not self.factors:
+            return ()
         zc = self._coords_in_kernel(list(vec))
         z = len(zc)
         w = [sum(self._ur[i][k] * zc[k] for k in range(z)) for i in range(z)]
         out = []
         for i in range(z):
-            si = self._snf_r[i][i] if i < len(self._snf_r) and \
-                i < len(self._snf_r[0]) else 0
+            si = _diag(self._snf_r, i)
             if si == 1:
                 continue
             out.append(w[i] % si if si else w[i])
@@ -513,15 +510,18 @@ class CyclicCohomology:
     def representative(self, k):
         """An integer cocycle representing the k-th group generator."""
         z = self.rank_kernel()
-        keep = [i for i in range(z)
-                if (self._snf_r[i][i] if i < len(self._snf_r) and
-                    i < len(self._snf_r[0]) else 0) != 1]
+        keep = [i for i in range(z) if _diag(self._snf_r, i) != 1]
         idx = keep[k]
         uinv = int_inverse_unimodular(self._ur)
         zc = [uinv[r][idx] for r in range(z)]
         lb = self._lbasis
         return [sum(lb[r][i] * zc[i] for i in range(z))
                 for r in range(self.N)]
+
+
+def _diag(s, i):
+    """The diagonal entry s[i][i], or 0 outside the matrix."""
+    return s[i][i] if i < len(s) and i < len(s[0]) else 0
 
 
 def _transpose(rows):

@@ -16,6 +16,10 @@ such inverses exist, else over k(t)).
 The classical non-admissible monomorphism k[t] -> k[[t]] is not representable
 here: k[t] is not a finite-rank Laurent-series space, so it is not an object
 of this model at all.  Every mono the model can express is admissible.
+
+window_rows gives a lattice's rows in any window, so meet, join and b <= a
+work in windows no wider than one input's, however far apart the inputs lie:
+[max lo, max hi) for the meet, [min lo, min hi) for the join, a's for b <= a.
 """
 
 from __future__ import annotations
@@ -91,7 +95,8 @@ class Lattice:
 
 
 def standard_lattice(space, shift=0):
-    """t^shift O^n."""
+    """t^shift O^n; k((t))^0 has the one lattice 0, with lo = hi = 0."""
+    shift = shift if space.rank else 0
     return Lattice(space, shift, shift, (), (), _normalized=True)
 
 
@@ -120,38 +125,37 @@ def lattice_normalize(space, lo, hi, raw_basis):
         rows = [r[:cut] for r in rows[:-n]]
         pivots = pivots[:-n]
         hi -= 1
-    # shallow strip: drop all-zero levels at the lo end
-    while lo < hi:
-        if any(p < n for p in pivots):
-            break
-        if any(any(x != 0 for x in r[:n]) for r in rows):
-            break
-        rows = [tuple(r[n:]) for r in rows]
-        pivots = [p - n for p in pivots]
-        lo += 1
+    # shallow strip: drop all-zero levels at the lo end, all at once.  In
+    # rref the first pivot is the first nonzero column of every row.
+    cut = pivots[0] // n * n if pivots else (hi - lo) * n
+    rows = [r[cut:] for r in rows]
+    pivots = [p - cut for p in pivots]
+    lo += cut // n
     if lo == hi:
         rows, pivots = [], []
     return Lattice(space, lo, hi, rows, pivots, _normalized=True)
 
 
 def window_rows(lat, LO, HI):
-    """Basis rows of lat / t^HI O^n inside the window [LO, HI), in rref.
+    """Rref basis rows of (lat n t^LO O^n) / t^HI O^n, for any LO <= HI.
 
-    The rows of lat, moved into the window, sit above unit rows for the
-    monomials t^lat.hi ... t^(HI-1), which lie beyond them, so the stack is
-    already in rref.
+    They are lat's rows with pivots in [LO, HI), moved into the window and
+    cut at t^HI, above unit rows for t^max(lat.hi, LO) ... t^(HI-1).  A
+    combination of lat's rows starts at its first pivot, since each pivot
+    column is clear in the other rows; so rows with pivots below t^LO drop
+    out.  The stack is already in rref, so no reduction runs.
     """
     n = lat.space.rank
-    if LO > lat.lo or HI < lat.hi:
-        raise ValueError("window does not contain the lattice window")
     width = (HI - LO) * n
-    field = lat.field
-    z = field.zero()
-    one = field.one()
+    z, one = lat.field.zero(), lat.field.one()
     off = (lat.lo - LO) * n
-    tail = (lat.hi - LO) * n
-    out = [(z,) * off + r + (z,) * (width - tail) for r in lat.rows]
-    for c in range(tail, width):
+    lead, skip = max(off, 0), max(-off, 0)
+    out = []
+    for r, p in zip(lat.rows, lat.pivots):
+        if 0 <= p + off < width:
+            row = (z,) * lead + r[skip:skip + width - lead]
+            out.append(row + (z,) * (width - len(row)))
+    for c in range(max(lat.hi - LO, 0) * n, width):
         row = [z] * width
         row[c] = one
         out.append(tuple(row))
@@ -159,18 +163,9 @@ def window_rows(lat, LO, HI):
 
 
 def window_subspace(lat, LO, HI):
-    n = lat.space.rank
-    off = (lat.lo - LO) * n
-    pivots = [off + p for p in lat.pivots] + \
-        list(range((lat.hi - LO) * n, (HI - LO) * n))
-    return Subspace(lat.field, (HI - LO) * n, window_rows(lat, LO, HI),
-                    pivots)
-
-
-def common_window(*lats):
-    LO = min(l.lo for l in lats)
-    HI = max(l.hi for l in lats)
-    return LO, HI
+    rows = window_rows(lat, LO, HI)
+    pivots = [next(j for j, x in enumerate(r) if x != 0) for r in rows]
+    return Subspace(lat.field, (HI - LO) * lat.space.rank, rows, pivots)
 
 
 def _check_same_space(a, b):
@@ -179,16 +174,18 @@ def _check_same_space(a, b):
 
 
 def lattice_contains(a, b):
-    """True iff b <= a as subspaces of k((t))^n."""
+    """True iff b <= a as subspaces of k((t))^n: b <= t^(a.lo) O^n, that is
+    b.lo >= a.lo as b.lo is maximal, and b's rows in a's window lie in a."""
     _check_same_space(a, b)
-    LO, HI = common_window(a, b)
-    a_w = window_subspace(a, LO, HI)
-    return all(a_w.contains_vector(r) for r in window_rows(b, LO, HI))
+    if b.lo < a.lo:
+        return False
+    a_w = window_subspace(a, a.lo, a.hi)
+    return all(a_w.contains_vector(r) for r in window_rows(b, a.lo, a.hi))
 
 
 def lattice_meet(a, b):
     _check_same_space(a, b)
-    LO, HI = common_window(a, b)
+    LO, HI = max(a.lo, b.lo), max(a.hi, b.hi)
     sa = window_subspace(a, LO, HI)
     sb = window_subspace(b, LO, HI)
     return lattice_normalize(a.space, LO, HI, sa.meet(sb).rows)
@@ -196,7 +193,7 @@ def lattice_meet(a, b):
 
 def lattice_join(a, b):
     _check_same_space(a, b)
-    LO, HI = common_window(a, b)
+    LO, HI = min(a.lo, b.lo), min(a.hi, b.hi)
     rows = window_rows(a, LO, HI) + window_rows(b, LO, HI)
     return lattice_normalize(a.space, LO, HI, rows)
 
@@ -523,7 +520,7 @@ class LatticeQuotient:
         _check_same_space(small, big)
         # for small <= big this is [big.lo, small.hi); otherwise Quotient
         # refuses
-        self.lo, self.hi = common_window(small, big)
+        self.lo, self.hi = min(small.lo, big.lo), max(small.hi, big.hi)
         self.n = small.space.rank
         self.quotient = Quotient(window_subspace(small, self.lo, self.hi),
                                  window_subspace(big, self.lo, self.hi))
@@ -555,7 +552,7 @@ def lambda_scalar_chain(a, b, c):
     """
     _check_same_space(a, b)
     _check_same_space(b, c)
-    LO, HI = common_window(a, b, c)
+    LO, HI = min(a.lo, b.lo, c.lo), max(a.hi, b.hi, c.hi)
     a_w, b_w, c_w = (window_subspace(x, LO, HI) for x in (a, b, c))
     ca = Quotient(a_w, c_w)
     parts = (Quotient(a_w, b_w), Quotient(b_w, c_w))

@@ -1,10 +1,12 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from satokit import verify
 from satokit.cli import main
-from satokit.complexes import projective_plane, sphere_3, torus
+from satokit.complexes import full_simplex, projective_plane, sphere_3, torus
 from satokit.fileio import (ParseError, format_cochain, format_lattice,
                             format_laurent_matrix, format_simplicial_set,
                             parse_cochain, parse_lattice,
@@ -109,6 +111,16 @@ def test_cli_index_far_pair(tmp_path, capsys):
     rc = main(["--json", "index", fa, fb])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["index"] == 6000000
+    # meet and join work in a window no wider than one input's, and the
+    # empty levels of t^3000000 O^2 given in the window [0, 3000000) are
+    # stripped at once
+    wide = _write(tmp_path, "wide.lat",
+                  "tate rank=2 field=F5\nbounds lo=0 hi=3000000\n")
+    for far in (fb, wide):
+        for verb, want in (("meet", standard_lattice(space, 3000000)),
+                           ("join", standard_lattice(space))):
+            assert main([verb, fa, far]) == 0
+            assert parse_lattice(capsys.readouterr().out) == want
 
 
 def test_cli_meet_join_roundtrip(tmp_path, capsys):
@@ -288,6 +300,51 @@ def test_lattice_parser_never_crashes(text):
         pass
 
 
+_LAT_NOISE = st.one_of(
+    st.builds("tate rank={} field={}".format, st.integers(-1, 3),
+              st.sampled_from(["F2", "F5", "Q", "F4", "x"])),
+    st.builds("bounds lo={} hi={}".format, st.integers(-3, 3),
+              st.integers(-3, 3)),
+    st.lists(st.integers(-1, 5), max_size=6).map(
+        lambda xs: ",".join(map(str, xs))),
+    st.text(alphabet="tate rnk=fildF5bounds+-0123,/#", max_size=20))
+
+
+@st.composite
+def _lat_pair(draw):
+    """Two .lat texts in one space, windows up to 6000000 levels apart, with
+    up to two noise lines put into each."""
+    rank = draw(st.integers(0, 3))
+    field = draw(st.sampled_from(["F2", "F5", "Q"]))
+    texts = []
+    for _ in range(2):
+        lo = draw(st.sampled_from([-3000000, -1, 0, 2, 3000000]))
+        hi = lo + draw(st.integers(0, 2))
+        width = (hi - lo) * rank
+        rows = draw(st.lists(st.lists(st.integers(-1, 5), min_size=width,
+                                      max_size=width), max_size=width + 1))
+        lines = ["tate rank=%d field=%s" % (rank, field),
+                 "bounds lo=%d hi=%d" % (lo, hi)]
+        lines += [",".join(map(str, r)) for r in rows]
+        for _ in range(draw(st.integers(0, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(_LAT_NOISE))
+        texts.append("\n".join(lines))
+    return texts
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["index", "meet", "join"]), _lat_pair())
+def test_cli_lattice_verbs_never_crash(tmp_path_factory, verb, texts):
+    # an uncaught exception fails the test by itself
+    d = tmp_path_factory.mktemp("fuzz")
+    argv = [verb] + [_write(d, "%d.lat" % k, t) for k, t in enumerate(texts)]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2)
+    assert len(err.getvalue().splitlines()) <= 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.text(alphabet="lmx rowscl=fidF5\n0123*t^+-", max_size=120))
 def test_lmx_parser_never_crashes(text):
@@ -356,13 +413,16 @@ def mismatched_files(tmp_path):
     """Files named by what they hold: the mono i and epi j of the split
     F5((t)) >--> F5((t))^2 -->> F5((t)), the epis j3 of a split into
     F5((t))^3 and jF2 of one over F2, standard lattices u2/u3 in F5((t))^2
-    and F5((t))^3 and uF2 in F2((t))^2, and the torus."""
+    and F5((t))^3 and uF2 in F2((t))^2, the torus, and the 5-simplex s5
+    with an integer cochain a5 on its top simplex."""
     from satokit.tate import split_tate_ses
     files = {"i.lmx": format_laurent_matrix(split_tate_ses(F5, 1, 1).i),
              "j.lmx": format_laurent_matrix(split_tate_ses(F5, 1, 1).j),
              "j3.lmx": format_laurent_matrix(split_tate_ses(F5, 1, 2).j),
              "jF2.lmx": format_laurent_matrix(split_tate_ses(F2, 1, 1).j),
-             "torus.sset": format_simplicial_set(torus())}
+             "torus.sset": format_simplicial_set(torus()),
+             "s5.sset": format_simplicial_set(full_simplex(5)),
+             "a5.coch": "group Z\nvalue 012345 1\n"}
     for name, field, n in (("u2", F5, 2), ("u3", F5, 3), ("uF2", F2, 2)):
         files[name + ".lat"] = format_lattice(
             standard_lattice(TateSpace(field, n)))
@@ -382,6 +442,7 @@ def mismatched_files(tmp_path):
     (["join", "u3.lat", "u2.lat"], "lives in"),
     (["cohomology", "torus.sset", "--degree", "-1"], "negative degree"),
     (["cohomology", "torus.sset", "--degree", "9"], "degree 9"),
+    (["classify", "s5.sset", "a5.coch"], "degree 5"),
 ])
 def test_cli_mismatched_inputs_exit_2(mismatched_files, capsys, argv, msg):
     rc = main([mismatched_files.get(a, a) for a in argv])

@@ -106,6 +106,22 @@ def test_meet_join_trivial_cases():
     assert meet == z and join == a
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_meet_against_left_kernel(data):
+    # u n w as the left kernel of the stacked bases applied to u's rows
+    field = data.draw(st.sampled_from([F2, F5, QQ]))
+    n = data.draw(st.integers(0, 5))
+    u, w = (Subspace.from_rows(field, n, data.draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=5)))
+        for _ in range(2))
+    _, _, _, ker, _ = rref_transform(field, list(u.rows) + list(w.rows))
+    vecs = mat_mul_rows(field, [k[:u.dim] for k in ker], list(u.rows))
+    meet = u.meet(w)
+    assert meet == Subspace.from_rows(field, n, vecs)
+    assert meet.dim + u.join(w).dim == u.dim + w.dim
+
+
 def test_meet_join_exhaustive_f2_dim_le_4():
     # modular identity on dimensions plus the membership oracle, every pair
     for ambient in range(5):

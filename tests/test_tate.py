@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from satokit.exactlin import F2, F5, rref_rows
+from satokit.exactlin import (F2, F5, mat_mul_rows, rref_rows,
+                              rref_transform)
 from satokit.laurent import LaurentMatrix, LaurentPoly
 from satokit.tate import (
     Lattice, LatticeGridError, LatticeQuotient, TateSES, TateSESInvalid,
-    TateSpace, check_tate_ses, common_window, compose_filtration,
+    TateSpace, check_tate_ses, compose_filtration,
     delta_scalar_canonical, diagnose_tate_ses, fd_ses_of_pair,
     lambda_scalar_chain, lattice_contains, lattice_grid, lattice_join,
     lattice_meet, lattice_normalize, laurent_vector_from_window,
@@ -114,24 +115,85 @@ def test_normalize_output_is_rref(data):
     assert tuple(rows) == lat.rows and tuple(pivots) == lat.pivots
 
 
+def _dense_rows(lat, lo, hi):
+    """lat's rows and its unit rows t^lat.hi ... t^(hi-1) in the window
+    [lo, hi), which must contain lat's own."""
+    n, field = lat.space.rank, lat.field
+    z, one = field.zero(), field.one()
+    width = (hi - lo) * n
+    rows = [(z,) * ((lat.lo - lo) * n) + r + (z,) * ((hi - lat.hi) * n)
+            for r in lat.rows]
+    return rows + [tuple(one if j == c else z for j in range(width))
+                   for c in range((lat.hi - lo) * n, width)]
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.data(), st.integers(0, 3), st.integers(0, 3))
-def test_window_rows_are_rref(data, below, above):
-    # the invariant that lets window_rows skip its own reduction
+@given(st.data())
+def test_window_rows_are_rref(data):
+    # the invariant that lets window_rows skip its own reduction, in windows
+    # wider than lat's, inside it, and past it
     lat = _drawn_lattice(data)
-    LO, HI = lat.lo - below, lat.hi + above
+    n, field = lat.space.rank, lat.field
+    LO = data.draw(st.integers(lat.lo - 3, lat.hi + 2))
+    HI = data.draw(st.integers(LO, max(LO, lat.hi) + 3))
     rows = window_rows(lat, LO, HI)
-    assert rref_rows(lat.field, rows)[0] == rows
+    assert rref_rows(field, rows)[0] == rows
     sub = window_subspace(lat, LO, HI)
-    assert (list(sub.rows), list(sub.pivots)) == rref_rows(lat.field, rows)
+    assert (list(sub.rows), list(sub.pivots)) == rref_rows(field, rows)
+    # dense oracle for (lat n t^LO O^n) / t^HI O^n: the combinations of lat's
+    # dense rows that vanish below t^LO, cut at t^HI
+    lo, hi = min(LO, lat.lo), max(HI, lat.hi)
+    dense = _dense_rows(lat, lo, hi)
+    below = (LO - lo) * n
+    _, _, _, ker, _ = rref_transform(field, [r[:below] for r in dense])
+    inside = mat_mul_rows(field, ker, dense)
+    cut = [r[below:below + (HI - LO) * n] for r in inside]
+    assert rref_rows(field, cut)[0] == rows
 
 
 # --- containment, meet, join, index -------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_meet_join_contains_against_dense_window(data):
+    # the definitions in the dense common window [min lo, max hi): the join
+    # is the span of both row sets, the meet the left kernel of the stack
+    # applied to a's rows, and b <= a iff b's rows add nothing to a's rank
+    field = data.draw(st.sampled_from([F2, F5]))
+    space = TateSpace(field, data.draw(st.integers(1, 2)))
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    a = _random_lattice(rng, space, bound=2)
+    b = _random_lattice(rng, space, bound=2)
+    gap = data.draw(st.integers(0, 60)) * data.draw(st.sampled_from([1, -1]))
+    b = lattice_normalize(space, b.lo + gap, b.hi + gap, b.rows)
+    LO, HI = min(a.lo, b.lo), max(a.hi, b.hi)
+    ra, rb = _dense_rows(a, LO, HI), _dense_rows(b, LO, HI)
+    join = lattice_join(a, b)
+    assert join == lattice_normalize(space, LO, HI, ra + rb)
+    _, _, _, ker, _ = rref_transform(field, ra + rb)
+    kept = [k[:len(ra)] for k in ker]
+    meet = lattice_meet(a, b)
+    assert meet == lattice_normalize(space, LO, HI,
+                                     mat_mul_rows(field, kept, ra))
+    rank = len(rref_rows(field, ra + rb)[0])
+    assert lattice_contains(a, b) == (rank == len(ra))
+    assert lattice_contains(b, a) == (rank == len(rb))
+    for small, big in ((meet, a), (meet, b), (a, join), (b, join)):
+        assert lattice_contains(big, small)
+
 
 def test_contains_trivial():
     lat = diag_monomial_lattice(K1, [-1])
     assert lattice_contains(lat, lat)
     assert lattice_contains(lat, standard_lattice(K1, 1))  # t O <= t^-1 O
+
+
+def test_rank_zero_has_one_lattice():
+    # lattice equality is data equality, and containment reads lo
+    k0 = TateSpace(F5, 0)
+    a, b = standard_lattice(k0, 3), standard_lattice(k0, -1)
+    assert a == b == lattice_normalize(k0, -2, 5, [])
+    assert lattice_contains(a, b) and lattice_contains(b, a)
 
 
 def test_contains_nonexample():
@@ -539,7 +601,7 @@ def test_relative_index_closed_form_matches_window_count():
                 s = rng.randint(-4, 4)
                 b = lattice_normalize(space, b.lo + s, b.hi + s,
                                       window_rows(b, b.lo, b.hi))
-                LO, HI = common_window(a, b)
+                LO, HI = min(a.lo, b.lo), max(a.hi, b.hi)
                 assert relative_index(a, b) == (len(window_rows(a, LO, HI))
                                                 - len(window_rows(b, LO, HI)))
 
