@@ -263,7 +263,10 @@ def cmd_classify(args):
                        ">= 1")
     from .simptors import MultTorsorRep
     t1 = MultTorsorRep(cx, alpha.degree - 1, alpha.group, alpha)
-    cls = classify_torsor(t1)
+    try:
+        cls = classify_torsor(t1)
+    except ValueError as exc:  # alpha is not a cocycle
+        raise CliError("%s: %s" % (args.cochain, exc), FAIL)
     payload = {"command": "classify", "status": "pass",
                "degree": t1.degree,
                "class": [list(c) for c in cls.coords]}
@@ -273,6 +276,9 @@ def cmd_classify(args):
             beta = parse_cochain(_read(args.other), cx)
         except ParseError as exc:
             raise CliError("%s: %s" % (args.other, exc))
+        if (beta.degree, beta.group) != (alpha.degree, alpha.group):
+            raise CliError("%s and %s differ in degree or group"
+                           % (args.cochain, args.other))
         t2 = MultTorsorRep(cx, beta.degree - 1, beta.group, beta)
         transporter = iso_decide(t1, t2)
         if transporter is None:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactlin import (Matrix, Quotient, Subspace, mat_mul_rows,
-                       rref_transform, solve_in_rows)
+from .exactlin import Matrix, Quotient, Subspace, mat_mul_rows
 
 
 class FdSpace:
@@ -28,8 +27,9 @@ class FdSpace:
         raise AttributeError("FdSpace is immutable")
 
     def __eq__(self, other):
-        return (isinstance(other, FdSpace) and self.field == other.field
-                and self.dim == other.dim)
+        return self is other or (isinstance(other, FdSpace)
+                                 and self.field == other.field
+                                 and self.dim == other.dim)
 
     def __hash__(self):
         return hash((self.field, self.dim))
@@ -60,6 +60,16 @@ class LinMap:
         raise AttributeError("LinMap is immutable")
 
     @classmethod
+    def _raw(cls, source, target, matrix):
+        # trusted path: matrix is a source.dim x target.dim Matrix over the
+        # common field
+        m = object.__new__(cls)
+        object.__setattr__(m, "source", source)
+        object.__setattr__(m, "target", target)
+        object.__setattr__(m, "matrix", matrix)
+        return m
+
+    @classmethod
     def identity(cls, space):
         return cls(space, space, Matrix.identity(space.field, space.dim))
 
@@ -84,7 +94,8 @@ class LinMap:
         """Diagram-order composition: first self, then other."""
         if self.target != other.source:
             raise ValueError("maps are not composable")
-        return LinMap(self.source, other.target, self.matrix.mul(other.matrix))
+        return LinMap._raw(self.source, other.target,
+                           self.matrix.mul(other.matrix))
 
     def apply(self, v):
         return tuple(mat_mul_rows(self.source.field, [list(v)],
@@ -112,10 +123,7 @@ class LinMap:
     def inverse(self):
         if not self.is_iso():
             raise ValueError("not an isomorphism")
-        f = self.source.field
-        _, _, inv_rows, _, _ = rref_transform(f, self.matrix.entries)
-        return LinMap(self.target, self.source,
-                      Matrix(f, inv_rows, self.source.dim))
+        return LinMap._raw(self.target, self.source, self.matrix.inverse())
 
 
 @lru_cache(maxsize=2048)
@@ -123,22 +131,8 @@ def canonical_section(j):
     """Canonical linear section s of an epi j (s then j = identity)."""
     if not j.is_epi():
         raise ValueError("section of a non-epi")
-    f = j.source.field
-    n = j.target.dim
-    one, z = f.one(), f.zero()
-    units = [[one if c == t else z for c in range(n)] for t in range(n)]
-    sec = _solve_rows(f, j.matrix.entries, units)
-    return LinMap(j.target, j.source, Matrix(f, sec, j.source.dim))
-
-
-def _solve_rows(f, rows, targets):
-    """Rows x with x . rows == t for each target t, in the order of targets,
-    or None when some target is not in the row space of rows."""
-    rref, piv, transform, _, _ = rref_transform(f, rows)
-    coeffs = [solve_in_rows(f, rref, piv, t) for t in targets]
-    if None in coeffs:
-        return None
-    return mat_mul_rows(f, coeffs, transform)
+    sec = j.matrix.solve(Matrix.identity(j.source.field, j.target.dim))
+    return LinMap._raw(j.target, j.source, sec)
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +216,14 @@ def inclusion_map(sub):
     """The subspace inclusion span(sub) -> k^ambient."""
     src = FdSpace(sub.field, sub.dim)
     tgt = FdSpace(sub.field, sub.ambient)
-    return LinMap(src, tgt, Matrix(sub.field, sub.rows, sub.ambient))
+    return LinMap(src, tgt, sub.basis_matrix())
 
 
 def quotient_map(sub):
     """The canonical projection k^ambient -> k^ambient / span(sub)."""
     src = FdSpace(sub.field, sub.ambient)
     tgt = FdSpace(sub.field, sub.ambient - sub.dim)
-    return LinMap(src, tgt, Matrix(sub.field, sub.quotient_rows(), tgt.dim))
+    return LinMap(src, tgt, sub.quotient_matrix())
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +249,10 @@ def pullback_admissible_monos(m1, m2):
 
 def _corestrict(mono, w, p):
     # express each basis vector of w through the mono
-    f = mono.source.field
-    out = _solve_rows(f, mono.matrix.entries, w.rows)
+    out = mono.matrix.solve(w.basis_matrix())
     if out is None:
         raise ValueError("subspace does not factor through the mono")
-    return LinMap(p, mono.source, Matrix(f, out, mono.source.dim))
+    return LinMap(p, mono.source, out)
 
 
 def pullback_mediator(into1, into2, cone1, cone2):
@@ -268,16 +261,11 @@ def pullback_mediator(into1, into2, cone1, cone2):
     universal property check for a pullback square."""
     if cone1.source != cone2.source:
         raise ValueError("cone legs must share their source")
-    f = into1.source.field
-    stacked_rows = [list(a) + list(b) for a, b in
-                    zip(into1.matrix.entries, into2.matrix.entries)]
-    target_rows = [list(a) + list(b) for a, b in
-                   zip(cone1.matrix.entries, cone2.matrix.entries)]
-    u_rows = _solve_rows(f, stacked_rows, target_rows)
+    u_rows = into1.matrix.hstack(into2.matrix).solve(
+        cone1.matrix.hstack(cone2.matrix))
     if u_rows is None:
         return None
-    u = LinMap(cone1.source, into1.source,
-               Matrix(f, u_rows, into1.source.dim))
+    u = LinMap(cone1.source, into1.source, u_rows)
     if u.then(into1) != cone1 or u.then(into2) != cone2:
         return None
     return u
@@ -326,13 +314,10 @@ def epi_mono_factorize(f, witness_mono, witness_epi):
 
 def image_factorization(f):
     """f == e then m with m the echelon inclusion of the image."""
-    fld = f.source.field
     img = f.image_subspace()
-    mid = FdSpace(fld, img.dim)
-    m = LinMap(mid, f.target, Matrix(fld, img.rows, f.target.dim))
-    e_rows = [solve_in_rows(fld, img.rows, img.pivots, r)
-              for r in f.matrix.entries]
-    e = LinMap(f.source, mid, Matrix(fld, e_rows, mid.dim))
+    mid = FdSpace(f.source.field, img.dim)
+    m = LinMap._raw(mid, f.target, img.basis_matrix())
+    e = LinMap._raw(f.source, mid, img.coordinates(f.matrix))
     return e, m
 
 
@@ -374,20 +359,12 @@ def is_cartesian_square(top, left, bottom, right):
     """
     if top.then(right) != left.then(bottom):
         return False
-    f = top.source.field
-    nb, nc = top.target.dim, left.target.dim
     # pullback P = {(b, c) : b.right == c.bottom} inside B (+) C, computed
     # as the kernel of (b, c) |-> b.right - c.bottom
-    rows = [list(r) for r in right.matrix.entries] + \
-           [[f.neg(x) for x in r] for r in bottom.matrix.entries]
-    bigmat = Matrix(f, rows, right.target.dim)
-    pspace = bigmat.left_kernel()
+    pspace = right.matrix.vstack(bottom.matrix.neg()).left_kernel()
     # the induced map A -> B (+) C
-    ind = [list(tr) + list(lr) for tr, lr in
-           zip(top.matrix.entries, left.matrix.entries)]
-    ind_sub = Subspace.from_rows(f, nb + nc, ind)
-    return (ind_sub == pspace
-            and Matrix(f, ind, nb + nc).rank() == top.source.dim)
+    ind = top.matrix.hstack(left.matrix)
+    return ind.row_space() == pspace and ind.rank() == top.source.dim
 
 
 def is_cocartesian_square(top, left, bottom, right):
@@ -395,18 +372,12 @@ def is_cocartesian_square(top, left, bottom, right):
     image of A."""
     if top.then(right) != left.then(bottom):
         return False
-    f = top.source.field
-    nb, nc = top.target.dim, left.target.dim
-    anti = [list(tr) + [f.neg(x) for x in lr]
-            for tr, lr in zip(top.matrix.entries, left.matrix.entries)]
-    anti_sub = Subspace.from_rows(f, nb + nc, anti)
-    if right.target.dim != nb + nc - anti_sub.dim:
+    anti_sub = top.matrix.hstack(left.matrix.neg()).row_space()
+    if right.target.dim != top.target.dim + left.target.dim - anti_sub.dim:
         return False
     # the induced map (B (+) C)/A -> D must be an isomorphism; equivalently
     # (right; bottom stacked) kills exactly the antidiagonal
-    rows = [list(r) for r in right.matrix.entries] + \
-           [list(r) for r in bottom.matrix.entries]
-    big = Matrix(f, rows, right.target.dim)
+    big = right.matrix.vstack(bottom.matrix)
     return big.left_kernel() == anti_sub and big.rank() == right.target.dim
 
 
@@ -472,15 +443,11 @@ class Grid3x3:
 def induced_map(src, dst):
     """The map src -> dst between Quotients of one ambient space induced by
     its identity, in their canonical bases."""
-    rows = []
-    for k in range(src.dim):
-        c = dst.coords(src.lift(k))
-        if c is None:
-            raise GridError("image escapes the target subquotient")
-        rows.append(c)
+    m = src.map_to(dst)
+    if m is None:
+        raise GridError("image escapes the target subquotient")
     f = src.small.field
-    return LinMap(FdSpace(f, src.dim), FdSpace(f, dst.dim),
-                  Matrix(f, rows, dst.dim))
+    return LinMap._raw(FdSpace(f, src.dim), FdSpace(f, dst.dim), m)
 
 
 def complete_grid_3x3(top_mono, left_mono, p_top=None, p_left=None):

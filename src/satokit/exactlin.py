@@ -3,6 +3,14 @@
 Scalars are plain Python ints (reduced mod p) or Fractions.  No floating point
 anywhere.  Subspaces are kept in reduced row echelon form so that equality of
 subspaces is equality of data.
+
+Over F2, Matrix, Subspace and Quotient keep each row packed in one int, bit j
+for column j, from construction to result: products XOR the rows that set
+bits select, and one Gauss-Jordan elimination on ints gives rank, row space,
+join, the Zassenhaus meet, and (on rows with an identity bit appended) the
+rref transform and left kernel.  Matrix.entries and Subspace.rows are tuple
+views, built only when read.  The public row functions (rref_rows,
+rref_transform, ...) keep their tuples-of-scalars signatures over every field.
 """
 
 from __future__ import annotations
@@ -70,7 +78,8 @@ class Field:
     __repr__ = __str__
 
     def __eq__(self, other):
-        return isinstance(other, Field) and self.p == other.p
+        return self is other or (isinstance(other, Field)
+                                 and self.p == other.p)
 
     def __hash__(self):
         return hash(("Field", self.p))
@@ -80,9 +89,17 @@ class Field:
         return self.p is None
 
     def normalize(self, x):
+        """x as an element of the field; over F_p x must be an integer (an
+        int, or a Fraction with denominator 1)."""
         if self.p is None:
             return Fraction(x)
-        return int(x) % self.p
+        if type(x) is not int:
+            if isinstance(x, Fraction) and x.denominator == 1:
+                x = x.numerator
+            elif not isinstance(x, int):
+                raise ValueError("%r is not an integer, so not in %s"
+                                 % (x, self))
+        return x % self.p
 
     def zero(self):
         return Fraction(0) if self.p is None else 0
@@ -128,7 +145,160 @@ QQ = Field(None)
 
 
 # ---------------------------------------------------------------------------
-# row-level workhorses (lists of scalars; hot paths used by the lattice code)
+# row-level workhorses.  The public functions take and return rows as tuples
+# of scalars.  Matrix, Subspace and Quotient keep their rows in an internal
+# form: over F2 one int per row with bit j for column j (the XOR rows of
+# M4RI), over other fields tuples; the private helpers work on that form.
+
+def _row_in(field, row):
+    """The internal row of a sequence of scalars."""
+    if field.p != 2:
+        return tuple(row)
+    m = 0
+    for j, x in enumerate(row):
+        if x & 1:
+            m |= 1 << j
+    return m
+
+
+def _row_out(field, row, n):
+    """The tuple of scalars of an internal row of length n."""
+    return tuple([(row >> j) & 1 for j in range(n)]) if field.p == 2 else row
+
+
+def _checked_rows(field, rows):
+    """Internal rows of lists of scalars, each checked by field.normalize
+    (over F2 only when x & 1 fails, as it does for a Fraction)."""
+    if field.p == 2:
+        try:
+            return tuple([_row_in(field, r) for r in rows])
+        except TypeError:
+            pass
+    rows = [[field.normalize(x) for x in r] for r in rows]
+    return tuple([_row_in(field, r) for r in rows])
+
+
+def _zero_row(field, n):
+    return 0 if field.p == 2 else (field.zero(),) * n
+
+
+def _units(field, n):
+    """The rows of the n x n identity."""
+    if field.p == 2:
+        return tuple([1 << i for i in range(n)])
+    one, z = field.one(), field.zero()
+    return tuple([(z,) * i + (one,) + (z,) * (n - 1 - i) for i in range(n)])
+
+
+def _nonzero(row):
+    return any(row) if isinstance(row, tuple) else row != 0
+
+
+def _hcat(field, a, b, m):
+    """Row a, of m columns, followed by row b."""
+    return a | b << m if field.p == 2 else a + b
+
+
+def _split(field, rows, m):
+    """The rows cut into their first m columns and the rest."""
+    if field.p == 2:
+        return [r & ((1 << m) - 1) for r in rows], [r >> m for r in rows]
+    return [r[:m] for r in rows], [r[m:] for r in rows]
+
+
+def _gather(field, row, cols):
+    """The entries of row at cols, as a row."""
+    if field.p == 2:
+        return sum([((row >> j) & 1) << i for i, j in enumerate(cols)])
+    return tuple([row[j] for j in cols])
+
+
+def _scatter(field, row, cols, n):
+    """The row of length n with row's entries at cols and zeros elsewhere."""
+    if field.p == 2:
+        return sum([((row >> i) & 1) << j for i, j in enumerate(cols)])
+    v = [field.zero()] * n
+    for x, j in zip(row, cols):
+        v[j] = x
+    return tuple(v)
+
+
+def _rref_f2(rows):
+    """Gauss-Jordan elimination of int rows: (rows, pivots) as in rref_rows,
+    each pivot the lowest set bit of its row."""
+    basis = []  # (pivot bit, row)
+    for m in rows:
+        for p, b in basis:
+            if m & p:
+                m ^= b
+        if m:
+            low = m & -m
+            for i, (p, b) in enumerate(basis):
+                if b & low:
+                    basis[i] = (p, b ^ m)
+            basis.append((low, m))
+    basis.sort()
+    return [b for _, b in basis], [p.bit_length() - 1 for p, _ in basis]
+
+
+def _rref(field, rows):
+    return _rref_f2(rows) if field.p == 2 else rref_rows(field, rows)
+
+
+def _transform(field, rows, m):
+    """rref_transform of internal rows with m columns: the one elimination
+    of each row i with a unit in column m + i appended."""
+    units = _units(field, len(rows))
+    red, pivots = _rref(field, [_hcat(field, r, u, m)
+                                for r, u in zip(rows, units)])
+    k = bisect_left(pivots, m)
+    rref, t = _split(field, red[:k], m)
+    return (rref, pivots[:k], t, _split(field, red[k:], m)[1],
+            [p - m for p in pivots[k:]])
+
+
+def _divide(field, v, rows, pivots):
+    """(coefficients, remainder) of v against internal rows in rref."""
+    p = field.p
+    if p == 2:
+        c = 0
+        for i, (r, q) in enumerate(zip(rows, pivots)):
+            if (v >> q) & 1:
+                v ^= r
+                c |= 1 << i
+        return c, v
+    coeffs = []
+    for row, q in zip(rows, pivots):
+        c = v[q]
+        coeffs.append(c)
+        if c != 0:
+            v = ([x - c * y for x, y in zip(v, row)] if p is None
+                 else [(x - c * y) % p for x, y in zip(v, row)])
+    return tuple(coeffs), tuple(v)
+
+
+def _coeffs(field, v, rows, pivots):
+    c, rest = _divide(field, v, rows, pivots)
+    return None if _nonzero(rest) else c
+
+
+def _mul(field, a, b, ncols):
+    """Product of internal rows a (r x n) and b (n x ncols); over F2 each
+    row is the XOR of the rows of b its set bits select."""
+    if field.p != 2:
+        return mat_mul_rows(field, a, b) if b else \
+            [_zero_row(field, ncols)] * len(a)
+    out = []
+    for r in a:
+        acc = j = 0
+        while r:
+            if r & 1:
+                acc ^= b[j]
+            r >>= 1
+            j += 1
+        out.append(acc)
+    return out
+
 
 def rref_rows(field, rows):
     """Reduced row echelon form of a list of rows.
@@ -137,7 +307,10 @@ def rref_rows(field, rows):
     pivots and cleared pivot columns, plus the sorted pivot column list.
     """
     if field.p == 2:
-        return _rref_rows_f2(rows)
+        n = len(rows[0]) if rows else 0
+        red, pivots = _rref_f2([_row_in(field, r) for r in rows])
+        return [_row_out(field, r, n) for r in red], pivots
+    p = field.p
     work = [list(r) for r in rows]
     pivots = []
     piv_r = 0
@@ -154,45 +327,18 @@ def rref_rows(field, rows):
         row = work[piv_r]
         inv = field.inv(row[col])
         if inv != 1:
-            work[piv_r] = row = [field.mul(inv, x) for x in row]
-        for r in range(len(work)):
-            if r != piv_r and work[r][col] != 0:
-                c = work[r][col]
-                rr = work[r]
-                work[r] = [field.sub(rr[k], field.mul(c, row[k]))
-                           for k in range(ncols)]
+            work[piv_r] = row = ([inv * x for x in row] if p is None
+                                 else [inv * x % p for x in row])
+        for r, rr in enumerate(work):
+            c = rr[col]
+            if c != 0 and r != piv_r:
+                work[r] = ([x - c * y for x, y in zip(rr, row)] if p is None
+                           else [(x - c * y) % p for x, y in zip(rr, row)])
         pivots.append(col)
         piv_r += 1
         if piv_r == len(work):
             break
     return [tuple(r) for r in work[:piv_r]], pivots
-
-
-def _rref_rows_f2(rows):
-    # rows as bitmasks; bit j = column j
-    ncols = len(rows[0]) if rows else 0
-    masks = []
-    for r in rows:
-        m = 0
-        for j, x in enumerate(r):
-            if x & 1:
-                m |= 1 << j
-        masks.append(m)
-    basis = []  # (pivot, mask), pivot increasing
-    for m in masks:
-        for p, b in basis:
-            if (m >> p) & 1:
-                m ^= b
-        if m:
-            p = (m & -m).bit_length() - 1
-            for i in range(len(basis)):
-                if (basis[i][1] >> p) & 1:
-                    basis[i] = (basis[i][0], basis[i][1] ^ m)
-            basis.append((p, m))
-    basis.sort()
-    pivots = [p for p, _ in basis]
-    out = [tuple((m >> j) & 1 for j in range(ncols)) for _, m in basis]
-    return out, pivots
 
 
 def rref_transform(field, rows):
@@ -202,26 +348,19 @@ def rref_transform(field, rows):
     pivots are those of rref_rows(field, rows), transform . rows == rref,
     and kernel is the rref basis of the left kernel {x : x . rows == 0}.
     """
-    n = len(rows)
-    m = len(rows[0]) if rows else 0
-    one, z = field.one(), field.zero()
-    aug = [tuple(r) + tuple(one if j == i else z for j in range(n))
-           for i, r in enumerate(rows)]
-    red, pivots = rref_rows(field, aug)
-    k = bisect_left(pivots, m)
-    return ([r[:m] for r in red[:k]], pivots[:k], [r[m:] for r in red[:k]],
-            [r[m:] for r in red[k:]], [p - m for p in pivots[k:]])
+    n, m = len(rows), len(rows[0]) if rows else 0
+    rref, piv, t, ker, kpiv = _transform(
+        field, [_row_in(field, r) for r in rows], m)
+    return ([_row_out(field, r, m) for r in rref], piv,
+            [_row_out(field, r, n) for r in t],
+            [_row_out(field, r, n) for r in ker], kpiv)
 
 
 def reduce_row(field, v, rows, pivots):
     """Canonical representative of v modulo the row space (rows in rref)."""
-    v = list(v)
-    for row, p in zip(rows, pivots):
-        c = v[p]
-        if c != 0:
-            for k in range(p, len(v)):
-                v[k] = field.sub(v[k], field.mul(c, row[k]))
-    return tuple(v)
+    _, rest = _divide(field, _row_in(field, v),
+                      [_row_in(field, r) for r in rows], pivots)
+    return _row_out(field, rest, len(v))
 
 
 def solve_in_rows(field, rows, pivots, target):
@@ -229,17 +368,9 @@ def solve_in_rows(field, rows, pivots, target):
 
     rows must be in rref; the expression is unique when it exists.
     """
-    v = list(target)
-    coeffs = []
-    for row, p in zip(rows, pivots):
-        c = v[p]
-        coeffs.append(c)
-        if c != 0:
-            for k in range(p, len(v)):
-                v[k] = field.sub(v[k], field.mul(c, row[k]))
-    if any(x != 0 for x in v):
-        return None
-    return tuple(coeffs)
+    c = _coeffs(field, _row_in(field, target),
+                [_row_in(field, r) for r in rows], pivots)
+    return None if c is None else _row_out(field, c, len(rows))
 
 
 def det_rows(field, rows):
@@ -298,57 +429,68 @@ def mat_mul_rows(field, a, b):
 
 # ---------------------------------------------------------------------------
 
-class Matrix:
-    """Immutable dense matrix over a Field."""
+_set = object.__setattr__
 
-    __slots__ = ("field", "nrows", "ncols", "entries", "_rank")
+
+class Matrix:
+    """Immutable dense matrix over a Field.
+
+    Its rows are kept in the internal form above (one int per row over F2);
+    entries, the rows as tuples of scalars, is a view built on first read.
+    """
+
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_entries", "_rank")
 
     def __init__(self, field, entries, ncols=None):
-        entries = [tuple(field.normalize(x) for x in row) for row in entries]
-        nrows = len(entries)
-        if nrows:
-            ncols = len(entries[0])
-            if any(len(r) != ncols for r in entries):
+        rows = list(entries)
+        if rows:
+            ncols = len(rows[0])
+            if any(len(r) != ncols for r in rows):
                 raise ValueError("ragged matrix")
         elif ncols is None:
             ncols = 0
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "nrows", nrows)
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "entries", tuple(entries))
-        object.__setattr__(self, "_rank", None)
+        self._init(field, _checked_rows(field, rows), ncols, None)
+
+    def _init(self, field, rows, ncols, rank):
+        rows = tuple(rows)
+        _set(self, "field", field)
+        _set(self, "nrows", len(rows))
+        _set(self, "ncols", ncols)
+        _set(self, "_rows", rows)
+        _set(self, "_entries", None if field.p == 2 else rows)
+        _set(self, "_rank", rank)
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def _raw(cls, field, rows, ncols):
-        # trusted path: rows are tuples of already-normalized scalars
+    def _raw(cls, field, rows, ncols, rank=None):
+        # trusted path: rows are internal rows of ncols entries
         m = object.__new__(cls)
-        object.__setattr__(m, "field", field)
-        object.__setattr__(m, "nrows", len(rows))
-        object.__setattr__(m, "ncols", ncols)
-        object.__setattr__(m, "entries", tuple(rows))
-        object.__setattr__(m, "_rank", None)
+        m._init(field, rows, ncols, rank)
         return m
+
+    @property
+    def entries(self):
+        if self._entries is None:
+            _set(self, "_entries", tuple([_row_out(self.field, r, self.ncols)
+                                          for r in self._rows]))
+        return self._entries
 
     @classmethod
     def zero(cls, field, nrows, ncols):
-        z = field.zero()
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols)
+        return cls._raw(field, (_zero_row(field, ncols),) * nrows, ncols, 0)
 
     @classmethod
     def identity(cls, field, n):
-        one, z = field.one(), field.zero()
-        return cls(field, [[one if i == j else z for j in range(n)]
-                           for i in range(n)], n)
+        return cls._raw(field, _units(field, n), n, n)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
-                and self.ncols == other.ncols and self.entries == other.entries)
+                and self.ncols == other.ncols and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.field, self.ncols, self.entries))
+        return hash((self.field, self.ncols, self._rows))
 
     def __repr__(self):
         return "Matrix(%s, %dx%d)" % (self.field, self.nrows, self.ncols)
@@ -361,123 +503,207 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch: %dx%d @ %dx%d"
                              % (self.nrows, self.ncols, other.nrows, other.ncols))
-        if self.ncols == 0:
-            return Matrix.zero(self.field, self.nrows, other.ncols)
-        rows = mat_mul_rows(self.field, self.entries, list(other.entries))
-        return Matrix._raw(self.field, rows, other.ncols)
+        return Matrix._raw(self.field, _mul(self.field, self._rows,
+                                            other._rows, other.ncols),
+                           other.ncols)
 
     def transpose(self):
-        return Matrix(self.field,
-                      [[self.entries[i][j] for i in range(self.nrows)]
-                       for j in range(self.ncols)], self.nrows)
+        rows = self._rows
+        if self.field.p == 2:
+            cols = [sum([((r >> j) & 1) << i for i, r in enumerate(rows)])
+                    for j in range(self.ncols)]
+        else:
+            cols = [tuple([r[j] for r in rows]) for j in range(self.ncols)]
+        return Matrix._raw(self.field, cols, self.nrows, self._rank)
+
+    def neg(self):
+        f = self.field
+        if f.p == 2:
+            return self
+        return Matrix._raw(f, [tuple([f.neg(x) for x in r])
+                               for r in self._rows], self.ncols, self._rank)
+
+    def hstack(self, other):
+        """The block matrix [self | other]."""
+        if self.nrows != other.nrows:
+            raise ValueError("hstack of matrices with unequal row counts")
+        f = self.field
+        return Matrix._raw(f, [_hcat(f, a, b, self.ncols)
+                               for a, b in zip(self._rows, other._rows)],
+                           self.ncols + other.ncols)
+
+    def vstack(self, other):
+        """self above other."""
+        if self.ncols != other.ncols:
+            raise ValueError("vstack of matrices with unequal column counts")
+        return Matrix._raw(self.field, self._rows + other._rows, self.ncols)
 
     def is_zero(self):
-        return all(x == 0 for r in self.entries for x in r)
+        return not any(map(_nonzero, self._rows))
 
     def rank(self):
         if self._rank is None:
-            _, piv = rref_rows(self.field, list(self.entries))
-            object.__setattr__(self, "_rank", len(piv))
+            _set(self, "_rank", len(_rref(self.field, self._rows)[1]))
         return self._rank
 
     def det(self):
         return det_rows(self.field, list(self.entries))
 
     def row_space(self):
-        return Subspace.from_rows(self.field, self.ncols, self.entries)
+        rows, piv = _rref(self.field, self._rows)
+        _set(self, "_rank", len(piv))
+        return Subspace._raw(self.field, self.ncols, rows, piv)
+
+    def _reduced(self):
+        # _transform of the rows, recording the rank
+        out = _transform(self.field, self._rows, self.ncols)
+        _set(self, "_rank", len(out[1]))
+        return out
 
     def left_kernel(self):
         """Subspace {x : x @ self == 0} of k^nrows."""
-        _, _, _, rows, piv = rref_transform(self.field, self.entries)
-        return Subspace(self.field, self.nrows, rows, piv)
+        _, _, _, rows, piv = self._reduced()
+        return Subspace._raw(self.field, self.nrows, rows, piv)
 
     def right_kernel(self):
         return self.transpose().left_kernel()
+
+    def solve(self, targets):
+        """A matrix x with x @ self == targets, or None when a row of targets
+        is not in the row space; x is unique when self has full row rank."""
+        if targets.ncols != self.ncols:
+            raise ValueError("shape mismatch: solve for %d columns in %d"
+                             % (targets.ncols, self.ncols))
+        f = self.field
+        rref, piv, t, _, _ = self._reduced()
+        coeffs = [_coeffs(f, v, rref, piv) for v in targets._rows]
+        if None in coeffs:
+            return None
+        return Matrix._raw(f, _mul(f, coeffs, t, self.nrows), self.nrows)
+
+    def inverse(self):
+        """The inverse of a square matrix; ValueError when it is singular."""
+        _, piv, t, _, _ = self._reduced()
+        if self.nrows != self.ncols or len(piv) != self.nrows:
+            raise ValueError("matrix is not invertible")
+        return Matrix._raw(self.field, t, self.nrows, self.nrows)
 
 
 class Subspace:
     """Subspace of k^ambient, stored as a reduced-row-echelon basis.
 
     The representation is canonical: two Subspaces are equal iff they are the
-    same subspace.
+    same subspace.  The basis is kept in internal rows; rows is the tuple view.
     """
 
-    __slots__ = ("field", "ambient", "rows", "pivots")
+    __slots__ = ("field", "ambient", "_rows", "pivots", "_view")
 
-    def __init__(self, field, ambient, rows, pivots=None):
-        if pivots is None:
-            rows, pivots = rref_rows(field, [list(r) for r in rows])
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
-        object.__setattr__(self, "pivots", tuple(pivots))
+    def __init__(self, field, ambient, rows, pivots):
+        """rows: a basis in rref, as sequences of scalars, with its pivots
+        (from_rows takes any spanning rows)."""
+        self._init(field, ambient, [_row_in(field, r) for r in rows], pivots)
+
+    def _init(self, field, ambient, rows, pivots):
+        rows = tuple(rows)
+        _set(self, "field", field)
+        _set(self, "ambient", ambient)
+        _set(self, "_rows", rows)
+        _set(self, "pivots", tuple(pivots))
+        _set(self, "_view", None if field.p == 2 else rows)
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
+    def _raw(cls, field, ambient, rows, pivots):
+        # trusted path: rows are internal rows in rref with these pivots
+        s = object.__new__(cls)
+        s._init(field, ambient, rows, pivots)
+        return s
+
+    @property
+    def rows(self):
+        if self._view is None:
+            _set(self, "_view", tuple([_row_out(self.field, r, self.ambient)
+                                       for r in self._rows]))
+        return self._view
+
+    @classmethod
     def from_rows(cls, field, ambient, rows):
-        rows = [[field.normalize(x) for x in r] for r in rows]
+        rows = list(rows)
         if any(len(r) != ambient for r in rows):
             raise ValueError("row length does not match ambient dimension")
-        rr, piv = rref_rows(field, rows)
-        return cls(field, ambient, rr, piv)
+        return cls._raw(field, ambient, *_rref(field,
+                                               _checked_rows(field, rows)))
 
     @classmethod
     def zero(cls, field, ambient):
-        return cls(field, ambient, (), ())
+        return cls._raw(field, ambient, (), ())
 
     @classmethod
     def full(cls, field, ambient):
-        one, z = field.one(), field.zero()
-        rows = [tuple(one if j == i else z for j in range(ambient))
-                for i in range(ambient)]
-        return cls(field, ambient, rows, tuple(range(ambient)))
+        return cls._raw(field, ambient, _units(field, ambient),
+                        range(ambient))
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self._rows)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
-                and self.ambient == other.ambient and self.rows == other.rows)
+                and self.ambient == other.ambient and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.field, self.ambient, self.rows))
+        return hash((self.field, self.ambient, self._rows))
 
     def __repr__(self):
         return "Subspace(%s, dim %d of k^%d)" % (self.field, self.dim,
                                                  self.ambient)
 
-    def reduce(self, v):
-        return reduce_row(self.field, v, self.rows, self.pivots)
+    def _check(self, other):
+        if self.ambient != other.ambient or self.field != other.field:
+            raise ValueError("ambient mismatch")
+
+    def _contains(self, v):
+        return not _nonzero(_divide(self.field, v, self._rows,
+                                    self.pivots)[1])
 
     def contains_vector(self, v):
-        return all(x == 0 for x in self.reduce(v))
+        return self._contains(_row_in(self.field, v))
 
     def contains(self, other):
-        if self.ambient != other.ambient:
-            raise ValueError("ambient mismatch")
-        return all(self.contains_vector(r) for r in other.rows)
+        self._check(other)
+        return all(map(self._contains, other._rows))
 
     def meet(self, other):
         """Intersection by Zassenhaus: in the rref of the rows (u|u) of self
         above (w|0) of other, the rows (0|x) are the rref basis of u n w."""
-        if self.ambient != other.ambient or self.field != other.field:
-            raise ValueError("ambient mismatch")
-        n = self.ambient
-        z = (self.field.zero(),) * n
-        red, pivots = rref_rows(self.field, [r + r for r in self.rows]
-                                + [r + z for r in other.rows])
+        self._check(other)
+        f, n = self.field, self.ambient
+        z = _zero_row(f, n)
+        red, pivots = _rref(f, [_hcat(f, u, u, n) for u in self._rows]
+                            + [_hcat(f, w, z, n) for w in other._rows])
         k = bisect_left(pivots, n)
-        return Subspace(self.field, n, [r[n:] for r in red[k:]],
-                        [p - n for p in pivots[k:]])
+        return Subspace._raw(f, n, _split(f, red[k:], n)[1],
+                             [p - n for p in pivots[k:]])
 
     def join(self, other):
-        if self.ambient != other.ambient or self.field != other.field:
+        self._check(other)
+        return Subspace._raw(self.field, self.ambient,
+                             *_rref(self.field, self._rows + other._rows))
+
+    def basis_matrix(self):
+        """The basis as a dim x ambient matrix."""
+        return Matrix._raw(self.field, self._rows, self.ambient, self.dim)
+
+    def coordinates(self, m):
+        """The matrix of the coefficients of m's rows in the basis, or None
+        when a row of m is not in the subspace."""
+        if m.ncols != self.ambient:
             raise ValueError("ambient mismatch")
-        return Subspace.from_rows(self.field, self.ambient,
-                                  list(self.rows) + list(other.rows))
+        f = self.field
+        rows = [_coeffs(f, r, self._rows, self.pivots) for r in m._rows]
+        return None if None in rows else Matrix._raw(f, rows, self.dim)
 
     # -- canonical quotient coordinates (non-pivot columns) -----------------
 
@@ -485,59 +711,75 @@ class Subspace:
         pset = set(self.pivots)
         return [j for j in range(self.ambient) if j not in pset]
 
+    def _proj(self, v, nonpivots):
+        f = self.field
+        return _gather(f, _divide(f, v, self._rows, self.pivots)[1],
+                       nonpivots)
+
     def proj_coords(self, v):
         """Coordinates of v + self in the canonical quotient basis."""
-        red = self.reduce(v)
-        return tuple(red[j] for j in self.nonpivots())
-
-    def lift_coords(self, c):
-        """Canonical coset representative with the given quotient coords."""
-        z = self.field.zero()
-        v = [z] * self.ambient
-        for x, j in zip(c, self.nonpivots()):
-            v[j] = x
-        return tuple(v)
-
-    def quotient_rows(self):
-        """Rows of the projection k^ambient -> k^(ambient - dim)."""
         f = self.field
-        one, z = f.one(), f.zero()
-        out = []
-        for i in range(self.ambient):
-            e = [z] * self.ambient
-            e[i] = one
-            out.append(self.proj_coords(e))
-        return out
+        return _row_out(f, self._proj(_row_in(f, v), self.nonpivots()),
+                        self.ambient - self.dim)
+
+    def quotient_matrix(self):
+        """The projection k^ambient -> k^ambient / self, row i the quotient
+        coordinates of unit vector i."""
+        f, npv = self.field, self.nonpivots()
+        return Matrix._raw(f, [self._proj(u, npv)
+                               for u in _units(f, self.ambient)],
+                           len(npv), len(npv))
 
 
 class Quotient:
     """The subquotient big/small of nested subspaces, in its canonical basis.
 
-    basis is the rref basis of big/small in small's quotient coordinates
-    (Subspace.proj_coords), with its pivots; lift(k) is the canonical coset
-    representative of basis[k].
+    Its basis is the rref basis of big/small in small's quotient coordinates
+    (Subspace.proj_coords), kept in internal rows; lift(k) is the canonical
+    coset representative of basis row k.
     """
 
-    __slots__ = ("small", "basis", "pivots")
+    __slots__ = ("small", "_nonpivots", "_basis", "_pivots")
 
     def __init__(self, small, big):
         if not big.contains(small):
             raise ValueError("quotient requires containment")
         self.small = small
-        self.basis, self.pivots = rref_rows(
-            small.field, [small.proj_coords(r) for r in big.rows])
+        self._nonpivots = small.nonpivots()
+        self._basis, self._pivots = _rref(
+            small.field, [small._proj(r, self._nonpivots) for r in big._rows])
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self._basis)
+
+    def _coords(self, v):
+        small = self.small
+        return _coeffs(small.field, small._proj(v, self._nonpivots),
+                       self._basis, self._pivots)
+
+    def _lift(self, c):
+        return _scatter(self.small.field, c, self._nonpivots,
+                        self.small.ambient)
 
     def coords(self, v):
         """Coordinates of v + small in basis, or None when v is not in big."""
-        return solve_in_rows(self.small.field, self.basis, self.pivots,
-                             self.small.proj_coords(v))
+        f = self.small.field
+        c = self._coords(_row_in(f, v))
+        return None if c is None else _row_out(f, c, self.dim)
 
     def lift(self, k):
-        return self.small.lift_coords(self.basis[k])
+        return _row_out(self.small.field, self._lift(self._basis[k]),
+                        self.small.ambient)
+
+    def map_to(self, dst):
+        """The matrix of the map self -> dst that the identity of the ambient
+        space induces, in the canonical bases, or None when it does not map
+        self into dst."""
+        rows = [dst._coords(self._lift(b)) for b in self._basis]
+        if None in rows:
+            return None
+        return Matrix._raw(self.small.field, rows, dst.dim)
 
 
 def all_vectors(field, n):
@@ -553,31 +795,22 @@ def all_vectors(field, n):
 
 
 def all_subspaces(field, ambient):
-    """Every subspace of k^ambient (prime fields, small dimensions)."""
-    seen = set()
-    out = []
+    """Every subspace of k^ambient (prime fields, small dimensions), by rank
+    extension from the zero subspace."""
     vecs = list(all_vectors(field, ambient))
-    # greedy closure: span of every subset of an rref-generating set is found
-    # by iterating rref over all vector subsets of bounded size; ambient is
-    # small so enumerate by rank extension instead
     frontier = [Subspace.zero(field, ambient)]
-    seen.add(frontier[0].rows)
-    out.append(frontier[0])
+    seen = set(frontier)
     while frontier:
         nxt = []
         for sub in frontier:
             for v in vecs:
-                if sub.contains_vector(v):
-                    continue
-                bigger = Subspace.from_rows(field, ambient,
-                                            list(sub.rows) + [v])
-                if bigger.rows not in seen:
-                    seen.add(bigger.rows)
-                    out.append(bigger)
-                    nxt.append(bigger)
+                if not sub.contains_vector(v):
+                    bigger = sub.join(Subspace.from_rows(field, ambient, [v]))
+                    if bigger not in seen:
+                        seen.add(bigger)
+                        nxt.append(bigger)
         frontier = nxt
-    out.sort(key=lambda s: (s.dim, s.rows))
-    return out
+    return sorted(seen, key=lambda s: (s.dim, s.rows))
 
 
 # ---------------------------------------------------------------------------

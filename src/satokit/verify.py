@@ -305,17 +305,17 @@ def suite_factorization(max_dim=3):
                 if m.image_subspace() != f.image_subspace():
                     failures.append("middle object is not the image")
                     continue
-                key = (f.source.dim, f.target.dim, f.matrix.entries)
-                if key in seen_composites:
+                if f.matrix in seen_composites:
                     continue
-                seen_composites.add(key)
+                seen_composites.add(f.matrix)
                 r = e.target.dim
                 for twist in gl[r]:
                     tmap = LinMap(e.target, e.target, twist)
                     e2, m2 = e.then(tmap), tmap.inverse().then(m)
                     u = factorization_connector((e, m), (e2, m2))
                     if u is None or u != tmap:
-                        failures.append("connector failure at %r" % (key,))
+                        failures.append("connector failure at %r" % (
+                            (f.source.dim, f.target.dim, f.matrix.entries),))
                         break
     return "factorization", checked, failures, \
         "exhaustive F2 dims <= %d" % max_dim

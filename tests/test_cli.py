@@ -11,7 +11,7 @@ from satokit.fileio import (ParseError, format_cochain, format_lattice,
                             format_laurent_matrix, format_simplicial_set,
                             parse_cochain, parse_lattice,
                             parse_laurent_matrix, parse_simplicial_set)
-from satokit.abgroup import AbelianGroup, ZZ
+from satokit.abgroup import AbelianGroup, ZZ, parse_group
 from satokit.exactlin import F2, F5
 from satokit.laurent import LaurentMatrix, LaurentPoly
 from satokit.simptors import Cochain, cohomology
@@ -230,6 +230,27 @@ def test_cli_classify_and_transport(tmp_path, capsys):
     assert "isomorphic" in capsys.readouterr().out
 
 
+def test_cli_classify_refuses_a_non_cocycle_and_unlike_pairs(tmp_path,
+                                                             capsys):
+    # one-vertex RP2; alpha = 1 on edge a has coboundary 1 on U and L
+    fx = _write(tmp_path, "rp2.sset",
+                "simplex 0 v\nsimplex 1 a faces v v\nsimplex 1 b faces v v\n"
+                "simplex 1 c faces v v\nsimplex 2 U faces b c a\n"
+                "simplex 2 L faces a c b\n")
+    fa = _write(tmp_path, "a.coch", "group Z\nvalue a 1\n")
+    rc = main(["classify", fx, fa])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "not a cocycle" in err
+    assert len(err.splitlines()) == 1
+    fz = _write(tmp_path, "z.coch", "group Z\nvalue U 0\n")
+    fz2 = _write(tmp_path, "z2.coch", "group Z/2\nvalue U 0\n")
+    rc = main(["classify", fx, fz, "--other", fz2])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "differ in degree or group" in err and len(err.splitlines()) == 1
+
+
 def test_cli_gerbe_torsor(tmp_path, capsys):
     cx = sphere_3()
     z4 = AbelianGroup((4,))
@@ -338,11 +359,129 @@ def test_cli_lattice_verbs_never_crash(tmp_path_factory, verb, texts):
     # an uncaught exception fails the test by itself
     d = tmp_path_factory.mktemp("fuzz")
     argv = [verb] + [_write(d, "%d.lat" % k, t) for k, t in enumerate(texts)]
+    rc, err = _run_quiet(argv)
+    assert rc in (0, 2)
+    assert len(err) <= 1
+
+
+def _run_quiet(argv):
+    """main(argv) with its output captured: (exit code, stderr lines)."""
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         rc = main(argv)
-    assert rc in (0, 2)
-    assert len(err.getvalue().splitlines()) <= 1
+    return rc, err.getvalue().splitlines()
+
+
+@st.composite
+def _noisy(draw, text, noise):
+    """text as it is, or with up to two of its lines dropped and up to two
+    noise lines put in."""
+    lines = text.splitlines()
+    if draw(st.booleans()):
+        return text
+    for _ in range(draw(st.integers(0, 2))):
+        if lines:
+            del lines[draw(st.integers(0, len(lines) - 1))]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(noise))
+    return "\n".join(lines) + "\n"
+
+
+_GROUPS = ["Z", "Z/2", "Z/6", "Z+Z/2", "0"]
+_LMX_NOISE = st.one_of(
+    st.builds("lmx rows={} cols={} field={}".format, st.integers(-1, 3),
+              st.integers(-1, 3), st.sampled_from(["F2", "F5", "Q", "F4"])),
+    st.builds("{}*t^{}".format, st.integers(-2, 6), st.integers(-3, 3)),
+    st.text(alphabet="lmx rowscl=fidF5 0123*t^+-/", max_size=20))
+_SSET_NOISE = st.one_of(
+    st.builds("simplex {} {} faces {}".format, st.integers(-1, 3),
+              st.sampled_from(["v", "e", "0", "01", "012"]),
+              st.sampled_from(["v v", "0 1", "01 02 12", "zz"])),
+    st.text(alphabet="simplex faces 012vew#", max_size=20))
+_COCH_NOISE = st.one_of(
+    st.builds("group {}".format, st.sampled_from(_GROUPS + ["Zq", "Z/x"])),
+    st.builds("value {} {}".format,
+              st.sampled_from(["0", "01", "012", "q"]),
+              st.sampled_from(["1", "0,1", "-3", "x"])),
+    st.text(alphabet="group value Z/+0123,#", max_size=20))
+
+
+@st.composite
+def _mu_eval_args(draw):
+    """Files of a split F2 or F5 sequence and a lattice in its middle space,
+    each maybe spoiled, and mu-eval flags (some malformed)."""
+    from satokit.tate import split_tate_ses
+    field = draw(st.sampled_from([F2, F5]))
+    a, c = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    ses = split_tate_ses(field, a, c)
+    lo = draw(st.integers(-2, 1))
+    lat = standard_lattice(TateSpace(field, a + c + draw(st.integers(-1, 0))),
+                           lo)
+    texts = [draw(_noisy(format_laurent_matrix(m), _LMX_NOISE))
+             for m in (ses.i, ses.j)]
+    texts.append(draw(_noisy(format_lattice(lat), _LAT_NOISE)))
+    flags = ["--group", draw(st.sampled_from(_GROUPS))]
+    for flag in ("--d1", "--d2", "--generator"):
+        if draw(st.booleans()):
+            flags += [flag, draw(st.sampled_from(["1", "0,1", "-2", "x"]))]
+    return texts, flags
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mu_eval_args())
+def test_cli_mu_eval_never_crashes(tmp_path_factory, args):
+    # an uncaught exception fails the test by itself
+    texts, flags = args
+    d = tmp_path_factory.mktemp("fuzz")
+    names = ("i.lmx", "j.lmx", "u.lat")
+    rc, err = _run_quiet(["mu-eval"] + [_write(d, n, t) for n, t in
+                                        zip(names, texts)] + flags)
+    assert rc in (0, 1, 2)
+    assert len(err) <= 1
+
+
+@st.composite
+def _sset_and_cochains(draw):
+    """A spoiled .sset text of the circle, torus or projective plane, and
+    two spoiled .coch texts with values on some of its simplices."""
+    from satokit.complexes import circle
+    cx = draw(st.sampled_from([circle(), torus(), projective_plane()]))
+    sset = draw(_noisy(format_simplicial_set(cx), _SSET_NOISE))
+    cochains = []
+    for _ in range(2):
+        dim = draw(st.integers(0, 2))
+        group = draw(st.sampled_from(_GROUPS))
+        if draw(st.booleans()) and dim in cx.simplices:
+            # a cocycle: a class representative, or zero
+            reps = cohomology(cx, dim, parse_group(group)).representatives()
+            text = format_cochain(draw(st.sampled_from(reps)) if reps else
+                                  Cochain.zero(cx, dim, parse_group(group)))
+        else:
+            ids = list(cx.ids(dim)) if dim in cx.simplices else []
+            lines = ["group %s" % group]
+            for sid in draw(st.lists(st.sampled_from(ids), max_size=4)
+                            if ids else st.just([])):
+                lines.append("value %s %d" % (sid, draw(st.integers(-3, 3))))
+            text = "\n".join(lines)
+        cochains.append(draw(_noisy(text, _COCH_NOISE)))
+    return sset, cochains
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sset_and_cochains(), st.integers(-1, 4),
+       st.sampled_from(_GROUPS), st.booleans())
+def test_cli_sset_verbs_never_crash(tmp_path_factory, files, degree, group,
+                                    other):
+    # an uncaught exception fails the test by itself
+    sset, (alpha, beta) = files
+    d = tmp_path_factory.mktemp("fuzz")
+    fx = _write(d, "x.sset", sset)
+    fa, fb = _write(d, "a.coch", alpha), _write(d, "b.coch", beta)
+    for argv in (["cohomology", fx, "--degree", str(degree), "--group", group],
+                 ["classify", fx, fa] + (["--other", fb] if other else [])):
+        rc, err = _run_quiet(argv)
+        assert rc in (0, 1, 2)
+        assert len(err) <= 1
 
 
 @settings(max_examples=40, deadline=None)

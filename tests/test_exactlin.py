@@ -208,6 +208,126 @@ def test_quotient_invariants(which, ambient, n_small, n_extra, data):
         with pytest.raises(ValueError):
             Quotient(big, small)
 
+# --- the packed F2 path against plain mod-2 elimination ------------------
+
+def _gf2_rref(rows, ncols):
+    """Gauss-Jordan mod 2 on lists of 0/1 entries: (rref rows, pivots)."""
+    work = [list(r) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        src = next((i for i in range(top, len(work)) if work[i][col]), None)
+        if src is None:
+            continue
+        work[top], work[src] = work[src], work[top]
+        for i in range(len(work)):
+            if i != top and work[i][col]:
+                work[i] = [(a + b) % 2 for a, b in zip(work[i], work[top])]
+        pivots.append(col)
+    return [tuple(r) for r in work[:len(pivots)]], pivots
+
+
+def _gf2_mul(a, b, ncols):
+    return tuple(tuple(sum(r[k] * b[k][j] for k in range(len(b))) % 2
+                       for j in range(ncols)) for r in a)
+
+
+def _gf2_rank(rows, ncols):
+    return len(_gf2_rref(rows, ncols)[1])
+
+
+def _bits(data, nrows, ncols):
+    return [[data.draw(st.integers(0, 1)) for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8),
+       st.integers(0, 8), st.data())
+def test_packed_f2_against_mod_2_elimination(r, c, k, s, data):
+    a_rows, b_rows = _bits(data, r, c), _bits(data, c, k)
+    a, b = Matrix(F2, a_rows, c), Matrix(F2, b_rows, k)
+    assert (a.nrows, a.ncols) == (r, c)
+    assert a.entries == tuple(map(tuple, a_rows))
+    same = Matrix(F2, a.entries, c)
+    assert same == a and hash(same) == hash(a)
+    assert Matrix(F2, [[x - 2 for x in row] for row in a_rows], c) == a
+    assert a.mul(b).entries == _gf2_mul(a_rows, b_rows, k)
+    rank = _gf2_rank(a_rows, c)
+    assert a.rank() == rank
+    assert a.transpose().entries == (tuple(zip(*a_rows)) if r else
+                                     ((),) * c)
+    assert a.is_zero() == (rank == 0)
+    # left kernel: x . a == 0, of dimension r - rank, in rref
+    ker = a.left_kernel()
+    assert ker.dim == r - rank
+    assert all(not any(v) for v in _gf2_mul(ker.rows, a_rows, c))
+    assert (list(ker.rows), list(ker.pivots)) == _gf2_rref(ker.rows, r)
+    # inverse of a square matrix, and solve x . a == t
+    sq = Matrix(F2, _bits(data, k, k), k)
+    if sq.rank() == k:
+        inv = sq.inverse()
+        unit = Matrix.identity(F2, k).entries
+        assert _gf2_mul(inv.entries, sq.entries, k) == unit
+        assert _gf2_mul(sq.entries, inv.entries, k) == unit
+    else:
+        with pytest.raises(ValueError):
+            sq.inverse()
+    t_rows = _bits(data, s, c)
+    if data.draw(st.booleans()) and r:
+        # targets in the row space
+        t_rows = [list(v) for v in _gf2_mul(_bits(data, s, r), a_rows, c)]
+    x = a.solve(Matrix(F2, t_rows, c))
+    solvable = all(_gf2_rank(a_rows + [t], c) == rank for t in t_rows)
+    assert (x is not None) == solvable
+    if x is not None:
+        assert (x.nrows, x.ncols) == (s, r)
+        assert _gf2_mul(x.entries, a_rows, c) == tuple(map(tuple, t_rows))
+    # subspaces of F2^c: from_rows, join, meet, contains
+    u = Subspace.from_rows(F2, c, a_rows)
+    w = Subspace.from_rows(F2, c, t_rows)
+    assert (list(u.rows), list(u.pivots)) == _gf2_rref(a_rows, c)
+    assert u == a.row_space() and hash(u) == hash(a.row_space())
+    join = u.join(w)
+    assert (list(join.rows), list(join.pivots)) == \
+        _gf2_rref(a_rows + t_rows, c)
+    meet = u.meet(w)
+    assert meet.dim == u.dim + w.dim - join.dim
+    assert (list(meet.rows), list(meet.pivots)) == _gf2_rref(meet.rows, c)
+    for v in meet.rows:
+        assert _gf2_rank(list(u.rows) + [v], c) == u.dim
+        assert _gf2_rank(list(w.rows) + [v], c) == w.dim
+    assert u.contains(w) == (join.dim == u.dim)
+    assert u.contains(meet) and join.contains(w)
+    # the quotient u / (u meet w): coords and lift
+    q = Quotient(meet, u)
+    assert q.dim == u.dim - meet.dim
+    for i in range(q.dim):
+        assert q.coords(q.lift(i)) == tuple(int(j == i) for j in range(q.dim))
+    for v in _bits(data, 3, c) + list(u.rows):
+        cv = q.coords(v)
+        assert (cv is not None) == (_gf2_rank(list(u.rows) + [v], c) == u.dim)
+        if cv is not None:
+            rest = list(v)
+            for i, ci in enumerate(cv):
+                if ci:
+                    rest = [(x + y) % 2 for x, y in zip(rest, q.lift(i))]
+            assert meet.contains_vector(rest)
+
+
+@pytest.mark.parametrize("field", [F2, F5])
+@pytest.mark.parametrize("bad", [Fraction(1, 3), 2.5, 1.0, "1"])
+def test_non_integer_scalars_are_refused(field, bad):
+    from satokit.laurent import LaurentPoly
+    with pytest.raises(ValueError):
+        Matrix(field, [[0, bad]])
+    with pytest.raises(ValueError):
+        Subspace.from_rows(field, 2, [[bad, 1]])
+    with pytest.raises(ValueError):
+        LaurentPoly(field, {0: bad})
+    assert Matrix(field, [[Fraction(6, 2), True]]) == Matrix(field, [[3, 1]])
+
+
 def _elementary_product(rng, n, steps):
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(steps):

@@ -254,6 +254,37 @@ def test_seed_inverses_rejects_perturbed_entry():
         split_tate_ses(F5, 1, 1).seed_inverses(lj=bad)
 
 
+# --- poly_gcd against sympy over F_p and Q -----------------------------------
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_poly_gcd_against_sympy(data):
+    sympy = pytest.importorskip("sympy")
+    field = data.draw(st.sampled_from(FIELDS))
+    term = st.tuples(st.integers(0, 4), _coeffs(field))
+
+    def poly():
+        return LaurentPoly(field, data.draw(st.lists(term, max_size=4)))
+
+    common = poly()
+    a, b = poly().mul(common), poly().mul(common)
+    t = sympy.Symbol("t")
+    dom = sympy.QQ if field.is_rational else sympy.GF(field.p)
+
+    def to_sympy(x):
+        return sympy.Poly.from_dict(
+            {(e,): sympy.Rational(c.numerator, c.denominator)
+             for e, c in x.terms}, t, domain=dom)
+
+    want = to_sympy(a).gcd(to_sympy(b))
+    if field.is_rational:
+        want = {e: Fraction(int(c.p), int(c.q))
+                for (e,), c in want.as_dict().items()}
+    else:
+        want = {e: int(c) % field.p for (e,), c in want.as_dict().items()}
+    assert dict(poly_gcd(a, b).terms) == want
+
+
 # --- rank and one-sided inverses against sympy over k(t) -------------------
 
 def _entries(draw, field, nrows, ncols):
