@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from .exactcat import (SES, FdSpace, LinMap, canonical_section, check_ses,
                        split_ses)
-from .exactlin import det_rows
 from .tate import (delta_scalar_canonical, fd_ses_of_pair,
                    lambda_scalar_chain, lattice_meet, relative_index,
                    standard_lattice)
@@ -143,8 +142,7 @@ def lambda_ses(ses, section=None, graded=True):
         section = canonical_section(ses.j)
     if section.then(ses.j) != LinMap.identity(ses.quot):
         raise ValueError("section does not split the epi")
-    rows = list(ses.i.matrix.entries) + list(section.matrix.entries)
-    scalar = det_rows(ses.total.field, rows)
+    scalar = ses.i.matrix.vstack(section.matrix).det()
     mk = _line_maker(graded)
     src = mk(ses.sub).tensor(mk(ses.quot))
     return LineIso(src, mk(ses.total), scalar)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactlin import Matrix, Quotient, Subspace, mat_mul_rows
+from .exactlin import Matrix, Quotient, Subspace
 
 
 class FdSpace:
@@ -98,8 +98,8 @@ class LinMap:
                            self.matrix.mul(other.matrix))
 
     def apply(self, v):
-        return tuple(mat_mul_rows(self.source.field, [list(v)],
-                                  list(self.matrix.entries))[0])
+        return Matrix(self.source.field, [v], self.source.dim).mul(
+            self.matrix).entries[0]
 
     def is_mono(self):
         return self.matrix.rank() == self.source.dim

@@ -9,8 +9,8 @@ for column j, from construction to result: products XOR the rows that set
 bits select, and one Gauss-Jordan elimination on ints gives rank, row space,
 join, the Zassenhaus meet, and (on rows with an identity bit appended) the
 rref transform and left kernel.  Matrix.entries and Subspace.rows are tuple
-views, built only when read.  The public row functions (rref_rows,
-rref_transform, ...) keep their tuples-of-scalars signatures over every field.
+views, built only when read.  Matrix, Subspace and Quotient are the one API;
+their constructors check every scalar, and the row kernels are private.
 """
 
 from __future__ import annotations
@@ -89,17 +89,15 @@ class Field:
         return self.p is None
 
     def normalize(self, x):
-        """x as an element of the field; over F_p x must be an integer (an
-        int, or a Fraction with denominator 1)."""
+        """x as an element of the field: an int or a Fraction, which over F_p
+        must have denominator 1; ValueError for anything else."""
+        if not isinstance(x, (int, Fraction)):
+            raise ValueError("%r is not an int or a Fraction" % (x,))
         if self.p is None:
             return Fraction(x)
-        if type(x) is not int:
-            if isinstance(x, Fraction) and x.denominator == 1:
-                x = x.numerator
-            elif not isinstance(x, int):
-                raise ValueError("%r is not an integer, so not in %s"
-                                 % (x, self))
-        return x % self.p
+        if x.denominator != 1:
+            raise ValueError("%r is not an integer, so not in %s" % (x, self))
+        return x.numerator % self.p
 
     def zero(self):
         return Fraction(0) if self.p is None else 0
@@ -145,10 +143,10 @@ QQ = Field(None)
 
 
 # ---------------------------------------------------------------------------
-# row-level workhorses.  The public functions take and return rows as tuples
-# of scalars.  Matrix, Subspace and Quotient keep their rows in an internal
-# form: over F2 one int per row with bit j for column j (the XOR rows of
-# M4RI), over other fields tuples; the private helpers work on that form.
+# row-level workhorses.  Matrix, Subspace and Quotient keep their rows in an
+# internal form: over F2 one int per row with bit j for column j (the XOR
+# rows of M4RI), over other fields tuples of normalized scalars; the private
+# helpers work on that form.
 
 def _row_in(field, row):
     """The internal row of a sequence of scalars."""
@@ -168,14 +166,16 @@ def _row_out(field, row, n):
 
 def _checked_rows(field, rows):
     """Internal rows of lists of scalars, each checked by field.normalize
-    (over F2 only when x & 1 fails, as it does for a Fraction)."""
-    if field.p == 2:
+    (over F2 only when x & 1 fails, as it does for a Fraction; over F_p an
+    int is reduced inline)."""
+    p, norm = field.p, field.normalize
+    if p == 2:
         try:
             return tuple([_row_in(field, r) for r in rows])
         except TypeError:
-            pass
-    rows = [[field.normalize(x) for x in r] for r in rows]
-    return tuple([_row_in(field, r) for r in rows])
+            return tuple([_row_in(field, [norm(x) for x in r]) for r in rows])
+    return tuple([tuple([x % p if p and type(x) is int else norm(x)
+                         for x in r]) for r in rows])
 
 
 def _zero_row(field, n):
@@ -224,7 +224,7 @@ def _scatter(field, row, cols, n):
 
 
 def _rref_f2(rows):
-    """Gauss-Jordan elimination of int rows: (rows, pivots) as in rref_rows,
+    """Gauss-Jordan elimination of int rows: (rows, pivots) as in _rref,
     each pivot the lowest set bit of its row."""
     basis = []  # (pivot bit, row)
     for m in rows:
@@ -242,12 +242,47 @@ def _rref_f2(rows):
 
 
 def _rref(field, rows):
-    return _rref_f2(rows) if field.p == 2 else rref_rows(field, rows)
+    """Reduced row echelon form of internal rows: (rows, pivots), the nonzero
+    rows in strict echelon form with unit pivots and cleared pivot columns,
+    and the sorted pivot columns."""
+    p = field.p
+    if p == 2:
+        return _rref_f2(rows)
+    work = [list(r) for r in rows]
+    pivots = []
+    piv_r = 0
+    ncols = len(work[0]) if work else 0
+    for col in range(ncols):
+        src = None
+        for r in range(piv_r, len(work)):
+            if work[r][col] != 0:
+                src = r
+                break
+        if src is None:
+            continue
+        work[piv_r], work[src] = work[src], work[piv_r]
+        row = work[piv_r]
+        inv = field.inv(row[col])
+        if inv != 1:
+            work[piv_r] = row = ([inv * x for x in row] if p is None
+                                 else [inv * x % p for x in row])
+        for r, rr in enumerate(work):
+            c = rr[col]
+            if c != 0 and r != piv_r:
+                work[r] = ([x - c * y for x, y in zip(rr, row)] if p is None
+                           else [(x - c * y) % p for x, y in zip(rr, row)])
+        pivots.append(col)
+        piv_r += 1
+        if piv_r == len(work):
+            break
+    return [tuple(r) for r in work[:piv_r]], pivots
 
 
 def _transform(field, rows, m):
-    """rref_transform of internal rows with m columns: the one elimination
-    of each row i with a unit in column m + i appended."""
+    """(rref, pivots, transform, kernel, kernel pivots) of internal rows with
+    m columns, from one elimination of each row i with a unit in column m + i
+    appended: transform . rows == rref, and kernel is the rref basis of the
+    left kernel {x : x . rows == 0}."""
     units = _units(field, len(rows))
     red, pivots = _rref(field, [_hcat(field, r, u, m)
                                 for r, u in zip(rows, units)])
@@ -284,146 +319,29 @@ def _coeffs(field, v, rows, pivots):
 
 def _mul(field, a, b, ncols):
     """Product of internal rows a (r x n) and b (n x ncols); over F2 each
-    row is the XOR of the rows of b its set bits select."""
-    if field.p != 2:
-        return mat_mul_rows(field, a, b) if b else \
-            [_zero_row(field, ncols)] * len(a)
-    out = []
-    for r in a:
-        acc = j = 0
-        while r:
-            if r & 1:
-                acc ^= b[j]
-            r >>= 1
-            j += 1
-        out.append(acc)
-    return out
-
-
-def rref_rows(field, rows):
-    """Reduced row echelon form of a list of rows.
-
-    Returns (rows, pivots): nonzero rows in strict echelon form with unit
-    pivots and cleared pivot columns, plus the sorted pivot column list.
-    """
-    if field.p == 2:
-        n = len(rows[0]) if rows else 0
-        red, pivots = _rref_f2([_row_in(field, r) for r in rows])
-        return [_row_out(field, r, n) for r in red], pivots
+    row is the XOR of the rows of b its set bits select, elsewhere the sum
+    of the rows of b scaled by its entries, reduced mod p once."""
     p = field.p
-    work = [list(r) for r in rows]
-    pivots = []
-    piv_r = 0
-    ncols = len(work[0]) if work else 0
-    for col in range(ncols):
-        src = None
-        for r in range(piv_r, len(work)):
-            if work[r][col] != 0:
-                src = r
-                break
-        if src is None:
-            continue
-        work[piv_r], work[src] = work[src], work[piv_r]
-        row = work[piv_r]
-        inv = field.inv(row[col])
-        if inv != 1:
-            work[piv_r] = row = ([inv * x for x in row] if p is None
-                                 else [inv * x % p for x in row])
-        for r, rr in enumerate(work):
-            c = rr[col]
-            if c != 0 and r != piv_r:
-                work[r] = ([x - c * y for x, y in zip(rr, row)] if p is None
-                           else [(x - c * y) % p for x, y in zip(rr, row)])
-        pivots.append(col)
-        piv_r += 1
-        if piv_r == len(work):
-            break
-    return [tuple(r) for r in work[:piv_r]], pivots
-
-
-def rref_transform(field, rows):
-    """Row reduction with its transform, from one pass over rows | identity.
-
-    Returns (rref, pivots, transform, kernel, kernel_pivots): rref and
-    pivots are those of rref_rows(field, rows), transform . rows == rref,
-    and kernel is the rref basis of the left kernel {x : x . rows == 0}.
-    """
-    n, m = len(rows), len(rows[0]) if rows else 0
-    rref, piv, t, ker, kpiv = _transform(
-        field, [_row_in(field, r) for r in rows], m)
-    return ([_row_out(field, r, m) for r in rref], piv,
-            [_row_out(field, r, n) for r in t],
-            [_row_out(field, r, n) for r in ker], kpiv)
-
-
-def reduce_row(field, v, rows, pivots):
-    """Canonical representative of v modulo the row space (rows in rref)."""
-    _, rest = _divide(field, _row_in(field, v),
-                      [_row_in(field, r) for r in rows], pivots)
-    return _row_out(field, rest, len(v))
-
-
-def solve_in_rows(field, rows, pivots, target):
-    """Coefficients c with sum(c_i * rows_i) == target, or None.
-
-    rows must be in rref; the expression is unique when it exists.
-    """
-    c = _coeffs(field, _row_in(field, target),
-                [_row_in(field, r) for r in rows], pivots)
-    return None if c is None else _row_out(field, c, len(rows))
-
-
-def det_rows(field, rows):
-    """Determinant of a square matrix given as rows."""
-    n = len(rows)
-    if n == 0:
-        return field.one()
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant of a non-square matrix")
-    work = [list(r) for r in rows]
-    det = field.one()
-    for col in range(n):
-        src = None
-        for r in range(col, n):
-            if work[r][col] != 0:
-                src = r
-                break
-        if src is None:
-            return field.zero()
-        if src != col:
-            work[col], work[src] = work[src], work[col]
-            det = field.neg(det)
-        piv = work[col][col]
-        det = field.mul(det, piv)
-        inv = field.inv(piv)
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                c = field.mul(work[r][col], inv)
-                work[r] = [field.sub(work[r][k], field.mul(c, work[col][k]))
-                           for k in range(n)]
-    return det
-
-
-def mat_mul_rows(field, a, b):
-    """Product of two row-lists (a: r x n, b: n x c)."""
-    if not a:
-        return []
-    n = len(a[0])
-    if n != len(b):
-        raise ValueError("shape mismatch in matrix product")
-    c = len(b[0]) if b else 0
-    zero = field.zero()
     out = []
-    for row in a:
-        acc = [zero] * c
-        for k, x in enumerate(row):
+    if p == 2:
+        for r in a:
+            acc = j = 0
+            while r:
+                if r & 1:
+                    acc ^= b[j]
+                r >>= 1
+                j += 1
+            out.append(acc)
+        return out
+    zero = _zero_row(field, ncols)
+    for r in a:
+        acc = None
+        for x, row in zip(r, b):
             if x != 0:
-                brow = b[k]
-                for j in range(c):
-                    y = brow[j]
-                    if y != 0:
-                        acc[j] = field.add(acc[j], field.mul(x, y))
-        out.append(tuple(acc))
+                acc = ([x * y for y in row] if acc is None
+                       else [s + x * y for s, y in zip(acc, row)])
+        out.append(zero if acc is None else tuple(acc) if p is None
+                   else tuple([s % p for s in acc]))
     return out
 
 
@@ -547,7 +465,29 @@ class Matrix:
         return self._rank
 
     def det(self):
-        return det_rows(self.field, list(self.entries))
+        """The determinant of a square matrix; 1 for the 0 x 0 matrix."""
+        f, n = self.field, self.nrows
+        if self.ncols != n:
+            raise ValueError("determinant of a non-square matrix")
+        if f.p == 2:
+            return int(self.rank() == n)
+        work, det = list(self._rows), f.one()
+        for col in range(n):
+            src = next((r for r in range(col, n) if work[r][col] != 0), None)
+            if src is None:
+                return f.zero()
+            if src != col:
+                work[col], work[src] = work[src], work[col]
+                det = f.neg(det)
+            row = work[col]
+            det = f.mul(det, row[col])
+            inv = f.inv(row[col])
+            for r in range(col + 1, n):
+                c = f.mul(work[r][col], inv)
+                if c != 0:
+                    work[r] = [f.sub(x, f.mul(c, y))
+                               for x, y in zip(work[r], row)]
+        return det
 
     def row_space(self):
         rows, piv = _rref(self.field, self._rows)
@@ -980,9 +920,7 @@ def snf_with_transforms(m, want_transforms=True):
 
 def int_inverse_unimodular(rows):
     """Inverse of a unimodular integer matrix, entrywise integer."""
-    _, pivots, inv, _, _ = rref_transform(QQ, rows)
-    if len(pivots) != len(rows):
-        raise ValueError("matrix is singular")
+    inv = Matrix(QQ, rows).inverse().entries
     if any(x.denominator != 1 for r in inv for x in r):
         raise ValueError("inverse is not integral")
     return [[int(x) for x in r] for r in inv]

@@ -43,7 +43,8 @@ def _scalar_of(field, token, line, col):
                 num, den = token.split("/", 1)
                 return Fraction(int(num), int(den))
             return Fraction(int(token))
-        return field.normalize(int(token))
+        # lattice_normalize and LaurentPoly normalize it
+        return int(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError("bad scalar %r" % token, line, col)
 

@@ -3,10 +3,10 @@
 Morphisms between formal-Laurent-series spaces are matrices of Laurent
 polynomials acting on row vectors.  k[t, 1/t] is a Euclidean domain, so one
 echelon form by Euclidean row steps gives both the rank (over k(t)) and the
-one-sided inverses: these are Laurent matrices whenever such inverses exist,
-and are otherwise solved over k(t).  Rational functions are kept as numerator
-/ denominator pairs of Laurent polynomials with monomial content stripped and
-a gcd reduction to hold degrees down.
+one-sided inverses: these are rows of LaurentPoly whenever Laurent inverses
+exist, and are otherwise solved over k(t) as rows of RatFunc.  Rational
+functions are kept as numerator / denominator pairs of Laurent polynomials
+with monomial content stripped and a gcd reduction to hold degrees down.
 """
 
 from __future__ import annotations
@@ -439,7 +439,8 @@ def _left_inverse_rows(m):
     """C = H1^-1 . U1 with C . m == identity, from the top c x c block H1 of
     H and the top c rows U1 of U, for m (b x c) of full column rank; None
     otherwise.  When every pivot is a unit (scaled to 1 by _echelon) the
-    back-substitution stays in k[t, 1/t]; only then does a Laurent C exist."""
+    back-substitution stays in k[t, 1/t] and C has LaurentPoly entries; only
+    then does a Laurent C exist, and otherwise C has RatFunc entries."""
     h, u, pivots = _echelon(m)
     c = m.ncols
     if len(pivots) < c:
@@ -455,12 +456,12 @@ def _left_inverse_rows(m):
                 row = [y.sub(x.mul(w)) for y, w in zip(row, inv[j])]
         p = lift(h[k][k])
         inv[k] = row if unit else [y.div(p) for y in row]
-    return [[RatFunc.from_poly(x) for x in r] for r in inv] if unit else inv
+    return inv
 
 
 def right_inverse(m):
-    """B with m . B = identity as rows of RatFunc (denominator 1 when B is
-    polynomial), for m of full row rank; None otherwise."""
+    """B with m . B = identity, for m of full row rank; None otherwise.  Its
+    entries are LaurentPoly when a Laurent B exists, else RatFunc."""
     ct = _left_inverse_rows(m.transpose())
     if ct is None:
         return None
@@ -468,8 +469,8 @@ def right_inverse(m):
 
 
 def left_inverse(m):
-    """C with C . m = identity as rows of RatFunc (denominator 1 when C is
-    polynomial), for m of full column rank; None otherwise."""
+    """C with C . m = identity, for m of full column rank; None otherwise.  Its
+    entries are LaurentPoly when a Laurent C exists, else RatFunc."""
     return _left_inverse_rows(m)
 
 

@@ -20,13 +20,16 @@ of this model at all.  Every mono the model can express is admissible.
 window_rows gives a lattice's rows in any window, so meet, join and b <= a
 work in windows no wider than one input's, however far apart the inputs lie:
 [max lo, max hi) for the meet, [min lo, min hi) for the join, a's for b <= a.
+
+lattice_normalize, the entry for rows from outside, reduces them through
+Subspace.from_rows, which checks every scalar; meet, join and lift hand the
+rref subspace they already hold straight to the level stripping.
 """
 
 from __future__ import annotations
 
 from .exactcat import FdSpace, LinMap, check_ses
-from .exactlin import (Matrix, Quotient, Subspace, det_rows, rref_rows,
-                       rref_transform)
+from .exactlin import Matrix, Quotient, Subspace
 from .laurent import (LaurentMatrix, LaurentPoly, RatFunc, left_inverse,
                       ratfunc_min_valuation, right_inverse)
 
@@ -102,19 +105,21 @@ def standard_lattice(space, shift=0):
 
 def lattice_normalize(space, lo, hi, raw_basis):
     """Canonical Lattice from window bounds and basis rows over the window
-    quotient t^lo O^n / t^hi O^n (monomial coordinates, e then unit)."""
-    n = space.rank
-    field = space.field
+    quotient t^lo O^n / t^hi O^n (monomial coordinates, e then unit); a
+    scalar that is not an int or a Fraction in the field raises ValueError."""
     if lo > hi:
         raise ValueError("lo must be <= hi")
-    width = (hi - lo) * n
-    rows = [list(r) for r in raw_basis]
-    if any(len(r) != width for r in rows):
-        raise ValueError("basis rows must have length %d" % width)
-    rows, pivots = rref_rows(field, rows)
+    return _stripped(space, lo, hi, Subspace.from_rows(
+        space.field, (hi - lo) * space.rank, raw_basis))
+
+
+def _stripped(space, lo, hi, sub):
+    """The Lattice of sub, a subspace of the window t^lo O^n / t^hi O^n,
+    with its window shrunk to the minimal one."""
+    n = space.rank
     if n == 0:
         return Lattice(space, 0, 0, (), (), _normalized=True)
-
+    rows, pivots = sub.rows, list(sub.pivots)
     # deep strip: drop full monomial levels at the hi end.  The level's
     # columns are the last n pivots, so the other rows vanish there and stay
     # in rref once cut short.
@@ -188,14 +193,14 @@ def lattice_meet(a, b):
     LO, HI = max(a.lo, b.lo), max(a.hi, b.hi)
     sa = window_subspace(a, LO, HI)
     sb = window_subspace(b, LO, HI)
-    return lattice_normalize(a.space, LO, HI, sa.meet(sb).rows)
+    return _stripped(a.space, LO, HI, sa.meet(sb))
 
 
 def lattice_join(a, b):
     _check_same_space(a, b)
     LO, HI = min(a.lo, b.lo), min(a.hi, b.hi)
-    rows = window_rows(a, LO, HI) + window_rows(b, LO, HI)
-    return lattice_normalize(a.space, LO, HI, rows)
+    return _stripped(a.space, LO, HI, window_subspace(a, LO, HI).join(
+        window_subspace(b, LO, HI)))
 
 
 def relative_index(a, b):
@@ -393,18 +398,11 @@ def twist_tate_ses(ses, aut, aut_inv):
 
 
 def _polynomial_rows(inv_rows):
-    # entries are RatFuncs from laurent or seeded LaurentPolys
-    rows = []
-    for r in inv_rows:
-        row = []
-        for x in r:
-            if isinstance(x, RatFunc):
-                if x.den.terms != ((0, x.den.field.one()),):
-                    raise ValueError("inverse has a nontrivial denominator")
-                x = x.num
-            row.append(x)
-        rows.append(row)
-    return rows
+    # a Laurent inverse, computed or seeded, has LaurentPoly entries; laurent
+    # gives RatFunc entries only when no Laurent inverse exists
+    if any(isinstance(x, RatFunc) for r in inv_rows for x in r):
+        raise ValueError("inverse has a nontrivial denominator")
+    return inv_rows
 
 
 def retraction_of_mono(ses):
@@ -475,8 +473,8 @@ def lift_lattice(ses, u):
             vec = tuple(p.shift(e) for p in irows[k])
             wrow = window_coords_of_laurent(field, b, LO_t, u.hi, vec)
             gen.append(u_w.proj_coords(wrow))
-    _, _, _, ker, _ = rref_transform(field, gen)
-    return lattice_normalize(src, LO, HI, ker)
+    ker = Matrix(field, gen, u_w.ambient - u_w.dim).left_kernel()
+    return _stripped(src, LO, HI, ker)
 
 
 def project_lattice(ses, u):
@@ -556,8 +554,8 @@ def lambda_scalar_chain(a, b, c):
     a_w, b_w, c_w = (window_subspace(x, LO, HI) for x in (a, b, c))
     ca = Quotient(a_w, c_w)
     parts = (Quotient(a_w, b_w), Quotient(b_w, c_w))
-    return det_rows(a.field, [ca.coords(q.lift(k))
-                              for q in parts for k in range(q.dim)])
+    return Matrix(a.field, [ca.coords(q.lift(k)) for q in parts
+                            for k in range(q.dim)], ca.dim).det()
 
 
 def delta_scalar_canonical(u, v):

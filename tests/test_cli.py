@@ -123,6 +123,19 @@ def test_cli_index_far_pair(tmp_path, capsys):
             assert parse_lattice(capsys.readouterr().out) == want
 
 
+def test_cli_meet_unreduced_scalars(tmp_path, capsys):
+    # 7, -3 and 2 are one element of F5, so the three files are one lattice
+    other = _write(tmp_path, "b.lat", "tate rank=1 field=F5\n"
+                   "bounds lo=0 hi=2\n1,1\n")
+    outs = []
+    for x in ("7", "-3", "2"):
+        fa = _write(tmp_path, "a%s.lat" % x, "tate rank=1 field=F5\n"
+                    "bounds lo=0 hi=2\n%s,1\n" % x)
+        assert main(["--json", "meet", fa, other]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_cli_meet_join_roundtrip(tmp_path, capsys):
     space = TateSpace(F5, 2)
     a = lattice_normalize(space, -1, 0, [[1, 0]])

@@ -16,6 +16,12 @@ def k(field, n):
     return FdSpace(field, n)
 
 
+def test_apply_is_the_row_product():
+    f = LinMap(k(F5, 2), k(F5, 3), [[1, 2, 3], [0, 4, 1]])
+    assert f.apply((2, 1)) == (2, 3, 2)
+    assert LinMap.zero(k(F5, 0), k(F5, 2)).apply(()) == (0, 0)
+
+
 # --- SES validation -----------------------------------------------------
 
 def test_split_ses_valid():
@@ -283,12 +289,11 @@ def test_preimage_squares_are_bicartesian():
                 top = inclusion_map(b)
                 right = proj
                 # left: B ->> Bbar expressed in bbar's echelon coordinates
-                from satokit.exactlin import solve_in_rows
                 left_mat = []
                 for r in b.rows:
                     img = proj.apply(r)
-                    c = solve_in_rows(F2, bbar.rows,
-                                      list(bbar.pivots), img)
+                    c = bbar.coordinates(
+                        Matrix(F2, [img], bbar.ambient)).entries[0]
                     left_mat.append(c)
                 left = LinMap(top.source, k(F2, bbar.dim), left_mat)
                 bottom = LinMap(k(F2, bbar.dim), proj.target,

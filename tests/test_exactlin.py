@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from satokit.exactlin import (
     F2, F3, F5, QQ, Field, IntMatrix, Matrix, Quotient, Subspace,
-    all_subspaces, all_vectors, det_rows, int_inverse_unimodular,
-    mat_mul_rows, rref_rows, rref_transform, smith_normal_form,
-    snf_with_transforms, solve_in_rows, solve_mod,
+    all_subspaces, all_vectors, int_inverse_unimodular, smith_normal_form,
+    snf_with_transforms, solve_mod,
 )
 
 
@@ -115,8 +114,9 @@ def test_meet_against_left_kernel(data):
     u, w = (Subspace.from_rows(field, n, data.draw(st.lists(
         st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=5)))
         for _ in range(2))
-    _, _, _, ker, _ = rref_transform(field, list(u.rows) + list(w.rows))
-    vecs = mat_mul_rows(field, [k[:u.dim] for k in ker], list(u.rows))
+    ker = u.basis_matrix().vstack(w.basis_matrix()).left_kernel()
+    vecs = Matrix(field, [k[:u.dim] for k in ker.rows], u.dim).mul(
+        u.basis_matrix()).entries
     meet = u.meet(w)
     assert meet == Subspace.from_rows(field, n, vecs)
     assert meet.dim + u.join(w).dim == u.dim + w.dim
@@ -144,11 +144,11 @@ def test_subspace_count_f2():
     assert len(all_subspaces(F2, 3)) == 16
 
 
-def test_solve_in_rows():
+def test_subspace_coordinates():
     s = Subspace.from_rows(F5, 3, [(1, 0, 2), (0, 1, 3)])
-    c = solve_in_rows(F5, s.rows, s.pivots, (2, 1, 2))
+    c = s.coordinates(Matrix(F5, [(2, 1, 2)])).entries[0]
     assert c == (2, 1)
-    assert solve_in_rows(F5, s.rows, s.pivots, (0, 0, 1)) is None
+    assert s.coordinates(Matrix(F5, [(0, 0, 1)])) is None
 
 
 _FIELD_ENTRIES = [
@@ -161,16 +161,18 @@ _FIELD_ENTRIES = [
 @settings(max_examples=90, deadline=None)
 @given(st.sampled_from(range(len(_FIELD_ENTRIES))), st.integers(0, 5),
        st.integers(1, 5), st.data())
-def test_rref_transform_invariants(which, nrows, ncols, data):
+def test_reduction_invariants(which, nrows, ncols, data):
     field, entry = _FIELD_ENTRIES[which]
     rows = [tuple(field.normalize(data.draw(entry)) for _ in range(ncols))
             for _ in range(nrows)]
-    rref, piv, t, ker, kpiv = rref_transform(field, rows)
-    assert (rref, piv) == rref_rows(field, rows)
-    assert mat_mul_rows(field, t, rows) == rref
-    assert all(x == 0 for r in mat_mul_rows(field, ker, rows) for x in r)
-    assert len(ker) + len(rref) == len(rows)
-    assert rref_rows(field, ker) == (ker, kpiv)
+    m = Matrix(field, rows, ncols)
+    space, ker = m.row_space(), m.left_kernel()
+    rref = space.basis_matrix()
+    assert m.solve(rref).mul(m) == rref
+    assert ker.basis_matrix().mul(m).is_zero()
+    assert ker.dim + space.dim == len(rows)
+    again = Subspace.from_rows(field, len(rows), ker.rows)
+    assert (again.rows, again.pivots) == (ker.rows, ker.pivots)
 
 
 
@@ -328,6 +330,21 @@ def test_non_integer_scalars_are_refused(field, bad):
     assert Matrix(field, [[Fraction(6, 2), True]]) == Matrix(field, [[3, 1]])
 
 
+@pytest.mark.parametrize("bad", [0.1, 2.5, "1/3", "1"])
+def test_non_rational_scalars_are_refused_over_q(bad):
+    # a float would be stored as its binary fraction, a string parsed
+    from satokit.laurent import LaurentPoly
+    with pytest.raises(ValueError):
+        Matrix(QQ, [[0, bad]])
+    with pytest.raises(ValueError):
+        Subspace.from_rows(QQ, 2, [[bad, 1]])
+    with pytest.raises(ValueError):
+        LaurentPoly(QQ, {0: bad})
+    third = Fraction(1, 3)
+    assert Matrix(QQ, [[third, 1]]).entries == ((third, Fraction(1)),)
+    assert LaurentPoly(QQ, {0: third}).terms == ((0, third),)
+
+
 def _elementary_product(rng, n, steps):
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(steps):
@@ -356,10 +373,14 @@ def test_int_inverse_unimodular():
         int_inverse_unimodular([[2, 0], [0, 1]])
 
 
-def test_det_rows():
-    assert det_rows(F5, [(2, 0), (0, 3)]) == 1  # 6 mod 5
-    assert det_rows(QQ, [(Fraction(1, 2), 0), (0, 4)]) == 2
-    assert det_rows(F2, [(1, 1), (1, 1)]) == 0
+def test_matrix_det():
+    assert Matrix(F5, [(2, 0), (0, 3)]).det() == 1  # 6 mod 5
+    assert Matrix(QQ, [(Fraction(1, 2), 0), (0, 4)]).det() == 2
+    assert Matrix(F2, [(1, 1), (1, 1)]).det() == 0
+    assert Matrix(F2, [(1, 1), (0, 1)]).det() == 1
+    assert Matrix(F5, [], 0).det() == 1  # the empty product
+    with pytest.raises(ValueError):
+        Matrix(F5, [(1, 2)]).det()
 
 
 # --- SNF; independent oracle: gcd of k x k minors -----------------------
@@ -374,7 +395,7 @@ def _minor_gcd_oracle(rows):
         for ri in combinations(range(n), k):
             for ci in combinations(range(m), k):
                 sub = [[Fraction(rows[i][j]) for j in ci] for i in ri]
-                d = det_rows(QQ, sub)
+                d = Matrix(QQ, sub).det()
                 g = gcd(g, int(d))
         if g == 0:
             break
@@ -425,8 +446,8 @@ def test_snf_transforms_multiply_out():
     m = IntMatrix(rows)
     prod = IntMatrix(u).mul(m).mul(IntMatrix(v))
     assert [list(r) for r in prod.entries] == [list(r) for r in s]
-    assert abs(det_rows(QQ, [[Fraction(x) for x in r] for r in u])) == 1
-    assert abs(det_rows(QQ, [[Fraction(x) for x in r] for r in v])) == 1
+    assert abs(Matrix(QQ, [[Fraction(x) for x in r] for r in u]).det()) == 1
+    assert abs(Matrix(QQ, [[Fraction(x) for x in r] for r in v]).det()) == 1
 
 
 def test_snf_unimodular_invariance():

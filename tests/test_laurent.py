@@ -87,7 +87,8 @@ def test_right_inverse():
     # verify m . b == I_1 exactly
     acc = RatFunc.from_poly(z)
     for k in range(3):
-        acc = acc.add(RatFunc.from_poly(m[0, k]).mul(b[k][0]))
+        acc = acc.add(RatFunc.from_poly(m[0, k]).mul(
+            RatFunc.from_poly(b[k][0])))
     assert acc == RatFunc.from_poly(one)
 
 
@@ -108,7 +109,8 @@ def test_left_inverse():
     assert c is not None
     acc = RatFunc.from_poly(z)
     for k in range(2):
-        acc = acc.add(c[0][k].mul(RatFunc.from_poly(m[k, 0])))
+        acc = acc.add(RatFunc.from_poly(c[0][k]).mul(
+            RatFunc.from_poly(m[k, 0])))
     assert acc == RatFunc.from_poly(one)
 
 

@@ -1,9 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from satokit.exactlin import (F2, F5, mat_mul_rows, rref_rows,
-                              rref_transform)
+from satokit.exactlin import F2, F5, Matrix, Subspace
 from satokit.laurent import LaurentMatrix, LaurentPoly
 from satokit.tate import (
     Lattice, LatticeGridError, LatticeQuotient, TateSES, TateSESInvalid,
@@ -73,6 +73,16 @@ def test_normalize_general_subspace():
     assert lat.rows == ((1, 1),)
 
 
+def test_normalize_reduces_unreduced_scalars():
+    # the canonical form holds for F5 rows given as any integers
+    assert lattice_normalize(K1, 0, 2, [[6, 7]]) == \
+        lattice_normalize(K1, 0, 2, [[1, 2]])
+    assert lattice_normalize(K1, 0, 2, [[5, 1]]) == standard_lattice(K1, 1)
+    for bad in (Fraction(1, 3), 2.5):
+        with pytest.raises(ValueError):
+            lattice_normalize(K1, 0, 2, [[bad, 1]])
+
+
 def test_two_presentations_normalize_equal():
     a = lattice_normalize(K1, -2, 1, [[0, 1, 0], [0, 0, 1]])
     b = lattice_normalize(K1, -1, 1, [[1, 0], [0, 1]])
@@ -111,8 +121,9 @@ def _drawn_lattice(data):
 @given(st.data())
 def test_normalize_output_is_rref(data):
     lat = _drawn_lattice(data)
-    rows, pivots = rref_rows(lat.field, lat.rows)
-    assert tuple(rows) == lat.rows and tuple(pivots) == lat.pivots
+    sub = Subspace.from_rows(lat.field, (lat.hi - lat.lo) * lat.space.rank,
+                             lat.rows)
+    assert sub.rows == lat.rows and sub.pivots == lat.pivots
 
 
 def _dense_rows(lat, lo, hi):
@@ -136,19 +147,21 @@ def test_window_rows_are_rref(data):
     n, field = lat.space.rank, lat.field
     LO = data.draw(st.integers(lat.lo - 3, lat.hi + 2))
     HI = data.draw(st.integers(LO, max(LO, lat.hi) + 3))
-    rows = window_rows(lat, LO, HI)
-    assert rref_rows(field, rows)[0] == rows
+    rows, width = window_rows(lat, LO, HI), (HI - LO) * n
+    red = Subspace.from_rows(field, width, rows)
+    assert list(red.rows) == rows
     sub = window_subspace(lat, LO, HI)
-    assert (list(sub.rows), list(sub.pivots)) == rref_rows(field, rows)
+    assert (sub.rows, sub.pivots) == (red.rows, red.pivots)
     # dense oracle for (lat n t^LO O^n) / t^HI O^n: the combinations of lat's
     # dense rows that vanish below t^LO, cut at t^HI
     lo, hi = min(LO, lat.lo), max(HI, lat.hi)
     dense = _dense_rows(lat, lo, hi)
     below = (LO - lo) * n
-    _, _, _, ker, _ = rref_transform(field, [r[:below] for r in dense])
-    inside = mat_mul_rows(field, ker, dense)
-    cut = [r[below:below + (HI - LO) * n] for r in inside]
-    assert rref_rows(field, cut)[0] == rows
+    ker = Matrix(field, [r[:below] for r in dense], below).left_kernel()
+    inside = ker.basis_matrix().mul(
+        Matrix(field, dense, (hi - lo) * n)).entries
+    cut = [r[below:below + width] for r in inside]
+    assert list(Subspace.from_rows(field, width, cut).rows) == rows
 
 
 # --- containment, meet, join, index -------------------------------------
@@ -170,12 +183,13 @@ def test_meet_join_contains_against_dense_window(data):
     ra, rb = _dense_rows(a, LO, HI), _dense_rows(b, LO, HI)
     join = lattice_join(a, b)
     assert join == lattice_normalize(space, LO, HI, ra + rb)
-    _, _, _, ker, _ = rref_transform(field, ra + rb)
-    kept = [k[:len(ra)] for k in ker]
+    width = (HI - LO) * space.rank
+    stack = Matrix(field, ra + rb, width)
+    kept = [k[:len(ra)] for k in stack.left_kernel().rows]
     meet = lattice_meet(a, b)
-    assert meet == lattice_normalize(space, LO, HI,
-                                     mat_mul_rows(field, kept, ra))
-    rank = len(rref_rows(field, ra + rb)[0])
+    assert meet == lattice_normalize(space, LO, HI, Matrix(
+        field, kept, len(ra)).mul(Matrix(field, ra, width)).entries)
+    rank = stack.rank()
     assert lattice_contains(a, b) == (rank == len(ra))
     assert lattice_contains(b, a) == (rank == len(rb))
     for small, big in ((meet, a), (meet, b), (a, join), (b, join)):
