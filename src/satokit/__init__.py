@@ -4,8 +4,8 @@ finite simplicial sets."""
 
 from .abgroup import AbelianGroup, GroupElem, GroupHom, ZZ, format_group, \
     parse_group
-from .exactlin import (F2, F3, F5, QQ, Field, IntMatrix, Matrix, Subspace,
-                       smith_normal_form)
+from .exactlin import F2, F3, F5, QQ, Field, Matrix, Subspace, \
+    smith_normal_form
 from .exactcat import (FdSpace, Grid3x3, LinMap, SES, SESInvalid, check_ses,
                        complete_grid_3x3, diagnose_ses, epi_mono_factorize,
                        pullback_admissible_monos, pushout_admissible_epis)

@@ -296,7 +296,7 @@ def cmd_classify(args):
 def cmd_gerbe_torsor(args):
     cx = _load_sset(args.sset)
     try:
-        beta = parse_cochain(_read(args.cochain), cx)
+        beta = parse_cochain(_read(args.cochain), cx, degree=3)
     except ParseError as exc:
         raise CliError("%s: %s" % (args.cochain, exc))
     try:

@@ -756,112 +756,60 @@ def all_subspaces(field, ambient):
 # ---------------------------------------------------------------------------
 # integers: Smith normal form and modular solving
 
-class IntMatrix:
-    """Dense integer matrix; the cohomology backend works over Z."""
-
-    __slots__ = ("nrows", "ncols", "entries")
-
-    def __init__(self, entries, ncols=None):
-        entries = [tuple(int(x) for x in row) for row in entries]
-        nrows = len(entries)
-        if nrows:
-            ncols = len(entries[0])
-            if any(len(r) != ncols for r in entries):
-                raise ValueError("ragged matrix")
-        elif ncols is None:
-            ncols = 0
-        object.__setattr__(self, "nrows", nrows)
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "entries", tuple(entries))
-
-    def __setattr__(self, *a):
-        raise AttributeError("IntMatrix is immutable")
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
-
-    def __eq__(self, other):
-        return (isinstance(other, IntMatrix) and self.ncols == other.ncols
-                and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.ncols, self.entries))
-
-    def __repr__(self):
-        return "IntMatrix(%dx%d)" % (self.nrows, self.ncols)
-
-    def mul(self, other):
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        b = other.entries
-        out = []
-        for row in self.entries:
-            acc = [0] * other.ncols
-            for k, x in enumerate(row):
-                if x:
-                    br = b[k]
-                    for j in range(other.ncols):
-                        acc[j] += x * br[j]
-            out.append(acc)
-        return IntMatrix(out, other.ncols)
-
-
-def smith_normal_form(m):
-    """Invariant factors (divisibility chain) and rank of an integer matrix.
-
-    Accepts an IntMatrix or a plain list of rows.
-    """
-    s, _, _ = snf_with_transforms(m, want_transforms=False)
+def smith_normal_form(rows):
+    """Invariant factors (divisibility chain) and rank of an integer matrix
+    given as a list of rows."""
+    s = snf_with_transforms(rows)[0]
     factors = [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))
                if s[i][i] != 0]
     return factors, len(factors)
 
 
-def snf_with_transforms(m, want_transforms=True):
+def _int_identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def snf_with_transforms(rows):
     """Smith normal form S = U M V with U, V unimodular.
 
-    Returns (S, U, V) as lists of rows; U, V are None when not requested.
+    Returns (S, U, V, U^-1, V^-1) as lists of rows.  The inverses are kept as
+    the elimination goes: a row operation on U is the inverse column
+    operation on U^-1, and a column operation on V the inverse row operation
+    on V^-1.
     """
-    if isinstance(m, IntMatrix):
-        rows = [list(r) for r in m.entries]
-        ncols = m.ncols
-    else:
-        rows = [list(r) for r in m]
-        ncols = len(rows[0]) if rows else 0
+    rows = [list(r) for r in rows]
     nrows = len(rows)
-    U = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)] \
-        if want_transforms else None
-    V = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)] \
-        if want_transforms else None
+    ncols = len(rows[0]) if rows else 0
+    U, Uinv = _int_identity(nrows), _int_identity(nrows)
+    V, Vinv = _int_identity(ncols), _int_identity(ncols)
 
     def row_op(i, j, q):  # row_i -= q * row_j
-        ri, rj = rows[i], rows[j]
-        for k in range(ncols):
-            ri[k] -= q * rj[k]
-        if U is not None:
-            ui, uj = U[i], U[j]
-            for k in range(nrows):
-                ui[k] -= q * uj[k]
+        for m in (rows, U):
+            ri, rj = m[i], m[j]
+            for k in range(len(ri)):
+                ri[k] -= q * rj[k]
+        for r in Uinv:
+            r[j] += q * r[i]
 
     def col_op(i, j, q):  # col_i -= q * col_j
-        for r in rows:
-            r[i] -= q * r[j]
-        if V is not None:
-            for r in V:
+        for m in (rows, V):
+            for r in m:
                 r[i] -= q * r[j]
+        vi, vj = Vinv[i], Vinv[j]
+        for k in range(ncols):
+            vj[k] += q * vi[k]
 
     def row_swap(i, j):
-        rows[i], rows[j] = rows[j], rows[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
+        for m in (rows, U):
+            m[i], m[j] = m[j], m[i]
+        for r in Uinv:
+            r[i], r[j] = r[j], r[i]
 
     def col_swap(i, j):
-        for r in rows:
-            r[i], r[j] = r[j], r[i]
-        if V is not None:
-            for r in V:
+        for m in (rows, V):
+            for r in m:
                 r[i], r[j] = r[j], r[i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     t = 0
     limit = min(nrows, ncols)
@@ -909,21 +857,12 @@ def snf_with_transforms(m, want_transforms=True):
             row_op(t, offender, -1)  # fold the offending row in and retry
             continue
         if piv < 0:
-            for k in range(ncols):
-                rows[t][k] = -rows[t][k]
-            if U is not None:
-                for k in range(nrows):
-                    U[t][k] = -U[t][k]
+            for m in (rows, U):
+                m[t] = [-x for x in m[t]]
+            for r in Uinv:
+                r[t] = -r[t]
         t += 1
-    return rows, U, V
-
-
-def int_inverse_unimodular(rows):
-    """Inverse of a unimodular integer matrix, entrywise integer."""
-    inv = Matrix(QQ, rows).inverse().entries
-    if any(x.denominator != 1 for r in inv for x in r):
-        raise ValueError("inverse is not integral")
-    return [[int(x) for x in r] for r in inv]
+    return rows, U, V, Uinv, Vinv
 
 
 def _egcd(a, b):
@@ -943,7 +882,7 @@ def solve_mod(a_rows, b, d):
     ncols = len(a_rows[0]) if a_rows else 0
     if nrows == 0:
         return [0] * ncols
-    s, u, v = snf_with_transforms(a_rows)
+    s, u, v, _, _ = snf_with_transforms(a_rows)
     # A = U^-1 S V^-1, so A x = b  <=>  S y = U b with x = V y
     ub = [sum(u[i][k] * b[k] for k in range(nrows)) for i in range(nrows)]
     y = [0] * ncols

@@ -235,6 +235,8 @@ def parse_cochain(text, complex_, degree=None):
             continue
         parts = line.split()
         if parts[0] == "group":
+            if group is not None:
+                raise ParseError("second group header", i + 1)
             if len(parts) != 2:
                 raise ParseError("group line needs one presentation", i + 1)
             try:

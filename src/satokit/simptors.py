@@ -22,8 +22,7 @@ from __future__ import annotations
 import math
 
 from .abgroup import GroupElem
-from .exactlin import (int_inverse_unimodular, smith_normal_form,
-                       snf_with_transforms, solve_mod)
+from .exactlin import smith_normal_form, snf_with_transforms, solve_mod
 
 MAX_DIM_CAP = 5
 
@@ -121,17 +120,10 @@ def _first_order(complex_, sid):
 def _composition_ends(complex_, faces_in_order):
     """(inputs, outputs) of the pasting of the morphisms attached to the
     listed faces, with internally matched factors consumed."""
-    needed = []
-    produced = []
+    state = PastingState(0)
     for rho in faces_in_order:
-        plus, minus = _first_order(complex_, rho)
-        for x in plus:
-            if x in produced:
-                produced.remove(x)
-            else:
-                needed.append(x)
-        produced.extend(minus)
-    return tuple(sorted(needed)), tuple(sorted(produced))
+        state.paste(*_first_order(complex_, rho), 0)
+    return state.ends()
 
 
 def street_boundaries(complex_, sid):
@@ -300,10 +292,10 @@ class MultTorsorRep:
 class PastingState:
     """Execution state of an iterated pasting of torsor morphisms."""
 
-    def __init__(self, group):
+    def __init__(self, zero):
         self.needed = []     # unmatched input factors (ids)
         self.produced = []   # available output factors (ids)
-        self.value = group.zero()
+        self.value = zero
 
     def paste(self, dom, cod, value):
         for x in dom:
@@ -314,37 +306,41 @@ class PastingState:
         self.produced.extend(cod)
         self.value = self.value + value
 
+    def ends(self):
+        """(inputs, outputs) of the composite so far, sorted."""
+        return tuple(sorted(self.needed)), tuple(sorted(self.produced))
 
-def _paste_faces(torsor, face_ids):
-    cx = torsor.complex
-    absolute = torsor.absolute_alpha()
-    state = PastingState(torsor.group)
+
+def _paste_faces(complex_, absolute, face_ids):
+    state = PastingState(absolute.group.zero())
     for sigma in face_ids:
-        plus, minus = _first_order(cx, sigma)
+        plus, minus = _first_order(complex_, sigma)
         state.paste(plus, minus, absolute.value(sigma))
     return state
 
 
-def evaluate_even_odd(torsor, tau):
+def evaluate_even_odd(torsor, tau, absolute=None):
     """Execute the even and odd pasting compositions on a (degree+2)-simplex.
 
     The even composition pastes the even faces in ascending index order, the
     odd one the odd faces in descending order (rightmost factor first, as the
     compositions are written).  Returns (E, O) as group elements, the
     translation values of the two composites; raises if the domains or
-    codomains fail to match, which the Street identities forbid.
+    codomains fail to match, which the Street identities forbid.  absolute
+    is torsor.absolute_alpha(), computed here when not given.
     """
     cx = torsor.complex
     d = cx.dim_of[tau]
     if d != torsor.degree + 2:
         raise ValueError("pasting needs a simplex of dimension %d"
                          % (torsor.degree + 2))
+    if absolute is None:
+        absolute = torsor.absolute_alpha()
     evens = [cx.face(tau, i) for i in range(0, d + 1, 2)]
     odds = [cx.face(tau, i) for i in range(d if d % 2 else d - 1, 0, -2)]
-    east = _paste_faces(torsor, evens)
-    west = _paste_faces(torsor, odds)
-    if sorted(east.needed) != sorted(west.needed) or \
-            sorted(east.produced) != sorted(west.produced):
+    east = _paste_faces(cx, absolute, evens)
+    west = _paste_faces(cx, absolute, odds)
+    if east.ends() != west.ends():
         raise AssertionError("even/odd compositions have different ends")
     return east.value, west.value
 
@@ -368,8 +364,9 @@ def check_mult_torsor(torsor):
     cx = torsor.complex
     viol = []
     taus = cx.ids(torsor.degree + 2)
+    absolute = torsor.absolute_alpha()
     for tau in taus:
-        e, o = evaluate_even_odd(torsor, tau)
+        e, o = evaluate_even_odd(torsor, tau, absolute)
         if e != o:
             viol.append((tau, e - o))
     return TorsorReport(viol, len(taus))
@@ -383,109 +380,57 @@ class DegreeRangeError(Exception):
 
 
 class CyclicCohomology:
-    """H^n(complex, Z/d) (d = 0 meaning Z) with explicit coordinates."""
+    """H^n(complex, Z/d) (d = 0 meaning Z) with explicit coordinates.
+
+    One Smith form S = U D V of the coboundary D gives the cocycles: x = V y
+    is one iff s_i y_i = 0 mod d for every i, i.e. iff t_i = d / gcd(s_i, d)
+    divides y_i (over Z: y_i = 0 where s_i != 0, and t_i = 1 elsewhere).  So
+    the columns t_i V[:, i] of the kept i are a basis of the cocycles, and
+    (V^-1 x)_i / t_i are the coordinates of a cocycle x in it.  A second
+    Smith form S_r = U_r R V_r of the relations R (coboundaries and d times
+    cochains, in those coordinates) gives the classes: U_r times the
+    coordinates, reduced by the invariant factors s_r.
+    """
 
     def __init__(self, complex_, degree, order):
         self.complex = complex_
         self.degree = degree
         self.order = order
         N = complex_.n_simplices(degree)
-        self.N = N
-        D = coboundary_matrix(complex_, degree)
+        self._D = coboundary_matrix(complex_, degree)
+        # with no higher simplices D has no rows; a zero row has its kernel
+        s, _, self._v, _, self._vinv = snf_with_transforms(
+            self._D or [[0] * N])
+        self._keep = []  # (i, t_i) of the kept coordinates
+        for i in range(N):
+            si = _diag(s, i)
+            if order:
+                self._keep.append((i, order // math.gcd(si, order)))
+            elif si == 0:
+                self._keep.append((i, 1))
+        # relation generators: columns of A, then d e_i (d > 0), whose
+        # coordinates are d V^-1[k][i] / t_k
         A = coboundary_matrix(complex_, degree - 1) if degree > 0 else []
-        self._build(D, A)
+        rel_cols = [self._coords(col) for col in _transpose(A)]
+        if order:
+            rel_cols += [[order // t * self._vinv[k][i] for k, t in self._keep]
+                         for i in range(N)]
+        z = len(self._keep)
+        rmat = _transpose(rel_cols) if rel_cols else [[0] for _ in range(z)]
+        self._snf_r, self._ur, _, self._ur_inv, _ = snf_with_transforms(rmat)
+        self.factors = tuple(f for f in (_diag(self._snf_r, i)
+                                         for i in range(z)) if f != 1)
 
-    def _build(self, D, A):
-        d = self.order
-        N = self.N
-        if N == 0:
-            self.factors = ()
-            self._lbasis = []
-            self._ur = []
-            self._snf_r = []
-            return
-        if not D:
-            # no higher simplices: every cochain is a cocycle
-            self._lbasis = [[1 if i == j else 0 for j in range(N)]
-                            for i in range(N)]
-        else:
-            s, _, v = snf_with_transforms(D)
-            cols = []
-            for i in range(N):
-                si = _diag(s, i)
-                if d == 0:
-                    if si == 0:
-                        cols.append([v[r][i] for r in range(N)])
-                else:
-                    g = math.gcd(si, d)
-                    t = d // g if g else 1
-                    cols.append([t * v[r][i] for r in range(N)])
-            self._lbasis = _transpose(cols)
-        # relation generators: columns of A plus d * identity (d > 0)
-        rel_cols = []
-        if A:
-            m = len(A[0])
-            for j in range(m):
-                rel_cols.append([A[r][j] for r in range(len(A))])
-        if d != 0:
-            for i in range(N):
-                rel_cols.append([d if r == i else 0 for r in range(N)])
-        z = self.rank_kernel()
-        if z == 0:
-            self.factors = ()
-            self._ur = []
-            self._snf_r = []
-            return
-        self._snf_l = snf_with_transforms(self._lbasis)
-        rel_in_l = []
-        for col in rel_cols:
-            rel_in_l.append(self._coords_in_kernel(col))
-        if rel_in_l:
-            rmat = _transpose(rel_in_l)  # z x m
-        else:
-            rmat = [[0] * 1 for _ in range(z)]
-        s_r, u_r, _ = snf_with_transforms(rmat)
-        self._ur = u_r
-        self._snf_r = s_r
-        factors = []
-        for i in range(z):
-            si = _diag(s_r, i)
-            if si != 1:
-                factors.append(si)
-        self.factors = tuple(factors)
-
-    def rank_kernel(self):
-        return len(self._lbasis[0]) if self._lbasis else 0
-
-    def _coords_in_kernel(self, vec):
-        """Coordinates of an integer cocycle vector in the kernel lattice."""
-        z = self.rank_kernel()
-        # solve lbasis . y = vec through the Smith form of lbasis (N x z, of
-        # full column rank), computed once in _build
-        s, u, v = self._snf_l
-        uv = [sum(u[i][k] * vec[k] for k in range(self.N))
-              for i in range(len(u))]
-        y = [0] * z
-        for i in range(z):
-            si = s[i][i]
-            if si == 0:
-                raise ValueError("kernel basis is degenerate")
-            if uv[i] % si:
-                raise ValueError("vector is not in the cocycle lattice")
-            y[i] = uv[i] // si
-        for i in range(z, len(uv)):
-            if uv[i] != 0:
-                raise ValueError("vector is not in the cocycle lattice")
-        return [sum(v[i][k] * y[k] for k in range(z)) for i in range(z)]
+    def _coords(self, x):
+        """Coordinates of an integer cocycle x in the cocycle basis."""
+        return [sum(a * b for a, b in zip(self._vinv[i], x)) // t
+                for i, t in self._keep]
 
     def is_cocycle(self, vec):
-        D = coboundary_matrix(self.complex, self.degree)
-        for row in D:
+        d = self.order
+        for row in self._D:
             acc = sum(a * b for a, b in zip(row, vec))
-            if self.order == 0:
-                if acc != 0:
-                    return False
-            elif acc % self.order != 0:
+            if (acc % d if d else acc) != 0:
                 return False
         return True
 
@@ -494,29 +439,24 @@ class CyclicCohomology:
         invariant factor of the cohomology group."""
         if not self.is_cocycle(vec):
             raise ValueError("not a cocycle")
-        if self.N == 0 or not self.factors:
+        if not self.factors:
             return ()
-        zc = self._coords_in_kernel(list(vec))
-        z = len(zc)
-        w = [sum(self._ur[i][k] * zc[k] for k in range(z)) for i in range(z)]
+        zc = self._coords(vec)
         out = []
-        for i in range(z):
+        for i, row in enumerate(self._ur):
             si = _diag(self._snf_r, i)
-            if si == 1:
-                continue
-            out.append(w[i] % si if si else w[i])
+            if si != 1:
+                w = sum(a * b for a, b in zip(row, zc))
+                out.append(w % si if si else w)
         return tuple(out)
 
     def representative(self, k):
         """An integer cocycle representing the k-th group generator."""
-        z = self.rank_kernel()
-        keep = [i for i in range(z) if _diag(self._snf_r, i) != 1]
-        idx = keep[k]
-        uinv = int_inverse_unimodular(self._ur)
-        zc = [uinv[r][idx] for r in range(z)]
-        lb = self._lbasis
-        return [sum(lb[r][i] * zc[i] for i in range(z))
-                for r in range(self.N)]
+        idx = [i for i in range(len(self._keep))
+               if _diag(self._snf_r, i) != 1][k]
+        zc = [(i, t * row[idx]) for (i, t), row in zip(self._keep,
+                                                      self._ur_inv)]
+        return [sum(row[i] * c for i, c in zc) for row in self._v]
 
 
 def _diag(s, i):
@@ -678,13 +618,10 @@ class GerbeRep:
         self.group = group
         self.beta = beta
         self.anchors = anchors
-        bad = []
+        delta = beta.coboundary()
         for ups in complex_.ids(4):
-            v = beta.coboundary().value(ups)
-            if not v.is_zero():
-                bad.append(ups)
-        if bad:
-            raise GerbeError("degree-4 condition fails at %r" % (bad[0],))
+            if not delta.value(ups).is_zero():
+                raise GerbeError("degree-4 condition fails at %r" % (ups,))
 
 
 def gerbe_to_torsor(gerbe):

@@ -92,9 +92,7 @@ class SObject:
         if ci is not None:
             m = ci.mul(m)
         if ck is not None:
-            m = m.mul(LinMap(FdSpace(self.field, ck.nrows),
-                             FdSpace(self.field, ck.nrows), ck)
-                      .inverse().matrix)
+            m = m.mul(ck.inverse())
         return LinMap(lm.source, lm.target, m)
 
     def row_ses(self, i, j, k):
@@ -148,13 +146,10 @@ def build_s_object(field, ambient, chain, quotient_choices=None):
 
 
 def _reindex_choices(choices, sigma, new_n):
-    out = {}
-    for (i, j), c in choices.items():
-        out[(i, j)] = c
     reindexed = {}
     for i in range(new_n + 1):
         for j in range(i, new_n + 1):
-            c = out.get((sigma(i), sigma(j)))
+            c = choices.get((sigma(i), sigma(j)))
             if c is not None:
                 reindexed[(i, j)] = c
     return reindexed

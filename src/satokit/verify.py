@@ -498,8 +498,9 @@ def suite_pasting(seed=0):
                                 {sigma: ZZ.elem((1,))})
                 t = MultTorsorRep(cx, degree, ZZ, alpha)
                 d_alpha = alpha.coboundary()
+                absolute = t.absolute_alpha()
                 for tau in taus:
-                    e, o = evaluate_even_odd(t, tau)
+                    e, o = evaluate_even_odd(t, tau, absolute)
                     checked += 1
                     if e - o != d_alpha.value(tau):
                         failures.append(
@@ -514,8 +515,9 @@ def suite_pasting(seed=0):
                                for sid in cx.ids(degree)})
             t = MultTorsorRep(cx, degree, ZZ, alpha, anchors)
             d_alpha = alpha.coboundary()
+            absolute = t.absolute_alpha()
             for tau in taus:
-                e, o = evaluate_even_odd(t, tau)
+                e, o = evaluate_even_odd(t, tau, absolute)
                 checked += 1
                 if e - o != d_alpha.value(tau):
                     failures.append("pasting defect at %r degree %d"

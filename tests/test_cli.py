@@ -71,6 +71,13 @@ def test_cochain_roundtrip():
     assert back == c
 
 
+def test_cochain_second_group_header_refused():
+    # the values above the second header were read under the first group
+    with pytest.raises(ParseError) as exc:
+        parse_cochain("group Z\nvalue U 0\nvalue L 1\ngroup Z+Z/2\n", torus())
+    assert exc.value.line == 4
+
+
 def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -274,6 +281,20 @@ def test_cli_gerbe_torsor(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "torsor check: pass" in out
+
+
+def test_cli_gerbe_torsor_exit_codes(tmp_path, capsys):
+    cx = full_simplex(4)
+    fx = _write(tmp_path, "d4.sset", format_simplicial_set(cx))
+    # a 2-cochain is an input mismatch: usage error
+    fa = _write(tmp_path, "a.coch", "group Z\nvalue %s 1\n" % cx.ids(2)[0])
+    assert main(["gerbe-torsor", fx, fa]) == 2
+    err = capsys.readouterr().err
+    assert "expected 3" in err and len(err.splitlines()) == 1
+    # a 3-cochain that is not a cocycle fails the degree-4 condition
+    fb = _write(tmp_path, "b.coch", "group Z\nvalue %s 1\n" % cx.ids(3)[0])
+    assert main(["gerbe-torsor", fx, fb]) == 1
+    assert "degree-4 condition fails" in capsys.readouterr().out
 
 
 def test_cli_s_enumerate(capsys):

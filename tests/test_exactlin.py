@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from satokit.exactlin import (
-    F2, F3, F5, QQ, Field, IntMatrix, Matrix, Quotient, Subspace,
-    all_subspaces, all_vectors, int_inverse_unimodular, smith_normal_form,
-    snf_with_transforms, solve_mod,
+    F2, F3, F5, QQ, Field, Matrix, Quotient, Subspace, all_subspaces,
+    all_vectors, smith_normal_form, snf_with_transforms, solve_mod,
 )
 
 
@@ -345,34 +344,6 @@ def test_non_rational_scalars_are_refused_over_q(bad):
     assert LaurentPoly(QQ, {0: third}).terms == ((0, third),)
 
 
-def _elementary_product(rng, n, steps):
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(steps):
-        i, j = rng.sample(range(n), 2)
-        move = rng.randrange(3)
-        if move == 0:
-            q = rng.randrange(-4, 5)
-            m[i] = [a + q * b for a, b in zip(m[i], m[j])]
-        elif move == 1:
-            m[i], m[j] = m[j], m[i]
-        else:
-            m[i] = [-a for a in m[i]]
-    return m
-
-
-def test_int_inverse_unimodular():
-    rng = random.Random(5)
-    for _ in range(40):
-        n = rng.randint(2, 5)
-        m = _elementary_product(rng, n, rng.randint(0, 12))
-        inv = int_inverse_unimodular(m)
-        assert all(type(x) is int for r in inv for x in r)
-        assert IntMatrix(m).mul(IntMatrix(inv)) == IntMatrix.identity(n)
-        assert IntMatrix(inv).mul(IntMatrix(m)) == IntMatrix.identity(n)
-    with pytest.raises(ValueError):
-        int_inverse_unimodular([[2, 0], [0, 1]])
-
-
 def test_matrix_det():
     assert Matrix(F5, [(2, 0), (0, 3)]).det() == 1  # 6 mod 5
     assert Matrix(QQ, [(Fraction(1, 2), 0), (0, 4)]).det() == 2
@@ -405,7 +376,8 @@ def _minor_gcd_oracle(rows):
 
 
 def test_snf_trivial_cases():
-    assert smith_normal_form(IntMatrix.identity(3)) == ([1, 1, 1], 3)
+    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert smith_normal_form(identity) == ([1, 1, 1], 3)
     assert smith_normal_form([[2, 0], [0, 4]]) == ([2, 4], 2)
 
 
@@ -442,12 +414,32 @@ def test_snf_matches_sympy(rows):
 
 def test_snf_transforms_multiply_out():
     rows = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
-    s, u, v = snf_with_transforms(rows)
-    m = IntMatrix(rows)
-    prod = IntMatrix(u).mul(m).mul(IntMatrix(v))
-    assert [list(r) for r in prod.entries] == [list(r) for r in s]
-    assert abs(Matrix(QQ, [[Fraction(x) for x in r] for r in u]).det()) == 1
-    assert abs(Matrix(QQ, [[Fraction(x) for x in r] for r in v]).det()) == 1
+    s, u, v, _, _ = snf_with_transforms(rows)
+    prod = Matrix(QQ, u).mul(Matrix(QQ, rows)).mul(Matrix(QQ, v))
+    assert prod == Matrix(QQ, s)
+    assert abs(Matrix(QQ, u).det()) == 1
+    assert abs(Matrix(QQ, v).det()) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda ncols: st.lists(
+    st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols),
+    max_size=5)))
+def test_snf_transforms_and_inverses(rows):
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    s, u, v, uinv, vinv = snf_with_transforms(rows)
+    u, uinv = Matrix(QQ, u, nrows), Matrix(QQ, uinv, nrows)
+    v, vinv = Matrix(QQ, v, ncols), Matrix(QQ, vinv, ncols)
+    assert u.mul(Matrix(QQ, rows, ncols)).mul(v) == Matrix(QQ, s, ncols)
+    assert u.mul(uinv) == Matrix.identity(QQ, nrows)
+    assert v.mul(vinv) == Matrix.identity(QQ, ncols)
+    assert all(s[i][j] == 0 for i in range(nrows) for j in range(ncols)
+               if i != j)
+    diag = [s[i][i] for i in range(min(nrows, ncols))]
+    factors = [x for x in diag if x]
+    assert diag == factors + [0] * (len(diag) - len(factors))
+    assert all(x > 0 for x in factors)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
 
 
 def test_snf_unimodular_invariance():

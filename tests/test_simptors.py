@@ -282,6 +282,31 @@ def test_representatives_are_cocycles():
             assert any(any(x != 0 for x in c) for c in cls)
 
 
+# (complex, degree, group, representatives, {cocycle: class}), one
+# coordinate per simplex in id order
+_PINNED = [
+    (projective_plane, 2, Z2, [{"L": 1}], {(1, 2): (1,)}),
+    (projective_plane, 2, AbelianGroup((6,)), [{"L": 1}], {(1, 2): (1,)}),
+    (projective_plane, 1, AbelianGroup((6,)), [{"a": 3, "c": 3}],
+     {(-1, 2, 3): (1,), (0, 3, 3): (1,), (3, 0, 3): (1,)}),
+    (torus, 1, ZZ, [{"a": -1, "b": 1}, {"a": 1, "c": 1}],
+     {(-1, 0, -1): (0, -1), (-1, 2, 1): (2, 1), (0, 1, 1): (1, 1)}),
+    (torus, 2, ZZ, [{"L": 1}], {(1, 2): (1,)}),
+    (sphere_3, 3, Z4, [{"1234": 1}], {(1, 2, 3, 4, 5): (3,)}),
+]
+
+
+@pytest.mark.parametrize("make, deg, grp, reps, classes", _PINNED)
+def test_pinned_classes_and_representatives(make, deg, grp, reps, classes):
+    cx = make()
+    res = cohomology(cx, deg, grp)
+    assert [{sid: g.coords[0] for sid, g in rep.values.items()
+             if not g.is_zero()} for rep in res.representatives()] == reps
+    for vec, cls in classes.items():
+        vals = {sid: [x] for sid, x in zip(cx.ids(deg), vec)}
+        assert res.classify(Cochain(cx, deg, grp, vals)) == (cls,)
+
+
 # --- classification -------------------------------------------------------
 
 def test_classify_zero():
