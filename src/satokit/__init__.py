@@ -15,17 +15,16 @@ from .tate import (Lattice, TateSES, TateSESInvalid, TateSpace,
                    lattice_join, lattice_meet, lattice_normalize,
                    lift_lattice, project_lattice, relative_index,
                    split_tate_ses, standard_lattice)
-from .dimtorsor import (DimTheory, RelDimTheory, eval_reldim, mu_combine,
-                        pushout_along, torsor_difference)
-from .detline import (DetTheory, GradedLine, LineIso, RelDetTheory,
+from .dimtorsor import (DimTheory, RelTheory, mu_combine, pushout_along,
+                        torsor_difference)
+from .detline import (DetRule, DetTheory, GradedLine, LineIso,
                       check_symmetry, delta_relative, det_line, graded_det,
-                      hom_torsor_class, koszul_swap, lambda_ses, mu_det,
-                      ungraded_det)
+                      koszul_swap, lambda_ses, ungraded_det)
 from .simptors import (Cochain, GerbeRep, MultTorsorRep, SimplicialSet,
                        check_mult_torsor, classify_torsor, cohomology,
                        evaluate_even_odd, gerbe_to_torsor, iso_decide,
                        street_boundaries, validate_simplicial_set)
 from .swald import (SObject, SSkeleton, build_s_object, enumerate_s_skeleton,
-                    s_degeneracy, s_face, verify_theory_as_torsor)
+                    s_degeneracy, s_face)
 
 __version__ = "0.1.0"

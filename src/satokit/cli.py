@@ -17,7 +17,7 @@ import sys
 from . import verify as verify_mod
 from .abgroup import format_group, parse_group
 from .detline import check_symmetry, graded_det, ungraded_det
-from .dimtorsor import DimTheory, RelDimTheory, mu_combine
+from .dimtorsor import DimTheory, RelTheory, mu_combine
 from .exactlin import Field
 from .fileio import (ParseError, format_cochain, format_lattice,
                      parse_cochain, parse_lattice, parse_laurent_matrix,
@@ -182,10 +182,10 @@ def cmd_mu_eval(args):
     gen = group.elem(_coords(args.generator, group) if args.generator
                      else [1] * group.ngens)
     chi = DimTheory(group, gen)
-    d1 = RelDimTheory.standard(chi, ses.sub_space,
-                               group.elem(_coords(args.d1, group)))
-    d2 = RelDimTheory.standard(chi, ses.quot_space,
-                               group.elem(_coords(args.d2, group)))
+    d1 = RelTheory.standard(chi, ses.sub_space,
+                            group.elem(_coords(args.d1, group)))
+    d2 = RelTheory.standard(chi, ses.quot_space,
+                            group.elem(_coords(args.d2, group)))
     d = mu_combine(ses, d1, d2)
     val = d.eval(u)
     coords = ",".join(str(x) for x in val.coords)

@@ -7,19 +7,24 @@ exterior power in degree dim; the ungraded variant keeps the same scalars but
 forgets the grading, which is exactly what breaks the symmetry criterion in
 odd dimensions.
 
-Relative determinantal theories on the lattices of a Tate space are anchored:
-the theory is its value at a base lattice, and the connecting isomorphisms
-for nested pairs are produced by a coherent canonical rule (an even-depth
-reference lattice), or by the composed rule with the Koszul swap when a
-theory is built from two theories along a short exact sequence.
+Relative determinantal theories on the lattices of a Tate space are
+dimtorsor.RelTheory objects under the value rule DetRule: the theory is its
+(degree, scalar) value at a base lattice, and the connecting isomorphisms
+for nested pairs come from a coherent canonical rule (an even-depth
+reference lattice), or from the composed rule with the Koszul swap when a
+theory is combined from two theories along a short exact sequence
+(dimtorsor.mu_combine).
 """
 
 from __future__ import annotations
 
-from .exactcat import (SES, FdSpace, LinMap, canonical_section, check_ses,
+from collections import namedtuple
+
+from .exactcat import (FdSpace, LinMap, canonical_section, check_ses,
                        split_ses)
 from .tate import (delta_scalar_canonical, fd_ses_of_pair,
-                   lambda_scalar_chain, lattice_meet, relative_index,
+                   lambda_scalar_chain, lattice_contains, lattice_meet,
+                   lift_lattice, project_lattice, relative_index,
                    standard_lattice)
 
 
@@ -122,9 +127,8 @@ def det_map(f):
 
 def koszul_swap(x, y):
     """x (x) y -> y (x) x with the sign (-1)^(deg x . deg y)."""
-    f = x.field
-    sign = f.neg(f.one()) if (x.degree * y.degree) % 2 else f.one()
-    return LineIso(x.tensor(y), y.tensor(x), sign)
+    return LineIso(x.tensor(y), y.tensor(x),
+                   koszul_sign(x.field, x.degree, y.degree))
 
 
 def koszul_sign(field, a, b):
@@ -283,150 +287,97 @@ def check_symmetry(theory, pairs=(), grids=()):
 
 
 # ---------------------------------------------------------------------------
-# relative determinantal theories on a Tate space
+# the value rule of relative determinantal theories
 
-class RelDetTheory:
-    """Anchored h-relative determinantal theory on the lattices of a Tate
-    space: an anchor line at a base lattice plus a coherent connecting-scalar
-    rule for nested pairs."""
+class DetRule(namedtuple("DetRule", "field delta",
+                         defaults=(delta_scalar_canonical,))):
+    """Value rule of anchored determinantal theories (dimtorsor.RelTheory).
 
-    def __init__(self, space, base, anchor_degree=0, anchor_scalar=None,
-                 delta_rule=None, label="D"):
-        self.space = space
-        self.base = base
-        self.anchor_degree = int(anchor_degree)
-        f = space.field
-        self.anchor_scalar = f.one() if anchor_scalar is None \
-            else f.normalize(anchor_scalar)
-        if self.anchor_scalar == 0:
+    A value is (degree, scalar): the degree of the value line Delta(L) and a
+    nonzero scalar in its fixed basis.  delta(u, v) is the connecting scalar
+    of Delta(u) (x) det(v/u) -> Delta(v) for nested lattices; the default is
+    the coherent canonical rule (an even-depth reference lattice).
+    """
+
+    def zero(self):
+        return 0, self.field.one()
+
+    def check(self, value):
+        degree, scalar = value
+        scalar = self.field.normalize(scalar)
+        if scalar == 0:
             raise ValueError("anchor scalar must be nonzero")
-        self._delta_rule = delta_rule or delta_scalar_canonical
-        self.label = label
+        return int(degree), scalar
 
-    @classmethod
-    def standard(cls, space):
-        return cls(space, standard_lattice(space))
+    def add(self, a, b):
+        return a[0] + b[0], self.field.mul(a[1], b[1])
 
-    def degree_at(self, lat):
-        return self.anchor_degree + relative_index(lat, self.base)
+    def difference(self, a, b):
+        """(degree shift, scalar class or 'empty'): with zero shift the hom
+        torsor is nonempty and the class is the ratio of the scalars."""
+        if a[0] != b[0]:
+            return a[0] - b[0], "empty"
+        return 0, self.field.div(a[1], b[1])
 
-    def value_line(self, lat):
-        return GradedLine(self.space.field, self.degree_at(lat),
-                          "%s(%d,%d,%d)" % (self.label, lat.lo, lat.hi,
-                                            len(lat.rows)))
-
-    def delta_scalar(self, u, v):
-        """Connecting scalar of Delta(u) (x) det(v/u) -> Delta(v)."""
-        return self._delta_rule(u, v)
-
-    def tensor_line(self, line, scalar=None):
-        """The theory shifted by a fixed graded line (optionally with a
-        scalar multiple on the anchor)."""
-        f = self.space.field
-        s = self.anchor_scalar if scalar is None \
-            else f.mul(self.anchor_scalar, f.normalize(scalar))
-        return RelDetTheory(self.space, self.base,
-                            self.anchor_degree + line.degree, s,
-                            self._delta_rule,
-                            label="%s(x)%s" % (line.label, self.label))
-
-    def re_anchor(self, new_base):
-        """The same theory presented at another anchor lattice; the anchor
-        scalar is transported along the connecting isomorphisms (path
+    def move(self, value, base, lat):
+        """The degree moves along the index; the scalar is transported along
+        the connecting scalars through the meet with the base (path
         independent by the delta cocycle)."""
-        return RelDetTheory(self.space, new_base,
-                            self.degree_at(new_base),
-                            _transport_scalar(self, new_base),
-                            self._delta_rule, label=self.label)
+        if lat == base:
+            return value
+        f = self.field
+        c = lattice_meet(lat, base)
+        ratio = f.div(self.delta(c, lat), self.delta(c, base))
+        return value[0] + relative_index(lat, base), f.mul(value[1], ratio)
+
+    def combined(self, ses, d1, d2):
+        if not isinstance(d2.rule, DetRule):
+            raise ValueError("theories have different coefficient data")
+        degree = d2.eval(standard_lattice(ses.quot_space))[0]
+        return DetRule(self.field, _Connecting(ses, d1.rule.delta,
+                                               d2.rule.delta, degree))
+
+    def check_chain(self, theory, formula, chain):
+        """The delta cocycle of the combined rule on a chain u <= v <= w."""
+        f = self.field
+        for (u, v, w) in zip(chain, chain[1:], chain[2:]):
+            lhs = f.mul(self.delta(v, w), self.delta(u, v))
+            rhs = f.mul(self.delta(u, w), lambda_scalar_chain(u, v, w))
+            if lhs != rhs:
+                raise AssertionError("combined connecting rule breaks the "
+                                     "cocycle at %r <= %r <= %r" % (u, v, w))
+
+
+class _Connecting(namedtuple("_Connecting", "ses delta1 delta2 degree")):
+    """Connecting rule of Delta(U) = Delta'(U n X') (x) Delta''(U / U n X'):
+    split det(V/U) along the induced finite sequence, move Delta''(U'') past
+    det(V'/U') with the Koszul sign, and apply the two inner deltas.  Delta''
+    enters only through its degree at the standard lattice, so every
+    presentation of the same theories gives an equal rule."""
+
+    def __call__(self, u, v):
+        ses = self.ses
+        f = ses.field
+        fd, _ = fd_ses_of_pair(ses, u, v)
+        u1, v1 = lift_lattice(ses, u), lift_lattice(ses, v)
+        u2, v2 = project_lattice(ses, u), project_lattice(ses, v)
+        degree = self.degree + relative_index(
+            u2, standard_lattice(ses.quot_space))
+        sign = koszul_sign(f, degree, relative_index(v1, u1))
+        inner = f.mul(self.delta1(u1, v1), self.delta2(u2, v2))
+        return f.mul(f.div(sign, lambda_ses(fd).scalar), inner)
 
 
 def delta_relative(theory, u, v):
-    """The iso Delta(u) (x) det(v/u) -> Delta(v) for nested lattices."""
-    from .tate import lattice_contains
+    """The iso Delta(u) (x) det(v/u) -> Delta(v) of a determinantal
+    RelTheory for nested lattices."""
     if not lattice_contains(v, u):
         raise ValueError("delta requires u <= v")
     f = theory.space.field
-    dim = relative_index(v, u)
-    quot_line = GradedLine(f, dim, "det(v/u)")
-    src = theory.value_line(u).tensor(quot_line)
-    return LineIso(src, theory.value_line(v), theory.delta_scalar(u, v))
 
+    def value_line(lat):
+        return GradedLine(f, theory.eval(lat)[0],
+                          "D(%d,%d,%d)" % (lat.lo, lat.hi, len(lat.rows)))
 
-def hom_torsor_class(t1, t2):
-    """(degree shift, scalar class or 'empty') separating two theories.
-
-    The shift is the difference of value degrees (independent of the
-    lattice); with zero shift the hom torsor is nonempty and the class is the
-    connecting scalar at the common base.
-    """
-    if t1.space != t2.space:
-        raise ValueError("theories on different spaces")
-    shift = t1.degree_at(t1.base) - t2.degree_at(t1.base)
-    shift2 = t1.degree_at(t2.base) - t2.degree_at(t2.base)
-    assert shift == shift2
-    if shift != 0:
-        return shift, "empty"
-    f = t1.space.field
-    # transport t2 to t1's base before comparing scalars
-    t2_at_base = _transport_scalar(t2, t1.base)
-    t1_at_base = _transport_scalar(t1, t1.base)
-    return 0, f.div(t1_at_base, t2_at_base)
-
-
-def _transport_scalar(theory, lat):
-    """Anchor scalar transported to lat along the theory's deltas through
-    the meet with the base (path independence = the delta cocycle)."""
-    f = theory.space.field
-    if lat == theory.base:
-        return theory.anchor_scalar
-    c = lattice_meet(lat, theory.base)
-    up = theory.delta_scalar(c, lat)
-    down = theory.delta_scalar(c, theory.base)
-    return f.mul(theory.anchor_scalar, f.div(up, down))
-
-
-def mu_det(ses, t1, t2, check_samples=True):
-    """Combine relative determinantal theories along X' >--> X -->> X''.
-
-    Delta(U) = Delta'(U n X') (x) Delta''(U / U n X'); the connecting rule
-    splits det(V/U) along the induced finite sequence, moves Delta''(U'')
-    past det(V'/U') with the Koszul sign, and applies the two inner deltas.
-    """
-    if t1.space != ses.sub_space or t2.space != ses.quot_space:
-        raise ValueError("theories do not match the sequence ends")
-    from .tate import lift_lattice, project_lattice
-    space = ses.total_space
-    f = space.field
-    base = standard_lattice(space)
-    base_deg = (t1.degree_at(lift_lattice(ses, base))
-                + t2.degree_at(project_lattice(ses, base)))
-    anchor_scalar = f.mul(t1.anchor_scalar, t2.anchor_scalar)
-
-    def delta_rule(u, v):
-        fd, _ = fd_ses_of_pair(ses, u, v)
-        lam = lambda_ses(fd).scalar
-        u1 = lift_lattice(ses, u)
-        v1 = lift_lattice(ses, v)
-        u2 = project_lattice(ses, u)
-        v2 = project_lattice(ses, v)
-        sign = koszul_sign(f, t2.degree_at(u2), relative_index(v1, u1))
-        inner = f.mul(t1.delta_scalar(u1, v1), t2.delta_scalar(u2, v2))
-        return f.mul(f.div(sign, lam), inner)
-
-    out = RelDetTheory(space, base, base_deg, anchor_scalar, delta_rule,
-                       label="(%s.%s)" % (t1.label, t2.label))
-    if check_samples:
-        _check_delta_cocycle(out, [standard_lattice(space, 1),
-                                   standard_lattice(space),
-                                   standard_lattice(space, -1)])
-    return out
-
-
-def _check_delta_cocycle(theory, chain):
-    f = theory.space.field
-    for (u, v, w) in zip(chain, chain[1:], chain[2:]):
-        lhs = f.mul(theory.delta_scalar(v, w), theory.delta_scalar(u, v))
-        rhs = f.mul(theory.delta_scalar(u, w), lambda_scalar_chain(u, v, w))
-        if lhs != rhs:
-            raise AssertionError("combined connecting rule breaks the "
-                                 "cocycle at %r <= %r <= %r" % (u, v, w))
+    src = value_line(u).tensor(GradedLine(f, relative_index(v, u), "det(v/u)"))
+    return LineIso(src, value_line(v), theory.rule.delta(u, v))

@@ -1,17 +1,19 @@
-"""Dimensional theories and their torsors over a Tate space.
+"""Dimensional theories and anchored relative theories over a Tate space.
 
 A dimensional theory assigns a group element to every finite dimensional
 space additively in short exact sequences; over the base category here that
 is determined by the image of the one-dimensional class, since K_0 of finite
 dimensional vector spaces is Z.  A relative theory on the lattices of a Tate
-space is pinned by one anchor value; evaluation moves along the relative
-index, which makes equality of theories and the torsor difference decidable.
+space is pinned by one anchor value, which a value rule moves to any other
+lattice: a DimTheory chi moves a G-value by chi of the relative index, and
+detline.DetRule moves a (degree, scalar) value along the index and the
+connecting scalars.  Evaluation, equality, the torsor difference and the
+combination along a short exact sequence are written once for both.
 """
 
 from __future__ import annotations
 
-from .abgroup import AbelianGroup, GroupElem, GroupHom, ZZ, format_group, \
-    parse_group
+from .abgroup import ZZ, format_group
 from .tate import (lift_lattice, project_lattice, relative_index,
                    standard_lattice)
 
@@ -38,6 +40,38 @@ class DimTheory:
     def of_dim(self, d):
         return self.generator_image.scale(d)
 
+    # the value rule of dimensional relative theories
+
+    def zero(self):
+        return self.group.zero()
+
+    def check(self, value):
+        if value.group != self.group:
+            raise ValueError("anchor value is not in the group")
+        return value
+
+    def add(self, a, b):
+        return a + b
+
+    def difference(self, a, b):
+        return a - b
+
+    def move(self, value, base, lat):
+        """d(lat) = d(base) + index(lat, base) . chi(generator)."""
+        return value + self.generator_image.scale(relative_index(lat, base))
+
+    def combined(self, ses, d1, d2):
+        """The rule of a combination is chi itself."""
+        if d2.rule != self:
+            raise ValueError("theories have different coefficient data")
+        return self
+
+    def check_chain(self, theory, formula, chain):
+        for u in chain:
+            if theory.eval(u) != formula(u):
+                raise AssertionError("anchored form disagrees with the "
+                                     "combining formula")
+
     def __eq__(self, other):
         return (isinstance(other, DimTheory) and self.group == other.group
                 and self.generator_image == other.generator_image)
@@ -50,73 +84,63 @@ class DimTheory:
                                              self.generator_image)
 
 
-class RelDimTheory:
-    """chi-relative dimensional theory on the lattices of a Tate space,
-    stored as an anchor lattice plus its value."""
+class RelTheory:
+    """Relative theory on the lattices of a Tate space, stored as an anchor
+    lattice plus its value; the rule moves the value to any lattice."""
 
-    __slots__ = ("chi", "space", "base", "base_value")
+    __slots__ = ("rule", "space", "base", "base_value")
 
-    def __init__(self, chi, space, base, base_value):
+    def __init__(self, rule, space, base, base_value):
         if base.space != space:
             raise ValueError("anchor lattice is not in the space")
-        if base_value.group != chi.group:
-            raise ValueError("anchor value is not in the group")
-        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "base_value", base_value)
+        object.__setattr__(self, "base_value", rule.check(base_value))
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
 
     @classmethod
-    def standard(cls, chi, space, value=None):
+    def standard(cls, rule, space, value=None):
         if value is None:
-            value = chi.group.zero()
-        return cls(chi, space, standard_lattice(space), value)
+            value = rule.zero()
+        return cls(rule, space, standard_lattice(space), value)
 
     def __repr__(self):
-        return "RelDimTheory(%r at %r)" % (self.base_value, self.base)
+        return "RelTheory(%r at %r)" % (self.base_value, self.base)
 
     def eval(self, lat):
-        return eval_reldim(self, lat)
+        if lat.space != self.space:
+            raise ValueError("lattice not in the theory's space")
+        return self.rule.move(self.base_value, self.base, lat)
 
     def re_anchor(self, new_base):
-        return RelDimTheory(self.chi, self.space, new_base,
-                            self.eval(new_base))
+        return RelTheory(self.rule, self.space, new_base, self.eval(new_base))
 
     def translate(self, g):
         """The theory g + d."""
-        return RelDimTheory(self.chi, self.space, self.base,
-                            self.base_value + g)
+        return RelTheory(self.rule, self.space, self.base,
+                         self.rule.add(self.base_value, g))
 
-    def equals(self, other):
+    def __eq__(self, other):
         """Equality as functions on the whole Grassmannian."""
-        if self.chi != other.chi or self.space != other.space:
-            return False
-        return self.eval(other.base) == other.base_value
-
-    __eq__ = equals
+        if not isinstance(other, RelTheory):
+            return NotImplemented
+        return (self.rule == other.rule and self.space == other.space
+                and self.eval(other.base) == other.base_value)
 
     def __hash__(self):
-        return hash((self.chi, self.space))
-
-
-def eval_reldim(d, lat):
-    """d(lat) = d(base) + index(lat, base) . chi(generator)."""
-    if lat.space != d.space:
-        raise ValueError("lattice not in the theory's space")
-    idx = relative_index(lat, d.base)
-    return d.base_value + d.chi.generator_image.scale(idx)
+        return hash((self.rule, self.space))
 
 
 def torsor_difference(d1, d2):
-    """The unique g with d1 = g + d2; checked at two anchor lattices."""
-    if d1.chi != d2.chi or d1.space != d2.space:
+    """The unique g with d1 = g + d2, checked at both anchor lattices.  For
+    determinantal theories g is (degree shift, scalar class or 'empty')."""
+    if d1.rule != d2.rule or d1.space != d2.space:
         raise ValueError("theories are not comparable")
-    g = d1.eval(d1.base) - d2.eval(d1.base)
-    g2 = d1.eval(d2.base) - d2.eval(d2.base)
-    if g != g2:
+    g = d1.rule.difference(d1.base_value, d2.eval(d1.base))
+    if g != d1.rule.difference(d1.eval(d2.base), d2.base_value):
         raise AssertionError("difference depends on the lattice")
     return g
 
@@ -126,41 +150,32 @@ def mu_combine(ses, d1, d2, check_samples=True):
 
         d(U) = d1(U n X') + d2(U / (U n X'))
 
-    evaluated through lattice lift and projection and returned re-anchored at
-    the standard lattice of the middle space.  A small sample of nested pairs
-    is verified against the additivity law before returning.
+    evaluated through lattice lift and projection and returned anchored at
+    the standard lattice of the middle space, under the rule that
+    d1.rule.combined builds.  On a chain of standard lattices the rule checks
+    the result before it is returned.
     """
-    if d1.chi != d2.chi:
-        raise ValueError("theories have different coefficient data")
     if d1.space != ses.sub_space or d2.space != ses.quot_space:
         raise ValueError("theories do not match the sequence ends")
-    chi = d1.chi
+    rule = d1.rule.combined(ses, d1, d2)
     space = ses.total_space
 
     def formula(u):
-        return (d1.eval(lift_lattice(ses, u))
-                + d2.eval(project_lattice(ses, u)))
+        return rule.add(d1.eval(lift_lattice(ses, u)),
+                        d2.eval(project_lattice(ses, u)))
 
     base = standard_lattice(space)
-    combined = RelDimTheory(chi, space, base, formula(base))
+    combined = RelTheory(rule, space, base, formula(base))
     if check_samples:
-        g = chi.generator_image
-        for shift in (-1, 1):
-            u = standard_lattice(space, shift)
-            v = standard_lattice(space, min(shift, 0) - 1)
-            fu, fv = formula(u), formula(v)
-            if fv - fu != g.scale(relative_index(v, u)):
-                raise AssertionError("combined values break additivity; "
-                                     "lift/project is inconsistent")
-            if combined.eval(u) != fu or combined.eval(v) != fv:
-                raise AssertionError("anchored form disagrees with the "
-                                     "combining formula")
+        rule.check_chain(combined, formula,
+                         [standard_lattice(space, s) for s in (1, 0, -1)])
     return combined
 
 
 def pushout_along(hom, d):
-    """Push a relative theory forward along a group homomorphism."""
-    if hom.source != d.chi.group:
+    """Push a dimensional relative theory forward along a group
+    homomorphism."""
+    if hom.source != d.rule.group:
         raise ValueError("homomorphism source does not match the theory")
-    chi = DimTheory(hom.target, hom(d.chi.generator_image))
-    return RelDimTheory(chi, d.space, d.base, hom(d.base_value))
+    chi = DimTheory(hom.target, hom(d.rule.generator_image))
+    return RelTheory(chi, d.space, d.base, hom(d.base_value))

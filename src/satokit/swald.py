@@ -364,10 +364,3 @@ def verify_det_theory(skeleton, theory):
         checked += 1
     return TheoryReport(checked, violations)
 
-
-def verify_theory_as_torsor(skeleton, theory):
-    """Dispatch on the theory kind: dimension theories are checked as
-    0-multiplicative torsors, determinantal theories as 1-multiplicative."""
-    if hasattr(theory, "of_dim"):
-        return verify_dim_theory(skeleton, theory)
-    return verify_det_theory(skeleton, theory)

@@ -17,7 +17,7 @@ from .abgroup import AbelianGroup, ZZ
 from .complexes import (circle, full_simplex, projective_plane,
                         simplex_boundary, sphere_3, torus)
 from .detline import check_symmetry, graded_det, ungraded_det
-from .dimtorsor import DimTheory, RelDimTheory, mu_combine
+from .dimtorsor import DimTheory, RelTheory, mu_combine
 from .exactcat import (FdSpace, LinMap, complete_grid_3x3,
                        epi_mono_factorize, factorization_connector,
                        inclusion_map, is_cartesian_square,
@@ -620,9 +620,9 @@ def suite_mu(seed=0, trials=200):
         chain = TwistedChain(rng, field, 1, 2, 3)
         k1 = TateSpace(field, 1)
         q2 = TateSpace(field, 2)
-        d1 = RelDimTheory.standard(chi, k1, ZZ.elem((rng.randint(-3, 3),)))
-        d21 = RelDimTheory.standard(chi, k1, ZZ.elem((rng.randint(-3, 3),)))
-        d32 = RelDimTheory.standard(chi, k1, ZZ.elem((rng.randint(-3, 3),)))
+        d1 = RelTheory.standard(chi, k1, ZZ.elem((rng.randint(-3, 3),)))
+        d21 = RelTheory.standard(chi, k1, ZZ.elem((rng.randint(-3, 3),)))
+        d32 = RelTheory.standard(chi, k1, ZZ.elem((rng.randint(-3, 3),)))
         g = ZZ.elem((rng.randint(-4, 4),))
         left = mu_combine(chain.ses12, d1.translate(g), d21,
                           check_samples=False)

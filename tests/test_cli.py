@@ -201,6 +201,28 @@ def test_cli_mu_eval(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "2"
 
 
+# values taken before dimensional and determinantal theories shared RelTheory
+@pytest.mark.parametrize("seed, field, want", [
+    (2, F5, [[-4, 1], [-2, 0], [-2, 0]]),
+    (3, F2, [[-2, 0], [-6, 2], [-6, 2]]),
+])
+def test_cli_mu_eval_twisted_values(tmp_path, capsys, seed, field, want):
+    import random
+    rng = random.Random(seed)
+    ses = verify.TwistedChain(rng, field, 1, 2, 3).ses12
+    fi = _write(tmp_path, "i.lmx", format_laurent_matrix(ses.i))
+    fj = _write(tmp_path, "j.lmx", format_laurent_matrix(ses.j))
+    got = []
+    for _ in want:
+        u = verify.rand_lattice(rng, TateSpace(field, 2), bound=1)
+        fu = _write(tmp_path, "u.lat", format_lattice(u))
+        rc = main(["--json", "mu-eval", fi, fj, fu, "--group", "Z+Z/6",
+                   "--generator", "2,5", "--d1", "1,2", "--d2=-3,4"])
+        assert rc == 0
+        got.append(json.loads(capsys.readouterr().out)["value"])
+    assert got == want
+
+
 @pytest.mark.parametrize("flags", [
     ["--d1", "x"], ["--d2", "x"], ["--generator", "y"],
     ["--generator", "1,2"],

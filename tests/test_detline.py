@@ -4,11 +4,11 @@ import random
 import pytest
 
 from satokit.detline import (
-    DetTheory, GradedLine, LineIso, RelDetTheory, check_symmetry,
-    delta_relative, det_line, det_map, graded_det, grid_criterion,
-    hom_torsor_class, koszul_swap, lambda_ses, mu_det, pair_criterion,
-    ungraded_det,
+    DetRule, DetTheory, GradedLine, LineIso, check_symmetry, delta_relative,
+    det_line, det_map, graded_det, grid_criterion, koszul_swap, lambda_ses,
+    pair_criterion, ungraded_det,
 )
+from satokit.dimtorsor import RelTheory, mu_combine, torsor_difference
 from satokit.exactcat import (FdSpace, LinMap, canonical_section, check_ses,
                               complete_grid_3x3, inclusion_map, split_ses)
 from satokit.exactlin import F2, F5, Matrix, Subspace, all_subspaces
@@ -180,72 +180,72 @@ def test_mult_diagram_two_paths_exhaustive_f2():
 
 
 def test_delta_relative_identity_and_degree():
-    th = RelDetTheory.standard(K1)
+    th = RelTheory.standard(DetRule(F5), K1)
     u = standard_lattice(K1)
     iso = delta_relative(th, u, u)
     assert iso.scalar == 1
     v = standard_lattice(K1, -1)
     iso = delta_relative(th, u, v)
     assert iso.target.degree == iso.source.degree
-    assert th.degree_at(v) == th.degree_at(u) + 1
+    assert th.eval(v)[0] == th.eval(u)[0] + 1
     assert iso.scalar == 1  # monomial bases
 
 
 def test_delta_relative_chain_two_paths():
     from satokit.tate import lambda_scalar_chain
-    th = RelDetTheory.standard(K1)
+    th = RelTheory.standard(DetRule(F5), K1)
     u = standard_lattice(K1, 1)
     v = standard_lattice(K1)
     w = lattice_normalize(K1, -1, 1, [[1, 1], [0, 1]])  # contains O
-    lhs = F5.mul(th.delta_scalar(v, w), th.delta_scalar(u, v))
-    rhs = F5.mul(th.delta_scalar(u, w), lambda_scalar_chain(u, v, w))
+    lhs = F5.mul(th.rule.delta(v, w), th.rule.delta(u, v))
+    rhs = F5.mul(th.rule.delta(u, w), lambda_scalar_chain(u, v, w))
     assert lhs == rhs
 
 
 def test_hom_torsor_class():
-    t1 = RelDetTheory.standard(K1)
-    assert hom_torsor_class(t1, t1) == (0, 1)
-    shifted = t1.tensor_line(GradedLine(F5, 2, "L"), scalar=3)
-    deg, cls = hom_torsor_class(shifted, t1)
+    t1 = RelTheory.standard(DetRule(F5), K1)
+    assert torsor_difference(t1, t1) == (0, 1)
+    shifted = t1.translate((2, 3))
+    deg, cls = torsor_difference(shifted, t1)
     assert deg == 2 and cls == "empty"
     from satokit.exactlin import Field
     F7 = Field(7)
     K7 = TateSpace(F7, 1)
-    a = RelDetTheory(K7, standard_lattice(K7), 0, 5)
-    b = RelDetTheory(K7, standard_lattice(K7), 0, 1)
-    assert hom_torsor_class(a, b) == (0, 5)
+    a = RelTheory(DetRule(F7), K7, standard_lattice(K7), (0, 5))
+    b = RelTheory(DetRule(F7), K7, standard_lattice(K7), (0, 1))
+    assert torsor_difference(a, b) == (0, 5)
 
 
 def test_hom_torsor_class_across_anchors():
     # re-anchoring presents the same theory: trivial hom class both ways
-    t = RelDetTheory(K1, standard_lattice(K1), 0, 3)
+    t = RelTheory(DetRule(F5), K1, standard_lattice(K1), (0, 3))
     for new_base in (standard_lattice(K1, -2),
                      lattice_normalize(K1, -1, 1, [[1, 1], [0, 1]])):
         t2 = t.re_anchor(new_base)
-        assert hom_torsor_class(t, t2) == (0, 1)
-        assert hom_torsor_class(t2, t) == (0, 1)
+        assert torsor_difference(t, t2) == (0, 1)
+        assert torsor_difference(t2, t) == (0, 1)
         # and a genuinely scaled theory is separated
-        t3 = t2.tensor_line(GradedLine(F5, 0, "1"), scalar=2)
-        deg, cls = hom_torsor_class(t3, t)
+        t3 = t2.translate((0, 2))
+        deg, cls = torsor_difference(t3, t)
         assert deg == 0 and cls == 2
 
 
 def test_torsor_freeness():
-    t = RelDetTheory.standard(K1)
+    t = RelTheory.standard(DetRule(F5), K1)
     for deg, sc in [(1, 1), (0, 2), (2, 3)]:
-        moved = t.tensor_line(GradedLine(F5, deg, "L"), scalar=sc)
-        assert hom_torsor_class(moved, t) != (0, 1)
+        moved = t.translate((deg, sc))
+        assert torsor_difference(moved, t) != (0, 1)
 
 
 def test_mu_det_split_degrees():
     ses = split_tate_ses(F5, 1, 1)
-    t1 = RelDetTheory.standard(K1)
-    t2 = RelDetTheory.standard(K1)
-    t = mu_det(ses, t1, t2)
+    t1 = RelTheory.standard(DetRule(F5), K1)
+    t2 = RelTheory.standard(DetRule(F5), K1)
+    t = mu_combine(ses, t1, t2)
     lat = _diag(K2, [-1, 1])
-    assert t.degree_at(lat) == 0
-    assert t.degree_at(standard_lattice(K2)) == 0
-    assert t.anchor_scalar == 1
+    assert t.eval(lat)[0] == 0
+    assert t.eval(standard_lattice(K2))[0] == 0
+    assert t.base_value[1] == 1
 
 
 def _diag(space, shifts):
@@ -265,15 +265,16 @@ def test_mu_det_delta_cocycle_on_chains():
     from satokit.tate import lambda_scalar_chain
     rng = random.Random(4)
     ses = split_tate_ses(F5, 1, 1)
-    t = mu_det(ses, RelDetTheory.standard(K1), RelDetTheory.standard(K1))
+    t = mu_combine(ses, RelTheory.standard(DetRule(F5), K1),
+                   RelTheory.standard(DetRule(F5), K1))
     chains = [
         (_diag(K2, [1, 0]), _diag(K2, [0, 0]), _diag(K2, [-1, 0])),
         (_diag(K2, [0, 1]), _diag(K2, [0, 0]), _diag(K2, [-1, -1])),
         (_diag(K2, [2, 1]), _diag(K2, [1, 1]), _diag(K2, [0, -1])),
     ]
     for (u, v, w) in chains:
-        lhs = F5.mul(t.delta_scalar(v, w), t.delta_scalar(u, v))
-        rhs = F5.mul(t.delta_scalar(u, w), lambda_scalar_chain(u, v, w))
+        lhs = F5.mul(t.rule.delta(v, w), t.rule.delta(u, v))
+        rhs = F5.mul(t.rule.delta(u, w), lambda_scalar_chain(u, v, w))
         assert lhs == rhs
 
 
@@ -283,17 +284,62 @@ def test_mu_det_koszul_insertion_sign():
     from satokit.tate import (fd_ses_of_pair, lift_lattice, project_lattice,
                               relative_index)
     ses = split_tate_ses(F5, 1, 1)
-    t1 = RelDetTheory.standard(K1)
-    t2 = RelDetTheory.standard(K1)
-    t = mu_det(ses, t1, t2)
+    t1 = RelTheory.standard(DetRule(F5), K1)
+    t2 = RelTheory.standard(DetRule(F5), K1)
+    t = mu_combine(ses, t1, t2)
     u = _diag(K2, [0, -1])   # proj(u) = t^-1 O: degree 1 (odd)
     v = _diag(K2, [-1, -1])  # lift grows by one (odd)
     fd, _ = fd_ses_of_pair(ses, u, v)
     lam = lambda_ses(fd).scalar
     u1, v1 = lift_lattice(ses, u), lift_lattice(ses, v)
     u2, v2 = project_lattice(ses, u), project_lattice(ses, v)
-    naive = F5.div(F5.mul(t1.delta_scalar(u1, v1), t2.delta_scalar(u2, v2)),
+    naive = F5.div(F5.mul(t1.rule.delta(u1, v1), t2.rule.delta(u2, v2)),
                    lam)
-    assert t2.degree_at(u2) % 2 == 1
+    assert t2.eval(u2)[0] % 2 == 1
     assert relative_index(v1, u1) % 2 == 1
-    assert t.delta_scalar(u, v) == F5.neg(naive)
+    assert t.rule.delta(u, v) == F5.neg(naive)
+
+
+# degrees and connecting scalars taken before dimensional and determinantal
+# theories shared RelTheory: (degree at p, delta(p n q, p), delta(p, p + q))
+@pytest.mark.parametrize("seed, field, want", [
+    (1, F2, [(1, 1, 1), (2, 1, 1), (3, 1, 1), (3, 1, 1)]),
+    (2, F5, [(0, 1, 2), (1, 1, 1), (0, 4, 1), (-2, 1, 1)]),
+    (3, F2, [(1, 1, 1), (-1, 1, 1), (2, 1, 1), (3, 1, 1)]),
+    (4, F5, [(0, 1, 2), (0, 1, 3), (-2, 1, 4), (1, 2, 1)]),
+])
+def test_mu_det_degrees_and_deltas_on_twisted_chains(seed, field, want):
+    from satokit.tate import lattice_join, lattice_meet
+    from satokit.verify import TwistedChain, rand_lattice
+    rng = random.Random(seed)
+    chain = TwistedChain(rng, field, 1, 2, 3)
+    k1 = TateSpace(field, 1)
+    t1 = RelTheory.standard(DetRule(field), k1)
+    t2, t3 = (RelTheory.standard(DetRule(field), k1, (1, 1))
+              for _ in range(2))
+    t12 = mu_combine(chain.ses12, t1, t2)
+    t123 = mu_combine(chain.ses23, t12, t3)
+    got = []
+    for t, space in ((t12, TateSpace(field, 2)), (t123, chain.total)):
+        for _ in range(2):
+            p = rand_lattice(rng, space, bound=1)
+            q = rand_lattice(rng, space, bound=1)
+            got.append((t.eval(p)[0], t.rule.delta(lattice_meet(p, q), p),
+                        t.rule.delta(p, lattice_join(p, q))))
+    assert got == want
+
+
+def test_mu_det_independent_of_presentation():
+    # the anchor value of the combination is the product of the values at
+    # lift and project of the base, not of the raw anchors
+    ses = split_tate_ses(F5, 1, 1)
+    s = RelTheory.standard(DetRule(F5), K1)
+    t = RelTheory(DetRule(F5), K1, standard_lattice(K1), (0, 3))
+    tr = t.re_anchor(standard_lattice(K1, 1))
+    assert torsor_difference(t, tr) == (0, 1)
+    combined, combined_r = mu_combine(ses, t, s), mu_combine(ses, tr, s)
+    assert combined_r.rule == combined.rule
+    assert torsor_difference(combined, combined_r) == (0, 1)
+    assert combined == combined_r
+    assert torsor_difference(mu_combine(ses, t.translate((0, 2)), s),
+                             combined) == (0, 2)

@@ -3,13 +3,15 @@ import random
 import pytest
 
 from satokit.abgroup import AbelianGroup, GroupHom, ZZ, format_group, parse_group
-from satokit.dimtorsor import (DimTheory, RelDimTheory, eval_reldim,
-                               mu_combine, pushout_along, torsor_difference)
-from satokit.exactlin import F5
+from satokit.detline import DetRule
+from satokit.dimtorsor import (DimTheory, RelTheory, mu_combine,
+                               pushout_along, torsor_difference)
+from satokit.exactlin import F2, F5
 from satokit.laurent import LaurentMatrix, LaurentPoly
 from satokit.tate import (TateSpace, lattice_join, lattice_normalize,
                           relative_index, split_tate_ses, standard_lattice,
                           twist_tate_ses)
+from satokit.verify import TwistedChain, rand_lattice
 
 K1 = TateSpace(F5, 1)
 K2 = TateSpace(F5, 2)
@@ -43,18 +45,18 @@ def test_hom_well_defined_check():
 
 def test_eval_reldim_examples():
     chi = DimTheory.universal()
-    d = RelDimTheory.standard(chi, K1)
+    d = RelTheory.standard(chi, K1)
     assert d.eval(d.base) == ZZ.zero()
     assert d.eval(standard_lattice(K1, -2)).coords == (2,)
     z3 = AbelianGroup((3,))
     chi3 = DimTheory(z3, z3.elem((1,)))
-    d3 = RelDimTheory.standard(chi3, K1)
+    d3 = RelTheory.standard(chi3, K1)
     assert d3.eval(standard_lattice(K1, -5)).coords == (2,)  # 5 mod 3
 
 
 def test_eval_independent_of_anchor():
     chi = DimTheory.universal()
-    d = RelDimTheory.standard(chi, K1, ZZ.elem((4,)))
+    d = RelTheory.standard(chi, K1, ZZ.elem((4,)))
     re = d.re_anchor(standard_lattice(K1, -3))
     for shift in range(-2, 3):
         lat = standard_lattice(K1, shift)
@@ -64,21 +66,21 @@ def test_eval_independent_of_anchor():
 
 def test_torsor_difference():
     chi = DimTheory.universal()
-    d1 = RelDimTheory.standard(chi, K1, ZZ.elem((4,)))
-    d2 = RelDimTheory.standard(chi, K1, ZZ.elem((1,)))
+    d1 = RelTheory.standard(chi, K1, ZZ.elem((4,)))
+    d2 = RelTheory.standard(chi, K1, ZZ.elem((1,)))
     assert torsor_difference(d1, d1).is_zero()
     assert torsor_difference(d1, d2).coords == (3,)
     # anchored at different lattices with equal values: difference is the
     # index shift
-    d3 = RelDimTheory(chi, K1, standard_lattice(K1, -1), ZZ.zero())
-    d4 = RelDimTheory.standard(chi, K1)
+    d3 = RelTheory(chi, K1, standard_lattice(K1, -1), ZZ.zero())
+    d4 = RelTheory.standard(chi, K1)
     # oracle: evaluate both at O; d4(O) = 0, d3(O) = index(O, t^-1 O) = -1
     assert torsor_difference(d4, d3).coords == (1,)
 
 
 def test_free_and_transitive():
     chi = DimTheory.universal()
-    d = RelDimTheory.standard(chi, K1)
+    d = RelTheory.standard(chi, K1)
     for g in (ZZ.elem((1,)), ZZ.elem((-2,)), ZZ.elem((7,))):
         assert d.translate(g) != d
         assert torsor_difference(d.translate(g), d) == g
@@ -100,8 +102,8 @@ def diag_lattice(space, shifts):
 def test_mu_combine_split_example():
     chi = DimTheory.universal()
     ses = split_tate_ses(F5, 1, 1)
-    d1 = RelDimTheory.standard(chi, K1)
-    d2 = RelDimTheory.standard(chi, K1)
+    d1 = RelTheory.standard(chi, K1)
+    d2 = RelTheory.standard(chi, K1)
     d = mu_combine(ses, d1, d2)
     # coordinate oracle: t^-1 O (+) t O has index 1 - 1 = 0 against O^2
     assert d.eval(diag_lattice(K2, [-1, 1])).coords == (0,)
@@ -111,8 +113,8 @@ def test_mu_combine_split_example():
 def test_mu_combine_nonzero_anchors():
     chi = DimTheory.universal()
     ses = split_tate_ses(F5, 1, 1)
-    d1 = RelDimTheory.standard(chi, K1, ZZ.elem((5,)))
-    d2 = RelDimTheory.standard(chi, K1, ZZ.elem((-3,)))
+    d1 = RelTheory.standard(chi, K1, ZZ.elem((5,)))
+    d2 = RelTheory.standard(chi, K1, ZZ.elem((-3,)))
     d = mu_combine(ses, d1, d2)
     assert d.eval(standard_lattice(K2)).coords == (2,)
 
@@ -120,8 +122,8 @@ def test_mu_combine_nonzero_anchors():
 def test_mu_balanced():
     chi = DimTheory.universal()
     ses = split_tate_ses(F5, 1, 1)
-    d1 = RelDimTheory.standard(chi, K1, ZZ.elem((2,)))
-    d2 = RelDimTheory.standard(chi, K1, ZZ.elem((1,)))
+    d1 = RelTheory.standard(chi, K1, ZZ.elem((2,)))
+    d2 = RelTheory.standard(chi, K1, ZZ.elem((1,)))
     g = ZZ.elem((4,))
     left = mu_combine(ses, d1.translate(g), d2)
     right = mu_combine(ses, d1, d2.translate(g))
@@ -151,9 +153,9 @@ def test_mu_associativity_on_filtration():
         a12, a12i = _aut(rng, F5, 2)
         ses23 = twist_tate_ses(split_tate_ses(F5, 2, 1), a23, a23i)
         ses12 = twist_tate_ses(split_tate_ses(F5, 1, 1), a12, a12i)
-        d1 = RelDimTheory.standard(chi, K1, ZZ.elem((rng.randint(-3, 3),)))
-        d21 = RelDimTheory.standard(chi, K1, ZZ.elem((rng.randint(-3, 3),)))
-        d32 = RelDimTheory.standard(chi, K1, ZZ.elem((rng.randint(-3, 3),)))
+        d1 = RelTheory.standard(chi, K1, ZZ.elem((rng.randint(-3, 3),)))
+        d21 = RelTheory.standard(chi, K1, ZZ.elem((rng.randint(-3, 3),)))
+        d32 = RelTheory.standard(chi, K1, ZZ.elem((rng.randint(-3, 3),)))
         # X2 with the nested theory, then along ses23
         d12 = mu_combine(ses12, d1, d21)
         left = mu_combine(ses23, d12, d32)
@@ -175,8 +177,8 @@ def test_mu_symmetry_for_split_sequences():
     ses_ab = split_tate_ses(F5, 1, 2)
     ses_ba = split_tate_ses(F5, 2, 1)
     k2 = TateSpace(F5, 2)
-    d1 = RelDimTheory.standard(chi, K1, ZZ.elem((2,)))
-    d2 = RelDimTheory.standard(chi, k2, ZZ.elem((-1,)))
+    d1 = RelTheory.standard(chi, K1, ZZ.elem((2,)))
+    d2 = RelTheory.standard(chi, k2, ZZ.elem((-1,)))
     mu_ab = mu_combine(ses_ab, d1, d2)
     mu_ba = mu_combine(ses_ba, d2, d1)
     for shifts in [(0, 0, 0), (-1, 2, 0), (1, -2, 3)]:
@@ -188,7 +190,7 @@ def test_mu_symmetry_for_split_sequences():
 
 def test_pushout_along():
     chi = DimTheory.universal()
-    d = RelDimTheory.standard(chi, K1, ZZ.elem((3,)))
+    d = RelTheory.standard(chi, K1, ZZ.elem((3,)))
     ident = GroupHom.identity(ZZ)
     assert pushout_along(ident, d) == d
     doubling = GroupHom(ZZ, ZZ, [[2]])
@@ -200,3 +202,45 @@ def test_pushout_along():
     # evaluating then mapping equals mapping then evaluating
     lat = standard_lattice(K1, -3)
     assert pushed.eval(lat) == red(d.eval(lat))
+
+
+# values taken before dimensional and determinantal theories shared RelTheory
+@pytest.mark.parametrize("seed, field, want", [
+    (1, F2, [(-6, 1), (-4, 5), (-2, 5), (0, 3), (-6, 1), (0, 3)]),
+    (2, F5, [(-2, 0), (-4, 5), (-2, 0), (-10, 2), (-4, 1), (-10, 2)]),
+    (3, F2, [(0, 2), (2, 4), (2, 1), (2, 4), (8, 4), (2, 4)]),
+    (4, F5, [(0, 1), (-3, 0), (2, 0), (1, 4), (0, 1), (-5, 1)]),
+])
+def test_mu_combine_values_on_twisted_chains(seed, field, want):
+    rng = random.Random(seed)
+    chain = TwistedChain(rng, field, 1, 2, 3)
+    k1 = TateSpace(field, 1)
+    g = parse_group("Z+Z/6")
+    chi = DimTheory(g, g.elem((2, 5)))
+    d1, d21, d32 = (RelTheory.standard(chi, k1, g.elem(
+        (rng.randint(-3, 3), rng.randint(0, 5)))) for _ in range(3))
+    d12 = mu_combine(chain.ses12, d1, d21)
+    d123 = mu_combine(chain.ses23, d12, d32)
+    got = []
+    for _ in range(3):
+        got.append(d12.eval(rand_lattice(rng, TateSpace(field, 2), 1)).coords)
+        got.append(d123.eval(rand_lattice(rng, chain.total, 1)).coords)
+    assert got == want
+
+
+RULES = [(DimTheory.universal(), ZZ.elem((2,))), (DetRule(F5), (1, 3))]
+
+
+@pytest.mark.parametrize("rule, value", RULES)
+def test_anchor_lattice_must_be_in_the_space(rule, value):
+    with pytest.raises(ValueError, match="anchor lattice is not in the space"):
+        RelTheory(rule, K1, standard_lattice(K2), value)
+
+
+@pytest.mark.parametrize("rule, value", RULES)
+def test_theory_equality_against_other_objects(rule, value):
+    d = RelTheory.standard(rule, K1, value)
+    assert not d == None  # noqa: E711
+    assert d != None  # noqa: E711
+    assert d not in [None, 0, "d"]
+    assert d in [None, d.re_anchor(standard_lattice(K1, 2))]

@@ -7,7 +7,7 @@ from satokit.exactlin import F2, F5, Matrix, Subspace
 from satokit.swald import (
     BudgetExceeded, SObject, SObjectError, build_s_object,
     enumerate_s_skeleton, s_degeneracy, s_face, verify_det_theory,
-    verify_dim_theory, verify_theory_as_torsor,
+    verify_dim_theory,
 )
 
 
@@ -242,5 +242,5 @@ def test_naturality_under_array_isomorphisms():
 
 def test_verify_dispatch():
     sk = enumerate_s_skeleton(F2, 2, 3)
-    assert verify_theory_as_torsor(sk, DimTheory.universal()).ok
-    assert verify_theory_as_torsor(sk, graded_det(F2)).ok
+    assert verify_dim_theory(sk, DimTheory.universal()).ok
+    assert verify_det_theory(sk, graded_det(F2)).ok
