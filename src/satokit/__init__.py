@@ -9,7 +9,7 @@ from .exactlin import F2, F3, F5, QQ, Field, Matrix, Subspace, \
 from .exactcat import (FdSpace, Grid3x3, LinMap, SES, SESInvalid, check_ses,
                        complete_grid_3x3, diagnose_ses, epi_mono_factorize,
                        pullback_admissible_monos, pushout_admissible_epis)
-from .laurent import LaurentMatrix, LaurentPoly, RatFunc
+from .laurent import LaurentMatrix, LaurentPoly
 from .tate import (Lattice, TateSES, TateSESInvalid, TateSpace,
                    check_tate_ses, lattice_contains, lattice_grid,
                    lattice_join, lattice_meet, lattice_normalize,

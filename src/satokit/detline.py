@@ -24,8 +24,7 @@ from .exactcat import (FdSpace, LinMap, canonical_section, check_ses,
                        split_ses)
 from .tate import (delta_scalar_canonical, fd_ses_of_pair,
                    lambda_scalar_chain, lattice_contains, lattice_meet,
-                   lift_lattice, project_lattice, relative_index,
-                   standard_lattice)
+                   relative_index, standard_lattice)
 
 
 class GradedLine:
@@ -358,9 +357,9 @@ class _Connecting(namedtuple("_Connecting", "ses delta1 delta2 degree")):
     def __call__(self, u, v):
         ses = self.ses
         f = ses.field
-        fd, _ = fd_ses_of_pair(ses, u, v)
-        u1, v1 = lift_lattice(ses, u), lift_lattice(ses, v)
-        u2, v2 = project_lattice(ses, u), project_lattice(ses, v)
+        fd, grid = fd_ses_of_pair(ses, u, v)
+        u1, v1 = grid.left
+        u2, v2 = grid.right
         degree = self.degree + relative_index(
             u2, standard_lattice(ses.quot_space))
         sign = koszul_sign(f, degree, relative_index(v1, u1))

@@ -155,6 +155,8 @@ def parse_laurent_matrix(text):
         raise ParseError("matrix header must start with 'lmx'", ln)
     nrows = _parse_int_kv(parts, "rows", ln)
     ncols = _parse_int_kv(parts, "cols", ln)
+    if nrows < 0 or ncols < 0:
+        raise ParseError("negative rows=%d cols=%d" % (nrows, ncols), ln)
     field = _parse_field_kv(parts, ln)
     entries = []
     for ln2, eline in body[1:]:

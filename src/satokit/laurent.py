@@ -1,12 +1,12 @@
-"""Laurent polynomials, rational functions, and Laurent-polynomial matrices.
+"""Laurent polynomials and Laurent-polynomial matrices.
 
 Morphisms between formal-Laurent-series spaces are matrices of Laurent
 polynomials acting on row vectors.  k[t, 1/t] is a Euclidean domain, so one
 echelon form by Euclidean row steps gives both the rank (over k(t)) and the
-one-sided inverses: these are rows of LaurentPoly whenever Laurent inverses
-exist, and are otherwise solved over k(t) as rows of RatFunc.  Rational
-functions are kept as numerator / denominator pairs of Laurent polynomials
-with monomial content stripped and a gcd reduction to hold degrees down.
+one-sided inverses.  An inverse over k(t) is returned as a Laurent matrix N
+over one Laurent denominator d, the product of the pivots, found by a
+fraction-free back-substitution; d == 1 exactly when a Laurent inverse
+exists, and then N is that inverse.
 """
 
 from __future__ import annotations
@@ -143,11 +143,6 @@ class LaurentPoly:
         """Multiply by t^k."""
         return self._times(k, 1)
 
-    def monic(self):
-        if not self.terms:
-            return self
-        return self.scale(self.field.inv(self.terms[-1][1]))
-
     def __eq__(self, other):
         return (isinstance(other, LaurentPoly) and self.field == other.field
                 and self.terms == other.terms)
@@ -187,114 +182,6 @@ def poly_divmod(a, b):
                 rem[k] = v
     return (LaurentPoly._raw(f, tuple(sorted(quo.items()))),
             LaurentPoly._raw(f, tuple(sorted(rem.items()))))
-
-
-def poly_gcd(a, b):
-    """Monic gcd of two plain polynomials."""
-    while not b.is_zero():
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return a.monic()
-
-
-class RatFunc:
-    """Rational function in t, stored as num/den with den a monic polynomial
-    of valuation zero and gcd(num', den) = 1 on the polynomial parts."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None, _normalized=False):
-        field = num.field
-        if den is None:
-            den = LaurentPoly.one(field)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if not _normalized:
-            num, den = self._normalize(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    @staticmethod
-    def _normalize(num, den):
-        field = num.field
-        if num.is_zero():
-            return num, LaurentPoly.one(field)
-        if len(den.terms) == 1:
-            # a monomial c t^e is a unit of k[t, 1/t]: the gcd would be 1
-            (e, c), = den.terms
-            return num._times(-e, field.inv(c)), LaurentPoly.one(field)
-        # strip monomial content so den is a val-0 polynomial
-        shift = den.val()
-        den = den.shift(-shift)
-        num = num.shift(-shift)
-        nv = min(num.val(), 0)
-        g = poly_gcd(num.shift(-nv), den)
-        if g.terms and g.deg() > 0:
-            num_p, r1 = poly_divmod(num.shift(-nv), g)
-            den, r2 = poly_divmod(den, g)
-            assert r1.is_zero() and r2.is_zero()
-            num = num_p.shift(nv)
-        lead = den.terms[-1][1]
-        if lead != field.one():
-            inv = field.inv(lead)
-            num = num.scale(inv)
-            den = den.scale(inv)
-        return num, den
-
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p, None, _normalized=True)
-
-    @property
-    def field(self):
-        return self.num.field
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def val(self):
-        """Valuation as a Laurent series: val(num) - val(den)."""
-        if self.is_zero():
-            raise ValueError("valuation of zero")
-        return self.num.val() - self.den.val()
-
-    def add(self, other):
-        if self.den == other.den:
-            return RatFunc(self.num.add(other.num), self.den)
-        n = self.num.mul(other.den).add(other.num.mul(self.den))
-        return RatFunc(n, self.den.mul(other.den))
-
-    def sub(self, other):
-        if self.den == other.den:
-            return RatFunc(self.num.sub(other.num), self.den)
-        n = self.num.mul(other.den).sub(other.num.mul(self.den))
-        return RatFunc(n, self.den.mul(other.den))
-
-    def mul(self, other):
-        return RatFunc(self.num.mul(other.num), self.den.mul(other.den))
-
-    def div(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError
-        return RatFunc(self.num.mul(other.den), self.den.mul(other.num))
-
-    def neg(self):
-        return RatFunc(self.num.neg(), self.den, _normalized=True)
-
-    def __eq__(self, other):
-        return (isinstance(other, RatFunc)
-                and self.num == other.num and self.den == other.den)
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        return "(%r)/(%r)" % (self.num, self.den)
 
 
 class LaurentMatrix:
@@ -436,44 +323,51 @@ def _echelon(m):
 
 
 def _left_inverse_rows(m):
-    """C = H1^-1 . U1 with C . m == identity, from the top c x c block H1 of
-    H and the top c rows U1 of U, for m (b x c) of full column rank; None
-    otherwise.  When every pivot is a unit (scaled to 1 by _echelon) the
-    back-substitution stays in k[t, 1/t] and C has LaurentPoly entries; only
-    then does a Laurent C exist, and otherwise C has RatFunc entries."""
+    """(rows of N, d) with N . m == d . identity, for m (b x c) of full
+    column rank; None otherwise.
+
+    N/d = H1^-1 . U1, from the top c x c block H1 of H and the top c rows U1
+    of U.  The back-substitution runs bottom up with no division: before row
+    k, the rows below it share the denominator e, the product of their
+    pivots; row k is e . U1[k] less the H1[k][j] multiples of them, over
+    e . H1[k][k], and the rows below are scaled by H1[k][k] to match.  The
+    pivots have valuation 0 and leading coefficient 1, so d == 1 exactly
+    when every pivot is a unit (scaled to 1 by _echelon), that is when a
+    Laurent left inverse exists, and then N is that inverse.
+    """
     h, u, pivots = _echelon(m)
     c = m.ncols
     if len(pivots) < c:
         return None
-    unit = all(h[k][k] == LaurentPoly.one(m.field) for k in range(c))
-    lift = (lambda x: x) if unit else RatFunc.from_poly
+    d = LaurentPoly.one(m.field)
     inv = [None] * c
     for k in reversed(range(c)):
-        row = [lift(x) for x in u[k]]
+        row = [d.mul(x) for x in u[k]]
         for j in range(k + 1, c):
-            if h[k][j].terms:
-                x = lift(h[k][j])
+            x = h[k][j]
+            if x.terms:
                 row = [y.sub(x.mul(w)) for y, w in zip(row, inv[j])]
-        p = lift(h[k][k])
-        inv[k] = row if unit else [y.div(p) for y in row]
-    return inv
+        p = h[k][k]
+        inv[k + 1:] = [[p.mul(w) for w in r] for r in inv[k + 1:]]
+        d = d.mul(p)
+        inv[k] = row
+    return inv, d
 
 
 def right_inverse(m):
-    """B with m . B = identity, for m of full row rank; None otherwise.  Its
-    entries are LaurentPoly when a Laurent B exists, else RatFunc."""
-    ct = _left_inverse_rows(m.transpose())
-    if ct is None:
+    """(N, d) with m . N = d . identity, for m of full row rank; None
+    otherwise.  d == 1 exactly when a Laurent right inverse exists."""
+    nd = _left_inverse_rows(m.transpose())
+    if nd is None:
         return None
-    return [[row[i] for row in ct] for i in range(m.ncols)]
+    rows, d = nd
+    return LaurentMatrix(m.field, [[row[i] for row in rows]
+                                   for i in range(m.ncols)], m.nrows), d
 
 
 def left_inverse(m):
-    """C with C . m = identity, for m of full column rank; None otherwise.  Its
-    entries are LaurentPoly when a Laurent C exists, else RatFunc."""
-    return _left_inverse_rows(m)
-
-
-def ratfunc_min_valuation(rows):
-    vals = [x.val() for row in rows for x in row if not x.is_zero()]
-    return min(vals) if vals else None
+    """(N, d) with N . m = d . identity, for m of full column rank; None
+    otherwise.  d == 1 exactly when a Laurent left inverse exists."""
+    nd = _left_inverse_rows(m)
+    return None if nd is None else (LaurentMatrix(m.field, nd[0], m.nrows),
+                                    nd[1])

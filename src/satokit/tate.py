@@ -10,8 +10,9 @@ data equality.
 Morphisms are Laurent-polynomial matrices, admissible exactly when they have
 full row rank (monos) or full column rank (epis) over the rational function
 field; short exact sequences of spaces then restrict and project lattices,
-with sandwich bounds derived from one-sided inverses (Laurent matrices when
-such inverses exist, else over k(t)).
+with sandwich bounds derived from one-sided inverses over k(t), each a
+Laurent matrix N over one Laurent denominator d (d == 1 exactly when a Laurent
+inverse exists).
 
 The classical non-admissible monomorphism k[t] -> k[[t]] is not representable
 here: k[t] is not a finite-rank Laurent-series space, so it is not an object
@@ -30,8 +31,7 @@ from __future__ import annotations
 
 from .exactcat import FdSpace, LinMap, check_ses
 from .exactlin import Matrix, Quotient, Subspace
-from .laurent import (LaurentMatrix, LaurentPoly, RatFunc, left_inverse,
-                      ratfunc_min_valuation, right_inverse)
+from .laurent import LaurentMatrix, LaurentPoly, left_inverse, right_inverse
 
 
 class TateSpace:
@@ -289,67 +289,48 @@ class TateSES:
         return TateSpace(self.field, self.j.ncols)
 
     def right_inverse_of_i(self):
-        """B with i . B = identity, cached; verified exactly on first use."""
+        """(N, d) with i . N = d . identity, cached; verified exactly on
+        first use."""
         if "ri" not in self._cache:
-            b = right_inverse(self.i)
-            if b is None or not _verify_one_sided(self.i, b, left=False):
+            nd = right_inverse(self.i)
+            if nd is None or not _verify_one_sided(self.i, *nd, left=False):
                 raise TateSESInvalid("not-mono")
-            self._cache["ri"] = b
+            self._cache["ri"] = nd
         return self._cache["ri"]
 
     def left_inverse_of_j(self):
+        """(N, d) with N . j = d . identity, cached; verified exactly on
+        first use."""
         if "lj" not in self._cache:
-            c = left_inverse(self.j)
-            if c is None or not _verify_one_sided(self.j, c, left=True):
+            nd = left_inverse(self.j)
+            if nd is None or not _verify_one_sided(self.j, *nd, left=True):
                 raise TateSESInvalid("not-epi")
-            self._cache["lj"] = c
+            self._cache["lj"] = nd
         return self._cache["lj"]
 
     def seed_inverses(self, ri=None, lj=None):
         """Install known one-sided inverses (Laurent matrices) in place of
         computed ones; both are verified exactly before being accepted."""
+        one = LaurentPoly.one(self.field)
         if ri is not None:
-            rows = [list(r) for r in ri.entries]
-            if not _verify_one_sided(self.i, rows, left=False):
+            if not _verify_one_sided(self.i, ri, one, left=False):
                 raise ValueError("seeded right inverse fails i . B = 1")
-            self._cache["ri"] = rows
+            self._cache["ri"] = (ri, one)
         if lj is not None:
-            rows = [list(r) for r in lj.entries]
-            if not _verify_one_sided(self.j, rows, left=True):
+            if not _verify_one_sided(self.j, lj, one, left=True):
                 raise ValueError("seeded left inverse fails C . j = 1")
-            self._cache["lj"] = rows
+            self._cache["lj"] = (lj, one)
         return self
 
 
-def _verify_one_sided(m, inv_rows, left):
-    """Exact check of C . m = I (left) or m . B = I (right) over k(t).
-
-    A polynomial inverse is checked in k[t, 1/t], a subring of k(t)."""
-    field = m.field
-    if all(isinstance(x, LaurentPoly) for row in inv_rows for x in row):
-        def lift_rows(rows):
-            return rows
-        zero, one = LaurentPoly.zero(field), LaurentPoly.one(field)
-    else:
-        def lift_rows(rows):
-            return [[x if isinstance(x, RatFunc) else RatFunc.from_poly(x)
-                     for x in row] for row in rows]
-        zero = RatFunc.from_poly(LaurentPoly.zero(field))
-        one = RatFunc.from_poly(LaurentPoly.one(field))
-    if left:
-        a, b = lift_rows(inv_rows), lift_rows(m.entries)
-    else:
-        a, b = lift_rows(m.entries), lift_rows(inv_rows)
-    n = len(a)
-    inner = len(b)
-    for r in range(n):
-        for c in range(n):
-            acc = zero
-            for k in range(inner):
-                acc = acc.add(a[r][k].mul(b[k][c]))
-            if acc != (one if r == c else zero):
-                return False
-    return True
+def _verify_one_sided(m, inv, den, left):
+    """Exact check of inv . m = den . I (left) or m . inv = den . I (right)
+    in k[t, 1/t], which holds exactly when inv/den is a one-sided inverse
+    over k(t)."""
+    prod = inv.mul(m) if left else m.mul(inv)
+    return prod.nrows == prod.ncols and all(
+        x.terms == (den.terms if r == c else ())
+        for r, row in enumerate(prod.entries) for c, x in enumerate(row))
 
 
 def diagnose_tate_ses(i, j):
@@ -397,25 +378,21 @@ def twist_tate_ses(ses, aut, aut_inv):
     return check_tate_ses(ses.i.mul(aut), aut_inv.mul(ses.j))
 
 
-def _polynomial_rows(inv_rows):
-    # a Laurent inverse, computed or seeded, has LaurentPoly entries; laurent
-    # gives RatFunc entries only when no Laurent inverse exists
-    if any(isinstance(x, RatFunc) for r in inv_rows for x in r):
-        raise ValueError("inverse has a nontrivial denominator")
-    return inv_rows
-
-
 def retraction_of_mono(ses):
     """LaurentMatrix r with i . r = identity; ValueError when there is none,
     i.e. the maximal minors of i do not generate the ring k[t, 1/t]."""
-    rows = _polynomial_rows(ses.right_inverse_of_i())
-    return LaurentMatrix(ses.field, rows, ses.i.nrows)
+    r, d = ses.right_inverse_of_i()
+    if d != LaurentPoly.one(ses.field):
+        raise ValueError("inverse has a nontrivial denominator")
+    return r
 
 
 def section_of_epi(ses):
     """LaurentMatrix s with s . j = identity, polynomial entries."""
-    rows = _polynomial_rows(ses.left_inverse_of_j())
-    return LaurentMatrix(ses.field, rows, ses.j.nrows)
+    s, d = ses.left_inverse_of_j()
+    if d != LaurentPoly.one(ses.field):
+        raise ValueError("inverse has a nontrivial denominator")
+    return s
 
 
 def compose_filtration(ses_outer, ses_inner):
@@ -446,9 +423,10 @@ def lift_lattice(ses, u):
     """The lattice i^(-1)(u) in X', a.k.a. u n X'.
 
     Sandwich bounds come from the entry valuations of i and of a right
-    inverse of i over k(t); the kernel computation inside the windows is
-    exact, so the bounds only need to be safe, and the right-inverse identity
-    is verified exactly once per sequence.
+    inverse N/d of i over k(t), whose least valuation is that of N less that
+    of d; the kernel computation inside the windows is exact, so the bounds
+    only need to be safe, and the right-inverse identity is verified exactly
+    once per sequence.
     """
     if u.space != ses.total_space:
         raise ValueError("lattice does not live in the middle space")
@@ -458,8 +436,8 @@ def lift_lattice(ses, u):
     if a == 0:
         return standard_lattice(src)
     vmin_i = ses.i.min_valuation()
-    binv = ses.right_inverse_of_i()
-    vmin_b = ratfunc_min_valuation(binv)
+    binv, bden = ses.right_inverse_of_i()
+    vmin_b = binv.min_valuation() - bden.val()
     HI = u.hi - vmin_i
     LO = u.lo + vmin_b
     # images of window monomials are classes mod t^(u.hi) O^b, which is
@@ -487,8 +465,8 @@ def project_lattice(ses, u):
     if c == 0:
         return standard_lattice(dst)
     vmin_j = ses.j.min_valuation()
-    cinv = ses.left_inverse_of_j()
-    vmin_c = ratfunc_min_valuation(cinv)
+    cinv, cden = ses.left_inverse_of_j()
+    vmin_c = cinv.min_valuation() - cden.val()
     HI = u.hi - vmin_c
     LO = u.lo + vmin_j
     tail_top = HI - vmin_j
@@ -627,7 +605,8 @@ def fd_ses_of_pair(ses, u_sub, u):
 
         lift(u)/lift(u') >--> u/u' -->> proj(u)/proj(u')
 
-    returned as validated exactcat data in canonical quotient bases."""
+    returned as validated exactcat data in canonical quotient bases, with
+    the LatticeGrid that holds lift(u'), lift(u), proj(u') and proj(u)."""
     grid = LatticeGrid(ses, u_sub, u)
     field = ses.field
     q_left = LatticeQuotient(grid.left[0], grid.left[1])
@@ -646,4 +625,4 @@ def fd_ses_of_pair(ses, u_sub, u):
     dst = FdSpace(field, q_right.dim)
     i_map = LinMap(src, mid, Matrix(field, mono_rows, mid.dim))
     j_map = LinMap(mid, dst, Matrix(field, epi_rows, dst.dim))
-    return check_ses(i_map, j_map), (q_left, q_mid, q_right)
+    return check_ses(i_map, j_map), grid

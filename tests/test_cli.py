@@ -223,6 +223,96 @@ def test_cli_mu_eval_twisted_values(tmp_path, capsys, seed, field, want):
     assert got == want
 
 
+# Sequences i, j given as .lmx texts, with their middle lattices and, per
+# lattice, the CLI lift, project and mu-eval (Z+Z/6, generator 2,5, d1 1,2,
+# d2 -3,4) taken before one-sided inverses became a Laurent matrix over one
+# denominator.  The "laurent" pair has Laurent one-sided inverses; in "both"
+# i and j are multiplied by a non-unit, and in "rank2" i has non-unit 2x2
+# minors, so there the inverses have a nontrivial denominator.
+PINNED_LATTICES = {
+    "F5": ["tate rank=2 field=F5\nbounds lo=0 hi=0\n",
+           "tate rank=2 field=F5\nbounds lo=-1 hi=1\n1,2,0,0\n0,0,3,1\n",
+           "tate rank=2 field=F5\nbounds lo=-2 hi=1\n"
+           "1,0,0,4,2,0\n0,1,0,0,0,3\n0,0,1,2,3,4\n",
+           "tate rank=2 field=F5\nbounds lo=1 hi=3\n1,3,0,2\n"],
+    "Q": ["tate rank=2 field=Q\nbounds lo=0 hi=0\n",
+          "tate rank=2 field=Q\nbounds lo=-1 hi=1\n1/2,3,0,0\n0,0,-2,1\n",
+          "tate rank=2 field=Q\nbounds lo=-2 hi=1\n"
+          "1,0,0,-1,2/3,0\n0,1,0,0,0,3\n0,0,1,1/2,-1,4\n",
+          "tate rank=2 field=Q\nbounds lo=1 hi=3\n1,-3,0,1/5\n"],
+    "F5-3": ["tate rank=3 field=F5\nbounds lo=0 hi=0\n",
+             "tate rank=3 field=F5\nbounds lo=-1 hi=1\n"
+             "1,2,0,0,0,1\n0,0,3,1,4,0\n0,0,0,0,1,2\n"],
+}
+
+
+def _lat(field, rank, lo, hi, *rows):
+    return "tate rank=%d field=%s\nbounds lo=%d hi=%d\n%s" % (
+        rank, field, lo, hi, "".join(r + "\n" for r in rows))
+
+
+PINNED_SEQUENCES = {
+    "F5-laurent": (
+        "lmx rows=1 cols=2 field=F5\n1*t^0+1*t^1\n1*t^2\n",
+        "lmx rows=2 cols=1 field=F5\n1*t^2\n4*t^0+4*t^1\n", "F5",
+        [(_lat("F5", 1, 0, 0), _lat("F5", 1, 0, 0), [-2, 0]),
+         (_lat("F5", 1, 1, 1), _lat("F5", 1, -1, -1), [-2, 0]),
+         (_lat("F5", 1, 1, 1), _lat("F5", 1, -2, -2), [0, 5]),
+         (_lat("F5", 1, 3, 3), _lat("F5", 1, 1, 3, "1,0"), [-12, 5])]),
+    "Q-laurent": (
+        "lmx rows=1 cols=2 field=Q\n1*t^0+1*t^1\n1*t^2\n",
+        "lmx rows=2 cols=1 field=Q\n1*t^2\n-1*t^0+-1*t^1\n", "Q",
+        [(_lat("Q", 1, 0, 0), _lat("Q", 1, 0, 0), [-2, 0]),
+         (_lat("Q", 1, 1, 1), _lat("Q", 1, -1, -1), [-2, 0]),
+         (_lat("Q", 1, 1, 1), _lat("Q", 1, -2, -2), [0, 5]),
+         (_lat("Q", 1, 3, 3), _lat("Q", 1, 1, 3, "1,14/15"), [-12, 5])]),
+    "F5-both": (
+        "lmx rows=1 cols=2 field=F5\n1*t^0+2*t^1+1*t^2\n1*t^2+1*t^3\n",
+        "lmx rows=2 cols=1 field=F5\n1*t^2+1*t^3\n4*t^0+3*t^1+4*t^2\n", "F5",
+        [(_lat("F5", 1, 0, 0), _lat("F5", 1, 0, 0), [-2, 0]),
+         (_lat("F5", 1, 1, 1), _lat("F5", 1, -1, -1), [-2, 0]),
+         (_lat("F5", 1, 1, 1), _lat("F5", 1, -2, -2), [0, 5]),
+         (_lat("F5", 1, 3, 3), _lat("F5", 1, 1, 3, "1,1"), [-12, 5])]),
+    "Q-both": (
+        "lmx rows=1 cols=2 field=Q\n1*t^0+2*t^1+1*t^2\n1*t^2+1*t^3\n",
+        "lmx rows=2 cols=1 field=Q\n2*t^2+1*t^3\n-2*t^0+-3*t^1+-1*t^2\n",
+        "Q",
+        [(_lat("Q", 1, 0, 0), _lat("Q", 1, 0, 0), [-2, 0]),
+         (_lat("Q", 1, 1, 1), _lat("Q", 1, -1, -1), [-2, 0]),
+         (_lat("Q", 1, 1, 1), _lat("Q", 1, -2, -2), [0, 5]),
+         (_lat("Q", 1, 3, 3), _lat("Q", 1, 1, 3, "1,43/30"), [-12, 5])]),
+    "F5-rank2": (
+        "lmx rows=2 cols=3 field=F5\n"
+        "1*t^0+1*t^1\n0\n1*t^1\n0\n1*t^0+1*t^1\n1*t^0\n",
+        "lmx rows=3 cols=1 field=F5\n1*t^1\n1*t^0\n4*t^0+4*t^1\n", "F5-3",
+        [(_lat("F5", 2, 0, 0), _lat("F5", 1, 0, 0), [-2, 0]),
+         (_lat("F5", 2, -1, 1, "1,2,3,3"), _lat("F5", 1, -1, -1),
+          [-2, 0])]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SEQUENCES))
+def test_cli_lift_project_mu_eval_pinned(tmp_path, capsys, name):
+    from satokit.laurent import right_inverse
+    i_text, j_text, key, want = PINNED_SEQUENCES[name]
+    i = parse_laurent_matrix(i_text)
+    denominator = right_inverse(i)[1]
+    assert (denominator == LaurentPoly.one(i.field)) == ("laurent" in name)
+    fi = _write(tmp_path, "i.lmx", i_text)
+    fj = _write(tmp_path, "j.lmx", j_text)
+    for lat, (lift, project, mu) in zip(PINNED_LATTICES[key], want):
+        fu = _write(tmp_path, "u.lat", lat)
+        got = []
+        for verb, extra in (("lift", []), ("project", []),
+                            ("mu-eval", ["--group", "Z+Z/6", "--generator",
+                                         "2,5", "--d1", "1,2",
+                                         "--d2=-3,4"])):
+            assert main(["--json", verb, fi, fj, fu] + extra) == 0
+            out = json.loads(capsys.readouterr().out)
+            got.append(out.get("lattice", out.get("value")))
+        assert got == [lift, project, mu], (name, lat)
+
+
 @pytest.mark.parametrize("flags", [
     ["--d1", "x"], ["--d2", "x"], ["--generator", "y"],
     ["--generator", "1,2"],
@@ -586,6 +676,8 @@ def test_cli_sset_diagnosis_passthrough(tmp_path, capsys):
     ("f4.lmx", "lmx rows=1 cols=1 field=F4\n1*t^0\n", 1),
     ("rows.lmx", "\nlmx rows=x cols=1 field=F5\n1*t^0\n", 2),
     ("cols.lmx", "lmx rows=1 cols=x field=F5\n1*t^0\n", 1),
+    ("negcols.lmx", "lmx rows=0 cols=-1 field=F5\n", 1),
+    ("negrows.lmx", "# note\nlmx rows=-2 cols=0 field=F5\n", 2),
     ("neg.lat", "tate rank=-1 field=F5\nbounds lo=0 hi=1\n", 1),
     ("lohi.lat", "tate rank=1 field=F5\n# swapped\nbounds lo=2 hi=1\n", 3),
 ])

@@ -300,6 +300,33 @@ def test_mu_det_koszul_insertion_sign():
     assert t.rule.delta(u, v) == F5.neg(naive)
 
 
+def test_connecting_scalar_lifts_and_projects_each_lattice_once(monkeypatch):
+    # the grid of fd_ses_of_pair already holds lift and project of u and v
+    import collections
+    import satokit.detline
+    import satokit.tate
+    calls = collections.Counter()
+
+    def counted(name):
+        fn = getattr(satokit.tate, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("lift_lattice", "project_lattice"):
+        wrapper = counted(name)
+        for module in (satokit.tate, satokit.detline):
+            monkeypatch.setattr(module, name, wrapper, raising=False)
+    ses = split_tate_ses(F5, 1, 1)
+    t = mu_combine(ses, RelTheory.standard(DetRule(F5), K1),
+                   RelTheory.standard(DetRule(F5), K1))
+    calls.clear()
+    t.rule.delta(_diag(K2, [0, -1]), _diag(K2, [-1, -1]))
+    assert calls == {"lift_lattice": 2, "project_lattice": 2}
+
+
 # degrees and connecting scalars taken before dimensional and determinantal
 # theories shared RelTheory: (degree at p, delta(p n q, p), delta(p, p + q))
 @pytest.mark.parametrize("seed, field, want", [

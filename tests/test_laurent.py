@@ -1,11 +1,8 @@
-import random
-
 import pytest
 
 from satokit.exactlin import F2, F5, QQ
 from satokit.laurent import (
-    LaurentMatrix, LaurentPoly, RatFunc, left_inverse, poly_divmod, poly_gcd,
-    ratfunc_min_valuation, right_inverse,
+    LaurentMatrix, LaurentPoly, left_inverse, poly_divmod, right_inverse,
 )
 
 
@@ -35,35 +32,11 @@ def test_poly_divmod_and_gcd():
     q, r = poly_divmod(a, b)
     assert r.is_zero()
     assert q.terms == ((0, 1), (1, 1))  # t + 1
-    g = poly_gcd(a, b)
-    assert g == b.monic()
-
-
-def test_ratfunc_normalization():
-    # (t^2 - t) / t^3 = t^-1 - t^-2, valuation -2
-    num = P(QQ, (2, 1), (1, -1))
-    den = P(QQ, (3, 1))
-    f = RatFunc(num, den)
-    assert f.val() == -2
-    g = f.mul(RatFunc.from_poly(den))
-    assert g == RatFunc.from_poly(num)
-
-
-def test_ratfunc_field_ops():
-    rng = random.Random(5)
-    for _ in range(30):
-        def rand_poly():
-            return LaurentPoly(F5, [(e, rng.randrange(5))
-                                    for e in range(-2, 3)])
-        a, b = rand_poly(), rand_poly()
-        c = rand_poly()
-        if c.is_zero():
-            continue
-        fa, fb, fc = (RatFunc.from_poly(a), RatFunc.from_poly(b),
-                      RatFunc.from_poly(c))
-        # (a/c + b/c) * c == a + b
-        s = fa.div(fc).add(fb.div(fc)).mul(fc)
-        assert s == fa.add(fb)
+    # Euclid by poly_divmod: gcd(t^2 - 1, t^2 + 3t - 4) = t - 1
+    c = P(F5, (2, 1), (1, 3), (0, 1))  # (t - 1)(t + 4)
+    while not c.is_zero():
+        a, c = c, poly_divmod(a, c)[1]
+    assert a.scale(F5.inv(a.terms[-1][1])) == b
 
 
 def test_rank():
@@ -82,36 +55,30 @@ def test_right_inverse():
     one = LaurentPoly.one(F5)
     z = LaurentPoly.zero(F5)
     m = LaurentMatrix(F5, [[one, t, z]])  # 1x3, rank 1
-    b = right_inverse(m)
-    assert b is not None
+    b, d = right_inverse(m)
+    assert d == one
     # verify m . b == I_1 exactly
-    acc = RatFunc.from_poly(z)
-    for k in range(3):
-        acc = acc.add(RatFunc.from_poly(m[0, k]).mul(
-            RatFunc.from_poly(b[k][0])))
-    assert acc == RatFunc.from_poly(one)
+    assert m.mul(b) == LaurentMatrix.identity(F5, 1)
 
 
 def test_right_inverse_valuation():
     # i = multiplication by t: right inverse is 1/t with valuation -1
     t = P(QQ, (1, 1))
     m = LaurentMatrix(QQ, [[t]])
-    b = right_inverse(m)
-    assert ratfunc_min_valuation(b) == -1
+    b, d = right_inverse(m)
+    assert b.min_valuation() - d.val() == -1
+    # and by 1 + t: 1/(1 + t) is over a denominator, with valuation 0
+    b, d = right_inverse(LaurentMatrix(QQ, [[P(QQ, (0, 1), (1, 1))]]))
+    assert d == P(QQ, (0, 1), (1, 1)) and b.min_valuation() - d.val() == 0
 
 
 def test_left_inverse():
     t = P(F5, (1, 1))
     one = LaurentPoly.one(F5)
-    z = LaurentPoly.zero(F5)
     m = LaurentMatrix(F5, [[one], [t]])  # 2x1, full column rank
-    c = left_inverse(m)
-    assert c is not None
-    acc = RatFunc.from_poly(z)
-    for k in range(2):
-        acc = acc.add(RatFunc.from_poly(c[0][k]).mul(
-            RatFunc.from_poly(m[k, 0])))
-    assert acc == RatFunc.from_poly(one)
+    c, d = left_inverse(m)
+    assert d == one
+    assert c.mul(m) == LaurentMatrix.identity(F5, 1)
 
 
 def test_solve_right_unsolvable():
@@ -200,47 +167,6 @@ def test_unary_ops_equal_checking_path(data, k, c):
                                               for e, x in a.terms]))
 
 
-def _gcd_normalized(num, den):
-    """RatFunc normalisation through the gcd, with no monomial shortcut."""
-    field = num.field
-    e = den.val()
-    den, num = den.shift(-e), num.shift(-e)
-    nv = min(num.val(), 0)
-    g = poly_gcd(num.shift(-nv), den)
-    num_p, r1 = poly_divmod(num.shift(-nv), g)
-    den, r2 = poly_divmod(den, g)
-    assert r1.is_zero() and r2.is_zero()
-    inv = field.inv(den.terms[-1][1])
-    return num_p.shift(nv).scale(inv), den.scale(inv)
-
-
-@settings(max_examples=100, deadline=None)
-@given(field_and_terms(n=1), st.integers(-3, 3), st.integers(1, 4))
-def test_monomial_denominator_equals_gcd_path(data, e, c):
-    field, t = data
-    num = LaurentPoly(field, t)
-    den = LaurentPoly.t_power(field, e, c)
-    assume(not num.is_zero() and not den.is_zero())
-    f = RatFunc(num, den)
-    assert (f.num, f.den) == _gcd_normalized(num, den)
-    assert f.den == LaurentPoly.one(field)
-
-
-def test_shared_denominator_cancels_common_factor():
-    # 1/(t^2 - 1) + t/(t^2 - 1) = 1/(t - 1) over F5 and Q
-    for field in (F5, QQ):
-        den = P(field, (2, 1), (0, -1))
-        a = RatFunc(LaurentPoly.one(field), den)
-        b = RatFunc(P(field, (1, 1)), den)
-        assert a.den == b.den == den
-        s = a.add(b)
-        assert s.num == LaurentPoly.one(field)
-        assert s.den == P(field, (1, 1), (0, -1))
-        # the difference keeps the denominator: (1 - t)/(t^2 - 1)
-        d = a.sub(b)
-        assert d == RatFunc(P(field, (0, -1)), P(field, (1, 1), (0, 1)))
-
-
 def test_seed_inverses_rejects_perturbed_entry():
     ses = split_tate_ses(F5, 1, 1)
     ri = LaurentMatrix(F5, [[LaurentPoly.one(F5)], [LaurentPoly.zero(F5)]])
@@ -256,11 +182,23 @@ def test_seed_inverses_rejects_perturbed_entry():
         split_tate_ses(F5, 1, 1).seed_inverses(lj=bad)
 
 
-# --- poly_gcd against sympy over F_p and Q -----------------------------------
+def test_seed_inverses_rejects_wrong_shape():
+    # i = (1, 0) times the 2 x 2 matrix [[1, 0], [0, 0]] is (1, 0): the
+    # identity in its first column, but not a 1 x 1 identity
+    one, z = LaurentPoly.one(F5), LaurentPoly.zero(F5)
+    with pytest.raises(ValueError):
+        split_tate_ses(F5, 1, 1).seed_inverses(
+            ri=LaurentMatrix(F5, [[one, z], [z, z]]))
+    with pytest.raises(ValueError):
+        split_tate_ses(F5, 1, 1).seed_inverses(
+            lj=LaurentMatrix(F5, [[z, one], [z, z]]))
+
+
+# --- poly_divmod against sympy over F_p and Q --------------------------------
 
 @settings(max_examples=120, deadline=None)
 @given(st.data())
-def test_poly_gcd_against_sympy(data):
+def test_poly_divmod_against_sympy(data):
     sympy = pytest.importorskip("sympy")
     field = data.draw(st.sampled_from(FIELDS))
     term = st.tuples(st.integers(0, 4), _coeffs(field))
@@ -268,23 +206,26 @@ def test_poly_gcd_against_sympy(data):
     def poly():
         return LaurentPoly(field, data.draw(st.lists(term, max_size=4)))
 
-    common = poly()
-    a, b = poly().mul(common), poly().mul(common)
+    a, b = poly(), poly()
+    assume(not b.is_zero())
     t = sympy.Symbol("t")
     dom = sympy.QQ if field.is_rational else sympy.GF(field.p)
 
     def to_sympy(x):
         return sympy.Poly.from_dict(
             {(e,): sympy.Rational(c.numerator, c.denominator)
-             for e, c in x.terms}, t, domain=dom)
+             for e, c in x.terms} or {(0,): 0}, t, domain=dom)
 
-    want = to_sympy(a).gcd(to_sympy(b))
-    if field.is_rational:
-        want = {e: Fraction(int(c.p), int(c.q))
-                for (e,), c in want.as_dict().items()}
-    else:
-        want = {e: int(c) % field.p for (e,), c in want.as_dict().items()}
-    assert dict(poly_gcd(a, b).terms) == want
+    def terms(x):
+        if field.is_rational:
+            return {e: Fraction(int(c.p), int(c.q))
+                    for (e,), c in x.as_dict().items()}
+        return {e: int(c) % field.p for (e,), c in x.as_dict().items()}
+
+    q, r = poly_divmod(a, b)
+    want_q, want_r = sympy.div(to_sympy(a), to_sympy(b))
+    assert dict(q.terms) == terms(want_q)
+    assert dict(r.terms) == terms(want_r)
 
 
 # --- rank and one-sided inverses against sympy over k(t) -------------------
@@ -309,7 +250,8 @@ def laurent_matrices(draw):
     return LaurentMatrix(field, _entries(draw, field, nrows, ncols), ncols)
 
 
-def _sympy_rank(m):
+def _sympy(m):
+    """m as a sympy DomainMatrix over k(t)."""
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
     t = sympy.Symbol("t")
@@ -324,22 +266,40 @@ def _sympy_rank(m):
                                for e, c in x.terms))
 
     rows = [[conv(x) for x in row] for row in m.entries]
-    return DomainMatrix(rows, (m.nrows, m.ncols), dom).rank()
+    return DomainMatrix(rows, (m.nrows, m.ncols), dom)
+
+
+def _scalar(d, n):
+    """d times the n x n identity."""
+    z = LaurentPoly.zero(d.field)
+    return LaurentMatrix(d.field, [[d if r == c else z for c in range(n)]
+                                   for r in range(n)], n)
 
 
 @settings(max_examples=100, deadline=None)
 @given(laurent_matrices())
 def test_rank_and_inverses_against_sympy(m):
     pytest.importorskip("sympy")
-    from satokit.tate import _verify_one_sided
+    sm = _sympy(m)
     rank = m.rank()
-    assert rank == _sympy_rank(m)
-    b, c = right_inverse(m), left_inverse(m)
+    assert rank == sm.rank()
+    right, left = right_inverse(m), left_inverse(m)
     if rank == m.nrows:
-        assert _verify_one_sided(m, b, left=False)
+        n, d = right
+        assert not d.is_zero()
+        assert sm * _sympy(n) == _sympy(_scalar(d, m.nrows))
     else:
-        assert b is None
+        assert right is None
     if rank == m.ncols:
-        assert _verify_one_sided(m, c, left=True)
+        n, d = left
+        assert not d.is_zero()
+        assert _sympy(n) * sm == _sympy(_scalar(d, m.ncols))
     else:
-        assert c is None
+        assert left is None
+    if rank == m.nrows == m.ncols:
+        # a Laurent inverse exists exactly when det(m) is a unit c t^e
+        det = sm.det()
+        unit = len(det.numer.terms()) == len(det.denom.terms()) == 1
+        one = LaurentPoly.one(m.field)
+        assert (right[1] == one) == unit
+        assert (left[1] == one) == unit

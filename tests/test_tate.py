@@ -553,8 +553,9 @@ def test_fd_ses_of_pair_validates():
         ses = twist_tate_ses(base, aut, aut_inv)
         u = _random_lattice(rng, ses.total_space)
         u_sub = lattice_meet(u, standard_lattice(ses.total_space, 1))
-        fd, quots = fd_ses_of_pair(ses, u_sub, u)
+        fd, grid = fd_ses_of_pair(ses, u_sub, u)
         assert fd.sub.dim + fd.quot.dim == fd.total.dim
+        assert grid.bottom_dims == (fd.sub.dim, fd.total.dim, fd.quot.dim)
 
 
 # --- canonical lambda / delta scalars ------------------------------------
