@@ -760,109 +760,98 @@ def smith_normal_form(rows):
     """Invariant factors (divisibility chain) and rank of an integer matrix
     given as a list of rows."""
     s = snf_with_transforms(rows)[0]
-    factors = [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))
-               if s[i][i] != 0]
+    factors = [x for x in (r.get(i, 0) for i, r in enumerate(s)) if x]
     return factors, len(factors)
 
 
-def _int_identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _axpy(dst, src, q):
+    """dst -= q * src, on sparse dicts."""
+    for k, x in src.items():
+        y = dst.get(k, 0) - q * x
+        if y:
+            dst[k] = y
+        else:
+            del dst[k]
 
 
 def snf_with_transforms(rows):
-    """Smith normal form S = U M V with U, V unimodular.
+    """Smith normal form S = U M V with U, V unimodular, on nonzero entries.
 
-    Returns (S, U, V, U^-1, V^-1) as lists of rows.  The inverses are kept as
-    the elimination goes: a row operation on U is the inverse column
-    operation on U^-1, and a column operation on V the inverse row operation
-    on V^-1.
+    M is a list of integer rows.  Returns (S, U, V, U^-1, V^-1) as lists of
+    sparse lines {index: nonzero entry}: S, U and V^-1 as rows, V and U^-1
+    as columns, the orientation in which each of their updates is a row
+    operation.  A row operation on U is the inverse column operation on
+    U^-1, and a column operation on V the inverse row operation on V^-1, so
+    the inverses are kept as the elimination goes.  The pivot is an entry
+    of least absolute value, the first one in row-major order.
     """
-    rows = [list(r) for r in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    U, Uinv = _int_identity(nrows), _int_identity(nrows)
-    V, Vinv = _int_identity(ncols), _int_identity(ncols)
+    R = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    U, Uinv = [{i: 1} for i in range(nrows)], [{i: 1} for i in range(nrows)]
+    V, Vinv = [{j: 1} for j in range(ncols)], [{j: 1} for j in range(ncols)]
 
     def row_op(i, j, q):  # row_i -= q * row_j
-        for m in (rows, U):
-            ri, rj = m[i], m[j]
-            for k in range(len(ri)):
-                ri[k] -= q * rj[k]
-        for r in Uinv:
-            r[j] += q * r[i]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for m in (rows, V):
-            for r in m:
-                r[i] -= q * r[j]
-        vi, vj = Vinv[i], Vinv[j]
-        for k in range(ncols):
-            vj[k] += q * vi[k]
-
-    def row_swap(i, j):
-        for m in (rows, U):
-            m[i], m[j] = m[j], m[i]
-        for r in Uinv:
-            r[i], r[j] = r[j], r[i]
-
-    def col_swap(i, j):
-        for m in (rows, V):
-            for r in m:
-                r[i], r[j] = r[j], r[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+        _axpy(R[i], R[j], q)
+        _axpy(U[i], U[j], q)
+        _axpy(Uinv[j], Uinv[i], -q)
 
     t = 0
-    limit = min(nrows, ncols)
-    while t < limit:
-        # locate a nonzero entry of least absolute value in the block
+    while t < min(nrows, ncols):
+        # rows from t on are zero left of column t; no entry beats a unit
         best = None
         for i in range(t, nrows):
-            for j in range(t, ncols):
-                x = rows[i][j]
-                if x != 0 and (best is None or abs(x) < abs(best[2])):
-                    best = (i, j, x)
+            if R[i]:
+                a = min(map(abs, R[i].values()))
+                if best is None or a < best[0]:
+                    best = (a, i)
+                    if a == 1:
+                        break
         if best is None:
             break
-        i, j, _ = best
+        a, i = best
+        j = min(k for k, x in R[i].items() if abs(x) == a)
         if i != t:
-            row_swap(t, i)
+            for m in (R, U, Uinv):
+                m[t], m[i] = m[i], m[t]
         if j != t:
-            col_swap(t, j)
-        dirty = False
-        for i in range(t + 1, nrows):
-            if rows[i][t]:
-                q = rows[i][t] // rows[t][t]
-                row_op(i, t, q)
-                if rows[i][t]:
-                    dirty = True
-        for j in range(t + 1, ncols):
-            if rows[t][j]:
-                q = rows[t][j] // rows[t][t]
-                col_op(j, t, q)
-                if rows[t][j]:
-                    dirty = True
-        if dirty:
+            for r in R[t:]:
+                x, y = r.pop(t, 0), r.pop(j, 0)
+                if x:
+                    r[j] = x
+                if y:
+                    r[t] = y
+            for m in (V, Vinv):
+                m[t], m[j] = m[j], m[t]
+        piv = R[t][t]
+        below = [i for i in range(t + 1, nrows) if t in R[i]]
+        for i in below:
+            row_op(i, t, R[i][t] // piv)
+        # column t is left nonzero at t and where a remainder is
+        support = [t] + [i for i in below if t in R[i]]
+        for j in sorted(R[t]):
+            if j > t:  # col_j -= q * col_t
+                q = R[t][j] // piv
+                for r in support:
+                    _axpy(R[r], {j: R[r][t]}, q)
+                _axpy(V[j], V[t], q)
+                _axpy(Vinv[t], Vinv[j], -q)
+        if len(support) > 1 or len(R[t]) > 1:
             continue
-        # pivot must divide the rest of the block
-        piv = rows[t][t]
-        offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if rows[i][j] % piv:
-                    offender = i
-                    break
+        # the pivot must divide the rest of the block, which a unit does
+        if abs(piv) != 1:
+            offender = next((i for i in range(t + 1, nrows)
+                             if any(x % piv for x in R[i].values())), None)
             if offender is not None:
-                break
-        if offender is not None:
-            row_op(t, offender, -1)  # fold the offending row in and retry
-            continue
+                row_op(t, offender, -1)  # fold the row in and retry
+                continue
         if piv < 0:
-            for m in (rows, U):
-                m[t] = [-x for x in m[t]]
-            for r in Uinv:
-                r[t] = -r[t]
+            R[t][t] = -piv
+            for m in (U[t], Uinv[t]):
+                for k in m:
+                    m[k] = -m[k]
         t += 1
-    return rows, U, V, Uinv, Vinv
+    return R, U, V, Uinv, Vinv
 
 
 def _egcd(a, b):
@@ -872,41 +861,34 @@ def _egcd(a, b):
     return (g, y, x - (a // b) * y)
 
 
-def solve_mod(a_rows, b, d):
+def solve_mod(snf, b, d):
     """One solution x of A x = b (mod d); d == 0 means over Z.  None if none.
 
-    A is a list of rows, b a vector; x is returned as a list of ints reduced
-    mod d when d > 0.
+    A is given by its Smith form snf = snf_with_transforms(A), so that one
+    form serves every right-hand side; b is a vector, and x is returned as a
+    list of ints reduced mod d when d > 0.
     """
-    nrows = len(a_rows)
-    ncols = len(a_rows[0]) if a_rows else 0
-    if nrows == 0:
-        return [0] * ncols
-    s, u, v, _, _ = snf_with_transforms(a_rows)
+    s, u, v, _, _ = snf
     # A = U^-1 S V^-1, so A x = b  <=>  S y = U b with x = V y
-    ub = [sum(u[i][k] * b[k] for k in range(nrows)) for i in range(nrows)]
-    y = [0] * ncols
-    for i in range(nrows):
-        si = s[i][i] if i < ncols else 0
-        rhs = ub[i]
+    x = [0] * len(v)
+    for i, row in enumerate(u):
+        si = s[i].get(i, 0)
+        rhs = sum(c * b[k] for k, c in row.items())
         if si == 0:
-            if d == 0:
-                if rhs != 0:
-                    return None
-            else:
-                if rhs % d != 0:
-                    return None
+            if (rhs % d if d else rhs) != 0:
+                return None
             continue
         if d == 0:
             if rhs % si != 0:
                 return None
-            y[i] = rhs // si
+            y = rhs // si
         else:
             g, inv, _ = _egcd(si, d)
             if rhs % g != 0:
                 return None
-            y[i] = ((rhs // g) * inv) % d
-    x = [sum(v[i][k] * y[k] for k in range(ncols)) for i in range(ncols)]
+            y = ((rhs // g) * inv) % d
+        for k, c in v[i].items():
+            x[k] += c * y
     if d > 0:
         x = [xi % d for xi in x]
     return x

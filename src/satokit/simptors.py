@@ -389,47 +389,45 @@ class CyclicCohomology:
     (V^-1 x)_i / t_i are the coordinates of a cocycle x in it.  A second
     Smith form S_r = U_r R V_r of the relations R (coboundaries and d times
     cochains, in those coordinates) gives the classes: U_r times the
-    coordinates, reduced by the invariant factors s_r.
+    coordinates, reduced by the invariant factors s_r.  Every d shares one
+    _Coboundaries, which holds the Smith form of D.
     """
 
-    def __init__(self, complex_, degree, order):
-        self.complex = complex_
-        self.degree = degree
+    def __init__(self, cob, order):
         self.order = order
-        N = complex_.n_simplices(degree)
-        self._D = coboundary_matrix(complex_, degree)
-        # with no higher simplices D has no rows; a zero row has its kernel
-        s, _, self._v, _, self._vinv = snf_with_transforms(
-            self._D or [[0] * N])
-        self._keep = []  # (i, t_i) of the kept coordinates
-        for i in range(N):
-            si = _diag(s, i)
-            if order:
-                self._keep.append((i, order // math.gcd(si, order)))
-            elif si == 0:
-                self._keep.append((i, 1))
+        self._cob = cob
+        self._keep = [(i, order // math.gcd(si, order) if order else 1)
+                      for i, si in enumerate(cob.s) if order or si == 0]
+        self._pos = {i: (p, t) for p, (i, t) in enumerate(self._keep)}
         # relation generators: columns of A, then d e_i (d > 0), whose
         # coordinates are d V^-1[k][i] / t_k
-        A = coboundary_matrix(complex_, degree - 1) if degree > 0 else []
-        rel_cols = [self._coords(col) for col in _transpose(A)]
+        rel = [self._coords(col) for col in cob.a_cols]
         if order:
-            rel_cols += [[order // t * self._vinv[k][i] for k, t in self._keep]
-                         for i in range(N)]
+            rel += [{self._pos[k][0]: order // self._pos[k][1] * x
+                     for k, x in col.items()} for col in cob.vinv]
         z = len(self._keep)
-        rmat = _transpose(rel_cols) if rel_cols else [[0] for _ in range(z)]
-        self._snf_r, self._ur, _, self._ur_inv, _ = snf_with_transforms(rmat)
-        self.factors = tuple(f for f in (_diag(self._snf_r, i)
-                                         for i in range(z)) if f != 1)
+        rmat = [[0] * max(len(rel), 1) for _ in range(z)]
+        for c, col in enumerate(rel):
+            for p, x in col.items():
+                rmat[p][c] = x
+        s, self._ur, _, self._ur_inv, _ = snf_with_transforms(rmat)
+        self._sr = [s[i].get(i, 0) for i in range(z)]
+        self.factors = tuple(f for f in self._sr if f != 1)
 
     def _coords(self, x):
-        """Coordinates of an integer cocycle x in the cocycle basis."""
-        return [sum(a * b for a, b in zip(self._vinv[i], x)) // t
-                for i, t in self._keep]
+        """Coordinates {position: value} of an integer cocycle x, given as
+        {simplex index: value}, in the cocycle basis."""
+        y = {}
+        for k, c in x.items():
+            for i, v in self._cob.vinv[k].items():
+                y[i] = y.get(i, 0) + c * v
+        return {self._pos[i][0]: v // self._pos[i][1]
+                for i, v in y.items() if v and i in self._pos}
 
     def is_cocycle(self, vec):
         d = self.order
-        for row in self._D:
-            acc = sum(a * b for a, b in zip(row, vec))
+        for row in self._cob.rows:
+            acc = sum(c * vec[j] for j, c in row.items())
             if (acc % d if d else acc) != 0:
                 return False
         return True
@@ -441,34 +439,54 @@ class CyclicCohomology:
             raise ValueError("not a cocycle")
         if not self.factors:
             return ()
-        zc = self._coords(vec)
+        zc = self._coords({k: c for k, c in enumerate(vec) if c})
         out = []
-        for i, row in enumerate(self._ur):
-            si = _diag(self._snf_r, i)
+        for row, si in zip(self._ur, self._sr):
             if si != 1:
-                w = sum(a * b for a, b in zip(row, zc))
+                w = sum(c * zc.get(p, 0) for p, c in row.items())
                 out.append(w % si if si else w)
         return tuple(out)
 
     def representative(self, k):
         """An integer cocycle representing the k-th group generator."""
-        idx = [i for i in range(len(self._keep))
-               if _diag(self._snf_r, i) != 1][k]
-        zc = [(i, t * row[idx]) for (i, t), row in zip(self._keep,
-                                                      self._ur_inv)]
-        return [sum(row[i] * c for i, c in zc) for row in self._v]
+        idx = [i for i, si in enumerate(self._sr) if si != 1][k]
+        vec = [0] * len(self._cob.s)
+        for p, c in self._ur_inv[idx].items():
+            i, t = self._keep[p]
+            for j, v in self._cob.v[i].items():
+                vec[j] += t * c * v
+        return vec
 
 
-def _diag(s, i):
-    """The diagonal entry s[i][i], or 0 outside the matrix."""
-    return s[i][i] if i < len(s) and i < len(s[0]) else 0
+class _Coboundaries:
+    """The coboundary D out of degree n as sparse rows, with the diagonal s,
+    V and the columns of V^-1 of one Smith form S = U D V, and the sparse
+    columns of the coboundary A into degree n."""
+
+    def __init__(self, complex_, degree):
+        n = complex_.n_simplices(degree)
+        D = coboundary_matrix(complex_, degree)
+        self.rows = _sparse(D)
+        # with no higher simplices D has no rows; a zero row has its kernel
+        s, _, self.v, _, vinv = snf_with_transforms(D or [[0] * n])
+        self.s = [s[i].get(i, 0) if i < len(s) else 0 for i in range(n)]
+        self.vinv = _transpose(vinv, n)
+        A = coboundary_matrix(complex_, degree - 1) if degree > 0 else []
+        self.a_cols = _transpose(_sparse(A),
+                                 complex_.n_simplices(degree - 1))
 
 
-def _transpose(rows):
-    if not rows:
-        return []
-    return [[rows[r][c] for r in range(len(rows))]
-            for c in range(len(rows[0]))]
+def _sparse(rows):
+    return [{j: x for j, x in enumerate(r) if x} for r in rows]
+
+
+def _transpose(lines, n):
+    """The n lines across the sparse lines {index: entry}."""
+    out = [{} for _ in range(n)]
+    for i, line in enumerate(lines):
+        for k, x in line.items():
+            out[k][i] = x
+    return out
 
 
 def _check_degree_reliable(complex_, degree):
@@ -488,8 +506,8 @@ class CohomologyResult:
         self.complex = complex_
         self.degree = degree
         self.group = group
-        self.components = [CyclicCohomology(complex_, degree, d)
-                           for d in group.factors]
+        cob = _Coboundaries(complex_, degree)
+        self.components = [CyclicCohomology(cob, d) for d in group.factors]
         summands = [f for comp in self.components for f in comp.factors]
         self.group_presentation = canonical_factors(summands)
 
@@ -575,15 +593,12 @@ def iso_decide(t1, t2):
     cx = t1.complex
     group = t1.group
     A = coboundary_matrix(cx, t1.degree)
-    n_src = cx.n_simplices(t1.degree)
+    snf = snf_with_transforms(A) if A else None
     vals = {}
     sols = []
     for q, d in enumerate(group.factors):
-        if not A:
-            sols.append([0] * n_src)
-            continue
-        b = diff.int_vector(q)
-        x = solve_mod(A, b, d)
+        x = (solve_mod(snf, diff.int_vector(q), d) if snf
+             else [0] * cx.n_simplices(t1.degree))
         if x is None:
             return None
         sols.append(x)

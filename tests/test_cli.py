@@ -342,6 +342,33 @@ def test_cli_cohomology(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "Z/2"
 
 
+def _grid_torus_sset(n):
+    """.sset text of the n x n grid torus: vertex x + n y, each square cut
+    along its diagonal, every simplex ordered by vertex number."""
+    def v(x, y):
+        return x % n + n * (y % n)
+    tris = set()
+    for x in range(n):
+        for y in range(n):
+            a, b, c, d = v(x, y), v(x + 1, y), v(x, y + 1), v(x + 1, y + 1)
+            tris |= {tuple(sorted((a, b, d))), tuple(sorted((a, c, d)))}
+    edges = {(t[i], t[j]) for t in tris for i, j in ((0, 1), (0, 2), (1, 2))}
+    lines = ["simplex 0 v%d" % k for k in range(n * n)]
+    lines += ["simplex 1 e%d_%d faces v%d v%d" % (a, b, b, a)
+              for a, b in sorted(edges)]
+    lines += ["simplex 2 f%d_%d_%d faces e%d_%d e%d_%d e%d_%d"
+              % (a, b, c, b, c, a, c, a, b) for a, b, c in sorted(tris)]
+    return "\n".join(lines) + "\n"
+
+
+def test_cli_cohomology_of_a_grid_torus(tmp_path, capsys):
+    # 144 vertices, 432 edges, 288 triangles
+    f = _write(tmp_path, "grid.sset", _grid_torus_sset(12))
+    rc = main(["cohomology", f, "--degree", "2", "--group", "Z/6"])
+    assert rc == 0
+    assert capsys.readouterr().out.strip() == "Z/6"
+
+
 def test_cli_classify_and_transport(tmp_path, capsys):
     cx = projective_plane()
     z2 = AbelianGroup((2,))

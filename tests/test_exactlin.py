@@ -375,6 +375,153 @@ def _minor_gcd_oracle(rows):
     return factors
 
 
+def _dense_snf(rows):
+    """snf_with_transforms(rows) as five lists of dense rows."""
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+
+    def dense(lines, n, m, columns=False):
+        if columns:
+            return [[line.get(i, 0) for line in lines] for i in range(n)]
+        return [[line.get(j, 0) for j in range(m)] for line in lines]
+
+    s, u, v, uinv, vinv = snf_with_transforms(rows)
+    return (dense(s, nrows, ncols), dense(u, nrows, nrows),
+            dense(v, ncols, ncols, True), dense(uinv, nrows, nrows, True),
+            dense(vinv, ncols, ncols))
+
+
+def _dense_snf_oracle(rows):
+    """The dense elimination that snf_with_transforms replaced, kept as an
+    oracle: the same pivot rule and order of operations on full rows."""
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+
+    def identity(n):
+        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    U, Uinv = identity(nrows), identity(nrows)
+    V, Vinv = identity(ncols), identity(ncols)
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        for m in (rows, U):
+            ri, rj = m[i], m[j]
+            for k in range(len(ri)):
+                ri[k] -= q * rj[k]
+        for r in Uinv:
+            r[j] += q * r[i]
+
+    def col_op(i, j, q):  # col_i -= q * col_j
+        for m in (rows, V):
+            for r in m:
+                r[i] -= q * r[j]
+        vi, vj = Vinv[i], Vinv[j]
+        for k in range(ncols):
+            vj[k] += q * vi[k]
+
+    def row_swap(i, j):
+        for m in (rows, U):
+            m[i], m[j] = m[j], m[i]
+        for r in Uinv:
+            r[i], r[j] = r[j], r[i]
+
+    def col_swap(i, j):
+        for m in (rows, V):
+            for r in m:
+                r[i], r[j] = r[j], r[i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+
+    t = 0
+    limit = min(nrows, ncols)
+    while t < limit:
+        best = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                x = rows[i][j]
+                if x != 0 and (best is None or abs(x) < abs(best[2])):
+                    best = (i, j, x)
+        if best is None:
+            break
+        i, j, _ = best
+        if i != t:
+            row_swap(t, i)
+        if j != t:
+            col_swap(t, j)
+        dirty = False
+        for i in range(t + 1, nrows):
+            if rows[i][t]:
+                q = rows[i][t] // rows[t][t]
+                row_op(i, t, q)
+                if rows[i][t]:
+                    dirty = True
+        for j in range(t + 1, ncols):
+            if rows[t][j]:
+                q = rows[t][j] // rows[t][t]
+                col_op(j, t, q)
+                if rows[t][j]:
+                    dirty = True
+        if dirty:
+            continue
+        piv = rows[t][t]
+        offender = None
+        for i in range(t + 1, nrows):
+            for j in range(t + 1, ncols):
+                if rows[i][j] % piv:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            row_op(t, offender, -1)
+            continue
+        if piv < 0:
+            for m in (rows, U):
+                m[t] = [-x for x in m[t]]
+            for r in Uinv:
+                r[t] = -r[t]
+        t += 1
+    return rows, U, V, Uinv, Vinv
+
+
+_SNF_ENTRIES = st.sampled_from([0, 1, -1, 2, -2, 3, 4, 6])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 7).flatmap(lambda ncols: st.lists(
+    st.lists(_SNF_ENTRIES, min_size=ncols, max_size=ncols), max_size=7)),
+    st.booleans())
+def test_snf_matches_dense_oracle(rows, zero):
+    # random shapes, 0 rows or 0 columns among them, and all-zero matrices
+    if zero:
+        rows = [[0] * len(r) for r in rows]
+    assert _dense_snf(rows) == _dense_snf_oracle(rows)
+
+
+def _klein_bottle():
+    """The one-vertex Klein bottle: the square with sides b, b and a, a
+    reversed, cut along the diagonal c."""
+    from satokit.simptors import validate_simplicial_set
+    return validate_simplicial_set([
+        ("v", 0, ()), ("a", 1, ("v", "v")), ("b", 1, ("v", "v")),
+        ("c", 1, ("v", "v")), ("U", 2, ("c", "b", "a")),
+        ("L", 2, ("a", "c", "b"))])
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+@pytest.mark.parametrize("name", ["torus", "klein", "rp2"])
+def test_snf_of_coboundaries_matches_dense_oracle(name, degree):
+    from satokit.abgroup import ZZ
+    from satokit.complexes import projective_plane, torus
+    from satokit.simptors import cohomology, coboundary_matrix
+    cx = {"torus": torus, "klein": _klein_bottle,
+          "rp2": projective_plane}[name]()
+    for rows in (coboundary_matrix(cx, degree),
+                 [list(c) for c in zip(*coboundary_matrix(cx, degree))]):
+        assert _dense_snf(rows) == _dense_snf_oracle(rows)
+    h2 = {"torus": (0,), "klein": (2,), "rp2": (2,)}[name]
+    assert cohomology(cx, 2, ZZ).group_presentation == h2
+
+
 def test_snf_trivial_cases():
     identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert smith_normal_form(identity) == ([1, 1, 1], 3)
@@ -414,7 +561,7 @@ def test_snf_matches_sympy(rows):
 
 def test_snf_transforms_multiply_out():
     rows = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
-    s, u, v, _, _ = snf_with_transforms(rows)
+    s, u, v, _, _ = _dense_snf(rows)
     prod = Matrix(QQ, u).mul(Matrix(QQ, rows)).mul(Matrix(QQ, v))
     assert prod == Matrix(QQ, s)
     assert abs(Matrix(QQ, u).det()) == 1
@@ -427,7 +574,7 @@ def test_snf_transforms_multiply_out():
     max_size=5)))
 def test_snf_transforms_and_inverses(rows):
     nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    s, u, v, uinv, vinv = snf_with_transforms(rows)
+    s, u, v, uinv, vinv = _dense_snf(rows)
     u, uinv = Matrix(QQ, u, nrows), Matrix(QQ, uinv, nrows)
     v, vinv = Matrix(QQ, v, ncols), Matrix(QQ, vinv, ncols)
     assert u.mul(Matrix(QQ, rows, ncols)).mul(v) == Matrix(QQ, s, ncols)
@@ -462,10 +609,12 @@ def test_snf_unimodular_invariance():
 
 def test_solve_mod():
     a = [[2, 0], [0, 3]]
-    x = solve_mod(a, [4, 3], 6)
+    snf = snf_with_transforms(a)
+    x = solve_mod(snf, [4, 3], 6)
     assert x is not None
     assert [(2 * x[0]) % 6, (3 * x[1]) % 6] == [4, 3]
-    assert solve_mod(a, [1, 0], 6) is None  # 2x = 1 has no solution mod 6
-    x = solve_mod([[3]], [6], 0)
+    assert solve_mod(snf, [1, 0], 6) is None  # 2x = 1 has no solution mod 6
+    snf = snf_with_transforms([[3]])
+    x = solve_mod(snf, [6], 0)
     assert x == [2]
-    assert solve_mod([[3]], [7], 0) is None
+    assert solve_mod(snf, [7], 0) is None

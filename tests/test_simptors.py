@@ -351,6 +351,38 @@ def test_iso_decide_separates_classes():
     assert classify_torsor(t0) != classify_torsor(t1)
 
 
+def test_one_smith_form_per_coboundary(monkeypatch):
+    # the cyclic factors of one cohomology share the Smith form of D, and
+    # iso_decide solves every factor against one Smith form of its A
+    import satokit.exactlin
+    import satokit.simptors
+    snf = satokit.exactlin.snf_with_transforms
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return snf(rows)
+
+    for module in (satokit.exactlin, satokit.simptors):
+        monkeypatch.setattr(module, "snf_with_transforms", counted)
+    cx = torus()
+    # one form of D, one of the relations per factor, one in
+    # canonical_factors (5 and 7 when each factor had its own form of D)
+    for text, want in (("Z+Z/6", 4), ("Z/2+Z/6+Z", 5)):
+        calls.clear()
+        cohomology(cx, 1, parse_group(text))
+        assert len(calls) == want
+    grp = parse_group("Z/2+Z/6+Z")
+    lower = Cochain(cx, 1, grp, {"a": (1, 5, -2), "c": (1, 3, 7)})
+    alpha = cohomology(cx, 2, grp).representatives()[2]
+    t1 = MultTorsorRep(cx, 1, grp, alpha)
+    t2 = MultTorsorRep(cx, 1, grp, alpha.add(lower.coboundary()))
+    calls.clear()
+    x = iso_decide(t1, t2)
+    assert len(calls) == 1  # one per factor, 3, before
+    assert x.coboundary() == t1.absolute_alpha().sub(t2.absolute_alpha())
+
+
 def test_exhaustive_classification_rp2_z2():
     # all degree-1 torsors over Z/2 on RP^2: group them by iso_decide and
     # compare with the cohomology count
