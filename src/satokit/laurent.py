@@ -256,18 +256,6 @@ class LaurentMatrix:
     def is_zero(self):
         return all(x.is_zero() for r in self.entries for x in r)
 
-    def apply_row(self, vec):
-        """vec (length nrows of LaurentPoly) times the matrix."""
-        z = LaurentPoly.zero(self.field)
-        acc = [z] * self.ncols
-        for k, x in enumerate(vec):
-            if not x.is_zero():
-                for j in range(self.ncols):
-                    y = self.entries[k][j]
-                    if not y.is_zero():
-                        acc[j] = acc[j].add(x.mul(y))
-        return tuple(acc)
-
     def min_valuation(self):
         """Least entry valuation; None for the zero matrix."""
         vals = [x.val() for r in self.entries for x in r if not x.is_zero()]

@@ -23,14 +23,20 @@ work in windows no wider than one input's, however far apart the inputs lie:
 [max lo, max hi) for the meet, [min lo, min hi) for the join, a's for b <= a.
 
 lattice_normalize, the entry for rows from outside, reduces them through
-Subspace.from_rows, which checks every scalar; meet, join and lift hand the
-rref subspace they already hold straight to the level stripping.
+Subspace.from_rows, which checks every scalar; meet, join, lift and project
+hand rows they built themselves to the trusted rref and kernel, and from
+there to the level stripping.
+
+Lift and project build their generator rows straight in window coordinates
+from a stencil cached on the sequence: each row of i or j as its terms
+(e, column, c) sorted by e, so a shifted row or a combination of rows is
+read off it without a Laurent polynomial.
 """
 
 from __future__ import annotations
 
 from .exactcat import FdSpace, LinMap, check_ses
-from .exactlin import Matrix, Quotient, Subspace
+from .exactlin import Matrix, Quotient, Subspace, _rref
 from .laurent import LaurentMatrix, LaurentPoly, left_inverse, right_inverse
 
 
@@ -214,34 +220,6 @@ def relative_index(a, b):
     return len(a.rows) - len(b.rows) + a.space.rank * (b.hi - a.hi)
 
 
-def laurent_vector_from_window(field, n, LO, row):
-    """Window coordinates -> tuple of LaurentPoly of length n."""
-    terms = [[] for _ in range(n)]
-    for k, x in enumerate(row):
-        if x != 0:
-            e, i = divmod(k, n)
-            terms[i].append((LO + e, x))
-    return tuple(LaurentPoly(field, t) for t in terms)
-
-
-def window_coords_of_laurent(field, n, LO, HI, vec):
-    """Laurent vector -> window coordinates, truncating exponents >= HI.
-
-    Exponents below LO are an error: the vector escapes the window.
-    """
-    width = (HI - LO) * n
-    z = field.zero()
-    row = [z] * width
-    for i, p in enumerate(vec):
-        for e, c in p.terms:
-            if e >= HI:
-                continue
-            if e < LO:
-                raise ValueError("vector escapes the window at t^%d" % e)
-            row[(e - LO) * n + i] = c
-    return row
-
-
 # ---------------------------------------------------------------------------
 # admissible short exact sequences of Tate spaces
 
@@ -419,6 +397,50 @@ def quotient_ses(ses_outer, ses_inner, ses_composed=None):
     return check_tate_ses(mono, epi)
 
 
+def _stencil(ses, name):
+    """Per row of ses.i or ses.j (name "i" or "j"), its terms (e, column, c)
+    sorted by e, with the matrix's least valuation; cached on ses."""
+    key = "st" + name
+    if key not in ses._cache:
+        m = getattr(ses, name)
+        ses._cache[key] = ([sorted([(e, col, c) for col, x in enumerate(row)
+                                    for e, c in x.terms])
+                            for row in m.entries], m.min_valuation())
+    return ses._cache[key]
+
+
+def _window_terms(row, n, lo):
+    """(c, e, k) of the nonzero entries c t^e u_k of a window row from t^lo."""
+    return [(x, lo + q // n, q % n) for q, x in enumerate(row) if x]
+
+
+def _window_row(field, rows, n, LO, HI, terms):
+    """The internal row, in the window [LO, HI) of k((t))^n, of the sum of
+    c t^s rows[k] over (c, s, k) in terms, rows those of a stencil: exponents
+    >= HI drop out, and a sum with a nonzero term below t^LO (terms there may
+    cancel) raises ValueError."""
+    p = field.p
+    acc = 0 if p == 2 else [field.zero()] * ((HI - LO) * n)
+    below = {}
+    for c, s, k in terms:
+        for e, col, x in rows[k]:
+            e += s
+            if e >= HI:
+                break
+            if e < LO:
+                below[e, col] = below.get((e, col), 0) + c * x
+            elif p == 2:
+                acc ^= 1 << ((e - LO) * n + col)
+            else:
+                acc[(e - LO) * n + col] += c * x
+    escaped = [e for (e, _), x in below.items() if (x % p if p else x)]
+    if escaped:
+        raise ValueError("vector escapes the window at t^%d" % min(escaped))
+    if p == 2:
+        return acc
+    return tuple(acc) if p is None else tuple([x % p for x in acc])
+
+
 def lift_lattice(ses, u):
     """The lattice i^(-1)(u) in X', a.k.a. u n X'.
 
@@ -435,7 +457,7 @@ def lift_lattice(ses, u):
     src = TateSpace(field, a)
     if a == 0:
         return standard_lattice(src)
-    vmin_i = ses.i.min_valuation()
+    irows, vmin_i = _stencil(ses, "i")
     binv, bden = ses.right_inverse_of_i()
     vmin_b = binv.min_valuation() - bden.val()
     HI = u.hi - vmin_i
@@ -444,15 +466,11 @@ def lift_lattice(ses, u):
     # inside u, so the membership test happens in u's own window
     LO_t = min(u.lo, LO + vmin_i)
     u_w = window_subspace(u, LO_t, u.hi)
-    irows = ses.i.entries
-    gen = []
-    for e in range(LO, HI):
-        for k in range(a):
-            vec = tuple(p.shift(e) for p in irows[k])
-            wrow = window_coords_of_laurent(field, b, LO_t, u.hi, vec)
-            gen.append(u_w.proj_coords(wrow))
-    ker = Matrix(field, gen, u_w.ambient - u_w.dim).left_kernel()
-    return _stripped(src, LO, HI, ker)
+    npv, one = u_w.nonpivots(), field.one()
+    gen = [u_w._proj(_window_row(field, irows, b, LO_t, u.hi, ((one, e, k),)),
+                     npv) for e in range(LO, HI) for k in range(a)]
+    return _stripped(src, LO, HI,
+                     Matrix._raw(field, gen, len(npv)).left_kernel())
 
 
 def project_lattice(ses, u):
@@ -464,23 +482,20 @@ def project_lattice(ses, u):
     dst = TateSpace(field, c)
     if c == 0:
         return standard_lattice(dst)
-    vmin_j = ses.j.min_valuation()
+    jrows, vmin_j = _stencil(ses, "j")
     cinv, cden = ses.left_inverse_of_j()
     vmin_c = cinv.min_valuation() - cden.val()
     HI = u.hi - vmin_c
     LO = u.lo + vmin_j
-    tail_top = HI - vmin_j
-    gen = []
-    for r in u.rows:
-        vec = laurent_vector_from_window(field, b, u.lo, r)
-        img = ses.j.apply_row(vec)
-        gen.append(window_coords_of_laurent(field, c, LO, HI, img))
-    jrows = ses.j.entries
-    for e in range(u.hi, tail_top):
-        for k in range(b):
-            vec = tuple(p.shift(e) for p in jrows[k])
-            gen.append(window_coords_of_laurent(field, c, LO, HI, vec))
-    return lattice_normalize(dst, LO, HI, gen)
+    one = field.one()
+    # images of u's rows, then of the monomials t^e u_k of u's tail for
+    # u.hi <= e < HI - vmin_j; j maps the deeper ones into t^HI O^c
+    gen = [_window_row(field, jrows, c, LO, HI, _window_terms(r, b, u.lo))
+           for r in u.rows]
+    gen += [_window_row(field, jrows, c, LO, HI, ((one, e, k),))
+            for e in range(u.hi, HI - vmin_j) for k in range(b)]
+    return _stripped(dst, LO, HI, Subspace._raw(field, (HI - LO) * c,
+                                                *_rref(field, gen)))
 
 
 # ---------------------------------------------------------------------------
@@ -504,18 +519,6 @@ class LatticeQuotient:
     @property
     def dim(self):
         return self.quotient.dim
-
-    def coords_of_laurent(self, vec):
-        wrow = window_coords_of_laurent(self.quotient.small.field, self.n,
-                                        self.lo, self.hi, vec)
-        c = self.quotient.coords(wrow)
-        if c is None:
-            raise ValueError("vector does not lie in the quotient")
-        return c
-
-    def laurent_of_basis_index(self, k):
-        return laurent_vector_from_window(self.quotient.small.field, self.n,
-                                          self.lo, self.quotient.lift(k))
 
 
 def lambda_scalar_chain(a, b, c):
@@ -612,17 +615,15 @@ def fd_ses_of_pair(ses, u_sub, u):
     q_left = LatticeQuotient(grid.left[0], grid.left[1])
     q_mid = LatticeQuotient(u_sub, u)
     q_right = LatticeQuotient(grid.right[0], grid.right[1])
-    mono_rows = []
-    for k in range(q_left.dim):
-        vec = q_left.laurent_of_basis_index(k)
-        mono_rows.append(q_mid.coords_of_laurent(ses.i.apply_row(vec)))
-    epi_rows = []
-    for k in range(q_mid.dim):
-        vec = q_mid.laurent_of_basis_index(k)
-        epi_rows.append(q_right.coords_of_laurent(ses.j.apply_row(vec)))
-    src = FdSpace(field, q_left.dim)
-    mid = FdSpace(field, q_mid.dim)
-    dst = FdSpace(field, q_right.dim)
-    i_map = LinMap(src, mid, Matrix(field, mono_rows, mid.dim))
-    j_map = LinMap(mid, dst, Matrix(field, epi_rows, dst.dim))
-    return check_ses(i_map, j_map), grid
+    maps = []
+    for name, src, dst in (("i", q_left, q_mid), ("j", q_mid, q_right)):
+        rows = _stencil(ses, name)[0]
+        coords = [dst.quotient._coords(_window_row(
+            field, rows, dst.n, dst.lo, dst.hi,
+            _window_terms(src.quotient.lift(k), src.n, src.lo)))
+            for k in range(src.dim)]
+        if None in coords:
+            raise ValueError("vector does not lie in the quotient")
+        maps.append(LinMap(FdSpace(field, src.dim), FdSpace(field, dst.dim),
+                           Matrix._raw(field, coords, dst.dim)))
+    return check_ses(*maps), grid
