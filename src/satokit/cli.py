@@ -211,13 +211,13 @@ def cmd_det_symmetry(args):
     import random
     from .exactcat import complete_grid_3x3, inclusion_map
     from .exactlin import Subspace
+    if field.p is None:
+        raise CliError("det-symmetry needs a finite field")
     rng = random.Random(args.seed)
     pairs = [(a, b) for a in range(3) for b in range(3)]
     grids = []
     for _ in range(args.trials):
         ambient = rng.randint(1, 3)
-        if field.p is None:
-            raise CliError("det-symmetry needs a finite field")
         rows1 = [[rng.randrange(field.p) for _ in range(ambient)]
                  for _ in range(rng.randint(0, ambient))]
         rows2 = [[rng.randrange(field.p) for _ in range(ambient)]
@@ -322,7 +322,7 @@ def cmd_s_enumerate(args):
     try:
         sk = enumerate_s_skeleton(field, args.dim_cap, args.level_cap,
                                   budget=args.budget)
-    except BudgetExceeded as exc:
+    except (BudgetExceeded, ValueError) as exc:
         raise CliError(str(exc))
     bad = sk.check_simplicial_identities()
     status = "pass" if bad is None else "fail"
@@ -369,6 +369,14 @@ def _arg_type(parse):
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc))
     return convert
+
+
+def _trial_count(text):
+    """An argparse type for --trials: an int of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise ValueError("must be at least 1, got %d" % n)
+    return n
 
 
 @functools.cache  # parsing leaves the parser as it was
@@ -427,7 +435,7 @@ def build_parser():
              "pair/grid symmetry criteria for determinants")
     q.add_argument("--field", type=_arg_type(Field.parse), default="F5")
     q.add_argument("--ungraded", action="store_true")
-    q.add_argument("--trials", type=int, default=50)
+    q.add_argument("--trials", type=_arg_type(_trial_count), default=50)
     q.add_argument("--seed", type=int, default=0)
 
     q = verb("cohomology", cmd_cohomology, "H^n of a simplicial set")
@@ -458,7 +466,7 @@ def build_parser():
     q.add_argument("suite", help="suite name or 'all'")
     q.add_argument("--seed", type=int, default=None,
                    help="seed for a suite that takes one (default: its own)")
-    q.add_argument("--trials", type=int, default=None)
+    q.add_argument("--trials", type=_arg_type(_trial_count), default=None)
     return p
 
 

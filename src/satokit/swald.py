@@ -246,32 +246,55 @@ class SSkeleton:
         return None
 
 
+def _gaussian_binomial(n, k, q):
+    """The number of k-dimensional subspaces of F_q^n."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def s_skeleton_counts(field, dim_cap, level_cap, budget):
+    """Objects per level 0..level_cap, in closed form, before any subspace
+    is built: level p holds the weak chains V_1 <= ... <= V_p in F_q^n,
+    summed over the dimension sequences d_1 <= ... <= d_p <= n of
+    [n; d_p]_q [d_p; d_(p-1)]_q ... [d_2; d_1]_q.  Raises BudgetExceeded
+    as soon as the total passes the budget."""
+    if dim_cap < 0 or level_cap < 0:
+        raise ValueError("dim-cap and level-cap must be >= 0")
+    if field.p is None:
+        raise ValueError("the S-construction enumerates over F_p only")
+    if level_cap == 0:
+        return [1]
+    # chains[d][p]: weak chains of length p in F_q^d.  The skeleton of F_q^d
+    # embeds in that of F_q^(d+1), so the totals grow with d, and a total
+    # past the budget below n refuses n too
+    chains = []
+    for d in range(dim_cap + 1):
+        gb = [_gaussian_binomial(d, e, field.p) for e in range(d)]
+        row, total = [1], 1
+        for p in range(1, level_cap + 1):
+            row.append(row[-1] + sum(g * chains[e][p - 1]
+                                     for e, g in enumerate(gb)))
+            total += row[-1]
+            if total > budget:
+                raise BudgetExceeded(
+                    "skeleton would hold at least %d objects (budget %d)"
+                    % (total, budget))
+        chains.append(row)
+    return chains[dim_cap]
+
+
 def enumerate_s_skeleton(field, dim_cap, level_cap, budget=20000):
     """Complete lists of on-the-nose filtration objects up to the caps.
 
-    The member count is estimated up front; a BudgetExceeded error protects
-    against Gaussian-binomial blowup.
+    The member count is computed in closed form up front (see
+    s_skeleton_counts); a BudgetExceeded error protects against
+    Gaussian-binomial blowup.
     """
-    subs = all_subspaces(field, dim_cap)
-    order = {s.rows: k for k, s in enumerate(subs)}
-    contains = [[b.contains(a) for b in subs] for a in subs]
-    # count weak chains by dynamic programming before materializing
-    counts = [1] * len(subs)
-    total = 1 + len(subs)
-    per_level = [1, len(subs)]
-    for _ in range(2, level_cap + 1):
-        new = [0] * len(subs)
-        for a in range(len(subs)):
-            for b in range(len(subs)):
-                if contains[a][b]:
-                    new[a] += counts[b]
-        counts = new
-        per_level.append(sum(counts))
-        total += per_level[-1]
-    if total > budget:
-        raise BudgetExceeded("skeleton would hold %d objects (budget %d)"
-                             % (total, budget))
-
+    s_skeleton_counts(field, dim_cap, level_cap, budget)
+    subs = all_subspaces(field, dim_cap) if level_cap else []
     levels = [[SObject(field, dim_cap, ())]]
     index = [{(): 0}]
     for p in range(1, level_cap + 1):

@@ -335,8 +335,20 @@ def check_tate_ses(i, j):
     return TateSES(i, j, _checked=True)
 
 
+def seeded_tate_ses(i, j, ri, lj):
+    """The TateSES of i and j proven by their one-sided inverses ri and lj:
+    the exact identities i . ri = 1 and lj . j = 1 prove full rank, so no
+    echelon runs; i . j = 0 and the rank count are checked here."""
+    if not i.mul(j).is_zero():
+        raise TateSESInvalid("composite-nonzero")
+    if i.nrows + j.ncols != i.ncols:
+        raise TateSESInvalid("inexact-at-middle")
+    return TateSES(i, j, _checked=True).seed_inverses(ri=ri, lj=lj)
+
+
 def split_tate_ses(field, a, c):
-    """The coordinate split k((t))^a >--> k((t))^(a+c) -->> k((t))^c."""
+    """The coordinate split k((t))^a >--> k((t))^(a+c) -->> k((t))^c, with
+    the transposes of i and j as its one-sided inverses."""
     one = LaurentPoly.one(field)
     z = LaurentPoly.zero(field)
     b = a + c
@@ -344,7 +356,7 @@ def split_tate_ses(field, a, c):
                               for r in range(a)], b)
     j = LaurentMatrix(field, [[one if q == r - a else z for q in range(c)]
                               for r in range(b)], c)
-    return check_tate_ses(i, j)
+    return seeded_tate_ses(i, j, i.transpose(), j.transpose())
 
 
 def twist_tate_ses(ses, aut, aut_inv):

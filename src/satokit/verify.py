@@ -28,9 +28,9 @@ from .simptors import (Cochain, MultTorsorRep, GerbeRep, check_mult_torsor,
                        classify_torsor, cohomology, evaluate_even_odd,
                        gerbe_to_torsor, iso_decide, street_boundaries)
 from .swald import enumerate_s_skeleton, verify_det_theory, verify_dim_theory
-from .tate import (TateSES, TateSpace, lattice_join, lattice_meet,
-                   lattice_normalize, lift_lattice, project_lattice,
-                   relative_index, split_tate_ses, standard_lattice)
+from .tate import (TateSpace, lattice_join, lattice_meet, lattice_normalize,
+                   lift_lattice, project_lattice, relative_index,
+                   seeded_tate_ses, split_tate_ses, standard_lattice)
 
 
 class SuiteResult:
@@ -98,54 +98,41 @@ def diag_lattice(space, shifts):
 
 
 def rand_automorphism(rng, field, n, n_factors=2, emax=2):
-    """Random product of elementary Laurent matrices with its exact inverse."""
+    """Random product E1 . E2 ... of elementary Laurent matrices and its exact
+    inverse, built by applying each E as a column operation on the product
+    and E^-1 as a row operation on the left of the inverse."""
     one = LaurentPoly.one(field)
     z = LaurentPoly.zero(field)
-
-    def ident():
-        return [[one if i == j else z for j in range(n)] for i in range(n)]
-
-    mats, invs = [], []
+    aut = [[one if i == j else z for j in range(n)] for i in range(n)]
+    inv = [list(r) for r in aut]
     for _ in range(n_factors):
-        rows, inv = ident(), ident()
         if n >= 2 and rng.random() < 0.75:
+            # E = 1 + p e_ij: col_j += p col_i, and row_i -= p row_j
             i, j = rng.sample(range(n), 2)
-            p = LaurentPoly(field, [(rng.randint(-emax, emax),
-                                     rng.randrange(1, field.p))])
-            rows[i][j] = p
-            inv[i][j] = p.neg()
+            e, c = rng.randint(-emax, emax), rng.randrange(1, field.p)
+            for r in aut:
+                if r[i].terms:
+                    r[j] = r[j].add(r[i]._times(e, c))
+            inv[i] = [x.sub(y._times(e, c)) if y.terms else x
+                      for x, y in zip(inv[i], inv[j])]
         else:
+            # E = 1 + (c t^e - 1) e_ii: col_i *= c t^e, row_i *= c^-1 t^-e
             i = rng.randrange(n)
-            e = rng.randint(-emax, emax)
-            c = rng.randrange(1, field.p)
-            rows[i][i] = LaurentPoly(field, [(e, c)])
-            inv[i][i] = LaurentPoly(field, [(-e, field.inv(c))])
-        mats.append(LaurentMatrix(field, rows, n))
-        invs.append(LaurentMatrix(field, inv, n))
-    aut = mats[0]
-    for m in mats[1:]:
-        aut = aut.mul(m)
-    aut_inv = invs[-1]
-    for m in reversed(invs[:-1]):
-        aut_inv = aut_inv.mul(m)
-    return aut, aut_inv
+            e, c = rng.randint(-emax, emax), rng.randrange(1, field.p)
+            for r in aut:
+                r[i] = r[i]._times(e, c)
+            inv[i] = [x._times(-e, field.inv(c)) for x in inv[i]]
+    return LaurentMatrix(field, aut, n), LaurentMatrix(field, inv, n)
 
 
-def _selection(field, rows, cols, offset=0):
-    """rows x cols matrix picking coordinates [offset, offset+rows)."""
-    one, z = LaurentPoly.one(field), LaurentPoly.zero(field)
-    return LaurentMatrix(field, [[one if c == r + offset else z
-                                  for c in range(cols)]
-                                 for r in range(rows)], cols)
+def _rows(m, lo, hi):
+    """Rows [lo, hi) of m."""
+    return LaurentMatrix(m.field, m.entries[lo:hi], m.ncols)
 
 
-def _seeded_ses(i, j, ri, lj):
-    """The TateSES of i and j with the one-sided inverses ri and lj seeded:
-    their exact identities i . ri = 1 and lj . j = 1 prove full rank, so
-    only i . j = 0 is left to check."""
-    if not i.mul(j).is_zero():
-        raise AssertionError("derived sequence is inexact")
-    return TateSES(i, j, _checked=True).seed_inverses(ri=ri, lj=lj)
+def _cols(m, lo, hi):
+    """Columns [lo, hi) of m."""
+    return LaurentMatrix(m.field, [r[lo:hi] for r in m.entries], hi - lo)
 
 
 class TwistedChain:
@@ -157,22 +144,19 @@ class TwistedChain:
         self.dims = (a1, a2, a3)
         A2, A2i = rand_automorphism(rng, field, a3, n_factors, emax)
         A1, A1i = rand_automorphism(rng, field, a2, n_factors, emax)
-        P2 = _selection(field, a2, a3)
-        Q2 = _selection(field, a3 - a2, a3, offset=a2).transpose()
-        P1 = _selection(field, a1, a2)
-        Q1 = _selection(field, a2 - a1, a2, offset=a1).transpose()
-        i23, j23 = P2.mul(A2), A2i.mul(Q2)
-        i12, j12 = P1.mul(A1), A1i.mul(Q1)
-        ri23, lj23 = A2i.mul(P2.transpose()), Q2.transpose().mul(A2)
-        ri12, lj12 = A1i.mul(P1.transpose()), Q1.transpose().mul(A1)
-        self.ses23 = _seeded_ses(i23, j23, ri23, lj23)
-        self.ses12 = _seeded_ses(i12, j12, ri12, lj12)
+        # P . A is a block of rows of A, and A^-1 . Q one of columns of A^-1
+        i23, lj23 = _rows(A2, 0, a2), _rows(A2, a2, a3)
+        ri23, j23 = _cols(A2i, 0, a2), _cols(A2i, a2, a3)
+        i12, lj12 = _rows(A1, 0, a1), _rows(A1, a1, a2)
+        ri12, j12 = _cols(A1i, 0, a1), _cols(A1i, a1, a2)
+        self.ses23 = seeded_tate_ses(i23, j23, ri23, lj23)
+        self.ses12 = seeded_tate_ses(i12, j12, ri12, lj12)
         j13_left = ri23.mul(j12)
         j13 = LaurentMatrix(field, [l + r for l, r in
                                     zip(j13_left.entries, j23.entries)],
                             (a2 - a1) + (a3 - a2))
         lj13 = LaurentMatrix(field, lj12.mul(i23).entries + lj23.entries, a3)
-        self.ses13 = _seeded_ses(i12.mul(i23), j13, ri23.mul(ri12), lj13)
+        self.ses13 = seeded_tate_ses(i12.mul(i23), j13, ri23.mul(ri12), lj13)
         # in these coordinates X3/X1 = (X2/X1) (+) (X3/X2) on the nose
         self.sesq = split_tate_ses(field, a2 - a1, a3 - a2)
 

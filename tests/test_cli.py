@@ -449,6 +449,41 @@ def test_cli_s_enumerate_budget(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv,msg", [
+    (["s-enumerate", "--dim-cap", "7", "--level-cap", "1"], "budget"),
+    (["s-enumerate", "--dim-cap", "-1"], "dim-cap"),
+    (["s-enumerate", "--level-cap", "-2"], "level-cap"),
+    (["s-enumerate", "--field", "Q"], "F_p"),
+    (["det-symmetry", "--field", "Q"], "finite field"),
+])
+def test_cli_s_enumerate_refusals_exit_2_fast(capsys, argv, msg):
+    import time
+    t0 = time.monotonic()
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert time.monotonic() - t0 < 1
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and msg in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "mu", "--trials", "-1"],
+    ["verify", "lift-project", "--trials", "0"],
+    ["det-symmetry", "--trials", "-2"],
+    ["det-symmetry", "--field", "Q", "--trials", "0"],
+])
+def test_cli_non_positive_trials_exit_2(capsys, argv):
+    import time
+    t0 = time.monotonic()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert time.monotonic() - t0 < 1
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--trials: must be at least 1" in err and "Traceback" not in err
+
+
 def test_cli_verify(capsys):
     rc = main(["verify", "cohomology"])
     assert rc == 0

@@ -3,11 +3,11 @@ import pytest
 from satokit.abgroup import AbelianGroup, ZZ
 from satokit.detline import DetTheory, graded_det
 from satokit.dimtorsor import DimTheory
-from satokit.exactlin import F2, F5, Matrix, Subspace
+from satokit.exactlin import F2, F3, F5, QQ, Matrix, Subspace, all_subspaces
 from satokit.swald import (
     BudgetExceeded, SObject, SObjectError, build_s_object,
-    enumerate_s_skeleton, s_degeneracy, s_face, verify_det_theory,
-    verify_dim_theory,
+    enumerate_s_skeleton, s_degeneracy, s_face, s_skeleton_counts,
+    verify_det_theory, verify_dim_theory,
 )
 
 
@@ -121,6 +121,54 @@ def test_skeleton_level2_matches_ses_count():
 def test_budget_guard():
     with pytest.raises(BudgetExceeded):
         enumerate_s_skeleton(F2, 2, 4, budget=10)
+
+
+def _counts_by_containment(field, n, level_cap):
+    """Weak chains per level by dynamic programming over the containment
+    table of all subspaces of F_q^n."""
+    subs = all_subspaces(field, n)
+    counts = [1] * len(subs)
+    per_level = [1, len(subs)]
+    for _ in range(2, level_cap + 1):
+        counts = [sum(c for b, c in zip(subs, counts) if b.contains(a))
+                  for a in subs]
+        per_level.append(sum(counts))
+    return per_level[:level_cap + 1]
+
+
+@pytest.mark.parametrize("field,n,level_cap", [
+    (F2, 0, 3), (F2, 1, 4), (F2, 2, 4), (F2, 3, 4), (F2, 4, 3),
+    (F3, 2, 3), (F5, 2, 3), (F2, 3, 0)])
+def test_closed_form_counts_match_the_chains(field, n, level_cap):
+    got = s_skeleton_counts(field, n, level_cap, 10 ** 9)
+    assert got == _counts_by_containment(field, n, level_cap)
+    if sum(got) <= 2000:
+        assert enumerate_s_skeleton(field, n, level_cap).counts() == got
+
+
+def test_budget_refused_before_any_subspace_is_built(monkeypatch):
+    import time
+    import satokit.swald
+
+    def unreachable(*args):
+        raise AssertionError("subspaces enumerated before the budget check")
+
+    monkeypatch.setattr(satokit.swald, "all_subspaces", unreachable)
+    t0 = time.monotonic()
+    # F_2^7 has 29212 subspaces; huge caps are refused as fast
+    for dim_cap, level_cap in ((7, 1), (10 ** 6, 1), (0, 10 ** 9)):
+        with pytest.raises(BudgetExceeded):
+            enumerate_s_skeleton(F2, dim_cap, level_cap)
+    assert time.monotonic() - t0 < 1
+    # level 0 is the basepoint alone, whatever the ambient
+    assert enumerate_s_skeleton(F2, 10 ** 6, 0).counts() == [1]
+
+
+@pytest.mark.parametrize("field,dim_cap,level_cap", [
+    (F2, -1, 2), (F2, 2, -2), (QQ, 1, 1)])
+def test_enumerate_refuses_bad_caps_and_fields(field, dim_cap, level_cap):
+    with pytest.raises(ValueError):
+        enumerate_s_skeleton(field, dim_cap, level_cap)
 
 
 def test_simplicial_identities_on_skeleton():

@@ -863,15 +863,145 @@ def _counting(monkeypatch, module, names):
     return calls
 
 
-def test_twisted_chain_runs_only_the_split_quotients_echelons(monkeypatch):
-    # the twisted sequences are proven by their seeded inverses; only sesq,
-    # the plain coordinate split, gets the two rank echelons
+def test_twisted_chain_runs_no_echelon(monkeypatch):
+    # every sequence of a chain, the coordinate split sesq included, is
+    # proven by its seeded inverses, so no rank echelon runs
     import satokit.laurent
     from satokit.verify import TwistedChain
     calls = _counting(monkeypatch, satokit.laurent, ["_echelon"])
     for seed in range(3):
         TwistedChain(random.Random(seed), F5, 1, 2, 3)
-    assert calls == {"_echelon": 6}
+    assert calls == {}
+
+
+# --- oracles for the sliced chain: products of elementary and selection
+# matrices, as the chain was once built ---------------------------------------
+
+def _automorphism_by_products(rng, field, n, n_factors=2, emax=2):
+    """verify.rand_automorphism as a product of its elementary factors
+    E1 . E2 ... and the product ... E2^-1 . E1^-1 of their inverses, with the
+    same draws in the same order."""
+    one, z = LaurentPoly.one(field), LaurentPoly.zero(field)
+    aut = aut_inv = LaurentMatrix.identity(field, n)
+    for _ in range(n_factors):
+        rows = [[one if r == c else z for c in range(n)] for r in range(n)]
+        inv = [list(r) for r in rows]
+        if n >= 2 and rng.random() < 0.75:
+            i, j = rng.sample(range(n), 2)
+            p = LaurentPoly(field, [(rng.randint(-emax, emax),
+                                     rng.randrange(1, field.p))])
+            rows[i][j] = p
+            inv[i][j] = p.neg()
+        else:
+            i = rng.randrange(n)
+            e = rng.randint(-emax, emax)
+            c = rng.randrange(1, field.p)
+            rows[i][i] = LaurentPoly(field, [(e, c)])
+            inv[i][i] = LaurentPoly(field, [(-e, field.inv(c))])
+        aut = aut.mul(LaurentMatrix(field, rows, n))
+        aut_inv = LaurentMatrix(field, inv, n).mul(aut_inv)
+    return aut, aut_inv
+
+
+def _selection(field, rows, cols, offset=0):
+    """rows x cols matrix picking coordinates [offset, offset+rows)."""
+    one, z = LaurentPoly.one(field), LaurentPoly.zero(field)
+    return LaurentMatrix(field, [[one if c == r + offset else z
+                                  for c in range(cols)]
+                                 for r in range(rows)], cols)
+
+
+def _split_by_rank_check(field, a, c):
+    """The coordinate split through the full diagnosis, inverses unseeded."""
+    b = a + c
+    return check_tate_ses(_selection(field, a, b),
+                          _selection(field, c, b, offset=a).transpose())
+
+
+def _chain_by_selections(rng, field, a1, a2, a3, emax=2, n_factors=2):
+    """(i, j, ri, lj) of ses12, ses23, ses13 and sesq of a TwistedChain drawn
+    from rng, by selection products; sesq's inverses are computed."""
+    A2, A2i = _automorphism_by_products(rng, field, a3, n_factors, emax)
+    A1, A1i = _automorphism_by_products(rng, field, a2, n_factors, emax)
+    P2 = _selection(field, a2, a3)
+    Q2 = _selection(field, a3 - a2, a3, offset=a2).transpose()
+    P1 = _selection(field, a1, a2)
+    Q1 = _selection(field, a2 - a1, a2, offset=a1).transpose()
+    i23, j23 = P2.mul(A2), A2i.mul(Q2)
+    i12, j12 = P1.mul(A1), A1i.mul(Q1)
+    ri23, lj23 = A2i.mul(P2.transpose()), Q2.transpose().mul(A2)
+    ri12, lj12 = A1i.mul(P1.transpose()), Q1.transpose().mul(A1)
+    j13_left = ri23.mul(j12)
+    j13 = LaurentMatrix(field, [l + r for l, r in
+                                zip(j13_left.entries, j23.entries)], a3 - a1)
+    lj13 = LaurentMatrix(field, lj12.mul(i23).entries + lj23.entries, a3)
+    q = _split_by_rank_check(field, a2 - a1, a3 - a2)
+    return {"ses12": (i12, j12, ri12, lj12),
+            "ses23": (i23, j23, ri23, lj23),
+            "ses13": (i12.mul(i23), j13, ri23.mul(ri12), lj13),
+            "sesq": (q.i, q.j, q.right_inverse_of_i()[0],
+                     q.left_inverse_of_j()[0])}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([F2, F5]), st.integers(1, 4), st.integers(0, 3),
+       st.integers(0, 2), st.integers(0, 10 ** 6))
+def test_rand_automorphism_matches_the_product_of_its_factors(
+        field, n, n_factors, emax, seed):
+    from satokit.verify import rand_automorphism
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    got = rand_automorphism(rng, field, n, n_factors, emax)
+    want = _automorphism_by_products(oracle_rng, field, n, n_factors, emax)
+    assert got == want
+    assert rng.getstate() == oracle_rng.getstate()
+    assert got[0].mul(got[1]) == LaurentMatrix.identity(field, n)
+
+
+@pytest.mark.parametrize("field", [F2, F5])
+def test_twisted_chain_matches_the_selection_products(field):
+    from satokit.verify import TwistedChain
+    for seed in range(50):
+        ch = TwistedChain(random.Random(seed), field, 1, 2, 3)
+        want = _chain_by_selections(random.Random(seed), field, 1, 2, 3)
+        for name, (i, j, ri, lj) in want.items():
+            ses = getattr(ch, name)
+            assert (ses.i, ses.j) == (i, j), (seed, name)
+            one = LaurentPoly.one(field)
+            assert ses._cache["ri"] == (ri, one), (seed, name)
+            assert ses._cache["lj"] == (lj, one), (seed, name)
+
+
+@pytest.mark.parametrize("field", [F2, F5])
+def test_split_tate_ses_is_seeded_without_an_echelon(monkeypatch, field):
+    import satokit.laurent
+    for a in range(4):
+        for c in range(4):
+            want = _split_by_rank_check(field, a, c)
+            calls = _counting(monkeypatch, satokit.laurent, ["_echelon"])
+            ses = split_tate_ses(field, a, c)
+            assert not calls, (a, c)
+            monkeypatch.undo()
+            assert (ses.i, ses.j) == (want.i, want.j), (a, c)
+            assert ses.right_inverse_of_i() == want.right_inverse_of_i()
+            assert ses.left_inverse_of_j() == want.left_inverse_of_j()
+            assert diagnose_tate_ses(ses.i, ses.j) is None, (a, c)
+
+
+def test_seeded_tate_ses_refuses_inexact_data():
+    from satokit.tate import seeded_tate_ses
+    one, z = LaurentPoly.one(F5), LaurentPoly.zero(F5)
+    i = LaurentMatrix(F5, [[one, z]])
+    with pytest.raises(TateSESInvalid, match="composite-nonzero"):
+        seeded_tate_ses(i, LaurentMatrix(F5, [[one], [one]]), i.transpose(),
+                        LaurentMatrix(F5, [[z, one]]))
+    # i . j = 0 and both inverses hold, but 1 + 0 != 2
+    j0 = LaurentMatrix(F5, [[], []], ncols=0)
+    with pytest.raises(TateSESInvalid, match="inexact-at-middle"):
+        seeded_tate_ses(i, j0, i.transpose(), j0.transpose())
+    with pytest.raises(ValueError, match="seeded right inverse"):
+        seeded_tate_ses(i, LaurentMatrix(F5, [[z], [one]]),
+                        LaurentMatrix(F5, [[z], [one]]),
+                        LaurentMatrix(F5, [[z, one]]))
 
 
 def test_suite_lift_project_lifts_four_and_projects_three(monkeypatch):
