@@ -759,7 +759,8 @@ def all_subspaces(field, ambient):
 def smith_normal_form(rows):
     """Invariant factors (divisibility chain) and rank of an integer matrix
     given as a list of rows."""
-    s = snf_with_transforms(rows)[0]
+    s = snf_with_transforms([dict(enumerate(r)) for r in rows],
+                            len(rows[0]) if rows else 0, ())[0]
     factors = [x for x in (r.get(i, 0) for i, r in enumerate(s)) if x]
     return factors, len(factors)
 
@@ -774,27 +775,31 @@ def _axpy(dst, src, q):
             del dst[k]
 
 
-def snf_with_transforms(rows):
+def snf_with_transforms(rows, ncols, keep):
     """Smith normal form S = U M V with U, V unimodular, on nonzero entries.
 
-    M is a list of integer rows.  Returns (S, U, V, U^-1, V^-1) as lists of
-    sparse lines {index: nonzero entry}: S, U and V^-1 as rows, V and U^-1
-    as columns, the orientation in which each of their updates is a row
-    operation.  A row operation on U is the inverse column operation on
-    U^-1, and a column operation on V the inverse row operation on V^-1, so
-    the inverses are kept as the elimination goes.  The pivot is an entry
-    of least absolute value, the first one in row-major order.
+    M is given by its sparse rows {column: entry} and its column count.
+    keep names the transforms to build, out of "U", "V", "U^-1", "V^-1";
+    the others are never built and are returned as None.  Returns (S, U, V,
+    U^-1, V^-1) as lists of sparse lines {index: nonzero entry}: S, U and
+    V^-1 as rows, V and U^-1 as columns, the orientation in which each of
+    their updates is a row operation.  A row operation on U is the inverse
+    column operation on U^-1, and a column operation on V the inverse row
+    operation on V^-1, so the inverses are kept as the elimination goes.
+    The pivot, the first entry of least absolute value in row-major order,
+    depends on M alone, so what is kept changes no result.
     """
     nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    R = [{j: x for j, x in enumerate(r) if x} for r in rows]
-    U, Uinv = [{i: 1} for i in range(nrows)], [{i: 1} for i in range(nrows)]
-    V, Vinv = [{j: 1} for j in range(ncols)], [{j: 1} for j in range(ncols)]
+    R = [{j: x for j, x in r.items() if x} for r in rows]
+    size = {"U": nrows, "V": ncols, "U^-1": nrows, "V^-1": ncols}
+    kept = {k: [{i: 1} for i in range(size[k])] for k in keep}
+    U, V, Uinv, Vinv = (kept.get(k) for k in size)
+    by_row = [m for m in (R, U, Uinv) if m is not None]
 
     def row_op(i, j, q):  # row_i -= q * row_j
-        _axpy(R[i], R[j], q)
-        _axpy(U[i], U[j], q)
-        _axpy(Uinv[j], Uinv[i], -q)
+        for m, a, b, c in ((R, i, j, q), (U, i, j, q), (Uinv, j, i, -q)):
+            if m is not None:
+                _axpy(m[a], m[b], c)
 
     t = 0
     while t < min(nrows, ncols):
@@ -812,7 +817,7 @@ def snf_with_transforms(rows):
         a, i = best
         j = min(k for k, x in R[i].items() if abs(x) == a)
         if i != t:
-            for m in (R, U, Uinv):
+            for m in by_row:
                 m[t], m[i] = m[i], m[t]
         if j != t:
             for r in R[t:]:
@@ -822,19 +827,22 @@ def snf_with_transforms(rows):
                 if y:
                     r[t] = y
             for m in (V, Vinv):
-                m[t], m[j] = m[j], m[t]
+                if m is not None:
+                    m[t], m[j] = m[j], m[t]
         piv = R[t][t]
         below = [i for i in range(t + 1, nrows) if t in R[i]]
         for i in below:
             row_op(i, t, R[i][t] // piv)
-        # column t is left nonzero at t and where a remainder is
+        # col_j -= q_j * col_t for every j > t, one pass per row where
+        # column t is nonzero: at t and where a remainder is
         support = [t] + [i for i in below if t in R[i]]
-        for j in sorted(R[t]):
-            if j > t:  # col_j -= q * col_t
-                q = R[t][j] // piv
-                for r in support:
-                    _axpy(R[r], {j: R[r][t]}, q)
+        qs = {j: x // piv for j, x in R[t].items() if j > t}
+        for r in support:
+            _axpy(R[r], qs, R[r][t])
+        for j, q in qs.items():
+            if V is not None:
                 _axpy(V[j], V[t], q)
+            if Vinv is not None:
                 _axpy(Vinv[t], Vinv[j], -q)
         if len(support) > 1 or len(R[t]) > 1:
             continue
@@ -847,9 +855,9 @@ def snf_with_transforms(rows):
                 continue
         if piv < 0:
             R[t][t] = -piv
-            for m in (U[t], Uinv[t]):
-                for k in m:
-                    m[k] = -m[k]
+            for m in by_row[1:]:
+                for k in m[t]:
+                    m[t][k] = -m[t][k]
         t += 1
     return R, U, V, Uinv, Vinv
 
@@ -864,7 +872,7 @@ def _egcd(a, b):
 def solve_mod(snf, b, d):
     """One solution x of A x = b (mod d); d == 0 means over Z.  None if none.
 
-    A is given by its Smith form snf = snf_with_transforms(A), so that one
+    A is given by a Smith form snf of A that keeps U and V, so that one
     form serves every right-hand side; b is a vector, and x is returned as a
     list of ints reduced mod d when d > 0.
     """

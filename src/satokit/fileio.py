@@ -197,6 +197,8 @@ def parse_simplicial_set(text, dim_cap=None):
             dim = int(parts[1])
         except ValueError:
             raise ParseError("bad dimension %r" % parts[1], i + 1, 2)
+        if dim < 0:
+            raise ParseError("negative dimension %d" % dim, i + 1, 2)
         sid = parts[2]
         if dim == 0:
             if len(parts) > 3:

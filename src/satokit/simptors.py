@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 from .abgroup import GroupElem
-from .exactlin import smith_normal_form, snf_with_transforms, solve_mod
+from .exactlin import snf_with_transforms, solve_mod
 
 MAX_DIM_CAP = 5
 
@@ -82,6 +82,8 @@ def validate_simplicial_set(raw, dim_cap=None):
     for sid, d, fs in raw:
         simplices.setdefault(d, []).append(sid)
         dims[sid] = d
+        if d < 0:
+            raise ComplexError("negative dimension %d of %r" % (d, sid))
         if d == 0:
             if fs:
                 raise ComplexError("vertex %r with faces" % (sid,))
@@ -238,17 +240,17 @@ class Cochain:
 
 
 def coboundary_matrix(complex_, degree):
-    """Integer matrix of delta: C^degree -> C^(degree+1), rows indexed by
-    (degree+1)-simplices in id order, columns by degree-simplices."""
-    src = complex_.ids(degree)
-    col = {sid: k for k, sid in enumerate(src)}
+    """Integer matrix of delta: C^degree -> C^(degree+1) as sparse rows
+    {column: nonzero entry}, one per (degree+1)-simplex in id order; the
+    columns are the degree-simplices in id order."""
+    col = {sid: k for k, sid in enumerate(complex_.ids(degree))}
     rows = []
     for tau in complex_.ids(degree + 1):
-        r = [0] * len(src)
+        r = {}
         for i in range(degree + 2):
-            f = complex_.face(tau, i)
-            r[col[f]] += 1 if i % 2 == 0 else -1
-        rows.append(r)
+            k = col[complex_.face(tau, i)]
+            r[k] = r.get(k, 0) + (1 if i % 2 == 0 else -1)
+        rows.append({k: x for k, x in r.items() if x})
     return rows
 
 
@@ -406,11 +408,8 @@ class CyclicCohomology:
             rel += [{self._pos[k][0]: order // self._pos[k][1] * x
                      for k, x in col.items()} for col in cob.vinv]
         z = len(self._keep)
-        rmat = [[0] * max(len(rel), 1) for _ in range(z)]
-        for c, col in enumerate(rel):
-            for p, x in col.items():
-                rmat[p][c] = x
-        s, self._ur, _, self._ur_inv, _ = snf_with_transforms(rmat)
+        s, self._ur, _, self._ur_inv, _ = snf_with_transforms(
+            _transpose(rel, z), len(rel), ("U", "U^-1"))
         self._sr = [s[i].get(i, 0) for i in range(z)]
         self.factors = tuple(f for f in self._sr if f != 1)
 
@@ -465,19 +464,13 @@ class _Coboundaries:
 
     def __init__(self, complex_, degree):
         n = complex_.n_simplices(degree)
-        D = coboundary_matrix(complex_, degree)
-        self.rows = _sparse(D)
-        # with no higher simplices D has no rows; a zero row has its kernel
-        s, _, self.v, _, vinv = snf_with_transforms(D or [[0] * n])
+        self.rows = coboundary_matrix(complex_, degree)
+        s, _, self.v, _, vinv = snf_with_transforms(self.rows, n,
+                                                    ("V", "V^-1"))
         self.s = [s[i].get(i, 0) if i < len(s) else 0 for i in range(n)]
         self.vinv = _transpose(vinv, n)
         A = coboundary_matrix(complex_, degree - 1) if degree > 0 else []
-        self.a_cols = _transpose(_sparse(A),
-                                 complex_.n_simplices(degree - 1))
-
-
-def _sparse(rows):
-    return [{j: x for j, x in enumerate(r) if x} for r in rows]
+        self.a_cols = _transpose(A, complex_.n_simplices(degree - 1))
 
 
 def _transpose(lines, n):
@@ -540,11 +533,9 @@ def canonical_factors(summands):
     """Invariant factors of a direct sum of cyclic groups."""
     free = sum(1 for d in summands if d == 0)
     torsion = [d for d in summands if d != 0]
-    if torsion:
-        diag = [[torsion[i] if i == j else 0 for j in range(len(torsion))]
-                for i in range(len(torsion))]
-        factors, _ = smith_normal_form(diag)
-        torsion = [f for f in factors if f != 1]
+    s = snf_with_transforms([{i: d} for i, d in enumerate(torsion)],
+                            len(torsion), ())[0]
+    torsion = [r[i] for i, r in enumerate(s) if r[i] != 1]
     return tuple(torsion) + (0,) * free
 
 
@@ -592,13 +583,12 @@ def iso_decide(t1, t2):
     diff = t1.absolute_alpha().sub(t2.absolute_alpha())
     cx = t1.complex
     group = t1.group
-    A = coboundary_matrix(cx, t1.degree)
-    snf = snf_with_transforms(A) if A else None
+    snf = snf_with_transforms(coboundary_matrix(cx, t1.degree),
+                              cx.n_simplices(t1.degree), ("U", "V"))
     vals = {}
     sols = []
     for q, d in enumerate(group.factors):
-        x = (solve_mod(snf, diff.int_vector(q), d) if snf
-             else [0] * cx.n_simplices(t1.degree))
+        x = solve_mod(snf, diff.int_vector(q), d)
         if x is None:
             return None
         sols.append(x)

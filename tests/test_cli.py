@@ -14,7 +14,8 @@ from satokit.fileio import (ParseError, format_cochain, format_lattice,
 from satokit.abgroup import AbelianGroup, ZZ, parse_group
 from satokit.exactlin import F2, F5
 from satokit.laurent import LaurentMatrix, LaurentPoly
-from satokit.simptors import Cochain, cohomology
+from satokit.simptors import (Cochain, ComplexError, cohomology,
+                              validate_simplicial_set)
 from satokit.tate import TateSpace, lattice_normalize, standard_lattice
 
 
@@ -727,6 +728,19 @@ def test_cli_sset_diagnosis_passthrough(tmp_path, capsys):
     rc = main(["cohomology", f, "--degree", "0", "--group", "Z"])
     assert rc == 2
     assert "dangling" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim", [-1, -3])
+def test_cli_negative_simplex_dimension_exits_2(tmp_path, capsys, dim):
+    f = _write(tmp_path, "neg.sset",
+               "simplex 0 v\nsimplex %d x faces\n" % dim)
+    rc = main(["--json", "cohomology", f, "--degree", "0", "--group", "Z"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "negative dimension %d at line 2" % dim in captured.err
+    with pytest.raises(ComplexError, match="negative dimension"):
+        validate_simplicial_set([("v", 0, ()), ("x", dim, ())])
 
 
 @pytest.mark.parametrize("name,text,line", [

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -375,8 +376,20 @@ def _minor_gcd_oracle(rows):
     return factors
 
 
+_TRANSFORMS = ("U", "V", "U^-1", "V^-1")
+
+
+def _sparse(rows):
+    return [{j: x for j, x in enumerate(r) if x} for r in rows]
+
+
+def _dense(rows, ncols):
+    return [[r.get(j, 0) for j in range(ncols)] for r in rows]
+
+
 def _dense_snf(rows):
-    """snf_with_transforms(rows) as five lists of dense rows."""
+    """snf_with_transforms of the dense rows, keeping every transform, as
+    five lists of dense rows."""
     nrows, ncols = len(rows), len(rows[0]) if rows else 0
 
     def dense(lines, n, m, columns=False):
@@ -384,7 +397,8 @@ def _dense_snf(rows):
             return [[line.get(i, 0) for line in lines] for i in range(n)]
         return [[line.get(j, 0) for j in range(m)] for line in lines]
 
-    s, u, v, uinv, vinv = snf_with_transforms(rows)
+    s, u, v, uinv, vinv = snf_with_transforms(_sparse(rows), ncols,
+                                              _TRANSFORMS)
     return (dense(s, nrows, ncols), dense(u, nrows, nrows),
             dense(v, ncols, ncols, True), dense(uinv, nrows, nrows, True),
             dense(vinv, ncols, ncols))
@@ -515,11 +529,48 @@ def test_snf_of_coboundaries_matches_dense_oracle(name, degree):
     from satokit.simptors import cohomology, coboundary_matrix
     cx = {"torus": torus, "klein": _klein_bottle,
           "rp2": projective_plane}[name]()
-    for rows in (coboundary_matrix(cx, degree),
-                 [list(c) for c in zip(*coboundary_matrix(cx, degree))]):
+    d = _dense(coboundary_matrix(cx, degree), cx.n_simplices(degree))
+    for rows in (d, [list(c) for c in zip(*d)]):
         assert _dense_snf(rows) == _dense_snf_oracle(rows)
     h2 = {"torus": (0,), "klein": (2,), "rp2": (2,)}[name]
     assert cohomology(cx, 2, ZZ).group_presentation == h2
+
+
+def _coboundary_case(name, degree, transposed):
+    """(sparse rows, column count) of a coboundary of the torus, the Klein
+    bottle or RP^2, or of its transpose."""
+    from satokit.complexes import projective_plane, torus
+    from satokit.simptors import coboundary_matrix
+    cx = {"torus": torus, "klein": _klein_bottle,
+          "rp2": projective_plane}[name]()
+    rows = _dense(coboundary_matrix(cx, degree), cx.n_simplices(degree))
+    if transposed:
+        return _sparse(zip(*rows)), len(rows)
+    return _sparse(rows), cx.n_simplices(degree)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda ncols: st.tuples(
+    st.lists(st.lists(_SNF_ENTRIES | st.integers(-30, 30), min_size=ncols,
+                      max_size=ncols), max_size=6).map(_sparse),
+    st.just(ncols))) | st.builds(
+        _coboundary_case, st.sampled_from(["torus", "klein", "rp2"]),
+        st.sampled_from([0, 1]), st.booleans()))
+def test_snf_dropped_transforms(case):
+    # every subset of the transforms: S and each kept transform as when all
+    # four are kept, each dropped one None, and the input left as it was
+    rows, ncols = case
+    before = [dict(r) for r in rows]
+    full = snf_with_transforms(rows, ncols, _TRANSFORMS)
+    for k in range(len(_TRANSFORMS) + 1):
+        for keep in itertools.combinations(_TRANSFORMS, k):
+            got = snf_with_transforms(rows, ncols, keep)
+            assert got[0] == full[0]
+            for name, g, f in zip(_TRANSFORMS, got[1:], full[1:]):
+                assert g == (f if name in keep else None)
+    assert rows == before
+    with pytest.raises(KeyError):
+        snf_with_transforms(rows, ncols, ("W",))
 
 
 def test_snf_trivial_cases():
@@ -608,13 +659,12 @@ def test_snf_unimodular_invariance():
 
 
 def test_solve_mod():
-    a = [[2, 0], [0, 3]]
-    snf = snf_with_transforms(a)
+    snf = snf_with_transforms([{0: 2}, {1: 3}], 2, ("U", "V"))
     x = solve_mod(snf, [4, 3], 6)
     assert x is not None
     assert [(2 * x[0]) % 6, (3 * x[1]) % 6] == [4, 3]
     assert solve_mod(snf, [1, 0], 6) is None  # 2x = 1 has no solution mod 6
-    snf = snf_with_transforms([[3]])
+    snf = snf_with_transforms([{0: 3}], 1, ("U", "V"))
     x = solve_mod(snf, [6], 0)
     assert x == [2]
     assert solve_mod(snf, [7], 0) is None
