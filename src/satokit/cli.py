@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from random import Random
 
 from . import verify as verify_mod
 from .abgroup import format_group, parse_group
@@ -22,9 +23,10 @@ from .exactlin import Field
 from .fileio import (ParseError, format_cochain, format_lattice,
                      parse_cochain, parse_lattice, parse_laurent_matrix,
                      parse_simplicial_set)
-from .simptors import (DegreeRangeError, GerbeError, GerbeRep,
-                       check_mult_torsor, classify_torsor, cohomology,
-                       gerbe_to_torsor, iso_decide)
+from .simptors import (ComplexError, DegreeRangeError, GerbeError,
+                       GerbeRep, MultTorsorRep, check_mult_torsor,
+                       classify_torsor, cohomology, gerbe_to_torsor,
+                       iso_decide)
 from .swald import BudgetExceeded, enumerate_s_skeleton
 from .tate import (TateSESInvalid, check_tate_ses, diagnose_tate_ses,
                    lattice_join, lattice_meet, lift_lattice, project_lattice,
@@ -47,32 +49,19 @@ def _read(path):
         raise CliError("cannot read %s: %s" % (path, exc))
 
 
-def _load_lattice(path):
+def _load(path, parse, *args):
+    """parse(text of path, *args); a malformed file is a usage error that
+    names it."""
     try:
-        return parse_lattice(_read(path))
-    except ParseError as exc:
-        raise CliError("%s: %s" % (path, exc))
-
-
-def _load_lmx(path):
-    try:
-        return parse_laurent_matrix(_read(path))
-    except ParseError as exc:
-        raise CliError("%s: %s" % (path, exc))
-
-
-def _load_sset(path):
-    from .simptors import ComplexError
-    try:
-        return parse_simplicial_set(_read(path))
+        return parse(_read(path), *args)
     except (ParseError, ComplexError) as exc:
         raise CliError("%s: %s" % (path, exc))
 
 
 def _load_pair(i_path, j_path):
     """The matrices of i.lmx and j.lmx, refused unless i . j is defined."""
-    i = _load_lmx(i_path)
-    j = _load_lmx(j_path)
+    i = _load(i_path, parse_laurent_matrix)
+    j = _load(j_path, parse_laurent_matrix)
     if i.field != j.field:
         raise CliError("%s is over %s but %s is over %s"
                        % (i_path, i.field, j_path, j.field))
@@ -87,7 +76,7 @@ def _load_ses_and_lattice(args):
         ses = check_tate_ses(*_load_pair(args.i, args.j))
     except TateSESInvalid as exc:
         raise CliError("sequence invalid: %s" % exc.code, FAIL)
-    u = _load_lattice(args.lattice)
+    u = _load(args.lattice, parse_lattice)
     if u.space != ses.total_space:
         raise CliError("%s lives in %s, not in the middle space %s"
                        % (args.lattice, u.space, ses.total_space))
@@ -95,8 +84,8 @@ def _load_ses_and_lattice(args):
 
 
 def _load_lattice_pair(args):
-    a = _load_lattice(args.a)
-    b = _load_lattice(args.b)
+    a = _load(args.a, parse_lattice)
+    b = _load(args.b, parse_lattice)
     if a.space != b.space:
         raise CliError("%s lives in %s but %s in %s"
                        % (args.a, a.space, args.b, b.space))
@@ -134,36 +123,28 @@ def cmd_index(args):
                  [str(idx)])
 
 
-def _binary_lattice_op(args, op, name):
-    a, b = _load_lattice_pair(args)
-    out = op(a, b)
-    text = format_lattice(out)
+def _emit_lattice(args, name, lat):
+    text = format_lattice(lat)
     return _emit(args, {"command": name, "status": "pass", "lattice": text},
                  [text.rstrip()])
 
 
 def cmd_meet(args):
-    return _binary_lattice_op(args, lattice_meet, "meet")
+    return _emit_lattice(args, "meet", lattice_meet(*_load_lattice_pair(args)))
 
 
 def cmd_join(args):
-    return _binary_lattice_op(args, lattice_join, "join")
+    return _emit_lattice(args, "join", lattice_join(*_load_lattice_pair(args)))
 
 
 def cmd_lift(args):
-    ses, u = _load_ses_and_lattice(args)
-    out = lift_lattice(ses, u)
-    text = format_lattice(out)
-    return _emit(args, {"command": "lift", "status": "pass", "lattice": text},
-                 [text.rstrip()])
+    return _emit_lattice(args, "lift",
+                         lift_lattice(*_load_ses_and_lattice(args)))
 
 
 def cmd_project(args):
-    ses, u = _load_ses_and_lattice(args)
-    out = project_lattice(ses, u)
-    text = format_lattice(out)
-    return _emit(args, {"command": "project", "status": "pass",
-                        "lattice": text}, [text.rstrip()])
+    return _emit_lattice(args, "project",
+                         project_lattice(*_load_ses_and_lattice(args)))
 
 
 def cmd_ses_check(args):
@@ -208,23 +189,10 @@ def _coords(text, group):
 def cmd_det_symmetry(args):
     field = args.field
     theory = ungraded_det(field) if args.ungraded else graded_det(field)
-    import random
-    from .exactcat import complete_grid_3x3, inclusion_map
-    from .exactlin import Subspace
     if field.p is None:
         raise CliError("det-symmetry needs a finite field")
-    rng = random.Random(args.seed)
     pairs = [(a, b) for a in range(3) for b in range(3)]
-    grids = []
-    for _ in range(args.trials):
-        ambient = rng.randint(1, 3)
-        rows1 = [[rng.randrange(field.p) for _ in range(ambient)]
-                 for _ in range(rng.randint(0, ambient))]
-        rows2 = [[rng.randrange(field.p) for _ in range(ambient)]
-                 for _ in range(rng.randint(0, ambient))]
-        grids.append(complete_grid_3x3(
-            inclusion_map(Subspace.from_rows(field, ambient, rows1)),
-            inclusion_map(Subspace.from_rows(field, ambient, rows2))))
+    grids = verify_mod.random_grids(Random(args.seed), field, args.trials)
     rep = check_symmetry(theory, pairs, grids)
     failures = [{"kind": i.kind,
                  "data": str(i.data if i.kind == "pair" else "grid"),
@@ -243,7 +211,7 @@ def cmd_det_symmetry(args):
 
 
 def cmd_cohomology(args):
-    cx = _load_sset(args.sset)
+    cx = _load(args.sset, parse_simplicial_set)
     group = args.group
     res = cohomology(cx, args.degree, group)
     pres = format_group(type(group)(res.group_presentation))
@@ -253,15 +221,11 @@ def cmd_cohomology(args):
 
 
 def cmd_classify(args):
-    cx = _load_sset(args.sset)
-    try:
-        alpha = parse_cochain(_read(args.cochain), cx)
-    except ParseError as exc:
-        raise CliError("%s: %s" % (args.cochain, exc))
+    cx = _load(args.sset, parse_simplicial_set)
+    alpha = _load(args.cochain, parse_cochain, cx)
     if alpha.degree < 1:
         raise CliError("torsor data must live on simplices of dimension "
                        ">= 1")
-    from .simptors import MultTorsorRep
     t1 = MultTorsorRep(cx, alpha.degree - 1, alpha.group, alpha)
     try:
         cls = classify_torsor(t1)
@@ -272,10 +236,7 @@ def cmd_classify(args):
                "class": [list(c) for c in cls.coords]}
     lines = ["class in H^%d: %s" % (alpha.degree, cls.coords)]
     if args.other:
-        try:
-            beta = parse_cochain(_read(args.other), cx)
-        except ParseError as exc:
-            raise CliError("%s: %s" % (args.other, exc))
+        beta = _load(args.other, parse_cochain, cx)
         if (beta.degree, beta.group) != (alpha.degree, alpha.group):
             raise CliError("%s and %s differ in degree or group"
                            % (args.cochain, args.other))
@@ -294,11 +255,8 @@ def cmd_classify(args):
 
 
 def cmd_gerbe_torsor(args):
-    cx = _load_sset(args.sset)
-    try:
-        beta = parse_cochain(_read(args.cochain), cx, degree=3)
-    except ParseError as exc:
-        raise CliError("%s: %s" % (args.cochain, exc))
+    cx = _load(args.sset, parse_simplicial_set)
+    beta = _load(args.cochain, parse_cochain, cx, 3)
     try:
         gerbe = GerbeRep(cx, beta.group, beta)
     except GerbeError as exc:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import combinations, product
 
 
 # Miller-Rabin with the first twelve primes as bases decides primality for
@@ -723,34 +724,34 @@ class Quotient:
 
 
 def all_vectors(field, n):
-    """All vectors of k^n; prime fields only."""
+    """All vectors of k^n, the first coordinate varying fastest; prime
+    fields only."""
     if field.p is None:
         raise ValueError("cannot enumerate vectors over Q")
-    if n == 0:
-        yield ()
-        return
-    for rest in all_vectors(field, n - 1):
-        for x in field.elements():
-            yield (x,) + rest
+    if n < 0:
+        raise ValueError("negative dimension %d" % n)
+    return (v[::-1] for v in product(field.elements(), repeat=n))
 
 
 def all_subspaces(field, ambient):
-    """Every subspace of k^ambient (prime fields, small dimensions), by rank
-    extension from the zero subspace."""
-    vecs = list(all_vectors(field, ambient))
-    frontier = [Subspace.zero(field, ambient)]
-    seen = set(frontier)
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            for v in vecs:
-                if not sub.contains_vector(v):
-                    bigger = sub.join(Subspace.from_rows(field, ambient, [v]))
-                    if bigger not in seen:
-                        seen.add(bigger)
-                        nxt.append(bigger)
-        frontier = nxt
-    return sorted(seen, key=lambda s: (s.dim, s.rows))
+    """Every subspace of k^ambient (prime fields, small dimensions), by
+    Schubert cell: for each pivot set, the row with pivot p holds 1 at p, any
+    entries right of p off the pivot columns and 0 elsewhere, and each choice
+    of rows is one rref basis."""
+    elements = field.elements()  # refuses Q
+    if ambient < 0:
+        raise ValueError("negative dimension %d" % ambient)
+    zero, one = (field.zero(),), (field.one(),)
+    subs = []
+    for k in range(ambient + 1):
+        for pivots in combinations(range(ambient), k):
+            rows = [product(*[one if c == p else
+                              (elements if c > p and c not in pivots
+                               else zero) for c in range(ambient)])
+                    for p in pivots]
+            subs += [Subspace(field, ambient, basis, pivots)
+                     for basis in product(*rows)]
+    return sorted(subs, key=lambda s: (s.dim, s.rows))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,13 @@ class ParseError(Exception):
         super().__init__(message + loc)
 
 
+def _body(text):
+    """(line number, stripped line) of every line that is not blank or a
+    comment."""
+    lines = [(i + 1, l.strip()) for i, l in enumerate(text.splitlines())]
+    return [(i, l) for i, l in lines if l and not l.startswith("#")]
+
+
 def _scalar_of(field, token, line, col):
     token = token.strip()
     try:
@@ -74,9 +81,7 @@ def _parse_field_kv(parts, line):
 # --- lattices ---------------------------------------------------------------
 
 def parse_lattice(text):
-    lines = [l.rstrip() for l in text.splitlines()]
-    body = [(i + 1, l) for i, l in enumerate(lines)
-            if l.strip() and not l.lstrip().startswith("#")]
+    body = _body(text)
     if not body:
         raise ParseError("empty lattice file", 1)
     ln, header = body[0]
@@ -100,12 +105,8 @@ def parse_lattice(text):
     width = (hi - lo) * rank
     rows = []
     for ln3, rline in body[2:]:
-        toks = [t for t in rline.split(",")]
-        row = []
-        for col, t in enumerate(toks):
-            if t.strip() == "" and len(toks) == 1:
-                break
-            row.append(_scalar_of(field, t, ln3, col + 1))
+        row = [_scalar_of(field, t, ln3, col + 1)
+               for col, t in enumerate(rline.split(","))]
         if len(row) != width:
             raise ParseError("basis row has %d entries, expected %d"
                              % (len(row), width), ln3)
@@ -144,9 +145,7 @@ def _parse_laurent_entry(field, token, line):
 
 
 def parse_laurent_matrix(text):
-    lines = [l.rstrip() for l in text.splitlines()]
-    body = [(i + 1, l) for i, l in enumerate(lines)
-            if l.strip() and not l.lstrip().startswith("#")]
+    body = _body(text)
     if not body:
         raise ParseError("empty matrix file", 1)
     ln, header = body[0]
@@ -184,33 +183,30 @@ def format_laurent_matrix(m):
 
 def parse_simplicial_set(text, dim_cap=None):
     raw = []
-    for i, line in enumerate(text.splitlines()):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for ln, line in _body(text):
         parts = line.split()
         if parts[0] != "simplex":
-            raise ParseError("expected 'simplex' line", i + 1)
+            raise ParseError("expected 'simplex' line", ln)
         if len(parts) < 3:
-            raise ParseError("simplex line needs dim and id", i + 1)
+            raise ParseError("simplex line needs dim and id", ln)
         try:
             dim = int(parts[1])
         except ValueError:
-            raise ParseError("bad dimension %r" % parts[1], i + 1, 2)
+            raise ParseError("bad dimension %r" % parts[1], ln, 2)
         if dim < 0:
-            raise ParseError("negative dimension %d" % dim, i + 1, 2)
+            raise ParseError("negative dimension %d" % dim, ln, 2)
         sid = parts[2]
         if dim == 0:
             if len(parts) > 3:
-                raise ParseError("vertex with a faces clause", i + 1)
+                raise ParseError("vertex with a faces clause", ln)
             raw.append((sid, 0, ()))
             continue
         if len(parts) < 4 or parts[3] != "faces":
-            raise ParseError("missing faces clause", i + 1)
+            raise ParseError("missing faces clause", ln)
         faces = tuple(parts[4:])
         if len(faces) != dim + 1:
             raise ParseError("simplex of dim %d needs %d faces, found %d"
-                             % (dim, dim + 1, len(faces)), i + 1)
+                             % (dim, dim + 1, len(faces)), ln)
         raw.append((sid, dim, faces))
     return validate_simplicial_set(raw, dim_cap=dim_cap)
 
@@ -233,42 +229,38 @@ def parse_cochain(text, complex_, degree=None):
     group = None
     values = {}
     deg_seen = None
-    for i, line in enumerate(text.splitlines()):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for ln, line in _body(text):
         parts = line.split()
         if parts[0] == "group":
             if group is not None:
-                raise ParseError("second group header", i + 1)
+                raise ParseError("second group header", ln)
             if len(parts) != 2:
-                raise ParseError("group line needs one presentation", i + 1)
+                raise ParseError("group line needs one presentation", ln)
             try:
                 group = parse_group(parts[1])
             except ValueError as exc:
-                raise ParseError(str(exc), i + 1)
+                raise ParseError(str(exc), ln)
             continue
         if parts[0] != "value":
-            raise ParseError("expected 'group' or 'value' line", i + 1)
+            raise ParseError("expected 'group' or 'value' line", ln)
         if group is None:
-            raise ParseError("value before group header", i + 1)
+            raise ParseError("value before group header", ln)
         if len(parts) != 3:
-            raise ParseError("value line needs id and coordinates", i + 1)
+            raise ParseError("value line needs id and coordinates", ln)
         sid = parts[1]
         if sid not in complex_.dim_of:
-            raise ParseError("unknown simplex %r" % sid, i + 1, 2)
+            raise ParseError("unknown simplex %r" % sid, ln, 2)
         try:
             coords = [int(x) for x in parts[2].split(",")]
         except ValueError:
-            raise ParseError("bad coordinates %r" % parts[2], i + 1, 3)
+            raise ParseError("bad coordinates %r" % parts[2], ln, 3)
         if len(coords) != group.ngens:
-            raise ParseError("expected %d coordinates" % group.ngens,
-                             i + 1, 3)
+            raise ParseError("expected %d coordinates" % group.ngens, ln, 3)
         d = complex_.dim_of[sid]
         if deg_seen is None:
             deg_seen = d
         elif d != deg_seen:
-            raise ParseError("values on simplices of mixed dimension", i + 1)
+            raise ParseError("values on simplices of mixed dimension", ln)
         values[sid] = group.elem(coords)
     if group is None:
         raise ParseError("missing group header", 1)

@@ -306,10 +306,8 @@ def enumerate_s_skeleton(field, dim_cap, level_cap, budget=20000):
                 if last is not None and not s.contains(last):
                     continue
                 obj = SObject(field, dim_cap, prev.chain + (s,))
-                key = obj.key()
-                if key not in idx:
-                    idx[key] = len(here)
-                    here.append(obj)
+                idx[obj.key()] = len(here)
+                here.append(obj)
         levels.append(here)
         index.append(idx)
     faces = {}

@@ -329,6 +329,22 @@ def suite_grid(max_dim=3):
         "exhaustive F2 ambient <= %d" % max_dim
 
 
+def random_grids(rng, field, trials):
+    """trials 3x3 grids of two random subspaces of one k^a, a in 1..3, each
+    spanned by up to a random rows (prime fields only)."""
+    grids = []
+    for _ in range(trials):
+        ambient = rng.randint(1, 3)
+        rows1 = [[rng.randrange(field.p) for _ in range(ambient)]
+                 for _ in range(rng.randint(0, ambient))]
+        rows2 = [[rng.randrange(field.p) for _ in range(ambient)]
+                 for _ in range(rng.randint(0, ambient))]
+        grids.append(complete_grid_3x3(
+            inclusion_map(Subspace.from_rows(field, ambient, rows1)),
+            inclusion_map(Subspace.from_rows(field, ambient, rows2))))
+    return grids
+
+
 @_timed
 def suite_det_symmetry(seed=0, trials=200):
     """Graded determinant is symmetric (pair and grid criteria); the
@@ -346,16 +362,7 @@ def suite_det_symmetry(seed=0, trials=200):
     checked = len(rep.instances)
     if not rep.all_passed or not rep.criteria_agree:
         failures.append("graded determinant failed over F2")
-    grids5 = []
-    for _ in range(trials):
-        ambient = rng.randint(1, 3)
-        rows1 = [[rng.randrange(5) for _ in range(ambient)]
-                 for _ in range(rng.randint(0, ambient))]
-        rows2 = [[rng.randrange(5) for _ in range(ambient)]
-                 for _ in range(rng.randint(0, ambient))]
-        grids5.append(complete_grid_3x3(
-            inclusion_map(Subspace.from_rows(F5, ambient, rows1)),
-            inclusion_map(Subspace.from_rows(F5, ambient, rows2))))
+    grids5 = random_grids(rng, F5, trials)
     rep5 = check_symmetry(graded_det(F5), pairs2, grids5)
     checked += len(rep5.instances)
     if not rep5.all_passed or not rep5.criteria_agree:

@@ -502,6 +502,59 @@ def test_cli_det_symmetry(capsys):
     out = capsys.readouterr()
 
 
+def test_cli_det_symmetry_grids_are_the_suites(capsys):
+    # the ungraded failures of seed 7 depend on every grid drawn; these were
+    # read off the CLI before the CLI and the suite shared one grid source
+    assert main(["--json", "det-symmetry", "--seed", "7", "--trials", "100",
+                 "--ungraded"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["instances"] == 109
+    assert [(f["kind"], f["got"], f["expected"]) for f in rep["failures"]] \
+        == [("pair", "4", "1")] + [("grid", g, e) for g, e in (
+            ("3", "2"), ("4", "1"), ("4", "1"), ("3", "2"), ("1", "4"),
+            ("1", "4"), ("4", "1"), ("4", "1"), ("1", "4"))]
+    from random import Random
+    from satokit.detline import check_symmetry, ungraded_det
+    grids = verify.random_grids(Random(7), F5, 100)
+    pairs = [(a, b) for a in range(3) for b in range(3)]
+    failed = [(i.got, i.expected) for i in check_symmetry(
+        ungraded_det(F5), pairs, grids).failures()]
+    assert [(str(g), str(e)) for g, e in failed] \
+        == [(f["got"], f["expected"]) for f in rep["failures"]]
+
+
+@pytest.mark.parametrize("verb", ["classify", "classify --other",
+                                  "gerbe-torsor"])
+def test_cli_malformed_cochain_exits_2(tmp_path, capsys, verb):
+    sset = _write(tmp_path, "t.sset", format_simplicial_set(torus()))
+    good = _write(tmp_path, "good.coch", "group Z\nvalue U 1\n")
+    bad = _write(tmp_path, "bad.coch",
+                 "group Z\n# note\nvalue U 1\nvalue nowhere 1\n")
+    argv = {"classify": ["classify", sset, bad],
+            "classify --other": ["classify", sset, good, "--other", bad],
+            "gerbe-torsor": ["gerbe-torsor", sset, bad]}[verb]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: %s: unknown simplex 'nowhere' at line 4, "
+                            "column 2\n" % bad)
+
+
+@pytest.mark.parametrize("parse,text,line,col", [
+    (parse_lattice, "  # c\n\ntate rank=1 field=F5\n \t\n  bounds lo=0 hi=2"
+                    "\n# c\n 1 , zz \n", 7, 2),
+    (parse_laurent_matrix, "\n# c\n lmx rows=1 cols=2 field=F5\n\t1*t^0\n"
+                           "  # c\n 3*t^x\n", 6, 1),
+    (parse_simplicial_set, "# c\n\n simplex 0 v\n  \n\tsimplex q e\n", 5, 2),
+    (lambda text: parse_cochain(text, torus()),
+     "# c\n group Z\n\n value U 1\n  # c\nvalue L x\n", 6, 3),
+])
+def test_parse_errors_count_blank_and_comment_lines(parse, text, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
 def test_cli_usage_error_missing_file(capsys):
     rc = main(["index", "/nonexistent/a.lat", "/nonexistent/b.lat"])
     assert rc == 2

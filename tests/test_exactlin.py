@@ -144,6 +144,46 @@ def test_subspace_count_f2():
     assert len(all_subspaces(F2, 3)) == 16
 
 
+def _all_subspaces_by_frontier(field, ambient):
+    """Every subspace of k^ambient by rank extension from the zero subspace:
+    join one vector at a time, keeping the spans not seen before."""
+    vecs = list(all_vectors(field, ambient))
+    frontier = [Subspace.zero(field, ambient)]
+    seen = set(frontier)
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            for v in vecs:
+                if not sub.contains_vector(v):
+                    bigger = sub.join(Subspace.from_rows(field, ambient, [v]))
+                    if bigger not in seen:
+                        seen.add(bigger)
+                        nxt.append(bigger)
+        frontier = nxt
+    return sorted(seen, key=lambda s: (s.dim, s.rows))
+
+
+@pytest.mark.parametrize("field,ambient", [
+    (F2, n) for n in range(6)] + [(F3, n) for n in range(4)]
+    + [(F5, n) for n in range(3)])
+def test_subspaces_by_cell_match_the_frontier(field, ambient):
+    got = all_subspaces(field, ambient)
+    assert got == _all_subspaces_by_frontier(field, ambient)
+    # each is a well-formed rref: its pivots are those of a fresh reduction
+    for s in got:
+        assert s.pivots == Subspace.from_rows(field, ambient, s.rows).pivots
+
+
+def test_enumeration_refuses_negative_dimensions_and_q():
+    assert list(all_vectors(F3, 2))[:4] == [(0, 0), (1, 0), (2, 0), (0, 1)]
+    assert list(all_vectors(F2, 0)) == [()]
+    assert all_subspaces(F5, 0) == [Subspace.zero(F5, 0)]
+    for enumerate_ in (all_vectors, all_subspaces):
+        for field, n in ((F2, -1), (F5, -3), (QQ, 0), (QQ, 2)):
+            with pytest.raises(ValueError):
+                list(enumerate_(field, n))
+
+
 def test_subspace_coordinates():
     s = Subspace.from_rows(F5, 3, [(1, 0, 2), (0, 1, 3)])
     c = s.coordinates(Matrix(F5, [(2, 1, 2)])).entries[0]

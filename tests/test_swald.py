@@ -138,7 +138,7 @@ def _counts_by_containment(field, n, level_cap):
 
 @pytest.mark.parametrize("field,n,level_cap", [
     (F2, 0, 3), (F2, 1, 4), (F2, 2, 4), (F2, 3, 4), (F2, 4, 3),
-    (F3, 2, 3), (F5, 2, 3), (F2, 3, 0)])
+    (F3, 2, 3), (F5, 2, 3), (F2, 3, 0), (F2, 6, 1)])
 def test_closed_form_counts_match_the_chains(field, n, level_cap):
     got = s_skeleton_counts(field, n, level_cap, 10 ** 9)
     assert got == _counts_by_containment(field, n, level_cap)
