@@ -6,15 +6,14 @@ from .abgroup import AbelianGroup, GroupElem, GroupHom, ZZ, format_group, \
     parse_group
 from .exactlin import F2, F3, F5, QQ, Field, Matrix, Subspace, \
     smith_normal_form
-from .exactcat import (FdSpace, Grid3x3, LinMap, SES, SESInvalid, check_ses,
-                       complete_grid_3x3, diagnose_ses, epi_mono_factorize,
+from .exactcat import (FdSpace, Grid3x3, LinMap, SES, SESInvalid,
+                       complete_grid_3x3, epi_mono_factorize,
                        pullback_admissible_monos, pushout_admissible_epis)
 from .laurent import LaurentMatrix, LaurentPoly
-from .tate import (Lattice, TateSES, TateSESInvalid, TateSpace,
-                   check_tate_ses, lattice_contains, lattice_grid,
-                   lattice_join, lattice_meet, lattice_normalize,
-                   lift_lattice, project_lattice, relative_index,
-                   split_tate_ses, standard_lattice)
+from .tate import (Lattice, LatticeGrid, TateSES, TateSESInvalid, TateSpace,
+                   lattice_contains, lattice_join, lattice_meet,
+                   lattice_normalize, lift_lattice, project_lattice,
+                   relative_index, split_tate_ses, standard_lattice)
 from .dimtorsor import (DimTheory, RelTheory, mu_combine, pushout_along,
                         torsor_difference)
 from .detline import (DetRule, DetTheory, GradedLine, LineIso,

@@ -28,8 +28,8 @@ from .simptors import (ComplexError, DegreeRangeError, GerbeError,
                        classify_torsor, cohomology, gerbe_to_torsor,
                        iso_decide)
 from .swald import BudgetExceeded, enumerate_s_skeleton
-from .tate import (TateSESInvalid, check_tate_ses, diagnose_tate_ses,
-                   lattice_join, lattice_meet, lift_lattice, project_lattice,
+from .tate import (TateSES, TateSESInvalid, WindowTooLarge, lattice_join,
+                   lattice_meet, lift_lattice, project_lattice,
                    relative_index)
 
 PASS, FAIL, USAGE = 0, 1, 2
@@ -73,7 +73,7 @@ def _load_pair(i_path, j_path):
 
 def _load_ses_and_lattice(args):
     try:
-        ses = check_tate_ses(*_load_pair(args.i, args.j))
+        ses = TateSES(*_load_pair(args.i, args.j))
     except TateSESInvalid as exc:
         raise CliError("sequence invalid: %s" % exc.code, FAIL)
     u = _load(args.lattice, parse_lattice)
@@ -148,13 +148,14 @@ def cmd_project(args):
 
 
 def cmd_ses_check(args):
-    code = diagnose_tate_ses(*_load_pair(args.i, args.j))
-    if code is None:
-        return _emit(args, {"command": "ses-check", "status": "pass"},
-                     ["valid admissible short exact sequence"])
-    _emit(args, {"command": "ses-check", "status": "fail",
-                 "diagnosis": code}, ["invalid: %s" % code])
-    return FAIL
+    try:
+        TateSES(*_load_pair(args.i, args.j))
+    except TateSESInvalid as exc:
+        _emit(args, {"command": "ses-check", "status": "fail",
+                     "diagnosis": exc.code}, ["invalid: %s" % exc.code])
+        return FAIL
+    return _emit(args, {"command": "ses-check", "status": "pass"},
+                 ["valid admissible short exact sequence"])
 
 
 def cmd_mu_eval(args):
@@ -436,12 +437,9 @@ def main(argv=None):
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code
-    except DegreeRangeError as exc:
+    except (DegreeRangeError, WindowTooLarge) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USAGE
-    except (TateSESInvalid,) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return FAIL
 
 
 if __name__ == "__main__":

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .exactcat import (FdSpace, LinMap, canonical_section, check_ses,
-                       split_ses)
+from .exactcat import SES, FdSpace, LinMap, canonical_section, split_ses
 from .tate import (delta_scalar_canonical, fd_ses_of_pair,
                    lambda_scalar_chain, lattice_contains, lattice_meet,
                    relative_index, standard_lattice)
@@ -242,7 +241,7 @@ def pair_criterion(theory, dim_a, dim_b):
     j2 = LinMap(total, FdSpace(f, dim_a),
                 [[one if c == r else z for c in range(dim_a)]
                  for r in range(dim_a + dim_b)])
-    ses_ba = check_ses(i2, j2)
+    ses_ba = SES(i2, j2)
     lam_ba = theory.lambda_scalar(ses_ba)
     path = f.div(lam_ab, lam_ba)
     sym = theory.symmetry_scalar(theory.h(FdSpace(f, dim_a)),

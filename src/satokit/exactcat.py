@@ -140,21 +140,30 @@ def canonical_section(j):
 class SESInvalid(Exception):
     """A proposed short exact sequence failed; .code names the condition."""
 
-    def __init__(self, code, detail=""):
+    def __init__(self, code):
         self.code = code
-        super().__init__(code if not detail else "%s: %s" % (code, detail))
+        super().__init__(code)
 
 
 class SES:
-    """Validated admissible short exact sequence  a' >--i--> a --j->> a''."""
+    """Validated admissible short exact sequence  a' >--i--> a --j->> a''.
+
+    The constructor is the one validation path: it raises SESInvalid naming
+    the first condition that fails."""
 
     __slots__ = ("i", "j")
 
-    def __init__(self, i, j, _checked=False):
-        if not _checked:
-            diag = diagnose_ses(i, j)
-            if diag is not None:
-                raise SESInvalid(diag)
+    def __init__(self, i, j):
+        if i.target != j.source:
+            raise ValueError("middle objects disagree")
+        if not i.is_mono():
+            raise SESInvalid("not-mono")
+        if not j.is_epi():
+            raise SESInvalid("not-epi")
+        if not i.then(j).is_zero():
+            raise SESInvalid("composite-nonzero")
+        if j.kernel_subspace().dim != i.source.dim:
+            raise SESInvalid("inexact-at-middle")
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "j", j)
 
@@ -178,29 +187,6 @@ class SES:
                                           self.quot.dim)
 
 
-def diagnose_ses(i, j):
-    """None when (i, j) is a valid SES, else the first failing condition."""
-    if i.target != j.source:
-        raise ValueError("middle objects disagree")
-    if not i.is_mono():
-        return "not-mono"
-    if not j.is_epi():
-        return "not-epi"
-    if not i.then(j).is_zero():
-        return "composite-nonzero"
-    if j.kernel_subspace().dim != i.source.dim:
-        return "inexact-at-middle"
-    return None
-
-
-def check_ses(i, j):
-    """Validated SES or raise SESInvalid naming the failed condition."""
-    diag = diagnose_ses(i, j)
-    if diag is not None:
-        raise SESInvalid(diag)
-    return SES(i, j, _checked=True)
-
-
 def split_ses(field, a, b):
     """The coordinate split  k^a >--> k^(a+b) -->> k^b."""
     one, z = field.one(), field.zero()
@@ -209,7 +195,7 @@ def split_ses(field, a, b):
                           for k in range(a)])
     j = LinMap(mid, quo, [[one if c == r - a else z for c in range(b)]
                           for r in range(a + b)])
-    return check_ses(i, j)
+    return SES(i, j)
 
 
 def inclusion_map(sub):
@@ -403,23 +389,19 @@ class Grid3x3:
         self.col_maps = dict(col_maps)  # c -> (mono, epi)
 
     def row_ses(self, r):
-        i, j = self.row_maps[r]
-        return check_ses(i, j)
+        return SES(*self.row_maps[r])
 
     def col_ses(self, c):
-        i, j = self.col_maps[c]
-        return check_ses(i, j)
+        return SES(*self.col_maps[c])
 
     def validate(self):
         """Check all six SES and the four corner squares; raise GridError."""
-        for r in range(3):
-            diag = diagnose_ses(*self.row_maps[r])
-            if diag is not None:
-                raise GridError("row %d: %s" % (r, diag))
-        for c in range(3):
-            diag = diagnose_ses(*self.col_maps[c])
-            if diag is not None:
-                raise GridError("column %d: %s" % (c, diag))
+        for kind, lines in (("row", self.row_maps), ("column", self.col_maps)):
+            for k in range(3):
+                try:
+                    SES(*lines[k])
+                except SESInvalid as exc:
+                    raise GridError("%s %d: %s" % (kind, k, exc.code))
         for r in range(2):
             for c in range(2):
                 h0 = self.row_maps[r][c]      # horizontal map in row r

@@ -10,7 +10,8 @@ bits select, and one Gauss-Jordan elimination on ints gives rank, row space,
 join, the Zassenhaus meet, and (on rows with an identity bit appended) the
 rref transform and left kernel.  Matrix.entries and Subspace.rows are tuple
 views, built only when read.  Matrix, Subspace and Quotient are the one API;
-their constructors check every scalar, and the row kernels are private.
+their constructors (Subspace.from_rows for a Subspace) check every scalar,
+and the row kernels are private.
 """
 
 from __future__ import annotations
@@ -539,10 +540,8 @@ class Subspace:
 
     __slots__ = ("field", "ambient", "_rows", "pivots", "_view")
 
-    def __init__(self, field, ambient, rows, pivots):
-        """rows: a basis in rref, as sequences of scalars, with its pivots
-        (from_rows takes any spanning rows)."""
-        self._init(field, ambient, [_row_in(field, r) for r in rows], pivots)
+    def __init__(self, *args):
+        raise ValueError("use Subspace.from_rows to build subspaces")
 
     def _init(self, field, ambient, rows, pivots):
         rows = tuple(rows)
@@ -749,7 +748,8 @@ def all_subspaces(field, ambient):
                               (elements if c > p and c not in pivots
                                else zero) for c in range(ambient)])
                     for p in pivots]
-            subs += [Subspace(field, ambient, basis, pivots)
+            subs += [Subspace._raw(field, ambient,
+                                   [_row_in(field, r) for r in basis], pivots)
                      for basis in product(*rows)]
     return sorted(subs, key=lambda s: (s.dim, s.rows))
 

@@ -11,7 +11,7 @@ its canonical coordinates, and degeneracies repeat a subspace.
 
 from __future__ import annotations
 
-from .exactcat import FdSpace, LinMap, check_ses, induced_map
+from .exactcat import SES, FdSpace, LinMap, induced_map
 from .exactlin import Quotient, Subspace, all_subspaces
 
 
@@ -97,8 +97,8 @@ class SObject:
 
     def row_ses(self, i, j, k):
         """a_ij >--> a_ik -->> a_jk for i <= j <= k."""
-        return check_ses(self.array_map((i, j), (i, k)),
-                         self.array_map((i, k), (j, k)))
+        return SES(self.array_map((i, j), (i, k)),
+                   self.array_map((i, k), (j, k)))
 
     def validate(self):
         """All SES conditions and composition coherence; raises SObjectError
@@ -263,6 +263,8 @@ def s_skeleton_counts(field, dim_cap, level_cap, budget):
     as soon as the total passes the budget."""
     if dim_cap < 0 or level_cap < 0:
         raise ValueError("dim-cap and level-cap must be >= 0")
+    if budget < 1:
+        raise ValueError("budget must be at least 1, got %d" % budget)
     if field.p is None:
         raise ValueError("the S-construction enumerates over F_p only")
     if level_cap == 0:

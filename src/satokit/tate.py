@@ -35,8 +35,8 @@ read off it without a Laurent polynomial.
 
 from __future__ import annotations
 
-from .exactcat import FdSpace, LinMap, check_ses
-from .exactlin import Matrix, Quotient, Subspace, _rref
+from .exactcat import SES, FdSpace, LinMap
+from .exactlin import Matrix, Quotient, Subspace, _row_in, _rref
 from .laurent import LaurentMatrix, LaurentPoly, left_inverse, right_inverse
 
 
@@ -176,7 +176,8 @@ def window_rows(lat, LO, HI):
 def window_subspace(lat, LO, HI):
     rows = window_rows(lat, LO, HI)
     pivots = [next(j for j, x in enumerate(r) if x != 0) for r in rows]
-    return Subspace(lat.field, (HI - LO) * lat.space.rank, rows, pivots)
+    return Subspace._raw(lat.field, (HI - LO) * lat.space.rank,
+                         [_row_in(lat.field, r) for r in rows], pivots)
 
 
 def _check_same_space(a, b):
@@ -232,19 +233,33 @@ class TateSESInvalid(Exception):
 class TateSES:
     """Validated  X' >--i--> X --j->> X''  with Laurent-polynomial matrices.
 
-    Admissibility is full rank over k(t); exactness in the middle is the rank
-    count a + c = b together with i . j = 0.
+    The constructor is the one validation path.  Admissibility is full rank
+    over k(t), proven by one-sided inverses kept as (N, d) pairs: ri with
+    i . N = d . I and lj with N . j = d . I, each verified exactly.  A
+    Laurent ri or lj given by the caller is checked in place of a computed
+    one, so no echelon runs for it.  Exactness in the middle is then
+    i . j = 0 together with the rank count a + c = b.
     """
 
-    __slots__ = ("i", "j", "_cache")
+    __slots__ = ("i", "j", "ri", "lj", "_cache")
 
-    def __init__(self, i, j, _checked=False):
-        if not _checked:
-            code = diagnose_tate_ses(i, j)
-            if code is not None:
-                raise TateSESInvalid(code)
+    def __init__(self, i, j, ri=None, lj=None):
+        if i.ncols != j.nrows:
+            raise ValueError("middle ranks disagree")
+        if i.field != j.field:
+            raise ValueError("field mismatch")
+        ri = _one_sided(i, ri, False, "not-mono",
+                        "seeded right inverse fails i . B = 1")
+        lj = _one_sided(j, lj, True, "not-epi",
+                        "seeded left inverse fails C . j = 1")
+        if not i.mul(j).is_zero():
+            raise TateSESInvalid("composite-nonzero")
+        if i.nrows + j.ncols != i.ncols:
+            raise TateSESInvalid("inexact-at-middle")
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "j", j)
+        object.__setattr__(self, "ri", ri)
+        object.__setattr__(self, "lj", lj)
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, *a):
@@ -266,39 +281,20 @@ class TateSES:
     def quot_space(self):
         return TateSpace(self.field, self.j.ncols)
 
-    def right_inverse_of_i(self):
-        """(N, d) with i . N = d . identity, cached; verified exactly on
-        first use."""
-        if "ri" not in self._cache:
-            nd = right_inverse(self.i)
-            if nd is None or not _verify_one_sided(self.i, *nd, left=False):
-                raise TateSESInvalid("not-mono")
-            self._cache["ri"] = nd
-        return self._cache["ri"]
 
-    def left_inverse_of_j(self):
-        """(N, d) with N . j = d . identity, cached; verified exactly on
-        first use."""
-        if "lj" not in self._cache:
-            nd = left_inverse(self.j)
-            if nd is None or not _verify_one_sided(self.j, *nd, left=True):
-                raise TateSESInvalid("not-epi")
-            self._cache["lj"] = nd
-        return self._cache["lj"]
-
-    def seed_inverses(self, ri=None, lj=None):
-        """Install known one-sided inverses (Laurent matrices) in place of
-        computed ones; both are verified exactly before being accepted."""
-        one = LaurentPoly.one(self.field)
-        if ri is not None:
-            if not _verify_one_sided(self.i, ri, one, left=False):
-                raise ValueError("seeded right inverse fails i . B = 1")
-            self._cache["ri"] = (ri, one)
-        if lj is not None:
-            if not _verify_one_sided(self.j, lj, one, left=True):
-                raise ValueError("seeded left inverse fails C . j = 1")
-            self._cache["lj"] = (lj, one)
-        return self
+def _one_sided(m, seed, left, code, message):
+    """(N, d), a one-sided inverse of m verified exactly: the Laurent seed
+    over d = 1 (ValueError(message) when it fails), else the computed one
+    (TateSESInvalid(code) when there is none)."""
+    if seed is None:
+        nd = left_inverse(m) if left else right_inverse(m)
+    else:
+        nd = (seed, LaurentPoly.one(m.field))
+    if nd is not None and _verify_one_sided(m, *nd, left=left):
+        return nd
+    if seed is not None:
+        raise ValueError(message)
+    raise TateSESInvalid(code)
 
 
 def _verify_one_sided(m, inv, den, left):
@@ -311,41 +307,6 @@ def _verify_one_sided(m, inv, den, left):
         for r, row in enumerate(prod.entries) for c, x in enumerate(row))
 
 
-def diagnose_tate_ses(i, j):
-    if i.ncols != j.nrows:
-        raise ValueError("middle ranks disagree")
-    if i.field != j.field:
-        raise ValueError("field mismatch")
-    a, b, c = i.nrows, i.ncols, j.ncols
-    if i.rank() != a:
-        return "not-mono"
-    if j.rank() != c:
-        return "not-epi"
-    if not i.mul(j).is_zero():
-        return "composite-nonzero"
-    if a + c != b:
-        return "inexact-at-middle"
-    return None
-
-
-def check_tate_ses(i, j):
-    code = diagnose_tate_ses(i, j)
-    if code is not None:
-        raise TateSESInvalid(code)
-    return TateSES(i, j, _checked=True)
-
-
-def seeded_tate_ses(i, j, ri, lj):
-    """The TateSES of i and j proven by their one-sided inverses ri and lj:
-    the exact identities i . ri = 1 and lj . j = 1 prove full rank, so no
-    echelon runs; i . j = 0 and the rank count are checked here."""
-    if not i.mul(j).is_zero():
-        raise TateSESInvalid("composite-nonzero")
-    if i.nrows + j.ncols != i.ncols:
-        raise TateSESInvalid("inexact-at-middle")
-    return TateSES(i, j, _checked=True).seed_inverses(ri=ri, lj=lj)
-
-
 def split_tate_ses(field, a, c):
     """The coordinate split k((t))^a >--> k((t))^(a+c) -->> k((t))^c, with
     the transposes of i and j as its one-sided inverses."""
@@ -356,7 +317,7 @@ def split_tate_ses(field, a, c):
                               for r in range(a)], b)
     j = LaurentMatrix(field, [[one if q == r - a else z for q in range(c)]
                               for r in range(b)], c)
-    return seeded_tate_ses(i, j, i.transpose(), j.transpose())
+    return TateSES(i, j, i.transpose(), j.transpose())
 
 
 def twist_tate_ses(ses, aut, aut_inv):
@@ -365,13 +326,13 @@ def twist_tate_ses(ses, aut, aut_inv):
     prod = aut.mul(aut_inv)
     if prod != LaurentMatrix.identity(ses.field, aut.nrows):
         raise ValueError("aut_inv is not the inverse of aut")
-    return check_tate_ses(ses.i.mul(aut), aut_inv.mul(ses.j))
+    return TateSES(ses.i.mul(aut), aut_inv.mul(ses.j))
 
 
 def retraction_of_mono(ses):
     """LaurentMatrix r with i . r = identity; ValueError when there is none,
     i.e. the maximal minors of i do not generate the ring k[t, 1/t]."""
-    r, d = ses.right_inverse_of_i()
+    r, d = ses.ri
     if d != LaurentPoly.one(ses.field):
         raise ValueError("inverse has a nontrivial denominator")
     return r
@@ -379,7 +340,7 @@ def retraction_of_mono(ses):
 
 def section_of_epi(ses):
     """LaurentMatrix s with s . j = identity, polynomial entries."""
-    s, d = ses.left_inverse_of_j()
+    s, d = ses.lj
     if d != LaurentPoly.one(ses.field):
         raise ValueError("inverse has a nontrivial denominator")
     return s
@@ -395,7 +356,7 @@ def compose_filtration(ses_outer, ses_inner):
     rows = [list(pr) + list(jr) for pr, jr in
             zip(part1.entries, ses_outer.j.entries)]
     j13 = LaurentMatrix(field, rows, part1.ncols + ses_outer.j.ncols)
-    return check_tate_ses(i13, j13)
+    return TateSES(i13, j13)
 
 
 def quotient_ses(ses_outer, ses_inner, ses_composed=None):
@@ -406,7 +367,7 @@ def quotient_ses(ses_outer, ses_inner, ses_composed=None):
     mono = s12.mul(ses_outer.i).mul(ses_composed.j)
     s13 = section_of_epi(ses_composed)
     epi = s13.mul(ses_outer.j)
-    return check_tate_ses(mono, epi)
+    return TateSES(mono, epi)
 
 
 def _stencil(ses, name):
@@ -453,6 +414,22 @@ def _window_row(field, rows, n, LO, HI, terms):
     return tuple(acc) if p is None else tuple([x % p for x in acc])
 
 
+# the most cells (rows x columns) of a dense window that lift and project
+# build; the largest that the verify suites and the tests build has 600
+MAX_WINDOW_CELLS = 1 << 20
+
+
+class WindowTooLarge(Exception):
+    """A lift or project would build a window past MAX_WINDOW_CELLS."""
+
+
+def _check_window(verb, rows, cols):
+    if rows * cols > MAX_WINDOW_CELLS:
+        raise WindowTooLarge("%s needs a window of %d x %d cells, over the "
+                             "cap of %d" % (verb, rows, cols,
+                                            MAX_WINDOW_CELLS))
+
+
 def lift_lattice(ses, u):
     """The lattice i^(-1)(u) in X', a.k.a. u n X'.
 
@@ -460,7 +437,8 @@ def lift_lattice(ses, u):
     inverse N/d of i over k(t), whose least valuation is that of N less that
     of d; the kernel computation inside the windows is exact, so the bounds
     only need to be safe, and the right-inverse identity is verified exactly
-    once per sequence.
+    once per sequence.  A window past MAX_WINDOW_CELLS raises
+    WindowTooLarge before it is built.
     """
     if u.space != ses.total_space:
         raise ValueError("lattice does not live in the middle space")
@@ -470,13 +448,15 @@ def lift_lattice(ses, u):
     if a == 0:
         return standard_lattice(src)
     irows, vmin_i = _stencil(ses, "i")
-    binv, bden = ses.right_inverse_of_i()
+    binv, bden = ses.ri
     vmin_b = binv.min_valuation() - bden.val()
     HI = u.hi - vmin_i
     LO = u.lo + vmin_b
     # images of window monomials are classes mod t^(u.hi) O^b, which is
     # inside u, so the membership test happens in u's own window
     LO_t = min(u.lo, LO + vmin_i)
+    # u's rows and the generators are each built across that window
+    _check_window("lift", max(len(u.rows), (HI - LO) * a), (u.hi - LO_t) * b)
     u_w = window_subspace(u, LO_t, u.hi)
     npv, one = u_w.nonpivots(), field.one()
     gen = [u_w._proj(_window_row(field, irows, b, LO_t, u.hi, ((one, e, k),)),
@@ -486,7 +466,8 @@ def lift_lattice(ses, u):
 
 
 def project_lattice(ses, u):
-    """The image lattice j(u) = u / (u n X') in X''."""
+    """The image lattice j(u) = u / (u n X') in X''; a window past
+    MAX_WINDOW_CELLS raises WindowTooLarge before it is built."""
     if u.space != ses.total_space:
         raise ValueError("lattice does not live in the middle space")
     b, c = ses.j.nrows, ses.j.ncols
@@ -495,10 +476,12 @@ def project_lattice(ses, u):
     if c == 0:
         return standard_lattice(dst)
     jrows, vmin_j = _stencil(ses, "j")
-    cinv, cden = ses.left_inverse_of_j()
+    cinv, cden = ses.lj
     vmin_c = cinv.min_valuation() - cden.val()
     HI = u.hi - vmin_c
     LO = u.lo + vmin_j
+    _check_window("project", len(u.rows) + max(HI - vmin_j - u.hi, 0) * b,
+                  (HI - LO) * c)
     one = field.one()
     # images of u's rows, then of the monomials t^e u_k of u's tail for
     # u.hi <= e < HI - vmin_j; j maps the deeper ones into t^HI O^c
@@ -576,7 +559,9 @@ class LatticeGridError(Exception):
 
 
 class LatticeGrid:
-    """Rows: (lift u', u', proj u'), (lift u, u, proj u), quotient dims."""
+    """A nested pair u' <= u of middle lattices completed to the grid of
+    rows (lift u', u', proj u'), (lift u, u, proj u) and quotient dims;
+    raises LatticeGridError with a diagnosis when the precondition fails."""
 
     def __init__(self, ses, u_sub, u):
         if u.space != ses.total_space or u_sub.space != ses.total_space:
@@ -608,13 +593,6 @@ class LatticeGrid:
         }
 
 
-def lattice_grid(ses, u_sub, u):
-    """Complete a nested pair of middle lattices to the nine-entry grid with
-    additive quotient dimensions; raises LatticeGridError with a diagnosis
-    when the precondition fails."""
-    return LatticeGrid(ses, u_sub, u)
-
-
 def fd_ses_of_pair(ses, u_sub, u):
     """The induced short exact sequence of finite quotients
 
@@ -638,4 +616,4 @@ def fd_ses_of_pair(ses, u_sub, u):
             raise ValueError("vector does not lie in the quotient")
         maps.append(LinMap(FdSpace(field, src.dim), FdSpace(field, dst.dim),
                            Matrix._raw(field, coords, dst.dim)))
-    return check_ses(*maps), grid
+    return SES(*maps), grid

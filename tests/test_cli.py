@@ -224,6 +224,50 @@ def test_cli_mu_eval_twisted_values(tmp_path, capsys, seed, field, want):
     assert got == want
 
 
+# Split F5 sequences with one entry of degree 200000, over u = O^2.  Their
+# one-sided inverses have poles of order 200000, so project (and lift along
+# "twisted") would build windows of 8 * 10^10 cells; the lift along "plain"
+# needs no window and gives O.
+DEEP = 200000
+DEEP_SEQUENCES = {
+    "plain": ("lmx rows=1 cols=2 field=F5\n1*t^0\n1*t^%d\n" % DEEP,
+              "lmx rows=2 cols=1 field=F5\n4*t^%d\n1*t^0\n" % DEEP),
+    "twisted": ("lmx rows=1 cols=2 field=F5\n1*t^0+1*t^1\n4*t^%d\n" % DEEP,
+                "lmx rows=2 cols=1 field=F5\n1*t^%d\n1*t^0+1*t^1\n" % DEEP),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_SEQUENCES))
+@pytest.mark.parametrize("verb", ["lift", "project", "mu-eval"])
+def test_cli_deep_windows_are_refused_fast(tmp_path, capsys, name, verb):
+    import time
+    fi = _write(tmp_path, "i.lmx", DEEP_SEQUENCES[name][0])
+    fj = _write(tmp_path, "j.lmx", DEEP_SEQUENCES[name][1])
+    fu = _write(tmp_path, "u.lat",
+                format_lattice(standard_lattice(TateSpace(F5, 2))))
+    t0 = time.monotonic()
+    rc = main([verb, fi, fj, fu])
+    captured = capsys.readouterr()
+    assert time.monotonic() - t0 < 1
+    if (name, verb) == ("plain", "lift"):
+        assert rc == 0
+        assert parse_lattice(captured.out) == \
+            standard_lattice(TateSpace(F5, 1))
+        return
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "cap of" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_verify_all_report_is_pinned(capsys):
+    # `satokit --json verify all`, byte for byte; a change that alters the
+    # report on purpose updates tests/verify_all.json and says so
+    from pathlib import Path
+    want = (Path(__file__).parent / "verify_all.json").read_text()
+    assert main(["--json", "verify", "all"]) == 0
+    assert capsys.readouterr().out == want
+
+
 # Sequences i, j given as .lmx texts, with their middle lattices and, per
 # lattice, the CLI lift, project and mu-eval (Z+Z/6, generator 2,5, d1 1,2,
 # d2 -3,4) taken before one-sided inverses became a Laurent matrix over one
@@ -456,6 +500,7 @@ def test_cli_s_enumerate_budget(capsys):
     (["s-enumerate", "--level-cap", "-2"], "level-cap"),
     (["s-enumerate", "--field", "Q"], "F_p"),
     (["det-symmetry", "--field", "Q"], "finite field"),
+    (["s-enumerate", "--level-cap", "0", "--budget", "-5"], "budget"),
 ])
 def test_cli_s_enumerate_refusals_exit_2_fast(capsys, argv, msg):
     import time

@@ -9,7 +9,7 @@ from satokit.detline import (
     pair_criterion, ungraded_det,
 )
 from satokit.dimtorsor import RelTheory, mu_combine, torsor_difference
-from satokit.exactcat import (FdSpace, LinMap, canonical_section, check_ses,
+from satokit.exactcat import (SES, FdSpace, LinMap, canonical_section,
                               complete_grid_3x3, inclusion_map, split_ses)
 from satokit.exactlin import F2, F5, Matrix, Subspace, all_subspaces
 from satokit.laurent import LaurentMatrix, LaurentPoly
@@ -38,7 +38,7 @@ def test_lambda_iso_sequence_is_det():
     # a ~ b ->> 0: lambda equals det of the iso
     a = FdSpace(F5, 2)
     f = LinMap(a, a, [[2, 1], [1, 1]])
-    ses = check_ses(f, LinMap.zero(a, FdSpace(F5, 0)))
+    ses = SES(f, LinMap.zero(a, FdSpace(F5, 0)))
     assert lambda_ses(ses).scalar == f.matrix.det()
 
 
@@ -95,7 +95,7 @@ def test_lambda_naturality_under_sequence_isos():
         # sigma_2 with an isomorphism (f_sub, f_tot, f_quot) to sigma_1
         i2 = f_sub.then(ses.i).then(f_tot.inverse())
         j2 = f_tot.then(ses.j).then(f_quot.inverse())
-        ses2 = check_ses(i2, j2)
+        ses2 = SES(i2, j2)
         lam1 = lambda_ses(ses).scalar
         lam2 = lambda_ses(ses2).scalar
         lhs = F5.mul(lam1, F5.mul(f_sub.matrix.det(), f_quot.matrix.det()))
@@ -168,7 +168,7 @@ def test_mult_diagram_two_paths_exhaustive_f2():
             def ses_of(small, mid, big):
                 i = induced_map(Quotient(small, mid), Quotient(small, big))
                 j = induced_map(Quotient(small, big), Quotient(mid, big))
-                return check_ses(i, j)
+                return SES(i, j)
 
             lam_12 = th.lambda_scalar(ses_of(zero, a1, a2))
             lam_23 = th.lambda_scalar(ses_of(zero, a2, full))

@@ -4,8 +4,8 @@ import pytest
 
 from satokit.exactlin import F2, F3, F5, Matrix, Subspace, all_subspaces, all_vectors
 from satokit.exactcat import (
-    FdSpace, GridError, LinMap, SESInvalid, canonical_section, check_ses,
-    complete_grid_3x3, diagnose_ses, epi_mono_factorize,
+    SES, FdSpace, Grid3x3, GridError, LinMap, SESInvalid, canonical_section,
+    complete_grid_3x3, epi_mono_factorize,
     factorization_connector, image_factorization, inclusion_map,
     is_cartesian_square, is_cocartesian_square, pullback_admissible_monos,
     pushout_admissible_epis, quotient_map, split_ses,
@@ -14,6 +14,15 @@ from satokit.exactcat import (
 
 def k(field, n):
     return FdSpace(field, n)
+
+
+def _diagnosis(i, j):
+    """The SESInvalid code that SES(i, j) raises, or None when it validates."""
+    try:
+        SES(i, j)
+    except SESInvalid as exc:
+        return exc.code
+    return None
 
 
 def test_apply_is_the_row_product():
@@ -33,9 +42,9 @@ def test_ses_composite_nonzero():
     # i = e1 inclusion, j = first-coordinate projection
     i = LinMap(k(F2, 1), k(F2, 2), [[1, 0]])
     j = LinMap(k(F2, 2), k(F2, 1), [[1], [0]])
-    assert diagnose_ses(i, j) == "composite-nonzero"
+    assert _diagnosis(i, j) == "composite-nonzero"
     with pytest.raises(SESInvalid):
-        check_ses(i, j)
+        SES(i, j)
 
 
 def test_ses_inexact_at_middle():
@@ -44,16 +53,16 @@ def test_ses_inexact_at_middle():
     i = LinMap(k(F2, 1), k(F2, 3), [[1, 0, 0]])
     j = LinMap(k(F2, 3), k(F2, 1), [[0], [0], [1]])
     assert j.kernel_subspace().dim == 2  # rank oracle
-    assert diagnose_ses(i, j) == "inexact-at-middle"
+    assert _diagnosis(i, j) == "inexact-at-middle"
 
 
 def test_ses_not_mono_not_epi():
     z = LinMap.zero(k(F2, 1), k(F2, 2))
     j = LinMap(k(F2, 2), k(F2, 1), [[1], [0]])
-    assert diagnose_ses(z, j) == "not-mono"
+    assert _diagnosis(z, j) == "not-mono"
     i = LinMap(k(F2, 1), k(F2, 2), [[1, 0]])
     zz = LinMap.zero(k(F2, 2), k(F2, 1))
-    assert diagnose_ses(i, zz) == "not-epi"
+    assert _diagnosis(i, zz) == "not-epi"
 
 
 def test_admissibility_equals_rank_predicate():
@@ -65,7 +74,7 @@ def test_admissibility_equals_rank_predicate():
             continue
         ker = j.kernel_subspace()
         i = inclusion_map(ker)
-        assert diagnose_ses(LinMap(k(F2, ker.dim), k(F2, 3), i.matrix), j) is None
+        assert _diagnosis(LinMap(k(F2, ker.dim), k(F2, 3), i.matrix), j) is None
 
 
 def test_canonical_section():
@@ -326,6 +335,20 @@ def test_grid_transpose():
     for key, space in flipped.spaces.items():
         assert gt.spaces[key].dim == space.dim
     flipped.validate()
+
+
+def test_grid_validate_names_the_failing_line():
+    u_top = Subspace.from_rows(F2, 2, [(1, 0)])
+    u_left = Subspace.from_rows(F2, 2, [(0, 1)])
+    g = complete_grid_3x3(inclusion_map(u_top), inclusion_map(u_left))
+    mono, epi = g.row_maps[1]
+    rows = dict(g.row_maps)
+    rows[1] = (mono, LinMap.zero(epi.source, epi.target))
+    bad = Grid3x3(g.spaces, rows, g.col_maps)
+    with pytest.raises(GridError, match="^row 1: not-epi$"):
+        bad.validate()
+    with pytest.raises(GridError, match="^column 1: not-epi$"):
+        bad.transpose().validate()
 
 
 def _all_linmaps(src, tgt):

@@ -385,6 +385,20 @@ def test_non_rational_scalars_are_refused_over_q(bad):
     assert LaurentPoly(QQ, {0: third}).terms == ((0, third),)
 
 
+def test_subspace_constructor_refuses_unchecked_rows():
+    # it would store 7 over F5 and a float over Q as given; from_rows
+    # checks and reduces every scalar
+    with pytest.raises(ValueError, match="use Subspace.from_rows"):
+        Subspace(F5, 2, [[7, 0]], [0])
+    with pytest.raises(ValueError, match="use Subspace.from_rows"):
+        Subspace(QQ, 1, [[0.5]], [0])
+    seven = Subspace.from_rows(F5, 2, [[7, 0]])
+    assert seven == Subspace.from_rows(F5, 2, [[1, 0]])
+    assert seven.contains_vector((1, 0))
+    with pytest.raises(ValueError):
+        Subspace.from_rows(QQ, 1, [[0.5]])
+
+
 def test_matrix_det():
     assert Matrix(F5, [(2, 0), (0, 3)]).det() == 1  # 6 mod 5
     assert Matrix(QQ, [(Fraction(1, 2), 0), (0, 4)]).det() == 2

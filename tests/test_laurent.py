@@ -96,7 +96,7 @@ from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
-from satokit.tate import split_tate_ses
+from satokit.tate import TateSES, split_tate_ses
 
 FIELDS = [F2, F5, QQ]
 
@@ -170,28 +170,27 @@ def test_unary_ops_equal_checking_path(data, k, c):
 def test_seed_inverses_rejects_perturbed_entry():
     ses = split_tate_ses(F5, 1, 1)
     ri = LaurentMatrix(F5, [[LaurentPoly.one(F5)], [LaurentPoly.zero(F5)]])
-    ses.seed_inverses(ri=ri)
+    TateSES(ses.i, ses.j, ri=ri)
     bad = LaurentMatrix(F5, [[P(F5, (0, 1), (1, 1))],
                              [LaurentPoly.zero(F5)]])
     with pytest.raises(ValueError):
-        split_tate_ses(F5, 1, 1).seed_inverses(ri=bad)
+        TateSES(ses.i, ses.j, ri=bad)
     lj = LaurentMatrix(F5, [[LaurentPoly.zero(F5), LaurentPoly.one(F5)]])
-    ses.seed_inverses(lj=lj)
+    TateSES(ses.i, ses.j, lj=lj)
     bad = LaurentMatrix(F5, [[LaurentPoly.zero(F5), P(F5, (0, 2))]])
     with pytest.raises(ValueError):
-        split_tate_ses(F5, 1, 1).seed_inverses(lj=bad)
+        TateSES(ses.i, ses.j, lj=bad)
 
 
 def test_seed_inverses_rejects_wrong_shape():
     # i = (1, 0) times the 2 x 2 matrix [[1, 0], [0, 0]] is (1, 0): the
     # identity in its first column, but not a 1 x 1 identity
     one, z = LaurentPoly.one(F5), LaurentPoly.zero(F5)
+    ses = split_tate_ses(F5, 1, 1)
     with pytest.raises(ValueError):
-        split_tate_ses(F5, 1, 1).seed_inverses(
-            ri=LaurentMatrix(F5, [[one, z], [z, z]]))
+        TateSES(ses.i, ses.j, ri=LaurentMatrix(F5, [[one, z], [z, z]]))
     with pytest.raises(ValueError):
-        split_tate_ses(F5, 1, 1).seed_inverses(
-            lj=LaurentMatrix(F5, [[z, one], [z, z]]))
+        TateSES(ses.i, ses.j, lj=LaurentMatrix(F5, [[z, one], [z, z]]))
 
 
 # --- poly_divmod against sympy over F_p and Q --------------------------------

@@ -6,10 +6,10 @@ import pytest
 from satokit.exactlin import F2, F5, QQ, Matrix, Subspace
 from satokit.laurent import LaurentMatrix, LaurentPoly
 from satokit.tate import (
-    Lattice, LatticeGridError, LatticeQuotient, TateSES, TateSESInvalid,
-    TateSpace, check_tate_ses, compose_filtration,
-    delta_scalar_canonical, diagnose_tate_ses, fd_ses_of_pair,
-    lambda_scalar_chain, lattice_contains, lattice_grid, lattice_join,
+    Lattice, LatticeGrid, LatticeGridError, LatticeQuotient, TateSES,
+    TateSESInvalid, TateSpace, compose_filtration,
+    delta_scalar_canonical, fd_ses_of_pair,
+    lambda_scalar_chain, lattice_contains, lattice_join,
     lattice_meet, lattice_normalize, lift_lattice, project_lattice,
     quotient_ses, relative_index, split_tate_ses, standard_lattice,
     twist_tate_ses, window_rows, window_subspace,
@@ -17,6 +17,16 @@ from satokit.tate import (
 
 K1 = TateSpace(F5, 1)
 K2 = TateSpace(F5, 2)
+
+
+def _diagnosis(i, j):
+    """The TateSESInvalid code that TateSES(i, j) raises, or None when it
+    validates."""
+    try:
+        TateSES(i, j)
+    except TateSESInvalid as exc:
+        return exc.code
+    return None
 
 
 # --- the Laurent route: oracles for lift, project and their windows -------
@@ -70,7 +80,7 @@ def lift_by_laurent_rows(ses, u):
     if a == 0:
         return standard_lattice(src)
     vmin_i = ses.i.min_valuation()
-    binv, bden = ses.right_inverse_of_i()
+    binv, bden = ses.ri
     vmin_b = binv.min_valuation() - bden.val()
     HI = u.hi - vmin_i
     LO = u.lo + vmin_b
@@ -95,7 +105,7 @@ def project_by_laurent_rows(ses, u):
     if c == 0:
         return standard_lattice(dst)
     vmin_j = ses.j.min_valuation()
-    cinv, cden = ses.left_inverse_of_j()
+    cinv, cden = ses.lj
     vmin_c = cinv.min_valuation() - cden.val()
     HI = u.hi - vmin_c
     LO = u.lo + vmin_j
@@ -373,7 +383,7 @@ def test_iso_ses_with_zero_quotient():
     t = LaurentPoly.t_power(F5, 1)
     i = LaurentMatrix(F5, [[t]])
     j = LaurentMatrix(F5, [[]], ncols=0)
-    ses = check_tate_ses(i, j)
+    ses = TateSES(i, j)
     assert ses.quot_space.rank == 0
 
 
@@ -382,9 +392,9 @@ def test_ses_composite_nonzero():
     z = LaurentPoly.zero(F5)
     i = LaurentMatrix(F5, [[one, z]])
     j = LaurentMatrix(F5, [[one], [z]])
-    assert diagnose_tate_ses(i, j) == "composite-nonzero"
+    assert _diagnosis(i, j) == "composite-nonzero"
     with pytest.raises(TateSESInvalid):
-        check_tate_ses(i, j)
+        TateSES(i, j)
 
 
 def test_ses_rank_deficiency():
@@ -392,7 +402,7 @@ def test_ses_rank_deficiency():
     one = LaurentPoly.one(F5)
     i = LaurentMatrix(F5, [[z, z]])
     j = LaurentMatrix(F5, [[z], [one]])
-    assert diagnose_tate_ses(i, j) == "not-mono"
+    assert _diagnosis(i, j) == "not-mono"
 
 
 # --- lift / project ------------------------------------------------------
@@ -407,7 +417,7 @@ def test_lift_multiplication_by_t():
     t = LaurentPoly.t_power(F5, 1)
     i = LaurentMatrix(F5, [[t]])
     j = LaurentMatrix(F5, [[]], ncols=0)
-    ses = check_tate_ses(i, j)
+    ses = TateSES(i, j)
     assert lift_lattice(ses, standard_lattice(K1)) == \
         standard_lattice(K1, -1)
 
@@ -416,7 +426,7 @@ def test_lift_identity():
     one = LaurentPoly.one(F5)
     i = LaurentMatrix(F5, [[one]])
     j = LaurentMatrix(F5, [[]], ncols=0)
-    ses = check_tate_ses(i, j)
+    ses = TateSES(i, j)
     u = lattice_normalize(K1, -1, 1, [[1, 1]])
     assert lift_lattice(ses, u) == u
 
@@ -433,7 +443,7 @@ def test_project_iso_shift():
     # 0 -> k((t)) --t--> k((t)) -> ... use a rank-0 source
     z_i = LaurentMatrix(F5, [], ncols=1)
     j = LaurentMatrix(F5, [[t]])
-    ses = check_tate_ses(z_i, j)
+    ses = TateSES(z_i, j)
     assert project_lattice(ses, standard_lattice(K1)) == \
         standard_lattice(K1, 1)
 
@@ -442,7 +452,7 @@ def test_project_rank0_target():
     t = LaurentPoly.t_power(F5, 1)
     i = LaurentMatrix(F5, [[t]])
     j = LaurentMatrix(F5, [[]], ncols=0)
-    ses = check_tate_ses(i, j)
+    ses = TateSES(i, j)
     out = project_lattice(ses, standard_lattice(K1))
     assert out.space.rank == 0
 
@@ -617,8 +627,8 @@ def test_lift_project_match_the_laurent_route(data):
         ses = twist_tate_ses(split_tate_ses(field, a, c), *aut)
     else:
         x, y = _drawn_poly(data, field), _drawn_poly(data, field)
-        ses = check_tate_ses(LaurentMatrix(field, [[x, y]]),
-                             LaurentMatrix(field, [[y], [x.neg()]]))
+        ses = TateSES(LaurentMatrix(field, [[x, y]]),
+                      LaurentMatrix(field, [[y], [x.neg()]]))
     space = ses.total_space
     lo = data.draw(st.integers(-2, 1))
     hi = data.draw(st.integers(lo, 2))
@@ -667,8 +677,8 @@ def test_window_row_cancels_below_the_window():
     # the escape check reads the summed row, not its terms
     from satokit.tate import _stencil, _window_row
     one, t = LaurentPoly.one(F5), LaurentPoly.t_power(F5, 1)
-    ses = check_tate_ses(LaurentMatrix(F5, [[one.add(t), one.neg()]]),
-                         LaurentMatrix(F5, [[one], [one.add(t)]]))
+    ses = TateSES(LaurentMatrix(F5, [[one.add(t), one.neg()]]),
+                  LaurentMatrix(F5, [[one], [one.add(t)]]))
     rows, vmin = _stencil(ses, "j")
     assert vmin == 0 and rows == [[(0, 0, 1)], [(0, 0, 1), (1, 0, 1)]]
     # t^-1 (1 + t) + 4 t^-1 = 1, in [0, 2)
@@ -719,7 +729,7 @@ def test_lattice_grid_split():
     ses = split_tate_ses(F5, 1, 1)
     u = standard_lattice(K2)
     u_sub = diag_monomial_lattice(K2, [1, 0])
-    grid = lattice_grid(ses, u_sub, u)
+    grid = LatticeGrid(ses, u_sub, u)
     e = grid.entries()
     assert e["tl"] == standard_lattice(K1, 1)
     assert e["ml"] == standard_lattice(K1)
@@ -730,7 +740,7 @@ def test_lattice_grid_split():
 def test_lattice_grid_trivial_bottom():
     ses = split_tate_ses(F5, 1, 1)
     u = standard_lattice(K2)
-    grid = lattice_grid(ses, u, u)
+    grid = LatticeGrid(ses, u, u)
     assert grid.bottom_dims == (0, 0, 0)
 
 
@@ -739,7 +749,7 @@ def test_lattice_grid_shift_invariance():
     for shift in (-2, 0, 3):
         u = diag_monomial_lattice(K2, [shift, shift])
         u_sub = diag_monomial_lattice(K2, [shift + 1, shift])
-        grid = lattice_grid(ses, u_sub, u)
+        grid = LatticeGrid(ses, u_sub, u)
         assert grid.bottom_dims == (1, 1, 0)
 
 
@@ -748,7 +758,7 @@ def test_lattice_grid_rejects_non_nested():
     u = standard_lattice(K2)
     u_big = diag_monomial_lattice(K2, [-1, 0])
     with pytest.raises(LatticeGridError):
-        lattice_grid(ses, u_big, u)
+        LatticeGrid(ses, u_big, u)
 
 
 def test_fd_ses_of_pair_validates():
@@ -831,21 +841,44 @@ def test_compose_filtration_with_seeded_inverses():
     from satokit.verify import TwistedChain
     ch = TwistedChain(random.Random(1), F5, 1, 2, 3)
     composed = compose_filtration(ch.ses23, ch.ses12)
-    assert diagnose_tate_ses(composed.i, composed.j) is None
+    assert _diagnosis(composed.i, composed.j) is None
     assert composed.i == ch.ses13.i and composed.j == ch.ses13.j
     q = quotient_ses(ch.ses23, ch.ses12, composed)
-    assert diagnose_tate_ses(q.i, q.j) is None
+    assert _diagnosis(q.i, q.j) is None
+
+
+def test_every_sequence_holds_its_verified_inverses():
+    # seeded, unseeded and derived sequences all carry (N, d) pairs with
+    # i . N = d . I and N . j = d . I, checked here by plain products; the
+    # generic one has content 1 + t, so its d is not 1
+    from satokit.verify import TwistedChain
+    ch = TwistedChain(random.Random(4), F5, 1, 2, 3)
+    one, z = LaurentPoly.one(F5), LaurentPoly.zero(F5)
+    t = LaurentPoly.t_power(F5, 1)
+    x, y = one.add(t), t.add(t.mul(t))
+    generic = TateSES(LaurentMatrix(F5, [[x, y]]),
+                      LaurentMatrix(F5, [[y], [x.neg()]]))
+    composed = compose_filtration(ch.ses23, ch.ses12)
+    assert generic.ri[1] == x and generic.lj[1] == x
+    for ses in (ch.ses12, ch.ses23, ch.ses13, ch.sesq, generic, composed,
+                quotient_ses(ch.ses23, ch.ses12, composed)):
+        for prod, (_, d) in ((ses.i.mul(ses.ri[0]), ses.ri),
+                             (ses.lj[0].mul(ses.j), ses.lj)):
+            n = prod.nrows
+            assert prod == LaurentMatrix(F5, [[d if r == c else z
+                                               for c in range(n)]
+                                              for r in range(n)], n)
 
 
 @pytest.mark.parametrize("field", [F2, F5])
 def test_twisted_chain_sequences_pass_the_full_diagnosis(field):
-    # TwistedChain checks only i . j = 0 and leaves full rank to the seeded
-    # inverses; the rank diagnosis must agree
+    # TwistedChain proves full rank by its seeded inverses; the unseeded
+    # construction, which computes them by echelon, must agree
     from satokit.verify import TwistedChain
     for seed in range(50):
         ch = TwistedChain(random.Random(seed), field, 1, 2, 3)
         for ses in (ch.ses12, ch.ses23, ch.ses13):
-            assert diagnose_tate_ses(ses.i, ses.j) is None, seed
+            assert _diagnosis(ses.i, ses.j) is None, seed
 
 
 def _counting(monkeypatch, module, names):
@@ -911,11 +944,11 @@ def _selection(field, rows, cols, offset=0):
                                  for r in range(rows)], cols)
 
 
-def _split_by_rank_check(field, a, c):
-    """The coordinate split through the full diagnosis, inverses unseeded."""
+def _split_unseeded(field, a, c):
+    """The coordinate split with computed inverses, unseeded."""
     b = a + c
-    return check_tate_ses(_selection(field, a, b),
-                          _selection(field, c, b, offset=a).transpose())
+    return TateSES(_selection(field, a, b),
+                   _selection(field, c, b, offset=a).transpose())
 
 
 def _chain_by_selections(rng, field, a1, a2, a3, emax=2, n_factors=2):
@@ -935,12 +968,11 @@ def _chain_by_selections(rng, field, a1, a2, a3, emax=2, n_factors=2):
     j13 = LaurentMatrix(field, [l + r for l, r in
                                 zip(j13_left.entries, j23.entries)], a3 - a1)
     lj13 = LaurentMatrix(field, lj12.mul(i23).entries + lj23.entries, a3)
-    q = _split_by_rank_check(field, a2 - a1, a3 - a2)
+    q = _split_unseeded(field, a2 - a1, a3 - a2)
     return {"ses12": (i12, j12, ri12, lj12),
             "ses23": (i23, j23, ri23, lj23),
             "ses13": (i12.mul(i23), j13, ri23.mul(ri12), lj13),
-            "sesq": (q.i, q.j, q.right_inverse_of_i()[0],
-                     q.left_inverse_of_j()[0])}
+            "sesq": (q.i, q.j, q.ri[0], q.lj[0])}
 
 
 @settings(max_examples=150, deadline=None)
@@ -967,8 +999,8 @@ def test_twisted_chain_matches_the_selection_products(field):
             ses = getattr(ch, name)
             assert (ses.i, ses.j) == (i, j), (seed, name)
             one = LaurentPoly.one(field)
-            assert ses._cache["ri"] == (ri, one), (seed, name)
-            assert ses._cache["lj"] == (lj, one), (seed, name)
+            assert ses.ri == (ri, one), (seed, name)
+            assert ses.lj == (lj, one), (seed, name)
 
 
 @pytest.mark.parametrize("field", [F2, F5])
@@ -976,32 +1008,31 @@ def test_split_tate_ses_is_seeded_without_an_echelon(monkeypatch, field):
     import satokit.laurent
     for a in range(4):
         for c in range(4):
-            want = _split_by_rank_check(field, a, c)
+            want = _split_unseeded(field, a, c)
             calls = _counting(monkeypatch, satokit.laurent, ["_echelon"])
             ses = split_tate_ses(field, a, c)
             assert not calls, (a, c)
             monkeypatch.undo()
             assert (ses.i, ses.j) == (want.i, want.j), (a, c)
-            assert ses.right_inverse_of_i() == want.right_inverse_of_i()
-            assert ses.left_inverse_of_j() == want.left_inverse_of_j()
-            assert diagnose_tate_ses(ses.i, ses.j) is None, (a, c)
+            assert ses.ri == want.ri
+            assert ses.lj == want.lj
+            assert _diagnosis(ses.i, ses.j) is None, (a, c)
 
 
 def test_seeded_tate_ses_refuses_inexact_data():
-    from satokit.tate import seeded_tate_ses
     one, z = LaurentPoly.one(F5), LaurentPoly.zero(F5)
     i = LaurentMatrix(F5, [[one, z]])
     with pytest.raises(TateSESInvalid, match="composite-nonzero"):
-        seeded_tate_ses(i, LaurentMatrix(F5, [[one], [one]]), i.transpose(),
-                        LaurentMatrix(F5, [[z, one]]))
+        TateSES(i, LaurentMatrix(F5, [[one], [one]]), i.transpose(),
+                LaurentMatrix(F5, [[z, one]]))
     # i . j = 0 and both inverses hold, but 1 + 0 != 2
     j0 = LaurentMatrix(F5, [[], []], ncols=0)
     with pytest.raises(TateSESInvalid, match="inexact-at-middle"):
-        seeded_tate_ses(i, j0, i.transpose(), j0.transpose())
+        TateSES(i, j0, i.transpose(), j0.transpose())
     with pytest.raises(ValueError, match="seeded right inverse"):
-        seeded_tate_ses(i, LaurentMatrix(F5, [[z], [one]]),
-                        LaurentMatrix(F5, [[z], [one]]),
-                        LaurentMatrix(F5, [[z, one]]))
+        TateSES(i, LaurentMatrix(F5, [[z], [one]]),
+                LaurentMatrix(F5, [[z], [one]]),
+                LaurentMatrix(F5, [[z, one]]))
 
 
 def test_suite_lift_project_lifts_four_and_projects_three(monkeypatch):
@@ -1039,6 +1070,6 @@ def test_retraction_refuses_a_non_unit_minor():
     one, z = LaurentPoly.one(F5), LaurentPoly.zero(F5)
     i = LaurentMatrix(F5, [[LaurentPoly(F5, [(0, 1), (1, 1)]), z]])
     j = LaurentMatrix(F5, [[z], [one]])
-    ses = check_tate_ses(i, j)
+    ses = TateSES(i, j)
     with pytest.raises(ValueError, match="nontrivial denominator"):
         retraction_of_mono(ses)
