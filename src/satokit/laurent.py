@@ -235,6 +235,8 @@ class LaurentMatrix:
     def mul(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
+        if self.field != other.field:
+            raise ValueError("field mismatch")
         z = LaurentPoly.zero(self.field)
         out = []
         for row in self.entries:
@@ -260,9 +262,6 @@ class LaurentMatrix:
         """Least entry valuation; None for the zero matrix."""
         vals = [x.val() for r in self.entries for x in r if not x.is_zero()]
         return min(vals) if vals else None
-
-    def rank(self):
-        return len(_echelon(self)[2])
 
 
 def _echelon(m):

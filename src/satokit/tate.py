@@ -235,9 +235,10 @@ class TateSES:
 
     The constructor is the one validation path.  Admissibility is full rank
     over k(t), proven by one-sided inverses kept as (N, d) pairs: ri with
-    i . N = d . I and lj with N . j = d . I, each verified exactly.  A
-    Laurent ri or lj given by the caller is checked in place of a computed
-    one, so no echelon runs for it.  Exactness in the middle is then
+    i . N = d . I and lj with N . j = d . I, each verified exactly.  An
+    (N, d) pair ri or lj given by the caller is checked in place of a
+    computed one, so no echelon runs for it; d must be nonzero, since
+    N = 0 over d = 0 would pass the check.  Exactness in the middle is then
     i . j = 0 together with the rank count a + c = b.
     """
 
@@ -283,13 +284,12 @@ class TateSES:
 
 
 def _one_sided(m, seed, left, code, message):
-    """(N, d), a one-sided inverse of m verified exactly: the Laurent seed
-    over d = 1 (ValueError(message) when it fails), else the computed one
-    (TateSESInvalid(code) when there is none)."""
-    if seed is None:
-        nd = left_inverse(m) if left else right_inverse(m)
-    else:
-        nd = (seed, LaurentPoly.one(m.field))
+    """(N, d), a one-sided inverse of m verified exactly: the seed pair
+    (ValueError(message) when it fails, or when d = 0), else the computed
+    one (TateSESInvalid(code) when there is none)."""
+    if seed is not None and seed[1].is_zero():
+        raise ValueError("seeded inverse has denominator 0")
+    nd = seed or (left_inverse(m) if left else right_inverse(m))
     if nd is not None and _verify_one_sided(m, *nd, left=left):
         return nd
     if seed is not None:
@@ -317,57 +317,55 @@ def split_tate_ses(field, a, c):
                               for r in range(a)], b)
     j = LaurentMatrix(field, [[one if q == r - a else z for q in range(c)]
                               for r in range(b)], c)
-    return TateSES(i, j, i.transpose(), j.transpose())
+    return TateSES(i, j, (i.transpose(), one), (j.transpose(), one))
 
 
 def twist_tate_ses(ses, aut, aut_inv):
     """Conjugate the middle of a TateSES by an automorphism of the middle
-    space: i' = i . A, j' = A^-1 . j."""
-    prod = aut.mul(aut_inv)
-    if prod != LaurentMatrix.identity(ses.field, aut.nrows):
+    space: i' = i . A, j' = A^-1 . j, with one-sided inverses A^-1 . N and
+    N . A over the same denominators."""
+    if aut.mul(aut_inv) != LaurentMatrix.identity(ses.field, aut.nrows):
         raise ValueError("aut_inv is not the inverse of aut")
-    return TateSES(ses.i.mul(aut), aut_inv.mul(ses.j))
-
-
-def retraction_of_mono(ses):
-    """LaurentMatrix r with i . r = identity; ValueError when there is none,
-    i.e. the maximal minors of i do not generate the ring k[t, 1/t]."""
-    r, d = ses.ri
-    if d != LaurentPoly.one(ses.field):
-        raise ValueError("inverse has a nontrivial denominator")
-    return r
-
-
-def section_of_epi(ses):
-    """LaurentMatrix s with s . j = identity, polynomial entries."""
-    s, d = ses.lj
-    if d != LaurentPoly.one(ses.field):
-        raise ValueError("inverse has a nontrivial denominator")
-    return s
+    (ri, di), (lj, dj) = ses.ri, ses.lj
+    return TateSES(ses.i.mul(aut), aut_inv.mul(ses.j),
+                   (aut_inv.mul(ri), di), (lj.mul(aut), dj))
 
 
 def compose_filtration(ses_outer, ses_inner):
     """Given X2 >--> X3 (outer) and X1 >--> X2 (inner), the sequence
-    X1 >--> X3 -->> X3/X1 with X3/X1 = (X2/X1) (+) (X3/X2) coordinates."""
-    i13 = ses_inner.i.mul(ses_outer.i)
-    field = i13.field
-    r23 = retraction_of_mono(ses_outer)
+    X1 >--> X3 -->> X3/X1 = (X2/X1) (+) (X3/X2): i13 = i12 . i23 and
+    j13 = [r23 . j12 | j23], for the retraction r23 of i23, which must be
+    Laurent.  From the pairs (N12, d12), (L12, e12), (L23, e23) of ri12,
+    lj12, lj23, with no echelon: ri13 = (r23 . N12, d12), and lj13 is
+    e23 . L12 . i23 above e12 . (L23 - L23 . r23 . i23), over e12 . e23.
+
+    In these coordinates the quotient X2/X1 >--> X3/X1 -->> X3/X2 is
+    split_tate_ses(field, a2 - a1, a3 - a2): i23 . j13 = [j12 | 0] gives
+    the mono [I | 0], and j23, the last columns of j13, the epi [0; I].
+    """
+    field = ses_outer.field
+    one = LaurentPoly.one(field)
+    r23, d23 = ses_outer.ri
+    if d23 != one:
+        raise ValueError("inverse has a nontrivial denominator")
+    (n12, d12), (l12, e12), (l23, e23) = (ses_inner.ri, ses_inner.lj,
+                                          ses_outer.lj)
+    i23, j23 = ses_outer.i, ses_outer.j
     part1 = r23.mul(ses_inner.j)          # X3 -> X2 -> X2/X1
-    rows = [list(pr) + list(jr) for pr, jr in
-            zip(part1.entries, ses_outer.j.entries)]
-    j13 = LaurentMatrix(field, rows, part1.ncols + ses_outer.j.ncols)
-    return TateSES(i13, j13)
-
-
-def quotient_ses(ses_outer, ses_inner, ses_composed=None):
-    """X2/X1 >--> X3/X1 -->> X3/X2 induced by the filtration."""
-    if ses_composed is None:
-        ses_composed = compose_filtration(ses_outer, ses_inner)
-    s12 = section_of_epi(ses_inner)
-    mono = s12.mul(ses_outer.i).mul(ses_composed.j)
-    s13 = section_of_epi(ses_composed)
-    epi = s13.mul(ses_outer.j)
-    return TateSES(mono, epi)
+    j13 = LaurentMatrix(field, [l + r for l, r in zip(
+        part1.entries, j23.entries)], part1.ncols + j23.ncols)
+    top, bottom = l12.mul(i23).entries, l23.entries
+    lr = l23.mul(r23)
+    if not lr.is_zero():
+        bottom = [[x.sub(y) for x, y in zip(r, s)]
+                  for r, s in zip(bottom, lr.mul(i23).entries)]
+    if e23 != one:
+        top = [[e23.mul(x) for x in r] for r in top]
+    if e12 != one:
+        bottom = [[e12.mul(x) for x in r] for r in bottom]
+    return TateSES(ses_inner.i.mul(i23), j13, (r23.mul(n12), d12),
+                   (LaurentMatrix(field, [*top, *bottom], i23.ncols),
+                    e12.mul(e23)))
 
 
 def _stencil(ses, name):

@@ -28,9 +28,10 @@ from .simptors import (Cochain, MultTorsorRep, GerbeRep, check_mult_torsor,
                        classify_torsor, cohomology, evaluate_even_odd,
                        gerbe_to_torsor, iso_decide, street_boundaries)
 from .swald import enumerate_s_skeleton, verify_det_theory, verify_dim_theory
-from .tate import (TateSES, TateSpace, lattice_join, lattice_meet,
-                   lattice_normalize, lift_lattice, project_lattice,
-                   relative_index, split_tate_ses, standard_lattice)
+from .tate import (TateSES, TateSpace, compose_filtration, lattice_join,
+                   lattice_meet, lattice_normalize, lift_lattice,
+                   project_lattice, relative_index, split_tate_ses,
+                   standard_lattice)
 
 
 class SuiteResult:
@@ -149,14 +150,10 @@ class TwistedChain:
         ri23, j23 = _cols(A2i, 0, a2), _cols(A2i, a2, a3)
         i12, lj12 = _rows(A1, 0, a1), _rows(A1, a1, a2)
         ri12, j12 = _cols(A1i, 0, a1), _cols(A1i, a1, a2)
-        self.ses23 = TateSES(i23, j23, ri23, lj23)
-        self.ses12 = TateSES(i12, j12, ri12, lj12)
-        j13_left = ri23.mul(j12)
-        j13 = LaurentMatrix(field, [l + r for l, r in
-                                    zip(j13_left.entries, j23.entries)],
-                            (a2 - a1) + (a3 - a2))
-        lj13 = LaurentMatrix(field, lj12.mul(i23).entries + lj23.entries, a3)
-        self.ses13 = TateSES(i12.mul(i23), j13, ri23.mul(ri12), lj13)
+        one = LaurentPoly.one(field)
+        self.ses23 = TateSES(i23, j23, (ri23, one), (lj23, one))
+        self.ses12 = TateSES(i12, j12, (ri12, one), (lj12, one))
+        self.ses13 = compose_filtration(self.ses23, self.ses12)
         # in these coordinates X3/X1 = (X2/X1) (+) (X3/X2) on the nose
         self.sesq = split_tate_ses(field, a2 - a1, a3 - a2)
 

@@ -145,7 +145,7 @@ def _aut(rng, field, n):
 
 def test_mu_associativity_on_filtration():
     # X1 = k((t)) c X2 = k((t))^2 c X3 = k((t))^3, coordinate splits twisted
-    from satokit.tate import compose_filtration, quotient_ses
+    from satokit.tate import compose_filtration
     rng = random.Random(7)
     chi = DimTheory.universal()
     for _ in range(10):
@@ -159,8 +159,9 @@ def test_mu_associativity_on_filtration():
         # X2 with the nested theory, then along ses23
         d12 = mu_combine(ses12, d1, d21)
         left = mu_combine(ses23, d12, d32)
-        # right association: combine (d21, d32) on X3/X1 first
-        sesq = quotient_ses(ses23, ses12)
+        # right association: combine (d21, d32) on X3/X1 first, whose
+        # sequence is the coordinate split in compose_filtration's coordinates
+        sesq = split_tate_ses(F5, 1, 1)
         d23 = mu_combine(sesq, d21, d32)
         ses13 = compose_filtration(ses23, ses12)
         right = mu_combine(ses13, d1, d23)

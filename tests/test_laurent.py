@@ -2,7 +2,8 @@ import pytest
 
 from satokit.exactlin import F2, F5, QQ
 from satokit.laurent import (
-    LaurentMatrix, LaurentPoly, left_inverse, poly_divmod, right_inverse,
+    LaurentMatrix, LaurentPoly, _echelon, left_inverse, poly_divmod,
+    right_inverse,
 )
 
 
@@ -39,15 +40,29 @@ def test_poly_divmod_and_gcd():
     assert a.scale(F5.inv(a.terms[-1][1])) == b
 
 
+def _rank(m):
+    """Rank over k(t): the pivot count of the echelon form."""
+    return len(_echelon(m)[2])
+
+
 def test_rank():
     t = P(F2, (1, 1))
     one = LaurentPoly.one(F2)
     z = LaurentPoly.zero(F2)
     m = LaurentMatrix(F2, [[one, t], [t, t.mul(t)]])
-    assert m.rank() == 1  # second row = t * first row
+    assert _rank(m) == 1  # second row = t * first row
     m2 = LaurentMatrix(F2, [[one, t], [t, one]])
-    assert m2.rank() == 2  # det = 1 - t^2 != 0
-    assert LaurentMatrix.zero(F2, 2, 3).rank() == 0
+    assert _rank(m2) == 2  # det = 1 - t^2 != 0
+    assert _rank(LaurentMatrix.zero(F2, 2, 3)) == 0
+
+
+def test_mul_refuses_mixed_fields():
+    # an F5 entry must not pass as an F2 one, nor an F5 sequence compose
+    # with an F2 one
+    with pytest.raises(ValueError, match="field mismatch"):
+        LaurentMatrix(F2, [[1]]).mul(LaurentMatrix(F5, [[3]]))
+    with pytest.raises(ValueError, match="field mismatch"):
+        compose_filtration(split_tate_ses(F5, 2, 1), split_tate_ses(F2, 1, 1))
 
 
 def test_right_inverse():
@@ -96,7 +111,7 @@ from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
-from satokit.tate import TateSES, split_tate_ses
+from satokit.tate import TateSES, compose_filtration, split_tate_ses
 
 FIELDS = [F2, F5, QQ]
 
@@ -168,18 +183,23 @@ def test_unary_ops_equal_checking_path(data, k, c):
 
 
 def test_seed_inverses_rejects_perturbed_entry():
+    one = LaurentPoly.one(F5)
     ses = split_tate_ses(F5, 1, 1)
-    ri = LaurentMatrix(F5, [[LaurentPoly.one(F5)], [LaurentPoly.zero(F5)]])
-    TateSES(ses.i, ses.j, ri=ri)
+    ri = LaurentMatrix(F5, [[one], [LaurentPoly.zero(F5)]])
+    TateSES(ses.i, ses.j, ri=(ri, one))
     bad = LaurentMatrix(F5, [[P(F5, (0, 1), (1, 1))],
                              [LaurentPoly.zero(F5)]])
     with pytest.raises(ValueError):
-        TateSES(ses.i, ses.j, ri=bad)
-    lj = LaurentMatrix(F5, [[LaurentPoly.zero(F5), LaurentPoly.one(F5)]])
-    TateSES(ses.i, ses.j, lj=lj)
+        TateSES(ses.i, ses.j, ri=(bad, one))
+    lj = LaurentMatrix(F5, [[LaurentPoly.zero(F5), one]])
+    TateSES(ses.i, ses.j, lj=(lj, one))
     bad = LaurentMatrix(F5, [[LaurentPoly.zero(F5), P(F5, (0, 2))]])
     with pytest.raises(ValueError):
-        TateSES(ses.i, ses.j, lj=bad)
+        TateSES(ses.i, ses.j, lj=(bad, one))
+    # the same seeds over d = 2 + 2t, scaled to match, pass too
+    d = P(F5, (0, 2), (1, 2))
+    TateSES(ses.i, ses.j, ri=(LaurentMatrix(F5, [[d], [P(F5)]]), d),
+            lj=(LaurentMatrix(F5, [[P(F5), d]]), d))
 
 
 def test_seed_inverses_rejects_wrong_shape():
@@ -188,9 +208,21 @@ def test_seed_inverses_rejects_wrong_shape():
     one, z = LaurentPoly.one(F5), LaurentPoly.zero(F5)
     ses = split_tate_ses(F5, 1, 1)
     with pytest.raises(ValueError):
-        TateSES(ses.i, ses.j, ri=LaurentMatrix(F5, [[one, z], [z, z]]))
+        TateSES(ses.i, ses.j, ri=(LaurentMatrix(F5, [[one, z], [z, z]]), one))
     with pytest.raises(ValueError):
-        TateSES(ses.i, ses.j, lj=LaurentMatrix(F5, [[z, one], [z, z]]))
+        TateSES(ses.i, ses.j, lj=(LaurentMatrix(F5, [[z, one], [z, z]]), one))
+
+
+def test_seed_inverses_refuse_denominator_zero():
+    # N . j = 0 . I holds for every N, so a zero d proves nothing
+    z = LaurentPoly.zero(F5)
+    ses = split_tate_ses(F5, 1, 1)
+    for n in (LaurentMatrix.zero(F5, 2, 1), ses.ri[0]):
+        with pytest.raises(ValueError, match="denominator 0"):
+            TateSES(ses.i, ses.j, ri=(n, z))
+    for n in (LaurentMatrix.zero(F5, 1, 2), ses.lj[0]):
+        with pytest.raises(ValueError, match="denominator 0"):
+            TateSES(ses.i, ses.j, lj=(n, z))
 
 
 # --- poly_divmod against sympy over F_p and Q --------------------------------
@@ -280,7 +312,7 @@ def _scalar(d, n):
 def test_rank_and_inverses_against_sympy(m):
     pytest.importorskip("sympy")
     sm = _sympy(m)
-    rank = m.rank()
+    rank = _rank(m)
     assert rank == sm.rank()
     right, left = right_inverse(m), left_inverse(m)
     if rank == m.nrows:

@@ -4,14 +4,14 @@ from fractions import Fraction
 import pytest
 
 from satokit.exactlin import F2, F5, QQ, Matrix, Subspace
-from satokit.laurent import LaurentMatrix, LaurentPoly
+from satokit.laurent import LaurentMatrix, LaurentPoly, poly_divmod
 from satokit.tate import (
     Lattice, LatticeGrid, LatticeGridError, LatticeQuotient, TateSES,
     TateSESInvalid, TateSpace, compose_filtration,
     delta_scalar_canonical, fd_ses_of_pair,
     lambda_scalar_chain, lattice_contains, lattice_join,
     lattice_meet, lattice_normalize, lift_lattice, project_lattice,
-    quotient_ses, relative_index, split_tate_ses, standard_lattice,
+    relative_index, split_tate_ses, standard_lattice,
     twist_tate_ses, window_rows, window_subspace,
 )
 
@@ -647,7 +647,6 @@ def test_project_against_brute_force_image():
     # with W so deep that j(t^W O^2) lies in t^HI O and t^HI O in j(u), and
     # compare the span of the images in [LO, HI) with the computed lattice
     import itertools
-    from satokit.tate import section_of_epi
     rng = random.Random(59)
     space2 = TateSpace(F2, 2)
     space1 = TateSpace(F2, 1)
@@ -658,8 +657,11 @@ def test_project_against_brute_force_image():
         u = _rand_lat(rng, space2, bound=1)
         got = project_lattice(ses, u)
         vmin = ses.j.min_valuation()
-        # j(t^m s) = t^m, with s . j = 1, so t^m O <= j(u) once t^m s <= u
-        HI = max(got.hi, u.hi - section_of_epi(ses).min_valuation()) + 1
+        # j(t^m s) = t^m, with s . j = 1 (a twisted split's lj is over
+        # d = 1), so t^m O <= j(u) once t^m s <= u
+        s, d = ses.lj
+        assert d == LaurentPoly.one(F2)
+        HI = max(got.hi, u.hi - s.min_valuation()) + 1
         LO = min(got.lo, u.lo + vmin) - 1
         W = HI - vmin
         basis = window_rows(u, u.lo, W)
@@ -839,29 +841,38 @@ def test_relative_index_closed_form_matches_window_count():
 
 def test_compose_filtration_with_seeded_inverses():
     from satokit.verify import TwistedChain
-    ch = TwistedChain(random.Random(1), F5, 1, 2, 3)
-    composed = compose_filtration(ch.ses23, ch.ses12)
-    assert _diagnosis(composed.i, composed.j) is None
-    assert composed.i == ch.ses13.i and composed.j == ch.ses13.j
-    q = quotient_ses(ch.ses23, ch.ses12, composed)
-    assert _diagnosis(q.i, q.j) is None
+    for seed in range(5):
+        ch = TwistedChain(random.Random(seed), F5, 1, 2, 3)
+        composed = compose_filtration(ch.ses23, ch.ses12)
+        assert _diagnosis(composed.i, composed.j) is None
+        assert (composed.i, composed.j) == (ch.ses13.i, ch.ses13.j)
+        assert (composed.ri, composed.lj) == (ch.ses13.ri, ch.ses13.lj)
+
+
+def _content_sequence(field):
+    """i = (x, y), j = (y; -x) for x = 1 + t, y = t + t^2: both have content
+    1 + t, so neither one-sided inverse is Laurent."""
+    one, t = LaurentPoly.one(field), LaurentPoly.t_power(field, 1)
+    x, y = one.add(t), t.add(t.mul(t))
+    return TateSES(LaurentMatrix(field, [[x, y]]),
+                   LaurentMatrix(field, [[y], [x.neg()]]))
 
 
 def test_every_sequence_holds_its_verified_inverses():
     # seeded, unseeded and derived sequences all carry (N, d) pairs with
     # i . N = d . I and N . j = d . I, checked here by plain products; the
-    # generic one has content 1 + t, so its d is not 1
+    # generic one has content 1 + t, so its d is not 1, nor is that of the
+    # composite over it
     from satokit.verify import TwistedChain
     ch = TwistedChain(random.Random(4), F5, 1, 2, 3)
-    one, z = LaurentPoly.one(F5), LaurentPoly.zero(F5)
-    t = LaurentPoly.t_power(F5, 1)
-    x, y = one.add(t), t.add(t.mul(t))
-    generic = TateSES(LaurentMatrix(F5, [[x, y]]),
-                      LaurentMatrix(F5, [[y], [x.neg()]]))
-    composed = compose_filtration(ch.ses23, ch.ses12)
+    z = LaurentPoly.zero(F5)
+    generic = _content_sequence(F5)
+    x = generic.i[0, 0]
+    over_generic = compose_filtration(ch.ses23, generic)
     assert generic.ri[1] == x and generic.lj[1] == x
-    for ses in (ch.ses12, ch.ses23, ch.ses13, ch.sesq, generic, composed,
-                quotient_ses(ch.ses23, ch.ses12, composed)):
+    assert over_generic.ri[1] == x and over_generic.lj[1] == x
+    for ses in (ch.ses12, ch.ses23, ch.ses13, ch.sesq, generic,
+                compose_filtration(ch.ses23, ch.ses12), over_generic):
         for prod, (_, d) in ((ses.i.mul(ses.ri[0]), ses.ri),
                              (ses.lj[0].mul(ses.j), ses.lj)):
             n = prod.nrows
@@ -905,6 +916,72 @@ def test_twisted_chain_runs_no_echelon(monkeypatch):
     for seed in range(3):
         TwistedChain(random.Random(seed), F5, 1, 2, 3)
     assert calls == {}
+
+
+def test_chain_suites_run_no_echelon(monkeypatch):
+    # the suites that build twisted chains, composites included, take every
+    # one-sided inverse from a seed
+    import satokit.laurent
+    import satokit.verify
+    calls = _counting(monkeypatch, satokit.laurent, ["_echelon"])
+    assert satokit.verify.suite_lift_project(seed=0, trials=4).passed
+    assert satokit.verify.suite_mu(seed=0, trials=4).passed
+    assert calls == {}
+
+
+# --- the quotient sequence of a filtration, by sections ----------------------
+
+def _divided(m, d):
+    """m / d entry by entry, for d dividing every entry in k[t, 1/t]."""
+    v = d.val()
+    d0 = d.shift(-v)
+    rows = []
+    for row in m.entries:
+        out = []
+        for x in row:
+            if x.terms:
+                q, r = poly_divmod(x.shift(-x.val()), d0)
+                assert r.is_zero()
+                x = q.shift(x.val() - v)
+            out.append(x)
+        rows.append(out)
+    return LaurentMatrix(m.field, rows, m.ncols)
+
+
+def _quotient_by_sections(ses_outer, ses_inner):
+    """X2/X1 >--> X3/X1 -->> X3/X2 of a filtration, by its definition: the
+    mono s12 . i23 . j13 and the epi s13 . j23 it induces, for left inverses
+    s12 of j12 and s13 of j13 computed over unseeded sequences, each as N/d
+    with the division by d exact."""
+    outer = TateSES(ses_outer.i, ses_outer.j)
+    inner = TateSES(ses_inner.i, ses_inner.j)
+    composed = compose_filtration(outer, inner)
+    composed = TateSES(composed.i, composed.j)
+    s12, d12 = inner.lj
+    s13, d13 = composed.lj
+    return TateSES(_divided(s12.mul(outer.i).mul(composed.j), d12),
+                   _divided(s13.mul(outer.j), d13))
+
+
+@pytest.mark.parametrize("field", [F2, F5])
+def test_quotient_of_a_filtration_is_the_coordinate_split(field):
+    from satokit.verify import TwistedChain
+    rng = random.Random(61)
+    for a2 in (2, 3):
+        for c in (1, 2):
+            for a1 in range(a2 + 1):
+                for _ in range(4):
+                    ch = TwistedChain(rng, field, a1, a2, a2 + c)
+                    q = _quotient_by_sections(ch.ses23, ch.ses12)
+                    want = split_tate_ses(field, a2 - a1, c)
+                    assert (q.i, q.j) == (want.i, want.j), (a1, a2, c)
+                    assert (q.ri, q.lj) == (want.ri, want.lj), (a1, a2, c)
+    # over the inner sequence with d = 1 + t
+    for c in (1, 2):
+        ch = TwistedChain(rng, field, 1, 2, 2 + c)
+        q = _quotient_by_sections(ch.ses23, _content_sequence(field))
+        want = split_tate_ses(field, 1, c)
+        assert (q.i, q.j, q.ri, q.lj) == (want.i, want.j, want.ri, want.lj)
 
 
 # --- oracles for the sliced chain: products of elementary and selection
@@ -1006,6 +1083,8 @@ def test_twisted_chain_matches_the_selection_products(field):
 @pytest.mark.parametrize("field", [F2, F5])
 def test_split_tate_ses_is_seeded_without_an_echelon(monkeypatch, field):
     import satokit.laurent
+    from satokit.verify import rand_automorphism
+    rng = random.Random(67)
     for a in range(4):
         for c in range(4):
             want = _split_unseeded(field, a, c)
@@ -1017,22 +1096,37 @@ def test_split_tate_ses_is_seeded_without_an_echelon(monkeypatch, field):
             assert ses.ri == want.ri
             assert ses.lj == want.lj
             assert _diagnosis(ses.i, ses.j) is None, (a, c)
+    # twists and composites take their inverses from their inputs' pairs
+    generic = _content_sequence(field)
+    for a in (1, 2):
+        for c in (1, 2):
+            aut = rand_automorphism(rng, field, a + c)
+            inner_aut = rand_automorphism(rng, field, a)
+            calls = _counting(monkeypatch, satokit.laurent, ["_echelon"])
+            outer = twist_tate_ses(split_tate_ses(field, a, c), *aut)
+            inner = twist_tate_ses(split_tate_ses(field, 1, a - 1),
+                                   *inner_aut)
+            compose_filtration(outer, inner)
+            if a == 2:
+                compose_filtration(outer, generic)
+            assert not calls, (a, c)
+            monkeypatch.undo()
 
 
 def test_seeded_tate_ses_refuses_inexact_data():
     one, z = LaurentPoly.one(F5), LaurentPoly.zero(F5)
     i = LaurentMatrix(F5, [[one, z]])
     with pytest.raises(TateSESInvalid, match="composite-nonzero"):
-        TateSES(i, LaurentMatrix(F5, [[one], [one]]), i.transpose(),
-                LaurentMatrix(F5, [[z, one]]))
+        TateSES(i, LaurentMatrix(F5, [[one], [one]]), (i.transpose(), one),
+                (LaurentMatrix(F5, [[z, one]]), one))
     # i . j = 0 and both inverses hold, but 1 + 0 != 2
     j0 = LaurentMatrix(F5, [[], []], ncols=0)
     with pytest.raises(TateSESInvalid, match="inexact-at-middle"):
-        TateSES(i, j0, i.transpose(), j0.transpose())
+        TateSES(i, j0, (i.transpose(), one), (j0.transpose(), one))
     with pytest.raises(ValueError, match="seeded right inverse"):
         TateSES(i, LaurentMatrix(F5, [[z], [one]]),
-                LaurentMatrix(F5, [[z], [one]]),
-                LaurentMatrix(F5, [[z, one]]))
+                (LaurentMatrix(F5, [[z], [one]]), one),
+                (LaurentMatrix(F5, [[z, one]]), one))
 
 
 def test_suite_lift_project_lifts_four_and_projects_three(monkeypatch):
@@ -1048,28 +1142,28 @@ def test_suite_lift_project_lifts_four_and_projects_three(monkeypatch):
 def test_twisted_splits_have_polynomial_one_sided_inverses():
     # a twisted coordinate split always has Laurent one-sided inverses, and
     # the unseeded right_inverse/left_inverse must find them
-    from satokit.tate import retraction_of_mono, section_of_epi
     from satokit.verify import rand_automorphism
     for seed in range(300):
         rng = random.Random(seed)
         for trial in range(4):
             k = (F5, F2)[trial % 2]
             a, c = rng.randint(1, 2), rng.randint(1, 2)
-            ses = twist_tate_ses(split_tate_ses(k, a, c),
-                                 *rand_automorphism(rng, k, a + c))
+            twisted = twist_tate_ses(split_tate_ses(k, a, c),
+                                     *rand_automorphism(rng, k, a + c))
+            ses = TateSES(twisted.i, twisted.j)
             witness = (seed, trial, k, a, c)
-            r = retraction_of_mono(ses)
-            s = section_of_epi(ses)
+            (r, dr), (s, ds) = ses.ri, ses.lj
+            assert dr == ds == LaurentPoly.one(k), witness
             assert ses.i.mul(r) == LaurentMatrix.identity(k, a), witness
             assert s.mul(ses.j) == LaurentMatrix.identity(k, c), witness
 
 
 def test_retraction_refuses_a_non_unit_minor():
-    # i = [1+t, 0]: every right inverse has first entry 1/(1+t)
-    from satokit.tate import retraction_of_mono
+    # i = [1+t, 0]: every right inverse has first entry 1/(1+t), so there
+    # is no Laurent retraction to build the composite's j13 from
     one, z = LaurentPoly.one(F5), LaurentPoly.zero(F5)
     i = LaurentMatrix(F5, [[LaurentPoly(F5, [(0, 1), (1, 1)]), z]])
     j = LaurentMatrix(F5, [[z], [one]])
     ses = TateSES(i, j)
     with pytest.raises(ValueError, match="nontrivial denominator"):
-        retraction_of_mono(ses)
+        compose_filtration(ses, split_tate_ses(F5, 1, 0))
