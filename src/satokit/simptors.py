@@ -20,6 +20,7 @@ procedure for isomorphism reduce to solving linear congruences.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 from .abgroup import GroupElem
 from .exactlin import snf_with_transforms, solve_mod
@@ -391,8 +392,8 @@ class CyclicCohomology:
     (V^-1 x)_i / t_i are the coordinates of a cocycle x in it.  A second
     Smith form S_r = U_r R V_r of the relations R (coboundaries and d times
     cochains, in those coordinates) gives the classes: U_r times the
-    coordinates, reduced by the invariant factors s_r.  Every d shares one
-    _Coboundaries, which holds the Smith form of D.
+    coordinates, reduced by the invariant factors s_r.  Every d shares the
+    form of D in one _Coboundaries; only classify and representative use them.
     """
 
     def __init__(self, cob, order):
@@ -473,6 +474,13 @@ class _Coboundaries:
         self.a_cols = _transpose(A, complex_.n_simplices(degree - 1))
 
 
+def _invariant_factors(complex_, degree):
+    """The nonzero invariant factors of D out of degree; no transforms."""
+    s = snf_with_transforms(coboundary_matrix(complex_, degree),
+                            complex_.n_simplices(degree), ())[0]
+    return [r[i] for i, r in enumerate(s) if r.get(i)]
+
+
 def _transpose(lines, n):
     """The n lines across the sparse lines {index: entry}."""
     out = [{} for _ in range(n)]
@@ -492,17 +500,37 @@ def _check_degree_reliable(complex_, degree):
 
 
 class CohomologyResult:
-    """H^n(complex, G) for G a direct sum of cyclics, with representatives."""
+    """H^n(complex, G) for G a direct sum of cyclics, with representatives.
+
+    Each half is computed on first read.  By universal coefficients, with
+    m_n the n-simplices and r_n the rank of D_n, the group H^n(Z/d) is
+    (Z/d)^(m_n - r_n - r_(n-1)) plus Z/gcd(s, d) for the invariant factors
+    s of D_(n-1), and of D_n if d > 0 (d = 0 meaning Z): no transform is
+    built for it.  The components hold the transforms that classify reads.
+    """
 
     def __init__(self, complex_, degree, group):
         _check_degree_reliable(complex_, degree)
         self.complex = complex_
         self.degree = degree
         self.group = group
-        cob = _Coboundaries(complex_, degree)
-        self.components = [CyclicCohomology(cob, d) for d in group.factors]
-        summands = [f for comp in self.components for f in comp.factors]
-        self.group_presentation = canonical_factors(summands)
+
+    @cached_property
+    def group_presentation(self):
+        cx, n = self.complex, self.degree
+        lower = _invariant_factors(cx, n - 1) if n else []
+        upper = _invariant_factors(cx, n)
+        free = cx.n_simplices(n) - len(lower) - len(upper)
+        summands = []
+        for d in self.group.factors:
+            torsion = lower + upper if d else lower  # Tor(H^(n+1), Z/d)
+            summands += [d] * free + [math.gcd(s, d) for s in torsion]
+        return canonical_factors(summands)
+
+    @cached_property
+    def components(self):
+        cob = _Coboundaries(self.complex, self.degree)
+        return [CyclicCohomology(cob, d) for d in self.group.factors]
 
     def classify(self, cochain):
         if cochain.degree != self.degree or cochain.group != self.group:
@@ -532,7 +560,7 @@ class CohomologyResult:
 def canonical_factors(summands):
     """Invariant factors of a direct sum of cyclic groups."""
     free = sum(1 for d in summands if d == 0)
-    torsion = [d for d in summands if d != 0]
+    torsion = [d for d in summands if d not in (0, 1)]
     s = snf_with_transforms([{i: d} for i, d in enumerate(torsion)],
                             len(torsion), ())[0]
     torsion = [r[i] for i, r in enumerate(s) if r[i] != 1]

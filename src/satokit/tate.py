@@ -285,10 +285,15 @@ class TateSES:
 
 def _one_sided(m, seed, left, code, message):
     """(N, d), a one-sided inverse of m verified exactly: the seed pair
-    (ValueError(message) when it fails, or when d = 0), else the computed
-    one (TateSESInvalid(code) when there is none)."""
-    if seed is not None and seed[1].is_zero():
-        raise ValueError("seeded inverse has denominator 0")
+    (ValueError(message) when it fails, or naming it when it is no (N, d)
+    pair or d = 0), else the computed one (TateSESInvalid(code) if none)."""
+    if seed is not None:
+        name = "lj" if left else "ri"
+        if not (isinstance(seed, tuple) and tuple(map(type, seed))
+                == (LaurentMatrix, LaurentPoly)):
+            raise ValueError("seed %s is not an (N, d) pair" % name)
+        if seed[1].is_zero():
+            raise ValueError("seed %s has denominator 0" % name)
     nd = seed or (left_inverse(m) if left else right_inverse(m))
     if nd is not None and _verify_one_sided(m, *nd, left=left):
         return nd

@@ -387,6 +387,31 @@ def test_cli_cohomology(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "Z/2"
 
 
+def test_cli_cohomology_builds_no_smith_transforms(tmp_path, capsys,
+                                                   monkeypatch):
+    # the verb prints the group, which needs only invariant factors
+    import satokit.exactlin
+    import satokit.simptors
+    snf = satokit.exactlin.snf_with_transforms
+    keeps = []
+
+    def counted(rows, ncols, keep):
+        keeps.append(tuple(keep))
+        return snf(rows, ncols, keep)
+
+    for module in (satokit.exactlin, satokit.simptors):
+        monkeypatch.setattr(module, "snf_with_transforms", counted)
+    fx = _write(tmp_path, "torus.sset", format_simplicial_set(torus()))
+    for degree, group, want in ((1, "Z", "Z+Z"), (1, "Z/6", "Z/6+Z/6"),
+                                (2, "Z", "Z"), (2, "Z/6", "Z/6")):
+        keeps.clear()
+        rc = main(["--json", "cohomology", fx, "--degree", str(degree),
+                   "--group", group])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["group"] == want
+        assert keeps and set(keeps) == {()}
+
+
 def _grid_torus_sset(n):
     """.sset text of the n x n grid torus: vertex x + n y, each square cut
     along its diagonal, every simplex ordered by vertex number."""

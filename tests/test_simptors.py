@@ -354,9 +354,11 @@ def test_iso_decide_separates_classes():
 
 
 def test_one_smith_form_per_coboundary(monkeypatch):
-    # the cyclic factors of one cohomology share the Smith form of D, and
-    # iso_decide solves every factor against one Smith form of its A; each
-    # form keeps only the transforms its caller reads
+    # the group reads transform-free forms of D_(n-1) and D_n and one in
+    # canonical_factors; classify and representatives share one Smith form
+    # of D across the cyclic factors, and iso_decide solves every factor
+    # against one Smith form of its A; each form keeps only the transforms
+    # its caller reads
     import satokit.exactlin
     import satokit.simptors
     snf = satokit.exactlin.snf_with_transforms
@@ -369,13 +371,23 @@ def test_one_smith_form_per_coboundary(monkeypatch):
     for module in (satokit.exactlin, satokit.simptors):
         monkeypatch.setattr(module, "snf_with_transforms", counted)
     cx = torus()
-    # one form of D, one of the relations per factor, one in
-    # canonical_factors (5 and 7 when each factor had its own form of D)
-    d, rel, factors = {"V", "V^-1"}, {"U", "U^-1"}, set()
-    for text, want in (("Z+Z/6", [d, rel, rel, factors]),
-                       ("Z/2+Z/6+Z", [d, rel, rel, rel, factors])):
+    # one form of D and one of the relations per factor
+    d, rel, free = {"V", "V^-1"}, {"U", "U^-1"}, set()
+    for text, want in (("Z+Z/6", [d, rel, rel]),
+                       ("Z/2+Z/6+Z", [d, rel, rel, rel])):
+        grp = parse_group(text)
         calls.clear()
-        cohomology(cx, 1, parse_group(text))
+        res = cohomology(cx, 1, grp)
+        assert calls == []
+        res.group_presentation
+        assert calls == [free, free, free]  # D_0, D_1, canonical_factors
+        calls.clear()
+        res.classify(Cochain.zero(cx, 1, grp))
+        res.representatives()
+        res.group_presentation
+        assert calls == want
+        calls.clear()
+        cohomology(cx, 1, grp).representatives()
         assert calls == want
     grp = parse_group("Z/2+Z/6+Z")
     lower = Cochain(cx, 1, grp, {"a": (1, 5, -2), "c": (1, 3, 7)})
@@ -386,6 +398,19 @@ def test_one_smith_form_per_coboundary(monkeypatch):
     x = iso_decide(t1, t2)
     assert calls == [{"U", "V"}]  # one per factor, 3, before
     assert x.coboundary() == t1.absolute_alpha().sub(t2.absolute_alpha())
+
+
+def test_group_from_invariant_factors_matches_relation_forms():
+    # the group by universal coefficients against the invariant factors of
+    # the relation forms, which classify and representatives read
+    for cx in (circle(), simplex_boundary(2), simplex_boundary(3), torus(),
+               projective_plane(), sphere_3()):
+        for degree in range(cx.dim_cap):
+            for text in ("Z", "Z/2", "Z/4", "Z/6", "Z+Z/6", "Z/2+Z/6+Z"):
+                res = cohomology(cx, degree, parse_group(text))
+                want = canonical_factors(
+                    [f for comp in res.components for f in comp.factors])
+                assert res.group_presentation == want, (degree, text)
 
 
 def test_exhaustive_classification_rp2_z2():

@@ -1129,6 +1129,18 @@ def test_seeded_tate_ses_refuses_inexact_data():
                 (LaurentMatrix(F5, [[z, one]]), one))
 
 
+def test_seeded_tate_ses_refuses_a_seed_that_is_no_pair():
+    # a bare matrix or a 1-tuple is refused by name, before any indexing
+    ses = split_tate_ses(F5, 1, 1)
+    (ri, di), (lj, dj) = ses.ri, ses.lj
+    for seeds, name in ((dict(ri=ri), "ri"), (dict(ri=(ri,)), "ri"),
+                        (dict(lj=lj), "lj"), (dict(lj=(lj,)), "lj"),
+                        (dict(ri=(ri, di), lj=[lj, dj]), "lj")):
+        with pytest.raises(ValueError, match="seed %s is not an \\(N, d\\) "
+                           "pair" % name):
+            TateSES(ses.i, ses.j, **seeds)
+
+
 def test_suite_lift_project_lifts_four_and_projects_three(monkeypatch):
     # per trial: lift and project of u and u0 along ses13, sharing the
     # projection of u with the lift along sesq, and one project of a lift
