@@ -4,8 +4,7 @@ finite simplicial sets."""
 
 from .abgroup import AbelianGroup, GroupElem, GroupHom, ZZ, format_group, \
     parse_group
-from .exactlin import F2, F3, F5, QQ, Field, Matrix, Subspace, \
-    smith_normal_form
+from .exactlin import F2, F3, F5, QQ, Field, Matrix, Subspace
 from .exactcat import (FdSpace, Grid3x3, LinMap, SES, SESInvalid,
                        complete_grid_3x3, epi_mono_factorize,
                        pullback_admissible_monos, pushout_admissible_epis)
@@ -19,10 +18,10 @@ from .dimtorsor import (DimTheory, RelTheory, mu_combine, pushout_along,
 from .detline import (DetRule, DetTheory, GradedLine, LineIso,
                       check_symmetry, delta_relative, det_line, graded_det,
                       koszul_swap, lambda_ses, ungraded_det)
-from .simptors import (Cochain, GerbeRep, MultTorsorRep, SimplicialSet,
-                       check_mult_torsor, classify_torsor, cohomology,
-                       evaluate_even_odd, gerbe_to_torsor, iso_decide,
-                       street_boundaries, validate_simplicial_set)
+from .simptors import (Cochain, CohomologyResult, GerbeRep, MultTorsorRep,
+                       SimplicialSet, check_mult_torsor, evaluate_even_odd,
+                       gerbe_to_torsor, street_boundaries,
+                       validate_simplicial_set)
 from .swald import (SObject, SSkeleton, build_s_object, enumerate_s_skeleton,
                     s_degeneracy, s_face)
 

@@ -23,10 +23,10 @@ from .exactlin import Field
 from .fileio import (ParseError, format_cochain, format_lattice,
                      parse_cochain, parse_lattice, parse_laurent_matrix,
                      parse_simplicial_set)
-from .simptors import (ComplexError, DegreeRangeError, GerbeError,
-                       GerbeRep, MultTorsorRep, check_mult_torsor,
-                       classify_torsor, cohomology, gerbe_to_torsor,
-                       iso_decide)
+from .laurent import EchelonTooLarge
+from .simptors import (CohomologyResult, ComplexError, DegreeRangeError,
+                       GerbeError, GerbeRep, check_mult_torsor,
+                       gerbe_to_torsor)
 from .swald import BudgetExceeded, enumerate_s_skeleton
 from .tate import (TateSES, TateSESInvalid, WindowTooLarge, lattice_join,
                    lattice_meet, lift_lattice, project_lattice,
@@ -214,7 +214,7 @@ def cmd_det_symmetry(args):
 def cmd_cohomology(args):
     cx = _load(args.sset, parse_simplicial_set)
     group = args.group
-    res = cohomology(cx, args.degree, group)
+    res = CohomologyResult(cx, args.degree, group)
     pres = format_group(type(group)(res.group_presentation))
     return _emit(args, {"command": "cohomology", "status": "pass",
                         "degree": args.degree,
@@ -227,22 +227,22 @@ def cmd_classify(args):
     if alpha.degree < 1:
         raise CliError("torsor data must live on simplices of dimension "
                        ">= 1")
-    t1 = MultTorsorRep(cx, alpha.degree - 1, alpha.group, alpha)
+    # the torsor of alpha over zero anchors: its class is that of alpha
+    res = CohomologyResult(cx, alpha.degree, alpha.group)
     try:
-        cls = classify_torsor(t1)
+        cls = res.classify(alpha)
     except ValueError as exc:  # alpha is not a cocycle
         raise CliError("%s: %s" % (args.cochain, exc), FAIL)
     payload = {"command": "classify", "status": "pass",
-               "degree": t1.degree,
-               "class": [list(c) for c in cls.coords]}
-    lines = ["class in H^%d: %s" % (alpha.degree, cls.coords)]
+               "degree": alpha.degree - 1,
+               "class": [list(c) for c in cls]}
+    lines = ["class in H^%d: %s" % (alpha.degree, cls)]
     if args.other:
         beta = _load(args.other, parse_cochain, cx)
         if (beta.degree, beta.group) != (alpha.degree, alpha.group):
             raise CliError("%s and %s differ in degree or group"
                            % (args.cochain, args.other))
-        t2 = MultTorsorRep(cx, beta.degree - 1, beta.group, beta)
-        transporter = iso_decide(t1, t2)
+        transporter = res.transporter(alpha, beta)
         if transporter is None:
             payload["isomorphic"] = False
             lines.append("not isomorphic")
@@ -266,13 +266,12 @@ def cmd_gerbe_torsor(args):
         return FAIL
     t = gerbe_to_torsor(gerbe)
     rep = check_mult_torsor(t)
-    cls = classify_torsor(t)
+    cls = CohomologyResult(cx, 3, t.group).classify(t.alpha)
     status = "pass" if rep.ok else "fail"
     _emit(args, {"command": "gerbe-torsor", "status": status,
-                 "checked": rep.total,
-                 "class": [list(c) for c in cls.coords]},
+                 "checked": rep.total, "class": [list(c) for c in cls]},
           ["torsor check: %s (%d simplices); class in H^3: %s"
-           % (status, rep.total, cls.coords)])
+           % (status, rep.total, cls)])
     return PASS if rep.ok else FAIL
 
 
@@ -437,7 +436,7 @@ def main(argv=None):
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code
-    except (DegreeRangeError, WindowTooLarge) as exc:
+    except (DegreeRangeError, EchelonTooLarge, WindowTooLarge) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USAGE
 

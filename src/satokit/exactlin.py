@@ -757,15 +757,6 @@ def all_subspaces(field, ambient):
 # ---------------------------------------------------------------------------
 # integers: Smith normal form and modular solving
 
-def smith_normal_form(rows):
-    """Invariant factors (divisibility chain) and rank of an integer matrix
-    given as a list of rows."""
-    s = snf_with_transforms([dict(enumerate(r)) for r in rows],
-                            len(rows[0]) if rows else 0, ())[0]
-    factors = [x for x in (r.get(i, 0) for i, r in enumerate(s)) if x]
-    return factors, len(factors)
-
-
 def _axpy(dst, src, q):
     """dst -= q * src, on sparse dicts."""
     for k, x in src.items():

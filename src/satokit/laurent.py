@@ -264,9 +264,39 @@ class LaurentMatrix:
         return min(vals) if vals else None
 
 
+# the most work (_echelon_work) an echelon form may have; the largest that
+# the verify suites and the tests reach is 13
+MAX_ECHELON_WORK = 1 << 10
+
+
+class EchelonTooLarge(Exception):
+    """An echelon form whose work bound is past MAX_ECHELON_WORK."""
+
+
+def _echelon_work(m):
+    """The work bound of _echelon(m): the sum of the row spans of m, max deg
+    - min val over a row's nonzero entries.  Scaling a row by a unit t^e
+    moves no step of _echelon and makes it a polynomial row of degree its
+    span, so no entry starts with a size deg - val above that span.  In one
+    column each round of Euclidean steps lowers the least size; over
+    several columns the poly_divmod calls stay under (rows - 1) (work +
+    columns) on random matrices, a measured bound, not a proven one.  Entry
+    sizes alone would miss rows like (t^N, 1), whose elimination against
+    (1, 1) leaves 1 - t^N."""
+    work = 0
+    for row in m.entries:
+        terms = [x.terms for x in row if x.terms]
+        if terms:
+            work += max(t[-1][0] for t in terms) - min(t[0][0] for t in terms)
+    return work
+
+
 def _echelon(m):
     """(H, U, pivots) with U . m == H in row echelon form over k[t, 1/t], U
     invertible there, and pivots the columns of H's leading entries.
+
+    Refuses with EchelonTooLarge, before any step, when _echelon_work(m) is
+    past MAX_ECHELON_WORK: Euclid over k[t] costs the square of the degrees.
 
     Reduces m | identity by Euclidean steps: in each column the entry of least
     size deg - val (0 exactly on the units c t^e) divides the others with
@@ -274,6 +304,10 @@ def _echelon(m):
     one is left.  Its row is then scaled by a unit, so that the pivot has
     valuation 0 and leading coefficient 1: a unit pivot becomes 1.
     """
+    work = _echelon_work(m)
+    if work > MAX_ECHELON_WORK:
+        raise EchelonTooLarge("an echelon form of work %d is over the cap of "
+                              "%d" % (work, MAX_ECHELON_WORK))
     f = m.field
     n, ncols = m.nrows, m.ncols
     one, z = LaurentPoly.one(f), LaurentPoly.zero(f)

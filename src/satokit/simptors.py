@@ -14,7 +14,10 @@ assumes.
 
 Cohomology with cyclic coefficients is computed from the integer coboundary
 matrices by Smith normal form; classification of torsors and the decision
-procedure for isomorphism reduce to solving linear congruences.
+procedure for isomorphism reduce to solving linear congruences.  One
+CohomologyResult of H^(m+1) answers both for degree-m torsors: the class of
+a torsor is that of its alpha, and two torsors are isomorphic exactly when
+a transporter joins their absolute alphas.
 """
 
 from __future__ import annotations
@@ -385,29 +388,31 @@ class DegreeRangeError(Exception):
 class CyclicCohomology:
     """H^n(complex, Z/d) (d = 0 meaning Z) with explicit coordinates.
 
-    One Smith form S = U D V of the coboundary D gives the cocycles: x = V y
-    is one iff s_i y_i = 0 mod d for every i, i.e. iff t_i = d / gcd(s_i, d)
-    divides y_i (over Z: y_i = 0 where s_i != 0, and t_i = 1 elsewhere).  So
-    the columns t_i V[:, i] of the kept i are a basis of the cocycles, and
-    (V^-1 x)_i / t_i are the coordinates of a cocycle x in it.  A second
-    Smith form S_r = U_r R V_r of the relations R (coboundaries and d times
-    cochains, in those coordinates) gives the classes: U_r times the
-    coordinates, reduced by the invariant factors s_r.  Every d shares the
-    form of D in one _Coboundaries; only classify and representative use them.
+    One Smith form S = U D V of the coboundary D = D_n gives the cocycles:
+    x = V y is one iff s_i y_i = 0 mod d for every i, i.e. iff
+    t_i = d / gcd(s_i, d) divides y_i (over Z: y_i = 0 where s_i != 0, and
+    t_i = 1 elsewhere).  So the columns t_i V[:, i] of the kept i are a basis
+    of the cocycles, and (V^-1 x)_i / t_i are the coordinates of a cocycle x
+    in it.  A second Smith form S_r = U_r R V_r of the relations R (the
+    columns of A = D_(n-1) and d times cochains, in those coordinates) gives
+    the classes: U_r times the coordinates, reduced by the invariant factors
+    s_r.  rows are the rows of D; cocycles is (s, V, columns of V^-1) of its
+    form, and a_cols the columns of A, both shared by every d.
     """
 
-    def __init__(self, cob, order):
+    def __init__(self, rows, cocycles, a_cols, order):
         self.order = order
-        self._cob = cob
+        self._rows = rows
+        self._s, self._v, self._vinv = cocycles
         self._keep = [(i, order // math.gcd(si, order) if order else 1)
-                      for i, si in enumerate(cob.s) if order or si == 0]
+                      for i, si in enumerate(self._s) if order or si == 0]
         self._pos = {i: (p, t) for p, (i, t) in enumerate(self._keep)}
         # relation generators: columns of A, then d e_i (d > 0), whose
         # coordinates are d V^-1[k][i] / t_k
-        rel = [self._coords(col) for col in cob.a_cols]
+        rel = [self._coords(col) for col in a_cols]
         if order:
             rel += [{self._pos[k][0]: order // self._pos[k][1] * x
-                     for k, x in col.items()} for col in cob.vinv]
+                     for k, x in col.items()} for col in self._vinv]
         z = len(self._keep)
         s, self._ur, _, self._ur_inv, _ = snf_with_transforms(
             _transpose(rel, z), len(rel), ("U", "U^-1"))
@@ -419,14 +424,14 @@ class CyclicCohomology:
         {simplex index: value}, in the cocycle basis."""
         y = {}
         for k, c in x.items():
-            for i, v in self._cob.vinv[k].items():
+            for i, v in self._vinv[k].items():
                 y[i] = y.get(i, 0) + c * v
         return {self._pos[i][0]: v // self._pos[i][1]
                 for i, v in y.items() if v and i in self._pos}
 
     def is_cocycle(self, vec):
         d = self.order
-        for row in self._cob.rows:
+        for row in self._rows:
             acc = sum(c * vec[j] for j, c in row.items())
             if (acc % d if d else acc) != 0:
                 return False
@@ -450,35 +455,12 @@ class CyclicCohomology:
     def representative(self, k):
         """An integer cocycle representing the k-th group generator."""
         idx = [i for i, si in enumerate(self._sr) if si != 1][k]
-        vec = [0] * len(self._cob.s)
+        vec = [0] * len(self._s)
         for p, c in self._ur_inv[idx].items():
             i, t = self._keep[p]
-            for j, v in self._cob.v[i].items():
+            for j, v in self._v[i].items():
                 vec[j] += t * c * v
         return vec
-
-
-class _Coboundaries:
-    """The coboundary D out of degree n as sparse rows, with the diagonal s,
-    V and the columns of V^-1 of one Smith form S = U D V, and the sparse
-    columns of the coboundary A into degree n."""
-
-    def __init__(self, complex_, degree):
-        n = complex_.n_simplices(degree)
-        self.rows = coboundary_matrix(complex_, degree)
-        s, _, self.v, _, vinv = snf_with_transforms(self.rows, n,
-                                                    ("V", "V^-1"))
-        self.s = [s[i].get(i, 0) if i < len(s) else 0 for i in range(n)]
-        self.vinv = _transpose(vinv, n)
-        A = coboundary_matrix(complex_, degree - 1) if degree > 0 else []
-        self.a_cols = _transpose(A, complex_.n_simplices(degree - 1))
-
-
-def _invariant_factors(complex_, degree):
-    """The nonzero invariant factors of D out of degree; no transforms."""
-    s = snf_with_transforms(coboundary_matrix(complex_, degree),
-                            complex_.n_simplices(degree), ())[0]
-    return [r[i] for i, r in enumerate(s) if r.get(i)]
 
 
 def _transpose(lines, n):
@@ -500,13 +482,19 @@ def _check_degree_reliable(complex_, degree):
 
 
 class CohomologyResult:
-    """H^n(complex, G) for G a direct sum of cyclics, with representatives.
+    """H^n(complex, G) for G a direct sum of cyclics: the group, the class of
+    a cocycle, representatives, and transporters between cocycles.
 
-    Each half is computed on first read.  By universal coefficients, with
-    m_n the n-simplices and r_n the rank of D_n, the group H^n(Z/d) is
-    (Z/d)^(m_n - r_n - r_(n-1)) plus Z/gcd(s, d) for the invariant factors
-    s of D_(n-1), and of D_n if d > 0 (d = 0 meaning Z): no transform is
-    built for it.  The components hold the transforms that classify reads.
+    The result builds the rows of the coboundaries D_(n-1) and D_n once
+    each (D_(-1) is zero), and each Smith form once, keyed by the degree and
+    the transforms kept; every answer reads those.  By universal
+    coefficients, with m_n the n-simplices and r_n the rank of D_n, the group
+    H^n(Z/d) is (Z/d)^(m_n - r_n - r_(n-1)) plus Z/gcd(s, d) for the
+    invariant factors s of D_(n-1), and of D_n if d > 0 (d = 0 meaning Z):
+    it reads the two transform-free forms.  The components, which classify
+    and representatives read, hold the form of D_n keeping V and V^-1 and
+    the columns of D_(n-1); transporter reads the form of D_(n-1) keeping U
+    and V.
     """
 
     def __init__(self, complex_, degree, group):
@@ -514,13 +502,34 @@ class CohomologyResult:
         self.complex = complex_
         self.degree = degree
         self.group = group
+        self._coboundaries = {}
+        self._forms = {}
+
+    def _rows(self, k):
+        if k not in self._coboundaries:
+            self._coboundaries[k] = (coboundary_matrix(self.complex, k)
+                                     if k >= 0 else
+                                     [{} for _ in self.complex.ids(0)])
+        return self._coboundaries[k]
+
+    def _form(self, k, keep):
+        if (k, keep) not in self._forms:
+            self._forms[k, keep] = snf_with_transforms(
+                self._rows(k), self.complex.n_simplices(k), keep)
+        return self._forms[k, keep]
+
+    def _check(self, cochain):
+        if cochain.complex is not self.complex or \
+                cochain.degree != self.degree or cochain.group != self.group:
+            raise ValueError("cochain does not match")
+        return cochain
 
     @cached_property
     def group_presentation(self):
-        cx, n = self.complex, self.degree
-        lower = _invariant_factors(cx, n - 1) if n else []
-        upper = _invariant_factors(cx, n)
-        free = cx.n_simplices(n) - len(lower) - len(upper)
+        n = self.degree
+        lower, upper = ([r[i] for i, r in enumerate(self._form(k, ())[0])
+                         if r.get(i)] for k in (n - 1, n))
+        free = self.complex.n_simplices(n) - len(lower) - len(upper)
         summands = []
         for d in self.group.factors:
             torsion = lower + upper if d else lower  # Tor(H^(n+1), Z/d)
@@ -529,17 +538,19 @@ class CohomologyResult:
 
     @cached_property
     def components(self):
-        cob = _Coboundaries(self.complex, self.degree)
-        return [CyclicCohomology(cob, d) for d in self.group.factors]
+        n, m = self.degree, self.complex.n_simplices(self.degree)
+        s, _, v, _, vinv = self._form(n, ("V", "V^-1"))
+        cocycles = ([s[i].get(i, 0) if i < len(s) else 0 for i in range(m)],
+                    v, _transpose(vinv, m))
+        a_cols = _transpose(self._rows(n - 1),
+                            self.complex.n_simplices(n - 1))
+        return [CyclicCohomology(self._rows(n), cocycles, a_cols, d)
+                for d in self.group.factors]
 
     def classify(self, cochain):
-        if cochain.degree != self.degree or cochain.group != self.group:
-            raise ValueError("cochain does not match")
-        out = []
-        for q, comp in enumerate(self.components):
-            vec = cochain.int_vector(q)
-            out.append(comp.classify(vec))
-        return tuple(out)
+        self._check(cochain)
+        return tuple(comp.classify(cochain.int_vector(q))
+                     for q, comp in enumerate(self.components))
 
     def representatives(self):
         """One cochain per generator of each cyclic component."""
@@ -556,6 +567,21 @@ class CohomologyResult:
                                    vals))
         return out
 
+    def transporter(self, c1, c2):
+        """A degree-(n-1) cochain x with delta x = c1 - c2, or None when
+        there is none: the two cochains differ by no coboundary."""
+        diff = self._check(c1).sub(self._check(c2))
+        snf = self._form(self.degree - 1, ("U", "V"))
+        sols = []
+        for q, d in enumerate(self.group.factors):
+            x = solve_mod(snf, diff.int_vector(q), d)
+            if x is None:
+                return None
+            sols.append(x)
+        cx, n, group = self.complex, self.degree - 1, self.group
+        return Cochain(cx, n, group, {sid: group.elem(coords) for sid, coords
+                                      in zip(cx.ids(n), zip(*sols))})
+
 
 def canonical_factors(summands):
     """Invariant factors of a direct sum of cyclic groups."""
@@ -565,65 +591,6 @@ def canonical_factors(summands):
                             len(torsion), ())[0]
     torsion = [r[i] for i, r in enumerate(s) if r[i] != 1]
     return tuple(torsion) + (0,) * free
-
-
-def cohomology(complex_, degree, group):
-    """H^degree(complex, G) with representative cocycles."""
-    return CohomologyResult(complex_, degree, group)
-
-
-# ---------------------------------------------------------------------------
-# classification of torsors
-
-class CohomClass:
-    def __init__(self, degree, group, coords):
-        self.degree = degree
-        self.group = group
-        self.coords = coords
-
-    def __eq__(self, other):
-        return (isinstance(other, CohomClass) and self.degree == other.degree
-                and self.group == other.group and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash((self.degree, self.group, self.coords))
-
-    def __repr__(self):
-        return "CohomClass(H^%d, %s)" % (self.degree, (self.coords,))
-
-    def is_zero(self):
-        return all(all(x == 0 for x in c) for c in self.coords)
-
-
-def classify_torsor(torsor):
-    """The class of the torsor's alpha in H^(degree+1)(complex, G)."""
-    res = cohomology(torsor.complex, torsor.degree + 1, torsor.group)
-    return CohomClass(torsor.degree + 1, torsor.group,
-                      res.classify(torsor.alpha))
-
-
-def iso_decide(t1, t2):
-    """A transporter cochain x with delta x = alpha_1 - alpha_2 (absolute
-    values), or None when the torsors are not isomorphic."""
-    if t1.complex is not t2.complex or t1.degree != t2.degree \
-            or t1.group != t2.group:
-        raise ValueError("torsors are not comparable")
-    diff = t1.absolute_alpha().sub(t2.absolute_alpha())
-    cx = t1.complex
-    group = t1.group
-    snf = snf_with_transforms(coboundary_matrix(cx, t1.degree),
-                              cx.n_simplices(t1.degree), ("U", "V"))
-    vals = {}
-    sols = []
-    for q, d in enumerate(group.factors):
-        x = solve_mod(snf, diff.int_vector(q), d)
-        if x is None:
-            return None
-        sols.append(x)
-    for k, sid in enumerate(cx.ids(t1.degree)):
-        coords = [sols[q][k] for q in range(group.ngens)]
-        vals[sid] = group.elem(coords)
-    return Cochain(cx, t1.degree, group, vals)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,9 @@ from .exactcat import (FdSpace, LinMap, complete_grid_3x3,
                        is_cocartesian_square)
 from .exactlin import F2, F5, Matrix, Subspace, all_subspaces, all_vectors
 from .laurent import LaurentMatrix, LaurentPoly
-from .simptors import (Cochain, MultTorsorRep, GerbeRep, check_mult_torsor,
-                       classify_torsor, cohomology, evaluate_even_odd,
-                       gerbe_to_torsor, iso_decide, street_boundaries)
+from .simptors import (Cochain, CohomologyResult, MultTorsorRep, GerbeRep,
+                       check_mult_torsor, evaluate_even_odd, gerbe_to_torsor,
+                       street_boundaries)
 from .swald import enumerate_s_skeleton, verify_det_theory, verify_dim_theory
 from .tate import (TateSES, TateSpace, compose_filtration, lattice_join,
                    lattice_meet, lattice_normalize, lift_lattice,
@@ -396,7 +396,7 @@ def suite_cohomology():
         (sphere_3(), 3, ZZ, (0,)),
     ]
     for cx, deg, grp, want in cases:
-        got = cohomology(cx, deg, grp).group_presentation
+        got = CohomologyResult(cx, deg, grp).group_presentation
         if got != want:
             failures.append("H^%d expected %r got %r" % (deg, want, got))
     return "cohomology", len(cases), failures, "oracle values"
@@ -405,13 +405,14 @@ def suite_cohomology():
 @_timed
 def suite_classification():
     """Exhaustive degree-1 torsor classification over Z/2: iso classes
-    count |H^2| and classify_torsor separates them, on the projective plane
-    and on the 2-sphere boundary complex (<= 4 top simplices)."""
+    count |H^2| and the class of alpha separates them, on the projective
+    plane and on the 2-sphere boundary complex (<= 4 top simplices).  One
+    CohomologyResult per complex answers every class and transporter."""
     z2 = AbelianGroup((2,))
     failures = []
     checked = 0
     for cx in (projective_plane(), simplex_boundary(3)):
-        res = cohomology(cx, 2, z2)
+        res = CohomologyResult(cx, 2, z2)
         order = 1
         for f in res.group_presentation:
             order *= f
@@ -427,7 +428,8 @@ def suite_classification():
         classes = []
         for t in torsors:
             for group in classes:
-                if iso_decide(group[0], t) is not None:
+                if res.transporter(group[0].absolute_alpha(),
+                                   t.absolute_alpha()) is not None:
                     group.append(t)
                     break
             else:
@@ -437,14 +439,15 @@ def suite_classification():
                             % (len(classes), order))
         labels = set()
         for group in classes:
-            cls = {classify_torsor(t) for t in group}
+            cls = {res.classify(t.alpha) for t in group}
             if len(cls) != 1:
-                failures.append("classify_torsor not constant on a class")
+                failures.append("the class is not constant on an iso class")
             labels |= cls
         if len(labels) != len(classes):
-            failures.append("classify_torsor does not separate classes")
+            failures.append("the class does not separate iso classes")
         for g1, g2 in itertools.combinations(classes, 2):
-            if iso_decide(g1[0], g2[0]) is not None:
+            if res.transporter(g1[0].absolute_alpha(),
+                               g2[0].absolute_alpha()) is not None:
                 failures.append("distinct classes are isomorphic")
     return "classification", checked, failures, \
         "projective plane and 2-sphere, exhaustive over Z/2"
@@ -562,32 +565,33 @@ def suite_gerbe(seed=0, trials=3):
     failures = []
     checked = 0
     z4 = AbelianGroup((4,))
-    corpus = []
-    for cx in (sphere_3(), full_simplex(4)):
-        corpus.append(GerbeRep(cx, ZZ, Cochain.zero(cx, 3, ZZ)))
+    results = [{g: CohomologyResult(cx, 3, g) for g in (ZZ, z4)}
+               for cx in (sphere_3(), full_simplex(4))]
+    corpus = []  # (H^3 of the gerbe's complex and group, gerbe)
+    for res in results:
+        cx = res[ZZ].complex
+        corpus.append((res[ZZ], GerbeRep(cx, ZZ, Cochain.zero(cx, 3, ZZ))))
         for _ in range(trials):
             lower = Cochain(cx, 2, z4, {sid: z4.elem((rng.randrange(4),))
                                         for sid in cx.ids(2)})
-            corpus.append(GerbeRep(cx, z4, lower.coboundary()))
+            corpus.append((res[z4], GerbeRep(cx, z4, lower.coboundary())))
             lower_z = Cochain(cx, 2, ZZ, {sid: ZZ.elem((rng.randint(-3, 3),))
                                           for sid in cx.ids(2)})
-            corpus.append(GerbeRep(cx, ZZ, lower_z.coboundary()))
-    for g in corpus:
+            corpus.append((res[ZZ], GerbeRep(cx, ZZ, lower_z.coboundary())))
+    for res, g in corpus:
         t = gerbe_to_torsor(g)
         checked += 1
         if not check_mult_torsor(t).ok:
             failures.append("induced torsor failed the pasting check")
-        cls = classify_torsor(t)
-        if not cls.is_zero():
+        if any(map(any, res.classify(t.alpha))):
             failures.append("coboundary beta classified nonzero")
-    sphere = sphere_3()
-    rep = cohomology(sphere, 3, z4).representatives()[0]
-    g = GerbeRep(sphere, z4, rep)
+    sphere_z4 = results[0][z4]
+    g = GerbeRep(sphere_z4.complex, z4, sphere_z4.representatives()[0])
     t = gerbe_to_torsor(g)
     checked += 1
     if not check_mult_torsor(t).ok:
         failures.append("nontrivial gerbe torsor failed the pasting check")
-    if classify_torsor(t).is_zero():
+    if not any(map(any, sphere_z4.classify(t.alpha))):
         failures.append("nontrivial cocycle classified to zero")
     return "gerbe-torsor", checked, failures, "corpus of %d gerbes" % checked
 

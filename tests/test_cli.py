@@ -14,7 +14,7 @@ from satokit.fileio import (ParseError, format_cochain, format_lattice,
 from satokit.abgroup import AbelianGroup, ZZ, parse_group
 from satokit.exactlin import F2, F5
 from satokit.laurent import LaurentMatrix, LaurentPoly
-from satokit.simptors import (Cochain, ComplexError, cohomology,
+from satokit.simptors import (Cochain, CohomologyResult, ComplexError,
                               validate_simplicial_set)
 from satokit.tate import TateSpace, lattice_normalize, standard_lattice
 
@@ -259,6 +259,28 @@ def test_cli_deep_windows_are_refused_fast(tmp_path, capsys, name, verb):
     assert len(captured.err.splitlines()) == 1
 
 
+def test_cli_ses_check_refuses_a_deep_random_row_fast(tmp_path, capsys):
+    # a random F5 row of degree 20000 would take hours of Euclidean steps
+    # for its right inverse; the work bound refuses it before any step
+    import random
+    import time
+    rng = random.Random(20000)
+    row = [LaurentPoly(F5, {e: rng.randrange(5) for e in range(20001)})
+           for _ in range(2)]
+    one = LaurentPoly.one(F5)
+    fi = _write(tmp_path, "i.lmx",
+                format_laurent_matrix(LaurentMatrix(F5, [row])))
+    fj = _write(tmp_path, "j.lmx",
+                format_laurent_matrix(LaurentMatrix(F5, [[one], [one]])))
+    t0 = time.monotonic()
+    rc = main(["ses-check", fi, fj])
+    captured = capsys.readouterr()
+    assert time.monotonic() - t0 < 1
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "cap of" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_verify_all_report_is_pinned(capsys):
     # `satokit --json verify all`, byte for byte; a change that alters the
     # report on purpose updates tests/verify_all.json and says so
@@ -443,7 +465,7 @@ def test_cli_classify_and_transport(tmp_path, capsys):
     cx = projective_plane()
     z2 = AbelianGroup((2,))
     fx = _write(tmp_path, "rp2.sset", format_simplicial_set(cx))
-    rep = cohomology(cx, 2, z2).representatives()[0]
+    rep = CohomologyResult(cx, 2, z2).representatives()[0]
     fa = _write(tmp_path, "alpha.coch", format_cochain(rep))
     rc = main(["classify", fx, fa])
     assert rc == 0
@@ -480,10 +502,37 @@ def test_cli_classify_refuses_a_non_cocycle_and_unlike_pairs(tmp_path,
     assert "differ in degree or group" in err and len(err.splitlines()) == 1
 
 
+def test_cli_classify_other_builds_each_coboundary_once(tmp_path, capsys,
+                                                        monkeypatch):
+    # the class and the transporter come from one result: D_1 and D_2 built
+    # once each (3 calls when the transporter built D_1 again); the
+    # transporter was pinned before
+    import satokit.simptors
+    cob = satokit.simptors.coboundary_matrix
+    calls = []
+
+    def counted(complex_, degree):
+        calls.append(degree)
+        return cob(complex_, degree)
+
+    monkeypatch.setattr(satokit.simptors, "coboundary_matrix", counted)
+    fx = _write(tmp_path, "rp2.sset",
+                format_simplicial_set(projective_plane()))
+    fa = _write(tmp_path, "a.coch", "group Z/2\nvalue U 1\nvalue L 0\n")
+    fb = _write(tmp_path, "b.coch", "group Z/2\nvalue U 0\nvalue L 1\n")
+    rc = main(["--json", "classify", fx, fa, "--other", fb])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["class"] == [[1]] and out["isomorphic"] is True
+    assert out["transporter"] == \
+        "group Z/2\nvalue a 1\nvalue b 0\nvalue c 0\n"
+    assert sorted(calls) == [1, 2]
+
+
 def test_cli_gerbe_torsor(tmp_path, capsys):
     cx = sphere_3()
     z4 = AbelianGroup((4,))
-    rep = cohomology(cx, 3, z4).representatives()[0]
+    rep = CohomologyResult(cx, 3, z4).representatives()[0]
     fx = _write(tmp_path, "s3.sset", format_simplicial_set(cx))
     fb = _write(tmp_path, "beta.coch", format_cochain(rep))
     rc = main(["gerbe-torsor", fx, fb])
@@ -785,7 +834,7 @@ def _sset_and_cochains(draw):
         group = draw(st.sampled_from(_GROUPS))
         if draw(st.booleans()) and dim in cx.simplices:
             # a cocycle: a class representative, or zero
-            reps = cohomology(cx, dim, parse_group(group)).representatives()
+            reps = CohomologyResult(cx, dim, parse_group(group)).representatives()
             text = format_cochain(draw(st.sampled_from(reps)) if reps else
                                   Cochain.zero(cx, dim, parse_group(group)))
         else:

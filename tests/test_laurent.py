@@ -2,8 +2,8 @@ import pytest
 
 from satokit.exactlin import F2, F5, QQ
 from satokit.laurent import (
-    LaurentMatrix, LaurentPoly, _echelon, left_inverse, poly_divmod,
-    right_inverse,
+    MAX_ECHELON_WORK, EchelonTooLarge, LaurentMatrix, LaurentPoly, _echelon,
+    _echelon_work, left_inverse, poly_divmod, right_inverse,
 )
 
 
@@ -104,6 +104,73 @@ def test_solve_right_unsolvable():
     m2 = LaurentMatrix(F2, [[z, z]])
     assert right_inverse(m2) is None
 
+
+def _count_divmods(monkeypatch):
+    import satokit.laurent
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return poly_divmod(a, b)
+
+    monkeypatch.setattr(satokit.laurent, "poly_divmod", counted)
+    return calls
+
+
+def test_echelon_steps_within_the_work_bound(monkeypatch):
+    # the Euclidean steps (poly_divmod calls) of _echelon against the bound
+    # read off its input, on seeded random matrices whose rows mix dense
+    # entries, monomials and zeros at scattered valuations
+    import random
+    rng = random.Random(11)
+    calls = _count_divmods(monkeypatch)
+
+    def entry(field, size, spread):
+        v, kind = rng.randint(-spread, spread), rng.random()
+        if kind < 0.2:
+            return LaurentPoly.zero(field)
+        if kind < 0.5:
+            return LaurentPoly(field, {v: rng.randrange(1, field.p)})
+        return LaurentPoly(field, {e: rng.randrange(field.p) for e in
+                                   range(v, v + rng.randint(0, size) + 1)})
+
+    for _ in range(1500):
+        field = rng.choice([F2, F5])
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        size, spread = rng.randint(0, 6), rng.randint(0, 8)
+        m = LaurentMatrix(field, [[entry(field, size, spread)
+                                   for _ in range(c)] for _ in range(r)], c)
+        calls.clear()
+        _echelon(m)
+        assert len(calls) <= (r - 1) * (_echelon_work(m) + c)
+    # one column: each round lowers the least size, from at most 5 here
+    t = P(F5, (0, 1), (5, 1))
+    m = LaurentMatrix(F5, [[t], [P(F5, (-3, 2), (4, 1), (9, 3))], [t.mul(t)]])
+    calls.clear()
+    _echelon(m)
+    assert 0 < len(calls) <= 2 * (5 + 1)
+
+
+def test_echelon_refuses_past_the_work_cap(monkeypatch):
+    # the work is the sum of the row spans, so monomials far apart in one
+    # row count too; the refusal comes before any Euclidean step
+    calls = _count_divmods(monkeypatch)
+    one, far = P(F5, (0, 1)), P(F5, (MAX_ECHELON_WORK + 1, 1))
+    wide = LaurentMatrix(F5, [[one, far]])
+    assert _echelon_work(wide) == MAX_ECHELON_WORK + 1
+    assert _echelon_work(wide.transpose()) == 0
+    with pytest.raises(EchelonTooLarge, match="over the cap of"):
+        left_inverse(wide)
+    deep = LaurentMatrix(F5, [[P(F5, (-1, 1), (MAX_ECHELON_WORK, 2))],
+                              [one]])
+    with pytest.raises(EchelonTooLarge):
+        left_inverse(deep)
+    assert calls == []
+    assert right_inverse(wide)[1] == one
+    at_cap = LaurentMatrix(F5, [[P(F5, (0, 1), (MAX_ECHELON_WORK - 1, 2))],
+                                [one]])
+    assert _echelon_work(at_cap) == MAX_ECHELON_WORK - 1
+    assert left_inverse(at_cap) is not None
 
 # --- the trusted constructors agree with the checking one ------------------
 

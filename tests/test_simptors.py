@@ -7,14 +7,24 @@ from satokit.abgroup import AbelianGroup, ZZ, format_group, parse_group
 from satokit.complexes import (circle, full_simplex, projective_plane,
                                simplex_boundary, sphere_3, torus)
 from satokit.simptors import (
-    Cochain, CohomClass, ComplexError, DegreeRangeError, GerbeError,
+    Cochain, CohomologyResult, ComplexError, DegreeRangeError, GerbeError,
     GerbeRep, MultTorsorRep, canonical_factors, check_mult_torsor,
-    classify_torsor, coboundary_matrix, cohomology, evaluate_even_odd,
-    gerbe_to_torsor, iso_decide, street_boundaries, validate_simplicial_set,
+    coboundary_matrix, evaluate_even_odd, gerbe_to_torsor, street_boundaries,
+    validate_simplicial_set,
 )
 
 Z2 = AbelianGroup((2,))
 Z4 = AbelianGroup((4,))
+
+
+def _torsor_class(t):
+    """Coordinates of the class of a torsor's alpha in H^(degree+1)."""
+    return CohomologyResult(t.complex, t.degree + 1, t.group).classify(
+        t.alpha)
+
+
+def _is_zero(cls):
+    return not any(map(any, cls))
 
 
 def test_validate_standard_simplex():
@@ -161,51 +171,51 @@ def test_anchor_change_shifts_alpha_by_coboundary():
     t2 = t.re_anchor(shift)
     assert t2.alpha == alpha.add(shift.coboundary())
     assert t2.absolute_alpha() == t.absolute_alpha()
-    assert classify_torsor(t2) == classify_torsor(t)
+    assert _torsor_class(t2) == _torsor_class(t)
 
 
 # --- cohomology -----------------------------------------------------------
 
 def test_cohomology_circle():
-    res = cohomology(circle(), 1, ZZ)
+    res = CohomologyResult(circle(), 1, ZZ)
     assert res.group_presentation == (0,)  # Z
 
 
 def test_cohomology_sphere2():
-    res = cohomology(simplex_boundary(3), 2, ZZ)
+    res = CohomologyResult(simplex_boundary(3), 2, ZZ)
     assert res.group_presentation == (0,)
 
 
 def test_cohomology_torus():
-    assert cohomology(torus(), 0, ZZ).group_presentation == (0,)
-    assert cohomology(torus(), 1, ZZ).group_presentation == (0, 0)
-    assert cohomology(torus(), 2, ZZ).group_presentation == (0,)
+    assert CohomologyResult(torus(), 0, ZZ).group_presentation == (0,)
+    assert CohomologyResult(torus(), 1, ZZ).group_presentation == (0, 0)
+    assert CohomologyResult(torus(), 2, ZZ).group_presentation == (0,)
 
 
 def test_cohomology_rp2():
     cx = projective_plane()
-    assert cohomology(cx, 1, ZZ).group_presentation == ()
-    assert cohomology(cx, 2, ZZ).group_presentation == (2,)
-    assert cohomology(cx, 2, Z2).group_presentation == (2,)
-    assert cohomology(cx, 1, Z2).group_presentation == (2,)
+    assert CohomologyResult(cx, 1, ZZ).group_presentation == ()
+    assert CohomologyResult(cx, 2, ZZ).group_presentation == (2,)
+    assert CohomologyResult(cx, 2, Z2).group_presentation == (2,)
+    assert CohomologyResult(cx, 1, Z2).group_presentation == (2,)
 
 
 def test_cohomology_cone_vanishes():
     cx = full_simplex(2)
     for n in (1, 2, 3, 4):
-        assert cohomology(cx, n, ZZ).group_presentation == ()
+        assert CohomologyResult(cx, n, ZZ).group_presentation == ()
 
 
 def test_cohomology_sphere3():
     cx = sphere_3()
-    assert cohomology(cx, 3, ZZ).group_presentation == (0,)
-    assert cohomology(cx, 3, Z4).group_presentation == (4,)
-    assert cohomology(cx, 2, ZZ).group_presentation == ()
+    assert CohomologyResult(cx, 3, ZZ).group_presentation == (0,)
+    assert CohomologyResult(cx, 3, Z4).group_presentation == (4,)
+    assert CohomologyResult(cx, 2, ZZ).group_presentation == ()
 
 
 def test_cohomology_direct_sum_coefficients():
     g = parse_group("Z+Z/2")
-    res = cohomology(projective_plane(), 2, g)
+    res = CohomologyResult(projective_plane(), 2, g)
     # H^2(RP^2, Z) = Z/2 and H^2(RP^2, Z/2) = Z/2
     assert res.group_presentation == (2, 2)
 
@@ -214,7 +224,7 @@ def test_cohomology_degree_guard():
     cx = validate_simplicial_set(
         [("v", 0, ())], dim_cap=0)
     with pytest.raises(DegreeRangeError):
-        cohomology(cx, 1, ZZ)
+        CohomologyResult(cx, 1, ZZ)
 
 
 def _brute_force_h_order_mod2(cx, degree):
@@ -240,7 +250,7 @@ def test_cohomology_cross_checked_against_f2_rank_count():
     for cx in (projective_plane(), torus(), simplex_boundary(3),
                full_simplex(2), sphere_3()):
         for degree in range(0, cx.top_dim + 1):
-            res = cohomology(cx, degree, z2)
+            res = CohomologyResult(cx, degree, z2)
             order = 1
             for f in res.group_presentation:
                 order *= f
@@ -251,7 +261,7 @@ def test_cohomology_cross_checked_against_f2_rank_count():
 def test_classify_representatives_give_unit_coordinates():
     for cx, deg, grp in [(projective_plane(), 2, Z2), (torus(), 1, ZZ),
                          (sphere_3(), 3, Z4), (torus(), 2, ZZ)]:
-        res = cohomology(cx, deg, grp)
+        res = CohomologyResult(cx, deg, grp)
         reps = res.representatives()
         for k, rep in enumerate(reps):
             cls = res.classify(rep)
@@ -263,7 +273,7 @@ def test_classify_representatives_give_unit_coordinates():
 def test_classify_is_additive():
     z4 = Z4
     cx = sphere_3()
-    res = cohomology(cx, 3, z4)
+    res = CohomologyResult(cx, 3, z4)
     rep = res.representatives()[0]
     one = res.classify(rep)
     two = res.classify(rep.add(rep))
@@ -273,7 +283,7 @@ def test_classify_is_additive():
 def test_representatives_are_cocycles():
     for cx, deg, grp in [(projective_plane(), 2, Z2), (torus(), 1, ZZ),
                          (sphere_3(), 3, Z4)]:
-        res = cohomology(cx, deg, grp)
+        res = CohomologyResult(cx, deg, grp)
         reps = res.representatives()
         assert len(reps) == len(res.group_presentation)
         for k, rep in enumerate(reps):
@@ -301,7 +311,7 @@ _PINNED = [
 @pytest.mark.parametrize("make, deg, grp, reps, classes", _PINNED)
 def test_pinned_classes_and_representatives(make, deg, grp, reps, classes):
     cx = make()
-    res = cohomology(cx, deg, grp)
+    res = CohomologyResult(cx, deg, grp)
     assert [{sid: g.coords[0] for sid, g in rep.values.items()
              if not g.is_zero()} for rep in res.representatives()] == reps
     for vec, cls in classes.items():
@@ -314,51 +324,49 @@ def test_pinned_classes_and_representatives(make, deg, grp, reps, classes):
 def test_classify_zero():
     cx = torus()
     t = MultTorsorRep(cx, 1, ZZ, Cochain.zero(cx, 2, ZZ))
-    assert classify_torsor(t).is_zero()
+    assert _is_zero(_torsor_class(t))
 
 
 def test_classify_torus_generator():
     cx = torus()
-    res = cohomology(cx, 2, ZZ)
+    res = CohomologyResult(cx, 2, ZZ)
     rep = res.representatives()[0]
     t = MultTorsorRep(cx, 1, ZZ, rep)
-    cls = classify_torsor(t)
-    assert not cls.is_zero()
+    cls = _torsor_class(t)
+    assert not _is_zero(cls)
     # doubling the generator doubles the class coordinate
     t2 = MultTorsorRep(cx, 1, ZZ, rep.add(rep))
-    assert classify_torsor(t2).coords[0][0] == 2 * cls.coords[0][0]
+    assert _torsor_class(t2)[0][0] == 2 * cls[0][0]
 
 
-def test_iso_decide_transporter():
+def test_transporter_joins_cohomologous_cocycles():
     rng = random.Random(17)
     cx = projective_plane()
     lower = Cochain(cx, 1, Z2, {"a": Z2.elem((1,)), "c": Z2.elem((1,))})
     alpha1 = Cochain(cx, 2, Z2, {"U": Z2.elem((1,)), "L": Z2.elem((1,))})
     alpha2 = alpha1.add(lower.coboundary())
-    t1 = MultTorsorRep(cx, 1, Z2, alpha1)
-    t2 = MultTorsorRep(cx, 1, Z2, alpha2)
-    x = iso_decide(t1, t2)
+    res = CohomologyResult(cx, 2, Z2)
+    x = res.transporter(alpha1, alpha2)
     assert x is not None
-    assert x.coboundary() == t1.absolute_alpha().sub(t2.absolute_alpha())
-    assert classify_torsor(t1) == classify_torsor(t2)
+    assert x.coboundary() == alpha1.sub(alpha2)
+    assert res.classify(alpha1) == res.classify(alpha2)
 
 
-def test_iso_decide_separates_classes():
+def test_transporter_separates_classes():
     cx = projective_plane()
-    res = cohomology(cx, 2, Z2)
+    res = CohomologyResult(cx, 2, Z2)
     rep = res.representatives()[0]
-    t0 = MultTorsorRep(cx, 1, Z2, Cochain.zero(cx, 2, Z2))
-    t1 = MultTorsorRep(cx, 1, Z2, rep)
-    assert iso_decide(t0, t1) is None
-    assert classify_torsor(t0) != classify_torsor(t1)
+    zero = Cochain.zero(cx, 2, Z2)
+    assert res.transporter(zero, rep) is None
+    assert res.classify(zero) != res.classify(rep)
 
 
 def test_one_smith_form_per_coboundary(monkeypatch):
     # the group reads transform-free forms of D_(n-1) and D_n and one in
     # canonical_factors; classify and representatives share one Smith form
-    # of D across the cyclic factors, and iso_decide solves every factor
-    # against one Smith form of its A; each form keeps only the transforms
-    # its caller reads
+    # of D across the cyclic factors, and transporter solves every factor
+    # against one Smith form of A = D_(n-1); each form keeps only the
+    # transforms its caller reads, and one result builds each form once
     import satokit.exactlin
     import satokit.simptors
     snf = satokit.exactlin.snf_with_transforms
@@ -377,7 +385,7 @@ def test_one_smith_form_per_coboundary(monkeypatch):
                        ("Z/2+Z/6+Z", [d, rel, rel, rel])):
         grp = parse_group(text)
         calls.clear()
-        res = cohomology(cx, 1, grp)
+        res = CohomologyResult(cx, 1, grp)
         assert calls == []
         res.group_presentation
         assert calls == [free, free, free]  # D_0, D_1, canonical_factors
@@ -387,17 +395,87 @@ def test_one_smith_form_per_coboundary(monkeypatch):
         res.group_presentation
         assert calls == want
         calls.clear()
-        cohomology(cx, 1, grp).representatives()
+        CohomologyResult(cx, 1, grp).representatives()
         assert calls == want
     grp = parse_group("Z/2+Z/6+Z")
     lower = Cochain(cx, 1, grp, {"a": (1, 5, -2), "c": (1, 3, 7)})
-    alpha = cohomology(cx, 2, grp).representatives()[2]
-    t1 = MultTorsorRep(cx, 1, grp, alpha)
-    t2 = MultTorsorRep(cx, 1, grp, alpha.add(lower.coboundary()))
+    res = CohomologyResult(cx, 2, grp)
+    alpha = res.representatives()[2]
+    beta = alpha.add(lower.coboundary())
     calls.clear()
-    x = iso_decide(t1, t2)
-    assert calls == [{"U", "V"}]  # one per factor, 3, before
-    assert x.coboundary() == t1.absolute_alpha().sub(t2.absolute_alpha())
+    x = res.transporter(alpha, beta)
+    assert calls == [{"U", "V"}]  # one for every factor
+    assert x.coboundary() == alpha.sub(beta)
+    res.transporter(beta, alpha)
+    assert res.classify(alpha) == res.classify(beta)
+    assert calls == [{"U", "V"}]  # the result's forms are shared
+
+
+def test_transporter_refuses_mismatched_cochains():
+    cx = projective_plane()
+    res = CohomologyResult(cx, 2, Z2)
+    zero = Cochain.zero(cx, 2, Z2)
+    for other in (Cochain.zero(projective_plane(), 2, Z2),
+                  Cochain.zero(cx, 1, Z2), Cochain.zero(cx, 2, Z4)):
+        for pair in ((zero, other), (other, zero)):
+            with pytest.raises(ValueError, match="does not match"):
+                res.transporter(*pair)
+        with pytest.raises(ValueError, match="does not match"):
+            res.classify(other)
+
+
+def _count_cohomology_work(monkeypatch):
+    """Wrap coboundary_matrix and snf_with_transforms; returns the lists of
+    (complex, degree, rows) built and of (rows, keep) formed."""
+    import satokit.exactlin
+    import satokit.simptors
+    cob, snf = coboundary_matrix, satokit.exactlin.snf_with_transforms
+    built, formed = [], []
+
+    def counted_cob(complex_, degree):
+        rows = cob(complex_, degree)
+        built.append((complex_, degree, rows))
+        return rows
+
+    def counted_snf(rows, ncols, keep):
+        formed.append((rows, tuple(keep)))
+        return snf(rows, ncols, keep)
+
+    monkeypatch.setattr(satokit.simptors, "coboundary_matrix", counted_cob)
+    for module in (satokit.exactlin, satokit.simptors):
+        monkeypatch.setattr(module, "snf_with_transforms", counted_snf)
+    return built, formed
+
+
+def test_classification_suite_builds_each_form_once(monkeypatch):
+    # one result per complex: D_1 and D_2 of each complex built once (72
+    # calls when every torsor built its own), and at most one Smith form
+    # per (complex, matrix, kept set): 12 in all, 74 before
+    from satokit import verify
+    built, formed = _count_cohomology_work(monkeypatch)
+    assert verify.suite_classification().passed
+    assert len(built) == 4
+    assert len({(id(cx), degree) for cx, degree, _ in built}) == 4
+    keys = [(next((k for k, b in enumerate(built) if b[2] is rows), None),
+             keep) for rows, keep in formed]
+    coboundary_keys = [key for key in keys if key[0] is not None]
+    assert len(coboundary_keys) == len(set(coboundary_keys)) == 8
+    # the rest are canonical_factors and one relation form per complex
+    assert sorted(keep for k, keep in keys if k is None) == \
+        [(), (), ("U", "U^-1"), ("U", "U^-1")]
+    assert len(formed) == 12
+
+
+def test_gerbe_suite_builds_one_form_per_complex_and_group(monkeypatch):
+    # 2 complexes and 2 groups: one {V, V^-1} form of D_3 and one
+    # {U, U^-1} relation form each (16 of each when every gerbe built its
+    # own result)
+    import collections
+    from satokit import verify
+    _, formed = _count_cohomology_work(monkeypatch)
+    assert verify.suite_gerbe(seed=111).passed
+    keeps = collections.Counter(keep for _, keep in formed)
+    assert keeps == {("V", "V^-1"): 4, ("U", "U^-1"): 4}
 
 
 def test_group_from_invariant_factors_matches_relation_forms():
@@ -407,17 +485,17 @@ def test_group_from_invariant_factors_matches_relation_forms():
                projective_plane(), sphere_3()):
         for degree in range(cx.dim_cap):
             for text in ("Z", "Z/2", "Z/4", "Z/6", "Z+Z/6", "Z/2+Z/6+Z"):
-                res = cohomology(cx, degree, parse_group(text))
+                res = CohomologyResult(cx, degree, parse_group(text))
                 want = canonical_factors(
                     [f for comp in res.components for f in comp.factors])
                 assert res.group_presentation == want, (degree, text)
 
 
 def test_exhaustive_classification_rp2_z2():
-    # all degree-1 torsors over Z/2 on RP^2: group them by iso_decide and
+    # all degree-1 torsors over Z/2 on RP^2: group them by transporter and
     # compare with the cohomology count
     cx = projective_plane()
-    res = cohomology(cx, 2, Z2)
+    res = CohomologyResult(cx, 2, Z2)
     all_cochains = []
     for bits in itertools.product((0, 1), repeat=2):
         vals = {"U": Z2.elem((bits[0],)), "L": Z2.elem((bits[1],))}
@@ -426,7 +504,8 @@ def test_exhaustive_classification_rp2_z2():
     classes = []
     for t in torsors:
         for group in classes:
-            if iso_decide(group[0], t) is not None:
+            if res.transporter(group[0].absolute_alpha(),
+                               t.absolute_alpha()) is not None:
                 group.append(t)
                 break
         else:
@@ -435,11 +514,12 @@ def test_exhaustive_classification_rp2_z2():
     for f in res.group_presentation:
         order *= f
     assert len(classes) == order == 2
-    # classify_torsor separates the same way
+    # the class of alpha separates the same way
     for group in classes:
-        cls = {classify_torsor(t) for t in group}
+        cls = {res.classify(t.alpha) for t in group}
         assert len(cls) == 1
-    assert classify_torsor(classes[0][0]) != classify_torsor(classes[1][0])
+    assert res.classify(classes[0][0].alpha) != \
+        res.classify(classes[1][0].alpha)
 
 
 # --- gerbes ---------------------------------------------------------------
@@ -450,7 +530,7 @@ def test_trivial_gerbe():
     t = gerbe_to_torsor(g)
     assert t.degree == 2
     assert check_mult_torsor(t).ok
-    assert classify_torsor(t).is_zero()
+    assert _is_zero(_torsor_class(t))
 
 
 def test_gerbe_coboundary_beta():
@@ -461,17 +541,17 @@ def test_gerbe_coboundary_beta():
     g = GerbeRep(cx, Z4, lower.coboundary())
     t = gerbe_to_torsor(g)
     assert check_mult_torsor(t).ok
-    assert classify_torsor(t).is_zero()
+    assert _is_zero(_torsor_class(t))
 
 
 def test_gerbe_nontrivial_class():
     cx = sphere_3()
-    res = cohomology(cx, 3, Z4)
+    res = CohomologyResult(cx, 3, Z4)
     rep = res.representatives()[0]
     g = GerbeRep(cx, Z4, rep)
     t = gerbe_to_torsor(g)
     assert check_mult_torsor(t).ok
-    assert not classify_torsor(t).is_zero()
+    assert not _is_zero(_torsor_class(t))
 
 
 def test_gerbe_rejects_non_cocycle():
