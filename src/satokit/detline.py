@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .exactcat import SES, FdSpace, LinMap, canonical_section, split_ses
+from .exactlin import Matrix
 from .tate import (delta_scalar_canonical, fd_ses_of_pair,
                    lambda_scalar_chain, lattice_contains, lattice_meet,
                    relative_index, standard_lattice)
@@ -233,15 +234,9 @@ def pair_criterion(theory, dim_a, dim_b):
     ses_ab = split_ses(f, dim_a, dim_b)
     lam_ab = theory.lambda_scalar(ses_ab)
     # b included as the second block, a recovered by the first projection
-    one, z = f.one(), f.zero()
-    total = FdSpace(f, dim_a + dim_b)
-    i2 = LinMap(FdSpace(f, dim_b), total,
-                [[one if c == r + dim_a else z for c in range(dim_a + dim_b)]
-                 for r in range(dim_b)])
-    j2 = LinMap(total, FdSpace(f, dim_a),
-                [[one if c == r else z for c in range(dim_a)]
-                 for r in range(dim_a + dim_b)])
-    ses_ba = SES(i2, j2)
+    zero = Matrix.zero(f, dim_b, dim_a)
+    ses_ba = SES(LinMap.of(zero.hstack(Matrix.identity(f, dim_b))),
+                 LinMap.of(Matrix.identity(f, dim_a).vstack(zero)))
     lam_ba = theory.lambda_scalar(ses_ba)
     path = f.div(lam_ab, lam_ba)
     sym = theory.symmetry_scalar(theory.h(FdSpace(f, dim_a)),

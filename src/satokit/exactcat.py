@@ -1,47 +1,41 @@
 """The exact category of finite dimensional vector spaces.
 
 Objects are dimensions over a fixed field; morphisms act on row vectors, so a
-map f: a -> b is an (dim a x dim b) matrix and composition is matrix product
-in diagram order.  Admissibility here coincides with plain injectivity /
-surjectivity, but every check is routed through the short-exact-sequence
-validator so the same code paths serve the lattice model.
+map f: a -> b is a (dim a x dim b) matrix and composition is matrix product
+in diagram order.  A LinMap is a view of its Matrix: its source and target
+are read off the matrix's field and shape.  Admissibility here coincides with
+plain injectivity / surjectivity, read off the rank.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 
 from .exactlin import Matrix, Quotient, Subspace
 
 
-class FdSpace:
-    __slots__ = ("field", "dim")
+class FdSpace(namedtuple("FdSpace", "field dim")):
+    """The object k^dim of Vect_0(k): an immutable (field, dim) value."""
 
-    def __init__(self, field, dim):
+    __slots__ = ()
+
+    def __new__(cls, field, dim):
         if dim < 0:
             raise ValueError("negative dimension")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", dim)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FdSpace is immutable")
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, FdSpace)
-                                 and self.field == other.field
-                                 and self.dim == other.dim)
-
-    def __hash__(self):
-        return hash((self.field, self.dim))
+        return super().__new__(cls, field, dim)
 
     def __repr__(self):
         return "FdSpace(%s^%d)" % (self.field, self.dim)
 
 
 class LinMap:
-    """Linear map between FdSpaces; matrix rows act on the source basis."""
+    """Linear map between FdSpaces; matrix rows act on the source basis.
 
-    __slots__ = ("source", "target", "matrix")
+    The map is its matrix and nothing more: equality and hash are the
+    matrix's, and source and target are read off it on demand."""
+
+    __slots__ = ("matrix",)
 
     def __init__(self, source, target, matrix):
         if not isinstance(matrix, Matrix):
@@ -52,63 +46,64 @@ class LinMap:
             raise ValueError("matrix shape %dx%d does not match %d -> %d"
                              % (matrix.nrows, matrix.ncols,
                                 source.dim, target.dim))
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
 
     def __setattr__(self, *a):
         raise AttributeError("LinMap is immutable")
 
     @classmethod
-    def _raw(cls, source, target, matrix):
-        # trusted path: matrix is a source.dim x target.dim Matrix over the
-        # common field
+    def of(cls, matrix):
+        """The map whose matrix is matrix: every Matrix is one."""
         m = object.__new__(cls)
-        object.__setattr__(m, "source", source)
-        object.__setattr__(m, "target", target)
         object.__setattr__(m, "matrix", matrix)
         return m
 
     @classmethod
     def identity(cls, space):
-        return cls(space, space, Matrix.identity(space.field, space.dim))
+        return cls.of(Matrix.identity(space.field, space.dim))
 
     @classmethod
     def zero(cls, source, target):
         return cls(source, target,
                    Matrix.zero(source.field, source.dim, target.dim))
 
+    @property
+    def source(self):
+        return FdSpace(self.matrix.field, self.matrix.nrows)
+
+    @property
+    def target(self):
+        return FdSpace(self.matrix.field, self.matrix.ncols)
+
     def __eq__(self, other):
-        return (isinstance(other, LinMap) and self.source == other.source
-                and self.target == other.target and self.matrix == other.matrix)
+        return isinstance(other, LinMap) and self.matrix == other.matrix
 
     def __hash__(self):
-        return hash((self.source, self.target, self.matrix))
+        return hash(self.matrix)
 
     def __repr__(self):
-        return "LinMap(%d -> %d over %s)" % (self.source.dim,
-                                             self.target.dim,
-                                             self.source.field)
+        m = self.matrix
+        return "LinMap(%d -> %d over %s)" % (m.nrows, m.ncols, m.field)
 
     def then(self, other):
         """Diagram-order composition: first self, then other."""
-        if self.target != other.source:
+        a, b = self.matrix, other.matrix
+        if (a.field, a.ncols) != (b.field, b.nrows):
             raise ValueError("maps are not composable")
-        return LinMap._raw(self.source, other.target,
-                           self.matrix.mul(other.matrix))
+        return LinMap.of(a.mul(b))
 
     def apply(self, v):
-        return Matrix(self.source.field, [v], self.source.dim).mul(
-            self.matrix).entries[0]
+        m = self.matrix
+        return Matrix(m.field, [v], m.nrows).mul(m).entries[0]
 
     def is_mono(self):
-        return self.matrix.rank() == self.source.dim
+        return self.matrix.rank() == self.matrix.nrows
 
     def is_epi(self):
-        return self.matrix.rank() == self.target.dim
+        return self.matrix.rank() == self.matrix.ncols
 
     def is_iso(self):
-        return self.source.dim == self.target.dim and self.is_mono()
+        return self.matrix.nrows == self.matrix.ncols and self.is_mono()
 
     def is_zero(self):
         return self.matrix.is_zero()
@@ -123,7 +118,7 @@ class LinMap:
     def inverse(self):
         if not self.is_iso():
             raise ValueError("not an isomorphism")
-        return LinMap._raw(self.target, self.source, self.matrix.inverse())
+        return LinMap.of(self.matrix.inverse())
 
 
 @lru_cache(maxsize=2048)
@@ -131,8 +126,8 @@ def canonical_section(j):
     """Canonical linear section s of an epi j (s then j = identity)."""
     if not j.is_epi():
         raise ValueError("section of a non-epi")
-    sec = j.matrix.solve(Matrix.identity(j.source.field, j.target.dim))
-    return LinMap._raw(j.target, j.source, sec)
+    m = j.matrix
+    return LinMap.of(m.solve(Matrix.identity(m.field, m.ncols)))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +149,8 @@ class SES:
     __slots__ = ("i", "j")
 
     def __init__(self, i, j):
-        if i.target != j.source:
+        mi, mj = i.matrix, j.matrix
+        if (mi.field, mi.ncols) != (mj.field, mj.nrows):
             raise ValueError("middle objects disagree")
         if not i.is_mono():
             raise SESInvalid("not-mono")
@@ -162,7 +158,7 @@ class SES:
             raise SESInvalid("not-epi")
         if not i.then(j).is_zero():
             raise SESInvalid("composite-nonzero")
-        if j.kernel_subspace().dim != i.source.dim:
+        if j.kernel_subspace().dim != mi.nrows:
             raise SESInvalid("inexact-at-middle")
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "j", j)
@@ -189,27 +185,19 @@ class SES:
 
 def split_ses(field, a, b):
     """The coordinate split  k^a >--> k^(a+b) -->> k^b."""
-    one, z = field.one(), field.zero()
-    src, mid, quo = FdSpace(field, a), FdSpace(field, a + b), FdSpace(field, b)
-    i = LinMap(src, mid, [[one if j == k else z for j in range(a + b)]
-                          for k in range(a)])
-    j = LinMap(mid, quo, [[one if c == r - a else z for c in range(b)]
-                          for r in range(a + b)])
-    return SES(i, j)
+    zero = Matrix.zero(field, a, b)
+    return SES(LinMap.of(Matrix.identity(field, a).hstack(zero)),
+               LinMap.of(zero.vstack(Matrix.identity(field, b))))
 
 
 def inclusion_map(sub):
     """The subspace inclusion span(sub) -> k^ambient."""
-    src = FdSpace(sub.field, sub.dim)
-    tgt = FdSpace(sub.field, sub.ambient)
-    return LinMap(src, tgt, sub.basis_matrix())
+    return LinMap.of(sub.basis_matrix())
 
 
 def quotient_map(sub):
     """The canonical projection k^ambient -> k^ambient / span(sub)."""
-    src = FdSpace(sub.field, sub.ambient)
-    tgt = FdSpace(sub.field, sub.ambient - sub.dim)
-    return LinMap(src, tgt, sub.quotient_matrix())
+    return LinMap.of(sub.quotient_matrix())
 
 
 # ---------------------------------------------------------------------------
@@ -225,20 +213,16 @@ def pullback_admissible_monos(m1, m2):
         raise ValueError("monos must share their target")
     if not m1.is_mono() or not m2.is_mono():
         raise ValueError("input is not a monomorphism")
-    f = m1.source.field
     w = m1.image_subspace().meet(m2.image_subspace())
-    p = FdSpace(f, w.dim)
-    into1 = _corestrict(m1, w, p)
-    into2 = _corestrict(m2, w, p)
-    return p, into1, into2
+    return FdSpace(w.field, w.dim), _corestrict(m1, w), _corestrict(m2, w)
 
 
-def _corestrict(mono, w, p):
+def _corestrict(mono, w):
     # express each basis vector of w through the mono
     out = mono.matrix.solve(w.basis_matrix())
     if out is None:
         raise ValueError("subspace does not factor through the mono")
-    return LinMap(p, mono.source, out)
+    return LinMap.of(out)
 
 
 def pullback_mediator(into1, into2, cone1, cone2):
@@ -251,7 +235,7 @@ def pullback_mediator(into1, into2, cone1, cone2):
         cone1.matrix.hstack(cone2.matrix))
     if u_rows is None:
         return None
-    u = LinMap(cone1.source, into1.source, u_rows)
+    u = LinMap.of(u_rows)
     if u.then(into1) != cone1 or u.then(into2) != cone2:
         return None
     return u
@@ -267,19 +251,13 @@ def pushout_admissible_epis(e1, e2):
         raise ValueError("epis must share their source")
     if not e1.is_epi() or not e2.is_epi():
         raise ValueError("input is not an epimorphism")
-    ksum = e1.kernel_subspace().join(e2.kernel_subspace())
-    proj = quotient_map(ksum)
-    q = proj.target
-    from1 = _descend(e1, proj)
-    from2 = _descend(e2, proj)
-    return q, from1, from2
+    proj = quotient_map(e1.kernel_subspace().join(e2.kernel_subspace()))
+    return proj.target, _descend(e1, proj), _descend(e2, proj)
 
 
 def _descend(epi, proj):
     # the unique map g with epi then g == proj
-    sec = canonical_section(epi)
-    g = sec.then(proj)
-    return LinMap(epi.target, proj.target, g.matrix)
+    return canonical_section(epi).then(proj)
 
 
 def epi_mono_factorize(f, witness_mono, witness_epi):
@@ -301,10 +279,7 @@ def epi_mono_factorize(f, witness_mono, witness_epi):
 def image_factorization(f):
     """f == e then m with m the echelon inclusion of the image."""
     img = f.image_subspace()
-    mid = FdSpace(f.source.field, img.dim)
-    m = LinMap._raw(mid, f.target, img.basis_matrix())
-    e = LinMap._raw(f.source, mid, img.coordinates(f.matrix))
-    return e, m
+    return LinMap.of(img.coordinates(f.matrix)), LinMap.of(img.basis_matrix())
 
 
 def factorization_connector(fac1, fac2):
@@ -314,11 +289,12 @@ def factorization_connector(fac1, fac2):
     fac = (e, m); u satisfies e1 then u == e2 and u then m2 == m1.
     Uniqueness is forced because e1 is epi.
     """
-    e1, m1 = fac1
-    e2, m2 = fac2
-    if e1.source != e2.source or m1.target != m2.target:
+    (e1, m1), (e2, m2) = fac1, fac2
+    a1, a2, b1, b2 = e1.matrix, e2.matrix, m1.matrix, m2.matrix
+    if (a1.field, a1.nrows) != (a2.field, a2.nrows) or \
+            (b1.field, b1.ncols) != (b2.field, b2.ncols):
         return None
-    if e1.target.dim != e2.target.dim or not e1.is_epi():
+    if a1.ncols != a2.ncols or not e1.is_epi():
         return None
     # e1 epi forces u to be section(e1) then e2; verify it connects
     u = canonical_section(e1).then(e2)
@@ -350,7 +326,7 @@ def is_cartesian_square(top, left, bottom, right):
     pspace = right.matrix.vstack(bottom.matrix.neg()).left_kernel()
     # the induced map A -> B (+) C
     ind = top.matrix.hstack(left.matrix)
-    return ind.row_space() == pspace and ind.rank() == top.source.dim
+    return ind.row_space() == pspace and ind.rank() == ind.nrows
 
 
 def is_cocartesian_square(top, left, bottom, right):
@@ -358,13 +334,14 @@ def is_cocartesian_square(top, left, bottom, right):
     image of A."""
     if top.then(right) != left.then(bottom):
         return False
-    anti_sub = top.matrix.hstack(left.matrix.neg()).row_space()
-    if right.target.dim != top.target.dim + left.target.dim - anti_sub.dim:
+    anti = top.matrix.hstack(left.matrix.neg())
+    anti_sub = anti.row_space()
+    if right.matrix.ncols != anti.ncols - anti_sub.dim:
         return False
     # the induced map (B (+) C)/A -> D must be an isomorphism; equivalently
     # (right; bottom stacked) kills exactly the antidiagonal
     big = right.matrix.vstack(bottom.matrix)
-    return big.left_kernel() == anti_sub and big.rank() == right.target.dim
+    return big.left_kernel() == anti_sub and big.rank() == big.ncols
 
 
 class GridError(Exception):
@@ -428,8 +405,7 @@ def induced_map(src, dst):
     m = src.map_to(dst)
     if m is None:
         raise GridError("image escapes the target subquotient")
-    f = src.small.field
-    return LinMap._raw(FdSpace(f, src.dim), FdSpace(f, dst.dim), m)
+    return LinMap.of(m)
 
 
 def complete_grid_3x3(top_mono, left_mono, p_top=None, p_left=None):
@@ -439,12 +415,12 @@ def complete_grid_3x3(top_mono, left_mono, p_top=None, p_left=None):
     when p_top/p_left present the given square is validated (diagnosis
     'not-cartesian' if it fails) instead of recomputed.
     """
-    if top_mono.target != left_mono.target:
+    top, left = top_mono.matrix, left_mono.matrix
+    if (top.field, top.ncols) != (left.field, left.ncols):
         raise ValueError("monos must share their target")
     if not top_mono.is_mono() or not left_mono.is_mono():
         raise GridError("not-mono")
-    f = top_mono.source.field
-    amb = top_mono.target
+    f, amb = top.field, top.ncols
     u_top = top_mono.image_subspace()
     u_left = left_mono.image_subspace()
     w = u_top.meet(u_left)
@@ -453,14 +429,14 @@ def complete_grid_3x3(top_mono, left_mono, p_top=None, p_left=None):
                 p_top.source != p_left.source or \
                 p_top.then(top_mono) != p_left.then(left_mono):
             raise GridError("not-cartesian")
-        if p_top.image_subspace().dim != p_top.source.dim:
+        if not p_top.is_mono():
             raise GridError("not-cartesian")
         given = p_top.then(top_mono).image_subspace()
         if given != w:
             raise GridError("not-cartesian")
 
-    zero = Subspace.zero(f, amb.dim)
-    full = Subspace.full(f, amb.dim)
+    zero = Subspace.zero(f, amb)
+    full = Subspace.full(f, amb)
     usum = u_top.join(u_left)
     # entries: tl = w, tm = u_top, tr = u_top/w
     #          ml = u_left, mm = x, mr = x/u_left

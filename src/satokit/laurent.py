@@ -264,13 +264,14 @@ class LaurentMatrix:
         return min(vals) if vals else None
 
 
-# the most work (_echelon_work) an echelon form may have; the largest that
-# the verify suites and the tests reach is 13
+# an echelon form whose cost (_echelon_work + 1) x rows x cols is over
+# 2 MAX_ECHELON_WORK is refused: work up to 1023 on 2 x 1 and 1 x 2, the
+# slowest shapes at the cap, and less the more cells; the tests reach 1725
 MAX_ECHELON_WORK = 1 << 10
 
 
 class EchelonTooLarge(Exception):
-    """An echelon form whose work bound is past MAX_ECHELON_WORK."""
+    """An echelon form whose cost is past its cap."""
 
 
 def _echelon_work(m):
@@ -295,8 +296,9 @@ def _echelon(m):
     """(H, U, pivots) with U . m == H in row echelon form over k[t, 1/t], U
     invertible there, and pivots the columns of H's leading entries.
 
-    Refuses with EchelonTooLarge, before any step, when _echelon_work(m) is
-    past MAX_ECHELON_WORK: Euclid over k[t] costs the square of the degrees.
+    Refuses with EchelonTooLarge, before any step, when (_echelon_work(m) +
+    1) rows cols is past 2 MAX_ECHELON_WORK: Euclid over k[t] costs the square
+    of the degrees, and each of its steps updates whole rows.
 
     Reduces m | identity by Euclidean steps: in each column the entry of least
     size deg - val (0 exactly on the units c t^e) divides the others with
@@ -304,12 +306,12 @@ def _echelon(m):
     one is left.  Its row is then scaled by a unit, so that the pivot has
     valuation 0 and leading coefficient 1: a unit pivot becomes 1.
     """
-    work = _echelon_work(m)
-    if work > MAX_ECHELON_WORK:
-        raise EchelonTooLarge("an echelon form of work %d is over the cap of "
-                              "%d" % (work, MAX_ECHELON_WORK))
+    work, n, ncols = _echelon_work(m), m.nrows, m.ncols
+    if (work + 1) * n * ncols > 2 * MAX_ECHELON_WORK:
+        raise EchelonTooLarge("an echelon form of work %d on %d x %d is over "
+                              "the cap of %d for (work + 1) x rows x cols"
+                              % (work, n, ncols, 2 * MAX_ECHELON_WORK))
     f = m.field
-    n, ncols = m.nrows, m.ncols
     one, z = LaurentPoly.one(f), LaurentPoly.zero(f)
     rows = [list(r) + [one if i == j else z for j in range(n)]
             for i, r in enumerate(m.entries)]

@@ -93,7 +93,7 @@ class SObject:
             m = ci.mul(m)
         if ck is not None:
             m = m.mul(ck.inverse())
-        return LinMap(lm.source, lm.target, m)
+        return LinMap.of(m)
 
     def row_ses(self, i, j, k):
         """a_ij >--> a_ik -->> a_jk for i <= j <= k."""

@@ -35,7 +35,7 @@ read off it without a Laurent polynomial.
 
 from __future__ import annotations
 
-from .exactcat import SES, FdSpace, LinMap
+from .exactcat import SES, LinMap
 from .exactlin import Matrix, Quotient, Subspace, _row_in, _rref
 from .laurent import LaurentMatrix, LaurentPoly, left_inverse, right_inverse
 
@@ -617,6 +617,5 @@ def fd_ses_of_pair(ses, u_sub, u):
             for k in range(src.dim)]
         if None in coords:
             raise ValueError("vector does not lie in the quotient")
-        maps.append(LinMap(FdSpace(field, src.dim), FdSpace(field, dst.dim),
-                           Matrix._raw(field, coords, dst.dim)))
+        maps.append(LinMap.of(Matrix._raw(field, coords, dst.dim)))
     return SES(*maps), grid

@@ -18,7 +18,7 @@ from .complexes import (circle, full_simplex, projective_plane,
                         simplex_boundary, sphere_3, torus)
 from .detline import check_symmetry, graded_det, ungraded_det
 from .dimtorsor import DimTheory, RelTheory, mu_combine
-from .exactcat import (FdSpace, LinMap, complete_grid_3x3,
+from .exactcat import (LinMap, complete_grid_3x3,
                        epi_mono_factorize, factorization_connector,
                        inclusion_map, is_cartesian_square,
                        is_cocartesian_square)
@@ -237,12 +237,12 @@ def suite_lift_project(seed=0, trials=1000, emax=2):
 
 def _all_monos(field, a, b, vectors):
     if a == 0:
-        yield LinMap.zero(FdSpace(field, 0), FdSpace(field, b))
+        yield LinMap.of(Matrix.zero(field, 0, b))
         return
     for rows in itertools.product(vectors[b], repeat=a):
         m = Matrix(field, [list(r) for r in rows], b)
         if m.rank() == a:
-            yield LinMap(FdSpace(field, a), FdSpace(field, b), m)
+            yield LinMap.of(m)
 
 
 @_timed
@@ -252,10 +252,13 @@ def suite_factorization(max_dim=3):
     to the canonical one by the unique isomorphism."""
     field = F2
     vectors = {n: list(all_vectors(field, n)) for n in range(max_dim + 1)}
-    gl = {d: [Matrix(field, [list(r) for r in rows], d)
-              for rows in itertools.product(vectors[d], repeat=d)
-              if Matrix(field, [list(r) for r in rows], d).rank() == d]
-          for d in range(max_dim + 1)}
+    # GL(d, F2), each twist beside its inverse
+    gl = {}
+    for d in range(max_dim + 1):
+        squares = (Matrix(field, [list(r) for r in rows], d)
+                   for rows in itertools.product(vectors[d], repeat=d))
+        gl[d] = [(LinMap.of(g), LinMap.of(g.inverse())) for g in squares
+                 if g.rank() == d]
     failures = []
     checked = 0
     seen_composites = set()
@@ -266,8 +269,7 @@ def suite_factorization(max_dim=3):
         epis = []
         for c in range(b + 1):
             for rows in itertools.product(vectors[c], repeat=b):
-                m = LinMap(FdSpace(field, b), FdSpace(field, c),
-                           Matrix(field, [list(r) for r in rows], c))
+                m = LinMap.of(Matrix(field, [list(r) for r in rows], c))
                 if m.is_epi():
                     epis.append(m)
         for mono in monos:
@@ -284,10 +286,8 @@ def suite_factorization(max_dim=3):
                 if f.matrix in seen_composites:
                     continue
                 seen_composites.add(f.matrix)
-                r = e.target.dim
-                for twist in gl[r]:
-                    tmap = LinMap(e.target, e.target, twist)
-                    e2, m2 = e.then(tmap), tmap.inverse().then(m)
+                for tmap, tinv in gl[e.matrix.ncols]:
+                    e2, m2 = e.then(tmap), tinv.then(m)
                     u = factorization_connector((e, m), (e2, m2))
                     if u is None or u != tmap:
                         failures.append("connector failure at %r" % (

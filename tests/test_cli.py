@@ -281,6 +281,32 @@ def test_cli_ses_check_refuses_a_deep_random_row_fast(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+def test_cli_ses_check_refuses_a_wide_random_matrix_fast(tmp_path, capsys):
+    # a random F5 8 x 12 matrix of entry degree 55 is under the work cap,
+    # but its right inverse takes over ten seconds: the cap on (work + 1) x
+    # rows x cols refuses it before any step
+    import random
+    import time
+    from satokit.laurent import MAX_ECHELON_WORK, _echelon_work
+    rng = random.Random(812)
+    i = LaurentMatrix(F5, [[LaurentPoly(F5, {e: rng.randrange(1, 5)
+                                             for e in range(56)
+                                             if rng.random() < 0.5})
+                            for _ in range(12)] for _ in range(8)], 12)
+    assert 600 < _echelon_work(i.transpose()) < MAX_ECHELON_WORK
+    one = LaurentPoly.one(F5)
+    fi = _write(tmp_path, "i.lmx", format_laurent_matrix(i))
+    fj = _write(tmp_path, "j.lmx", format_laurent_matrix(
+        LaurentMatrix(F5, [[one] * 4] * 12, 4)))
+    t0 = time.monotonic()
+    rc = main(["ses-check", fi, fj])
+    captured = capsys.readouterr()
+    assert time.monotonic() - t0 < 1
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "cap of" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_verify_all_report_is_pinned(capsys):
     # `satokit --json verify all`, byte for byte; a change that alters the
     # report on purpose updates tests/verify_all.json and says so

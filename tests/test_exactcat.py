@@ -394,3 +394,62 @@ def test_universal_properties_enumerated():
                 mediators = [w for w in _all_linmaps(right.target, e_space)
                              if right.then(w) == u and bottom.then(w) == v]
                 assert len(mediators) == 1
+
+
+# --- a LinMap is its matrix ------------------------------------------------
+
+def test_then_across_two_fields_is_refused():
+    f = LinMap(k(F2, 2), k(F2, 2), [[1, 0], [0, 1]])
+    g = LinMap(k(F3, 2), k(F3, 2), [[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="maps are not composable"):
+        f.then(g)
+    with pytest.raises(ValueError, match="maps are not composable"):
+        g.then(f)
+
+
+def test_ses_over_two_fields_is_refused():
+    i = LinMap(k(F2, 1), k(F2, 2), [[1, 0]])
+    j = LinMap(k(F3, 2), k(F3, 1), [[0], [1]])
+    with pytest.raises(ValueError, match="middle objects disagree"):
+        SES(i, j)
+
+
+def test_shape_mismatch_and_negative_dimension_are_refused():
+    with pytest.raises(ValueError, match="does not match"):
+        LinMap(k(F5, 2), k(F5, 3), Matrix(F5, [[1, 2]]))
+    with pytest.raises(ValueError, match="does not match"):
+        LinMap(k(F5, 0), k(F5, 1), Matrix.zero(F5, 0, 2))
+    with pytest.raises(ValueError, match="field mismatch"):
+        LinMap(k(F5, 1), k(F5, 1), Matrix(F3, [[1]]))
+    with pytest.raises(ValueError, match="negative dimension"):
+        FdSpace(F2, -1)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (2, 3)])
+def test_linmap_equality_and_hash_are_the_matrix(shape):
+    r, c = shape
+    m = Matrix(F5, [[(i + 2 * j) % 5 for j in range(c)] for i in range(r)], c)
+    f = LinMap(k(F5, r), k(F5, c), m)
+    assert f == LinMap.of(m) and hash(f) == hash(m)
+    assert f.source == k(F5, r) and f.target == k(F5, c)
+    # the same shape over another field, or another shape, is another map
+    assert f != LinMap.of(Matrix.zero(F3, r, c))
+    assert LinMap.of(Matrix.zero(F5, r, c)) != LinMap.of(
+        Matrix.zero(F5, c, r)) or r == c
+    assert LinMap.of(Matrix.zero(F5, r, c + 1)) != LinMap.of(
+        Matrix.zero(F5, r, c))
+
+
+def test_factorization_suite_inverts_each_twist_once(monkeypatch):
+    # |GL(r, F2)| for r = 0..3 is 1, 1, 6 and 168: 176 twists in all
+    from satokit import verify
+    calls = []
+    inverse = Matrix.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Matrix, "inverse", counted)
+    assert verify.suite_factorization(max_dim=3).passed
+    assert len(calls) <= 176
