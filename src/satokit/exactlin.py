@@ -420,6 +420,8 @@ class Matrix:
         return self.entries[i][j]
 
     def mul(self, other):
+        if self.field.p != other.field.p:
+            raise ValueError("field mismatch")
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch: %dx%d @ %dx%d"
                              % (self.nrows, self.ncols, other.nrows, other.ncols))
@@ -445,6 +447,8 @@ class Matrix:
 
     def hstack(self, other):
         """The block matrix [self | other]."""
+        if self.field.p != other.field.p:
+            raise ValueError("field mismatch")
         if self.nrows != other.nrows:
             raise ValueError("hstack of matrices with unequal row counts")
         f = self.field
@@ -454,6 +458,8 @@ class Matrix:
 
     def vstack(self, other):
         """self above other."""
+        if self.field.p != other.field.p:
+            raise ValueError("field mismatch")
         if self.ncols != other.ncols:
             raise ValueError("vstack of matrices with unequal column counts")
         return Matrix._raw(self.field, self._rows + other._rows, self.ncols)
@@ -852,6 +858,53 @@ def snf_with_transforms(rows, ncols, keep):
                     m[t][k] = -m[t][k]
         t += 1
     return R, U, V, Uinv, Vinv
+
+
+def invariant_factors(rows, ncols):
+    """The nonzero invariant factors, ascending, of the integer matrix with
+    sparse rows {column: entry} and ncols columns; rows is left as it was.
+
+    A row holding a unit x at column j clears column j from the other rows
+    (row_k -= r_k[j] * x * row, as x = 1/x) and then leaves the matrix with
+    column j, for one factor 1: the column operations that would clear the
+    rest of it touch nothing else.  Passes repeat until no row holds a unit,
+    and only the rows left meet the Smith form.
+    """
+    R = {i: {j: x for j, x in r.items() if x} for i, r in enumerate(rows)}
+    at = {}  # column -> the rows holding it
+    for i, r in R.items():
+        for j in r:
+            at.setdefault(j, set()).add(i)
+    ones, found = 0, True
+    while found:
+        found = False
+        for i in list(R):
+            r = R[i]
+            for j, x in r.items():
+                if x == 1 or x == -1:
+                    break
+            else:
+                continue
+            del R[i], r[j]
+            for k in at.pop(j):
+                if k != i:
+                    rk = R[k]
+                    q = rk.pop(j) * x
+                    for c, y in r.items():
+                        z = rk.get(c, 0) - q * y
+                        if not z:
+                            del rk[c]
+                            at[c].discard(k)
+                        else:
+                            if c not in rk:
+                                at[c].add(k)
+                            rk[c] = z
+            for c in r:
+                at[c].discard(i)
+            ones, found = ones + 1, True
+    rest = [r for r in R.values() if r]
+    s = snf_with_transforms(rest, ncols, ())[0] if rest else []
+    return [1] * ones + [x for x in (r.get(t) for t, r in enumerate(s)) if x]
 
 
 def _egcd(a, b):

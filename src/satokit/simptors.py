@@ -26,7 +26,7 @@ import math
 from functools import cached_property
 
 from .abgroup import GroupElem
-from .exactlin import snf_with_transforms, solve_mod
+from .exactlin import invariant_factors, snf_with_transforms, solve_mod
 
 MAX_DIM_CAP = 5
 
@@ -491,10 +491,11 @@ class CohomologyResult:
     coefficients, with m_n the n-simplices and r_n the rank of D_n, the group
     H^n(Z/d) is (Z/d)^(m_n - r_n - r_(n-1)) plus Z/gcd(s, d) for the
     invariant factors s of D_(n-1), and of D_n if d > 0 (d = 0 meaning Z):
-    it reads the two transform-free forms.  The components, which classify
-    and representatives read, hold the form of D_n keeping V and V^-1 and
-    the columns of D_(n-1); transporter reads the form of D_(n-1) keeping U
-    and V.
+    it reads invariant_factors of the two, which copy the cached rows and
+    send only what their unit pivots leave to the Smith form.  The
+    components, which classify and representatives read, hold the form of
+    D_n keeping V and V^-1 and the columns of D_(n-1); transporter reads
+    the form of D_(n-1) keeping U and V.
     """
 
     def __init__(self, complex_, degree, group):
@@ -527,8 +528,9 @@ class CohomologyResult:
     @cached_property
     def group_presentation(self):
         n = self.degree
-        lower, upper = ([r[i] for i, r in enumerate(self._form(k, ())[0])
-                         if r.get(i)] for k in (n - 1, n))
+        lower, upper = (invariant_factors(self._rows(k),
+                                          self.complex.n_simplices(k))
+                        for k in (n - 1, n))
         free = self.complex.n_simplices(n) - len(lower) - len(upper)
         summands = []
         for d in self.group.factors:

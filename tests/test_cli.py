@@ -487,6 +487,19 @@ def test_cli_cohomology_of_a_grid_torus(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "Z/6"
 
 
+def test_cli_cohomology_of_a_large_grid_torus(tmp_path, capsys):
+    # 4096 vertices, 12288 edges, 8192 triangles: unit pivots leave the
+    # coboundaries before the Smith form, which then sees no row of them
+    import time
+    f = _write(tmp_path, "grid.sset", _grid_torus_sset(64))
+    t0 = time.monotonic()
+    rc = main(["cohomology", f, "--degree", "1", "--group", "Z/6"])
+    elapsed = time.monotonic() - t0
+    assert rc == 0
+    assert capsys.readouterr().out.strip() == "Z/6+Z/6"
+    assert elapsed < 3
+
+
 def test_cli_classify_and_transport(tmp_path, capsys):
     cx = projective_plane()
     z2 = AbelianGroup((2,))

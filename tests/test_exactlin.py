@@ -6,9 +6,10 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from satokit.complexes import STANDARD
 from satokit.exactlin import (
     F2, F3, F5, QQ, Field, Matrix, Quotient, Subspace, all_subspaces,
-    all_vectors, snf_with_transforms, solve_mod,
+    all_vectors, invariant_factors, snf_with_transforms, solve_mod,
 )
 
 
@@ -409,6 +410,17 @@ def test_matrix_det():
         Matrix(F5, [(1, 2)]).det()
 
 
+def test_products_and_stacks_refuse_two_fields():
+    # F5 by F3 would return an F5 matrix, F2 by F5 fail in the F2 kernel
+    for a, b in ((Matrix(F5, [[1, 2]]), Matrix(F3, [[2], [2]])),
+                 (Matrix(F2, [[1, 1]]), Matrix(F5, [[1], [2]]))):
+        for op in (a.mul, a.hstack, a.vstack):
+            with pytest.raises(ValueError, match="field mismatch"):
+                op(b)
+    with pytest.raises(ValueError, match="field mismatch"):
+        Matrix(QQ, [[1]]).mul(Matrix(F5, [[1]]))
+
+
 # --- SNF; independent oracle: gcd of k x k minors -----------------------
 
 def _minor_gcd_oracle(rows):
@@ -671,6 +683,41 @@ def test_snf_matches_sympy(rows):
     factors, rank = _factors_and_rank(rows)
     assert factors == [d for d in diag if d]
     assert rank == len(factors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda ncols: st.lists(
+    st.lists(_SNF_ENTRIES | st.integers(-30, 30), min_size=ncols,
+             max_size=ncols), max_size=6)),
+    st.integers(0, 3), st.booleans())
+def test_invariant_factors_match_sympy(rows, zero_rows, zero):
+    # units and non-units, zero rows, all-zero matrices, 0 x n and n x 0
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+    ncols = len(rows[0]) if rows else 0
+    rows = [[0] * ncols if zero else r for r in rows]
+    rows += [[0] * ncols] * zero_rows
+    sparse = _sparse(rows)
+    want = []
+    if rows and ncols:
+        want = [abs(int(x)) for x in sympy_factors(sympy.Matrix(rows),
+                                                   domain=sympy.ZZ) if x]
+    assert invariant_factors(sparse, ncols) == want
+    assert sparse == _sparse(rows)  # the input is left as it was
+
+
+@pytest.mark.parametrize("name", sorted(STANDARD) + ["klein"])
+def test_invariant_factors_are_the_smith_diagonal(name):
+    from satokit.simptors import coboundary_matrix
+    cx = STANDARD.get(name, _klein_bottle)()
+    for degree in range(cx.dim_cap):
+        rows = coboundary_matrix(cx, degree)
+        ncols = cx.n_simplices(degree)
+        cols = _sparse(zip(*_dense(rows, ncols)))
+        for m, n in ((rows, ncols), (cols, len(rows))):
+            s = snf_with_transforms(m, n, ())[0]
+            assert invariant_factors(m, n) == \
+                [x for x in (r.get(i) for i, r in enumerate(s)) if x]
 
 
 def test_snf_transforms_multiply_out():

@@ -362,7 +362,8 @@ def test_transporter_separates_classes():
 
 
 def test_one_smith_form_per_coboundary(monkeypatch):
-    # the group reads transform-free forms of D_(n-1) and D_n and one in
+    # the group reads the invariant factors of D_(n-1) and D_n, whose unit
+    # pivots leave no remainder on the torus, and one transform-free form in
     # canonical_factors; classify and representatives share one Smith form
     # of D across the cyclic factors, and transporter solves every factor
     # against one Smith form of A = D_(n-1); each form keeps only the
@@ -388,7 +389,7 @@ def test_one_smith_form_per_coboundary(monkeypatch):
         res = CohomologyResult(cx, 1, grp)
         assert calls == []
         res.group_presentation
-        assert calls == [free, free, free]  # D_0, D_1, canonical_factors
+        assert calls == [free]  # canonical_factors
         calls.clear()
         res.classify(Cochain.zero(cx, 1, grp))
         res.representatives()
@@ -409,6 +410,38 @@ def test_one_smith_form_per_coboundary(monkeypatch):
     res.transporter(beta, alpha)
     assert res.classify(alpha) == res.classify(beta)
     assert calls == [{"U", "V"}]  # the result's forms are shared
+
+
+def test_group_sends_only_non_unit_remainders_to_the_smith_form(
+        monkeypatch):
+    # unit pivots leave the matrix before the Smith form: the torus's
+    # coboundaries leave nothing, so its one form is canonical_factors';
+    # the projective plane's remainder holds entries +-2 and no unit
+    import satokit.exactlin
+    import satokit.simptors
+    snf = satokit.exactlin.snf_with_transforms
+    sent = {satokit.exactlin: [], satokit.simptors: []}
+
+    def counting(module):
+        def counted(rows, ncols, keep):
+            sent[module].append(([dict(r) for r in rows], tuple(keep)))
+            return snf(rows, ncols, keep)
+        return counted
+
+    for module in sent:
+        monkeypatch.setattr(module, "snf_with_transforms", counting(module))
+    remainders, canonical = sent.values()
+    for degree, want in ((1, (0, 0)), (2, (0,))):
+        canonical.clear()
+        assert CohomologyResult(torus(), degree, ZZ).group_presentation == \
+            want
+        assert remainders == []
+        assert canonical == [([], ())]
+    assert CohomologyResult(projective_plane(), 2, ZZ).group_presentation \
+        == (2,)
+    assert [keep for _, keep in remainders] == [()]
+    rows = remainders[0][0]
+    assert rows and all(abs(x) == 2 for r in rows for x in r.values())
 
 
 def test_transporter_refuses_mismatched_cochains():
@@ -450,7 +483,8 @@ def _count_cohomology_work(monkeypatch):
 def test_classification_suite_builds_each_form_once(monkeypatch):
     # one result per complex: D_1 and D_2 of each complex built once (72
     # calls when every torsor built its own), and at most one Smith form
-    # per (complex, matrix, kept set): 12 in all, 74 before
+    # per (complex, matrix, kept set): 9 in all, 74 before; the group sends
+    # no coboundary to the Smith form, only what its unit pivots leave
     from satokit import verify
     built, formed = _count_cohomology_work(monkeypatch)
     assert verify.suite_classification().passed
@@ -459,11 +493,13 @@ def test_classification_suite_builds_each_form_once(monkeypatch):
     keys = [(next((k for k, b in enumerate(built) if b[2] is rows), None),
              keep) for rows, keep in formed]
     coboundary_keys = [key for key in keys if key[0] is not None]
-    assert len(coboundary_keys) == len(set(coboundary_keys)) == 8
-    # the rest are canonical_factors and one relation form per complex
+    assert len(coboundary_keys) == len(set(coboundary_keys)) == 4
+    assert all(keep for _, keep in coboundary_keys)
+    # the rest are canonical_factors, the remainder of D_1 of the projective
+    # plane and one relation form per complex
     assert sorted(keep for k, keep in keys if k is None) == \
-        [(), (), ("U", "U^-1"), ("U", "U^-1")]
-    assert len(formed) == 12
+        [(), (), (), ("U", "U^-1"), ("U", "U^-1")]
+    assert len(formed) == 9
 
 
 def test_gerbe_suite_builds_one_form_per_complex_and_group(monkeypatch):
