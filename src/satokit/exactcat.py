@@ -116,9 +116,10 @@ class LinMap:
         return self.matrix.left_kernel()
 
     def inverse(self):
-        if not self.is_iso():
-            raise ValueError("not an isomorphism")
-        return LinMap.of(self.matrix.inverse())
+        try:
+            return LinMap.of(self.matrix.inverse())
+        except ValueError:
+            raise ValueError("not an isomorphism") from None
 
 
 @lru_cache(maxsize=2048)
@@ -144,7 +145,9 @@ class SES:
     """Validated admissible short exact sequence  a' >--i--> a --j->> a''.
 
     The constructor is the one validation path: it raises SESInvalid naming
-    the first condition that fails."""
+    the first condition that fails.  Then exactness in the middle is the
+    count dim a' + dim a'' = dim a: ker j, of dimension dim a - dim a'' by
+    rank-nullity, holds the image of i, of dimension dim a'."""
 
     __slots__ = ("i", "j")
 
@@ -158,7 +161,7 @@ class SES:
             raise SESInvalid("not-epi")
         if not i.then(j).is_zero():
             raise SESInvalid("composite-nonzero")
-        if j.kernel_subspace().dim != mi.nrows:
+        if mi.nrows + mj.ncols != mi.ncols:
             raise SESInvalid("inexact-at-middle")
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "j", j)

@@ -215,16 +215,6 @@ def _gather(field, row, cols):
     return tuple([row[j] for j in cols])
 
 
-def _scatter(field, row, cols, n):
-    """The row of length n with row's entries at cols and zeros elsewhere."""
-    if field.p == 2:
-        return sum([((row >> i) & 1) << j for i, j in enumerate(cols)])
-    v = [field.zero()] * n
-    for x, j in zip(row, cols):
-        v[j] = x
-    return tuple(v)
-
-
 def _rref_f2(rows):
     """Gauss-Jordan elimination of int rows: (rows, pivots) as in _rref,
     each pivot the lowest set bit of its row."""
@@ -531,10 +521,11 @@ class Matrix:
 
     def inverse(self):
         """The inverse of a square matrix; ValueError when it is singular."""
-        _, piv, t, _, _ = self._reduced()
-        if self.nrows != self.ncols or len(piv) != self.nrows:
-            raise ValueError("matrix is not invertible")
-        return Matrix._raw(self.field, t, self.nrows, self.nrows)
+        if self.nrows == self.ncols:  # else refused with no elimination
+            _, piv, t, _, _ = self._reduced()
+            if len(piv) == self.nrows:
+                return Matrix._raw(self.field, t, self.nrows, self.nrows)
+        raise ValueError("matrix is not invertible")
 
 
 class Subspace:
@@ -610,9 +601,12 @@ class Subspace:
         if self.ambient != other.ambient or self.field != other.field:
             raise ValueError("ambient mismatch")
 
+    def _reduce(self, v):
+        """v less the combination of basis rows that clears every pivot."""
+        return _divide(self.field, v, self._rows, self.pivots)[1]
+
     def _contains(self, v):
-        return not _nonzero(_divide(self.field, v, self._rows,
-                                    self.pivots)[1])
+        return not _nonzero(self._reduce(v))
 
     def contains_vector(self, v):
         return self._contains(_row_in(self.field, v))
@@ -658,9 +652,7 @@ class Subspace:
         return [j for j in range(self.ambient) if j not in pset]
 
     def _proj(self, v, nonpivots):
-        f = self.field
-        return _gather(f, _divide(f, v, self._rows, self.pivots)[1],
-                       nonpivots)
+        return _gather(self.field, self._reduce(v), nonpivots)
 
     def proj_coords(self, v):
         """Coordinates of v + self in the canonical quotient basis."""
@@ -680,33 +672,29 @@ class Subspace:
 class Quotient:
     """The subquotient big/small of nested subspaces, in its canonical basis.
 
-    Its basis is the rref basis of big/small in small's quotient coordinates
-    (Subspace.proj_coords), kept in internal rows; lift(k) is the canonical
-    coset representative of basis row k.
+    Its basis is the rref of big's rows reduced modulo small, in ambient
+    coordinates.  They vanish at small's pivot columns, and deleting zero
+    columns keeps an rref and its coefficients, so this is the rref basis in
+    small's quotient coordinates (Subspace.proj_coords) with zeros put back.
+    lift(k), the canonical coset representative, is basis row k.
     """
 
-    __slots__ = ("small", "_nonpivots", "_basis", "_pivots")
+    __slots__ = ("small", "_basis", "_pivots")
 
     def __init__(self, small, big):
         if not big.contains(small):
             raise ValueError("quotient requires containment")
         self.small = small
-        self._nonpivots = small.nonpivots()
         self._basis, self._pivots = _rref(
-            small.field, [small._proj(r, self._nonpivots) for r in big._rows])
+            small.field, [small._reduce(r) for r in big._rows])
 
     @property
     def dim(self):
         return len(self._basis)
 
     def _coords(self, v):
-        small = self.small
-        return _coeffs(small.field, small._proj(v, self._nonpivots),
-                       self._basis, self._pivots)
-
-    def _lift(self, c):
-        return _scatter(self.small.field, c, self._nonpivots,
-                        self.small.ambient)
+        return _coeffs(self.small.field, self.small._reduce(v), self._basis,
+                       self._pivots)
 
     def coords(self, v):
         """Coordinates of v + small in basis, or None when v is not in big."""
@@ -715,14 +703,13 @@ class Quotient:
         return None if c is None else _row_out(f, c, self.dim)
 
     def lift(self, k):
-        return _row_out(self.small.field, self._lift(self._basis[k]),
-                        self.small.ambient)
+        return _row_out(self.small.field, self._basis[k], self.small.ambient)
 
     def map_to(self, dst):
         """The matrix of the map self -> dst that the identity of the ambient
         space induces, in the canonical bases, or None when it does not map
         self into dst."""
-        rows = [dst._coords(self._lift(b)) for b in self._basis]
+        rows = [dst._coords(b) for b in self._basis]
         if None in rows:
             return None
         return Matrix._raw(self.small.field, rows, dst.dim)

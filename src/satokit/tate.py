@@ -198,9 +198,13 @@ def lattice_contains(a, b):
 def lattice_meet(a, b):
     _check_same_space(a, b)
     LO, HI = max(a.lo, b.lo), max(a.hi, b.hi)
-    sa = window_subspace(a, LO, HI)
-    sb = window_subspace(b, LO, HI)
-    return _stripped(a.space, LO, HI, sa.meet(sb))
+    n = a.space.rank
+    # the Zassenhaus stack: each lattice's rows (at most) and its unit rows
+    # up to t^HI, at twice the window's width
+    _check_window("meet", sum(len(x.rows) + n * (HI - max(x.hi, LO))
+                              for x in (a, b)), 2 * (HI - LO) * n)
+    return _stripped(a.space, LO, HI, window_subspace(a, LO, HI).meet(
+        window_subspace(b, LO, HI)))
 
 
 def lattice_join(a, b):
@@ -417,13 +421,13 @@ def _window_row(field, rows, n, LO, HI, terms):
     return tuple(acc) if p is None else tuple([x % p for x in acc])
 
 
-# the most cells (rows x columns) of a dense window that lift and project
-# build; the largest that the verify suites and the tests build has 600
+# the most cells (rows x columns) of a dense window that lift, project and
+# meet build; the largest that the verify suites and the tests build has 600
 MAX_WINDOW_CELLS = 1 << 20
 
 
 class WindowTooLarge(Exception):
-    """A lift or project would build a window past MAX_WINDOW_CELLS."""
+    """A lift, project or meet would build a window past MAX_WINDOW_CELLS."""
 
 
 def _check_window(verb, rows, cols):

@@ -144,6 +144,24 @@ def test_cli_meet_unreduced_scalars(tmp_path, capsys):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_cli_deep_meet_is_refused_fast(tmp_path, capsys):
+    # one row at t^0 over 20000 levels, met with O: the unit rows of O fill
+    # the window [0, 20000), and the Zassenhaus stack of 20001 rows by 40000
+    # columns would take tens of GB, so the cap refuses it before building
+    import time
+    deep = _write(tmp_path, "deep.lat", _lat("F5", 1, 0, 20000,
+                                             ",".join(["1"] + ["0"] * 19999)))
+    o = _write(tmp_path, "o.lat", _lat("F5", 1, 0, 0))
+    t0 = time.monotonic()
+    rc = main(["meet", deep, o])
+    captured = capsys.readouterr()
+    assert time.monotonic() - t0 < 1
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "cap of" in captured.err
+    assert "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_cli_meet_join_roundtrip(tmp_path, capsys):
     space = TateSpace(F5, 2)
     a = lattice_normalize(space, -1, 0, [[1, 0]])

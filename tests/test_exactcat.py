@@ -453,3 +453,118 @@ def test_factorization_suite_inverts_each_twist_once(monkeypatch):
     monkeypatch.setattr(Matrix, "inverse", counted)
     assert verify.suite_factorization(max_dim=3).passed
     assert len(calls) <= 176
+
+
+# --- exactness in the middle is a count ------------------------------------
+
+def _kernel_verdict(i, j):
+    """The checks SES made when exactness was read off a kernel: mono, epi
+    and the composite by rank and product, then dim ker j against dim a'."""
+    mi, mj = i.matrix, j.matrix
+    if mi.rank() != mi.nrows:
+        return "not-mono"
+    if mj.rank() != mj.ncols:
+        return "not-epi"
+    if not mi.mul(mj).is_zero():
+        return "composite-nonzero"
+    if mj.left_kernel().dim != mi.nrows:
+        return "inexact-at-middle"
+    return None
+
+
+def _all_f2_matrices(r, c):
+    for bits in itertools.product((0, 1), repeat=r * c):
+        yield LinMap.of(Matrix(F2, [bits[q * c:(q + 1) * c]
+                                    for q in range(r)], c))
+
+
+def test_ses_verdict_matches_the_kernel_checks():
+    import random
+    seen = set()
+    # every F2 pair i: a x b, j: b x c with b <= 2 and a, c <= 3
+    for a, b, c in itertools.product(range(4), range(3), range(4)):
+        js = list(_all_f2_matrices(b, c))
+        for i in _all_f2_matrices(a, b):
+            for j in js:
+                want = _kernel_verdict(i, j)
+                assert _diagnosis(i, j) == want, (i.matrix.entries,
+                                                  j.matrix.entries)
+                seen.add(want)
+    # seeded random pairs with b <= 4 over F2, F3 and F5; half of them take
+    # j's columns from the right kernel of i, so that i then j is zero
+    rng = random.Random(2000)
+    for trial in range(2000):
+        field = (F2, F3, F5)[trial % 3]
+        a, b, c = rng.randrange(5), rng.randrange(5), rng.randrange(5)
+
+        def draw(r, s):
+            return Matrix(field, [[rng.randrange(field.p) for _ in range(s)]
+                                  for _ in range(r)], s)
+
+        i, j = draw(a, b), draw(b, c)
+        if trial % 2:
+            ker = i.right_kernel().basis_matrix()
+            j = ker.transpose().mul(draw(ker.nrows, c))
+        i, j = LinMap.of(i), LinMap.of(j)
+        want = _kernel_verdict(i, j)
+        assert _diagnosis(i, j) == want, (field, i.matrix.entries,
+                                          j.matrix.entries)
+        seen.add(want)
+    assert seen == {None, "not-mono", "not-epi", "composite-nonzero",
+                    "inexact-at-middle"}
+
+
+# a fixed pair of subspaces of dimension 3 and 5 in F2^8, meeting in a line
+_GRID_TOP = [[1, 0, 1, 1, 0, 0, 1, 0], [0, 1, 1, 0, 1, 0, 0, 1],
+             [0, 0, 0, 1, 1, 1, 0, 1]]
+_GRID_LEFT = [[1, 1, 0, 1, 1, 0, 1, 1], [0, 1, 0, 0, 1, 1, 0, 0],
+              [1, 0, 0, 1, 0, 0, 1, 1], [0, 0, 1, 1, 0, 1, 1, 0],
+              [0, 0, 0, 0, 0, 1, 1, 1]]
+
+
+def test_inverse_ses_and_grid_elimination_counts(monkeypatch):
+    # LinMap.inverse runs one elimination, invertible or not; SES decides
+    # exactness by a count and builds no kernel; one grid on a fixed F2^8
+    # pair runs 27 eliminations (33 when SES read exactness off ker j)
+    import satokit.exactlin
+    rref, left_kernel = satokit.exactlin._rref, Matrix.left_kernel
+    calls = []
+
+    def counted(field, rows):
+        calls.append("rref")
+        return rref(field, rows)
+
+    def counted_kernel(self):
+        calls.append("left_kernel")
+        return left_kernel(self)
+
+    monkeypatch.setattr(satokit.exactlin, "_rref", counted)
+    monkeypatch.setattr(Matrix, "left_kernel", counted_kernel)
+    unit = LinMap.identity(k(F2, 3))
+    invertible = LinMap.of(Matrix(F2, [[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
+    singular = LinMap.of(Matrix(F2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
+    calls.clear()
+    inv = invertible.inverse()
+    assert calls == ["rref"]
+    assert inv.then(invertible) == invertible.then(inv) == unit
+    calls.clear()
+    with pytest.raises(ValueError, match="not an isomorphism"):
+        singular.inverse()
+    assert calls == ["rref"]
+    calls.clear()
+    with pytest.raises(ValueError, match="not an isomorphism"):
+        LinMap.of(Matrix(F2, [[1, 0]])).inverse()
+    assert calls == []
+    # an exact split sequence and one that fails only in the middle
+    inexact_i = LinMap(k(F2, 1), k(F2, 3), [[1, 0, 0]])
+    inexact_j = LinMap(k(F2, 3), k(F2, 1), [[0], [0], [1]])
+    calls.clear()
+    split_ses(F2, 2, 3)
+    assert _diagnosis(inexact_i, inexact_j) == "inexact-at-middle"
+    assert "left_kernel" not in calls
+    top = LinMap.of(Matrix(F2, _GRID_TOP))
+    left = LinMap.of(Matrix(F2, _GRID_LEFT))
+    calls.clear()
+    grid = complete_grid_3x3(top, left)
+    assert grid.spaces["tl"].dim == 1
+    assert calls == ["rref"] * 27

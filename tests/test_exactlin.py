@@ -251,6 +251,72 @@ def test_quotient_invariants(which, ambient, n_small, n_extra, data):
         with pytest.raises(ValueError):
             Quotient(big, small)
 
+
+class _OracleQuotient:
+    """big/small built in small's quotient coordinates: each row gathered at
+    small's non-pivot columns (proj_coords), the rref of those rows as the
+    basis, and a lift scattered back to the non-pivot columns."""
+
+    def __init__(self, small, big):
+        self.field, self.small = small.field, small
+        self.npv = small.nonpivots()
+        self.basis = Subspace.from_rows(small.field, len(self.npv),
+                                        [small.proj_coords(r)
+                                         for r in big.rows])
+
+    def coords(self, v):
+        c = self.basis.coordinates(
+            Matrix(self.field, [self.small.proj_coords(v)], len(self.npv)))
+        return None if c is None else c.entries[0]
+
+    def lift(self, k):
+        v = [self.field.zero()] * self.small.ambient
+        for x, j in zip(self.basis.rows[k], self.npv):
+            v[j] = x
+        return tuple(v)
+
+    def map_to(self, dst):
+        rows = [dst.coords(self.lift(k)) for k in range(self.basis.dim)]
+        return None if None in rows else rows
+
+
+_ORACLE_FIELD_ENTRIES = _FIELD_ENTRIES + [(F3, st.integers(0, 2))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(range(len(_ORACLE_FIELD_ENTRIES))), st.integers(1, 7),
+       st.lists(st.integers(0, 3), min_size=3, max_size=3), st.data())
+def test_quotient_matches_the_quotient_coordinate_oracle(which, ambient,
+                                                         counts, data):
+    # the ambient-coordinate Quotient against the construction in small's
+    # quotient coordinates, entry for entry, on a chain small <= big <= big2
+    field, entry = _ORACLE_FIELD_ENTRIES[which]
+
+    def draw_rows(n):
+        return [tuple(field.normalize(data.draw(entry))
+                      for _ in range(ambient)) for _ in range(n)]
+
+    chain = [Subspace.from_rows(field, ambient, draw_rows(counts[0]))]
+    for n in counts[1:]:
+        chain.append(chain[-1].join(
+            Subspace.from_rows(field, ambient, draw_rows(n))))
+    pairs = list(itertools.combinations(chain, 2))
+    quots = [(Quotient(s, b), _OracleQuotient(s, b)) for s, b in pairs]
+    vectors = (list(Subspace.full(field, ambient).rows) + draw_rows(3)
+               + list(chain[-1].rows))
+    for q, oracle in quots:
+        assert q.dim == oracle.basis.dim
+        assert [q.lift(k) for k in range(q.dim)] == \
+            [oracle.lift(k) for k in range(q.dim)]
+        for v in vectors:
+            assert q.coords(v) == oracle.coords(v)
+    for (q1, o1), (q2, o2) in itertools.permutations(quots, 2):
+        m, want = q1.map_to(q2), o1.map_to(o2)
+        assert (m is None) == (want is None)
+        if m is not None:
+            assert (m.nrows, m.ncols) == (q1.dim, q2.dim)
+            assert list(m.entries) == want
+
 # --- the packed F2 path against plain mod-2 elimination ------------------
 
 def _gf2_rref(rows, ncols):
