@@ -421,11 +421,11 @@ def complete_grid_3x3(top_mono, left_mono, p_top=None, p_left=None):
     top, left = top_mono.matrix, left_mono.matrix
     if (top.field, top.ncols) != (left.field, left.ncols):
         raise ValueError("monos must share their target")
-    if not top_mono.is_mono() or not left_mono.is_mono():
+    # a mono's image has the dimension of its source: one elimination each
+    u_top, u_left = top_mono.image_subspace(), left_mono.image_subspace()
+    if u_top.dim != top.nrows or u_left.dim != left.nrows:
         raise GridError("not-mono")
     f, amb = top.field, top.ncols
-    u_top = top_mono.image_subspace()
-    u_left = left_mono.image_subspace()
     w = u_top.meet(u_left)
     if p_top is not None or p_left is not None:
         if p_top is None or p_left is None or \

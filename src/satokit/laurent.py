@@ -191,32 +191,37 @@ class LaurentMatrix:
 
     def __init__(self, field, entries, ncols=None):
         rows = [tuple(row) for row in entries]
-        nrows = len(rows)
-        if nrows:
+        if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
                 raise ValueError("ragged matrix")
-        elif ncols is None:
-            ncols = 0
+        self._init(field, tuple(rows), ncols or 0)
+
+    def _init(self, field, rows, ncols):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "nrows", nrows)
+        object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "entries", tuple(rows))
+        object.__setattr__(self, "entries", rows)
+
+    @classmethod
+    def _raw(cls, field, rows, ncols):
+        # trusted path: rows is a tuple of tuples of ncols LaurentPolys
+        m = object.__new__(cls)
+        m._init(field, rows, ncols)
+        return m
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
 
     @classmethod
     def identity(cls, field, n):
-        one = LaurentPoly.one(field)
-        z = LaurentPoly.zero(field)
-        return cls(field, [[one if i == j else z for j in range(n)]
-                           for i in range(n)], n)
+        z, one = (LaurentPoly.zero(field),) * n, (LaurentPoly.one(field),)
+        return cls._raw(field, tuple([z[:i] + one + z[i + 1:]
+                                      for i in range(n)]), n)
 
     @classmethod
     def zero(cls, field, r, c):
-        z = LaurentPoly.zero(field)
-        return cls(field, [[z] * c for _ in range(r)], c)
+        return cls._raw(field, ((LaurentPoly.zero(field),) * c,) * r, c)
 
     def __eq__(self, other):
         return (isinstance(other, LaurentMatrix) and self.field == other.field
@@ -241,19 +246,18 @@ class LaurentMatrix:
         out = []
         for row in self.entries:
             acc = [z] * other.ncols
-            for k, x in enumerate(row):
-                if not x.is_zero():
-                    for j in range(other.ncols):
-                        y = other.entries[k][j]
-                        if not y.is_zero():
+            for x, orow in zip(row, other.entries):
+                if x.terms:
+                    for j, y in enumerate(orow):
+                        if y.terms:
                             acc[j] = acc[j].add(x.mul(y))
-            out.append(acc)
-        return LaurentMatrix(self.field, out, other.ncols)
+            out.append(tuple(acc))
+        return LaurentMatrix._raw(self.field, tuple(out), other.ncols)
 
     def transpose(self):
-        return LaurentMatrix(self.field,
-                             [[self.entries[i][j] for i in range(self.nrows)]
-                              for j in range(self.ncols)], self.nrows)
+        return LaurentMatrix._raw(self.field, tuple(zip(*self.entries))
+                                  if self.entries else ((),) * self.ncols,
+                                  self.nrows)
 
     def is_zero(self):
         return all(x.is_zero() for r in self.entries for x in r)
@@ -384,13 +388,13 @@ def right_inverse(m):
     if nd is None:
         return None
     rows, d = nd
-    return LaurentMatrix(m.field, [[row[i] for row in rows]
-                                   for i in range(m.ncols)], m.nrows), d
+    return LaurentMatrix._raw(m.field, tuple(map(tuple, rows)),
+                              m.ncols).transpose(), d
 
 
 def left_inverse(m):
     """(N, d) with N . m = d . identity, for m of full column rank; None
     otherwise.  d == 1 exactly when a Laurent left inverse exists."""
     nd = _left_inverse_rows(m)
-    return None if nd is None else (LaurentMatrix(m.field, nd[0], m.nrows),
-                                    nd[1])
+    return None if nd is None else (
+        LaurentMatrix._raw(m.field, tuple(map(tuple, nd[0])), m.nrows), nd[1])

@@ -27,13 +27,17 @@ Subspace.from_rows, which checks every scalar; meet, join, lift and project
 hand rows they built themselves to the trusted rref and kernel, and from
 there to the level stripping.
 
-Lift and project build their generator rows straight in window coordinates
-from a stencil cached on the sequence: each row of i or j as its terms
-(e, column, c) sorted by e, so a shifted row or a combination of rows is
-read off it without a Laurent polynomial.
+Lift and project read their window bounds and generator rows off a stencil
+cached on the sequence: each row of i or j as its terms (e, column, c) sorted
+by e, so a shifted row or a combination of rows is read off it without a
+Laurent polynomial, beside the least valuations of the matrix and of its
+one-sided inverse.  An empty window [LO, LO) gives t^LO O^n with no window
+built.  split_tate_ses is memoized: one checked split serves every caller.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .exactcat import SES, LinMap
 from .exactlin import Matrix, Quotient, Subspace, _row_in, _rref
@@ -174,10 +178,13 @@ def window_rows(lat, LO, HI):
 
 
 def window_subspace(lat, LO, HI):
-    rows = window_rows(lat, LO, HI)
-    pivots = [next(j for j, x in enumerate(r) if x != 0) for r in rows]
-    return Subspace._raw(lat.field, (HI - LO) * lat.space.rank,
-                         [_row_in(lat.field, r) for r in rows], pivots)
+    # window_rows' pivots: lat's that stay in the window, then the units'
+    n = lat.space.rank
+    width, off = (HI - LO) * n, (lat.lo - LO) * n
+    pivots = [p + off for p in lat.pivots if 0 <= p + off < width]
+    pivots += range(max(lat.hi - LO, 0) * n, width)
+    return Subspace._raw(lat.field, width, [_row_in(lat.field, r) for r in
+                                            window_rows(lat, LO, HI)], pivots)
 
 
 def _check_same_space(a, b):
@@ -316,16 +323,13 @@ def _verify_one_sided(m, inv, den, left):
         for r, row in enumerate(prod.entries) for c, x in enumerate(row))
 
 
+@functools.cache  # the sequence is immutable; its stencils serve every use
 def split_tate_ses(field, a, c):
     """The coordinate split k((t))^a >--> k((t))^(a+c) -->> k((t))^c, with
     the transposes of i and j as its one-sided inverses."""
-    one = LaurentPoly.one(field)
-    z = LaurentPoly.zero(field)
-    b = a + c
-    i = LaurentMatrix(field, [[one if q == r else z for q in range(b)]
-                              for r in range(a)], b)
-    j = LaurentMatrix(field, [[one if q == r - a else z for q in range(c)]
-                              for r in range(b)], c)
+    one, rows = LaurentPoly.one(field), LaurentMatrix.identity(field, a + c)
+    i = LaurentMatrix._raw(field, rows.entries[:a], a + c)
+    j = LaurentMatrix._raw(field, rows.entries[a:], a + c).transpose()
     return TateSES(i, j, (i.transpose(), one), (j.transpose(), one))
 
 
@@ -361,8 +365,8 @@ def compose_filtration(ses_outer, ses_inner):
                                           ses_outer.lj)
     i23, j23 = ses_outer.i, ses_outer.j
     part1 = r23.mul(ses_inner.j)          # X3 -> X2 -> X2/X1
-    j13 = LaurentMatrix(field, [l + r for l, r in zip(
-        part1.entries, j23.entries)], part1.ncols + j23.ncols)
+    j13 = LaurentMatrix._raw(field, tuple([l + r for l, r in zip(
+        part1.entries, j23.entries)]), part1.ncols + j23.ncols)
     top, bottom = l12.mul(i23).entries, l23.entries
     lr = l23.mul(r23)
     if not lr.is_zero():
@@ -372,20 +376,25 @@ def compose_filtration(ses_outer, ses_inner):
         top = [[e23.mul(x) for x in r] for r in top]
     if e12 != one:
         bottom = [[e12.mul(x) for x in r] for r in bottom]
-    return TateSES(ses_inner.i.mul(i23), j13, (r23.mul(n12), d12),
-                   (LaurentMatrix(field, [*top, *bottom], i23.ncols),
-                    e12.mul(e23)))
+    return TateSES(ses_inner.i.mul(i23), j13, (r23.mul(n12), d12), (
+        LaurentMatrix._raw(field, tuple(map(tuple, (*top, *bottom))),
+                           i23.ncols), e12.mul(e23)))
 
 
 def _stencil(ses, name):
     """Per row of ses.i or ses.j (name "i" or "j"), its terms (e, column, c)
-    sorted by e, with the matrix's least valuation; cached on ses."""
+    sorted by e, with the matrix's least valuation and the pole order of its
+    one-sided inverse N/d (ses.ri or ses.lj): N's least valuation less d's,
+    with 0 for N's when N = 0 (no lift or project reads it then); cached on
+    ses."""
     key = "st" + name
     if key not in ses._cache:
         m = getattr(ses, name)
+        inv, den = ses.ri if name == "i" else ses.lj
         ses._cache[key] = ([sorted([(e, col, c) for col, x in enumerate(row)
                                     for e, c in x.terms])
-                            for row in m.entries], m.min_valuation())
+                            for row in m.entries], m.min_valuation(),
+                           (inv.min_valuation() or 0) - den.val())
     return ses._cache[key]
 
 
@@ -454,11 +463,11 @@ def lift_lattice(ses, u):
     src = TateSpace(field, a)
     if a == 0:
         return standard_lattice(src)
-    irows, vmin_i = _stencil(ses, "i")
-    binv, bden = ses.ri
-    vmin_b = binv.min_valuation() - bden.val()
+    irows, vmin_i, vmin_b = _stencil(ses, "i")
     HI = u.hi - vmin_i
     LO = u.lo + vmin_b
+    if LO == HI:  # the sandwich t^HI O^a <= lift <= t^LO O^a is tight
+        return standard_lattice(src, LO)
     # images of window monomials are classes mod t^(u.hi) O^b, which is
     # inside u, so the membership test happens in u's own window
     LO_t = min(u.lo, LO + vmin_i)
@@ -482,11 +491,11 @@ def project_lattice(ses, u):
     dst = TateSpace(field, c)
     if c == 0:
         return standard_lattice(dst)
-    jrows, vmin_j = _stencil(ses, "j")
-    cinv, cden = ses.lj
-    vmin_c = cinv.min_valuation() - cden.val()
+    jrows, vmin_j, vmin_c = _stencil(ses, "j")
     HI = u.hi - vmin_c
     LO = u.lo + vmin_j
+    if LO == HI:  # the sandwich t^HI O^c <= j(u) <= t^LO O^c is tight
+        return standard_lattice(dst, LO)
     _check_window("project", len(u.rows) + max(HI - vmin_j - u.hi, 0) * b,
                   (HI - LO) * c)
     one = field.one()

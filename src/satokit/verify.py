@@ -123,17 +123,18 @@ def rand_automorphism(rng, field, n, n_factors=2, emax=2):
             for r in aut:
                 r[i] = r[i]._times(e, c)
             inv[i] = [x._times(-e, field.inv(c)) for x in inv[i]]
-    return LaurentMatrix(field, aut, n), LaurentMatrix(field, inv, n)
+    return (LaurentMatrix._raw(field, tuple(map(tuple, aut)), n),
+            LaurentMatrix._raw(field, tuple(map(tuple, inv)), n))
 
 
 def _rows(m, lo, hi):
     """Rows [lo, hi) of m."""
-    return LaurentMatrix(m.field, m.entries[lo:hi], m.ncols)
+    return LaurentMatrix._raw(m.field, m.entries[lo:hi], m.ncols)
 
 
 def _cols(m, lo, hi):
     """Columns [lo, hi) of m."""
-    return LaurentMatrix(m.field, [r[lo:hi] for r in m.entries], hi - lo)
+    return _rows(m.transpose(), lo, hi).transpose()
 
 
 class TwistedChain:

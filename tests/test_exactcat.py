@@ -525,7 +525,8 @@ _GRID_LEFT = [[1, 1, 0, 1, 1, 0, 1, 1], [0, 1, 0, 0, 1, 1, 0, 0],
 def test_inverse_ses_and_grid_elimination_counts(monkeypatch):
     # LinMap.inverse runs one elimination, invertible or not; SES decides
     # exactness by a count and builds no kernel; one grid on a fixed F2^8
-    # pair runs 27 eliminations (33 when SES read exactness off ker j)
+    # pair runs 25 eliminations (27 when the monos were ranked apart from
+    # their images, 33 when SES read exactness off ker j)
     import satokit.exactlin
     rref, left_kernel = satokit.exactlin._rref, Matrix.left_kernel
     calls = []
@@ -567,4 +568,35 @@ def test_inverse_ses_and_grid_elimination_counts(monkeypatch):
     calls.clear()
     grid = complete_grid_3x3(top, left)
     assert grid.spaces["tl"].dim == 1
-    assert calls == ["rref"] * 27
+    assert calls == ["rref"] * 25
+
+
+def test_grid_reads_mono_off_the_images(monkeypatch):
+    # complete_grid_3x3 ranks each mono by the image it builds anyway: a
+    # pair that is not mono costs the two image eliminations and no more,
+    # and a pair with two targets is refused before any
+    import satokit.exactlin
+    rref = satokit.exactlin._rref
+    calls = []
+
+    def counted(field, rows):
+        calls.append("rref")
+        return rref(field, rows)
+
+    monkeypatch.setattr(satokit.exactlin, "_rref", counted)
+    mono = Matrix(F2, [[0, 1, 0]])
+    twice = Matrix(F2, [[1, 0, 1], [1, 0, 1]])
+    for top, left in ((twice, mono), (mono, twice), (twice, twice)):
+        calls.clear()
+        with pytest.raises(GridError, match="^not-mono$"):
+            complete_grid_3x3(LinMap.of(top), LinMap.of(left))
+        assert calls == ["rref"] * 2
+    calls.clear()
+    with pytest.raises(ValueError, match="share their target"):
+        complete_grid_3x3(LinMap.of(twice), LinMap.of(Matrix(F2, [[1, 1]])))
+    assert calls == []
+    # the monos of a valid pair are ranked once each, by their images
+    top, left = Matrix(F2, _GRID_TOP), Matrix(F2, _GRID_LEFT)
+    calls.clear()
+    complete_grid_3x3(LinMap.of(top), LinMap.of(left))
+    assert calls[:2] == ["rref"] * 2 and len(calls) == 25

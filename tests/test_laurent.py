@@ -249,6 +249,72 @@ def test_unary_ops_equal_checking_path(data, k, c):
                                               for e, x in a.terms]))
 
 
+def _checked(m):
+    """m rebuilt through the checking constructor."""
+    return LaurentMatrix(m.field, [list(r) for r in m.entries], m.ncols)
+
+
+def _same_matrix(m, want):
+    assert type(m.entries) is tuple and all(type(r) is tuple
+                                            for r in m.entries)
+    assert (m.nrows, m.ncols) == (want.nrows, want.ncols)
+    assert m == want and hash(m) == hash(want)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
+def test_trusted_matrices_equal_checked_ones(field):
+    # products, transposes, slices, identities, zeros and one-sided inverses
+    # are built by LaurentMatrix._raw; each equals, in == and hash, the
+    # matrix of the same entries built by LaurentMatrix(...), 0 x n and
+    # n x 0 shapes included
+    import random
+    from satokit.verify import _cols, _rows
+    rng = random.Random(29)
+    scalars = [1, 2, -1, Fraction(1, 2)] if field.is_rational else [1, 2, 3]
+
+    def draw(r, c):
+        return LaurentMatrix(field, [[P(field, *[
+            (rng.randint(-2, 2), rng.choice(scalars))
+            for _ in range(rng.randint(0, 2))]) for _ in range(c)]
+            for _ in range(r)], c)
+
+    z = LaurentPoly.zero(field)
+    for r, k, c in [(0, 2, 3), (2, 0, 3), (3, 2, 0), (0, 0, 0), (2, 3, 0),
+                    (1, 1, 1), (2, 2, 2), (3, 2, 3), (2, 3, 1)] * 3:
+        a, b = draw(r, k), draw(k, c)
+        prod = [[z] * c for _ in range(r)]
+        for i in range(r):
+            for j in range(c):
+                for q in range(k):
+                    prod[i][j] = prod[i][j].add(a[i, q].mul(b[q, j]))
+        _same_matrix(a.mul(b), LaurentMatrix(field, prod, c))
+        _same_matrix(a.transpose(), LaurentMatrix(
+            field, [[a[i, j] for i in range(r)] for j in range(k)], r))
+        _same_matrix(a.transpose().transpose(), a)
+        lo = rng.randint(0, r)
+        hi = rng.randint(lo, r)
+        _same_matrix(_rows(a, lo, hi),
+                     LaurentMatrix(field, a.entries[lo:hi], k))
+        lo = rng.randint(0, k)
+        hi = rng.randint(lo, k)
+        _same_matrix(_cols(a, lo, hi), LaurentMatrix(
+            field, [row[lo:hi] for row in a.entries], hi - lo))
+        for m in (LaurentMatrix.identity(field, r),
+                  LaurentMatrix.zero(field, r, k), a.mul(b)):
+            _same_matrix(m, _checked(m))
+        for inverse in (right_inverse, left_inverse):
+            nd = inverse(a)
+            if nd is not None:
+                _same_matrix(nd[0], _checked(nd[0]))
+    one = LaurentPoly.one(field)
+    assert LaurentMatrix.identity(field, 2) == LaurentMatrix(
+        field, [[one, z], [z, one]])
+    with pytest.raises(ValueError, match="ragged"):
+        LaurentMatrix(field, [[one, z], [one]])
+    with pytest.raises(ValueError, match="ragged"):
+        LaurentMatrix(field, [[], [one]])
+
+
 def test_seed_inverses_rejects_perturbed_entry():
     one = LaurentPoly.one(F5)
     ses = split_tate_ses(F5, 1, 1)

@@ -681,7 +681,7 @@ def test_window_row_cancels_below_the_window():
     one, t = LaurentPoly.one(F5), LaurentPoly.t_power(F5, 1)
     ses = TateSES(LaurentMatrix(F5, [[one.add(t), one.neg()]]),
                   LaurentMatrix(F5, [[one], [one.add(t)]]))
-    rows, vmin = _stencil(ses, "j")
+    rows, vmin, _ = _stencil(ses, "j")
     assert vmin == 0 and rows == [[(0, 0, 1)], [(0, 0, 1), (1, 0, 1)]]
     # t^-1 (1 + t) + 4 t^-1 = 1, in [0, 2)
     assert _window_row(F5, rows, 1, 0, 2, [(1, -1, 1), (4, -1, 0)]) == (1, 0)
@@ -1179,3 +1179,85 @@ def test_retraction_refuses_a_non_unit_minor():
     ses = TateSES(i, j)
     with pytest.raises(ValueError, match="nontrivial denominator"):
         compose_filtration(ses, split_tate_ses(F5, 1, 0))
+
+
+# --- data read once per sequence ---------------------------------------------
+
+def test_stencil_holds_the_pole_orders_of_the_inverses():
+    # the stencil of i (of j) keeps N.min_valuation() - d.val() for ri (lj),
+    # the bound each lift (project) reads
+    from satokit.tate import _stencil
+    from satokit.verify import TwistedChain
+    rng = random.Random(67)
+    t2 = LaurentPoly.t_power(QQ, 2, 3)
+    split = split_tate_ses(QQ, 1, 1)
+    scaled = TateSES(split.i, split.j,
+                     (split.ri[0].mul(LaurentMatrix(QQ, [[t2]])), t2))
+    seqs = [_content_sequence(QQ), scaled,
+            twist_tate_ses(split_tate_ses(QQ, 1, 2),
+                           *_rational_automorphism(rng, 3))]
+    for field in (F2, F5):
+        for _ in range(10):
+            ch = TwistedChain(rng, field, 1, 2, 3)
+            seqs += [ch.ses12, ch.ses23, ch.ses13, ch.sesq]
+    for ses in seqs:
+        for name, (n, d) in (("i", ses.ri), ("j", ses.lj)):
+            _, vmin, pole = _stencil(ses, name)
+            assert vmin == getattr(ses, name).min_valuation()
+            assert pole == n.min_valuation() - d.val()
+    assert _stencil(scaled, "i")[2] == 0
+
+
+def test_empty_windows_run_no_elimination(monkeypatch):
+    # when u.hi - vmin_i == u.lo + vmin_b the sandwich bounds of the lift
+    # meet, and it is t^LO O^a, returned before any window is built or
+    # reduced; so is the projection when u.hi - vmin_c == u.lo + vmin_j
+    import satokit.exactlin
+    import satokit.tate
+    from satokit.tate import _stencil
+    from satokit.verify import TwistedChain
+    rng = random.Random(71)
+    split = split_tate_ses(QQ, 1, 1)
+    cases = [(lift_lattice, lift_by_laurent_rows, split,
+              standard_lattice(split.total_space, s)) for s in (-2, 0, 3)]
+    for trial in range(200):
+        ch = TwistedChain(rng, F2 if trial % 2 else F5, 1, 2, 3)
+        u = _random_lattice(rng, ch.total)
+        for ses in (ch.ses13, ch.ses23):
+            _, vmin_i, vmin_b = _stencil(ses, "i")
+            if u.hi - vmin_i == u.lo + vmin_b:
+                cases.append((lift_lattice, lift_by_laurent_rows, ses, u))
+            _, vmin_j, vmin_c = _stencil(ses, "j")
+            if u.hi - vmin_c == u.lo + vmin_j:
+                cases.append((project_lattice, project_by_laurent_rows,
+                              ses, u))
+    assert sum(fn is lift_lattice for fn, *_ in cases) > 20
+    assert sum(fn is project_lattice for fn, *_ in cases) > 10
+    wants = [oracle(ses, u) for _, oracle, ses, u in cases]
+    calls = _counting(monkeypatch, satokit.exactlin, ["_rref"])
+    monkeypatch.setattr(satokit.tate, "_rref", satokit.exactlin._rref)
+    for (fn, _, ses, u), want in zip(cases, wants):
+        assert fn(ses, u) == want
+        assert want.lo == want.hi
+    assert calls == {}
+
+
+def test_twisted_chains_share_one_verified_split(monkeypatch):
+    # split_tate_ses is memoized: the second chain's sesq is the first's,
+    # so only its own three sequences check their two inverses each
+    import satokit.tate
+    from satokit.verify import TwistedChain
+    verify_one_sided, calls = satokit.tate._verify_one_sided, []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["left"])
+        return verify_one_sided(*args, **kwargs)
+
+    monkeypatch.setattr(satokit.tate, "_verify_one_sided", counted)
+    split_tate_ses.cache_clear()
+    first = TwistedChain(random.Random(1), F5, 1, 2, 3)
+    assert len(calls) == 8
+    second = TwistedChain(random.Random(2), F5, 1, 2, 3)
+    assert len(calls) == 14
+    assert second.sesq is first.sesq
+    assert first.sesq == split_tate_ses(F5, 1, 1)
