@@ -139,11 +139,12 @@ def lambda_ses(ses, section=None, graded=True):
 
     The scalar is the determinant of the rows (i(basis of a'), s(basis of
     a'')) in the basis of a; the section defaults to the canonical one and
-    must satisfy s . j = id.
+    must satisfy s . j = id, checked for a given one (the canonical one is
+    the solve of s . j = id).
     """
     if section is None:
         section = canonical_section(ses.j)
-    if section.then(ses.j) != LinMap.identity(ses.quot):
+    elif section.then(ses.j) != LinMap.identity(ses.quot):
         raise ValueError("section does not split the epi")
     scalar = ses.i.matrix.vstack(section.matrix).det()
     mk = _line_maker(graded)

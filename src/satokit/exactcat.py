@@ -290,7 +290,8 @@ def factorization_connector(fac1, fac2):
     same map, or None when the factorizations are not conjugate.
 
     fac = (e, m); u satisfies e1 then u == e2 and u then m2 == m1.
-    Uniqueness is forced because e1 is epi.
+    Uniqueness is forced because e1 is epi.  u is square, and u then m2 ==
+    m1 makes it injective when m1 is mono, so u is ranked only when m1 is not.
     """
     (e1, m1), (e2, m2) = fac1, fac2
     a1, a2, b1, b2 = e1.matrix, e2.matrix, m1.matrix, m2.matrix
@@ -301,11 +302,9 @@ def factorization_connector(fac1, fac2):
         return None
     # e1 epi forces u to be section(e1) then e2; verify it connects
     u = canonical_section(e1).then(e2)
-    if not u.is_iso():
-        return None
     if e1.then(u) != e2 or u.then(m2) != m1:
         return None
-    return u
+    return u if m1.is_mono() or u.is_iso() else None
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +416,8 @@ def complete_grid_3x3(top_mono, left_mono, p_top=None, p_left=None):
     top_mono and left_mono are admissible monos with the common target x;
     when p_top/p_left present the given square is validated (diagnosis
     'not-cartesian' if it fails) instead of recomputed.
+    The grid is unvalidated, being exact by construction (induced_maps of
+    nested subquotients); verify.suite_grid runs Grid3x3.validate on it.
     """
     top, left = top_mono.matrix, left_mono.matrix
     if (top.field, top.ncols) != (left.field, left.ncols):
@@ -432,10 +433,9 @@ def complete_grid_3x3(top_mono, left_mono, p_top=None, p_left=None):
                 p_top.source != p_left.source or \
                 p_top.then(top_mono) != p_left.then(left_mono):
             raise GridError("not-cartesian")
-        if not p_top.is_mono():
-            raise GridError("not-cartesian")
+        # top_mono is mono, so p_top is mono iff its composite keeps rank
         given = p_top.then(top_mono).image_subspace()
-        if given != w:
+        if given.dim != p_top.matrix.nrows or given != w:
             raise GridError("not-cartesian")
 
     zero = Subspace.zero(f, amb)
@@ -461,6 +461,4 @@ def complete_grid_3x3(top_mono, left_mono, p_top=None, p_left=None):
     row_maps = {r: maps(keys) for r, keys in enumerate(Grid3x3.ROW_KEYS)}
     col_maps = {c: maps(keys)
                 for c, keys in enumerate(zip(*Grid3x3.ROW_KEYS))}
-    grid = Grid3x3(spaces, row_maps, col_maps)
-    grid.validate()
-    return grid
+    return Grid3x3(spaces, row_maps, col_maps)

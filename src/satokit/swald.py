@@ -20,25 +20,15 @@ class SObjectError(Exception):
 
 
 class SObject:
-    """Rigidified admissible filtration of length n in a fixed ambient."""
+    """Rigidified admissible filtration of length n in a fixed ambient.  The
+    constructor only stores it: build_s_object validates outside data, and
+    enumeration, faces and degeneracies nest their chains by construction."""
 
     def __init__(self, field, ambient, chain, choices=None):
-        chain = tuple(chain)
-        for sub in chain:
-            if sub.ambient != ambient or sub.field != field:
-                raise SObjectError("chain members must share the ambient")
-        for a, b in zip(chain, chain[1:]):
-            if not b.contains(a):
-                raise SObjectError("chain is not weakly increasing")
         self.field = field
         self.ambient = ambient
-        self.chain = chain
+        self.chain = tuple(chain)
         self.choices = dict(choices or {})
-        for (i, j), c in self.choices.items():
-            d = self.entry_dim(i, j)
-            if c.nrows != d or c.ncols != d or c.rank() != d:
-                raise SObjectError("choice at (%d, %d) must be an "
-                                   "invertible %dx%d matrix" % (i, j, d, d))
 
     @property
     def level(self):
@@ -133,19 +123,26 @@ class SObject:
 
 def build_s_object(field, ambient, chain, quotient_choices=None):
     """Validated SObject from a chain of subspaces (monos by inclusion) and
-    optional basis choices for the quotient entries."""
+    optional basis choices for the quotient entries; validate names the
+    (i, j, k) where a chain or a choice (keyed in range) fails."""
     subs = []
     for item in chain:
         if isinstance(item, Subspace):
             subs.append(item)
         else:
             subs.append(Subspace.from_rows(field, ambient, item))
+    for i, j in quotient_choices or {}:
+        if not 0 <= i <= j <= len(subs):
+            raise SObjectError("choice key (%d, %d) is outside 0 <= i <= j "
+                               "<= %d" % (i, j, len(subs)))
     obj = SObject(field, ambient, subs, quotient_choices)
     obj.validate()
     return obj
 
 
 def _reindex_choices(choices, sigma, new_n):
+    if not choices:
+        return {}
     reindexed = {}
     for i in range(new_n + 1):
         for j in range(i, new_n + 1):

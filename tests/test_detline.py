@@ -57,6 +57,17 @@ def test_lambda_section_shift_invariance():
     assert lambda_ses(ses, sec).scalar == lambda_ses(ses, shifted).scalar
 
 
+def test_lambda_refuses_a_section_that_does_not_split():
+    # a given section is checked; only the canonical one is trusted
+    ses = split_ses(F5, 1, 2)
+    sec = canonical_section(ses.j)
+    for rows in ([[0, 2, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1]],
+                 [[0, 0, 1], [0, 1, 0]]):
+        bad = LinMap(sec.source, sec.target, rows)
+        with pytest.raises(ValueError, match="does not split"):
+            lambda_ses(ses, bad)
+
+
 def test_koszul_swap():
     x = GradedLine(F5, 1, "x")
     y = GradedLine(F5, 1, "y")

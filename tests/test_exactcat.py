@@ -1,8 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from satokit.exactlin import F2, F3, F5, Matrix, Subspace, all_subspaces, all_vectors
+from satokit.exactlin import (
+    F2, F3, F5, QQ, Matrix, Subspace, all_subspaces, all_vectors)
 from satokit.exactcat import (
     SES, FdSpace, Grid3x3, GridError, LinMap, SESInvalid, canonical_section,
     complete_grid_3x3, epi_mono_factorize,
@@ -214,6 +216,65 @@ def test_factorization_connector_unique_iso():
         assert u == tm
 
 
+def _reference_connector(fac1, fac2):
+    # the connector rule before u's rank was read off m1: u must be an iso
+    # and satisfy both equations
+    (e1, m1), (e2, m2) = fac1, fac2
+    a1, a2, b1, b2 = e1.matrix, e2.matrix, m1.matrix, m2.matrix
+    if (a1.field, a1.nrows) != (a2.field, a2.nrows) or \
+            (b1.field, b1.ncols) != (b2.field, b2.ncols):
+        return None
+    if a1.ncols != a2.ncols or not e1.is_epi():
+        return None
+    u = canonical_section(e1).then(e2)
+    if not u.is_iso() or e1.then(u) != e2 or u.then(m2) != m1:
+        return None
+    return u
+
+
+def test_connector_matches_the_iso_rule_on_all_small_f2_pairs():
+    # every pair of factorizations (e, m) over F2 with all dims <= 2 and
+    # matching outer and middle dimensions
+    seen = set()
+    for a, b, c in itertools.product(range(3), repeat=3):
+        facs = [(e, m) for e in _all_f2_matrices(a, b)
+                for m in _all_f2_matrices(b, c)]
+        for fac1 in facs:
+            for fac2 in facs:
+                want = _reference_connector(fac1, fac2)
+                assert factorization_connector(fac1, fac2) == want
+                seen.add((fac1[1].is_mono(), fac2[0].is_epi(), want is None))
+    # a non-mono m1 both with and without a connector, and a non-epi e2
+    # whose equations hold for a u that is no iso
+    assert {(False, True, False), (False, False, True),
+            (True, True, False), (True, False, True)} <= seen
+    e1 = LinMap.identity(k(F2, 2))
+    zero = LinMap.zero(k(F2, 2), k(F2, 2))
+    assert factorization_connector((e1, zero), (zero, zero)) is None
+
+
+def test_repeated_connector_runs_no_elimination(monkeypatch):
+    mono = LinMap(k(F5, 2), k(F5, 3), [[1, 0, 2], [0, 1, 1]])
+    epi = LinMap(k(F5, 3), k(F5, 2), [[1, 0], [0, 1], [3, 4]])
+    e, m = image_factorization(mono.then(epi))
+    tm = LinMap(e.target, e.target, [[1, 1], [0, 1]])
+    e2, m2 = e.then(tm), tm.inverse().then(m)
+    import satokit.exactlin
+    rref = satokit.exactlin._rref
+    calls = []
+
+    def counted(field, rows):
+        calls.append("rref")
+        return rref(field, rows)
+
+    monkeypatch.setattr(satokit.exactlin, "_rref", counted)
+    assert factorization_connector((e, m), (e2, m2)) == tm
+    assert calls
+    calls.clear()
+    assert factorization_connector((e, m), (e2, m2)) == tm
+    assert calls == []
+
+
 # --- grid completion ------------------------------------------------------
 
 def test_grid_basic_f2():
@@ -263,6 +324,48 @@ def test_grid_not_cartesian_diagnosis():
     p_left = LinMap(p, left.source, [[1]])
     with pytest.raises(GridError):
         complete_grid_3x3(top, left, p_top=p_top, p_left=p_left)
+
+
+def test_grid_given_square_is_checked():
+    u_top = Subspace.from_rows(F3, 3, [(1, 0, 0), (0, 1, 2)])
+    u_left = Subspace.from_rows(F3, 3, [(0, 1, 2), (0, 0, 1)])
+    top, left = inclusion_map(u_top), inclusion_map(u_left)
+    _, p_top, p_left = pullback_admissible_monos(top, left)
+    given = complete_grid_3x3(top, left, p_top=p_top, p_left=p_left)
+    plain = complete_grid_3x3(top, left)
+    assert given.spaces == plain.spaces
+    assert given.row_maps == plain.row_maps
+    assert given.col_maps == plain.col_maps
+    # a non-mono p_top whose composite matches and whose image is the
+    # pullback u itself: only its rank tells it from a cartesian square
+    mono = inclusion_map(Subspace.from_rows(F3, 3, [(1, 2, 0)]))
+    twice = LinMap(k(F3, 2), k(F3, 1), [[1], [2]])
+    with pytest.raises(GridError, match="^not-cartesian$"):
+        complete_grid_3x3(mono, mono, p_top=twice, p_left=twice)
+
+
+_GRID_FIELDS = [(F3, st.integers(0, 2)), (F5, st.integers(0, 4)),
+                (QQ, st.fractions(min_value=-3, max_value=3,
+                                  max_denominator=3))]
+
+
+@settings(max_examples=90, deadline=None)
+@given(st.sampled_from(range(len(_GRID_FIELDS))), st.integers(0, 4),
+       st.data())
+def test_completed_grids_validate(which, ambient, data):
+    # the completion returns its grid unvalidated; every random pair of
+    # subspaces still completes to six exact lines and commuting squares
+    field, entries = _GRID_FIELDS[which]
+
+    def rows():
+        return data.draw(st.lists(st.lists(entries, min_size=ambient,
+                                           max_size=ambient), max_size=4))
+
+    u1 = Subspace.from_rows(field, ambient, rows())
+    u2 = Subspace.from_rows(field, ambient, rows())
+    g = complete_grid_3x3(inclusion_map(u1), inclusion_map(u2))
+    assert g.validate()
+    assert g.spaces["tl"].dim == u1.meet(u2).dim
 
 
 def test_grid_exhaustive_f2_dim2_bicartesian():
@@ -525,8 +628,11 @@ _GRID_LEFT = [[1, 1, 0, 1, 1, 0, 1, 1], [0, 1, 0, 0, 1, 1, 0, 0],
 def test_inverse_ses_and_grid_elimination_counts(monkeypatch):
     # LinMap.inverse runs one elimination, invertible or not; SES decides
     # exactness by a count and builds no kernel; one grid on a fixed F2^8
-    # pair runs 25 eliminations (27 when the monos were ranked apart from
-    # their images, 33 when SES read exactness off ker j)
+    # pair runs 13 eliminations (25 when the completion ended in
+    # Grid3x3.validate, whose six SES ranked their i and j: those 12 are now
+    # run where validate is the point, by verify.suite_grid on every grid it
+    # completes; 27 when the monos were ranked apart from their images, 33
+    # when SES read exactness off ker j)
     import satokit.exactlin
     rref, left_kernel = satokit.exactlin._rref, Matrix.left_kernel
     calls = []
@@ -568,7 +674,7 @@ def test_inverse_ses_and_grid_elimination_counts(monkeypatch):
     calls.clear()
     grid = complete_grid_3x3(top, left)
     assert grid.spaces["tl"].dim == 1
-    assert calls == ["rref"] * 25
+    assert calls == ["rref"] * 13
 
 
 def test_grid_reads_mono_off_the_images(monkeypatch):
@@ -595,8 +701,11 @@ def test_grid_reads_mono_off_the_images(monkeypatch):
     with pytest.raises(ValueError, match="share their target"):
         complete_grid_3x3(LinMap.of(twice), LinMap.of(Matrix(F2, [[1, 1]])))
     assert calls == []
-    # the monos of a valid pair are ranked once each, by their images
+    # the monos of a valid pair are ranked once each, by their images; the
+    # 13 are those of test_inverse_ses_and_grid_elimination_counts (25
+    # before the 12 ranks of the six SES in Grid3x3.validate moved to
+    # verify.suite_grid)
     top, left = Matrix(F2, _GRID_TOP), Matrix(F2, _GRID_LEFT)
     calls.clear()
     complete_grid_3x3(LinMap.of(top), LinMap.of(left))
-    assert calls[:2] == ["rref"] * 2 and len(calls) == 25
+    assert calls[:2] == ["rref"] * 2 and len(calls) == 13

@@ -37,6 +37,39 @@ def test_build_rejects_bad_chain():
         build_s_object(F2, 2, [Subspace.full(F2, 2), sub(F2, 2, (1, 0))])
 
 
+_FILTRATION = [sub(F5, 2, (1, 0)), Subspace.full(F5, 2)]
+
+
+@pytest.mark.parametrize("field,ambient,chain,choices,message", [
+    # not nested
+    (F2, 2, [sub(F2, 2, (0, 1)), sub(F2, 2, (1, 0))], None,
+     r"\(0, 1, 2\): image escapes"),
+    # a member over another ambient, and one over another field
+    (F2, 2, [sub(F2, 2, (1, 0)), sub(F2, 3, (1, 0, 0))], None,
+     r"\(0, 0, 2\): ambient mismatch"),
+    (F3, 2, [sub(F3, 2, (1, 0)), sub(F5, 2, (1, 0))], None,
+     r"\(0, 0, 2\): ambient mismatch"),
+    # a singular choice and two wrongly shaped ones
+    (F5, 2, _FILTRATION, {(0, 2): Matrix(F5, [[1, 2], [2, 4]])},
+     r"\(0, 0, 2\): matrix is not invertible"),
+    (F5, 2, _FILTRATION, {(0, 1): Matrix(F5, [[1, 0], [0, 1]])},
+     r"\(0, 0, 1\): shape mismatch"),
+    (F5, 2, [Subspace.full(F5, 2)], {(0, 1): Matrix(F5, [[1, 0]])},
+     r"\(0, 0, 1\): matrix is not invertible"),
+    # a choice keyed outside 0 <= i <= j <= level
+    (F2, 2, [sub(F2, 2, (1, 0)), Subspace.full(F2, 2)],
+     {(2, 5): Matrix(F2, [[1]])}, r"choice key \(2, 5\) is outside"),
+    (F5, 2, _FILTRATION, {(1, 0): Matrix(F5, [[1]])},
+     r"choice key \(1, 0\) is outside"),
+])
+def test_build_refuses_each_bad_input(field, ambient, chain, choices,
+                                      message):
+    # build_s_object is the one validation path: SObject only stores
+    with pytest.raises(SObjectError, match=message):
+        build_s_object(field, ambient, chain, choices)
+    assert SObject(field, ambient, chain, choices).chain == tuple(chain)
+
+
 def test_quotient_choice_conjugates_maps():
     chain = [sub(F5, 2, (1, 0)), Subspace.full(F5, 2)]
     plain = build_s_object(F5, 2, chain)
@@ -162,6 +195,33 @@ def test_budget_refused_before_any_subspace_is_built(monkeypatch):
     assert time.monotonic() - t0 < 1
     # level 0 is the basepoint alone, whatever the ambient
     assert enumerate_s_skeleton(F2, 10 ** 6, 0).counts() == [1]
+
+
+def test_enumeration_runs_only_its_extension_scan(monkeypatch):
+    # each chain of level p - 1 (p >= 2) is extended by scanning every
+    # subspace for one containing its last member; nothing else tests
+    # containment, since enumeration, faces and degeneracies build nested
+    # chains by construction
+    contains = Subspace.contains
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return contains(self, other)
+
+    monkeypatch.setattr(Subspace, "contains", counted)
+    sk = enumerate_s_skeleton(F2, 2, 4)
+    n_subs = len(all_subspaces(F2, 2))
+    assert len(calls) == sum(len(sk.levels[p - 1]) * n_subs
+                             for p in range(2, 5))
+
+
+def test_long_thin_skeleton_is_quick():
+    import time
+    t0 = time.monotonic()
+    sk = enumerate_s_skeleton(F2, 1, 40)
+    assert time.monotonic() - t0 < 2
+    assert sk.counts() == [p + 1 for p in range(41)]
 
 
 @pytest.mark.parametrize("field,dim_cap,level_cap", [
