@@ -8,10 +8,14 @@ Over F2, Matrix, Subspace and Quotient keep each row packed in one int, bit j
 for column j, from construction to result: products XOR the rows that set
 bits select, and one Gauss-Jordan elimination on ints gives rank, row space,
 join, the Zassenhaus meet, and (on rows with an identity bit appended) the
-rref transform and left kernel.  Matrix.entries and Subspace.rows are tuple
-views, built only when read.  Matrix, Subspace and Quotient are the one API;
-their constructors (Subspace.from_rows for a Subspace) check every scalar,
-and the row kernels are private.
+rref transform and left kernel.  Over F_p with p (p - 1) < 256 (F3..F13) a
+row is one int of byte lanes, entry j at bits 8j..8j+7: a row update
+r - c b is the multiply-add r + (p - c) b, whose lanes stay at most
+p (p - 1) < 256, so no carry crosses one, and one bytes.translate reduces
+every lane mod p.  Q and larger p keep tuples.  Matrix.entries and
+Subspace.rows are tuple views, built only when read.  Matrix, Subspace and
+Quotient are the one API; their constructors (Subspace.from_rows for a
+Subspace) check every scalar, and the row kernels are private.
 """
 
 from __future__ import annotations
@@ -49,10 +53,15 @@ def _is_prime(n):
     return True
 
 
+# p -> the table of v % p for every byte v, for the odd p with p (p - 1) < 256;
+# a Field's _bits, the width of an entry of an int row, is 8 over these p
+_LANES = {p: bytes([v % p for v in range(256)]) for p in (3, 5, 7, 11, 13)}
+
+
 class Field:
     """F_p (p prime) or the rationals.  Immutable, hashable."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "_bits")
 
     def __init__(self, p=None):
         if p is not None and p >= MAX_CHARACTERISTIC:
@@ -60,6 +69,7 @@ class Field:
         if p is not None and not _is_prime(p):
             raise ValueError("characteristic must be prime, got %r" % (p,))
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "_bits", 1 if p == 2 else 8 * (p in _LANES))
 
     def __setattr__(self, *a):
         raise AttributeError("Field is immutable")
@@ -147,23 +157,32 @@ QQ = Field(None)
 # ---------------------------------------------------------------------------
 # row-level workhorses.  Matrix, Subspace and Quotient keep their rows in an
 # internal form: over F2 one int per row with bit j for column j (the XOR
-# rows of M4RI), over other fields tuples of normalized scalars; the private
-# helpers work on that form.
+# rows of M4RI), over the p of _LANES one int with byte lane j for column j
+# (one word reduced at once, as in Dumas, Fousse and Salvy), elsewhere
+# tuples of normalized scalars; the private helpers work on that form.
+
+def _mod(r, table):
+    """The lane row r with every lane v replaced by table[v]."""
+    return int.from_bytes(r.to_bytes((r.bit_length() + 7) >> 3, "little")
+                          .translate(table), "little")
+
 
 def _row_in(field, row):
-    """The internal row of a sequence of scalars."""
-    if field.p != 2:
-        return tuple(row)
-    m = 0
-    for j, x in enumerate(row):
-        if x & 1:
-            m |= 1 << j
-    return m
+    """The internal row of a sequence of normalized scalars."""
+    if field.p == 2:
+        m = 0
+        for j, x in enumerate(row):
+            if x & 1:
+                m |= 1 << j
+        return m
+    return int.from_bytes(bytes(row), "little") if field._bits else tuple(row)
 
 
 def _row_out(field, row, n):
     """The tuple of scalars of an internal row of length n."""
-    return tuple([(row >> j) & 1 for j in range(n)]) if field.p == 2 else row
+    if field.p == 2:
+        return tuple([(row >> j) & 1 for j in range(n)])
+    return tuple(row.to_bytes(n, "little")) if field._bits == 8 else row
 
 
 def _checked_rows(field, rows):
@@ -176,18 +195,19 @@ def _checked_rows(field, rows):
             return tuple([_row_in(field, r) for r in rows])
         except TypeError:
             return tuple([_row_in(field, [norm(x) for x in r]) for r in rows])
-    return tuple([tuple([x % p if p and type(x) is int else norm(x)
-                         for x in r]) for r in rows])
+    return tuple([_row_in(field, [x % p if p and type(x) is int else norm(x)
+                                  for x in r]) for r in rows])
 
 
 def _zero_row(field, n):
-    return 0 if field.p == 2 else (field.zero(),) * n
+    return 0 if field._bits else (field.zero(),) * n
 
 
 def _units(field, n):
     """The rows of the n x n identity."""
-    if field.p == 2:
-        return tuple([1 << i for i in range(n)])
+    s = field._bits
+    if s:
+        return tuple([1 << s * i for i in range(n)])
     one, z = field.one(), field.zero()
     return tuple([(z,) * i + (one,) + (z,) * (n - 1 - i) for i in range(n)])
 
@@ -198,21 +218,23 @@ def _nonzero(row):
 
 def _hcat(field, a, b, m):
     """Row a, of m columns, followed by row b."""
-    return a | b << m if field.p == 2 else a + b
+    return a | b << field._bits * m if field._bits else a + b
 
 
 def _split(field, rows, m):
     """The rows cut into their first m columns and the rest."""
-    if field.p == 2:
-        return [r & ((1 << m) - 1) for r in rows], [r >> m for r in rows]
+    s = field._bits * m
+    if field._bits:
+        return [r & ((1 << s) - 1) for r in rows], [r >> s for r in rows]
     return [r[:m] for r in rows], [r[m:] for r in rows]
 
 
-def _gather(field, row, cols):
-    """The entries of row at cols, as a row."""
+def _gather(field, row, cols, n):
+    """The entries at cols of a row of n entries, as a row."""
     if field.p == 2:
         return sum([((row >> j) & 1) << i for i, j in enumerate(cols)])
-    return tuple([row[j] for j in cols])
+    row = _row_out(field, row, n)
+    return _row_in(field, [row[j] for j in cols])
 
 
 def _rref_f2(rows):
@@ -233,6 +255,30 @@ def _rref_f2(rows):
     return [b for _, b in basis], [p.bit_length() - 1 for p, _ in basis]
 
 
+def _rref_lanes(rows, p):
+    """_rref_f2's elimination on lane rows of at most w bytes: a row update
+    b - c m is b + (p - c) m, then one translate reduces every lane mod p."""
+    t, fb, le, basis = _LANES[p], int.from_bytes, "little", []
+    w = (max(rows, default=0).bit_length() + 7) >> 3
+    for m in rows:  # basis holds (bit offset of the pivot lane, row)
+        for q, b in basis:
+            c = m >> q & 255
+            if c:
+                m += (p - c) * b
+                m = fb(m.to_bytes(w, le).translate(t), le)
+        if m:
+            q = (m & -m).bit_length() - 1 & ~7
+            m = _mod(m * pow(m >> q & 255, p - 2, p), t)
+            for i, (k, b) in enumerate(basis):
+                c = b >> q & 255
+                if c:
+                    b += (p - c) * m
+                    basis[i] = k, fb(b.to_bytes(w, le).translate(t), le)
+            basis.append((q, m))
+    basis.sort()
+    return [b for _, b in basis], [q >> 3 for q, _ in basis]
+
+
 def _rref(field, rows):
     """Reduced row echelon form of internal rows: (rows, pivots), the nonzero
     rows in strict echelon form with unit pivots and cleared pivot columns,
@@ -240,6 +286,8 @@ def _rref(field, rows):
     p = field.p
     if p == 2:
         return _rref_f2(rows)
+    if field._bits == 8:
+        return _rref_lanes(rows, p)
     work = [list(r) for r in rows]
     pivots = []
     piv_r = 0
@@ -294,6 +342,14 @@ def _divide(field, v, rows, pivots):
                 v ^= r
                 c |= 1 << i
         return c, v
+    if field._bits == 8:
+        c = 0
+        for i, (r, q) in enumerate(zip(rows, pivots)):
+            x = v >> 8 * q & 255
+            if x:
+                v = _mod(v + (p - x) * r, _LANES[p])
+                c |= x << 8 * i
+        return c, v
     coeffs = []
     for row, q in zip(rows, pivots):
         c = v[q]
@@ -312,7 +368,8 @@ def _coeffs(field, v, rows, pivots):
 def _mul(field, a, b, ncols):
     """Product of internal rows a (r x n) and b (n x ncols); over F2 each
     row is the XOR of the rows of b its set bits select, elsewhere the sum
-    of the rows of b scaled by its entries, reduced mod p once."""
+    of the rows of b scaled by its entries, reduced mod p once (over lanes
+    after each term, before a lane can pass 255)."""
     p = field.p
     out = []
     if p == 2:
@@ -323,6 +380,14 @@ def _mul(field, a, b, ncols):
                     acc ^= b[j]
                 r >>= 1
                 j += 1
+            out.append(acc)
+        return out
+    if field._bits == 8:
+        for r in a:
+            acc = 0
+            for x, row in zip(r.to_bytes(len(b), "little"), b):
+                if x:
+                    acc = _mod(acc + x * row, _LANES[p])
             out.append(acc)
         return out
     zero = _zero_row(field, ncols)
@@ -367,7 +432,7 @@ class Matrix:
         _set(self, "nrows", len(rows))
         _set(self, "ncols", ncols)
         _set(self, "_rows", rows)
-        _set(self, "_entries", None if field.p == 2 else rows)
+        _set(self, "_entries", None if field._bits else rows)
         _set(self, "_rank", rank)
 
     def __setattr__(self, *a):
@@ -420,20 +485,21 @@ class Matrix:
                            other.ncols)
 
     def transpose(self):
-        rows = self._rows
-        if self.field.p == 2:
+        f, rows = self.field, self._rows
+        if f.p == 2:
             cols = [sum([((r >> j) & 1) << i for i, r in enumerate(rows)])
                     for j in range(self.ncols)]
         else:
-            cols = [tuple([r[j] for r in rows]) for j in range(self.ncols)]
-        return Matrix._raw(self.field, cols, self.nrows, self._rank)
+            cols = ([_row_in(f, c) for c in zip(*self.entries)]
+                    or [_zero_row(f, 0)] * self.ncols)
+        return Matrix._raw(f, cols, self.nrows, self._rank)
 
     def neg(self):
         f = self.field
         if f.p == 2:
             return self
-        return Matrix._raw(f, [tuple([f.neg(x) for x in r])
-                               for r in self._rows], self.ncols, self._rank)
+        return Matrix._raw(f, [_row_in(f, [f.neg(x) for x in r])
+                               for r in self.entries], self.ncols, self._rank)
 
     def hstack(self, other):
         """The block matrix [self | other]."""
@@ -469,7 +535,7 @@ class Matrix:
             raise ValueError("determinant of a non-square matrix")
         if f.p == 2:
             return int(self.rank() == n)
-        work, det = list(self._rows), f.one()
+        work, det = list(self.entries), f.one()
         for col in range(n):
             src = next((r for r in range(col, n) if work[r][col] != 0), None)
             if src is None:
@@ -546,7 +612,7 @@ class Subspace:
         _set(self, "ambient", ambient)
         _set(self, "_rows", rows)
         _set(self, "pivots", tuple(pivots))
-        _set(self, "_view", None if field.p == 2 else rows)
+        _set(self, "_view", None if field._bits else rows)
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
@@ -609,7 +675,7 @@ class Subspace:
         return not _nonzero(self._reduce(v))
 
     def contains_vector(self, v):
-        return self._contains(_row_in(self.field, v))
+        return self._contains(_checked_rows(self.field, [v])[0])
 
     def contains(self, other):
         self._check(other)
@@ -652,12 +718,12 @@ class Subspace:
         return [j for j in range(self.ambient) if j not in pset]
 
     def _proj(self, v, nonpivots):
-        return _gather(self.field, self._reduce(v), nonpivots)
+        return _gather(self.field, self._reduce(v), nonpivots, self.ambient)
 
     def proj_coords(self, v):
         """Coordinates of v + self in the canonical quotient basis."""
-        f = self.field
-        return _row_out(f, self._proj(_row_in(f, v), self.nonpivots()),
+        f, (v,) = self.field, _checked_rows(self.field, [v])
+        return _row_out(f, self._proj(v, self.nonpivots()),
                         self.ambient - self.dim)
 
     def quotient_matrix(self):
@@ -699,7 +765,7 @@ class Quotient:
     def coords(self, v):
         """Coordinates of v + small in basis, or None when v is not in big."""
         f = self.small.field
-        c = self._coords(_row_in(f, v))
+        c = self._coords(_checked_rows(f, [v])[0])
         return None if c is None else _row_out(f, c, self.dim)
 
     def lift(self, k):

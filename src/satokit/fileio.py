@@ -105,8 +105,13 @@ def parse_lattice(text):
     width = (hi - lo) * rank
     rows = []
     for ln3, rline in body[2:]:
-        row = [_scalar_of(field, t, ln3, col + 1)
-               for col, t in enumerate(rline.split(","))]
+        tokens = rline.split(",")
+        try:  # over F_p, int() strips blanks as _scalar_of does
+            row = [] if field.is_rational else list(map(int, tokens))
+        except ValueError:  # _scalar_of locates the bad token
+            row = []
+        row = row or [_scalar_of(field, t, ln3, col + 1)
+                      for col, t in enumerate(tokens)]
         if len(row) != width:
             raise ParseError("basis row has %d entries, expected %d"
                              % (len(row), width), ln3)

@@ -407,7 +407,8 @@ def _window_row(field, rows, n, LO, HI, terms):
     """The internal row, in the window [LO, HI) of k((t))^n, of the sum of
     c t^s rows[k] over (c, s, k) in terms, rows those of a stencil: exponents
     >= HI drop out, and a sum with a nonzero term below t^LO (terms there may
-    cancel) raises ValueError."""
+    cancel) raises ValueError.  The row is exactlin's: bits over F2, one int
+    of byte lanes over F_p with p (p - 1) < 256, else a tuple."""
     p = field.p
     acc = 0 if p == 2 else [field.zero()] * ((HI - LO) * n)
     below = {}
@@ -427,23 +428,30 @@ def _window_row(field, rows, n, LO, HI, terms):
         raise ValueError("vector escapes the window at t^%d" % min(escaped))
     if p == 2:
         return acc
-    return tuple(acc) if p is None else tuple([x % p for x in acc])
+    return _row_in(field, acc if p is None else [x % p for x in acc])
 
 
 # the most cells (rows x columns) of a dense window that lift, project and
 # meet build; the largest that the verify suites and the tests build has 600
 MAX_WINDOW_CELLS = 1 << 20
+# the most rows x rows x columns (the elimination work) of a lift or project
+# window; the tests, verify all and the benchmark reach 37544
+MAX_WINDOW_WORK = 1 << 26
 
 
 class WindowTooLarge(Exception):
-    """A lift, project or meet would build a window past MAX_WINDOW_CELLS."""
+    """A lift, project or meet would build a window past a cap."""
 
 
-def _check_window(verb, rows, cols):
+def _check_window(verb, rows, cols, eliminated=False):
     if rows * cols > MAX_WINDOW_CELLS:
         raise WindowTooLarge("%s needs a window of %d x %d cells, over the "
                              "cap of %d" % (verb, rows, cols,
                                             MAX_WINDOW_CELLS))
+    if eliminated and rows * rows * cols > MAX_WINDOW_WORK:
+        raise WindowTooLarge("%s needs an elimination of %d x %d x %d (rows x "
+                             "rows x columns), over the cap of %d"
+                             % (verb, rows, rows, cols, MAX_WINDOW_WORK))
 
 
 def lift_lattice(ses, u):
@@ -453,8 +461,8 @@ def lift_lattice(ses, u):
     inverse N/d of i over k(t), whose least valuation is that of N less that
     of d; the kernel computation inside the windows is exact, so the bounds
     only need to be safe, and the right-inverse identity is verified exactly
-    once per sequence.  A window past MAX_WINDOW_CELLS raises
-    WindowTooLarge before it is built.
+    once per sequence.  A window past MAX_WINDOW_CELLS or MAX_WINDOW_WORK
+    raises WindowTooLarge before it is built.
     """
     if u.space != ses.total_space:
         raise ValueError("lattice does not live in the middle space")
@@ -472,7 +480,8 @@ def lift_lattice(ses, u):
     # inside u, so the membership test happens in u's own window
     LO_t = min(u.lo, LO + vmin_i)
     # u's rows and the generators are each built across that window
-    _check_window("lift", max(len(u.rows), (HI - LO) * a), (u.hi - LO_t) * b)
+    _check_window("lift", max(len(u.rows), (HI - LO) * a),
+                  (u.hi - LO_t) * b, True)
     u_w = window_subspace(u, LO_t, u.hi)
     npv, one = u_w.nonpivots(), field.one()
     gen = [u_w._proj(_window_row(field, irows, b, LO_t, u.hi, ((one, e, k),)),
@@ -482,8 +491,8 @@ def lift_lattice(ses, u):
 
 
 def project_lattice(ses, u):
-    """The image lattice j(u) = u / (u n X') in X''; a window past
-    MAX_WINDOW_CELLS raises WindowTooLarge before it is built."""
+    """The image lattice j(u) = u / (u n X') in X''; a window past a cap
+    raises WindowTooLarge before it is built."""
     if u.space != ses.total_space:
         raise ValueError("lattice does not live in the middle space")
     b, c = ses.j.nrows, ses.j.ncols
@@ -497,7 +506,7 @@ def project_lattice(ses, u):
     if LO == HI:  # the sandwich t^HI O^c <= j(u) <= t^LO O^c is tight
         return standard_lattice(dst, LO)
     _check_window("project", len(u.rows) + max(HI - vmin_j - u.hi, 0) * b,
-                  (HI - LO) * c)
+                  (HI - LO) * c, True)
     one = field.one()
     # images of u's rows, then of the monomials t^e u_k of u's tail for
     # u.hi <= e < HI - vmin_j; j maps the deeper ones into t^HI O^c

@@ -1,6 +1,7 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,32 @@ def test_lattice_roundtrip():
     lat = lattice_normalize(space, -1, 1, [[1, 2, 0, 0], [0, 0, 3, 1]])
     text = format_lattice(lat)
     assert parse_lattice(text) == lat
+
+
+@pytest.mark.parametrize("field, row, col, token", [
+    ("F5", "x, 1, 2, 3", 1, "x"),
+    ("F5", " 1 ,2, 3.0 ,3", 3, "3.0"),
+    ("F5", "1,1/2,3,4", 2, "1/2"),
+    ("F5", "1,2,3, 4 5", 4, "4 5"),
+    ("F5", "1,2,3,", 4, ""),
+    ("Q", "x,1,2,3", 1, "x"),
+    ("Q", "1/2, 3, 1/0 ,4", 3, "1/0"),
+    ("Q", "1,2,3,1/", 4, "1/"),
+])
+def test_lattice_bad_token_names_its_line_and_column(tmp_path, capsys, field,
+                                                     row, col, token):
+    # the first, a middle and the last column of a row, blanks stripped
+    text = ("# a lattice\ntate rank=2 field=%s\n\nbounds lo=0 hi=2\n"
+            "1,0,0,0\n%s\n" % (field, row))
+    with pytest.raises(ParseError) as exc:
+        parse_lattice(text)
+    assert (exc.value.line, exc.value.col) == (6, col)
+    f = _write(tmp_path, "bad.lat", text)
+    assert main(["index", f, f]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: %s: bad scalar %r at line 6, column %d\n"
+                            % (f, token, col))
 
 
 def test_lattice_roundtrip_rationals():
@@ -269,6 +296,32 @@ def test_cli_deep_windows_are_refused_fast(tmp_path, capsys, name, verb):
     assert time.monotonic() - t0 < 1
     if (name, verb) == ("plain", "lift"):
         assert rc == 0
+        assert parse_lattice(captured.out) == \
+            standard_lattice(TateSpace(F5, 1))
+        return
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "cap of" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("verb", ["lift", "project"])
+def test_cli_twisted_pair_at_degree_720_is_fast(tmp_path, capsys, verb):
+    # i = (1 + t, 4t^720), j = (t^720; 1 + t) over F5, u = O^2: the windows
+    # are under the cell cap, but their elimination once took 25 s; the
+    # answer is O, or a refusal by the work cap
+    import time
+    d = 720
+    fi = _write(tmp_path, "i.lmx",
+                "lmx rows=1 cols=2 field=F5\n1*t^0+1*t^1\n4*t^%d\n" % d)
+    fj = _write(tmp_path, "j.lmx",
+                "lmx rows=2 cols=1 field=F5\n1*t^%d\n1*t^0+1*t^1\n" % d)
+    fu = _write(tmp_path, "u.lat",
+                format_lattice(standard_lattice(TateSpace(F5, 2))))
+    t0 = time.monotonic()
+    rc = main([verb, fi, fj, fu])
+    captured = capsys.readouterr()
+    assert time.monotonic() - t0 < 1
+    if rc == 0:
         assert parse_lattice(captured.out) == \
             standard_lattice(TateSpace(F5, 1))
         return
@@ -1090,3 +1143,21 @@ def test_cli_closed_stdout_keeps_exit_code(monkeypatch, lat_files, capsys):
     assert main(["--json", "index", lat_files[0], lat_files[1]]) == 0
     monkeypatch.setattr("sys.stdout", _ClosedPipe())
     assert main(["det-symmetry", "--trials", "3", "--ungraded"]) == 1
+
+
+
+# index, meet, join, lift and project on fixed F3 and F5 .lat and .lmx
+# files (raw .lat rows, one of them dependent), with their --json output as
+# recorded before F3..F13 rows became byte lanes
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("run", GOLDEN["runs"],
+                         ids=[" ".join(r["argv"]) for r in GOLDEN["runs"]])
+def test_cli_json_is_byte_identical_to_the_golden_output(tmp_path, capsys,
+                                                          run):
+    for name, text in GOLDEN["files"].items():
+        _write(tmp_path, name, text)
+    verb, *names = run["argv"]
+    assert main(["--json", verb] + [str(tmp_path / n) for n in names]) == 0
+    assert capsys.readouterr().out == run["stdout"]

@@ -844,3 +844,142 @@ def test_solve_mod():
     x = solve_mod(snf, [6], 0)
     assert x == [2]
     assert solve_mod(snf, [7], 0) is None
+
+
+# --- byte-lane rows over F3..F13 against the tuple rows -----------------
+
+LANE_PRIMES = [3, 5, 7, 11, 13]
+# 255..257 columns put a pivot past the 255th lane and a product's inner
+# sum over 257 terms, each up to (p - 1)^2
+LANE_WIDTHS = st.sampled_from([0, 1, 2, 3, 5, 255, 256, 257])
+
+
+def _tuple_rows():
+    """A context in which a Field built keeps its rows as tuples, as Q does."""
+    from unittest import mock
+    import satokit.exactlin
+    return mock.patch.dict(satokit.exactlin._LANES, clear=True)
+
+
+def _lanes_and_tuples(views):
+    """views() computed on lane rows, and again on tuple rows."""
+    lanes = views()
+    with _tuple_rows():
+        return lanes, views()
+
+
+def _fill(data, p, nrows, ncols):
+    """nrows x ncols entries: random, or only 0, 1 and p - 1 (the largest
+    lane sums), or all p - 1; sometimes with one zero row."""
+    rng = data.draw(st.randoms(use_true_random=False))
+    kind = data.draw(st.sampled_from(["random", "extreme", "max"]))
+    values = {"random": range(p), "extreme": (0, 1, p - 1),
+              "max": (p - 1,)}[kind]
+    rows = [[rng.choice(values) for _ in range(ncols)] for _ in range(nrows)]
+    if rows and data.draw(st.booleans()):
+        rows[rng.randrange(nrows)] = [0] * ncols
+    return rows
+
+
+def _maybe(f):
+    """f()'s matrix as its entries, or None, an int, or "ValueError"."""
+    try:
+        out = f()
+    except ValueError:
+        return "ValueError"
+    return out if out is None or isinstance(out, int) else out.entries
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_lane_matrices_agree_with_tuple_rows(data):
+    p = data.draw(st.sampled_from(LANE_PRIMES))
+    r, c = data.draw(st.integers(0, 5)), data.draw(LANE_WIDTHS)
+    k = data.draw(st.sampled_from([0, 1, 3]))
+    a, b = _fill(data, p, r, c), _fill(data, p, c, k)
+    sq, t = _fill(data, p, r, r), _fill(data, p, 2, c)
+
+    def views():
+        field = Field(p)
+        m, sm = Matrix(field, a, c), Matrix(field, sq, r)
+        ker = m.left_kernel()
+        return (m.rank(), m.row_space().rows, ker.rows, ker.pivots,
+                m.mul(Matrix(field, b, k)).entries, m.transpose().entries,
+                m.neg().entries, m.is_zero(), sm.det(), _maybe(sm.inverse),
+                _maybe(lambda: m.solve(Matrix(field, a + a[:1], c))),
+                _maybe(lambda: m.solve(Matrix(field, t, c))))
+    lanes, tuples = _lanes_and_tuples(views)
+    assert lanes == tuples
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_lane_subspaces_and_quotients_agree_with_tuple_rows(data):
+    p = data.draw(st.sampled_from(LANE_PRIMES))
+    c = data.draw(LANE_WIDTHS)
+    u = _fill(data, p, data.draw(st.integers(0, 4)), c)
+    w = _fill(data, p, data.draw(st.integers(0, 4)), c)
+    vs = _fill(data, p, 3, c) + u + w
+
+    def views():
+        field = Field(p)
+        su, sw = (Subspace.from_rows(field, c, x) for x in (u, w))
+        meet, join = su.meet(sw), su.join(sw)
+        q_u, q_join = Quotient(meet, su), Quotient(meet, join)
+        return (meet.rows, meet.pivots, join.rows, join.pivots,
+                su.contains(sw), join.contains(su), meet.contains(su),
+                [su.contains_vector(v) for v in vs],
+                [su.proj_coords(v) for v in vs],
+                su.quotient_matrix().entries, su.nonpivots(),
+                _maybe(lambda: su.coordinates(Matrix(field, vs, c))),
+                [q_join.coords(v) for v in vs],
+                [q_join.lift(i) for i in range(q_join.dim)],
+                _maybe(lambda: q_u.map_to(q_join)),
+                _maybe(lambda: q_join.map_to(q_u)))
+    lanes, tuples = _lanes_and_tuples(views)
+    assert lanes == tuples
+
+
+@pytest.mark.parametrize("p", LANE_PRIMES)
+def test_lane_long_eliminations_and_sums_agree_with_tuple_rows(p):
+    # 110 rows of 120 columns, each new row updated by up to 109 others
+    rng = random.Random(p)
+    rows = [[rng.choice((0, 1, p - 1)) for _ in range(120)]
+            for _ in range(110)]
+    rows += [[(x + y) % p for x, y in zip(rows[0], rows[1])]]
+
+    def views():
+        field = Field(p)
+        m, ker = Matrix(field, rows), Matrix(field, rows).left_kernel()
+        # a sum of 257 terms (p - 1)^2, reduced before a lane passes 255
+        top = Matrix(field, [[p - 1] * 257] * 2).mul(
+            Matrix(field, [[p - 1] * 3] * 257))
+        return (m.row_space().rows, ker.rows, ker.pivots, m.rank(),
+                top.entries, m.mul(m.transpose()).entries)
+    lanes, tuples = _lanes_and_tuples(views)
+    assert lanes == tuples
+
+
+def test_lane_rows_are_the_internal_form():
+    # F3..F13 keep one int per row, F17 and Q tuples; the views are tuples
+    for field, form in ((F5, int), (Field(13), int), (Field(17), tuple),
+                        (QQ, tuple)):
+        m = Matrix(field, [[1, 2, 0], [0, 1, 1]])
+        s = m.row_space()
+        q = Quotient(Subspace.zero(field, 3), s)
+        for row in (m._rows[0], s._rows[0], q._basis[0]):
+            assert type(row) is form
+        assert type(m.entries[0]) is tuple and type(s.rows[0]) is tuple
+        assert type(q.lift(0)) is tuple and q.coords((0, 1, 1)) == (0, 1)
+    with _tuple_rows():  # the oracle of the tests above
+        assert type(Matrix(Field(5), [[1, 2]])._rows[0]) is tuple
+    # scalars are checked and reduced before they are packed
+    m = Matrix(F5, [[Fraction(6), -1, 10 ** 30]])
+    assert m.entries == ((1, 4, 0),) and m._rows == (1 | 4 << 8,)
+    with pytest.raises(ValueError):
+        Matrix(F5, [[Fraction(1, 2)]])
+    # and so are the vectors of contains_vector, proj_coords and coords
+    s = Subspace.from_rows(F5, 2, [(1, 0)])
+    assert s.contains_vector((6, -5)) and not s.contains_vector((0, 6))
+    assert s.proj_coords((7, -4)) == (1,)
+    assert Quotient(Subspace.zero(F5, 2), s).coords((-4, 10)) == (1,)

@@ -677,16 +677,21 @@ def test_project_against_brute_force_image():
 
 def test_window_row_cancels_below_the_window():
     # the escape check reads the summed row, not its terms
+    from satokit.exactlin import _row_out
     from satokit.tate import _stencil, _window_row
     one, t = LaurentPoly.one(F5), LaurentPoly.t_power(F5, 1)
     ses = TateSES(LaurentMatrix(F5, [[one.add(t), one.neg()]]),
                   LaurentMatrix(F5, [[one], [one.add(t)]]))
     rows, vmin, _ = _stencil(ses, "j")
     assert vmin == 0 and rows == [[(0, 0, 1)], [(0, 0, 1), (1, 0, 1)]]
+
+    def row(field, terms):  # the window row as a tuple of scalars
+        return _row_out(field, _window_row(field, rows, 1, 0, 2, terms), 2)
+
     # t^-1 (1 + t) + 4 t^-1 = 1, in [0, 2)
-    assert _window_row(F5, rows, 1, 0, 2, [(1, -1, 1), (4, -1, 0)]) == (1, 0)
+    assert row(F5, [(1, -1, 1), (4, -1, 0)]) == (1, 0)
     # t (1 + t), cut at t^2
-    assert _window_row(F5, rows, 1, 0, 2, [(1, 1, 1)]) == (0, 1)
+    assert row(F5, [(1, 1, 1)]) == (0, 1)
     with pytest.raises(ValueError, match="escapes the window at t\\^-1"):
         _window_row(F5, rows, 1, 0, 2, [(1, -1, 1)])
     with pytest.raises(ValueError, match="escapes the window at t\\^-2"):
@@ -1261,3 +1266,31 @@ def test_twisted_chains_share_one_verified_split(monkeypatch):
     assert len(calls) == 14
     assert second.sesq is first.sesq
     assert first.sesq == split_tate_ses(F5, 1, 1)
+
+
+@pytest.mark.parametrize("p", [3, 7, 13])
+def test_lane_rows_give_the_lattices_of_tuple_rows(p):
+    # F3..F13 keep byte-lane rows; the same calls on tuple rows must give
+    # the same lattices, scalars and maps
+    from unittest import mock
+    import satokit.exactlin
+    from satokit import verify
+    from satokit.exactlin import Field
+
+    def results():
+        rng, out = random.Random(p), []
+        for _ in range(4):
+            chain = verify.TwistedChain(rng, Field(p), 2, 3, 4)
+            ses = chain.ses13
+            u, v = (verify.rand_lattice(rng, chain.total, bound=2)
+                    for _ in range(2))
+            meet, join = lattice_meet(u, v), lattice_join(u, v)
+            fd, _ = fd_ses_of_pair(ses, meet, u)
+            out += [lift_lattice(ses, u), project_lattice(ses, u), meet, join,
+                    lattice_contains(u, meet), lattice_contains(meet, u),
+                    lambda_scalar_chain(meet, u, join),
+                    fd.i.matrix.entries, fd.j.matrix.entries]
+        return out
+    lanes = results()
+    with mock.patch.dict(satokit.exactlin._LANES, clear=True):
+        assert results() == lanes
