@@ -4,18 +4,19 @@ Scalars are plain Python ints (reduced mod p) or Fractions.  No floating point
 anywhere.  Subspaces are kept in reduced row echelon form so that equality of
 subspaces is equality of data.
 
-Over F2, Matrix, Subspace and Quotient keep each row packed in one int, bit j
-for column j, from construction to result: products XOR the rows that set
-bits select, and one Gauss-Jordan elimination on ints gives rank, row space,
-join, the Zassenhaus meet, and (on rows with an identity bit appended) the
-rref transform and left kernel.  Over F_p with p (p - 1) < 256 (F3..F13) a
-row is one int of byte lanes, entry j at bits 8j..8j+7: a row update
-r - c b is the multiply-add r + (p - c) b, whose lanes stay at most
-p (p - 1) < 256, so no carry crosses one, and one bytes.translate reduces
-every lane mod p.  Q and larger p keep tuples.  Matrix.entries and
-Subspace.rows are tuple views, built only when read.  Matrix, Subspace and
-Quotient are the one API; their constructors (Subspace.from_rows for a
-Subspace) check every scalar, and the row kernels are private.
+Over F2, Matrix, Subspace, Quotient and tate's Lattice keep each row packed
+in one int, bit j for column j, from construction to result: products XOR
+the rows that set bits select, and one Gauss-Jordan elimination on ints
+gives rank, row space, join, the Zassenhaus meet, and (on rows with an
+identity bit appended) the rref transform and left kernel.  Over F_p with
+p (p - 1) < 256 (F3..F13) a row is one int of byte lanes, entry j at bits
+8j..8j+7: a row update r - c b is the multiply-add r + (p - c) b, whose
+lanes stay at most p (p - 1) < 256, so no carry crosses one, and one
+bytes.translate reduces every lane mod p.  Q and larger p keep tuples.
+Matrix.entries, Subspace.rows and Lattice.rows are tuple views, built only
+when read.  Matrix, Subspace and Quotient are the one API; their
+constructors (Subspace.from_rows for a Subspace) check every scalar, and
+the row kernels are private.
 """
 
 from __future__ import annotations
@@ -155,11 +156,12 @@ QQ = Field(None)
 
 
 # ---------------------------------------------------------------------------
-# row-level workhorses.  Matrix, Subspace and Quotient keep their rows in an
-# internal form: over F2 one int per row with bit j for column j (the XOR
-# rows of M4RI), over the p of _LANES one int with byte lane j for column j
-# (one word reduced at once, as in Dumas, Fousse and Salvy), elsewhere
-# tuples of normalized scalars; the private helpers work on that form.
+# row-level workhorses.  Matrix, Subspace, Quotient and tate's Lattice keep
+# their rows in an internal form: over F2 one int per row with bit j for
+# column j (the XOR rows of M4RI), over the p of _LANES one int with byte
+# lane j for column j (one word reduced at once, as in Dumas, Fousse and
+# Salvy), elsewhere tuples of normalized scalars; the private helpers work on
+# that form.
 
 def _mod(r, table):
     """The lane row r with every lane v replaced by table[v]."""
@@ -203,13 +205,14 @@ def _zero_row(field, n):
     return 0 if field._bits else (field.zero(),) * n
 
 
-def _units(field, n):
-    """The rows of the n x n identity."""
+def _units(field, n, start=0):
+    """Rows start, ..., n - 1 of the n x n identity."""
     s = field._bits
     if s:
-        return tuple([1 << s * i for i in range(n)])
+        return tuple([1 << s * i for i in range(start, n)])
     one, z = field.one(), field.zero()
-    return tuple([(z,) * i + (one,) + (z,) * (n - 1 - i) for i in range(n)])
+    return tuple([(z,) * i + (one,) + (z,) * (n - 1 - i)
+                  for i in range(start, n)])
 
 
 def _nonzero(row):
@@ -229,11 +232,22 @@ def _split(field, rows, m):
     return [r[:m] for r in rows], [r[m:] for r in rows]
 
 
+def _shifted(field, row, s, n):
+    """The row moved up s columns (down -s, dropping the columns that fall
+    below 0) and cut or padded to n columns."""
+    b, z = field._bits, (field.zero(),)
+    if b:
+        return (row << b * s if s >= 0 else row >> -b * s) & ((1 << b * n) - 1)
+    row = (z * s + row if s >= 0 else row[-s:])[:n]
+    return row + z * (n - len(row))
+
+
 def _gather(field, row, cols, n):
     """The entries at cols of a row of n entries, as a row."""
     if field.p == 2:
         return sum([((row >> j) & 1) << i for i, j in enumerate(cols)])
-    row = _row_out(field, row, n)
+    if field._bits:  # index the lanes' bytes
+        row = row.to_bytes(n, "little")
     return _row_in(field, [row[j] for j in cols])
 
 

@@ -18,9 +18,12 @@ The classical non-admissible monomorphism k[t] -> k[[t]] is not representable
 here: k[t] is not a finite-rank Laurent-series space, so it is not an object
 of this model at all.  Every mono the model can express is admissible.
 
-window_rows gives a lattice's rows in any window, so meet, join and b <= a
-work in windows no wider than one input's, however far apart the inputs lie:
-[max lo, max hi) for the meet, [min lo, min hi) for the join, a's for b <= a.
+A Lattice keeps its rows in exactlin's internal form (rows is a tuple view),
+and _window shifts and masks them into any window, above unit rows for the
+levels past its hi, so meet, join and b <= a work in windows no wider than
+one input's, however far apart the inputs lie: [max lo, max hi) for the
+meet, [min lo, min hi) for the join, a's for b <= a; the level stripping
+cuts the window's rows as they are, so no row is unpacked or packed.
 
 lattice_normalize, the entry for rows from outside, reduces them through
 Subspace.from_rows, which checks every scalar; meet, join, lift and project
@@ -31,8 +34,11 @@ Lift and project read their window bounds and generator rows off a stencil
 cached on the sequence: each row of i or j as its terms (e, column, c) sorted
 by e, so a shifted row or a combination of rows is read off it without a
 Laurent polynomial, beside the least valuations of the matrix and of its
-one-sided inverse.  An empty window [LO, LO) gives t^LO O^n with no window
-built.  split_tate_ses is memoized: one checked split serves every caller.
+one-sided inverse.  A lift's generators and a projection's tail are one
+window row per row of i or j, shifted up n columns per power of t and masked
+at the window's top; shifts only raise exponents, so none escapes below the
+window.  An empty window [LO, LO) gives t^LO O^n with no window built.
+split_tate_ses is memoized: one checked split serves every caller.
 """
 
 from __future__ import annotations
@@ -40,7 +46,8 @@ from __future__ import annotations
 import functools
 
 from .exactcat import SES, LinMap
-from .exactlin import Matrix, Quotient, Subspace, _row_in, _rref
+from .exactlin import (Matrix, Quotient, Subspace, _row_in, _row_out, _rref,
+                       _shifted, _split, _units)
 from .laurent import LaurentMatrix, LaurentPoly, left_inverse, right_inverse
 
 
@@ -72,35 +79,50 @@ class TateSpace:
 class Lattice:
     """Element of the Sato Grassmannian of a TateSpace, canonical form.
 
-    rows are the rref basis of the lattice modulo t^hi O^n in its window, and
-    pivots their pivot columns.
+    _rows are the rref basis of the lattice modulo t^hi O^n in its window, in
+    exactlin's internal form (bits over F2, byte lanes over F3..F13, tuples
+    over Q and p >= 17), and pivots their pivot columns; rows, the tuple
+    view, is built on first read.
     """
 
-    __slots__ = ("space", "lo", "hi", "rows", "pivots")
+    __slots__ = ("space", "lo", "hi", "_rows", "pivots", "_view")
 
     def __init__(self, space, lo, hi, rows, pivots, _normalized=False):
         if not _normalized:
             raise ValueError("use lattice_normalize to build lattices")
+        rows = tuple(rows)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "_view", None if space.field._bits else rows)
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
 
+    @property
+    def rows(self):
+        if self._view is None:
+            width = (self.hi - self.lo) * self.space.rank
+            object.__setattr__(self, "_view", tuple([
+                _row_out(self.field, r, width) for r in self._rows]))
+        return self._view
+
     def __eq__(self, other):
+        # two fields whose rows take different forms compare by the views
         return (isinstance(other, Lattice) and self.space == other.space
                 and self.lo == other.lo and self.hi == other.hi
-                and self.rows == other.rows)
+                and (self._rows == other._rows
+                     if self.field._bits == other.field._bits
+                     else self.rows == other.rows))
 
     def __hash__(self):
         return hash((self.space, self.lo, self.hi, self.rows))
 
     def __repr__(self):
         return "Lattice(%r, lo=%d, hi=%d, extra_dim=%d)" % (
-            self.space, self.lo, self.hi, len(self.rows))
+            self.space, self.lo, self.hi, len(self._rows))
 
     @property
     def field(self):
@@ -126,65 +148,66 @@ def lattice_normalize(space, lo, hi, raw_basis):
 def _stripped(space, lo, hi, sub):
     """The Lattice of sub, a subspace of the window t^lo O^n / t^hi O^n,
     with its window shrunk to the minimal one."""
-    n = space.rank
+    n, field = space.rank, space.field
     if n == 0:
         return Lattice(space, 0, 0, (), (), _normalized=True)
-    rows, pivots = sub.rows, list(sub.pivots)
-    # deep strip: drop full monomial levels at the hi end.  The level's
-    # columns are the last n pivots, so the other rows vanish there and stay
-    # in rref once cut short.
-    while hi > lo:
-        cut = (hi - 1 - lo) * n
-        if pivots[-n:] != list(range(cut, cut + n)):
-            break
-        rows = [r[:cut] for r in rows[:-n]]
-        pivots = pivots[:-n]
-        hi -= 1
+    rows, pivots = sub._rows, sub.pivots
+    # deep strip: drop full monomial levels at the hi end, all at once.  The
+    # pivots are sorted and distinct, so the last k columns are pivots when
+    # the k-th last pivot is; the other rows vanish there and stay in rref
+    # once cut short.
+    k, width = 0, (hi - lo) * n
+    while k < len(pivots) and pivots[-1 - k] == width - 1 - k:
+        k += 1
+    k -= k % n
+    if k:
+        rows = _split(field, rows[:-k], width - k)[0]
+        pivots = pivots[:-k]
+        hi -= k // n
     # shallow strip: drop all-zero levels at the lo end, all at once.  In
     # rref the first pivot is the first nonzero column of every row.
     cut = pivots[0] // n * n if pivots else (hi - lo) * n
-    rows = [r[cut:] for r in rows]
-    pivots = [p - cut for p in pivots]
-    lo += cut // n
+    if cut:
+        rows = _split(field, rows, cut)[1]
+        pivots = [p - cut for p in pivots]
+        lo += cut // n
     if lo == hi:
         rows, pivots = [], []
     return Lattice(space, lo, hi, rows, pivots, _normalized=True)
 
 
-def window_rows(lat, LO, HI):
-    """Rref basis rows of (lat n t^LO O^n) / t^HI O^n, for any LO <= HI.
+def _window(lat, LO, HI):
+    """Internal rows and pivots of the rref basis of (lat n t^LO O^n) /
+    t^HI O^n, for any LO <= HI.
 
-    They are lat's rows with pivots in [LO, HI), moved into the window and
-    cut at t^HI, above unit rows for t^max(lat.hi, LO) ... t^(HI-1).  A
-    combination of lat's rows starts at its first pivot, since each pivot
-    column is clear in the other rows; so rows with pivots below t^LO drop
-    out.  The stack is already in rref, so no reduction runs.
+    They are lat's rows with pivots in [LO, HI), shifted into the window and
+    masked at t^HI, above the unit rows (1 << B c, for B-bit entries, over
+    F2 to F13) of t^max(lat.hi, LO) ... t^(HI-1).  A combination of lat's
+    rows starts at its first pivot, since each pivot column is clear in the
+    other rows; so rows with pivots below t^LO drop out, and the others lose
+    only zeros.  The stack is already in rref, so no reduction runs.
     """
-    n = lat.space.rank
-    width = (HI - LO) * n
-    z, one = lat.field.zero(), lat.field.one()
-    off = (lat.lo - LO) * n
-    lead, skip = max(off, 0), max(-off, 0)
-    out = []
-    for r, p in zip(lat.rows, lat.pivots):
+    n, field = lat.space.rank, lat.field
+    width, off = (HI - LO) * n, (lat.lo - LO) * n
+    rows, pivots = [], []
+    for r, p in zip(lat._rows, lat.pivots):
         if 0 <= p + off < width:
-            row = (z,) * lead + r[skip:skip + width - lead]
-            out.append(row + (z,) * (width - len(row)))
-    for c in range(max(lat.hi - LO, 0) * n, width):
-        row = [z] * width
-        row[c] = one
-        out.append(tuple(row))
-    return out
+            rows.append(_shifted(field, r, off, width))
+            pivots.append(p + off)
+    units = range(max(lat.hi - LO, 0) * n, width)
+    return rows + list(_units(field, width, units.start)), pivots + list(units)
+
+
+def window_rows(lat, LO, HI):
+    """_window's rows as tuples of scalars."""
+    n, field = (HI - LO) * lat.space.rank, lat.field
+    return [_row_out(field, r, n) for r in _window(lat, LO, HI)[0]]
 
 
 def window_subspace(lat, LO, HI):
-    # window_rows' pivots: lat's that stay in the window, then the units'
-    n = lat.space.rank
-    width, off = (HI - LO) * n, (lat.lo - LO) * n
-    pivots = [p + off for p in lat.pivots if 0 <= p + off < width]
-    pivots += range(max(lat.hi - LO, 0) * n, width)
-    return Subspace._raw(lat.field, width, [_row_in(lat.field, r) for r in
-                                            window_rows(lat, LO, HI)], pivots)
+    """_window as a Subspace, its rows as they are."""
+    return Subspace._raw(lat.field, (HI - LO) * lat.space.rank,
+                         *_window(lat, LO, HI))
 
 
 def _check_same_space(a, b):
@@ -198,8 +221,8 @@ def lattice_contains(a, b):
     _check_same_space(a, b)
     if b.lo < a.lo:
         return False
-    a_w = window_subspace(a, a.lo, a.hi)
-    return all(a_w.contains_vector(r) for r in window_rows(b, a.lo, a.hi))
+    return window_subspace(a, a.lo, a.hi).contains(
+        window_subspace(b, a.lo, a.hi))
 
 
 def lattice_meet(a, b):
@@ -208,7 +231,7 @@ def lattice_meet(a, b):
     n = a.space.rank
     # the Zassenhaus stack: each lattice's rows (at most) and its unit rows
     # up to t^HI, at twice the window's width
-    _check_window("meet", sum(len(x.rows) + n * (HI - max(x.hi, LO))
+    _check_window("meet", sum(len(x._rows) + n * (HI - max(x.hi, LO))
                               for x in (a, b)), 2 * (HI - LO) * n)
     return _stripped(a.space, LO, HI, window_subspace(a, LO, HI).meet(
         window_subspace(b, LO, HI)))
@@ -224,12 +247,12 @@ def lattice_join(a, b):
 def relative_index(a, b):
     """dim(a / a n b) - dim(b / a n b).
 
-    This is the difference of the row counts of window_rows(a, LO, HI) and
-    window_rows(b, LO, HI) in any common window: each lattice contributes
-    its own rows plus n unit rows per level from its hi up to HI.
+    This is the difference of the row counts of _window(a, LO, HI) and
+    _window(b, LO, HI) in any common window: each lattice contributes its
+    own rows plus n unit rows per level from its hi up to HI.
     """
     _check_same_space(a, b)
-    return len(a.rows) - len(b.rows) + a.space.rank * (b.hi - a.hi)
+    return len(a._rows) - len(b._rows) + a.space.rank * (b.hi - a.hi)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +454,18 @@ def _window_row(field, rows, n, LO, HI, terms):
     return _row_in(field, acc if p is None else [x % p for x in acc])
 
 
+def _monomial_images(field, rows, n, LO, HI, e0, e1, m):
+    """The window rows in [LO, HI) of the images of t^e u_k for e0 <= e < e1
+    and k < m, e then k ascending, rows those of a stencil: the image of
+    t^e0 u_k, built once by _window_row, shifted up (e - e0) n columns (one
+    level per power of t) and masked at t^HI."""
+    one, width = field.one(), (HI - LO) * n
+    base = [_window_row(field, rows, n, LO, HI, ((one, e0, k),))
+            for k in range(m)] if e0 < e1 else []
+    return [_shifted(field, r, (e - e0) * n, width)
+            for e in range(e0, e1) for r in base]
+
+
 # the most cells (rows x columns) of a dense window that lift, project and
 # meet build; the largest that the verify suites and the tests build has 600
 MAX_WINDOW_CELLS = 1 << 20
@@ -463,6 +498,10 @@ def lift_lattice(ses, u):
     only need to be safe, and the right-inverse identity is verified exactly
     once per sequence.  A window past MAX_WINDOW_CELLS or MAX_WINDOW_WORK
     raises WindowTooLarge before it is built.
+
+    The generators, the images of t^e u_k for LO <= e < HI, are a window
+    rows shifted by _monomial_images; none escapes below t^LO_t, since
+    e + vmin_i >= LO + vmin_i >= LO_t.
     """
     if u.space != ses.total_space:
         raise ValueError("lattice does not live in the middle space")
@@ -480,12 +519,12 @@ def lift_lattice(ses, u):
     # inside u, so the membership test happens in u's own window
     LO_t = min(u.lo, LO + vmin_i)
     # u's rows and the generators are each built across that window
-    _check_window("lift", max(len(u.rows), (HI - LO) * a),
+    _check_window("lift", max(len(u._rows), (HI - LO) * a),
                   (u.hi - LO_t) * b, True)
     u_w = window_subspace(u, LO_t, u.hi)
-    npv, one = u_w.nonpivots(), field.one()
-    gen = [u_w._proj(_window_row(field, irows, b, LO_t, u.hi, ((one, e, k),)),
-                     npv) for e in range(LO, HI) for k in range(a)]
+    npv = u_w.nonpivots()
+    gen = [u_w._proj(r, npv) for r in _monomial_images(
+        field, irows, b, LO_t, u.hi, LO, HI, a)]
     return _stripped(src, LO, HI,
                      Matrix._raw(field, gen, len(npv)).left_kernel())
 
@@ -505,15 +544,14 @@ def project_lattice(ses, u):
     LO = u.lo + vmin_j
     if LO == HI:  # the sandwich t^HI O^c <= j(u) <= t^LO O^c is tight
         return standard_lattice(dst, LO)
-    _check_window("project", len(u.rows) + max(HI - vmin_j - u.hi, 0) * b,
+    _check_window("project", len(u._rows) + max(HI - vmin_j - u.hi, 0) * b,
                   (HI - LO) * c, True)
-    one = field.one()
     # images of u's rows, then of the monomials t^e u_k of u's tail for
-    # u.hi <= e < HI - vmin_j; j maps the deeper ones into t^HI O^c
+    # u.hi <= e < HI - vmin_j, one row of j each, shifted; j maps the deeper
+    # ones into t^HI O^c
     gen = [_window_row(field, jrows, c, LO, HI, _window_terms(r, b, u.lo))
            for r in u.rows]
-    gen += [_window_row(field, jrows, c, LO, HI, ((one, e, k),))
-            for e in range(u.hi, HI - vmin_j) for k in range(b)]
+    gen += _monomial_images(field, jrows, c, LO, HI, u.hi, HI - vmin_j, b)
     return _stripped(dst, LO, HI, Subspace._raw(field, (HI - LO) * c,
                                                 *_rref(field, gen)))
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from satokit.exactlin import F2, F5, QQ, Matrix, Subspace
+from satokit.exactlin import F2, F5, QQ, Field, Matrix, Subspace
 from satokit.laurent import LaurentMatrix, LaurentPoly, poly_divmod
 from satokit.tate import (
     Lattice, LatticeGrid, LatticeGridError, LatticeQuotient, TateSES,
@@ -601,12 +601,12 @@ def _rational_automorphism(rng, n, emax=2):
     return aut, aut_inv
 
 
-def _drawn_poly(data, field):
-    """A nonzero Laurent polynomial, rarely a unit."""
+def _drawn_poly(data, field, terms=4):
+    """A nonzero Laurent polynomial of at most `terms` terms, rarely a unit."""
     scalar = (st.fractions(-3, 3, max_denominator=3) if field.p is None
               else st.integers(0, field.p - 1))
     lo = data.draw(st.integers(-2, 1))
-    coeffs = data.draw(st.lists(scalar, min_size=1, max_size=4))
+    coeffs = data.draw(st.lists(scalar, min_size=1, max_size=terms))
     p = LaurentPoly(field, [(lo + k, x) for k, x in enumerate(coeffs)])
     return p if p.terms else LaurentPoly.t_power(field, lo)
 
@@ -1268,7 +1268,7 @@ def test_twisted_chains_share_one_verified_split(monkeypatch):
     assert first.sesq == split_tate_ses(F5, 1, 1)
 
 
-@pytest.mark.parametrize("p", [3, 7, 13])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_lane_rows_give_the_lattices_of_tuple_rows(p):
     # F3..F13 keep byte-lane rows; the same calls on tuple rows must give
     # the same lattices, scalars and maps
@@ -1294,3 +1294,150 @@ def test_lane_rows_give_the_lattices_of_tuple_rows(p):
     lanes = results()
     with mock.patch.dict(satokit.exactlin._LANES, clear=True):
         assert results() == lanes
+
+
+# --- the stored form: exactlin's rows, windows by shift and mask -------------
+
+# rows over the window [-2, 2) of k((t))^2, and the (lo, hi, rows) of their
+# lattices over F2, F5, F13, F17 and Q, as lattices gave them when they
+# stored tuples
+_STORED_INPUTS = (
+    [[0, 0, 3, 1, 0, 2, 0, 0], [0, 0, 0, 0, 1, 4, 1, 0],
+     [0, 0, 6, 2, 1, 0, 0, 1], [0, 0, 0, 0, 0, 0, 1, 0]],
+    [[0, 0, 3, 1, 0, 2, 0, 0], [0, 0, 0, 0, 1, 4, 1, 0],
+     [0, 0, 6, 2, 1, 0, 5, 1], [0, 0, 0, 0, 0, 0, 1, 0],
+     [0, 0, 0, 0, 0, 0, 0, 1]])
+_STORED = {
+    2: [(-1, 1, ((1, 1, 0, 0), (0, 0, 1, 0))),
+        (-1, 1, ((1, 1, 0, 0), (0, 0, 1, 0)))],
+    5: [(-1, 2, ((1, 2, 0, 0, 0, 3), (0, 0, 1, 0, 0, 3), (0, 0, 0, 1, 0, 3),
+                 (0, 0, 0, 0, 1, 0))),
+        (-1, 0, ((1, 2),))],
+    13: [(-1, 2, ((1, 9, 0, 0, 0, 12), (0, 0, 1, 0, 0, 7),
+                  (0, 0, 0, 1, 0, 8), (0, 0, 0, 0, 1, 0))),
+         (-1, 0, ((1, 9),))],
+    17: [(-1, 2, ((1, 6, 0, 0, 0, 10), (0, 0, 1, 0, 0, 9),
+                  (0, 0, 0, 1, 0, 2), (0, 0, 0, 0, 1, 0))),
+         (-1, 0, ((1, 6),))],
+    None: [(-1, 2, ((1, Fraction(1, 3), 0, 0, 0, Fraction(1, 12)),
+                    (0, 0, 1, 0, 0, Fraction(1, 2)),
+                    (0, 0, 0, 1, 0, Fraction(-1, 8)), (0, 0, 0, 0, 1, 0))),
+           (-1, 0, ((1, Fraction(1, 3)),))],
+}
+
+
+@pytest.mark.parametrize("p", [2, 5, 13, 17, None])
+def test_lattices_store_exactlin_rows_and_read_out_tuples(p):
+    # bits over F2, byte lanes over F5 and F13, tuples over F17 and Q; the
+    # tuple view reads what lattices stored as tuples
+    field = Field(p)
+    space, kind = TateSpace(field, 2), int if field._bits else tuple
+    ses = split_tate_ses(field, 1, 1)
+    for raw, want in zip(_STORED_INPUTS, _STORED[p]):
+        lat = lattice_normalize(space, -2, 2, raw)
+        assert (lat.lo, lat.hi, lat.rows) == want
+        assert lat.pivots == Subspace.from_rows(field, len(lat.rows[0]),
+                                                lat.rows).pivots
+        built = [lat, lattice_meet(lat, standard_lattice(space, -1)),
+                 lattice_join(lat, standard_lattice(space, 1)),
+                 lift_lattice(ses, lat), project_lattice(ses, lat)]
+        assert all(type(r) is kind for x in built for r in x._rows)
+        assert repr(lat).endswith("extra_dim=%d)" % len(want[2]))
+
+
+def test_lift_and_project_build_one_window_row_per_row_of_i_and_j(
+        monkeypatch):
+    # a lift builds one window row per row of i and shifts it across the
+    # window, not one per monomial t^e u_k; a projection builds one per row
+    # of u and, when u has a tail below t^(HI - vmin_j), one per row of j
+    import satokit.tate
+    from satokit.tate import _stencil
+    from satokit.verify import TwistedChain, rand_lattice
+    rng, cases = random.Random(73), []
+    for field in (F2, F5, Field(17)):
+        for _ in range(6):
+            ch = TwistedChain(rng, field, 1, 2, 3)
+            u = rand_lattice(rng, ch.total, bound=3)
+            for ses in (ch.ses13, ch.ses23):
+                cases.append((ses, u, lift_by_laurent_rows(ses, u),
+                              project_by_laurent_rows(ses, u)))
+    calls = _counting(monkeypatch, satokit.tate, ["_window_row"])
+    levels = tails = 0
+    for ses, u, lifted, projected in cases:
+        _, vmin_i, vmin_b = _stencil(ses, "i")
+        _, vmin_j, vmin_c = _stencil(ses, "j")
+        lift_levels = max(u.hi - vmin_i - (u.lo + vmin_b), 0)
+        HI = u.hi - vmin_c
+        tail = max(HI - vmin_j - u.hi, 0) if HI > u.lo + vmin_j else 0
+        levels += lift_levels > 1
+        tails += tail > 1
+        calls.clear()
+        assert lift_lattice(ses, u) == lifted
+        assert calls["_window_row"] == (ses.i.nrows if lift_levels else 0)
+        calls.clear()
+        assert project_lattice(ses, u) == projected
+        assert calls["_window_row"] == (
+            len(u.pivots) + (ses.j.nrows if tail else 0)
+            if HI > u.lo + vmin_j else 0)
+    assert levels > 10 and tails > 5
+
+
+@pytest.mark.parametrize("field", [F2, F5])
+def test_windows_and_strips_convert_no_row(monkeypatch, field):
+    # window_subspace shifts and masks the stored rows, and _stripped cuts
+    # the subspace's own rows: neither packs or unpacks a row
+    import satokit.exactlin
+    import satokit.tate
+    from satokit.tate import _stripped
+    from satokit.verify import rand_lattice
+    rng = random.Random(79)
+    space = TateSpace(field, 2)
+    lats = [rand_lattice(rng, space, bound=3) for _ in range(30)]
+    calls = [_counting(monkeypatch, module, ["_row_in", "_row_out"])
+             for module in (satokit.exactlin, satokit.tate)]
+    for a, b in zip(lats, lats[1:]):
+        for LO, HI in ((a.lo - 1, a.hi + 2), (a.lo, a.hi), (b.lo, b.hi),
+                       (a.lo + 1, a.hi), (min(a.lo, b.lo), a.hi)):
+            if LO > HI:
+                continue
+            w = window_subspace(a, LO, HI)
+            back = _stripped(space, LO, HI, w)
+            assert back == a or not (LO <= a.lo and a.hi <= HI)
+            # a stripped lattice shown in the window it came from is the
+            # subspace it came from
+            for sub in (w, w.meet(window_subspace(b, LO, HI))):
+                assert window_subspace(_stripped(space, LO, HI, sub), LO,
+                                       HI) == sub
+    assert calls == [{}, {}]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_lift_project_match_the_laurent_route_across_u_hi(data):
+    # as test_lift_project_match_the_laurent_route, with entries of degree
+    # up to 6 and u's window up to 8 levels wide, so that the shifted
+    # generators of a lift and of a projection's tail cross t^(u.hi), over
+    # bits, byte lanes and tuples
+    from satokit.verify import rand_automorphism
+    field = data.draw(st.sampled_from([F2, Field(3), F5, Field(17), QQ]))
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    if data.draw(st.booleans()):
+        a, c = rng.randint(1, 2), rng.randint(1, 2)
+        aut = (_rational_automorphism(rng, a + c, emax=3) if field is QQ
+               else rand_automorphism(rng, field, a + c, emax=3))
+        ses = twist_tate_ses(split_tate_ses(field, a, c), *aut)
+    else:
+        x, y = _drawn_poly(data, field, 7), _drawn_poly(data, field, 7)
+        ses = TateSES(LaurentMatrix(field, [[x, y]]),
+                      LaurentMatrix(field, [[y], [x.neg()]]))
+    space = ses.total_space
+    lo = data.draw(st.integers(-3, 1))
+    hi = data.draw(st.integers(lo, lo + 8))
+    width = (hi - lo) * space.rank
+    scalar = (st.fractions(-2, 2, max_denominator=2) if field.p is None
+              else st.integers(0, field.p - 1))
+    rows = data.draw(st.lists(st.lists(scalar, min_size=width,
+                                       max_size=width), max_size=6))
+    u = lattice_normalize(space, lo, hi, rows)
+    assert lift_lattice(ses, u) == lift_by_laurent_rows(ses, u)
+    assert project_lattice(ses, u) == project_by_laurent_rows(ses, u)
