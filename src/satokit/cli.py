@@ -13,12 +13,8 @@ import functools
 import json
 import os
 import sys
-from random import Random
 
-from . import verify as verify_mod
 from .abgroup import format_group, parse_group
-from .detline import check_symmetry, graded_det, ungraded_det
-from .dimtorsor import DimTheory, RelTheory, mu_combine
 from .exactlin import Field
 from .fileio import (ParseError, format_cochain, format_lattice,
                      parse_cochain, parse_lattice, parse_laurent_matrix,
@@ -27,7 +23,6 @@ from .laurent import EchelonTooLarge
 from .simptors import (CohomologyResult, ComplexError, DegreeRangeError,
                        GerbeError, GerbeRep, check_mult_torsor,
                        gerbe_to_torsor)
-from .swald import BudgetExceeded, enumerate_s_skeleton
 from .tate import (TateSES, TateSESInvalid, WindowTooLarge, lattice_join,
                    lattice_meet, lift_lattice, project_lattice,
                    relative_index)
@@ -159,6 +154,7 @@ def cmd_ses_check(args):
 
 
 def cmd_mu_eval(args):
+    from .dimtorsor import DimTheory, RelTheory, mu_combine
     ses, u = _load_ses_and_lattice(args)
     group = args.group
     gen = group.elem(_coords(args.generator, group) if args.generator
@@ -188,6 +184,9 @@ def _coords(text, group):
 
 
 def cmd_det_symmetry(args):
+    from random import Random
+    from . import verify as verify_mod
+    from .detline import check_symmetry, graded_det, ungraded_det
     field = args.field
     theory = ungraded_det(field) if args.ungraded else graded_det(field)
     if field.p is None:
@@ -276,6 +275,7 @@ def cmd_gerbe_torsor(args):
 
 
 def cmd_s_enumerate(args):
+    from .swald import BudgetExceeded, enumerate_s_skeleton
     field = args.field
     try:
         sk = enumerate_s_skeleton(field, args.dim_cap, args.level_cap,
@@ -293,6 +293,7 @@ def cmd_s_enumerate(args):
 
 
 def cmd_verify(args):
+    from . import verify as verify_mod
     names = list(verify_mod.SUITES) if args.suite == "all" else [args.suite]
     for n in names:
         if n not in verify_mod.SUITES:

@@ -421,8 +421,13 @@ def _stencil(ses, name):
     return ses._cache[key]
 
 
-def _window_terms(row, n, lo):
-    """(c, e, k) of the nonzero entries c t^e u_k of a window row from t^lo."""
+def _window_terms(field, row, n, lo):
+    """(c, e, k) of the nonzero entries c t^e u_k of an internal window row
+    from t^lo, read off its set bits, nonzero byte lanes or entries."""
+    if field.p == 2:
+        row = map(int, bin(row)[:1:-1])
+    elif field._bits:
+        row = row.to_bytes((row.bit_length() + 7) >> 3, "little")
     return [(x, lo + q // n, q % n) for q, x in enumerate(row) if x]
 
 
@@ -549,8 +554,8 @@ def project_lattice(ses, u):
     # images of u's rows, then of the monomials t^e u_k of u's tail for
     # u.hi <= e < HI - vmin_j, one row of j each, shifted; j maps the deeper
     # ones into t^HI O^c
-    gen = [_window_row(field, jrows, c, LO, HI, _window_terms(r, b, u.lo))
-           for r in u.rows]
+    gen = [_window_row(field, jrows, c, LO, HI,
+                       _window_terms(field, r, b, u.lo)) for r in u._rows]
     gen += _monomial_images(field, jrows, c, LO, HI, u.hi, HI - vmin_j, b)
     return _stripped(dst, LO, HI, Subspace._raw(field, (HI - LO) * c,
                                                 *_rref(field, gen)))
@@ -673,7 +678,7 @@ def fd_ses_of_pair(ses, u_sub, u):
         rows = _stencil(ses, name)[0]
         coords = [dst.quotient._coords(_window_row(
             field, rows, dst.n, dst.lo, dst.hi,
-            _window_terms(src.quotient.lift(k), src.n, src.lo)))
+            _window_terms(field, src.quotient._basis[k], src.n, src.lo)))
             for k in range(src.dim)]
         if None in coords:
             raise ValueError("vector does not lie in the quotient")

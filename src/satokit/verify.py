@@ -134,7 +134,8 @@ def _rows(m, lo, hi):
 
 def _cols(m, lo, hi):
     """Columns [lo, hi) of m."""
-    return _rows(m.transpose(), lo, hi).transpose()
+    return LaurentMatrix._raw(m.field, tuple([r[lo:hi] for r in m.entries]),
+                              hi - lo)
 
 
 class TwistedChain:

@@ -1161,3 +1161,94 @@ def test_cli_json_is_byte_identical_to_the_golden_output(tmp_path, capsys,
     verb, *names = run["argv"]
     assert main(["--json", verb] + [str(tmp_path / n) for n in names]) == 0
     assert capsys.readouterr().out == run["stdout"]
+
+
+# --- what `import satokit.cli` loads, and the package namespace --------------
+
+def _fresh(*argv):
+    """A fresh interpreter run with satokit from this checkout's src."""
+    import os
+    import subprocess
+    import sys
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent
+                                          / "src"))
+    return subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_cli_import_leaves_the_verification_modules_unloaded():
+    # the file verbs need none of them; the verbs that do import theirs
+    run = _fresh("-c", "import sys, satokit.cli; print(' '.join(sorted("
+                 "m for m in sys.modules if m.startswith('satokit'))))")
+    assert run.returncode == 0, run.stderr
+    loaded = set(run.stdout.split())
+    assert "satokit.tate" in loaded and "satokit.simptors" in loaded
+    for name in ("verify", "swald", "detline", "dimtorsor", "complexes"):
+        assert "satokit." + name not in loaded
+
+
+# the names that satokit exports, by home module
+EXPORTS = {
+    "abgroup": "AbelianGroup GroupElem GroupHom ZZ format_group parse_group",
+    "exactlin": "F2 F3 F5 QQ Field Matrix Subspace",
+    "exactcat": "FdSpace Grid3x3 LinMap SES SESInvalid complete_grid_3x3 "
+                "epi_mono_factorize pullback_admissible_monos "
+                "pushout_admissible_epis",
+    "laurent": "LaurentMatrix LaurentPoly",
+    "tate": "Lattice LatticeGrid TateSES TateSESInvalid TateSpace "
+            "lattice_contains lattice_join lattice_meet lattice_normalize "
+            "lift_lattice project_lattice relative_index split_tate_ses "
+            "standard_lattice",
+    "dimtorsor": "DimTheory RelTheory mu_combine pushout_along "
+                 "torsor_difference",
+    "detline": "DetRule DetTheory GradedLine LineIso check_symmetry "
+               "delta_relative det_line graded_det koszul_swap lambda_ses "
+               "ungraded_det",
+    "simptors": "Cochain CohomologyResult GerbeRep MultTorsorRep "
+                "SimplicialSet check_mult_torsor evaluate_even_odd "
+                "gerbe_to_torsor street_boundaries validate_simplicial_set",
+    "swald": "SObject SSkeleton build_s_object enumerate_s_skeleton "
+             "s_degeneracy s_face",
+}
+
+
+def test_package_namespace_is_the_exported_names():
+    import importlib
+    import satokit
+    homes = {name: module for module, names in EXPORTS.items()
+             for name in names.split()}
+    assert len(homes) == 70
+    assert sorted(satokit.__all__) == sorted(homes)
+    assert len(satokit.__all__) == 70
+    for name, module in homes.items():
+        home = importlib.import_module("satokit." + module)
+        assert getattr(satokit, name) is getattr(home, name), name
+    star = {}
+    exec("from satokit import *", star)
+    assert all(star[name] is getattr(satokit, name) for name in homes)
+    assert set(homes) <= set(dir(satokit))
+    assert satokit.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="nope"):
+        satokit.nope
+    from satokit import verify as verify_module
+    assert verify_module is importlib.import_module("satokit.verify")
+
+
+def test_verbs_that_import_on_use_run_in_fresh_processes(tmp_path, capsys):
+    # in this process satokit.verify is already loaded, so only a fresh one
+    # shows that each verb imports what it runs
+    from satokit.tate import split_tate_ses
+    ses = split_tate_ses(F5, 1, 1)
+    u = lattice_normalize(TateSpace(F5, 2), -1, 1, [[1, 2, 0, 0],
+                                                   [0, 0, 3, 1]])
+    files = [_write(tmp_path, "i.lmx", format_laurent_matrix(ses.i)),
+             _write(tmp_path, "j.lmx", format_laurent_matrix(ses.j)),
+             _write(tmp_path, "u.lat", format_lattice(u))]
+    for argv in (["verify", "mu", "--trials", "1"],
+                 ["det-symmetry", "--trials", "2"],
+                 ["mu-eval", *files, "--group", "Z+Z/6", "--d1", "1,2"],
+                 ["s-enumerate", "--dim-cap", "1", "--level-cap", "2"]):
+        run = _fresh("-m", "satokit.cli", "--json", *argv)
+        assert run.returncode == 0, (argv, run.stderr)
+        assert main(["--json", *argv]) == 0
+        assert run.stdout == capsys.readouterr().out, argv

@@ -1411,6 +1411,27 @@ def test_windows_and_strips_convert_no_row(monkeypatch, field):
     assert calls == [{}, {}]
 
 
+@pytest.mark.parametrize("field", [F2, F5])
+def test_project_reads_the_stored_rows_of_u(monkeypatch, field):
+    # project_lattice reads the terms of u's rows off its set bits or byte
+    # lanes, so it builds no tuple view of a fresh lattice
+    import satokit.tate
+    from satokit.verify import TwistedChain, rand_lattice
+    rng = random.Random(83)
+    cases = []
+    for _ in range(8):
+        ch = TwistedChain(rng, field, 1, 2, 3)
+        cases += [(ses, rand_lattice(rng, ch.total, bound=3))
+                  for ses in (ch.ses13, ch.ses23)]
+    calls = _counting(monkeypatch, satokit.tate, ["_row_out"])
+    projected = [project_lattice(ses, u) for ses, u in cases]
+    assert calls == {}
+    monkeypatch.undo()
+    assert sum(len(u._rows) for _, u in cases) > 20
+    for (ses, u), got in zip(cases, projected):
+        assert got == project_by_laurent_rows(ses, u)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_lift_project_match_the_laurent_route_across_u_hi(data):
