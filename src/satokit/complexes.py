@@ -29,9 +29,7 @@ def simplex_boundary(n):
     data = []
     for d in range(n):
         for sid in full.simplices[d]:
-            faces = tuple(full.faces[(sid, i)] for i in range(d + 1)) \
-                if d else ()
-            data.append((sid, d, faces))
+            data.append((sid, d, full.faces[sid]))
     return validate_simplicial_set(data)
 
 

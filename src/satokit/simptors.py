@@ -39,7 +39,7 @@ class SimplicialSet:
     """Finite dimension-capped simplicial set (non-degenerate part).
 
     simplices: dict dim -> tuple of ids
-    faces: dict (id, face_index) -> id
+    faces: dict id -> tuple of its face ids, d_0 first; () for a vertex
     """
 
     def __init__(self, simplices, faces, dim_cap=None):
@@ -63,12 +63,8 @@ class SimplicialSet:
     def ids(self, dim):
         return self.simplices.get(dim, ())
 
-    def face(self, sid, i):
-        return self.faces[(sid, i)]
-
     def face_tuple(self, sid):
-        d = self.dim_of[sid]
-        return tuple(self.faces[(sid, i)] for i in range(d + 1))
+        return self.faces[sid]
 
     def n_simplices(self, dim):
         return len(self.simplices.get(dim, ()))
@@ -77,39 +73,41 @@ class SimplicialSet:
 def validate_simplicial_set(raw, dim_cap=None):
     """Build and validate a SimplicialSet from (id, dim, faces) triples.
 
-    Raises ComplexError naming the first violated simplicial identity
-    (simplex, i, j) or the first dangling face id.
+    Raises ComplexError naming the first fault: a repeated id when it is
+    read, a bad dimension or face count, a dangling or wrong-dimension
+    face, or a violated simplicial identity (simplex, i, j).
     """
     simplices = {}
     faces = {}
     dims = {}
     for sid, d, fs in raw:
+        if sid in dims:
+            raise ComplexError("duplicate simplex id %r" % (sid,))
         simplices.setdefault(d, []).append(sid)
         dims[sid] = d
         if d < 0:
             raise ComplexError("negative dimension %d of %r" % (d, sid))
-        if d == 0:
-            if fs:
-                raise ComplexError("vertex %r with faces" % (sid,))
-            continue
-        if len(fs) != d + 1:
+        if d == 0 and fs:
+            raise ComplexError("vertex %r with faces" % (sid,))
+        if d and len(fs) != d + 1:
             raise ComplexError("simplex %r needs %d faces" % (sid, d + 1))
-        for i, f in enumerate(fs):
-            faces[(sid, i)] = f
-    for (sid, i), f in faces.items():
-        if f not in dims:
-            raise ComplexError("dangling face id %r of %r" % (f, sid))
-        if dims[f] != dims[sid] - 1:
-            raise ComplexError("face %r of %r has wrong dimension" % (f, sid))
+        faces[sid] = tuple(fs)
+    for sid, fs in faces.items():
+        for f in fs:
+            if f not in dims:
+                raise ComplexError("dangling face id %r of %r" % (f, sid))
+            if dims[f] != dims[sid] - 1:
+                raise ComplexError("face %r of %r has wrong dimension"
+                                   % (f, sid))
     # simplicial identities d_i d_j = d_(j-1) d_i for i < j
     for sid, d in dims.items():
         if d < 2:
             continue
-        for j in range(d + 1):
+        fs = faces[sid]
+        for j in range(1, d + 1):
+            below = faces[fs[j]]
             for i in range(j):
-                left = faces[(faces[(sid, j)], i)]
-                right = faces[(faces[(sid, i)], j - 1)]
-                if left != right:
+                if below[i] != faces[fs[i]][j - 1]:
                     raise ComplexError(
                         "identity failure at %r: (i, j) = (%d, %d)"
                         % (sid, i, j))
@@ -117,10 +115,8 @@ def validate_simplicial_set(raw, dim_cap=None):
 
 
 def _first_order(complex_, sid):
-    d = complex_.dim_of[sid]
-    plus = tuple(complex_.face(sid, i) for i in range(0, d + 1, 2))
-    minus = tuple(complex_.face(sid, i) for i in range(1, d + 1, 2))
-    return plus, minus
+    fs = complex_.faces[sid]
+    return fs[0::2], fs[1::2]
 
 
 def _composition_ends(complex_, faces_in_order):
@@ -212,8 +208,8 @@ class Cochain:
         vals = {}
         for tau in self.complex.ids(self.degree + 1):
             acc = self.group.zero()
-            for i in range(self.degree + 2):
-                v = self.value(self.complex.face(tau, i))
+            for i, sigma in enumerate(self.complex.faces[tau]):
+                v = self.value(sigma)
                 acc = acc + (v if i % 2 == 0 else -v)
             vals[tau] = acc
         return Cochain(self.complex, self.degree + 1, self.group, vals)
@@ -250,11 +246,16 @@ def coboundary_matrix(complex_, degree):
     col = {sid: k for k, sid in enumerate(complex_.ids(degree))}
     rows = []
     for tau in complex_.ids(degree + 1):
+        fs = complex_.faces[tau]
         r = {}
-        for i in range(degree + 2):
-            k = col[complex_.face(tau, i)]
-            r[k] = r.get(k, 0) + (1 if i % 2 == 0 else -1)
-        rows.append({k: x for k, x in r.items() if x})
+        sign = 1
+        for sigma in fs:
+            k = col[sigma]
+            r[k] = r.get(k, 0) + sign
+            sign = -sign
+        if len(r) < len(fs):  # only a repeated face can cancel
+            r = {k: x for k, x in r.items() if x}
+        rows.append(r)
     return rows
 
 
@@ -336,16 +337,14 @@ def evaluate_even_odd(torsor, tau, absolute=None):
     is torsor.absolute_alpha(), computed here when not given.
     """
     cx = torsor.complex
-    d = cx.dim_of[tau]
-    if d != torsor.degree + 2:
+    if cx.dim_of[tau] != torsor.degree + 2:
         raise ValueError("pasting needs a simplex of dimension %d"
                          % (torsor.degree + 2))
     if absolute is None:
         absolute = torsor.absolute_alpha()
-    evens = [cx.face(tau, i) for i in range(0, d + 1, 2)]
-    odds = [cx.face(tau, i) for i in range(d if d % 2 else d - 1, 0, -2)]
+    evens, odds = _first_order(cx, tau)
     east = _paste_faces(cx, absolute, evens)
-    west = _paste_faces(cx, absolute, odds)
+    west = _paste_faces(cx, absolute, odds[::-1])
     if east.ends() != west.ends():
         raise AssertionError("even/odd compositions have different ends")
     return east.value, west.value

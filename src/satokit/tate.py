@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import functools
 
-from .exactcat import SES, LinMap
 from .exactlin import (Matrix, Quotient, Subspace, _row_in, _row_out, _rref,
                        _shifted, _split, _units)
 from .laurent import LaurentMatrix, LaurentPoly, left_inverse, right_inverse
@@ -668,6 +667,7 @@ def fd_ses_of_pair(ses, u_sub, u):
 
     returned as validated exactcat data in canonical quotient bases, with
     the LatticeGrid that holds lift(u'), lift(u), proj(u') and proj(u)."""
+    from .exactcat import SES, LinMap
     grid = LatticeGrid(ses, u_sub, u)
     field = ses.field
     q_left = LatticeQuotient(grid.left[0], grid.left[1])

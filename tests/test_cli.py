@@ -1012,6 +1012,15 @@ def test_cli_sset_diagnosis_passthrough(tmp_path, capsys):
     assert "dangling" in capsys.readouterr().err
 
 
+def test_cli_duplicate_simplex_id_is_named_before_a_later_fault(tmp_path,
+                                                                capsys):
+    f = _write(tmp_path, "dup.sset", "simplex 0 v\nsimplex 1 e faces v v\n"
+               "simplex 1 e faces v zzz\n")
+    rc = main(["cohomology", f, "--degree", "0", "--group", "Z"])
+    assert rc == 2
+    assert "duplicate simplex id 'e'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("dim", [-1, -3])
 def test_cli_negative_simplex_dimension_exits_2(tmp_path, capsys, dim):
     f = _write(tmp_path, "neg.sset",
@@ -1148,7 +1157,12 @@ def test_cli_closed_stdout_keeps_exit_code(monkeypatch, lat_files, capsys):
 
 # index, meet, join, lift and project on fixed F3 and F5 .lat and .lmx
 # files (raw .lat rows, one of them dependent), with their --json output as
-# recorded before F3..F13 rows became byte lanes
+# recorded before F3..F13 rows became byte lanes; cohomology, classify and
+# gerbe-torsor on fixed .sset and .coch files (a 4 x 4 grid torus, the
+# benchmark's Klein bottle and RP2, the 4-simplex and the 3-sphere), with
+# their --json output as recorded before faces became one tuple per simplex.
+# An argv token that names one of the files becomes its path; every other
+# token (--degree 1, --group Z/6, --other) passes through unchanged.
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 
 
@@ -1158,8 +1172,9 @@ def test_cli_json_is_byte_identical_to_the_golden_output(tmp_path, capsys,
                                                           run):
     for name, text in GOLDEN["files"].items():
         _write(tmp_path, name, text)
-    verb, *names = run["argv"]
-    assert main(["--json", verb] + [str(tmp_path / n) for n in names]) == 0
+    argv = [str(tmp_path / t) if t in GOLDEN["files"] else t
+            for t in run["argv"]]
+    assert main(["--json"] + argv) == 0
     assert capsys.readouterr().out == run["stdout"]
 
 
@@ -1183,7 +1198,8 @@ def test_cli_import_leaves_the_verification_modules_unloaded():
     assert run.returncode == 0, run.stderr
     loaded = set(run.stdout.split())
     assert "satokit.tate" in loaded and "satokit.simptors" in loaded
-    for name in ("verify", "swald", "detline", "dimtorsor", "complexes"):
+    for name in ("verify", "swald", "detline", "dimtorsor", "complexes",
+                 "exactcat"):
         assert "satokit." + name not in loaded
 
 

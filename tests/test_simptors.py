@@ -1,17 +1,27 @@
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from satokit.abgroup import AbelianGroup, ZZ, format_group, parse_group
-from satokit.complexes import (circle, full_simplex, projective_plane,
-                               simplex_boundary, sphere_3, torus)
+from satokit.complexes import (STANDARD, circle, full_simplex,
+                               projective_plane, simplex_boundary, sphere_3,
+                               torus)
+from satokit.fileio import format_simplicial_set, parse_simplicial_set
 from satokit.simptors import (
     Cochain, CohomologyResult, ComplexError, DegreeRangeError, GerbeError,
     GerbeRep, MultTorsorRep, canonical_factors, check_mult_torsor,
     coboundary_matrix, evaluate_even_odd, gerbe_to_torsor, street_boundaries,
     validate_simplicial_set,
 )
+
+from test_cli import _grid_torus_sset
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import inputs  # noqa: E402
 
 Z2 = AbelianGroup((2,))
 Z4 = AbelianGroup((4,))
@@ -44,6 +54,85 @@ def test_validate_detects_corruption():
     with pytest.raises(ComplexError) as exc:
         validate_simplicial_set(data)
     assert "(i, j)" in str(exc.value) or "identity" in str(exc.value)
+
+
+def _vertices(*names):
+    return [(v, 0, ()) for v in names]
+
+
+def _triangle(a, b, c):
+    """x = (A, B, C) over the edges A = a, B = b, C = c.  Its identities
+    read B[0] == A[0] at (i, j) = (0, 1), C[0] == A[1] at (0, 2) and
+    C[1] == B[1] at (1, 2)."""
+    return _vertices("p", "q", "r", "s", "t") + [
+        ("A", 1, a), ("B", 1, b), ("C", 1, c), ("x", 2, ("A", "B", "C"))]
+
+
+def _tetrahedron(top_faces):
+    """The 3-simplex of vertex words with the top faces given."""
+    cx = full_simplex(3)
+    return [(sid, d, cx.faces[sid]) for d in range(3)
+            for sid in cx.ids(d)] + [("0123", 3, top_faces)]
+
+
+# malformed (id, dim, faces) inputs and the exact message of the first fault:
+# per simplex in input order the dimension and face count, then per simplex
+# and face index the dangling and wrong-dimension faces, then the identities
+# with j ascending and then i
+MALFORMED = [
+    ("negative dimension", [("x", -1, ())], "negative dimension -1 of 'x'"),
+    ("vertex with faces", _vertices("p") + [("q", 0, ("p",))],
+     "vertex 'q' with faces"),
+    ("wrong face count", _vertices("p") + [("a", 1, ("p",))],
+     "simplex 'a' needs 2 faces"),
+    ("dangling face", _vertices("p") + [("a", 1, ("p", "zzz"))],
+     "dangling face id 'zzz' of 'a'"),
+    ("wrong dimension",
+     _vertices("p") + [("a", 1, ("p", "p")), ("b", 1, ("a", "p"))],
+     "face 'a' of 'b' has wrong dimension"),
+    ("identity (0, 1)", _triangle(("p", "q"), ("s", "r"), ("q", "r")),
+     "identity failure at 'x': (i, j) = (0, 1)"),
+    ("identity (0, 2)", _triangle(("p", "q"), ("p", "r"), ("s", "r")),
+     "identity failure at 'x': (i, j) = (0, 2)"),
+    ("identity (1, 2)", _triangle(("p", "q"), ("p", "r"), ("q", "s")),
+     "identity failure at 'x': (i, j) = (1, 2)"),
+    ("identity (0, 2) of a 3-simplex",
+     _tetrahedron(("123", "023", "012", "013")),
+     "identity failure at '0123': (i, j) = (0, 2)"),
+    # two faults: the one found first is reported
+    ("identities (0, 1) and (0, 2)",
+     _triangle(("p", "q"), ("s", "r"), ("t", "r")),
+     "identity failure at 'x': (i, j) = (0, 1)"),
+    ("identities (0, 2) and (1, 2)",
+     _triangle(("p", "q"), ("p", "r"), ("s", "t")),
+     "identity failure at 'x': (i, j) = (0, 2)"),
+    ("identity, then a dangling face",
+     _triangle(("p", "q"), ("s", "r"), ("q", "r")) + [("y", 1, ("p", "z"))],
+     "dangling face id 'z' of 'y'"),
+    ("dangling face, then a wrong face count",
+     _vertices("p") + [("a", 1, ("p", "zzz")), ("b", 1, ("p",))],
+     "simplex 'b' needs 2 faces"),
+    ("wrong dimension at face 0, dangling at face 1",
+     _vertices("p") + [("a", 1, ("p", "p")), ("b", 2, ("p", "zzz", "a"))],
+     "face 'p' of 'b' has wrong dimension"),
+    ("two dangling faces", _vertices("p") + [("a", 1, ("p", "z1")),
+                                            ("b", 1, ("z2", "p"))],
+     "dangling face id 'z1' of 'a'"),
+    ("duplicate id", _vertices("p", "p"), "duplicate simplex id 'p'"),
+    # a duplicate is reported when its second line is read, before the
+    # faults of later checks (this input once reported the dangling face)
+    ("duplicate id, then a dangling face",
+     _vertices("p") + [("e", 1, ("p", "p")), ("e", 1, ("p", "zzz"))],
+     "duplicate simplex id 'e'"),
+]
+
+
+@pytest.mark.parametrize("data, message", [c[1:] for c in MALFORMED],
+                         ids=[c[0] for c in MALFORMED])
+def test_validate_reports_the_first_fault(data, message):
+    with pytest.raises(ComplexError) as exc:
+        validate_simplicial_set(data)
+    assert str(exc.value) == message
 
 
 def test_validate_dangling_face():
@@ -80,6 +169,54 @@ def test_street_lemma_all_fixtures():
                 s = street_boundaries(cx, sid)
                 assert s["++"] == s["--"]
                 assert s["+-"] == s["-+"]
+
+
+# every standard complex, the benchmark's grid surfaces (read-only from
+# perfbench/inputs.py) and the 8 x 8 grid torus of the CLI tests
+COMPLEXES = dict(
+    STANDARD,
+    **{"bench-" + kind: (lambda kind=kind: parse_simplicial_set(
+        inputs.surface_sset(kind, random.Random(5))))
+       for kind in inputs.SURFACES},
+    grid8=lambda: parse_simplicial_set(_grid_torus_sset(8)))
+
+
+def _dense_coboundary(cx, n):
+    """D_n as a dense matrix from the face tuples with signs +1, -1, ..."""
+    cols = list(cx.ids(n))
+    out = []
+    for tau in cx.ids(n + 1):
+        row = [0] * len(cols)
+        for i, sigma in enumerate(cx.face_tuple(tau)):
+            row[cols.index(sigma)] += (-1) ** i
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEXES))
+def test_coboundary_matrix_matches_a_dense_oracle(name):
+    cx = COMPLEXES[name]()
+    dense = {}
+    for n in range(cx.top_dim + 1):
+        rows = coboundary_matrix(cx, n)
+        assert all(x for r in rows for x in r.values())
+        m = cx.n_simplices(n)
+        dense[n] = [[r.get(k, 0) for k in range(m)] for r in rows]
+        assert dense[n] == _dense_coboundary(cx, n), n
+    # D_(n+1) D_n = 0
+    for n in range(cx.top_dim):
+        for row in dense[n + 1]:
+            assert not any(sum(c * dense[n][k][j] for k, c in enumerate(row))
+                           for j in range(cx.n_simplices(n))), n
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEXES))
+def test_sset_text_round_trips_the_faces(name):
+    cx = COMPLEXES[name]()
+    back = parse_simplicial_set(format_simplicial_set(cx))
+    assert back.simplices == cx.simplices
+    assert back.faces == cx.faces
+    assert all(back.faces[sid] == () for sid in back.ids(0))
 
 
 def test_coboundary_squared_zero():
