@@ -34,9 +34,6 @@ class SObject:
     def level(self):
         return len(self.chain)
 
-    def key(self):
-        return tuple(sub.rows for sub in self.chain)
-
     def __eq__(self, other):
         return (isinstance(other, SObject) and self.field == other.field
                 and self.ambient == other.ambient
@@ -44,7 +41,7 @@ class SObject:
                 and self._choice_key() == other._choice_key())
 
     def __hash__(self):
-        return hash((self.field, self.ambient, self.key(),
+        return hash((self.field, self.ambient, self.chain,
                      self._choice_key()))
 
     def _choice_key(self):
@@ -160,7 +157,7 @@ def s_face(obj, i):
     the nose; its array equals the reindexed array of the input.
     """
     n = obj.level
-    if not 0 <= i <= n:
+    if n == 0 or not 0 <= i <= n:
         raise SObjectError("face index out of range")
     if i == 0:
         v1 = obj.sub_at(1)
@@ -196,14 +193,22 @@ class BudgetExceeded(Exception):
     pass
 
 
+# cap on sum_p |S_p| (p + 1)^2, the face and degeneracy entries built and the
+# face pairs checked: (F2, 2, 30) is 9.2M, (F2, 1, 99) 25.5M
+MAX_INCIDENCE_WORK = 1 << 24
+
+
 class SSkeleton:
-    """Levels 0..N of the S-construction with face/degeneracy incidence."""
+    """Levels 0..N of the S-construction: levels[p] lists the level-p
+    objects, faces[p][k] = (d_0, ..., d_p) indexes level p - 1 (faces[0] ==
+    [()]) and degeneracies[p][k] = (s_0, ..., s_p) indexes level p + 1, for
+    p < N."""
 
     def __init__(self, field, ambient, levels, faces, degeneracies):
         self.field = field
         self.ambient = ambient
-        self.levels = levels            # list of lists of SObject
-        self.faces = faces              # (level, idx, i) -> idx in level-1
+        self.levels = levels
+        self.faces = faces
         self.degeneracies = degeneracies
 
     def counts(self):
@@ -211,35 +216,27 @@ class SSkeleton:
 
     def check_simplicial_identities(self):
         """All face/face, face/degeneracy identities on the incidence data."""
-        for p in range(2, len(self.levels)):
-            for idx in range(len(self.levels[p])):
+        faces, degs = self.faces, self.degeneracies
+        for p in range(2, len(faces)):
+            below = faces[p - 1]
+            for idx, fs in enumerate(faces[p]):
                 for j in range(p + 1):
                     for i in range(j):
-                        a = self.faces[(p - 1, self.faces[(p, idx, j)], i)]
-                        b = self.faces[(p - 1, self.faces[(p, idx, i)],
-                                        j - 1)]
-                        if a != b:
+                        if below[fs[j]][i] != below[fs[i]][j - 1]:
                             return (p, idx, i, j)
-        for p in range(len(self.levels) - 1):
-            for idx in range(len(self.levels[p])):
+        for p in range(len(degs)):
+            for idx, ss in enumerate(degs[p]):
                 for j in range(p + 1):
-                    sidx = self.degeneracies[(p, idx, j)]
+                    fs = faces[p + 1][ss[j]]
                     for i in range(p + 2):
-                        fidx = self.faces[(p + 1, sidx, i)]
                         if i == j or i == j + 1:
                             want = idx
-                            if fidx != want:
-                                return (p, idx, i, j)
                         elif i < j:
-                            want = self.degeneracies[
-                                (p - 1, self.faces[(p, idx, i)], j - 1)]
-                            if fidx != want:
-                                return (p, idx, i, j)
+                            want = degs[p - 1][faces[p][idx][i]][j - 1]
                         else:
-                            want = self.degeneracies[
-                                (p - 1, self.faces[(p, idx, i - 1)], j)]
-                            if fidx != want:
-                                return (p, idx, i, j)
+                            want = degs[p - 1][faces[p][idx][i - 1]][j]
+                        if fs[i] != want:
+                            return (p, idx, i, j)
         return None
 
 
@@ -288,39 +285,48 @@ def s_skeleton_counts(field, dim_cap, level_cap, budget):
 def enumerate_s_skeleton(field, dim_cap, level_cap, budget=20000):
     """Complete lists of on-the-nose filtration objects up to the caps.
 
-    The member count is computed in closed form up front (see
-    s_skeleton_counts); a BudgetExceeded error protects against
-    Gaussian-binomial blowup.
+    Counts come first, in closed form (s_skeleton_counts): BudgetExceeded is
+    raised before any subspace is built when they pass the budget or their
+    incidence work sum_p |S_p| (p + 1)^2 passes MAX_INCIDENCE_WORK.  An
+    object is its chain of indices into all_subspaces(field, dim_cap), whose
+    member 0 is the zero subspace; containment is tested once per pair of
+    subspaces.  Face i >= 1 deletes entry i - 1 and s_i repeats it (s_0
+    inserts 0); face 0 maps each later entry V to V / V_1, by s_face once
+    per pair.
     """
-    s_skeleton_counts(field, dim_cap, level_cap, budget)
+    counts = s_skeleton_counts(field, dim_cap, level_cap, budget)
+    work = sum(c * (p + 1) ** 2 for p, c in enumerate(counts))
+    if work > MAX_INCIDENCE_WORK:
+        raise BudgetExceeded(
+            "skeleton would take %d incidence steps (cap %d)"
+            % (work, MAX_INCIDENCE_WORK))
     subs = all_subspaces(field, dim_cap) if level_cap else []
-    levels = [[SObject(field, dim_cap, ())]]
-    index = [{(): 0}]
+    position = {s: k for k, s in enumerate(subs)}
+    # above[a]: the subspaces containing subs[a]; level 1 reads above[0]
+    above, quotient = [range(len(subs))], {}
+    if level_cap > 1:
+        above = [[b for b, v in enumerate(subs) if v.contains(w)]
+                 for w in subs]
+        for a, bs in enumerate(above):
+            for b in bs:
+                pair = SObject(field, dim_cap, (subs[a], subs[b]))
+                quotient[a, b] = position[s_face(pair, 0).chain[0]]
+    chains = [[()]]
     for p in range(1, level_cap + 1):
-        here = []
-        idx = {}
-        for prev in levels[p - 1]:
-            last = prev.chain[-1] if prev.chain else None
-            for s in subs:
-                if last is not None and not s.contains(last):
-                    continue
-                obj = SObject(field, dim_cap, prev.chain + (s,))
-                idx[obj.key()] = len(here)
-                here.append(obj)
-        levels.append(here)
-        index.append(idx)
-    faces = {}
-    degeneracies = {}
+        chains.append([c + (b,) for c in chains[p - 1]
+                       for b in above[c[-1] if c else 0]])
+    index = [{c: k for k, c in enumerate(level)} for level in chains]
+    faces, degeneracies = [[()]], []
     for p in range(1, level_cap + 1):
-        for k, obj in enumerate(levels[p]):
-            for i in range(p + 1):
-                f = s_face(obj, i)
-                faces[(p, k, i)] = index[p - 1][f.key()]
-    for p in range(level_cap):
-        for k, obj in enumerate(levels[p]):
-            for i in range(p + 1):
-                s = s_degeneracy(obj, i)
-                degeneracies[(p, k, i)] = index[p + 1][s.key()]
+        below, here = index[p - 1], index[p]
+        faces.append([(below[tuple(quotient[c[0], v] for v in c[1:])],)
+                      + tuple(below[c[:i] + c[i + 1:]] for i in range(p))
+                      for c in chains[p]])
+        degeneracies.append([tuple(here[c[:i] + (c[i - 1] if i else 0,)
+                                        + c[i:]] for i in range(p))
+                             for c in chains[p - 1]])
+    levels = [[SObject(field, dim_cap, [subs[b] for b in c]) for c in level]
+              for level in chains]
     return SSkeleton(field, dim_cap, levels, faces, degeneracies)
 
 

@@ -685,6 +685,7 @@ def test_cli_s_enumerate_budget(capsys):
     (["s-enumerate", "--field", "Q"], "F_p"),
     (["det-symmetry", "--field", "Q"], "finite field"),
     (["s-enumerate", "--level-cap", "0", "--budget", "-5"], "budget"),
+    (["s-enumerate", "--dim-cap", "0", "--level-cap", "19999"], "incidence"),
 ])
 def test_cli_s_enumerate_refusals_exit_2_fast(capsys, argv, msg):
     import time
@@ -1160,9 +1161,12 @@ def test_cli_closed_stdout_keeps_exit_code(monkeypatch, lat_files, capsys):
 # recorded before F3..F13 rows became byte lanes; cohomology, classify and
 # gerbe-torsor on fixed .sset and .coch files (a 4 x 4 grid torus, the
 # benchmark's Klein bottle and RP2, the 4-simplex and the 3-sphere), with
-# their --json output as recorded before faces became one tuple per simplex.
-# An argv token that names one of the files becomes its path; every other
-# token (--degree 1, --group Z/6, --other) passes through unchanged.
+# their --json output as recorded before faces became one tuple per simplex;
+# s-enumerate at (dim-cap, level-cap) = (2, 4), (5, 2), (3, 3) and (1, 40),
+# with its --json output as recorded before the S-skeleton became index
+# chains with face tuples.  An argv token that names one of the files
+# becomes its path; every other token (--degree 1, --group Z/6, --other)
+# passes through unchanged.
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 
 

@@ -97,6 +97,11 @@ def test_face_two_deletes_column():
     assert d2.chain[0] == obj.chain[0]  # a_01 = k survives
 
 
+def test_level_zero_object_has_no_face():
+    with pytest.raises(SObjectError, match="face index out of range"):
+        s_face(SObject(F2, 2, ()), 0)
+
+
 def test_degeneracy_then_face_identity():
     obj = build_s_object(F2, 2, [sub(F2, 2, (1, 1))])
     assert s_face(s_degeneracy(obj, 0), 0) == obj
@@ -188,8 +193,11 @@ def test_budget_refused_before_any_subspace_is_built(monkeypatch):
 
     monkeypatch.setattr(satokit.swald, "all_subspaces", unreachable)
     t0 = time.monotonic()
-    # F_2^7 has 29212 subspaces; huge caps are refused as fast
-    for dim_cap, level_cap in ((7, 1), (10 ** 6, 1), (0, 10 ** 9)):
+    # F_2^7 has 29212 subspaces; huge caps are refused as fast, and so are
+    # skeletons within the object budget whose incidence work passes
+    # MAX_INCIDENCE_WORK
+    for dim_cap, level_cap in ((7, 1), (10 ** 6, 1), (0, 10 ** 9), (1, 99),
+                               (0, 19999)):
         with pytest.raises(BudgetExceeded):
             enumerate_s_skeleton(F2, dim_cap, level_cap)
     assert time.monotonic() - t0 < 1
@@ -198,10 +206,10 @@ def test_budget_refused_before_any_subspace_is_built(monkeypatch):
 
 
 def test_enumeration_runs_only_its_extension_scan(monkeypatch):
-    # each chain of level p - 1 (p >= 2) is extended by scanning every
-    # subspace for one containing its last member; nothing else tests
-    # containment, since enumeration, faces and degeneracies build nested
-    # chains by construction
+    # the subspaces above each subspace are found by one containment scan
+    # over all subspaces, n_subs^2 calls in all, and chains of every level
+    # are extended from that table; nothing else tests containment, since
+    # enumeration, faces and degeneracies build nested chains by construction
     contains = Subspace.contains
     calls = []
 
@@ -210,10 +218,9 @@ def test_enumeration_runs_only_its_extension_scan(monkeypatch):
         return contains(self, other)
 
     monkeypatch.setattr(Subspace, "contains", counted)
-    sk = enumerate_s_skeleton(F2, 2, 4)
+    enumerate_s_skeleton(F2, 2, 4)
     n_subs = len(all_subspaces(F2, 2))
-    assert len(calls) == sum(len(sk.levels[p - 1]) * n_subs
-                             for p in range(2, 5))
+    assert len(calls) == n_subs ** 2 == 25
 
 
 def test_long_thin_skeleton_is_quick():
@@ -234,6 +241,43 @@ def test_enumerate_refuses_bad_caps_and_fields(field, dim_cap, level_cap):
 def test_simplicial_identities_on_skeleton():
     sk = enumerate_s_skeleton(F2, 2, 4)
     assert sk.check_simplicial_identities() is None
+
+
+@pytest.mark.parametrize("field,n,level_cap", [
+    (F2, 2, 4), (F2, 3, 3), (F3, 3, 2), (F2, 1, 20)])
+def test_face_and_degeneracy_tables_match_the_functors(field, n, level_cap):
+    sk = enumerate_s_skeleton(field, n, level_cap)
+    assert sk.faces[0] == [()] and len(sk.degeneracies) == level_cap
+    for p, level in enumerate(sk.levels):
+        for k, obj in enumerate(level):
+            assert len(sk.faces[p][k]) == (p + 1 if p else 0)
+            for i, f in enumerate(sk.faces[p][k]):
+                assert sk.levels[p - 1][f] == s_face(obj, i)
+            if p < level_cap:
+                assert len(sk.degeneracies[p][k]) == p + 1
+                for i, s in enumerate(sk.degeneracies[p][k]):
+                    assert sk.levels[p + 1][s] == s_degeneracy(obj, i)
+
+
+# At (F2, 1, 3) the level-p chain at index m is p - m copies of 0 followed
+# by m copies of k = F_2; one planted entry per branch of the check
+@pytest.mark.parametrize("table,p,k,i,value,first_failure", [
+    # d_0 of (0, 0) planted as (k): d_0 d_2 = d_1 d_0 fails on (0, 0, 0)
+    ("faces", 2, 0, 0, 1, (3, 0, 0, 2)),
+    # s_0 (0) planted as (0, k): d_0 s_0 = id fails
+    ("degeneracies", 1, 0, 0, 1, (1, 0, 0, 0)),
+    # s_1 (0) planted as (0, k): d_0 s_1 = s_0 d_0 fails
+    ("degeneracies", 1, 0, 1, 1, (1, 0, 0, 1)),
+    # s_0 () planted as (k) passes at level 0, where every face is ();
+    # d_2 s_0 = s_0 d_1 then fails on (0)
+    ("degeneracies", 0, 0, 0, 1, (1, 0, 2, 0)),
+])
+def test_planted_entry_is_the_first_failure(table, p, k, i, value,
+                                            first_failure):
+    sk = enumerate_s_skeleton(F2, 1, 3)
+    rows = getattr(sk, table)[p]
+    rows[k] = rows[k][:i] + (value,) + rows[k][i + 1:]
+    assert sk.check_simplicial_identities() == first_failure
 
 
 def test_quotient_dim_consistency():
