@@ -220,6 +220,15 @@ def cmd_cohomology(args):
                         "group": pres}, [pres])
 
 
+def _classified(res, path, cochain):
+    """The class of the cochain read from path; CliError naming path, exit
+    1, when it is not a cocycle."""
+    try:
+        return res.classify(cochain)
+    except ValueError as exc:
+        raise CliError("%s: %s" % (path, exc), FAIL)
+
+
 def cmd_classify(args):
     cx = _load(args.sset, parse_simplicial_set)
     alpha = _load(args.cochain, parse_cochain, cx)
@@ -228,10 +237,7 @@ def cmd_classify(args):
                        ">= 1")
     # the torsor of alpha over zero anchors: its class is that of alpha
     res = CohomologyResult(cx, alpha.degree, alpha.group)
-    try:
-        cls = res.classify(alpha)
-    except ValueError as exc:  # alpha is not a cocycle
-        raise CliError("%s: %s" % (args.cochain, exc), FAIL)
+    cls = _classified(res, args.cochain, alpha)
     payload = {"command": "classify", "status": "pass",
                "degree": alpha.degree - 1,
                "class": [list(c) for c in cls]}
@@ -241,6 +247,7 @@ def cmd_classify(args):
         if (beta.degree, beta.group) != (alpha.degree, alpha.group):
             raise CliError("%s and %s differ in degree or group"
                            % (args.cochain, args.other))
+        _classified(res, args.other, beta)
         transporter = res.transporter(alpha, beta)
         if transporter is None:
             payload["isomorphic"] = False

@@ -371,7 +371,7 @@ def delta_relative(theory, u, v):
 
     def value_line(lat):
         return GradedLine(f, theory.eval(lat)[0],
-                          "D(%d,%d,%d)" % (lat.lo, lat.hi, len(lat.pivots)))
+                          "D(%d,%d,%d)" % (lat.lo, lat.hi, lat.basis.dim))
 
     src = value_line(u).tensor(GradedLine(f, relative_index(v, u), "det(v/u)"))
     return LineIso(src, value_line(v), theory.rule.delta(u, v))

@@ -200,7 +200,9 @@ def inclusion_map(sub):
 
 def quotient_map(sub):
     """The canonical projection k^ambient -> k^ambient / span(sub)."""
-    return LinMap.of(sub.quotient_matrix())
+    full = Subspace.full(sub.field, sub.ambient)
+    return induced_map(Quotient(Subspace.zero(sub.field, sub.ambient), full),
+                       Quotient(sub, full))
 
 
 # ---------------------------------------------------------------------------

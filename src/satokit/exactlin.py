@@ -731,22 +731,11 @@ class Subspace:
         pset = set(self.pivots)
         return [j for j in range(self.ambient) if j not in pset]
 
-    def _proj(self, v, nonpivots):
-        return _gather(self.field, self._reduce(v), nonpivots, self.ambient)
-
     def proj_coords(self, v):
         """Coordinates of v + self in the canonical quotient basis."""
         f, (v,) = self.field, _checked_rows(self.field, [v])
-        return _row_out(f, self._proj(v, self.nonpivots()),
-                        self.ambient - self.dim)
-
-    def quotient_matrix(self):
-        """The projection k^ambient -> k^ambient / self, row i the quotient
-        coordinates of unit vector i."""
-        f, npv = self.field, self.nonpivots()
-        return Matrix._raw(f, [self._proj(u, npv)
-                               for u in _units(f, self.ambient)],
-                           len(npv), len(npv))
+        return _row_out(f, _gather(f, self._reduce(v), self.nonpivots(),
+                                   self.ambient), self.ambient - self.dim)
 
 
 class Quotient:

@@ -224,7 +224,7 @@ def format_simplicial_set(cx):
                 out.append("simplex 0 %s" % sid)
             else:
                 out.append("simplex %d %s faces %s"
-                           % (d, sid, " ".join(cx.face_tuple(sid))))
+                           % (d, sid, " ".join(cx.faces[sid])))
     return "\n".join(out) + "\n"
 
 

@@ -63,9 +63,6 @@ class SimplicialSet:
     def ids(self, dim):
         return self.simplices.get(dim, ())
 
-    def face_tuple(self, sid):
-        return self.faces[sid]
-
     def n_simplices(self, dim):
         return len(self.simplices.get(dim, ()))
 
@@ -588,9 +585,8 @@ def canonical_factors(summands):
     """Invariant factors of a direct sum of cyclic groups."""
     free = sum(1 for d in summands if d == 0)
     torsion = [d for d in summands if d not in (0, 1)]
-    s = snf_with_transforms([{i: d} for i, d in enumerate(torsion)],
-                            len(torsion), ())[0]
-    torsion = [r[i] for i, r in enumerate(s) if r[i] != 1]
+    torsion = [d for d in invariant_factors(
+        [{i: d} for i, d in enumerate(torsion)], len(torsion)) if d != 1]
     return tuple(torsion) + (0,) * free
 
 

@@ -18,12 +18,13 @@ The classical non-admissible monomorphism k[t] -> k[[t]] is not representable
 here: k[t] is not a finite-rank Laurent-series space, so it is not an object
 of this model at all.  Every mono the model can express is admissible.
 
-A Lattice keeps its rows in exactlin's internal form (rows is a tuple view),
-and _window shifts and masks them into any window, above unit rows for the
-levels past its hi, so meet, join and b <= a work in windows no wider than
-one input's, however far apart the inputs lie: [max lo, max hi) for the
-meet, [min lo, min hi) for the join, a's for b <= a; the level stripping
-cuts the window's rows as they are, so no row is unpacked or packed.
+A Lattice is the value (space, lo, hi, basis), basis the rref Subspace of
+its window, and window_subspace shifts and masks its rows into any window,
+above unit rows for the levels past its hi, so meet, join and b <= a work in
+windows no wider than one input's, however far apart the inputs lie:
+[max lo, max hi) for the meet, [min lo, min hi) for the join, a's own basis
+for b <= a; the level stripping cuts the window's rows as they are, so no
+row is unpacked or packed.
 
 lattice_normalize, the entry for rows from outside, reduces them through
 Subspace.from_rows, which checks every scalar; meet, join, lift and project
@@ -45,8 +46,8 @@ from __future__ import annotations
 
 import functools
 
-from .exactlin import (Matrix, Quotient, Subspace, _row_in, _row_out, _rref,
-                       _shifted, _split, _units)
+from .exactlin import (Matrix, Quotient, Subspace, _row_in, _rref, _shifted,
+                       _split, _units)
 from .laurent import LaurentMatrix, LaurentPoly, left_inverse, right_inverse
 
 
@@ -78,50 +79,38 @@ class TateSpace:
 class Lattice:
     """Element of the Sato Grassmannian of a TateSpace, canonical form.
 
-    _rows are the rref basis of the lattice modulo t^hi O^n in its window, in
-    exactlin's internal form (bits over F2, byte lanes over F3..F13, tuples
-    over Q and p >= 17), and pivots their pivot columns; rows, the tuple
-    view, is built on first read.
+    basis is the rref Subspace of the lattice modulo t^hi O^n in its window
+    t^lo O^n / t^hi O^n; rows is its tuple view.
     """
 
-    __slots__ = ("space", "lo", "hi", "_rows", "pivots", "_view")
+    __slots__ = ("space", "lo", "hi", "basis")
 
-    def __init__(self, space, lo, hi, rows, pivots, _normalized=False):
+    def __init__(self, space, lo, hi, basis, _normalized=False):
         if not _normalized:
             raise ValueError("use lattice_normalize to build lattices")
-        rows = tuple(rows)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "pivots", tuple(pivots))
-        object.__setattr__(self, "_view", None if space.field._bits else rows)
+        object.__setattr__(self, "basis", basis)
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
 
     @property
     def rows(self):
-        if self._view is None:
-            width = (self.hi - self.lo) * self.space.rank
-            object.__setattr__(self, "_view", tuple([
-                _row_out(self.field, r, width) for r in self._rows]))
-        return self._view
+        return self.basis.rows
 
     def __eq__(self, other):
-        # two fields whose rows take different forms compare by the views
         return (isinstance(other, Lattice) and self.space == other.space
                 and self.lo == other.lo and self.hi == other.hi
-                and (self._rows == other._rows
-                     if self.field._bits == other.field._bits
-                     else self.rows == other.rows))
+                and self.basis == other.basis)
 
     def __hash__(self):
-        return hash((self.space, self.lo, self.hi, self.rows))
+        return hash((self.space, self.lo, self.hi, self.basis))
 
     def __repr__(self):
         return "Lattice(%r, lo=%d, hi=%d, extra_dim=%d)" % (
-            self.space, self.lo, self.hi, len(self._rows))
+            self.space, self.lo, self.hi, self.basis.dim)
 
     @property
     def field(self):
@@ -131,7 +120,8 @@ class Lattice:
 def standard_lattice(space, shift=0):
     """t^shift O^n; k((t))^0 has the one lattice 0, with lo = hi = 0."""
     shift = shift if space.rank else 0
-    return Lattice(space, shift, shift, (), (), _normalized=True)
+    return Lattice(space, shift, shift, Subspace.zero(space.field, 0),
+                   _normalized=True)
 
 
 def lattice_normalize(space, lo, hi, raw_basis):
@@ -149,7 +139,7 @@ def _stripped(space, lo, hi, sub):
     with its window shrunk to the minimal one."""
     n, field = space.rank, space.field
     if n == 0:
-        return Lattice(space, 0, 0, (), (), _normalized=True)
+        return standard_lattice(space)
     rows, pivots = sub._rows, sub.pivots
     # deep strip: drop full monomial levels at the hi end, all at once.  The
     # pivots are sorted and distinct, so the last k columns are pivots when
@@ -170,43 +160,31 @@ def _stripped(space, lo, hi, sub):
         rows = _split(field, rows, cut)[1]
         pivots = [p - cut for p in pivots]
         lo += cut // n
-    if lo == hi:
-        rows, pivots = [], []
-    return Lattice(space, lo, hi, rows, pivots, _normalized=True)
+    return Lattice(space, lo, hi, Subspace._raw(field, (hi - lo) * n, rows,
+                                                pivots), _normalized=True)
 
 
-def _window(lat, LO, HI):
-    """Internal rows and pivots of the rref basis of (lat n t^LO O^n) /
-    t^HI O^n, for any LO <= HI.
+def window_subspace(lat, LO, HI):
+    """The rref Subspace of (lat n t^LO O^n) / t^HI O^n, for any LO <= HI.
 
-    They are lat's rows with pivots in [LO, HI), shifted into the window and
-    masked at t^HI, above the unit rows (1 << B c, for B-bit entries, over
-    F2 to F13) of t^max(lat.hi, LO) ... t^(HI-1).  A combination of lat's
-    rows starts at its first pivot, since each pivot column is clear in the
-    other rows; so rows with pivots below t^LO drop out, and the others lose
-    only zeros.  The stack is already in rref, so no reduction runs.
+    Its rows are lat's rows with pivots in [LO, HI), shifted into the window
+    and masked at t^HI, above the unit rows (1 << B c, for B-bit entries,
+    over F2 to F13) of t^max(lat.hi, LO) ... t^(HI-1).  A combination of
+    lat's rows starts at its first pivot, since each pivot column is clear in
+    the other rows; so rows with pivots below t^LO drop out, and the others
+    lose only zeros.  The stack is already in rref, so no reduction runs.
     """
-    n, field = lat.space.rank, lat.field
+    n, field, basis = lat.space.rank, lat.field, lat.basis
     width, off = (HI - LO) * n, (lat.lo - LO) * n
     rows, pivots = [], []
-    for r, p in zip(lat._rows, lat.pivots):
+    for r, p in zip(basis._rows, basis.pivots):
         if 0 <= p + off < width:
             rows.append(_shifted(field, r, off, width))
             pivots.append(p + off)
     units = range(max(lat.hi - LO, 0) * n, width)
-    return rows + list(_units(field, width, units.start)), pivots + list(units)
-
-
-def window_rows(lat, LO, HI):
-    """_window's rows as tuples of scalars."""
-    n, field = (HI - LO) * lat.space.rank, lat.field
-    return [_row_out(field, r, n) for r in _window(lat, LO, HI)[0]]
-
-
-def window_subspace(lat, LO, HI):
-    """_window as a Subspace, its rows as they are."""
-    return Subspace._raw(lat.field, (HI - LO) * lat.space.rank,
-                         *_window(lat, LO, HI))
+    rows += _units(field, width, units.start)
+    pivots += units
+    return Subspace._raw(field, width, rows, pivots)
 
 
 def _check_same_space(a, b):
@@ -220,8 +198,7 @@ def lattice_contains(a, b):
     _check_same_space(a, b)
     if b.lo < a.lo:
         return False
-    return window_subspace(a, a.lo, a.hi).contains(
-        window_subspace(b, a.lo, a.hi))
+    return a.basis.contains(window_subspace(b, a.lo, a.hi))
 
 
 def lattice_meet(a, b):
@@ -230,7 +207,7 @@ def lattice_meet(a, b):
     n = a.space.rank
     # the Zassenhaus stack: each lattice's rows (at most) and its unit rows
     # up to t^HI, at twice the window's width
-    _check_window("meet", sum(len(x._rows) + n * (HI - max(x.hi, LO))
+    _check_window("meet", sum(x.basis.dim + n * (HI - max(x.hi, LO))
                               for x in (a, b)), 2 * (HI - LO) * n)
     return _stripped(a.space, LO, HI, window_subspace(a, LO, HI).meet(
         window_subspace(b, LO, HI)))
@@ -246,12 +223,12 @@ def lattice_join(a, b):
 def relative_index(a, b):
     """dim(a / a n b) - dim(b / a n b).
 
-    This is the difference of the row counts of _window(a, LO, HI) and
-    _window(b, LO, HI) in any common window: each lattice contributes its
-    own rows plus n unit rows per level from its hi up to HI.
+    This is the difference of the dimensions of window_subspace(a, LO, HI)
+    and window_subspace(b, LO, HI) in any common window: each lattice
+    contributes its own rows plus n unit rows per level from its hi up to HI.
     """
     _check_same_space(a, b)
-    return len(a._rows) - len(b._rows) + a.space.rank * (b.hi - a.hi)
+    return a.basis.dim - b.basis.dim + a.space.rank * (b.hi - a.hi)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +482,9 @@ def lift_lattice(ses, u):
 
     The generators, the images of t^e u_k for LO <= e < HI, are a window
     rows shifted by _monomial_images; none escapes below t^LO_t, since
-    e + vmin_i >= LO + vmin_i >= LO_t.
+    e + vmin_i >= LO + vmin_i >= LO_t.  The lift is the left kernel of the
+    generators reduced modulo u's window: reduced rows vanish at its pivot
+    columns, so this is the kernel of their classes in the quotient.
     """
     if u.space != ses.total_space:
         raise ValueError("lattice does not live in the middle space")
@@ -523,14 +502,13 @@ def lift_lattice(ses, u):
     # inside u, so the membership test happens in u's own window
     LO_t = min(u.lo, LO + vmin_i)
     # u's rows and the generators are each built across that window
-    _check_window("lift", max(len(u._rows), (HI - LO) * a),
+    _check_window("lift", max(u.basis.dim, (HI - LO) * a),
                   (u.hi - LO_t) * b, True)
     u_w = window_subspace(u, LO_t, u.hi)
-    npv = u_w.nonpivots()
-    gen = [u_w._proj(r, npv) for r in _monomial_images(
+    gen = [u_w._reduce(r) for r in _monomial_images(
         field, irows, b, LO_t, u.hi, LO, HI, a)]
     return _stripped(src, LO, HI,
-                     Matrix._raw(field, gen, len(npv)).left_kernel())
+                     Matrix._raw(field, gen, u_w.ambient).left_kernel())
 
 
 def project_lattice(ses, u):
@@ -548,13 +526,14 @@ def project_lattice(ses, u):
     LO = u.lo + vmin_j
     if LO == HI:  # the sandwich t^HI O^c <= j(u) <= t^LO O^c is tight
         return standard_lattice(dst, LO)
-    _check_window("project", len(u._rows) + max(HI - vmin_j - u.hi, 0) * b,
+    _check_window("project", u.basis.dim + max(HI - vmin_j - u.hi, 0) * b,
                   (HI - LO) * c, True)
     # images of u's rows, then of the monomials t^e u_k of u's tail for
     # u.hi <= e < HI - vmin_j, one row of j each, shifted; j maps the deeper
     # ones into t^HI O^c
     gen = [_window_row(field, jrows, c, LO, HI,
-                       _window_terms(field, r, b, u.lo)) for r in u._rows]
+                       _window_terms(field, r, b, u.lo))
+           for r in u.basis._rows]
     gen += _monomial_images(field, jrows, c, LO, HI, u.hi, HI - vmin_j, b)
     return _stripped(dst, LO, HI, Subspace._raw(field, (HI - LO) * c,
                                                 *_rref(field, gen)))
@@ -562,26 +541,6 @@ def project_lattice(ses, u):
 
 # ---------------------------------------------------------------------------
 # canonical quotient bases and determinant scalars for nested lattices
-
-class LatticeQuotient:
-    """The finite-dimensional quotient big/small of nested lattices,
-    materialized in the canonical window [lo(big), hi(small))."""
-
-    __slots__ = ("n", "lo", "hi", "quotient")
-
-    def __init__(self, small, big):
-        _check_same_space(small, big)
-        # for small <= big this is [big.lo, small.hi); otherwise Quotient
-        # refuses
-        self.lo, self.hi = min(small.lo, big.lo), max(small.hi, big.hi)
-        self.n = small.space.rank
-        self.quotient = Quotient(window_subspace(small, self.lo, self.hi),
-                                 window_subspace(big, self.lo, self.hi))
-
-    @property
-    def dim(self):
-        return self.quotient.dim
-
 
 def lambda_scalar_chain(a, b, c):
     """Scalar of det(b/a) (x) det(c/b) -> det(c/a) in canonical bases.
@@ -670,17 +629,25 @@ def fd_ses_of_pair(ses, u_sub, u):
     from .exactcat import SES, LinMap
     grid = LatticeGrid(ses, u_sub, u)
     field = ses.field
-    q_left = LatticeQuotient(grid.left[0], grid.left[1])
-    q_mid = LatticeQuotient(u_sub, u)
-    q_right = LatticeQuotient(grid.right[0], grid.right[1])
+    q_left, q_mid, q_right = (_lattice_quotient(*pair) for pair in (
+        grid.left, grid.mid, grid.right))
     maps = []
-    for name, src, dst in (("i", q_left, q_mid), ("j", q_mid, q_right)):
+    for name, (n, lo, _, src), (m, LO, HI, dst) in (("i", q_left, q_mid),
+                                                   ("j", q_mid, q_right)):
         rows = _stencil(ses, name)[0]
-        coords = [dst.quotient._coords(_window_row(
-            field, rows, dst.n, dst.lo, dst.hi,
-            _window_terms(field, src.quotient._basis[k], src.n, src.lo)))
-            for k in range(src.dim)]
+        coords = [dst._coords(_window_row(field, rows, m, LO, HI,
+                                          _window_terms(field, v, n, lo)))
+                  for v in src._basis]
         if None in coords:
             raise ValueError("vector does not lie in the quotient")
         maps.append(LinMap.of(Matrix._raw(field, coords, dst.dim)))
     return SES(*maps), grid
+
+
+def _lattice_quotient(small, big):
+    """(rank, lo, hi, Quotient) of the finite quotient big/small of nested
+    lattices, in the window [lo, hi) = [big.lo, small.hi); Quotient refuses
+    a pair that is not nested."""
+    lo, hi = min(small.lo, big.lo), max(small.hi, big.hi)
+    return small.space.rank, lo, hi, Quotient(window_subspace(small, lo, hi),
+                                              window_subspace(big, lo, hi))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from satokit.complexes import STANDARD
+from satokit.exactcat import quotient_map
 from satokit.exactlin import (
     F2, F3, F5, QQ, Field, Matrix, Quotient, Subspace, all_subspaces,
     all_vectors, invariant_factors, snf_with_transforms, solve_mod,
@@ -930,7 +931,7 @@ def test_lane_subspaces_and_quotients_agree_with_tuple_rows(data):
                 su.contains(sw), join.contains(su), meet.contains(su),
                 [su.contains_vector(v) for v in vs],
                 [su.proj_coords(v) for v in vs],
-                su.quotient_matrix().entries, su.nonpivots(),
+                quotient_map(su).matrix.entries, su.nonpivots(),
                 _maybe(lambda: su.coordinates(Matrix(field, vs, c))),
                 [q_join.coords(v) for v in vs],
                 [q_join.lift(i) for i in range(q_join.dim)],

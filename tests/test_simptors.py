@@ -187,7 +187,7 @@ def _dense_coboundary(cx, n):
     out = []
     for tau in cx.ids(n + 1):
         row = [0] * len(cols)
-        for i, sigma in enumerate(cx.face_tuple(tau)):
+        for i, sigma in enumerate(cx.faces[tau]):
             row[cols.index(sigma)] += (-1) ** i
         out.append(row)
     return out
@@ -552,8 +552,10 @@ def test_one_smith_form_per_coboundary(monkeypatch):
 def test_group_sends_only_non_unit_remainders_to_the_smith_form(
         monkeypatch):
     # unit pivots leave the matrix before the Smith form: the torus's
-    # coboundaries leave nothing, so its one form is canonical_factors';
-    # the projective plane's remainder holds entries +-2 and no unit
+    # coboundaries leave nothing and its summands no torsion, so it builds
+    # no form; the projective plane's remainder holds entries +-2 and no
+    # unit, and canonical_factors sends its one torsion summand, 2, through
+    # invariant_factors
     import satokit.exactlin
     import satokit.simptors
     snf = satokit.exactlin.snf_with_transforms
@@ -573,12 +575,13 @@ def test_group_sends_only_non_unit_remainders_to_the_smith_form(
         assert CohomologyResult(torus(), degree, ZZ).group_presentation == \
             want
         assert remainders == []
-        assert canonical == [([], ())]
+        assert canonical == []
     assert CohomologyResult(projective_plane(), 2, ZZ).group_presentation \
         == (2,)
-    assert [keep for _, keep in remainders] == [()]
+    assert [keep for _, keep in remainders] == [(), ()]
     rows = remainders[0][0]
     assert rows and all(abs(x) == 2 for r in rows for x in r.values())
+    assert remainders[1][0] == [{0: 2}] and canonical == []
 
 
 def test_transporter_refuses_mismatched_cochains():

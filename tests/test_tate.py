@@ -6,13 +6,13 @@ import pytest
 from satokit.exactlin import F2, F5, QQ, Field, Matrix, Subspace
 from satokit.laurent import LaurentMatrix, LaurentPoly, poly_divmod
 from satokit.tate import (
-    Lattice, LatticeGrid, LatticeGridError, LatticeQuotient, TateSES,
+    Lattice, LatticeGrid, LatticeGridError, TateSES,
     TateSESInvalid, TateSpace, compose_filtration,
     delta_scalar_canonical, fd_ses_of_pair,
     lambda_scalar_chain, lattice_contains, lattice_join,
     lattice_meet, lattice_normalize, lift_lattice, project_lattice,
     relative_index, split_tate_ses, standard_lattice,
-    twist_tate_ses, window_rows, window_subspace,
+    twist_tate_ses, window_subspace,
 )
 
 K1 = TateSpace(F5, 1)
@@ -209,7 +209,7 @@ def test_normalization_representation_free(lo, hi, data):
              for r1 in rows for r2 in rows][:6] + rows
     assert lattice_normalize(K2, lo, hi, mixed + rows) == \
         lattice_normalize(K2, lo, hi, rows + mixed)
-    widened = window_rows(lat, lo - 1, hi + 1)
+    widened = window_subspace(lat, lo - 1, hi + 1).rows
     assert lattice_normalize(K2, lo - 1, hi + 1, widened) == lat
 
 
@@ -226,7 +226,7 @@ def test_normalize_output_is_rref(data):
     lat = _drawn_lattice(data)
     sub = Subspace.from_rows(lat.field, (lat.hi - lat.lo) * lat.space.rank,
                              lat.rows)
-    assert sub.rows == lat.rows and sub.pivots == lat.pivots
+    assert sub.rows == lat.rows and sub.pivots == lat.basis.pivots
 
 
 def _dense_rows(lat, lo, hi):
@@ -244,13 +244,14 @@ def _dense_rows(lat, lo, hi):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_window_rows_are_rref(data):
-    # the invariant that lets window_rows skip its own reduction, in windows
-    # wider than lat's, inside it, and past it
+    # the invariant that lets window_subspace skip its own reduction, in
+    # windows wider than lat's, inside it, and past it
     lat = _drawn_lattice(data)
     n, field = lat.space.rank, lat.field
     LO = data.draw(st.integers(lat.lo - 3, lat.hi + 2))
     HI = data.draw(st.integers(LO, max(LO, lat.hi) + 3))
-    rows, width = window_rows(lat, LO, HI), (HI - LO) * n
+    rows = list(window_subspace(lat, LO, HI).rows)
+    width = (HI - LO) * n
     red = Subspace.from_rows(field, width, rows)
     assert list(red.rows) == rows
     sub = window_subspace(lat, LO, HI)
@@ -531,7 +532,7 @@ def test_lift_pullback_property():
         u = _random_lattice(rng, ses.total_space)
         v = lift_lattice(ses, u)
         # push v back through i and check it lands inside u
-        for r in window_rows(v, v.lo, v.hi + 1):
+        for r in window_subspace(v, v.lo, v.hi + 1).rows:
             vec = laurent_vector_from_window(F2, 1, v.lo, r)
             img = apply_row(ses.i, vec)
             w = lattice_join(
@@ -664,7 +665,7 @@ def test_project_against_brute_force_image():
         HI = max(got.hi, u.hi - s.min_valuation()) + 1
         LO = min(got.lo, u.lo + vmin) - 1
         W = HI - vmin
-        basis = window_rows(u, u.lo, W)
+        basis = window_subspace(u, u.lo, W).rows
         images = []
         for pick in itertools.product((0, 1), repeat=len(basis)):
             v = [sum(r[q] for r, x in zip(basis, pick) if x) % 2
@@ -712,8 +713,8 @@ def test_delta_scalar_matches_interleave_sign_oracle():
         m = max(u.hi, v.hi)
         depth = m + (m & 1)
         LO = min(u.lo, v.lo)
-        u_rows = window_rows(u, LO, depth)
-        v_rows = window_rows(v, LO, depth)
+        u_rows = window_subspace(u, LO, depth).rows
+        v_rows = window_subspace(v, LO, depth).rows
         p_u = [next(j for j, y in enumerate(r) if y != 0) for r in u_rows]
         p_v = [next(j for j, y in enumerate(r) if y != 0) for r in v_rows]
         gained = [q for q in p_v if q not in p_u]
@@ -820,11 +821,12 @@ def test_delta_cocycle():
 
 
 def test_quotient_dim_matches_index():
+    from satokit.tate import _lattice_quotient
     rng = random.Random(43)
     for _ in range(20):
         u = _random_lattice(rng, K2, 1)
         v = lattice_join(u, _random_lattice(rng, K2, 1))
-        q = LatticeQuotient(u, v)
+        q = _lattice_quotient(u, v)[3]
         assert q.dim == relative_index(v, u)
 
 
@@ -838,10 +840,11 @@ def test_relative_index_closed_form_matches_window_count():
                 a, b = (_random_lattice(rng, space, 2) for _ in range(2))
                 s = rng.randint(-4, 4)
                 b = lattice_normalize(space, b.lo + s, b.hi + s,
-                                      window_rows(b, b.lo, b.hi))
+                                      window_subspace(b, b.lo, b.hi).rows)
                 LO, HI = min(a.lo, b.lo), max(a.hi, b.hi)
-                assert relative_index(a, b) == (len(window_rows(a, LO, HI))
-                                                - len(window_rows(b, LO, HI)))
+                assert relative_index(a, b) == (
+                    len(window_subspace(a, LO, HI).rows)
+                    - len(window_subspace(b, LO, HI).rows))
 
 
 def test_compose_filtration_with_seeded_inverses():
@@ -1278,6 +1281,8 @@ def test_lane_rows_give_the_lattices_of_tuple_rows(p):
     from satokit.exactlin import Field
 
     def results():
+        # lattices by (lo, hi, rows): == compares the stored rows, whose
+        # forms differ
         rng, out = random.Random(p), []
         for _ in range(4):
             chain = verify.TwistedChain(rng, Field(p), 2, 3, 4)
@@ -1286,8 +1291,9 @@ def test_lane_rows_give_the_lattices_of_tuple_rows(p):
                     for _ in range(2))
             meet, join = lattice_meet(u, v), lattice_join(u, v)
             fd, _ = fd_ses_of_pair(ses, meet, u)
-            out += [lift_lattice(ses, u), project_lattice(ses, u), meet, join,
-                    lattice_contains(u, meet), lattice_contains(meet, u),
+            out += [(x.lo, x.hi, x.rows) for x in (
+                lift_lattice(ses, u), project_lattice(ses, u), meet, join)]
+            out += [lattice_contains(u, meet), lattice_contains(meet, u),
                     lambda_scalar_chain(meet, u, join),
                     fd.i.matrix.entries, fd.j.matrix.entries]
         return out
@@ -1336,12 +1342,12 @@ def test_lattices_store_exactlin_rows_and_read_out_tuples(p):
     for raw, want in zip(_STORED_INPUTS, _STORED[p]):
         lat = lattice_normalize(space, -2, 2, raw)
         assert (lat.lo, lat.hi, lat.rows) == want
-        assert lat.pivots == Subspace.from_rows(field, len(lat.rows[0]),
-                                                lat.rows).pivots
+        assert lat.basis.pivots == Subspace.from_rows(
+            field, len(lat.rows[0]), lat.rows).pivots
         built = [lat, lattice_meet(lat, standard_lattice(space, -1)),
                  lattice_join(lat, standard_lattice(space, 1)),
                  lift_lattice(ses, lat), project_lattice(ses, lat)]
-        assert all(type(r) is kind for x in built for r in x._rows)
+        assert all(type(r) is kind for x in built for r in x.basis._rows)
         assert repr(lat).endswith("extra_dim=%d)" % len(want[2]))
 
 
@@ -1377,7 +1383,7 @@ def test_lift_and_project_build_one_window_row_per_row_of_i_and_j(
         calls.clear()
         assert project_lattice(ses, u) == projected
         assert calls["_window_row"] == (
-            len(u.pivots) + (ses.j.nrows if tail else 0)
+            len(u.basis.pivots) + (ses.j.nrows if tail else 0)
             if HI > u.lo + vmin_j else 0)
     assert levels > 10 and tails > 5
 
@@ -1393,8 +1399,8 @@ def test_windows_and_strips_convert_no_row(monkeypatch, field):
     rng = random.Random(79)
     space = TateSpace(field, 2)
     lats = [rand_lattice(rng, space, bound=3) for _ in range(30)]
-    calls = [_counting(monkeypatch, module, ["_row_in", "_row_out"])
-             for module in (satokit.exactlin, satokit.tate)]
+    calls = [_counting(monkeypatch, satokit.exactlin, ["_row_in", "_row_out"]),
+             _counting(monkeypatch, satokit.tate, ["_row_in"])]
     for a, b in zip(lats, lats[1:]):
         for LO, HI in ((a.lo - 1, a.hi + 2), (a.lo, a.hi), (b.lo, b.hi),
                        (a.lo + 1, a.hi), (min(a.lo, b.lo), a.hi)):
@@ -1412,10 +1418,55 @@ def test_windows_and_strips_convert_no_row(monkeypatch, field):
 
 
 @pytest.mark.parametrize("field", [F2, F5])
+def test_hash_and_equality_read_the_stored_basis(monkeypatch, field):
+    # a lattice hashes and compares its basis as stored, so neither builds
+    # a tuple view of an F2 or F5 lattice; _row_out is counted in tate too,
+    # where a lattice of its own rows would call it
+    import collections
+    import satokit.exactlin
+    import satokit.tate
+    from satokit.verify import rand_lattice
+
+    def lattices():
+        rng = random.Random(89)
+        return [rand_lattice(rng, TateSpace(field, 2), bound=3)
+                for _ in range(30)]
+
+    lats, again = lattices(), lattices()
+    calls, row_out = collections.Counter(), satokit.exactlin._row_out
+
+    def counted(*args):
+        calls["_row_out"] += 1
+        return row_out(*args)
+
+    for module in (satokit.exactlin, satokit.tate):
+        monkeypatch.setattr(module, "_row_out", counted, raising=False)
+    assert lats == again
+    assert [hash(x) for x in lats] == [hash(x) for x in again]
+    assert len(set(lats + again)) == len(set(lats)) > 20
+    assert calls == {}
+
+
+def test_lattice_contains_builds_one_window(monkeypatch):
+    # b <= a reads a's stored basis and builds only b's rows in a's window
+    import satokit.tate
+    from satokit.verify import rand_lattice
+    rng = random.Random(97)
+    lats = [rand_lattice(rng, K2, bound=3) for _ in range(20)]
+    pairs = [(a, b) for a in lats for b in lats if b.lo >= a.lo]
+    calls = _counting(monkeypatch, satokit.tate, ["window_subspace"])
+    got = [lattice_contains(a, b) for a, b in pairs]
+    assert calls["window_subspace"] == len(pairs)
+    monkeypatch.undo()
+    assert got == [lattice_meet(a, b) == b for a, b in pairs]
+    assert 0 < sum(got) < len(pairs)
+
+
+@pytest.mark.parametrize("field", [F2, F5])
 def test_project_reads_the_stored_rows_of_u(monkeypatch, field):
     # project_lattice reads the terms of u's rows off its set bits or byte
     # lanes, so it builds no tuple view of a fresh lattice
-    import satokit.tate
+    import satokit.exactlin
     from satokit.verify import TwistedChain, rand_lattice
     rng = random.Random(83)
     cases = []
@@ -1423,11 +1474,11 @@ def test_project_reads_the_stored_rows_of_u(monkeypatch, field):
         ch = TwistedChain(rng, field, 1, 2, 3)
         cases += [(ses, rand_lattice(rng, ch.total, bound=3))
                   for ses in (ch.ses13, ch.ses23)]
-    calls = _counting(monkeypatch, satokit.tate, ["_row_out"])
+    calls = _counting(monkeypatch, satokit.exactlin, ["_row_out"])
     projected = [project_lattice(ses, u) for ses, u in cases]
     assert calls == {}
     monkeypatch.undo()
-    assert sum(len(u._rows) for _, u in cases) > 20
+    assert sum(len(u.basis._rows) for _, u in cases) > 20
     for (ses, u), got in zip(cases, projected):
         assert got == project_by_laurent_rows(ses, u)
 
