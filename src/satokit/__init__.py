@@ -13,9 +13,9 @@ _HOMES = {name: words[0] for words in map(str.split, """
     exactcat FdSpace Grid3x3 LinMap SES SESInvalid complete_grid_3x3
     epi_mono_factorize pullback_admissible_monos pushout_admissible_epis;
     laurent LaurentMatrix LaurentPoly;
-    tate Lattice LatticeGrid TateSES TateSESInvalid TateSpace lattice_contains
-    lattice_join lattice_meet lattice_normalize lift_lattice project_lattice
-    relative_index split_tate_ses standard_lattice;
+    tate Lattice TateSES TateSESInvalid TateSpace lattice_contains lattice_join
+    lattice_meet lattice_normalize lift_lattice project_lattice relative_index
+    split_tate_ses standard_lattice;
     dimtorsor DimTheory RelTheory mu_combine pushout_along torsor_difference;
     detline DetRule DetTheory GradedLine LineIso check_symmetry delta_relative
     det_line graded_det koszul_swap lambda_ses ungraded_det;

@@ -157,8 +157,8 @@ def cmd_mu_eval(args):
     from .dimtorsor import DimTheory, RelTheory, mu_combine
     ses, u = _load_ses_and_lattice(args)
     group = args.group
-    gen = group.elem(_coords(args.generator, group) if args.generator
-                     else [1] * group.ngens)
+    gen = group.elem(_coords(args.generator, group)
+                     if args.generator is not None else [1] * group.ngens)
     chi = DimTheory(group, gen)
     d1 = RelTheory.standard(chi, ses.sub_space,
                             group.elem(_coords(args.d1, group)))

@@ -352,9 +352,7 @@ class _Connecting(namedtuple("_Connecting", "ses delta1 delta2 degree")):
     def __call__(self, u, v):
         ses = self.ses
         f = ses.field
-        fd, grid = fd_ses_of_pair(ses, u, v)
-        u1, v1 = grid.left
-        u2, v2 = grid.right
+        fd, ((u1, v1), (u2, v2)) = fd_ses_of_pair(ses, u, v)
         degree = self.degree + relative_index(
             u2, standard_lattice(ses.quot_space))
         sign = koszul_sign(f, degree, relative_index(v1, u1))

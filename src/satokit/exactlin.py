@@ -589,6 +589,8 @@ class Matrix:
     def solve(self, targets):
         """A matrix x with x @ self == targets, or None when a row of targets
         is not in the row space; x is unique when self has full row rank."""
+        if self.field.p != targets.field.p:
+            raise ValueError("field mismatch")
         if targets.ncols != self.ncols:
             raise ValueError("shape mismatch: solve for %d columns in %d"
                              % (targets.ncols, self.ncols))
@@ -719,6 +721,8 @@ class Subspace:
     def coordinates(self, m):
         """The matrix of the coefficients of m's rows in the basis, or None
         when a row of m is not in the subspace."""
+        if self.field.p != m.field.p:
+            raise ValueError("field mismatch")
         if m.ncols != self.ambient:
             raise ValueError("ambient mismatch")
         f = self.field

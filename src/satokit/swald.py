@@ -254,7 +254,8 @@ def s_skeleton_counts(field, dim_cap, level_cap, budget):
     is built: level p holds the weak chains V_1 <= ... <= V_p in F_q^n,
     summed over the dimension sequences d_1 <= ... <= d_p <= n of
     [n; d_p]_q [d_p; d_(p-1)]_q ... [d_2; d_1]_q.  Raises BudgetExceeded
-    as soon as the total passes the budget."""
+    as soon as the total passes the budget or the incidence work
+    sum_p |S_p| (p + 1)^2 passes MAX_INCIDENCE_WORK."""
     if dim_cap < 0 or level_cap < 0:
         raise ValueError("dim-cap and level-cap must be >= 0")
     if budget < 1:
@@ -265,19 +266,24 @@ def s_skeleton_counts(field, dim_cap, level_cap, budget):
         return [1]
     # chains[d][p]: weak chains of length p in F_q^d.  The skeleton of F_q^d
     # embeds in that of F_q^(d+1), so the totals grow with d, and a total
-    # past the budget below n refuses n too
+    # past the budget or the cap below n refuses n too
     chains = []
     for d in range(dim_cap + 1):
         gb = [_gaussian_binomial(d, e, field.p) for e in range(d)]
-        row, total = [1], 1
+        row, total, work = [1], 1, 1
         for p in range(1, level_cap + 1):
             row.append(row[-1] + sum(g * chains[e][p - 1]
                                      for e, g in enumerate(gb)))
             total += row[-1]
+            work += row[-1] * (p + 1) ** 2
             if total > budget:
                 raise BudgetExceeded(
                     "skeleton would hold at least %d objects (budget %d)"
                     % (total, budget))
+            if work > MAX_INCIDENCE_WORK:
+                raise BudgetExceeded(
+                    "skeleton would take at least %d incidence steps (cap %d)"
+                    % (work, MAX_INCIDENCE_WORK))
         chains.append(row)
     return chains[dim_cap]
 
@@ -287,19 +293,13 @@ def enumerate_s_skeleton(field, dim_cap, level_cap, budget=20000):
 
     Counts come first, in closed form (s_skeleton_counts): BudgetExceeded is
     raised before any subspace is built when they pass the budget or their
-    incidence work sum_p |S_p| (p + 1)^2 passes MAX_INCIDENCE_WORK.  An
-    object is its chain of indices into all_subspaces(field, dim_cap), whose
-    member 0 is the zero subspace; containment is tested once per pair of
-    subspaces.  Face i >= 1 deletes entry i - 1 and s_i repeats it (s_0
-    inserts 0); face 0 maps each later entry V to V / V_1, by s_face once
-    per pair.
+    incidence work passes MAX_INCIDENCE_WORK.  An object is its chain of
+    indices into all_subspaces(field, dim_cap), whose member 0 is the zero
+    subspace; containment is tested once per pair of subspaces.  Face i >= 1
+    deletes entry i - 1 and s_i repeats it (s_0 inserts 0); face 0 maps each
+    later entry V to V / V_1, by s_face once per pair.
     """
-    counts = s_skeleton_counts(field, dim_cap, level_cap, budget)
-    work = sum(c * (p + 1) ** 2 for p, c in enumerate(counts))
-    if work > MAX_INCIDENCE_WORK:
-        raise BudgetExceeded(
-            "skeleton would take %d incidence steps (cap %d)"
-            % (work, MAX_INCIDENCE_WORK))
+    s_skeleton_counts(field, dim_cap, level_cap, budget)
     subs = all_subspaces(field, dim_cap) if level_cap else []
     position = {s: k for k, s in enumerate(subs)}
     # above[a]: the subspaces containing subs[a]; level 1 reads above[0]

@@ -575,62 +575,21 @@ def delta_scalar_canonical(u, v):
     return lambda_scalar_chain(ref, u, v)
 
 
-# ---------------------------------------------------------------------------
-# the nine-lattice grid of a nested pair through a short exact sequence
-
-class LatticeGridError(Exception):
-    def __init__(self, code):
-        self.code = code
-        super().__init__(code)
-
-
-class LatticeGrid:
-    """A nested pair u' <= u of middle lattices completed to the grid of
-    rows (lift u', u', proj u'), (lift u, u, proj u) and quotient dims;
-    raises LatticeGridError with a diagnosis when the precondition fails."""
-
-    def __init__(self, ses, u_sub, u):
-        if u.space != ses.total_space or u_sub.space != ses.total_space:
-            raise LatticeGridError("wrong-space")
-        if not lattice_contains(u, u_sub):
-            raise LatticeGridError("not-nested")
-        self.ses = ses
-        self.mid = (u_sub, u)
-        self.left = (lift_lattice(ses, u_sub), lift_lattice(ses, u))
-        self.right = (project_lattice(ses, u_sub), project_lattice(ses, u))
-        if not lattice_contains(self.left[1], self.left[0]):
-            raise LatticeGridError("lift-not-nested")
-        if not lattice_contains(self.right[1], self.right[0]):
-            raise LatticeGridError("projection-not-nested")
-        self.bottom_dims = (
-            relative_index(self.left[1], self.left[0]),
-            relative_index(u, u_sub),
-            relative_index(self.right[1], self.right[0]),
-        )
-        if self.bottom_dims[1] != self.bottom_dims[0] + self.bottom_dims[2]:
-            raise LatticeGridError("bottom-row-not-exact")
-
-    def entries(self):
-        return {
-            "tl": self.left[0], "tm": self.mid[0], "tr": self.right[0],
-            "ml": self.left[1], "mm": self.mid[1], "mr": self.right[1],
-            "bl": self.bottom_dims[0], "bm": self.bottom_dims[1],
-            "br": self.bottom_dims[2],
-        }
-
-
 def fd_ses_of_pair(ses, u_sub, u):
     """The induced short exact sequence of finite quotients
 
         lift(u)/lift(u') >--> u/u' -->> proj(u)/proj(u')
 
     returned as validated exactcat data in canonical quotient bases, with
-    the LatticeGrid that holds lift(u'), lift(u), proj(u') and proj(u)."""
+    the pairs (lift u', lift u) and (proj u', proj u).  Each quotient refuses
+    a pair that is not nested with a ValueError, u/u' before any lift or
+    projection runs, and SES refuses an inexact sequence."""
     from .exactcat import SES, LinMap
-    grid = LatticeGrid(ses, u_sub, u)
+    q_mid = _lattice_quotient(u_sub, u)
+    lifts = (lift_lattice(ses, u_sub), lift_lattice(ses, u))
+    projs = (project_lattice(ses, u_sub), project_lattice(ses, u))
     field = ses.field
-    q_left, q_mid, q_right = (_lattice_quotient(*pair) for pair in (
-        grid.left, grid.mid, grid.right))
+    q_left, q_right = _lattice_quotient(*lifts), _lattice_quotient(*projs)
     maps = []
     for name, (n, lo, _, src), (m, LO, HI, dst) in (("i", q_left, q_mid),
                                                    ("j", q_mid, q_right)):
@@ -641,7 +600,7 @@ def fd_ses_of_pair(ses, u_sub, u):
         if None in coords:
             raise ValueError("vector does not lie in the quotient")
         maps.append(LinMap.of(Matrix._raw(field, coords, dst.dim)))
-    return SES(*maps), grid
+    return SES(*maps), (lifts, projs)
 
 
 def _lattice_quotient(small, big):

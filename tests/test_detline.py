@@ -312,7 +312,7 @@ def test_mu_det_koszul_insertion_sign():
 
 
 def test_connecting_scalar_lifts_and_projects_each_lattice_once(monkeypatch):
-    # the grid of fd_ses_of_pair already holds lift and project of u and v
+    # fd_ses_of_pair already returns lift and project of u and v
     import collections
     import satokit.detline
     import satokit.tate

@@ -486,6 +486,14 @@ def test_products_and_stacks_refuse_two_fields():
                 op(b)
     with pytest.raises(ValueError, match="field mismatch"):
         Matrix(QQ, [[1]]).mul(Matrix(F5, [[1]]))
+    # solve and coordinates read F2 bits as F5 lanes, and fail over Q
+    eye = [[1, 0], [0, 1]]
+    for fa, fb in ((F5, F2), (QQ, F5)):
+        target = Matrix(fb, [[1, 1]])
+        for op in (Matrix(fa, eye).solve,
+                   Subspace.from_rows(fa, 2, eye).coordinates):
+            with pytest.raises(ValueError, match="field mismatch"):
+                op(target)
 
 
 # --- SNF; independent oracle: gcd of k x k minors -----------------------

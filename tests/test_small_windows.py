@@ -1,5 +1,5 @@
-"""Every rank-2 lattice of a small window, and the lattice laws on every
-ordered pair of them.
+"""Every rank-2 lattice of a small window, the lattice laws on every
+ordered pair of them, and the finite sequence of every nested pair.
 
 The lattices between t^L O^2 and O^2 are the t-stable subspaces of the
 window O^2 / t^L O^2, in the coordinates t^e u_i at column 2e + i: the
@@ -15,8 +15,11 @@ import pytest
 
 from satokit.exactlin import Field, Subspace, all_subspaces
 from satokit.fileio import format_lattice, parse_lattice
-from satokit.tate import (TateSpace, lattice_contains, lattice_join,
-                          lattice_meet, lattice_normalize, relative_index)
+from satokit.laurent import LaurentMatrix, LaurentPoly
+from satokit.tate import (TateSpace, fd_ses_of_pair, lattice_contains,
+                          lattice_join, lattice_meet, lattice_normalize,
+                          lift_lattice, project_lattice, relative_index,
+                          split_tate_ses, twist_tate_ses)
 
 N = 2  # the rank
 
@@ -75,3 +78,48 @@ def test_laws_on_every_pair_of_small_lattices(p, L, count):
                 failures.append(("contains", a, b))
     assert not failures, "%d failing checks, the first %r" % (
         len(failures), failures[:3])
+
+
+def test_fd_ses_of_every_pair_of_small_lattices():
+    # every ordered pair of the 74 F2 lattices above, along the split
+    # K >-> K^2 ->> K and its twist by A = [[1, t^-1], [0, 1]], which over
+    # F2 is its own inverse: a nested pair gives its lifts, projections and
+    # the three relative indices, and every other pair is refused
+    field = Field(2)
+    space = TateSpace(field, N)
+    lats = [lattice_normalize(space, lo, lo + 3, s.rows)
+            for lo in (0, 1) for s in t_stable_subspaces(field, 3)]
+    one, zero = LaurentPoly.one(field), LaurentPoly.zero(field)
+    aut = LaurentMatrix(field, [[one, LaurentPoly.t_power(field, -1)],
+                                [zero, one]])
+    split = split_tate_ses(field, 1, 1)
+    nested, refused, failures = 0, 0, []
+    for ses in (split, twist_tate_ses(split, aut, aut)):
+        for a in lats:
+            for b in lats:
+                if not lattice_contains(b, a):
+                    try:
+                        fd_ses_of_pair(ses, a, b)
+                    except ValueError:
+                        refused += 1
+                    else:
+                        failures.append(("not refused", a, b))
+                    continue
+                nested += 1
+                try:
+                    fd, pairs = fd_ses_of_pair(ses, a, b)
+                except Exception as exc:
+                    failures.append(("raised %r" % exc, a, b))
+                    continue
+                lifts = (lift_lattice(ses, a), lift_lattice(ses, b))
+                projs = (project_lattice(ses, a), project_lattice(ses, b))
+                if pairs != (lifts, projs):
+                    failures.append(("lattices", a, b))
+                if (fd.sub.dim, fd.total.dim, fd.quot.dim) != (
+                        relative_index(lifts[1], lifts[0]),
+                        relative_index(b, a),
+                        relative_index(projs[1], projs[0])):
+                    failures.append(("dimensions", a, b))
+    assert not failures, "%d failing pairs, the first %r" % (
+        len(failures), failures[:3])
+    assert (nested, refused) == (2532, 8420)

@@ -6,8 +6,7 @@ import pytest
 from satokit.exactlin import F2, F5, QQ, Field, Matrix, Subspace
 from satokit.laurent import LaurentMatrix, LaurentPoly, poly_divmod
 from satokit.tate import (
-    Lattice, LatticeGrid, LatticeGridError, TateSES,
-    TateSESInvalid, TateSpace, compose_filtration,
+    Lattice, TateSES, TateSESInvalid, TateSpace, compose_filtration,
     delta_scalar_canonical, fd_ses_of_pair,
     lambda_scalar_chain, lattice_contains, lattice_join,
     lattice_meet, lattice_normalize, lift_lattice, project_lattice,
@@ -733,40 +732,47 @@ def _rand_lat(rng, space, bound=2):
     return lattice_normalize(space, lo, hi, rows)
 
 
-def test_lattice_grid_split():
+def _fd_dims(fd):
+    return (fd.sub.dim, fd.total.dim, fd.quot.dim)
+
+
+def test_fd_ses_of_pair_split():
     ses = split_tate_ses(F5, 1, 1)
     u = standard_lattice(K2)
     u_sub = diag_monomial_lattice(K2, [1, 0])
-    grid = LatticeGrid(ses, u_sub, u)
-    e = grid.entries()
-    assert e["tl"] == standard_lattice(K1, 1)
-    assert e["ml"] == standard_lattice(K1)
-    assert e["tr"] == e["mr"] == standard_lattice(K1)
-    assert grid.bottom_dims == (1, 1, 0)
+    fd, (lifts, projs) = fd_ses_of_pair(ses, u_sub, u)
+    assert lifts == (standard_lattice(K1, 1), standard_lattice(K1))
+    assert projs == (standard_lattice(K1), standard_lattice(K1))
+    assert _fd_dims(fd) == (1, 1, 0)
 
 
-def test_lattice_grid_trivial_bottom():
+def test_fd_ses_of_pair_trivial():
     ses = split_tate_ses(F5, 1, 1)
     u = standard_lattice(K2)
-    grid = LatticeGrid(ses, u, u)
-    assert grid.bottom_dims == (0, 0, 0)
+    fd, _ = fd_ses_of_pair(ses, u, u)
+    assert _fd_dims(fd) == (0, 0, 0)
 
 
-def test_lattice_grid_shift_invariance():
+def test_fd_ses_of_pair_shift_invariance():
     ses = split_tate_ses(F5, 1, 1)
     for shift in (-2, 0, 3):
         u = diag_monomial_lattice(K2, [shift, shift])
         u_sub = diag_monomial_lattice(K2, [shift + 1, shift])
-        grid = LatticeGrid(ses, u_sub, u)
-        assert grid.bottom_dims == (1, 1, 0)
+        fd, _ = fd_ses_of_pair(ses, u_sub, u)
+        assert _fd_dims(fd) == (1, 1, 0)
 
 
-def test_lattice_grid_rejects_non_nested():
+def test_fd_ses_of_pair_rejects_non_nested(monkeypatch):
+    # u/u' is built first, so the refusal comes before any lift or projection
+    import satokit.tate
     ses = split_tate_ses(F5, 1, 1)
     u = standard_lattice(K2)
     u_big = diag_monomial_lattice(K2, [-1, 0])
-    with pytest.raises(LatticeGridError):
-        LatticeGrid(ses, u_big, u)
+    calls = _counting(monkeypatch, satokit.tate,
+                      ["lift_lattice", "project_lattice"])
+    with pytest.raises(ValueError):
+        fd_ses_of_pair(ses, u_big, u)
+    assert calls == {}
 
 
 def test_fd_ses_of_pair_validates():
@@ -777,9 +783,27 @@ def test_fd_ses_of_pair_validates():
         ses = twist_tate_ses(base, aut, aut_inv)
         u = _random_lattice(rng, ses.total_space)
         u_sub = lattice_meet(u, standard_lattice(ses.total_space, 1))
-        fd, grid = fd_ses_of_pair(ses, u_sub, u)
+        fd, (lifts, projs) = fd_ses_of_pair(ses, u_sub, u)
         assert fd.sub.dim + fd.quot.dim == fd.total.dim
-        assert grid.bottom_dims == (fd.sub.dim, fd.total.dim, fd.quot.dim)
+        assert _fd_dims(fd) == (relative_index(lifts[1], lifts[0]),
+                                relative_index(u, u_sub),
+                                relative_index(projs[1], projs[0]))
+
+
+def test_fd_ses_of_pair_tests_each_nesting_once(monkeypatch):
+    # u' <= u, lift u' <= lift u and proj u' <= proj u are each tested once,
+    # by the quotient that needs it
+    from satokit.verify import TwistedChain, rand_lattice
+    rng = random.Random(7)
+    cases = []
+    for _ in range(20):
+        chain = TwistedChain(rng, F5, 2, 3, 4)
+        u, v = (rand_lattice(rng, chain.total, bound=2) for _ in range(2))
+        cases.append((chain.ses13, lattice_meet(u, v), u))
+    calls = _counting(monkeypatch, Subspace, ["contains"])
+    for ses, u_sub, u in cases:
+        fd_ses_of_pair(ses, u_sub, u)
+    assert calls == {"contains": 60}
 
 
 # --- canonical lambda / delta scalars ------------------------------------
