@@ -134,19 +134,15 @@ def koszul_sign(field, a, b):
     return field.neg(field.one()) if (a * b) % 2 else field.one()
 
 
-def lambda_ses(ses, section=None, graded=True):
+def lambda_ses(ses, graded=True):
     """The connecting iso det(a') (x) det(a'') -> det(a) of a SES.
 
     The scalar is the determinant of the rows (i(basis of a'), s(basis of
-    a'')) in the basis of a; the section defaults to the canonical one and
-    must satisfy s . j = id, checked for a given one (the canonical one is
-    the solve of s . j = id).
+    a'')) in the basis of a, for s the canonical section of j.  Any section
+    gives the same scalar: two sections differ by a map into i(a'), which
+    adds multiples of the first rows to the last ones.
     """
-    if section is None:
-        section = canonical_section(ses.j)
-    elif section.then(ses.j) != LinMap.identity(ses.quot):
-        raise ValueError("section does not split the epi")
-    scalar = ses.i.matrix.vstack(section.matrix).det()
+    scalar = ses.i.matrix.vstack(canonical_section(ses.j).matrix).det()
     mk = _line_maker(graded)
     src = mk(ses.sub).tensor(mk(ses.quot))
     return LineIso(src, mk(ses.total), scalar)
@@ -173,11 +169,11 @@ class DetTheory:
     def h(self, space):
         return _line_maker(self.graded)(space)
 
-    def lam(self, ses, section=None):
-        return lambda_ses(ses, section, graded=self.graded)
+    def lam(self, ses):
+        return lambda_ses(ses, graded=self.graded)
 
-    def lambda_scalar(self, ses, section=None):
-        return self.lam(ses, section).scalar
+    def lambda_scalar(self, ses):
+        return self.lam(ses).scalar
 
     def symmetry_scalar(self, line_a, line_b):
         return koszul_sign(self.field, line_a.degree, line_b.degree)

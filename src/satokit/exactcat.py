@@ -412,12 +412,11 @@ def induced_map(src, dst):
     return LinMap.of(m)
 
 
-def complete_grid_3x3(top_mono, left_mono, p_top=None, p_left=None):
-    """Complete a cartesian square of admissible monos to a full 3x3 grid.
+def complete_grid_3x3(top_mono, left_mono):
+    """Complete the square of two admissible monos into x to a full 3x3 grid.
 
     top_mono and left_mono are admissible monos with the common target x;
-    when p_top/p_left present the given square is validated (diagnosis
-    'not-cartesian' if it fails) instead of recomputed.
+    the grid's top-left corner is their pullback, the meet of their images.
     The grid is unvalidated, being exact by construction (induced_maps of
     nested subquotients); verify.suite_grid runs Grid3x3.validate on it.
     """
@@ -430,16 +429,6 @@ def complete_grid_3x3(top_mono, left_mono, p_top=None, p_left=None):
         raise GridError("not-mono")
     f, amb = top.field, top.ncols
     w = u_top.meet(u_left)
-    if p_top is not None or p_left is not None:
-        if p_top is None or p_left is None or \
-                p_top.source != p_left.source or \
-                p_top.then(top_mono) != p_left.then(left_mono):
-            raise GridError("not-cartesian")
-        # top_mono is mono, so p_top is mono iff its composite keeps rank
-        given = p_top.then(top_mono).image_subspace()
-        if given.dim != p_top.matrix.nrows or given != w:
-            raise GridError("not-cartesian")
-
     zero = Subspace.zero(f, amb)
     full = Subspace.full(f, amb)
     usum = u_top.join(u_left)

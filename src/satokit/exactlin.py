@@ -201,6 +201,13 @@ def _checked_rows(field, rows):
                                   for x in r]) for r in rows])
 
 
+def _checked_vector(field, n, v):
+    """The internal row of a vector of k^n, refused at any other length."""
+    if len(v) != n:
+        raise ValueError("row length does not match ambient dimension")
+    return _checked_rows(field, [v])[0]
+
+
 def _zero_row(field, n):
     return 0 if field._bits else (field.zero(),) * n
 
@@ -691,7 +698,7 @@ class Subspace:
         return not _nonzero(self._reduce(v))
 
     def contains_vector(self, v):
-        return self._contains(_checked_rows(self.field, [v])[0])
+        return self._contains(_checked_vector(self.field, self.ambient, v))
 
     def contains(self, other):
         self._check(other)
@@ -737,7 +744,7 @@ class Subspace:
 
     def proj_coords(self, v):
         """Coordinates of v + self in the canonical quotient basis."""
-        f, (v,) = self.field, _checked_rows(self.field, [v])
+        f, v = self.field, _checked_vector(self.field, self.ambient, v)
         return _row_out(f, _gather(f, self._reduce(v), self.nonpivots(),
                                    self.ambient), self.ambient - self.dim)
 
@@ -772,7 +779,7 @@ class Quotient:
     def coords(self, v):
         """Coordinates of v + small in basis, or None when v is not in big."""
         f = self.small.field
-        c = self._coords(_checked_rows(f, [v])[0])
+        c = self._coords(_checked_vector(f, self.small.ambient, v))
         return None if c is None else _row_out(f, c, self.dim)
 
     def lift(self, k):

@@ -186,7 +186,7 @@ def format_laurent_matrix(m):
 
 # --- simplicial sets ----------------------------------------------------------
 
-def parse_simplicial_set(text, dim_cap=None):
+def parse_simplicial_set(text):
     raw = []
     for ln, line in _body(text):
         parts = line.split()
@@ -213,7 +213,7 @@ def parse_simplicial_set(text, dim_cap=None):
             raise ParseError("simplex of dim %d needs %d faces, found %d"
                              % (dim, dim + 1, len(faces)), ln)
         raw.append((sid, dim, faces))
-    return validate_simplicial_set(raw, dim_cap=dim_cap)
+    return validate_simplicial_set(raw)
 
 
 def format_simplicial_set(cx):

@@ -36,13 +36,14 @@ class ComplexError(Exception):
 
 
 class SimplicialSet:
-    """Finite dimension-capped simplicial set (non-degenerate part).
+    """Finite simplicial set (non-degenerate part), declared complete up to
+    dimension MAX_DIM_CAP; a simplex above it is refused.
 
     simplices: dict dim -> tuple of ids
     faces: dict id -> tuple of its face ids, d_0 first; () for a vertex
     """
 
-    def __init__(self, simplices, faces, dim_cap=None):
+    def __init__(self, simplices, faces):
         self.simplices = {d: tuple(ids) for d, ids in simplices.items() if ids}
         self.faces = dict(faces)
         self.dim_of = {}
@@ -52,12 +53,7 @@ class SimplicialSet:
                     raise ComplexError("duplicate simplex id %r" % (s,))
                 self.dim_of[s] = d
         self.top_dim = max(self.simplices) if self.simplices else -1
-        # default cap: the complex is declared complete up to MAX_DIM_CAP;
-        # pass dim_cap = top_dim to mark a truncation
-        self.dim_cap = MAX_DIM_CAP if dim_cap is None else dim_cap
-        if self.dim_cap > MAX_DIM_CAP:
-            raise ComplexError("dimension cap above %d" % MAX_DIM_CAP)
-        if self.top_dim > self.dim_cap:
+        if self.top_dim > MAX_DIM_CAP:
             raise ComplexError("simplices above the dimension cap")
 
     def ids(self, dim):
@@ -67,7 +63,7 @@ class SimplicialSet:
         return len(self.simplices.get(dim, ()))
 
 
-def validate_simplicial_set(raw, dim_cap=None):
+def validate_simplicial_set(raw):
     """Build and validate a SimplicialSet from (id, dim, faces) triples.
 
     Raises ComplexError naming the first fault: a repeated id when it is
@@ -108,7 +104,7 @@ def validate_simplicial_set(raw, dim_cap=None):
                     raise ComplexError(
                         "identity failure at %r: (i, j) = (%d, %d)"
                         % (sid, i, j))
-    return SimplicialSet(simplices, faces, dim_cap=dim_cap)
+    return SimplicialSet(simplices, faces)
 
 
 def _first_order(complex_, sid):
@@ -471,10 +467,10 @@ def _transpose(lines, n):
 def _check_degree_reliable(complex_, degree):
     if degree < 0:
         raise DegreeRangeError("negative degree")
-    if degree > complex_.dim_cap - 1:
+    if degree > MAX_DIM_CAP - 1:
         raise DegreeRangeError(
             "degree %d not reliable under dimension cap %d"
-            % (degree, complex_.dim_cap))
+            % (degree, MAX_DIM_CAP))
 
 
 class CohomologyResult:

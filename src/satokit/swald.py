@@ -2,7 +2,8 @@
 
 A level-n object is a rigidified filtration: a weakly increasing chain of n
 explicit subspaces of a fixed ambient space, together with the triangular
-array of quotients a_ij and the canonical maps between them.  Enumeration is
+array of quotients a_ij, each in its canonical basis, and the canonical maps
+between them; no basis is chosen, so the chain is all the data.  Enumeration is
 on the nose (explicit subspaces, not isomorphism classes), so the face and
 degeneracy functors are strict functions of the data: inner faces drop a
 subspace, the zeroth face passes to the quotient filtration re-embedded along
@@ -11,7 +12,7 @@ its canonical coordinates, and degeneracies repeat a subspace.
 
 from __future__ import annotations
 
-from .exactcat import SES, FdSpace, LinMap, induced_map
+from .exactcat import SES, FdSpace, induced_map
 from .exactlin import Quotient, Subspace, all_subspaces
 
 
@@ -20,15 +21,16 @@ class SObjectError(Exception):
 
 
 class SObject:
-    """Rigidified admissible filtration of length n in a fixed ambient.  The
-    constructor only stores it: build_s_object validates outside data, and
-    enumeration, faces and degeneracies nest their chains by construction."""
+    """Rigidified admissible filtration of length n in a fixed ambient; its
+    quotients a_ij carry their canonical bases, so the chain is all the data.
+    The constructor only stores it: build_s_object validates outside data,
+    and enumeration, faces and degeneracies nest their chains by
+    construction."""
 
-    def __init__(self, field, ambient, chain, choices=None):
+    def __init__(self, field, ambient, chain):
         self.field = field
         self.ambient = ambient
         self.chain = tuple(chain)
-        self.choices = dict(choices or {})
 
     @property
     def level(self):
@@ -37,16 +39,10 @@ class SObject:
     def __eq__(self, other):
         return (isinstance(other, SObject) and self.field == other.field
                 and self.ambient == other.ambient
-                and self.chain == other.chain
-                and self._choice_key() == other._choice_key())
+                and self.chain == other.chain)
 
     def __hash__(self):
-        return hash((self.field, self.ambient, self.chain,
-                     self._choice_key()))
-
-    def _choice_key(self):
-        return tuple(sorted((ij, c.entries)
-                            for ij, c in self.choices.items()))
+        return hash((self.field, self.ambient, self.chain))
 
     def __repr__(self):
         return "SObject(level %d, dims %s)" % (
@@ -69,18 +65,8 @@ class SObject:
         (i, j), (k, l) = ij, kl
         if not (i <= k and j <= l):
             raise SObjectError("map requires (i,j) <= (k,l)")
-        lm = induced_map(Quotient(self.sub_at(i), self.sub_at(j)),
-                         Quotient(self.sub_at(k), self.sub_at(l)))
-        ci = self.choices.get((i, j))
-        ck = self.choices.get((k, l))
-        if ci is None and ck is None:
-            return lm
-        m = lm.matrix
-        if ci is not None:
-            m = ci.mul(m)
-        if ck is not None:
-            m = m.mul(ck.inverse())
-        return LinMap.of(m)
+        return induced_map(Quotient(self.sub_at(i), self.sub_at(j)),
+                           Quotient(self.sub_at(k), self.sub_at(l)))
 
     def row_ses(self, i, j, k):
         """a_ij >--> a_ik -->> a_jk for i <= j <= k."""
@@ -118,35 +104,18 @@ class SObject:
         return True
 
 
-def build_s_object(field, ambient, chain, quotient_choices=None):
-    """Validated SObject from a chain of subspaces (monos by inclusion) and
-    optional basis choices for the quotient entries; validate names the
-    (i, j, k) where a chain or a choice (keyed in range) fails."""
+def build_s_object(field, ambient, chain):
+    """Validated SObject from a chain of subspaces (monos by inclusion) or of
+    row lists; validate names the (i, j, k) where the chain fails."""
     subs = []
     for item in chain:
         if isinstance(item, Subspace):
             subs.append(item)
         else:
             subs.append(Subspace.from_rows(field, ambient, item))
-    for i, j in quotient_choices or {}:
-        if not 0 <= i <= j <= len(subs):
-            raise SObjectError("choice key (%d, %d) is outside 0 <= i <= j "
-                               "<= %d" % (i, j, len(subs)))
-    obj = SObject(field, ambient, subs, quotient_choices)
+    obj = SObject(field, ambient, subs)
     obj.validate()
     return obj
-
-
-def _reindex_choices(choices, sigma, new_n):
-    if not choices:
-        return {}
-    reindexed = {}
-    for i in range(new_n + 1):
-        for j in range(i, new_n + 1):
-            c = choices.get((sigma(i), sigma(j)))
-            if c is not None:
-                reindexed[(i, j)] = c
-    return reindexed
 
 
 def s_face(obj, i):
@@ -165,13 +134,8 @@ def s_face(obj, i):
         for sub in obj.chain[1:]:
             rows = [_pad(v1.proj_coords(r), obj.ambient) for r in sub.rows]
             new_chain.append(Subspace.from_rows(obj.field, obj.ambient, rows))
-        sigma = lambda k: k + 1
-        return SObject(obj.field, obj.ambient, new_chain,
-                       _reindex_choices(obj.choices, sigma, n - 1))
-    new_chain = obj.chain[:i - 1] + obj.chain[i:]
-    sigma = lambda k: k if k < i else k + 1
-    return SObject(obj.field, obj.ambient, new_chain,
-                   _reindex_choices(obj.choices, sigma, n - 1))
+        return SObject(obj.field, obj.ambient, new_chain)
+    return SObject(obj.field, obj.ambient, obj.chain[:i - 1] + obj.chain[i:])
 
 
 def _pad(coords, ambient):
@@ -180,13 +144,10 @@ def _pad(coords, ambient):
 
 def s_degeneracy(obj, i):
     """The i-th degeneracy: double the i-th object of the filtration."""
-    n = obj.level
-    if not 0 <= i <= n:
+    if not 0 <= i <= obj.level:
         raise SObjectError("degeneracy index out of range")
-    new_chain = obj.chain[:i] + (obj.sub_at(i),) + obj.chain[i:]
-    sigma = lambda k: k if k <= i else k - 1
-    return SObject(obj.field, obj.ambient, new_chain,
-                   _reindex_choices(obj.choices, sigma, n + 1))
+    return SObject(obj.field, obj.ambient,
+                   obj.chain[:i] + (obj.sub_at(i),) + obj.chain[i:])
 
 
 class BudgetExceeded(Exception):

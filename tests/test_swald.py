@@ -3,6 +3,7 @@ import pytest
 from satokit.abgroup import AbelianGroup, ZZ
 from satokit.detline import DetTheory, graded_det
 from satokit.dimtorsor import DimTheory
+from satokit.exactcat import SES, LinMap
 from satokit.exactlin import F2, F3, F5, QQ, Matrix, Subspace, all_subspaces
 from satokit.swald import (
     BudgetExceeded, SObject, SObjectError, build_s_object,
@@ -37,48 +38,21 @@ def test_build_rejects_bad_chain():
         build_s_object(F2, 2, [Subspace.full(F2, 2), sub(F2, 2, (1, 0))])
 
 
-_FILTRATION = [sub(F5, 2, (1, 0)), Subspace.full(F5, 2)]
-
-
-@pytest.mark.parametrize("field,ambient,chain,choices,message", [
+@pytest.mark.parametrize("field,ambient,chain,message", [
     # not nested
-    (F2, 2, [sub(F2, 2, (0, 1)), sub(F2, 2, (1, 0))], None,
+    (F2, 2, [sub(F2, 2, (0, 1)), sub(F2, 2, (1, 0))],
      r"\(0, 1, 2\): image escapes"),
     # a member over another ambient, and one over another field
-    (F2, 2, [sub(F2, 2, (1, 0)), sub(F2, 3, (1, 0, 0))], None,
+    (F2, 2, [sub(F2, 2, (1, 0)), sub(F2, 3, (1, 0, 0))],
      r"\(0, 0, 2\): ambient mismatch"),
-    (F3, 2, [sub(F3, 2, (1, 0)), sub(F5, 2, (1, 0))], None,
+    (F3, 2, [sub(F3, 2, (1, 0)), sub(F5, 2, (1, 0))],
      r"\(0, 0, 2\): ambient mismatch"),
-    # a singular choice and two wrongly shaped ones
-    (F5, 2, _FILTRATION, {(0, 2): Matrix(F5, [[1, 2], [2, 4]])},
-     r"\(0, 0, 2\): matrix is not invertible"),
-    (F5, 2, _FILTRATION, {(0, 1): Matrix(F5, [[1, 0], [0, 1]])},
-     r"\(0, 0, 1\): shape mismatch"),
-    (F5, 2, [Subspace.full(F5, 2)], {(0, 1): Matrix(F5, [[1, 0]])},
-     r"\(0, 0, 1\): matrix is not invertible"),
-    # a choice keyed outside 0 <= i <= j <= level
-    (F2, 2, [sub(F2, 2, (1, 0)), Subspace.full(F2, 2)],
-     {(2, 5): Matrix(F2, [[1]])}, r"choice key \(2, 5\) is outside"),
-    (F5, 2, _FILTRATION, {(1, 0): Matrix(F5, [[1]])},
-     r"choice key \(1, 0\) is outside"),
 ])
-def test_build_refuses_each_bad_input(field, ambient, chain, choices,
-                                      message):
+def test_build_refuses_each_bad_input(field, ambient, chain, message):
     # build_s_object is the one validation path: SObject only stores
     with pytest.raises(SObjectError, match=message):
-        build_s_object(field, ambient, chain, choices)
-    assert SObject(field, ambient, chain, choices).chain == tuple(chain)
-
-
-def test_quotient_choice_conjugates_maps():
-    chain = [sub(F5, 2, (1, 0)), Subspace.full(F5, 2)]
-    plain = build_s_object(F5, 2, chain)
-    c = Matrix(F5, [[2]])
-    twisted = build_s_object(F5, 2, chain, quotient_choices={(1, 2): c})
-    assert twisted.validate()
-    m_plain = plain.array_map((0, 2), (1, 2))
-    m_tw = twisted.array_map((0, 2), (1, 2))
-    assert m_tw.matrix == m_plain.matrix.mul(Matrix(F5, [[3]]))  # 2^-1 = 3
+        build_s_object(field, ambient, chain)
+    assert SObject(field, ambient, chain).chain == tuple(chain)
 
 
 def test_face_zero_is_quotient():
@@ -323,8 +297,8 @@ class _ScalarFault:
     def h(self, space):
         return self.inner.h(space)
 
-    def lambda_scalar(self, ses, section=None):
-        s = self.inner.lambda_scalar(ses, section)
+    def lambda_scalar(self, ses):
+        s = self.inner.lambda_scalar(ses)
         if (ses.i.matrix.entries, ses.j.matrix.entries) == self.target:
             return self.field.mul(s, self.bad)
         return s
@@ -345,8 +319,8 @@ class _DegreeFault:
             return GradedLine(line.field, line.degree + 1, line.label)
         return line
 
-    def lambda_scalar(self, ses, section=None):
-        return self.inner.lambda_scalar(ses, section)
+    def lambda_scalar(self, ses):
+        return self.inner.lambda_scalar(ses)
 
 
 def test_scalar_fault_detected_f5():
@@ -372,19 +346,18 @@ def test_degree_fault_detected_f2():
 
 
 def test_naturality_under_array_isomorphisms():
-    # sampled isomorphisms of arrays: conjugating by basis choices moves
-    # lambda by det factors exactly as naturality demands
+    # sampled isomorphisms of arrays: conjugating the sequence by coordinate
+    # changes moves lambda by det factors exactly as naturality demands
     chain = [sub(F5, 2, (1, 2)), Subspace.full(F5, 2)]
-    plain = build_s_object(F5, 2, chain)
-    choices = {(0, 1): Matrix(F5, [[2]]), (1, 2): Matrix(F5, [[4]]),
-               (0, 2): Matrix(F5, [[1, 1], [0, 3]])}
-    twisted = build_s_object(F5, 2, chain, quotient_choices=choices)
+    plain = build_s_object(F5, 2, chain).row_ses(0, 1, 2)
+    c01, c12 = Matrix(F5, [[2]]), Matrix(F5, [[4]])
+    c02 = Matrix(F5, [[1, 1], [0, 3]])
+    twisted = SES(LinMap.of(c01.mul(plain.i.matrix).mul(c02.inverse())),
+                  LinMap.of(c02.mul(plain.j.matrix).mul(c12.inverse())))
     th = graded_det(F5)
-    lam_plain = th.lambda_scalar(plain.row_ses(0, 1, 2))
-    lam_tw = th.lambda_scalar(twisted.row_ses(0, 1, 2))
-    det01 = choices[(0, 1)].det()
-    det12 = choices[(1, 2)].det()
-    det02 = choices[(0, 2)].det()
+    lam_plain = th.lambda_scalar(plain)
+    lam_tw = th.lambda_scalar(twisted)
+    det01, det12, det02 = c01.det(), c12.det(), c02.det()
     # h(f_sub) (x) h(f_quot) then lambda' == lambda then h(f_total) where the
     # f's are the coordinate changes: all scalars, so one division
     lhs = F5.mul(F5.mul(F5.inv(det01), F5.inv(det12)), lam_plain)

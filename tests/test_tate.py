@@ -825,6 +825,38 @@ def test_lambda_chain_cocycle():
         assert lhs == rhs
 
 
+def test_lambda_chain_reads_internal_rows(monkeypatch):
+    # the scalar of each chain against the tuple route through lift and
+    # coords, then no row is checked again: every row is internal already
+    import satokit.exactlin
+    from satokit.exactlin import Quotient
+    from satokit.verify import rand_lattice
+    rng = random.Random(3)
+    chains = []
+    for _ in range(20):
+        a, x, y = (rand_lattice(rng, K2) for _ in range(3))
+        b = lattice_join(a, x)
+        chains.append((a, b, lattice_join(b, y)))
+    want = []
+    for a, b, c in chains:
+        LO, HI = min(a.lo, b.lo, c.lo), max(a.hi, b.hi, c.hi)
+        a_w, b_w, c_w = (window_subspace(z, LO, HI) for z in (a, b, c))
+        ca = Quotient(a_w, c_w)
+        rows = [ca.coords(q.lift(k)) for q in (Quotient(a_w, b_w),
+                Quotient(b_w, c_w)) for k in range(q.dim)]
+        want.append(Matrix(F5, rows, ca.dim).det())
+    checked = satokit.exactlin._checked_rows
+    calls = []
+
+    def counted(field, rows):
+        calls.append(1)
+        return checked(field, rows)
+
+    monkeypatch.setattr(satokit.exactlin, "_checked_rows", counted)
+    assert [lambda_scalar_chain(a, b, c) for a, b, c in chains] == want
+    assert calls == []
+
+
 def test_delta_canonical_monomial_is_one():
     u = standard_lattice(K1)
     v = standard_lattice(K1, -1)
