@@ -46,7 +46,7 @@ class LinMap:
             raise ValueError("matrix shape %dx%d does not match %d -> %d"
                              % (matrix.nrows, matrix.ncols,
                                 source.dim, target.dim))
-        object.__setattr__(self, "matrix", matrix)
+        _map_matrix(self, matrix)
 
     def __setattr__(self, *a):
         raise AttributeError("LinMap is immutable")
@@ -55,7 +55,7 @@ class LinMap:
     def of(cls, matrix):
         """The map whose matrix is matrix: every Matrix is one."""
         m = object.__new__(cls)
-        object.__setattr__(m, "matrix", matrix)
+        _map_matrix(m, matrix)
         return m
 
     @classmethod
@@ -120,6 +120,9 @@ class LinMap:
             return LinMap.of(self.matrix.inverse())
         except ValueError:
             raise ValueError("not an isomorphism") from None
+
+
+_map_matrix = LinMap.matrix.__set__
 
 
 @lru_cache(maxsize=2048)

@@ -16,7 +16,10 @@ bytes.translate reduces every lane mod p.  Q and larger p keep tuples.
 Matrix.entries, Subspace.rows and Lattice.rows are tuple views, built only
 when read.  Matrix, Subspace and Quotient are the one API; their
 constructors (Subspace.from_rows for a Subspace) check every scalar, and
-the row kernels are private.
+the row kernels are private.  Immutable values here and in laurent, tate
+and exactcat refuse __setattr__ and fill their slots through the member
+descriptors' __set__, bound by name (_mat_rank = Matrix._rank.__set__),
+not through object.__setattr__'s name lookup.
 """
 
 from __future__ import annotations
@@ -425,9 +428,6 @@ def _mul(field, a, b, ncols):
 
 # ---------------------------------------------------------------------------
 
-_set = object.__setattr__
-
-
 class Matrix:
     """Immutable dense matrix over a Field.
 
@@ -449,12 +449,12 @@ class Matrix:
 
     def _init(self, field, rows, ncols, rank):
         rows = tuple(rows)
-        _set(self, "field", field)
-        _set(self, "nrows", len(rows))
-        _set(self, "ncols", ncols)
-        _set(self, "_rows", rows)
-        _set(self, "_entries", None if field._bits else rows)
-        _set(self, "_rank", rank)
+        _mat_field(self, field)
+        _mat_nrows(self, len(rows))
+        _mat_ncols(self, ncols)
+        _mat_rows(self, rows)
+        _mat_entries(self, None if field._bits else rows)
+        _mat_rank(self, rank)
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
@@ -469,8 +469,8 @@ class Matrix:
     @property
     def entries(self):
         if self._entries is None:
-            _set(self, "_entries", tuple([_row_out(self.field, r, self.ncols)
-                                          for r in self._rows]))
+            _mat_entries(self, tuple([_row_out(self.field, r, self.ncols)
+                                      for r in self._rows]))
         return self._entries
 
     @classmethod
@@ -546,7 +546,7 @@ class Matrix:
 
     def rank(self):
         if self._rank is None:
-            _set(self, "_rank", len(_rref(self.field, self._rows)[1]))
+            _mat_rank(self, len(_rref(self.field, self._rows)[1]))
         return self._rank
 
     def det(self):
@@ -576,13 +576,13 @@ class Matrix:
 
     def row_space(self):
         rows, piv = _rref(self.field, self._rows)
-        _set(self, "_rank", len(piv))
+        _mat_rank(self, len(piv))
         return Subspace._raw(self.field, self.ncols, rows, piv)
 
     def _reduced(self):
         # _transform of the rows, recording the rank
         out = _transform(self.field, self._rows, self.ncols)
-        _set(self, "_rank", len(out[1]))
+        _mat_rank(self, len(out[1]))
         return out
 
     def left_kernel(self):
@@ -629,29 +629,25 @@ class Subspace:
     def __init__(self, *args):
         raise ValueError("use Subspace.from_rows to build subspaces")
 
-    def _init(self, field, ambient, rows, pivots):
-        rows = tuple(rows)
-        _set(self, "field", field)
-        _set(self, "ambient", ambient)
-        _set(self, "_rows", rows)
-        _set(self, "pivots", tuple(pivots))
-        _set(self, "_view", None if field._bits else rows)
-
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
     def _raw(cls, field, ambient, rows, pivots):
         # trusted path: rows are internal rows in rref with these pivots
-        s = object.__new__(cls)
-        s._init(field, ambient, rows, pivots)
+        s, rows = object.__new__(cls), tuple(rows)
+        _sub_field(s, field)
+        _sub_ambient(s, ambient)
+        _sub_rows(s, rows)
+        _sub_pivots(s, tuple(pivots))
+        _sub_view(s, None if field._bits else rows)
         return s
 
     @property
     def rows(self):
         if self._view is None:
-            _set(self, "_view", tuple([_row_out(self.field, r, self.ambient)
-                                       for r in self._rows]))
+            _sub_view(self, tuple([_row_out(self.field, r, self.ambient)
+                                   for r in self._rows]))
         return self._view
 
     @classmethod
@@ -747,6 +743,15 @@ class Subspace:
         f, v = self.field, _checked_vector(self.field, self.ambient, v)
         return _row_out(f, _gather(f, self._reduce(v), self.nonpivots(),
                                    self.ambient), self.ambient - self.dim)
+
+
+_mat_field, _mat_nrows, _mat_ncols = (
+    Matrix.field.__set__, Matrix.nrows.__set__, Matrix.ncols.__set__)
+_mat_rows, _mat_entries, _mat_rank = (
+    Matrix._rows.__set__, Matrix._entries.__set__, Matrix._rank.__set__)
+_sub_field, _sub_ambient, _sub_rows = (
+    Subspace.field.__set__, Subspace.ambient.__set__, Subspace._rows.__set__)
+_sub_pivots, _sub_view = Subspace.pivots.__set__, Subspace._view.__set__
 
 
 class Quotient:

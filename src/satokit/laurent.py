@@ -6,7 +6,9 @@ echelon form by Euclidean row steps gives both the rank (over k(t)) and the
 one-sided inverses.  An inverse over k(t) is returned as a Laurent matrix N
 over one Laurent denominator d, the product of the pivots, found by a
 fraction-free back-substitution; d == 1 exactly when a Laurent inverse
-exists, and then N is that inverse.
+exists, and then N is that inverse.  One product kernel, _product_terms,
+gives each entry of a matrix product as its canonical term tuple;
+LaurentMatrix.mul wraps its output, and tate's checks compare the tuples.
 """
 
 from __future__ import annotations
@@ -32,15 +34,15 @@ class LaurentPoly:
         for e, c in items:
             e = int(e)
             d[e] = d.get(e, 0) + field.normalize(c)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "terms", _canonical(field.p, d))
+        _poly_field(self, field)
+        _poly_terms(self, _canonical(field.p, d))
 
     @classmethod
     def _raw(cls, field, terms):
         # trusted path: terms is a sorted tuple of nonzero normalized scalars
         x = object.__new__(cls)
-        object.__setattr__(x, "field", field)
-        object.__setattr__(x, "terms", terms)
+        _poly_field(x, field)
+        _poly_terms(x, terms)
         return x
 
     def __setattr__(self, *a):
@@ -106,32 +108,14 @@ class LaurentPoly:
         return LaurentPoly._raw(self.field, terms)
 
     def mul(self, other):
-        x, y = (self, other) if len(self.terms) <= len(other.terms) \
-            else (other, self)
-        if not x.terms:
-            return x
-        if len(x.terms) == 1:
-            k, c = x.terms[0]
-            return y._times(k, c)
-        d = {}
-        for e1, c1 in x.terms:
-            for e2, c2 in y.terms:
-                e = e1 + e2
-                d[e] = d.get(e, 0) + c1 * c2
-        return LaurentPoly._raw(self.field, _canonical(self.field.p, d))
+        return LaurentPoly._raw(self.field, _mul_terms(
+            self.field.p, [(self.terms, other.terms)])
+            if self.terms and other.terms else ())
 
     def _times(self, k, c):
         """Multiply by c t^k, for a nonzero normalized c."""
-        p = self.field.p
-        if c == 1:
-            if not k:
-                return self
-            terms = [(e + k, x) for e, x in self.terms]
-        elif p is None:
-            terms = [(e + k, c * x) for e, x in self.terms]
-        else:
-            terms = [(e + k, c * x % p) for e, x in self.terms]
-        return LaurentPoly._raw(self.field, tuple(terms))
+        return LaurentPoly._raw(self.field,
+                                _times_terms(self.terms, k, c, self.field.p))
 
     def scale(self, c):
         c = self.field.normalize(c)
@@ -154,6 +138,30 @@ class LaurentPoly:
         if not self.terms:
             return "0"
         return "+".join("%s*t^%d" % (c, e) for e, c in self.terms)
+
+
+def _times_terms(terms, k, c, p):
+    """The terms of c t^k times terms, for a nonzero normalized c."""
+    if c == 1:
+        return tuple([(e + k, x) for e, x in terms]) if k else terms
+    if p is None:
+        return tuple([(e + k, c * x) for e, x in terms])
+    return tuple([(e + k, c * x % p) for e, x in terms])
+
+
+def _mul_terms(p, prods):
+    """The canonical terms of the sum of x y over the pairs (x, y) of nonzero
+    term tuples in prods: one product by a monomial needs no dict."""
+    x, y = prods[0]
+    if len(prods) == 1 and (len(x) == 1 or len(y) == 1):
+        (k, c), = x if len(x) == 1 else y
+        return _times_terms(y if len(x) == 1 else x, k, c, p)
+    d = {}
+    for x, y in prods:
+        for e1, c1 in x:
+            for e2, c2 in y:
+                d[e1 + e2] = d.get(e1 + e2, 0) + c1 * c2
+    return _canonical(p, d)
 
 
 def poly_divmod(a, b):
@@ -198,10 +206,10 @@ class LaurentMatrix:
         self._init(field, tuple(rows), ncols or 0)
 
     def _init(self, field, rows, ncols):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "entries", rows)
+        _mat_field(self, field)
+        _mat_nrows(self, len(rows))
+        _mat_ncols(self, ncols)
+        _mat_entries(self, rows)
 
     @classmethod
     def _raw(cls, field, rows, ncols):
@@ -238,21 +246,11 @@ class LaurentMatrix:
         return self.entries[ij[0]][ij[1]]
 
     def mul(self, other):
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        if self.field != other.field:
-            raise ValueError("field mismatch")
-        z = LaurentPoly.zero(self.field)
-        out = []
-        for row in self.entries:
-            acc = [z] * other.ncols
-            for x, orow in zip(row, other.entries):
-                if x.terms:
-                    for j, y in enumerate(orow):
-                        if y.terms:
-                            acc[j] = acc[j].add(x.mul(y))
-            out.append(tuple(acc))
-        return LaurentMatrix._raw(self.field, tuple(out), other.ncols)
+        f, raw = self.field, LaurentPoly._raw
+        z = raw(f, ())
+        return LaurentMatrix._raw(f, tuple([
+            tuple([raw(f, t) if t else z for t in row])
+            for row in _product_terms(self, other)]), other.ncols)
 
     def transpose(self):
         return LaurentMatrix._raw(self.field, tuple(zip(*self.entries))
@@ -264,8 +262,39 @@ class LaurentMatrix:
 
     def min_valuation(self):
         """Least entry valuation; None for the zero matrix."""
-        vals = [x.val() for r in self.entries for x in r if not x.is_zero()]
+        vals = [x.terms[0][0] for r in self.entries for x in r if x.terms]
         return min(vals) if vals else None
+
+
+_poly_field, _poly_terms = (LaurentPoly.field.__set__,
+                            LaurentPoly.terms.__set__)
+_mat_field, _mat_nrows = LaurentMatrix.field.__set__, LaurentMatrix.nrows.__set__
+_mat_ncols, _mat_entries = (LaurentMatrix.ncols.__set__,
+                            LaurentMatrix.entries.__set__)
+
+
+def _product_terms(a, b):
+    """The entries of a . b as rows of canonical term tuples, each the
+    _mul_terms of its nonzero products; two shapes or fields: ValueError."""
+    if a.ncols != b.nrows:
+        raise ValueError("shape mismatch")
+    if a.field != b.field:
+        raise ValueError("field mismatch")
+    p = a.field.p
+    cols = [[y.terms for y in col] for col in zip(*b.entries)] \
+        if b.entries else [()] * b.ncols
+    out = []
+    for row in a.entries:
+        xs = [x.terms for x in row]
+        acc = []
+        for ys in cols:
+            prods = []  # a comprehension would add a call per entry
+            for x, y in zip(xs, ys):
+                if x and y:
+                    prods.append((x, y))
+            acc.append(_mul_terms(p, prods) if prods else ())
+        out.append(acc)
+    return out
 
 
 # an echelon form whose cost (_echelon_work + 1) x rows x cols is over

@@ -40,6 +40,8 @@ window row per row of i or j, shifted up n columns per power of t and masked
 at the window's top; shifts only raise exponents, so none escapes below the
 window.  An empty window [LO, LO) gives t^LO O^n with no window built.
 split_tate_ses is memoized: one checked split serves every caller.
+TateSES checks its one-sided inverses and i . j = 0 on the term tuples of
+laurent's product kernel, so a check builds no Laurent polynomial or matrix.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ import functools
 
 from .exactlin import (Matrix, Quotient, Subspace, _row_in, _rref, _shifted,
                        _split, _units)
-from .laurent import LaurentMatrix, LaurentPoly, left_inverse, right_inverse
+from .laurent import (LaurentMatrix, LaurentPoly, _product_terms,
+                      left_inverse, right_inverse)
 
 
 class TateSpace:
@@ -59,8 +62,8 @@ class TateSpace:
     def __init__(self, field, rank):
         if rank < 0:
             raise ValueError("negative rank")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rank", rank)
+        _space_field(self, field)
+        _space_rank(self, rank)
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
@@ -88,10 +91,10 @@ class Lattice:
     def __init__(self, space, lo, hi, basis, _normalized=False):
         if not _normalized:
             raise ValueError("use lattice_normalize to build lattices")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "basis", basis)
+        _lat_space(self, space)
+        _lat_lo(self, lo)
+        _lat_hi(self, hi)
+        _lat_basis(self, basis)
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
@@ -115,6 +118,11 @@ class Lattice:
     @property
     def field(self):
         return self.space.field
+
+
+_space_field, _space_rank = TateSpace.field.__set__, TateSpace.rank.__set__
+_lat_space, _lat_lo = Lattice.space.__set__, Lattice.lo.__set__
+_lat_hi, _lat_basis = Lattice.hi.__set__, Lattice.basis.__set__
 
 
 def standard_lattice(space, shift=0):
@@ -263,7 +271,7 @@ class TateSES:
                         "seeded right inverse fails i . B = 1")
         lj = _one_sided(j, lj, True, "not-epi",
                         "seeded left inverse fails C . j = 1")
-        if not i.mul(j).is_zero():
+        if any(map(any, _product_terms(i, j))):
             raise TateSESInvalid("composite-nonzero")
         if i.nrows + j.ncols != i.ncols:
             raise TateSESInvalid("inexact-at-middle")
@@ -315,11 +323,12 @@ def _one_sided(m, seed, left, code, message):
 def _verify_one_sided(m, inv, den, left):
     """Exact check of inv . m = den . I (left) or m . inv = den . I (right)
     in k[t, 1/t], which holds exactly when inv/den is a one-sided inverse
-    over k(t)."""
-    prod = inv.mul(m) if left else m.mul(inv)
-    return prod.nrows == prod.ncols and all(
-        x.terms == (den.terms if r == c else ())
-        for r, row in enumerate(prod.entries) for c, x in enumerate(row))
+    over k(t); the product's term tuples are compared as they are."""
+    prod = _product_terms(inv, m) if left else _product_terms(m, inv)
+    n, z = (m.ncols if left else inv.ncols), [()]
+    return len(prod) == n and all(
+        row == z * r + [den.terms] + z * (n - r - 1)
+        for r, row in enumerate(prod))
 
 
 @functools.cache  # the sequence is immutable; its stencils serve every use

@@ -1006,3 +1006,71 @@ def test_lane_rows_are_the_internal_form():
     assert s.contains_vector((6, -5)) and not s.contains_vector((0, 6))
     assert s.proj_coords((7, -4)) == (1,)
     assert Quotient(Subspace.zero(F5, 2), s).coords((-4, 10)) == (1,)
+
+
+# --- immutable values: slots filled by their setters, never reassigned -------
+
+def _values():
+    """One value of each immutable class whose slots are filled through
+    their member descriptors' __set__."""
+    from satokit.exactcat import LinMap
+    from satokit.laurent import LaurentMatrix, LaurentPoly
+    from satokit.tate import TateSpace, lattice_normalize
+    m = Matrix(F5, [[1, 2], [3, 4]])
+    return [LaurentPoly(F5, [(1, 2)]),
+            LaurentMatrix.identity(F5, 2),
+            m,
+            m.row_space(),
+            TateSpace(F5, 1),
+            lattice_normalize(TateSpace(F5, 1), -1, 1, [[1, 2]]),
+            LinMap.of(m)]
+
+
+@pytest.mark.parametrize("value", _values(), ids=lambda v: type(v).__name__)
+def test_values_refuse_assignment(value):
+    # every slot, and a name that is not one, refuses assignment after
+    # construction, and the value is unchanged
+    before = [getattr(value, name) for name in type(value).__slots__]
+    for name in type(value).__slots__ + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    assert [getattr(value, name) for name in type(value).__slots__] == before
+
+
+@pytest.mark.parametrize("field", [F2, F5, Field(17), QQ],
+                         ids=["F2", "F5", "F17", "Q"])
+def test_trusted_values_equal_checked_ones(field):
+    # the Matrix, Subspace and Lattice values built by _raw (products,
+    # transposes, stacks, row spaces, kernels, meets, joins) and _stripped
+    # (tate's meet and join) equal, in == and hash, the ones their checking
+    # constructors build from the same entries
+    from satokit.tate import (TateSpace, lattice_join, lattice_meet,
+                              lattice_normalize)
+    rng = random.Random(31)
+    p = field.p or 7
+
+    def draw(r, c):
+        return Matrix(field, [[rng.randrange(p) if rng.random() < 0.6 else 0
+                               for _ in range(c)] for _ in range(r)], c)
+
+    def same(x, y):
+        assert x == y and hash(x) == hash(y)
+
+    for r, k, c in [(0, 2, 3), (2, 0, 3), (3, 2, 0), (2, 3, 4), (4, 4, 4),
+                    (3, 5, 2)] * 3:
+        a, b = draw(r, k), draw(k, c)
+        for m in (a.mul(b), a.transpose(), a.hstack(draw(r, 2)),
+                  a.vstack(draw(1, k)), Matrix.identity(field, r),
+                  Matrix.zero(field, r, k)):
+            same(m, Matrix(field, m.entries, m.ncols))
+        for s in (a.row_space(), a.left_kernel(), a.right_kernel(),
+                  a.row_space().meet(draw(2, k).row_space()),
+                  a.row_space().join(draw(2, k).row_space()),
+                  Subspace.zero(field, k), Subspace.full(field, k)):
+            same(s, Subspace.from_rows(field, s.ambient, s.rows))
+    space = TateSpace(field, 2)
+    for _ in range(10):
+        x, y = (lattice_normalize(space, -1, 2, draw(3, 6).entries)
+                for _ in range(2))
+        for lat in (x, lattice_meet(x, y), lattice_join(x, y)):
+            same(lat, lattice_normalize(space, lat.lo, lat.hi, lat.rows))

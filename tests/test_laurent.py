@@ -315,6 +315,37 @@ def test_trusted_matrices_equal_checked_ones(field):
         LaurentMatrix(field, [[], [one]])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_matrix_product_equals_entrywise_sums(data):
+    # the product kernel against the sum over q of a[i, q] b[q, j] by
+    # LaurentPoly.mul and add: entries of up to three terms, 0 x k and
+    # k x 0 shapes, and [a | a] . [b ; -b], whose every entry cancels to 0
+    field = data.draw(st.sampled_from(FIELDS))
+    r, k, c = (data.draw(st.integers(0, 3)) for _ in range(3))
+    term = st.tuples(st.integers(-2, 2), _coeffs(field))
+
+    def draw(nrows, ncols):
+        return [[LaurentPoly(field, data.draw(st.lists(term, max_size=3)))
+                 for _ in range(ncols)] for _ in range(nrows)]
+
+    a, b = draw(r, k), draw(k, c)
+    cancel = data.draw(st.booleans())
+    if cancel:
+        a = [row + row for row in a]
+        b = b + [[y.neg() for y in row] for row in b]
+        k *= 2
+    z = LaurentPoly.zero(field)
+    want = [[z] * c for _ in range(r)]
+    for i in range(r):
+        for j in range(c):
+            for q in range(k):
+                want[i][j] = want[i][j].add(a[i][q].mul(b[q][j]))
+    got = LaurentMatrix(field, a, k).mul(LaurentMatrix(field, b, c))
+    _same_matrix(got, LaurentMatrix(field, want, c))
+    assert got.is_zero() or not cancel
+
+
 def test_seed_inverses_rejects_perturbed_entry():
     one = LaurentPoly.one(F5)
     ses = split_tate_ses(F5, 1, 1)

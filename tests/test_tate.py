@@ -857,6 +857,24 @@ def test_lambda_chain_reads_internal_rows(monkeypatch):
     assert calls == []
 
 
+def test_lambda_chain_refuses_chains_that_are_not_nested():
+    # on the 20 chains above, swapping two strictly nested lattices breaks
+    # a <= b or b <= c, and a Quotient refuses it
+    from satokit.verify import rand_lattice
+    rng = random.Random(3)
+    chains = []
+    for _ in range(20):
+        a, x, y = (rand_lattice(rng, K2) for _ in range(3))
+        b = lattice_join(a, x)
+        chains.append((a, b, lattice_join(b, y)))
+    strict = [(a, b, c) for a, b, c in chains if a != b != c]
+    assert strict
+    for a, b, c in strict:
+        for bad in ((b, a, c), (a, c, b)):
+            with pytest.raises(ValueError, match="requires containment"):
+                lambda_scalar_chain(*bad)
+
+
 def test_delta_canonical_monomial_is_one():
     u = standard_lattice(K1)
     v = standard_lattice(K1, -1)
@@ -980,6 +998,43 @@ def test_twisted_chain_runs_no_echelon(monkeypatch):
     for seed in range(3):
         TwistedChain(random.Random(seed), F5, 1, 2, 3)
     assert calls == {}
+
+
+def test_seeded_checks_build_no_laurent_values(monkeypatch):
+    # a seeded TateSES checks i . ri = d, lj . j = e and i . j = 0 on the
+    # product kernel's term tuples: it builds no LaurentMatrix and no
+    # LaurentPoly, by the checking constructors or the trusted ones
+    import collections
+    from satokit.verify import TwistedChain
+    seqs = []
+    for seed in range(3):
+        for field in (F2, F5):
+            chain = TwistedChain(random.Random(seed), field, 1, 2, 3)
+            seqs += [(s.i, s.j, s.ri, s.lj) for s in (
+                chain.ses12, chain.ses23, chain.ses13, chain.sesq)]
+    built = collections.Counter()
+
+    def counted(cls, name):
+        fn = getattr(cls, name)
+        if name == "_raw":
+            def wrapper(cls_, *args):
+                built[cls.__name__] += 1
+                return fn(*args)
+            return classmethod(wrapper)
+
+        def wrapper(self, *args):
+            built[cls.__name__] += 1
+            return fn(self, *args)
+        return wrapper
+
+    for cls in (LaurentMatrix, LaurentPoly):
+        for name in ("__init__", "_raw"):
+            monkeypatch.setattr(cls, name, counted(cls, name))
+    for args in seqs:
+        TateSES(*args)
+    assert built == {}
+    LaurentPoly.one(F5)
+    assert built == {"LaurentPoly": 1}  # the counters see a build
 
 
 def test_chain_suites_run_no_echelon(monkeypatch):
