@@ -245,9 +245,10 @@ def _split(field, rows, m):
 def _shifted(field, row, s, n):
     """The row moved up s columns (down -s, dropping the columns that fall
     below 0) and cut or padded to n columns."""
-    b, z = field._bits, (field.zero(),)
+    b = field._bits
     if b:
         return (row << b * s if s >= 0 else row >> -b * s) & ((1 << b * n) - 1)
+    z = (field.zero(),)
     row = (z * s + row if s >= 0 else row[-s:])[:n]
     return row + z * (n - len(row))
 
@@ -769,9 +770,14 @@ class Quotient:
     def __init__(self, small, big):
         if not big.contains(small):
             raise ValueError("quotient requires containment")
-        self.small = small
-        self._basis, self._pivots = _rref(
-            small.field, [small._reduce(r) for r in big._rows])
+        basis, pivots = _rref(small.field,
+                              [small._reduce(r) for r in big._rows])
+        _quo_small(self, small)
+        _quo_basis(self, basis)
+        _quo_pivots(self, pivots)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Quotient is immutable")
 
     @property
     def dim(self):
@@ -798,6 +804,10 @@ class Quotient:
         if None in rows:
             return None
         return Matrix._raw(self.small.field, rows, dst.dim)
+
+
+_quo_small, _quo_basis, _quo_pivots = (
+    Quotient.small.__set__, Quotient._basis.__set__, Quotient._pivots.__set__)
 
 
 def all_vectors(field, n):

@@ -6,9 +6,14 @@ echelon form by Euclidean row steps gives both the rank (over k(t)) and the
 one-sided inverses.  An inverse over k(t) is returned as a Laurent matrix N
 over one Laurent denominator d, the product of the pivots, found by a
 fraction-free back-substitution; d == 1 exactly when a Laurent inverse
-exists, and then N is that inverse.  One product kernel, _product_terms,
-gives each entry of a matrix product as its canonical term tuple;
-LaurentMatrix.mul wraps its output, and tate's checks compare the tuples.
+exists, and then N is that inverse.
+
+A LaurentMatrix keeps its rows as tuples of its entries' canonical term
+tuples; entries, the rows as LaurentPolys, is a view built on first read.
+One product kernel, _product_terms, gives each entry of a matrix product as
+its term tuple, and one add kernel, _axpy_terms, gives x + c t^k y, so
+products, checks and row operations in laurent, tate and verify build no
+LaurentPoly.
 """
 
 from __future__ import annotations
@@ -86,18 +91,15 @@ class LaurentPoly:
             return self
         if not self.terms:
             return other
-        d = dict(self.terms)
-        for e, c in other.terms:
-            d[e] = d.get(e, 0) + c
-        return LaurentPoly._raw(self.field, _canonical(self.field.p, d))
+        return LaurentPoly._raw(self.field, _axpy_terms(
+            self.field.p, self.terms, 0, 1, other.terms))
 
     def sub(self, other):
         if not other.terms:
             return self
-        d = dict(self.terms)
-        for e, c in other.terms:
-            d[e] = d.get(e, 0) - c
-        return LaurentPoly._raw(self.field, _canonical(self.field.p, d))
+        p = self.field.p
+        return LaurentPoly._raw(self.field, _axpy_terms(
+            p, self.terms, 0, p - 1 if p else -1, other.terms))
 
     def neg(self):
         p = self.field.p
@@ -149,6 +151,20 @@ def _times_terms(terms, k, c, p):
     return tuple([(e + k, c * x % p) for e, x in terms])
 
 
+def _axpy_terms(p, x, k, c, y):
+    """The canonical terms of x + c t^k y, for term tuples x and y and a
+    nonzero normalized c."""
+    if not y:
+        return x
+    if not x:
+        return _times_terms(y, k, c, p)
+    d = dict(x)
+    for e, b in y:
+        e += k
+        d[e] = d.get(e, 0) + c * b
+    return _canonical(p, d)
+
+
 def _mul_terms(p, prods):
     """The canonical terms of the sum of x y over the pairs (x, y) of nonzero
     term tuples in prods: one product by a monomial needs no dict."""
@@ -193,9 +209,10 @@ def poly_divmod(a, b):
 
 
 class LaurentMatrix:
-    """Matrix of Laurent polynomials; acts on row vectors."""
+    """Matrix of Laurent polynomials; acts on row vectors.  Its rows are
+    kept as tuples of term tuples; entries is a view built on first read."""
 
-    __slots__ = ("field", "nrows", "ncols", "entries")
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_entries")
 
     def __init__(self, field, entries, ncols=None):
         rows = [tuple(row) for row in entries]
@@ -203,17 +220,24 @@ class LaurentMatrix:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
                 raise ValueError("ragged matrix")
-        self._init(field, tuple(rows), ncols or 0)
+        if any(not isinstance(x, LaurentPoly) or x.field != field
+               for r in rows for x in r):
+            raise ValueError("entry is not a Laurent polynomial over %s"
+                             % field)
+        self._init(field, tuple([tuple([x.terms for x in r]) for r in rows]),
+                   ncols or 0, tuple(rows))
 
-    def _init(self, field, rows, ncols):
+    def _init(self, field, rows, ncols, entries=None):
         _mat_field(self, field)
         _mat_nrows(self, len(rows))
         _mat_ncols(self, ncols)
-        _mat_entries(self, rows)
+        _mat_rows(self, rows)
+        _mat_entries(self, entries)
 
     @classmethod
     def _raw(cls, field, rows, ncols):
-        # trusted path: rows is a tuple of tuples of ncols LaurentPolys
+        # trusted path: rows is a tuple of tuples of ncols canonical term
+        # tuples
         m = object.__new__(cls)
         m._init(field, rows, ncols)
         return m
@@ -221,22 +245,30 @@ class LaurentMatrix:
     def __setattr__(self, *a):
         raise AttributeError("immutable")
 
+    @property
+    def entries(self):
+        if self._entries is None:
+            f, raw = self.field, LaurentPoly._raw
+            _mat_entries(self, tuple([tuple([raw(f, t) for t in r])
+                                      for r in self._rows]))
+        return self._entries
+
     @classmethod
     def identity(cls, field, n):
-        z, one = (LaurentPoly.zero(field),) * n, (LaurentPoly.one(field),)
+        z, one = ((),) * n, (((0, field.one()),),)
         return cls._raw(field, tuple([z[:i] + one + z[i + 1:]
                                       for i in range(n)]), n)
 
     @classmethod
     def zero(cls, field, r, c):
-        return cls._raw(field, ((LaurentPoly.zero(field),) * c,) * r, c)
+        return cls._raw(field, (((),) * c,) * r, c)
 
     def __eq__(self, other):
         return (isinstance(other, LaurentMatrix) and self.field == other.field
-                and self.ncols == other.ncols and self.entries == other.entries)
+                and self.ncols == other.ncols and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.field, self.ncols, self.entries))
+        return hash((self.field, self.ncols, self._rows))
 
     def __repr__(self):
         return "LaurentMatrix(%s, %dx%d)" % (self.field, self.nrows,
@@ -246,46 +278,43 @@ class LaurentMatrix:
         return self.entries[ij[0]][ij[1]]
 
     def mul(self, other):
-        f, raw = self.field, LaurentPoly._raw
-        z = raw(f, ())
-        return LaurentMatrix._raw(f, tuple([
-            tuple([raw(f, t) if t else z for t in row])
-            for row in _product_terms(self, other)]), other.ncols)
+        return LaurentMatrix._raw(self.field, _product_terms(self, other),
+                                  other.ncols)
 
     def transpose(self):
-        return LaurentMatrix._raw(self.field, tuple(zip(*self.entries))
-                                  if self.entries else ((),) * self.ncols,
+        return LaurentMatrix._raw(self.field, tuple(zip(*self._rows))
+                                  if self._rows else ((),) * self.ncols,
                                   self.nrows)
 
     def is_zero(self):
-        return all(x.is_zero() for r in self.entries for x in r)
+        return not any(map(any, self._rows))
 
     def min_valuation(self):
         """Least entry valuation; None for the zero matrix."""
-        vals = [x.terms[0][0] for r in self.entries for x in r if x.terms]
+        vals = [t[0][0] for r in self._rows for t in r if t]
         return min(vals) if vals else None
 
 
 _poly_field, _poly_terms = (LaurentPoly.field.__set__,
                             LaurentPoly.terms.__set__)
 _mat_field, _mat_nrows = LaurentMatrix.field.__set__, LaurentMatrix.nrows.__set__
-_mat_ncols, _mat_entries = (LaurentMatrix.ncols.__set__,
-                            LaurentMatrix.entries.__set__)
+_mat_ncols, _mat_rows, _mat_entries = (LaurentMatrix.ncols.__set__,
+                                       LaurentMatrix._rows.__set__,
+                                       LaurentMatrix._entries.__set__)
 
 
 def _product_terms(a, b):
-    """The entries of a . b as rows of canonical term tuples, each the
-    _mul_terms of its nonzero products; two shapes or fields: ValueError."""
+    """The rows of a . b, each entry the _mul_terms of its nonzero products:
+    a tuple of tuples of canonical term tuples; two shapes or fields:
+    ValueError."""
     if a.ncols != b.nrows:
         raise ValueError("shape mismatch")
     if a.field != b.field:
         raise ValueError("field mismatch")
     p = a.field.p
-    cols = [[y.terms for y in col] for col in zip(*b.entries)] \
-        if b.entries else [()] * b.ncols
+    cols = list(zip(*b._rows)) if b._rows else [()] * b.ncols
     out = []
-    for row in a.entries:
-        xs = [x.terms for x in row]
+    for xs in a._rows:
         acc = []
         for ys in cols:
             prods = []  # a comprehension would add a call per entry
@@ -293,8 +322,8 @@ def _product_terms(a, b):
                 if x and y:
                     prods.append((x, y))
             acc.append(_mul_terms(p, prods) if prods else ())
-        out.append(acc)
-    return out
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 # an echelon form whose cost (_echelon_work + 1) x rows x cols is over
@@ -318,8 +347,8 @@ def _echelon_work(m):
     sizes alone would miss rows like (t^N, 1), whose elimination against
     (1, 1) leaves 1 - t^N."""
     work = 0
-    for row in m.entries:
-        terms = [x.terms for x in row if x.terms]
+    for row in m._rows:
+        terms = [t for t in row if t]
         if terms:
             work += max(t[-1][0] for t in terms) - min(t[0][0] for t in terms)
     return work
@@ -417,13 +446,12 @@ def right_inverse(m):
     if nd is None:
         return None
     rows, d = nd
-    return LaurentMatrix._raw(m.field, tuple(map(tuple, rows)),
-                              m.ncols).transpose(), d
+    return LaurentMatrix(m.field, rows, m.ncols).transpose(), d
 
 
 def left_inverse(m):
     """(N, d) with N . m = d . identity, for m of full column rank; None
     otherwise.  d == 1 exactly when a Laurent left inverse exists."""
     nd = _left_inverse_rows(m)
-    return None if nd is None else (
-        LaurentMatrix._raw(m.field, tuple(map(tuple, nd[0])), m.nrows), nd[1])
+    return None if nd is None else (LaurentMatrix(m.field, nd[0], m.nrows),
+                                    nd[1])

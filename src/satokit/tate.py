@@ -41,7 +41,10 @@ at the window's top; shifts only raise exponents, so none escapes below the
 window.  An empty window [LO, LO) gives t^LO O^n with no window built.
 split_tate_ses is memoized: one checked split serves every caller.
 TateSES checks its one-sided inverses and i . j = 0 on the term tuples of
-laurent's product kernel, so a check builds no Laurent polynomial or matrix.
+laurent's product kernel, so a check builds no Laurent polynomial or matrix,
+and keeps its three spaces, which every lift and project hands on.  The
+stencils and the derived sequences read the matrices' term rows, and
+compose_filtration combines them with laurent's product and add kernels.
 """
 
 from __future__ import annotations
@@ -49,9 +52,9 @@ from __future__ import annotations
 import functools
 
 from .exactlin import (Matrix, Quotient, Subspace, _row_in, _rref, _shifted,
-                       _split, _units)
-from .laurent import (LaurentMatrix, LaurentPoly, _product_terms,
-                      left_inverse, right_inverse)
+                       _split, _transform, _units)
+from .laurent import (LaurentMatrix, LaurentPoly, _axpy_terms, _mul_terms,
+                      _product_terms, left_inverse, right_inverse)
 
 
 class TateSpace:
@@ -69,8 +72,9 @@ class TateSpace:
         raise AttributeError("immutable")
 
     def __eq__(self, other):
-        return (isinstance(other, TateSpace) and self.field == other.field
-                and self.rank == other.rank)
+        return self is other or (isinstance(other, TateSpace)
+                                 and self.field == other.field
+                                 and self.rank == other.rank)
 
     def __hash__(self):
         return hash((self.field, self.rank))
@@ -168,8 +172,9 @@ def _stripped(space, lo, hi, sub):
         rows = _split(field, rows, cut)[1]
         pivots = [p - cut for p in pivots]
         lo += cut // n
-    return Lattice(space, lo, hi, Subspace._raw(field, (hi - lo) * n, rows,
-                                                pivots), _normalized=True)
+    if k or cut:
+        sub = Subspace._raw(field, (hi - lo) * n, rows, pivots)
+    return Lattice(space, lo, hi, sub, _normalized=True)
 
 
 def window_subspace(lat, LO, HI):
@@ -257,10 +262,12 @@ class TateSES:
     (N, d) pair ri or lj given by the caller is checked in place of a
     computed one, so no echelon runs for it; d must be nonzero, since
     N = 0 over d = 0 would pass the check.  Exactness in the middle is then
-    i . j = 0 together with the rank count a + c = b.
+    i . j = 0 together with the rank count a + c = b.  The sequence keeps its
+    spaces X', X and X'' as sub_space, total_space and quot_space.
     """
 
-    __slots__ = ("i", "j", "ri", "lj", "_cache")
+    __slots__ = ("i", "j", "ri", "lj", "sub_space", "total_space",
+                 "quot_space", "_cache")
 
     def __init__(self, i, j, ri=None, lj=None):
         if i.ncols != j.nrows:
@@ -275,11 +282,11 @@ class TateSES:
             raise TateSESInvalid("composite-nonzero")
         if i.nrows + j.ncols != i.ncols:
             raise TateSESInvalid("inexact-at-middle")
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "ri", ri)
-        object.__setattr__(self, "lj", lj)
-        object.__setattr__(self, "_cache", {})
+        f = i.field
+        for put, value in zip(_ses_setters, (
+                i, j, ri, lj, TateSpace(f, i.nrows), TateSpace(f, i.ncols),
+                TateSpace(f, j.ncols), {})):
+            put(self, value)
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
@@ -288,17 +295,8 @@ class TateSES:
     def field(self):
         return self.i.field
 
-    @property
-    def sub_space(self):
-        return TateSpace(self.field, self.i.nrows)
 
-    @property
-    def total_space(self):
-        return TateSpace(self.field, self.i.ncols)
-
-    @property
-    def quot_space(self):
-        return TateSpace(self.field, self.j.ncols)
+_ses_setters = [getattr(TateSES, name).__set__ for name in TateSES.__slots__]
 
 
 def _one_sided(m, seed, left, code, message):
@@ -325,9 +323,9 @@ def _verify_one_sided(m, inv, den, left):
     in k[t, 1/t], which holds exactly when inv/den is a one-sided inverse
     over k(t); the product's term tuples are compared as they are."""
     prod = _product_terms(inv, m) if left else _product_terms(m, inv)
-    n, z = (m.ncols if left else inv.ncols), [()]
+    n, z = (m.ncols if left else inv.ncols), ((),)
     return len(prod) == n and all(
-        row == z * r + [den.terms] + z * (n - r - 1)
+        row == z * r + (den.terms,) + z * (n - r - 1)
         for r, row in enumerate(prod))
 
 
@@ -335,9 +333,10 @@ def _verify_one_sided(m, inv, den, left):
 def split_tate_ses(field, a, c):
     """The coordinate split k((t))^a >--> k((t))^(a+c) -->> k((t))^c, with
     the transposes of i and j as its one-sided inverses."""
-    one, rows = LaurentPoly.one(field), LaurentMatrix.identity(field, a + c)
-    i = LaurentMatrix._raw(field, rows.entries[:a], a + c)
-    j = LaurentMatrix._raw(field, rows.entries[a:], a + c).transpose()
+    one = LaurentPoly.one(field)
+    rows = LaurentMatrix.identity(field, a + c)._rows
+    i = LaurentMatrix._raw(field, rows[:a], a + c)
+    j = LaurentMatrix._raw(field, rows[a:], a + c).transpose()
     return TateSES(i, j, (i.transpose(), one), (j.transpose(), one))
 
 
@@ -365,25 +364,28 @@ def compose_filtration(ses_outer, ses_inner):
     the mono [I | 0], and j23, the last columns of j13, the epi [0; I].
     """
     field = ses_outer.field
-    one = LaurentPoly.one(field)
+    p, one = field.p, LaurentPoly.one(field)
     r23, d23 = ses_outer.ri
     if d23 != one:
         raise ValueError("inverse has a nontrivial denominator")
     (n12, d12), (l12, e12), (l23, e23) = (ses_inner.ri, ses_inner.lj,
                                           ses_outer.lj)
     i23, j23 = ses_outer.i, ses_outer.j
-    part1 = r23.mul(ses_inner.j)          # X3 -> X2 -> X2/X1
+    part1 = _product_terms(r23, ses_inner.j)  # X3 -> X2 -> X2/X1
     j13 = LaurentMatrix._raw(field, tuple([l + r for l, r in zip(
-        part1.entries, j23.entries)]), part1.ncols + j23.ncols)
-    top, bottom = l12.mul(i23).entries, l23.entries
+        part1, j23._rows)]), ses_inner.j.ncols + j23.ncols)
+    top, bottom = _product_terms(l12, i23), l23._rows
     lr = l23.mul(r23)
     if not lr.is_zero():
-        bottom = [[x.sub(y) for x, y in zip(r, s)]
-                  for r, s in zip(bottom, lr.mul(i23).entries)]
+        m1 = p - 1 if p else -1
+        bottom = [[_axpy_terms(p, x, 0, m1, y) for x, y in zip(r, s)]
+                  for r, s in zip(bottom, _product_terms(lr, i23))]
     if e23 != one:
-        top = [[e23.mul(x) for x in r] for r in top]
+        top = [[_mul_terms(p, [(e23.terms, x)]) if x else () for x in r]
+               for r in top]
     if e12 != one:
-        bottom = [[e12.mul(x) for x in r] for r in bottom]
+        bottom = [[_mul_terms(p, [(e12.terms, x)]) if x else () for x in r]
+                  for r in bottom]
     return TateSES(ses_inner.i.mul(i23), j13, (r23.mul(n12), d12), (
         LaurentMatrix._raw(field, tuple(map(tuple, (*top, *bottom))),
                            i23.ncols), e12.mul(e23)))
@@ -399,9 +401,9 @@ def _stencil(ses, name):
     if key not in ses._cache:
         m = getattr(ses, name)
         inv, den = ses.ri if name == "i" else ses.lj
-        ses._cache[key] = ([sorted([(e, col, c) for col, x in enumerate(row)
-                                    for e, c in x.terms])
-                            for row in m.entries], m.min_valuation(),
+        ses._cache[key] = ([sorted([(e, col, c) for col, t in enumerate(row)
+                                    for e, c in t])
+                            for row in m._rows], m.min_valuation(),
                            (inv.min_valuation() or 0) - den.val())
     return ses._cache[key]
 
@@ -498,8 +500,7 @@ def lift_lattice(ses, u):
     if u.space != ses.total_space:
         raise ValueError("lattice does not live in the middle space")
     a, b = ses.i.nrows, ses.i.ncols
-    field = ses.field
-    src = TateSpace(field, a)
+    field, src = ses.field, ses.sub_space
     if a == 0:
         return standard_lattice(src)
     irows, vmin_i, vmin_b = _stencil(ses, "i")
@@ -516,8 +517,9 @@ def lift_lattice(ses, u):
     u_w = window_subspace(u, LO_t, u.hi)
     gen = [u_w._reduce(r) for r in _monomial_images(
         field, irows, b, LO_t, u.hi, LO, HI, a)]
-    return _stripped(src, LO, HI,
-                     Matrix._raw(field, gen, u_w.ambient).left_kernel())
+    kernel, pivots = _transform(field, gen, u_w.ambient)[3:]
+    return _stripped(src, LO, HI, Subspace._raw(field, len(gen), kernel,
+                                                pivots))
 
 
 def project_lattice(ses, u):
@@ -526,8 +528,7 @@ def project_lattice(ses, u):
     if u.space != ses.total_space:
         raise ValueError("lattice does not live in the middle space")
     b, c = ses.j.nrows, ses.j.ncols
-    field = ses.field
-    dst = TateSpace(field, c)
+    field, dst = ses.field, ses.quot_space
     if c == 0:
         return standard_lattice(dst)
     jrows, vmin_j, vmin_c = _stencil(ses, "j")

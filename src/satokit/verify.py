@@ -23,7 +23,7 @@ from .exactcat import (LinMap, complete_grid_3x3,
                        inclusion_map, is_cartesian_square,
                        is_cocartesian_square)
 from .exactlin import F2, F5, Matrix, Subspace, all_subspaces, all_vectors
-from .laurent import LaurentMatrix, LaurentPoly
+from .laurent import LaurentMatrix, LaurentPoly, _axpy_terms, _times_terms
 from .simptors import (Cochain, CohomologyResult, MultTorsorRep, GerbeRep,
                        check_mult_torsor, evaluate_even_odd, gerbe_to_torsor,
                        street_boundaries)
@@ -101,40 +101,40 @@ def diag_lattice(space, shifts):
 def rand_automorphism(rng, field, n, n_factors=2, emax=2):
     """Random product E1 . E2 ... of elementary Laurent matrices and its exact
     inverse, built by applying each E as a column operation on the product
-    and E^-1 as a row operation on the left of the inverse."""
-    one = LaurentPoly.one(field)
-    z = LaurentPoly.zero(field)
-    aut = [[one if i == j else z for j in range(n)] for i in range(n)]
+    and E^-1 as a row operation on the left of the inverse, on the entries'
+    term tuples."""
+    p, one = field.p, ((0, field.one()),)
+    aut = [[one if i == j else () for j in range(n)] for i in range(n)]
     inv = [list(r) for r in aut]
     for _ in range(n_factors):
         if n >= 2 and rng.random() < 0.75:
-            # E = 1 + p e_ij: col_j += p col_i, and row_i -= p row_j
+            # E = 1 + c t^e e_ij: col_j += c t^e col_i, row_i -= c t^e row_j
             i, j = rng.sample(range(n), 2)
-            e, c = rng.randint(-emax, emax), rng.randrange(1, field.p)
+            e, c = rng.randint(-emax, emax), rng.randrange(1, p)
             for r in aut:
-                if r[i].terms:
-                    r[j] = r[j].add(r[i]._times(e, c))
-            inv[i] = [x.sub(y._times(e, c)) if y.terms else x
+                r[j] = _axpy_terms(p, r[j], e, c, r[i])
+            inv[i] = [_axpy_terms(p, x, e, p - c, y)
                       for x, y in zip(inv[i], inv[j])]
         else:
             # E = 1 + (c t^e - 1) e_ii: col_i *= c t^e, row_i *= c^-1 t^-e
             i = rng.randrange(n)
-            e, c = rng.randint(-emax, emax), rng.randrange(1, field.p)
+            e, c = rng.randint(-emax, emax), rng.randrange(1, p)
+            ci = field.inv(c)
             for r in aut:
-                r[i] = r[i]._times(e, c)
-            inv[i] = [x._times(-e, field.inv(c)) for x in inv[i]]
+                r[i] = _times_terms(r[i], e, c, p)
+            inv[i] = [_times_terms(x, -e, ci, p) for x in inv[i]]
     return (LaurentMatrix._raw(field, tuple(map(tuple, aut)), n),
             LaurentMatrix._raw(field, tuple(map(tuple, inv)), n))
 
 
 def _rows(m, lo, hi):
     """Rows [lo, hi) of m."""
-    return LaurentMatrix._raw(m.field, m.entries[lo:hi], m.ncols)
+    return LaurentMatrix._raw(m.field, m._rows[lo:hi], m.ncols)
 
 
 def _cols(m, lo, hi):
     """Columns [lo, hi) of m."""
-    return LaurentMatrix._raw(m.field, tuple([r[lo:hi] for r in m.entries]),
+    return LaurentMatrix._raw(m.field, tuple([r[lo:hi] for r in m._rows]),
                               hi - lo)
 
 
@@ -161,7 +161,7 @@ class TwistedChain:
 
     @property
     def total(self):
-        return TateSpace(self.field, self.dims[2])
+        return self.ses13.total_space
 
 
 # --- suites ----------------------------------------------------------------

@@ -1015,14 +1015,16 @@ def _values():
     their member descriptors' __set__."""
     from satokit.exactcat import LinMap
     from satokit.laurent import LaurentMatrix, LaurentPoly
-    from satokit.tate import TateSpace, lattice_normalize
+    from satokit.tate import TateSpace, lattice_normalize, split_tate_ses
     m = Matrix(F5, [[1, 2], [3, 4]])
     return [LaurentPoly(F5, [(1, 2)]),
             LaurentMatrix.identity(F5, 2),
             m,
             m.row_space(),
+            Quotient(Subspace.zero(F5, 2), m.row_space()),
             TateSpace(F5, 1),
             lattice_normalize(TateSpace(F5, 1), -1, 1, [[1, 2]]),
+            split_tate_ses(F5, 1, 1),
             LinMap.of(m)]
 
 

@@ -60,9 +60,26 @@ def test_mul_refuses_mixed_fields():
     # an F5 entry must not pass as an F2 one, nor an F5 sequence compose
     # with an F2 one
     with pytest.raises(ValueError, match="field mismatch"):
-        LaurentMatrix(F2, [[1]]).mul(LaurentMatrix(F5, [[3]]))
+        LaurentMatrix(F2, [[P(F2, (0, 1))]]).mul(
+            LaurentMatrix(F5, [[P(F5, (0, 3))]]))
     with pytest.raises(ValueError, match="field mismatch"):
         compose_filtration(split_tate_ses(F5, 2, 1), split_tate_ses(F2, 1, 1))
+
+
+def test_constructor_refuses_an_entry_over_another_field():
+    # an F5 entry of an F2 matrix once multiplied as the F2 entry 1
+    with pytest.raises(ValueError, match="over F2"):
+        LaurentMatrix(F2, [[P(F5, (0, 3))]])
+    with pytest.raises(ValueError, match="over F5"):
+        LaurentMatrix(F5, [[P(F5, (0, 1)), P(F2, (1, 1))]])
+
+
+def test_constructor_refuses_an_entry_that_is_no_laurent_polynomial():
+    # a bare scalar was accepted, and mul then failed on its missing terms
+    with pytest.raises(ValueError, match="over F2"):
+        LaurentMatrix(F2, [[1]])
+    with pytest.raises(ValueError, match="over F5"):
+        LaurentMatrix(F5, [[P(F5, (0, 1))], [((0, 1),)]])
 
 
 def test_right_inverse():

@@ -1000,18 +1000,11 @@ def test_twisted_chain_runs_no_echelon(monkeypatch):
     assert calls == {}
 
 
-def test_seeded_checks_build_no_laurent_values(monkeypatch):
-    # a seeded TateSES checks i . ri = d, lj . j = e and i . j = 0 on the
-    # product kernel's term tuples: it builds no LaurentMatrix and no
-    # LaurentPoly, by the checking constructors or the trusted ones
+def _counting_builds(monkeypatch, builders):
+    """A Counter, by class name, of the values that the (class, method)
+    pairs in builders construct while monkeypatch holds; "_raw" names the
+    trusted classmethod, anything else an instance method."""
     import collections
-    from satokit.verify import TwistedChain
-    seqs = []
-    for seed in range(3):
-        for field in (F2, F5):
-            chain = TwistedChain(random.Random(seed), field, 1, 2, 3)
-            seqs += [(s.i, s.j, s.ri, s.lj) for s in (
-                chain.ses12, chain.ses23, chain.ses13, chain.sesq)]
     built = collections.Counter()
 
     def counted(cls, name):
@@ -1022,19 +1015,72 @@ def test_seeded_checks_build_no_laurent_values(monkeypatch):
                 return fn(*args)
             return classmethod(wrapper)
 
-        def wrapper(self, *args):
+        def wrapper(self, *args, **kwargs):
             built[cls.__name__] += 1
-            return fn(self, *args)
+            return fn(self, *args, **kwargs)
         return wrapper
 
-    for cls in (LaurentMatrix, LaurentPoly):
-        for name in ("__init__", "_raw"):
-            monkeypatch.setattr(cls, name, counted(cls, name))
+    for cls, name in builders:
+        monkeypatch.setattr(cls, name, counted(cls, name))
+    return built
+
+
+_LAURENT_BUILDERS = [(cls, name) for cls in (LaurentMatrix, LaurentPoly)
+                     for name in ("__init__", "_raw")]
+
+
+def test_seeded_checks_build_no_laurent_values(monkeypatch):
+    # a seeded TateSES checks i . ri = d, lj . j = e and i . j = 0 on the
+    # product kernel's term tuples: it builds no LaurentMatrix and no
+    # LaurentPoly, by the checking constructors or the trusted ones
+    from satokit.verify import TwistedChain
+    seqs = []
+    for seed in range(3):
+        for field in (F2, F5):
+            chain = TwistedChain(random.Random(seed), field, 1, 2, 3)
+            seqs += [(s.i, s.j, s.ri, s.lj) for s in (
+                chain.ses12, chain.ses23, chain.ses13, chain.sesq)]
+    built = _counting_builds(monkeypatch, _LAURENT_BUILDERS)
     for args in seqs:
         TateSES(*args)
     assert built == {}
     LaurentPoly.one(F5)
     assert built == {"LaurentPoly": 1}  # the counters see a build
+
+
+def test_lift_and_project_build_no_space_or_laurent_value(monkeypatch):
+    # a sequence keeps its three spaces and its stencils read the term rows,
+    # so lift and project on a built sequence construct no TateSpace and no
+    # LaurentPoly
+    from satokit.verify import TwistedChain, rand_lattice
+    work = []
+    for seed in range(3):
+        for field in (F2, F5):
+            rng = random.Random(seed)
+            chain = TwistedChain(rng, field, 1, 2, 3)
+            for ses in (chain.ses12, chain.ses23, chain.ses13, chain.sesq):
+                work += [(ses, rand_lattice(rng, ses.total_space, bound=1))
+                         for _ in range(2)]
+    built = _counting_builds(monkeypatch, [(LaurentPoly, "__init__"),
+                                           (LaurentPoly, "_raw"),
+                                           (TateSpace, "__init__")])
+    for ses, u in work:
+        assert lift_lattice(ses, u).space is ses.sub_space
+        assert project_lattice(ses, u).space is ses.quot_space
+    assert built == {}
+    TateSpace(F5, 1)
+    assert built == {"TateSpace": 1}  # the counters see a build
+
+
+def test_rand_automorphism_builds_no_laurent_poly(monkeypatch):
+    # the product and its inverse are built on term tuples, and only the two
+    # matrices are wrapped
+    from satokit.verify import rand_automorphism
+    built = _counting_builds(monkeypatch, _LAURENT_BUILDERS)
+    for seed in range(10):
+        for field in (F2, F5):
+            rand_automorphism(random.Random(seed), field, 3)
+    assert built == {"LaurentMatrix": 40}
 
 
 def test_chain_suites_run_no_echelon(monkeypatch):
@@ -1183,6 +1229,122 @@ def test_rand_automorphism_matches_the_product_of_its_factors(
     assert got == want
     assert rng.getstate() == oracle_rng.getstate()
     assert got[0].mul(got[1]) == LaurentMatrix.identity(field, n)
+
+
+def _automorphism_by_polys(rng, field, n, n_factors=2, emax=2):
+    """verify.rand_automorphism on LaurentPoly entries, by add, sub and
+    _times, as it was once built, with the same draws in the same order."""
+    one = LaurentPoly.one(field)
+    z = LaurentPoly.zero(field)
+    aut = [[one if i == j else z for j in range(n)] for i in range(n)]
+    inv = [list(r) for r in aut]
+    for _ in range(n_factors):
+        if n >= 2 and rng.random() < 0.75:
+            i, j = rng.sample(range(n), 2)
+            e, c = rng.randint(-emax, emax), rng.randrange(1, field.p)
+            for r in aut:
+                if r[i].terms:
+                    r[j] = r[j].add(r[i]._times(e, c))
+            inv[i] = [x.sub(y._times(e, c)) if y.terms else x
+                      for x, y in zip(inv[i], inv[j])]
+        else:
+            i = rng.randrange(n)
+            e, c = rng.randint(-emax, emax), rng.randrange(1, field.p)
+            for r in aut:
+                r[i] = r[i]._times(e, c)
+            inv[i] = [x._times(-e, field.inv(c)) for x in inv[i]]
+    return LaurentMatrix(field, aut, n), LaurentMatrix(field, inv, n)
+
+
+@pytest.mark.parametrize("field", [F2, Field(3), F5], ids=["F2", "F3", "F5"])
+def test_rand_automorphism_on_term_tuples_matches_the_poly_construction(
+        field):
+    from satokit.verify import rand_automorphism
+    for seed in range(50):
+        for n in range(1, 5):
+            rng, oracle_rng = random.Random(seed), random.Random(seed)
+            got = rand_automorphism(rng, field, n, 4, 3)
+            assert got == _automorphism_by_polys(oracle_rng, field, n, 4, 3)
+            assert rng.getstate() == oracle_rng.getstate()
+
+
+def _compose_by_polys(ses_outer, ses_inner):
+    """(i, j, ri, lj) of compose_filtration by LaurentPoly arithmetic on the
+    entries, as it was once built."""
+    field = ses_outer.field
+    one = LaurentPoly.one(field)
+    r23 = ses_outer.ri[0]
+    (n12, d12), (l12, e12), (l23, e23) = (ses_inner.ri, ses_inner.lj,
+                                          ses_outer.lj)
+    i23, j23 = ses_outer.i, ses_outer.j
+    part1 = r23.mul(ses_inner.j)
+    j13 = LaurentMatrix(field, [l + r for l, r in zip(
+        part1.entries, j23.entries)], part1.ncols + j23.ncols)
+    top, bottom = l12.mul(i23).entries, l23.entries
+    lr = l23.mul(r23)
+    if not lr.is_zero():
+        bottom = [[x.sub(y) for x, y in zip(r, s)]
+                  for r, s in zip(bottom, lr.mul(i23).entries)]
+    if e23 != one:
+        top = [[e23.mul(x) for x in r] for r in top]
+    if e12 != one:
+        bottom = [[e12.mul(x) for x in r] for r in bottom]
+    return (ses_inner.i.mul(i23), j13, (r23.mul(n12), d12),
+            (LaurentMatrix(field, [*top, *bottom], i23.ncols),
+             e12.mul(e23)))
+
+
+def _reseeded(rng, ses, e):
+    """ses with its lj = (L, d) reseeded as (e (L + X . i), e d) for a random
+    Laurent X; so is its ri = (N, d) as (e (N + j . Y), e d) when its d is
+    not 1 already (compose_filtration needs a Laurent retraction of the
+    outer mono): both pairs still pass, since i . j = 0."""
+    field = ses.field
+
+    def draw(r, c):
+        return LaurentMatrix(field, [[LaurentPoly(field, [
+            (rng.randint(-2, 2), rng.randrange(field.p))
+            for _ in range(2)]) for _ in range(c)] for _ in range(r)], c)
+
+    def scaled(m):
+        return LaurentMatrix(field, [[e.mul(x) for x in r]
+                                     for r in m.entries], m.ncols)
+
+    def plus(a, b):
+        return LaurentMatrix(field, [[x.add(y) for x, y in zip(r, s)]
+                                     for r, s in zip(a.entries, b.entries)],
+                             a.ncols)
+
+    (n, d), (l, dl) = ses.ri, ses.lj
+    a, b, c = ses.i.nrows, ses.i.ncols, ses.j.ncols
+    lj = (scaled(plus(l, draw(c, a).mul(ses.i))), e.mul(dl))
+    if d == LaurentPoly.one(field):
+        return TateSES(ses.i, ses.j, ses.ri, lj)
+    return TateSES(ses.i, ses.j,
+                   (scaled(plus(n, ses.j.mul(draw(c, a)))), e.mul(d)), lj)
+
+
+@pytest.mark.parametrize("field", [F2, F5])
+def test_compose_filtration_matches_the_poly_formula(field):
+    # the term-row composite equals the LaurentPoly formula on sequences
+    # whose denominators e12, e23 are not units and whose l23 . r23 is not
+    # zero, the branches that a TwistedChain never reaches
+    from satokit.verify import TwistedChain
+    one, t = LaurentPoly.one(field), LaurentPoly.t_power(field, 1)
+    rng = random.Random(3)
+    reached = set()
+    for seed in range(20):
+        ch = TwistedChain(random.Random(seed), field, 1, 2, 3)
+        inners = [ch.ses12, _reseeded(rng, ch.ses12, one.add(t)),
+                  _content_sequence(field)]
+        for outer in (ch.ses23, _reseeded(rng, ch.ses23, t.mul(t).add(one))):
+            for inner in inners:
+                got = compose_filtration(outer, inner)
+                assert (got.i, got.j, got.ri, got.lj) == _compose_by_polys(
+                    outer, inner), seed
+                reached.add((inner.lj[1] != one, outer.lj[1] != one,
+                             not outer.lj[0].mul(outer.ri[0]).is_zero()))
+    assert (True, True, True) in reached
 
 
 @pytest.mark.parametrize("field", [F2, F5])
