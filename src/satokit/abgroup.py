@@ -6,8 +6,10 @@ are coordinate tuples reduced mod the factors.
 
 from __future__ import annotations
 
+from .exactlin import Value
 
-class AbelianGroup:
+
+class AbelianGroup(Value):
     __slots__ = ("factors",)
 
     def __init__(self, factors):
@@ -15,9 +17,6 @@ class AbelianGroup:
         if any(d == 1 or d < 0 for d in factors):
             raise ValueError("factors must be 0 (free) or >= 2")
         object.__setattr__(self, "factors", factors)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def __eq__(self, other):
         return isinstance(other, AbelianGroup) and self.factors == other.factors
@@ -45,37 +44,13 @@ class AbelianGroup:
     def zero(self):
         return GroupElem(self, (0,) * len(self.factors))
 
-    def generator(self, k):
-        return GroupElem(self, tuple(1 if i == k else 0
-                                     for i in range(len(self.factors))))
 
-    def elements(self):
-        """All elements; finite groups only."""
-        if any(d == 0 for d in self.factors):
-            raise ValueError("group is infinite")
-        out = [()]
-        for d in self.factors:
-            out = [t + (x,) for t in out for x in range(d)]
-        return [GroupElem(self, t) for t in out]
-
-    def order(self):
-        if any(d == 0 for d in self.factors):
-            return None
-        n = 1
-        for d in self.factors:
-            n *= d
-        return n
-
-
-class GroupElem:
+class GroupElem(Value):
     __slots__ = ("group", "coords")
 
     def __init__(self, group, coords):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "coords", group.reduce(coords))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def __eq__(self, other):
         return (isinstance(other, GroupElem) and self.group == other.group
@@ -119,7 +94,7 @@ class GroupElem:
             raise ValueError("elements of different groups")
 
 
-class GroupHom:
+class GroupHom(Value):
     """Homomorphism between presented groups, as an integer matrix on
     generators (rows indexed by source generators)."""
 
@@ -141,9 +116,6 @@ class GroupHom:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     @classmethod
     def identity(cls, group):

@@ -33,14 +33,13 @@ def simplex_boundary(n):
     return validate_simplicial_set(data)
 
 
-def circle(k=3):
-    """A k-gon: k vertices and k edges (k >= 3 keeps it semisimplicial)."""
-    if k < 3:
-        raise ValueError("need at least three edges")
-    data = [("v%d" % i, 0, ()) for i in range(k)]
-    for i in range(k):
-        # edge from v_i to v_(i+1): face 0 is the far vertex
-        data.append(("e%d" % i, 1, ("v%d" % ((i + 1) % k), "v%d" % i)))
+def circle():
+    """A triangle: three vertices and three edges, the fewest that keep the
+    circle semisimplicial."""
+    # edge e_i runs from v_i to v_(i+1): face 0 is the far vertex
+    data = [("v0", 0, ()), ("v1", 0, ()), ("v2", 0, ()),
+            ("e0", 1, ("v1", "v0")), ("e1", 1, ("v2", "v1")),
+            ("e2", 1, ("v0", "v2"))]
     return validate_simplicial_set(data)
 
 

@@ -21,13 +21,13 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .exactcat import SES, FdSpace, LinMap, canonical_section, split_ses
-from .exactlin import Matrix
+from .exactlin import Matrix, Value
 from .tate import (delta_scalar_canonical, fd_ses_of_pair,
                    lambda_scalar_chain, lattice_contains, lattice_meet,
                    relative_index, standard_lattice)
 
 
-class GradedLine:
+class GradedLine(Value):
     """One-dimensional space with an integer degree and a basis label."""
 
     __slots__ = ("field", "degree", "label")
@@ -36,9 +36,6 @@ class GradedLine:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "degree", int(degree))
         object.__setattr__(self, "label", str(label))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     @classmethod
     def unit(cls, field):
@@ -65,7 +62,7 @@ class GradedLine:
                           "%s(x)%s" % (self.label, other.label))
 
 
-class LineIso:
+class LineIso(Value):
     """Isomorphism of graded lines: a nonzero scalar in fixed bases."""
 
     __slots__ = ("source", "target", "scalar")
@@ -81,9 +78,6 @@ class LineIso:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "scalar", scalar)
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
     def __repr__(self):
         return "LineIso(%r -> %r, scalar %s)" % (self.source, self.target,
                                                  self.scalar)
@@ -93,16 +87,6 @@ class LineIso:
             raise ValueError("isos are not composable")
         f = self.source.field
         return LineIso(self.source, other.target,
-                       f.mul(self.scalar, other.scalar))
-
-    def inverse(self):
-        return LineIso(self.target, self.source,
-                       self.source.field.inv(self.scalar))
-
-    def tensor(self, other):
-        f = self.source.field
-        return LineIso(self.source.tensor(other.source),
-                       self.target.tensor(other.target),
                        f.mul(self.scalar, other.scalar))
 
 

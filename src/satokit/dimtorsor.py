@@ -14,11 +14,12 @@ combination along a short exact sequence are written once for both.
 from __future__ import annotations
 
 from .abgroup import ZZ, format_group
+from .exactlin import Value
 from .tate import (lift_lattice, project_lattice, relative_index,
                    standard_lattice)
 
 
-class DimTheory:
+class DimTheory(Value):
     """Additive G-valued function on finite dimensional spaces."""
 
     __slots__ = ("group", "generator_image")
@@ -28,9 +29,6 @@ class DimTheory:
             raise ValueError("generator image must lie in the group")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "generator_image", generator_image)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     @classmethod
     def universal(cls):
@@ -84,7 +82,7 @@ class DimTheory:
                                              self.generator_image)
 
 
-class RelTheory:
+class RelTheory(Value):
     """Relative theory on the lattices of a Tate space, stored as an anchor
     lattice plus its value; the rule moves the value to any lattice."""
 
@@ -97,9 +95,6 @@ class RelTheory:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "base_value", rule.check(base_value))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     @classmethod
     def standard(cls, rule, space, value=None):

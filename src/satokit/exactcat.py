@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .exactlin import Matrix, Quotient, Subspace
+from .exactlin import Matrix, Quotient, Subspace, Value
 
 
 class FdSpace(namedtuple("FdSpace", "field dim")):
@@ -29,7 +29,7 @@ class FdSpace(namedtuple("FdSpace", "field dim")):
         return "FdSpace(%s^%d)" % (self.field, self.dim)
 
 
-class LinMap:
+class LinMap(Value):
     """Linear map between FdSpaces; matrix rows act on the source basis.
 
     The map is its matrix and nothing more: equality and hash are the
@@ -47,9 +47,6 @@ class LinMap:
                              % (matrix.nrows, matrix.ncols,
                                 source.dim, target.dim))
         _map_matrix(self, matrix)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LinMap is immutable")
 
     @classmethod
     def of(cls, matrix):
@@ -144,7 +141,7 @@ class SESInvalid(Exception):
         super().__init__(code)
 
 
-class SES:
+class SES(Value):
     """Validated admissible short exact sequence  a' >--i--> a --j->> a''.
 
     The constructor is the one validation path: it raises SESInvalid naming
@@ -168,9 +165,6 @@ class SES:
             raise SESInvalid("inexact-at-middle")
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "j", j)
-
-    def __setattr__(self, *a):
-        raise AttributeError("SES is immutable")
 
     @property
     def sub(self):

@@ -16,10 +16,15 @@ bytes.translate reduces every lane mod p.  Q and larger p keep tuples.
 Matrix.entries, Subspace.rows and Lattice.rows are tuple views, built only
 when read.  Matrix, Subspace and Quotient are the one API; their
 constructors (Subspace.from_rows for a Subspace) check every scalar, and
-the row kernels are private.  Immutable values here and in laurent, tate
-and exactcat refuse __setattr__ and fill their slots through the member
-descriptors' __set__, bound by name (_mat_rank = Matrix._rank.__set__),
-not through object.__setattr__'s name lookup.
+the row kernels are private.
+
+Every immutable value of satokit is a Value, which refuses __setattr__ and
+__delattr__.  The hot classes (Matrix, Subspace, Quotient, laurent's,
+tate's and exactcat's LinMap) fill their slots through the member
+descriptors' __set__, bound by name at import (_mat_rank =
+Matrix._rank.__set__), which skips object.__setattr__'s name lookup; the
+rest (Field, abgroup's, detline's and dimtorsor's values, exactcat's SES)
+call object.__setattr__.
 """
 
 from __future__ import annotations
@@ -27,6 +32,21 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, product
+
+
+class Value:
+    """Base of satokit's immutable values, which serve as dict and cache
+    keys: setting or deleting any attribute raises AttributeError.  Matrix,
+    Subspace, Quotient, LinMap and the laurent and tate values fill their
+    slots through their member descriptors' bound __set__, the others
+    through object.__setattr__; neither calls __setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
 
 
 # Miller-Rabin with the first twelve primes as bases decides primality for
@@ -62,7 +82,7 @@ def _is_prime(n):
 _LANES = {p: bytes([v % p for v in range(256)]) for p in (3, 5, 7, 11, 13)}
 
 
-class Field:
+class Field(Value):
     """F_p (p prime) or the rationals.  Immutable, hashable."""
 
     __slots__ = ("p", "_bits")
@@ -74,9 +94,6 @@ class Field:
             raise ValueError("characteristic must be prime, got %r" % (p,))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_bits", 1 if p == 2 else 8 * (p in _LANES))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Field is immutable")
 
     @classmethod
     def parse(cls, text):
@@ -429,7 +446,7 @@ def _mul(field, a, b, ncols):
 
 # ---------------------------------------------------------------------------
 
-class Matrix:
+class Matrix(Value):
     """Immutable dense matrix over a Field.
 
     Its rows are kept in the internal form above (one int per row over F2);
@@ -456,9 +473,6 @@ class Matrix:
         _mat_rows(self, rows)
         _mat_entries(self, None if field._bits else rows)
         _mat_rank(self, rank)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Matrix is immutable")
 
     @classmethod
     def _raw(cls, field, rows, ncols, rank=None):
@@ -491,10 +505,6 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(%s, %dx%d)" % (self.field, self.nrows, self.ncols)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
 
     def mul(self, other):
         if self.field.p != other.field.p:
@@ -618,7 +628,7 @@ class Matrix:
         raise ValueError("matrix is not invertible")
 
 
-class Subspace:
+class Subspace(Value):
     """Subspace of k^ambient, stored as a reduced-row-echelon basis.
 
     The representation is canonical: two Subspaces are equal iff they are the
@@ -629,9 +639,6 @@ class Subspace:
 
     def __init__(self, *args):
         raise ValueError("use Subspace.from_rows to build subspaces")
-
-    def __setattr__(self, *a):
-        raise AttributeError("Subspace is immutable")
 
     @classmethod
     def _raw(cls, field, ambient, rows, pivots):
@@ -755,7 +762,7 @@ _sub_field, _sub_ambient, _sub_rows = (
 _sub_pivots, _sub_view = Subspace.pivots.__set__, Subspace._view.__set__
 
 
-class Quotient:
+class Quotient(Value):
     """The subquotient big/small of nested subspaces, in its canonical basis.
 
     Its basis is the rref of big's rows reduced modulo small, in ambient
@@ -775,9 +782,6 @@ class Quotient:
         _quo_small(self, small)
         _quo_basis(self, basis)
         _quo_pivots(self, pivots)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Quotient is immutable")
 
     @property
     def dim(self):

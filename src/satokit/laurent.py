@@ -18,6 +18,8 @@ LaurentPoly.
 
 from __future__ import annotations
 
+from .exactlin import Value
+
 
 def _canonical(p, d):
     """Sorted nonzero terms of an exponent -> raw coefficient sum dict, the
@@ -28,7 +30,7 @@ def _canonical(p, d):
                          [(e, c % p) for e, c in d.items()] if c]))
 
 
-class LaurentPoly:
+class LaurentPoly(Value):
     """Finite map exponent -> nonzero scalar; canonical, immutable."""
 
     __slots__ = ("field", "terms")
@@ -49,9 +51,6 @@ class LaurentPoly:
         _poly_field(x, field)
         _poly_terms(x, terms)
         return x
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     @classmethod
     def zero(cls, field):
@@ -79,12 +78,6 @@ class LaurentPoly:
         if not self.terms:
             raise ValueError("degree of zero")
         return self.terms[-1][0]
-
-    def coeff(self, e):
-        for ee, c in self.terms:
-            if ee == e:
-                return c
-        return self.field.zero()
 
     def add(self, other):
         if not other.terms:
@@ -208,7 +201,7 @@ def poly_divmod(a, b):
             LaurentPoly._raw(f, tuple(sorted(rem.items()))))
 
 
-class LaurentMatrix:
+class LaurentMatrix(Value):
     """Matrix of Laurent polynomials; acts on row vectors.  Its rows are
     kept as tuples of term tuples; entries is a view built on first read."""
 
@@ -241,9 +234,6 @@ class LaurentMatrix:
         m = object.__new__(cls)
         m._init(field, rows, ncols)
         return m
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     @property
     def entries(self):

@@ -51,13 +51,13 @@ from __future__ import annotations
 
 import functools
 
-from .exactlin import (Matrix, Quotient, Subspace, _row_in, _rref, _shifted,
-                       _split, _transform, _units)
+from .exactlin import (Matrix, Quotient, Subspace, Value, _row_in, _rref,
+                       _shifted, _split, _transform, _units)
 from .laurent import (LaurentMatrix, LaurentPoly, _axpy_terms, _mul_terms,
                       _product_terms, left_inverse, right_inverse)
 
 
-class TateSpace:
+class TateSpace(Value):
     """The space k((t))^n."""
 
     __slots__ = ("field", "rank")
@@ -67,9 +67,6 @@ class TateSpace:
             raise ValueError("negative rank")
         _space_field(self, field)
         _space_rank(self, rank)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def __eq__(self, other):
         return self is other or (isinstance(other, TateSpace)
@@ -83,7 +80,7 @@ class TateSpace:
         return "TateSpace(%s((t))^%d)" % (self.field, self.rank)
 
 
-class Lattice:
+class Lattice(Value):
     """Element of the Sato Grassmannian of a TateSpace, canonical form.
 
     basis is the rref Subspace of the lattice modulo t^hi O^n in its window
@@ -99,9 +96,6 @@ class Lattice:
         _lat_lo(self, lo)
         _lat_hi(self, hi)
         _lat_basis(self, basis)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     @property
     def rows(self):
@@ -253,7 +247,7 @@ class TateSESInvalid(Exception):
         super().__init__(code)
 
 
-class TateSES:
+class TateSES(Value):
     """Validated  X' >--i--> X --j->> X''  with Laurent-polynomial matrices.
 
     The constructor is the one validation path.  Admissibility is full rank
@@ -287,9 +281,6 @@ class TateSES:
                 i, j, ri, lj, TateSpace(f, i.nrows), TateSpace(f, i.ncols),
                 TateSpace(f, j.ncols), {})):
             put(self, value)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     @property
     def field(self):

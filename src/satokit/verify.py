@@ -142,11 +142,11 @@ class TwistedChain:
     """A filtration X1 c X2 c X3 of twisted coordinate splits, with every
     derived short exact sequence carrying exact polynomial inverses."""
 
-    def __init__(self, rng, field, a1, a2, a3, emax=2, n_factors=2):
+    def __init__(self, rng, field, a1, a2, a3, emax=2):
         self.field = field
         self.dims = (a1, a2, a3)
-        A2, A2i = rand_automorphism(rng, field, a3, n_factors, emax)
-        A1, A1i = rand_automorphism(rng, field, a2, n_factors, emax)
+        A2, A2i = rand_automorphism(rng, field, a3, emax=emax)
+        A1, A1i = rand_automorphism(rng, field, a2, emax=emax)
         # P . A is a block of rows of A, and A^-1 . Q one of columns of A^-1
         i23, lj23 = _rows(A2, 0, a2), _rows(A2, a2, a3)
         ri23, j23 = _cols(A2i, 0, a2), _cols(A2i, a2, a3)

@@ -23,6 +23,22 @@ def test_field_construction():
     assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
 
 
+@pytest.mark.parametrize("p", [41, 2 ** 31 - 1, 2 ** 61 - 1, 2 ** 64 - 59])
+def test_field_accepts_primes_past_the_trial_bases(p):
+    # no factor among the twelve Miller-Rabin bases, so primality is decided
+    # by the Miller-Rabin rounds
+    assert Field(p).p == p
+
+
+@pytest.mark.parametrize("n", [0, 1, -5, 41 * 43, 151 * 751 * 28351])
+def test_field_refuses_non_primes(n):
+    # below 2, and composites with no factor among the twelve bases:
+    # 3215031751 = 151 . 751 . 28351 is a strong pseudoprime to the bases
+    # 2, 3, 5 and 7, so only a later round refuses it
+    with pytest.raises(ValueError, match="must be prime"):
+        Field(n)
+
+
 # --- rref oracle: hand row-reduction -----------------------------------
 
 def test_rref_identity_f2():
@@ -1008,35 +1024,65 @@ def test_lane_rows_are_the_internal_form():
     assert Quotient(Subspace.zero(F5, 2), s).coords((-4, 10)) == (1,)
 
 
-# --- immutable values: slots filled by their setters, never reassigned -------
+# --- immutable values: slots filled once, never reassigned or deleted -------
 
 def _values():
-    """One value of each immutable class whose slots are filled through
-    their member descriptors' __set__."""
-    from satokit.exactcat import LinMap
+    """One value of each immutable class, each a subclass of Value."""
+    from satokit.abgroup import ZZ, AbelianGroup, GroupHom
+    from satokit.detline import GradedLine, LineIso
+    from satokit.dimtorsor import DimTheory, RelTheory
+    from satokit.exactcat import LinMap, split_ses
     from satokit.laurent import LaurentMatrix, LaurentPoly
     from satokit.tate import TateSpace, lattice_normalize, split_tate_ses
     m = Matrix(F5, [[1, 2], [3, 4]])
-    return [LaurentPoly(F5, [(1, 2)]),
-            LaurentMatrix.identity(F5, 2),
+    line = GradedLine(F5, 1, "e1")
+    # fresh groups and fields, not the shared ZZ and F5, so a deletion that
+    # wrongly succeeds harms no other test
+    return [AbelianGroup((0, 2)),
+            ZZ.elem((3,)),
+            GroupHom.identity(ZZ),
+            line,
+            LineIso(line, line, 2),
+            DimTheory.universal(),
+            RelTheory.standard(DimTheory.universal(), TateSpace(F5, 1)),
+            LinMap.of(m),
+            split_ses(F5, 1, 1),
+            Field(7),
             m,
             m.row_space(),
             Quotient(Subspace.zero(F5, 2), m.row_space()),
+            LaurentPoly(F5, [(1, 2)]),
+            LaurentMatrix.identity(F5, 2),
             TateSpace(F5, 1),
             lattice_normalize(TateSpace(F5, 1), -1, 1, [[1, 2]]),
-            split_tate_ses(F5, 1, 1),
-            LinMap.of(m)]
+            split_tate_ses(F5, 1, 1)]
+
+
+def test_values_cover_every_value_class():
+    # a new immutable class must inherit Value and be listed in _values()
+    from satokit.exactlin import Value
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    listed = {type(v) for v in _values()}  # imports every defining module
+    assert set(subclasses(Value)) == listed
 
 
 @pytest.mark.parametrize("value", _values(), ids=lambda v: type(v).__name__)
 def test_values_refuse_assignment(value):
-    # every slot, and a name that is not one, refuses assignment after
-    # construction, and the value is unchanged
-    before = [getattr(value, name) for name in type(value).__slots__]
-    for name in type(value).__slots__ + ("extra",):
+    # every slot, and a name that is not one, refuses assignment and
+    # deletion after construction, and the value and its hash are unchanged
+    names = type(value).__slots__
+    before = [getattr(value, name) for name in names], hash(value)
+    for name in names + ("extra",):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
-    assert [getattr(value, name) for name in type(value).__slots__] == before
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert ([getattr(value, name) for name in names], hash(value)) == before
 
 
 @pytest.mark.parametrize("field", [F2, F5, Field(17), QQ],
