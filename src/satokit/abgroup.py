@@ -6,14 +6,14 @@ are coordinate tuples reduced mod the factors.
 
 from __future__ import annotations
 
-from .exactlin import Value
+from .exactlin import Value, _checked_int
 
 
 class AbelianGroup(Value):
     __slots__ = ("factors",)
 
     def __init__(self, factors):
-        factors = tuple(int(d) for d in factors)
+        factors = tuple([_checked_int(d, "factor") for d in factors])
         if any(d == 1 or d < 0 for d in factors):
             raise ValueError("factors must be 0 (free) or >= 2")
         object.__setattr__(self, "factors", factors)
@@ -32,7 +32,7 @@ class AbelianGroup(Value):
         return len(self.factors)
 
     def reduce(self, coords):
-        coords = tuple(int(x) for x in coords)
+        coords = tuple([_checked_int(x, "coordinate") for x in coords])
         if len(coords) != len(self.factors):
             raise ValueError("coordinate arity mismatch")
         return tuple(x % d if d else x
@@ -101,7 +101,8 @@ class GroupHom(Value):
     __slots__ = ("source", "target", "rows")
 
     def __init__(self, source, target, rows):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(tuple([_checked_int(x, "entry") for x in r])
+                     for r in rows)
         if len(rows) != source.ngens or \
                 any(len(r) != target.ngens for r in rows):
             raise ValueError("matrix shape does not match presentations")

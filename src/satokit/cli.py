@@ -102,13 +102,16 @@ def _emit(args, payload, text_lines, code=PASS):
 
 def _drop_stdout():
     """Send what stdout still buffers, and all later output, to the null
-    device, once its reader has gone (as in `satokit ... | head`)."""
-    devnull = open(os.devnull, "w")
+    device, once its reader has gone (as in `satokit ... | head`): the null
+    device takes over stdout's file descriptor, and the descriptor opened
+    for it is closed at once, so no stream is left open."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
     try:
-        os.dup2(devnull.fileno(), sys.stdout.fileno())
+        os.dup2(devnull, sys.stdout.fileno())
     except (AttributeError, OSError, ValueError):
         pass  # not a file descriptor, e.g. a replaced sys.stdout
-    sys.stdout = devnull
+    finally:
+        os.close(devnull)
 
 
 def cmd_index(args):

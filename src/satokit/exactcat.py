@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .exactlin import Matrix, Quotient, Subspace, Value
+from .exactlin import Matrix, Quotient, Subspace, Value, _checked_int
 
 
 class FdSpace(namedtuple("FdSpace", "field dim")):
@@ -21,8 +21,7 @@ class FdSpace(namedtuple("FdSpace", "field dim")):
     __slots__ = ()
 
     def __new__(cls, field, dim):
-        if dim < 0:
-            raise ValueError("negative dimension")
+        _checked_int(dim, "dimension", 0)
         return super().__new__(cls, field, dim)
 
     def __repr__(self):

@@ -49,6 +49,17 @@ class Value:
     __delattr__ = __setattr__
 
 
+def _checked_int(x, what, least=None):
+    """x when it is an int, and at least `least` when that is given; else
+    ValueError, so a float, a Fraction or a string is never rounded, and a
+    bool is not kept as a count or a coordinate."""
+    if type(x) is not int:
+        raise ValueError("%s %r is not an int" % (what, x))
+    if least is not None and x < least:
+        raise ValueError("negative %s %d" % (what, x))
+    return x
+
+
 # Miller-Rabin with the first twelve primes as bases decides primality for
 # every n below 3.18 * 10^23, so characteristics are capped at 2^64.
 MAX_CHARACTERISTIC = 2 ** 64
@@ -88,10 +99,11 @@ class Field(Value):
     __slots__ = ("p", "_bits")
 
     def __init__(self, p=None):
-        if p is not None and p >= MAX_CHARACTERISTIC:
-            raise ValueError("characteristic %d is above the cap 2^64" % p)
-        if p is not None and not _is_prime(p):
-            raise ValueError("characteristic must be prime, got %r" % (p,))
+        if p is not None:
+            if _checked_int(p, "characteristic") >= MAX_CHARACTERISTIC:
+                raise ValueError("characteristic %d is above the cap 2^64" % p)
+            if not _is_prime(p):
+                raise ValueError("characteristic must be prime, got %r" % (p,))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_bits", 1 if p == 2 else 8 * (p in _LANES))
 
@@ -461,9 +473,9 @@ class Matrix(Value):
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
                 raise ValueError("ragged matrix")
-        elif ncols is None:
-            ncols = 0
-        self._init(field, _checked_rows(field, rows), ncols, None)
+        elif ncols is not None:
+            _checked_int(ncols, "dimension", 0)
+        self._init(field, _checked_rows(field, rows), ncols or 0, None)
 
     def _init(self, field, rows, ncols, rank):
         rows = tuple(rows)
@@ -490,10 +502,13 @@ class Matrix(Value):
 
     @classmethod
     def zero(cls, field, nrows, ncols):
+        _checked_int(nrows, "dimension", 0)
+        _checked_int(ncols, "dimension", 0)
         return cls._raw(field, (_zero_row(field, ncols),) * nrows, ncols, 0)
 
     @classmethod
     def identity(cls, field, n):
+        _checked_int(n, "dimension", 0)
         return cls._raw(field, _units(field, n), n, n)
 
     def __eq__(self, other):
@@ -660,6 +675,7 @@ class Subspace(Value):
 
     @classmethod
     def from_rows(cls, field, ambient, rows):
+        _checked_int(ambient, "dimension", 0)
         rows = list(rows)
         if any(len(r) != ambient for r in rows):
             raise ValueError("row length does not match ambient dimension")
@@ -668,10 +684,12 @@ class Subspace(Value):
 
     @classmethod
     def zero(cls, field, ambient):
+        _checked_int(ambient, "dimension", 0)
         return cls._raw(field, ambient, (), ())
 
     @classmethod
     def full(cls, field, ambient):
+        _checked_int(ambient, "dimension", 0)
         return cls._raw(field, ambient, _units(field, ambient),
                         range(ambient))
 
@@ -819,8 +837,7 @@ def all_vectors(field, n):
     fields only."""
     if field.p is None:
         raise ValueError("cannot enumerate vectors over Q")
-    if n < 0:
-        raise ValueError("negative dimension %d" % n)
+    _checked_int(n, "dimension", 0)
     return (v[::-1] for v in product(field.elements(), repeat=n))
 
 
@@ -830,8 +847,7 @@ def all_subspaces(field, ambient):
     entries right of p off the pivot columns and 0 elsewhere, and each choice
     of rows is one rref basis."""
     elements = field.elements()  # refuses Q
-    if ambient < 0:
-        raise ValueError("negative dimension %d" % ambient)
+    _checked_int(ambient, "dimension", 0)
     zero, one = (field.zero(),), (field.one(),)
     subs = []
     for k in range(ambient + 1):

@@ -18,7 +18,7 @@ LaurentPoly.
 
 from __future__ import annotations
 
-from .exactlin import Value
+from .exactlin import Value, _checked_int
 
 
 def _canonical(p, d):
@@ -39,7 +39,7 @@ class LaurentPoly(Value):
         items = terms.items() if isinstance(terms, dict) else terms
         d = {}
         for e, c in items:
-            e = int(e)
+            e = _checked_int(e, "exponent")
             d[e] = d.get(e, 0) + field.normalize(c)
         _poly_field(self, field)
         _poly_terms(self, _canonical(field.p, d))
@@ -62,8 +62,9 @@ class LaurentPoly(Value):
 
     @classmethod
     def t_power(cls, field, e, c=None):
+        _checked_int(e, "exponent")
         c = field.one() if c is None else field.normalize(c)
-        return cls._raw(field, ((int(e), c),) if c else ())
+        return cls._raw(field, ((e, c),) if c else ())
 
     def is_zero(self):
         return not self.terms

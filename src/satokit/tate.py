@@ -39,22 +39,25 @@ one-sided inverse.  A lift's generators and a projection's tail are one
 window row per row of i or j, shifted up n columns per power of t and masked
 at the window's top; shifts only raise exponents, so none escapes below the
 window.  An empty window [LO, LO) gives t^LO O^n with no window built.
-split_tate_ses is memoized: one checked split serves every caller.
-TateSES checks its one-sided inverses and i . j = 0 on the term tuples of
-laurent's product kernel, so a check builds no Laurent polynomial or matrix,
-and keeps its three spaces, which every lift and project hands on.  The
-stencils and the derived sequences read the matrices' term rows, and
-compose_filtration combines them with laurent's product and add kernels.
+The sequences satokit derives are twisted splits, all built by one
+constructor, twisted_split: the coordinate split conjugated by an
+automorphism A, whose i, j and one-sided inverses are row and column slices
+of A and A^-1.  split_tate_ses is the twisted split by the identity,
+memoized, so one checked split serves every caller.  TateSES checks its
+one-sided inverses and i . j = 0 on the term tuples of laurent's product
+kernel, so a check builds no Laurent polynomial or matrix, and keeps its
+three spaces, which every lift and project hands on.  The stencils read the
+matrices' term rows.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .exactlin import (Matrix, Quotient, Subspace, Value, _row_in, _rref,
-                       _shifted, _split, _transform, _units)
-from .laurent import (LaurentMatrix, LaurentPoly, _axpy_terms, _mul_terms,
-                      _product_terms, left_inverse, right_inverse)
+from .exactlin import (Matrix, Quotient, Subspace, Value, _checked_int,
+                       _row_in, _rref, _shifted, _split, _transform, _units)
+from .laurent import (LaurentMatrix, LaurentPoly, _product_terms,
+                      left_inverse, right_inverse)
 
 
 class TateSpace(Value):
@@ -63,8 +66,7 @@ class TateSpace(Value):
     __slots__ = ("field", "rank")
 
     def __init__(self, field, rank):
-        if rank < 0:
-            raise ValueError("negative rank")
+        _checked_int(rank, "rank", 0)
         _space_field(self, field)
         _space_rank(self, rank)
 
@@ -125,7 +127,7 @@ _lat_hi, _lat_basis = Lattice.hi.__set__, Lattice.basis.__set__
 
 def standard_lattice(space, shift=0):
     """t^shift O^n; k((t))^0 has the one lattice 0, with lo = hi = 0."""
-    shift = shift if space.rank else 0
+    shift = _checked_int(shift, "shift") if space.rank else 0
     return Lattice(space, shift, shift, Subspace.zero(space.field, 0),
                    _normalized=True)
 
@@ -133,8 +135,9 @@ def standard_lattice(space, shift=0):
 def lattice_normalize(space, lo, hi, raw_basis):
     """Canonical Lattice from window bounds and basis rows over the window
     quotient t^lo O^n / t^hi O^n (monomial coordinates, e then unit); a
-    scalar that is not an int or a Fraction in the field raises ValueError."""
-    if lo > hi:
+    scalar that is not an int or a Fraction in the field raises ValueError,
+    and so do bounds that are not ints."""
+    if _checked_int(lo, "lo") > _checked_int(hi, "hi"):
         raise ValueError("lo must be <= hi")
     return _stripped(space, lo, hi, Subspace.from_rows(
         space.field, (hi - lo) * space.rank, raw_basis))
@@ -322,64 +325,27 @@ def _verify_one_sided(m, inv, den, left):
 
 @functools.cache  # the sequence is immutable; its stencils serve every use
 def split_tate_ses(field, a, c):
-    """The coordinate split k((t))^a >--> k((t))^(a+c) -->> k((t))^c, with
-    the transposes of i and j as its one-sided inverses."""
-    one = LaurentPoly.one(field)
-    rows = LaurentMatrix.identity(field, a + c)._rows
-    i = LaurentMatrix._raw(field, rows[:a], a + c)
-    j = LaurentMatrix._raw(field, rows[a:], a + c).transpose()
-    return TateSES(i, j, (i.transpose(), one), (j.transpose(), one))
+    """The coordinate split k((t))^a >--> k((t))^(a+c) -->> k((t))^c: the
+    twisted split by the identity, so its one-sided inverses are the
+    transposes of i and j."""
+    one = LaurentMatrix.identity(field, a + c)
+    return twisted_split(one, one, a)
 
 
-def twist_tate_ses(ses, aut, aut_inv):
-    """Conjugate the middle of a TateSES by an automorphism of the middle
-    space: i' = i . A, j' = A^-1 . j, with one-sided inverses A^-1 . N and
-    N . A over the same denominators."""
-    if aut.mul(aut_inv) != LaurentMatrix.identity(ses.field, aut.nrows):
-        raise ValueError("aut_inv is not the inverse of aut")
-    (ri, di), (lj, dj) = ses.ri, ses.lj
-    return TateSES(ses.i.mul(aut), aut_inv.mul(ses.j),
-                   (aut_inv.mul(ri), di), (lj.mul(aut), dj))
-
-
-def compose_filtration(ses_outer, ses_inner):
-    """Given X2 >--> X3 (outer) and X1 >--> X2 (inner), the sequence
-    X1 >--> X3 -->> X3/X1 = (X2/X1) (+) (X3/X2): i13 = i12 . i23 and
-    j13 = [r23 . j12 | j23], for the retraction r23 of i23, which must be
-    Laurent.  From the pairs (N12, d12), (L12, e12), (L23, e23) of ri12,
-    lj12, lj23, with no echelon: ri13 = (r23 . N12, d12), and lj13 is
-    e23 . L12 . i23 above e12 . (L23 - L23 . r23 . i23), over e12 . e23.
-
-    In these coordinates the quotient X2/X1 >--> X3/X1 -->> X3/X2 is
-    split_tate_ses(field, a2 - a1, a3 - a2): i23 . j13 = [j12 | 0] gives
-    the mono [I | 0], and j23, the last columns of j13, the epi [0; I].
-    """
-    field = ses_outer.field
-    p, one = field.p, LaurentPoly.one(field)
-    r23, d23 = ses_outer.ri
-    if d23 != one:
-        raise ValueError("inverse has a nontrivial denominator")
-    (n12, d12), (l12, e12), (l23, e23) = (ses_inner.ri, ses_inner.lj,
-                                          ses_outer.lj)
-    i23, j23 = ses_outer.i, ses_outer.j
-    part1 = _product_terms(r23, ses_inner.j)  # X3 -> X2 -> X2/X1
-    j13 = LaurentMatrix._raw(field, tuple([l + r for l, r in zip(
-        part1, j23._rows)]), ses_inner.j.ncols + j23.ncols)
-    top, bottom = _product_terms(l12, i23), l23._rows
-    lr = l23.mul(r23)
-    if not lr.is_zero():
-        m1 = p - 1 if p else -1
-        bottom = [[_axpy_terms(p, x, 0, m1, y) for x, y in zip(r, s)]
-                  for r, s in zip(bottom, _product_terms(lr, i23))]
-    if e23 != one:
-        top = [[_mul_terms(p, [(e23.terms, x)]) if x else () for x in r]
-               for r in top]
-    if e12 != one:
-        bottom = [[_mul_terms(p, [(e12.terms, x)]) if x else () for x in r]
-                  for r in bottom]
-    return TateSES(ses_inner.i.mul(i23), j13, (r23.mul(n12), d12), (
-        LaurentMatrix._raw(field, tuple(map(tuple, (*top, *bottom))),
-                           i23.ncols), e12.mul(e23)))
+def twisted_split(aut, aut_inv, a):
+    """The split k((t))^a >--> k((t))^n -->> k((t))^(n-a) conjugated by an
+    automorphism A = aut of k((t))^n with inverse aut_inv, read off as
+    slices: i = P . A, the first a rows of A, and j = A^-1 . Q, the last
+    n - a columns of A^-1, with the one-sided inverses A^-1 . P^T and
+    Q^T . A, the other two blocks, over d = 1.  TateSES checks them, and
+    i . j = 0, on the term rows."""
+    field, n = aut.field, aut.ncols
+    one, rows, inv = LaurentPoly.one(field), aut._rows, aut_inv._rows
+    return TateSES(
+        LaurentMatrix._raw(field, rows[:a], n),
+        LaurentMatrix._raw(field, tuple([r[a:] for r in inv]), n - a),
+        (LaurentMatrix._raw(field, tuple([r[:a] for r in inv]), a), one),
+        (LaurentMatrix._raw(field, rows[a:], n), one))
 
 
 def _stencil(ses, name):

@@ -23,15 +23,15 @@ from .exactcat import (LinMap, complete_grid_3x3,
                        inclusion_map, is_cartesian_square,
                        is_cocartesian_square)
 from .exactlin import F2, F5, Matrix, Subspace, all_subspaces, all_vectors
-from .laurent import LaurentMatrix, LaurentPoly, _axpy_terms, _times_terms
+from .laurent import (LaurentMatrix, _axpy_terms, _product_terms,
+                      _times_terms)
 from .simptors import (Cochain, CohomologyResult, MultTorsorRep, GerbeRep,
                        check_mult_torsor, evaluate_even_odd, gerbe_to_torsor,
                        street_boundaries)
 from .swald import enumerate_s_skeleton, verify_det_theory, verify_dim_theory
-from .tate import (TateSES, TateSpace, compose_filtration, lattice_join,
-                   lattice_meet, lattice_normalize, lift_lattice,
-                   project_lattice, relative_index, split_tate_ses,
-                   standard_lattice)
+from .tate import (TateSpace, lattice_join, lattice_meet, lattice_normalize,
+                   lift_lattice, project_lattice, relative_index,
+                   split_tate_ses, standard_lattice, twisted_split)
 
 
 class SuiteResult:
@@ -127,17 +127,6 @@ def rand_automorphism(rng, field, n, n_factors=2, emax=2):
             LaurentMatrix._raw(field, tuple(map(tuple, inv)), n))
 
 
-def _rows(m, lo, hi):
-    """Rows [lo, hi) of m."""
-    return LaurentMatrix._raw(m.field, m._rows[lo:hi], m.ncols)
-
-
-def _cols(m, lo, hi):
-    """Columns [lo, hi) of m."""
-    return LaurentMatrix._raw(m.field, tuple([r[lo:hi] for r in m._rows]),
-                              hi - lo)
-
-
 class TwistedChain:
     """A filtration X1 c X2 c X3 of twisted coordinate splits, with every
     derived short exact sequence carrying exact polynomial inverses."""
@@ -147,15 +136,16 @@ class TwistedChain:
         self.dims = (a1, a2, a3)
         A2, A2i = rand_automorphism(rng, field, a3, emax=emax)
         A1, A1i = rand_automorphism(rng, field, a2, emax=emax)
-        # P . A is a block of rows of A, and A^-1 . Q one of columns of A^-1
-        i23, lj23 = _rows(A2, 0, a2), _rows(A2, a2, a3)
-        ri23, j23 = _cols(A2i, 0, a2), _cols(A2i, a2, a3)
-        i12, lj12 = _rows(A1, 0, a1), _rows(A1, a1, a2)
-        ri12, j12 = _cols(A1i, 0, a1), _cols(A1i, a1, a2)
-        one = LaurentPoly.one(field)
-        self.ses23 = TateSES(i23, j23, (ri23, one), (lj23, one))
-        self.ses12 = TateSES(i12, j12, (ri12, one), (lj12, one))
-        self.ses13 = compose_filtration(self.ses23, self.ses12)
+        self.ses23 = twisted_split(A2, A2i, a2)
+        self.ses12 = twisted_split(A1, A1i, a1)
+        # X1 c X3 is the split twisted by B = (A1 (+) 1) . A2, with inverse
+        # A2^-1 . (A1^-1 (+) 1): B's first a2 rows are A1 . i23, and the
+        # first a2 columns of B^-1 are ri23 . A1^-1
+        B = _product_terms(A1, self.ses23.i) + A2._rows[a2:]
+        Bi = tuple([x + y[a2:] for x, y in zip(
+            _product_terms(self.ses23.ri[0], A1i), A2i._rows)])
+        self.ses13 = twisted_split(LaurentMatrix._raw(field, B, a3),
+                                   LaurentMatrix._raw(field, Bi, a3), a1)
         # in these coordinates X3/X1 = (X2/X1) (+) (X3/X2) on the nose
         self.sesq = split_tate_ses(field, a2 - a1, a3 - a2)
 

@@ -14,7 +14,7 @@ from satokit.exactcat import (SES, FdSpace, LinMap, canonical_section,
 from satokit.exactlin import F2, F5, Matrix, Subspace, all_subspaces
 from satokit.laurent import LaurentMatrix, LaurentPoly
 from satokit.tate import (TateSpace, lattice_normalize, relative_index,
-                          split_tate_ses, standard_lattice, twist_tate_ses)
+                          split_tate_ses, standard_lattice)
 
 K1 = TateSpace(F5, 1)
 K2 = TateSpace(F5, 2)

@@ -10,7 +10,7 @@ from satokit.exactlin import F2, F5
 from satokit.laurent import LaurentMatrix, LaurentPoly
 from satokit.tate import (TateSpace, lattice_join, lattice_normalize,
                           relative_index, split_tate_ses, standard_lattice,
-                          twist_tate_ses)
+                          twisted_split)
 from satokit.verify import TwistedChain, rand_lattice
 
 K1 = TateSpace(F5, 1)
@@ -144,15 +144,16 @@ def _aut(rng, field, n):
 
 
 def test_mu_associativity_on_filtration():
-    # X1 = k((t)) c X2 = k((t))^2 c X3 = k((t))^3, coordinate splits twisted
-    from satokit.tate import compose_filtration
+    # X1 = k((t)) c X2 = k((t))^2 c X3 = k((t))^3, coordinate splits twisted,
+    # with X1 c X3 by the block twist
+    from test_tate import _block_twist
     rng = random.Random(7)
     chi = DimTheory.universal()
     for _ in range(10):
         a23, a23i = _aut(rng, F5, 3)
         a12, a12i = _aut(rng, F5, 2)
-        ses23 = twist_tate_ses(split_tate_ses(F5, 2, 1), a23, a23i)
-        ses12 = twist_tate_ses(split_tate_ses(F5, 1, 1), a12, a12i)
+        ses23 = twisted_split(a23, a23i, 2)
+        ses12 = twisted_split(a12, a12i, 1)
         d1 = RelTheory.standard(chi, K1, ZZ.elem((rng.randint(-3, 3),)))
         d21 = RelTheory.standard(chi, K1, ZZ.elem((rng.randint(-3, 3),)))
         d32 = RelTheory.standard(chi, K1, ZZ.elem((rng.randint(-3, 3),)))
@@ -160,10 +161,10 @@ def test_mu_associativity_on_filtration():
         d12 = mu_combine(ses12, d1, d21)
         left = mu_combine(ses23, d12, d32)
         # right association: combine (d21, d32) on X3/X1 first, whose
-        # sequence is the coordinate split in compose_filtration's coordinates
+        # sequence is the coordinate split in the block twist's coordinates
         sesq = split_tate_ses(F5, 1, 1)
         d23 = mu_combine(sesq, d21, d32)
-        ses13 = compose_filtration(ses23, ses12)
+        ses13 = _block_twist((a12, a12i), (a23, a23i), 1)
         right = mu_combine(ses13, d1, d23)
         probe = diag_lattice(TateSpace(F5, 3), [rng.randint(-1, 1)
                                                 for _ in range(3)])

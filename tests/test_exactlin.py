@@ -483,6 +483,46 @@ def test_non_rational_scalars_are_refused_over_q(bad):
     assert LaurentPoly(QQ, {0: third}).terms == ((0, third),)
 
 
+def _not_ints():
+    """Constructors once given a float, a Fraction, a string, a bool or a
+    negative size, which they rounded, kept as given, or failed on later
+    with a TypeError, each with its call."""
+    from satokit.abgroup import ZZ, AbelianGroup, GroupElem, GroupHom
+    from satokit.exactcat import FdSpace
+    from satokit.laurent import LaurentPoly
+    from satokit.tate import TateSpace, lattice_normalize, standard_lattice
+    K1 = TateSpace(F5, 1)
+    return {
+        "Field(17.0)": lambda: Field(17.0),
+        "Field(5.0)": lambda: Field(5.0),
+        "Field('5')": lambda: Field("5"),
+        "exponent 0.9": lambda: LaurentPoly(F5, {0.9: 1}),
+        "t_power 1.5": lambda: LaurentPoly.t_power(F5, 1.5),
+        "factor 2.5": lambda: AbelianGroup((2.5,)),
+        "ZZ.elem 1.7": lambda: ZZ.elem((1.7,)),
+        "ZZ.elem True": lambda: ZZ.elem((True,)),
+        "GroupElem 3/2": lambda: GroupElem(ZZ, (Fraction(3, 2),)),
+        "GroupHom 1.5": lambda: GroupHom(ZZ, ZZ, [[1.5]]),
+        "shift 0.5": lambda: standard_lattice(K1, 0.5),
+        "lo 0.5": lambda: lattice_normalize(K1, 0.5, 1, []),
+        "hi 1.5": lambda: lattice_normalize(K1, 0, 1.5, []),
+        "TateSpace 1.5": lambda: TateSpace(F5, 1.5),
+        "FdSpace 2.5": lambda: FdSpace(F5, 2.5),
+        "Matrix ncols -1": lambda: Matrix(F5, [], ncols=-1),
+        "Matrix.zero -1": lambda: Matrix.zero(F5, 2, -1),
+        "Matrix.identity -3": lambda: Matrix.identity(F5, -3),
+        "from_rows -1": lambda: Subspace.from_rows(F5, -1, []),
+        "Subspace.full -2": lambda: Subspace.full(F5, -2),
+        "Subspace.zero 1.5": lambda: Subspace.zero(F5, 1.5),
+    }
+
+
+@pytest.mark.parametrize("case", list(_not_ints()))
+def test_sizes_bounds_and_integers_that_are_not_ints_are_refused(case):
+    with pytest.raises(ValueError):
+        _not_ints()[case]()
+
+
 def test_subspace_constructor_refuses_unchecked_rows():
     # it would store 7 over F5 and a float over Q as given; from_rows
     # checks and reduces every scalar

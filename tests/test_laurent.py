@@ -57,13 +57,10 @@ def test_rank():
 
 
 def test_mul_refuses_mixed_fields():
-    # an F5 entry must not pass as an F2 one, nor an F5 sequence compose
-    # with an F2 one
+    # an F5 entry must not pass as an F2 one
     with pytest.raises(ValueError, match="field mismatch"):
         LaurentMatrix(F2, [[P(F2, (0, 1))]]).mul(
             LaurentMatrix(F5, [[P(F5, (0, 3))]]))
-    with pytest.raises(ValueError, match="field mismatch"):
-        compose_filtration(split_tate_ses(F5, 2, 1), split_tate_ses(F2, 1, 1))
 
 
 def test_constructor_refuses_an_entry_over_another_field():
@@ -195,7 +192,7 @@ from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
-from satokit.tate import TateSES, compose_filtration, split_tate_ses
+from satokit.tate import TateSES, split_tate_ses, twisted_split
 
 FIELDS = [F2, F5, QQ]
 
@@ -280,12 +277,13 @@ def _same_matrix(m, want):
 
 @pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
 def test_trusted_matrices_equal_checked_ones(field):
-    # products, transposes, slices, identities, zeros and one-sided inverses
-    # are built by LaurentMatrix._raw; each equals, in == and hash, the
-    # matrix of the same entries built by LaurentMatrix(...), 0 x n and
-    # n x 0 shapes included
+    # products, transposes, twisted_split's slices, identities, zeros and
+    # one-sided inverses are built by LaurentMatrix._raw; each equals, in ==
+    # and hash, the matrix of the same entries built by LaurentMatrix(...),
+    # 0 x n and n x 0 shapes included
     import random
-    from satokit.verify import _cols, _rows
+    from satokit.verify import rand_automorphism
+    from test_tate import _rational_automorphism
     rng = random.Random(29)
     scalars = [1, 2, -1, Fraction(1, 2)] if field.is_rational else [1, 2, 3]
 
@@ -308,14 +306,6 @@ def test_trusted_matrices_equal_checked_ones(field):
         _same_matrix(a.transpose(), LaurentMatrix(
             field, [[a[i, j] for i in range(r)] for j in range(k)], r))
         _same_matrix(a.transpose().transpose(), a)
-        lo = rng.randint(0, r)
-        hi = rng.randint(lo, r)
-        _same_matrix(_rows(a, lo, hi),
-                     LaurentMatrix(field, a.entries[lo:hi], k))
-        lo = rng.randint(0, k)
-        hi = rng.randint(lo, k)
-        _same_matrix(_cols(a, lo, hi), LaurentMatrix(
-            field, [row[lo:hi] for row in a.entries], hi - lo))
         for m in (LaurentMatrix.identity(field, r),
                   LaurentMatrix.zero(field, r, k), a.mul(b)):
             _same_matrix(m, _checked(m))
@@ -323,6 +313,18 @@ def test_trusted_matrices_equal_checked_ones(field):
             nd = inverse(a)
             if nd is not None:
                 _same_matrix(nd[0], _checked(nd[0]))
+    for n in range(1, 4):
+        aut, aut_inv = (_rational_automorphism(rng, n) if field.is_rational
+                        else rand_automorphism(rng, field, n))
+        rows, cols = aut.entries, aut_inv.entries
+        for a in range(n + 1):
+            ses = twisted_split(aut, aut_inv, a)
+            _same_matrix(ses.i, LaurentMatrix(field, rows[:a], n))
+            _same_matrix(ses.j, LaurentMatrix(
+                field, [r[a:] for r in cols], n - a))
+            _same_matrix(ses.ri[0], LaurentMatrix(
+                field, [r[:a] for r in cols], a))
+            _same_matrix(ses.lj[0], LaurentMatrix(field, rows[a:], n))
     one = LaurentPoly.one(field)
     assert LaurentMatrix.identity(field, 2) == LaurentMatrix(
         field, [[one, z], [z, one]])

@@ -21,7 +21,7 @@ from satokit.laurent import LaurentMatrix, LaurentPoly
 from satokit.tate import (TateSpace, fd_ses_of_pair, lattice_contains,
                           lattice_join, lattice_meet, lattice_normalize,
                           lift_lattice, project_lattice, relative_index,
-                          split_tate_ses, twist_tate_ses)
+                          split_tate_ses, twisted_split)
 
 from test_tate import lift_by_laurent_rows, project_by_laurent_rows
 
@@ -107,7 +107,7 @@ def test_fd_ses_of_every_pair_of_small_lattices():
                                 [zero, one]])
     split = split_tate_ses(field, 1, 1)
     nested, refused, failures = 0, 0, []
-    for ses in (split, twist_tate_ses(split, aut, aut)):
+    for ses in (split, twisted_split(aut, aut, 1)):
         for a in lats:
             for b in lats:
                 if not lattice_contains(b, a):
@@ -150,7 +150,7 @@ def test_lift_and_project_of_every_small_lattice_match_laurent_rows():
               one.add(LaurentPoly.t_power(field, 1))):
         for rows in ([[one, x], [zero, one]], [[one, zero], [x, one]]):
             aut = LaurentMatrix(field, rows)
-            sequences.append(twist_tate_ses(split, aut, aut))
+            sequences.append(twisted_split(aut, aut, 1))
     lats, failures = _f2_lattices(), []
     for ses in sequences:
         for u in lats:

@@ -6,12 +6,12 @@ import pytest
 from satokit.exactlin import F2, F5, QQ, Field, Matrix, Subspace
 from satokit.laurent import LaurentMatrix, LaurentPoly, poly_divmod
 from satokit.tate import (
-    Lattice, TateSES, TateSESInvalid, TateSpace, compose_filtration,
+    Lattice, TateSES, TateSESInvalid, TateSpace,
     delta_scalar_canonical, fd_ses_of_pair,
     lambda_scalar_chain, lattice_contains, lattice_join,
     lattice_meet, lattice_normalize, lift_lattice, project_lattice,
     relative_index, split_tate_ses, standard_lattice,
-    twist_tate_ses, window_subspace,
+    twisted_split, window_subspace,
 )
 
 K1 = TateSpace(F5, 1)
@@ -507,9 +507,8 @@ def test_lift_project_exactness_randomized():
     rng = random.Random(23)
     for _ in range(40):
         a, c = rng.randint(1, 2), rng.randint(1, 2)
-        base = split_tate_ses(F5, a, c)
         aut, aut_inv = _random_automorphism(rng, F5, a + c)
-        ses = twist_tate_ses(base, aut, aut_inv)
+        ses = twisted_split(aut, aut_inv, a)
         space = ses.total_space
         u = _random_lattice(rng, space)
         u0 = _random_lattice(rng, space)
@@ -525,9 +524,8 @@ def test_lift_pullback_property():
     # checked by indexes against the meet computed independently
     rng = random.Random(29)
     for _ in range(20):
-        base = split_tate_ses(F2, 1, 1)
         aut, aut_inv = _random_automorphism(rng, F2, 2)
-        ses = twist_tate_ses(base, aut, aut_inv)
+        ses = twisted_split(aut, aut_inv, 1)
         u = _random_lattice(rng, ses.total_space)
         v = lift_lattice(ses, u)
         # push v back through i and check it lands inside u
@@ -561,9 +559,8 @@ def test_lift_against_brute_force_preimage():
     space2 = TateSpace(F2, 2)
     space1 = TateSpace(F2, 1)
     for trial in range(12):
-        base = split_tate_ses(F2, 1, 1)
         aut, aut_inv = _random_automorphism(rng, F2, 2, n_factors=1, emax=1)
-        ses = twist_tate_ses(base, aut, aut_inv)
+        ses = twisted_split(aut, aut_inv, 1)
         u = _rand_lat(rng, space2, bound=1)
         got = lift_lattice(ses, u)
         LO, HI = got.lo - 1, got.hi + 1
@@ -624,7 +621,7 @@ def test_lift_project_match_the_laurent_route(data):
         a, c = rng.randint(1, 2), rng.randint(1, 2)
         aut = (_rational_automorphism(rng, a + c) if field is QQ
                else rand_automorphism(rng, field, a + c))
-        ses = twist_tate_ses(split_tate_ses(field, a, c), *aut)
+        ses = twisted_split(*aut, a)
     else:
         x, y = _drawn_poly(data, field), _drawn_poly(data, field)
         ses = TateSES(LaurentMatrix(field, [[x, y]]),
@@ -651,9 +648,8 @@ def test_project_against_brute_force_image():
     space2 = TateSpace(F2, 2)
     space1 = TateSpace(F2, 1)
     for trial in range(12):
-        base = split_tate_ses(F2, 1, 1)
         aut, aut_inv = _random_automorphism(rng, F2, 2, n_factors=1, emax=1)
-        ses = twist_tate_ses(base, aut, aut_inv)
+        ses = twisted_split(aut, aut_inv, 1)
         u = _rand_lat(rng, space2, bound=1)
         got = project_lattice(ses, u)
         vmin = ses.j.min_valuation()
@@ -778,9 +774,8 @@ def test_fd_ses_of_pair_rejects_non_nested(monkeypatch):
 def test_fd_ses_of_pair_validates():
     rng = random.Random(31)
     for _ in range(10):
-        base = split_tate_ses(F5, 1, 1)
         aut, aut_inv = _random_automorphism(rng, F5, 2)
-        ses = twist_tate_ses(base, aut, aut_inv)
+        ses = twisted_split(aut, aut_inv, 1)
         u = _random_lattice(rng, ses.total_space)
         u_sub = lattice_meet(u, standard_lattice(ses.total_space, 1))
         fd, (lifts, projs) = fd_ses_of_pair(ses, u_sub, u)
@@ -921,16 +916,6 @@ def test_relative_index_closed_form_matches_window_count():
                     - len(window_subspace(b, LO, HI).rows))
 
 
-def test_compose_filtration_with_seeded_inverses():
-    from satokit.verify import TwistedChain
-    for seed in range(5):
-        ch = TwistedChain(random.Random(seed), F5, 1, 2, 3)
-        composed = compose_filtration(ch.ses23, ch.ses12)
-        assert _diagnosis(composed.i, composed.j) is None
-        assert (composed.i, composed.j) == (ch.ses13.i, ch.ses13.j)
-        assert (composed.ri, composed.lj) == (ch.ses13.ri, ch.ses13.lj)
-
-
 def _content_sequence(field):
     """i = (x, y), j = (y; -x) for x = 1 + t, y = t + t^2: both have content
     1 + t, so neither one-sided inverse is Laurent."""
@@ -943,18 +928,14 @@ def _content_sequence(field):
 def test_every_sequence_holds_its_verified_inverses():
     # seeded, unseeded and derived sequences all carry (N, d) pairs with
     # i . N = d . I and N . j = d . I, checked here by plain products; the
-    # generic one has content 1 + t, so its d is not 1, nor is that of the
-    # composite over it
+    # generic one has content 1 + t, so its d is not 1
     from satokit.verify import TwistedChain
     ch = TwistedChain(random.Random(4), F5, 1, 2, 3)
     z = LaurentPoly.zero(F5)
     generic = _content_sequence(F5)
     x = generic.i[0, 0]
-    over_generic = compose_filtration(ch.ses23, generic)
     assert generic.ri[1] == x and generic.lj[1] == x
-    assert over_generic.ri[1] == x and over_generic.lj[1] == x
-    for ses in (ch.ses12, ch.ses23, ch.ses13, ch.sesq, generic,
-                compose_filtration(ch.ses23, ch.ses12), over_generic):
+    for ses in (ch.ses12, ch.ses23, ch.ses13, ch.sesq, generic):
         for prod, (_, d) in ((ses.i.mul(ses.ri[0]), ses.ri),
                              (ses.lj[0].mul(ses.j), ses.lj)):
             n = prod.nrows
@@ -1113,15 +1094,33 @@ def _divided(m, d):
     return LaurentMatrix(m.field, rows, m.ncols)
 
 
-def _quotient_by_sections(ses_outer, ses_inner):
+def _plus_one(m, k):
+    """m (+) 1_k: the automorphism m with k more coordinates kept fixed."""
+    one, z = LaurentPoly.one(m.field), LaurentPoly.zero(m.field)
+    n = m.nrows + k
+    return LaurentMatrix(m.field, [list(r) + [z] * k for r in m.entries]
+                         + [[one if c == r else z for c in range(n)]
+                            for r in range(m.nrows, n)], n)
+
+
+def _block_twist(inner, outer, a1):
+    """X1 >--> X3 of the filtration X1 c X2 c X3 twisted by inner = (A1,
+    A1^-1) on X2 and outer = (A2, A2^-1) on X3: the split twisted by
+    B = (A1 (+) 1) . A2, whose inverse is A2^-1 . (A1^-1 (+) 1)."""
+    (A1, A1i), (A2, A2i) = inner, outer
+    k = A2.nrows - A1.nrows
+    return twisted_split(_plus_one(A1, k).mul(A2),
+                         A2i.mul(_plus_one(A1i, k)), a1)
+
+
+def _quotient_by_sections(ses_outer, ses_inner, ses_composed):
     """X2/X1 >--> X3/X1 -->> X3/X2 of a filtration, by its definition: the
     mono s12 . i23 . j13 and the epi s13 . j23 it induces, for left inverses
     s12 of j12 and s13 of j13 computed over unseeded sequences, each as N/d
     with the division by d exact."""
     outer = TateSES(ses_outer.i, ses_outer.j)
     inner = TateSES(ses_inner.i, ses_inner.j)
-    composed = compose_filtration(outer, inner)
-    composed = TateSES(composed.i, composed.j)
+    composed = TateSES(ses_composed.i, ses_composed.j)
     s12, d12 = inner.lj
     s13, d13 = composed.lj
     return TateSES(_divided(s12.mul(outer.i).mul(composed.j), d12),
@@ -1130,23 +1129,22 @@ def _quotient_by_sections(ses_outer, ses_inner):
 
 @pytest.mark.parametrize("field", [F2, F5])
 def test_quotient_of_a_filtration_is_the_coordinate_split(field):
-    from satokit.verify import TwistedChain
+    # X1 c X2 c X3 twisted by A1 on X2 and A2 on X3, with X1 c X3 built by
+    # the block twist
+    from satokit.verify import rand_automorphism
     rng = random.Random(61)
     for a2 in (2, 3):
         for c in (1, 2):
             for a1 in range(a2 + 1):
                 for _ in range(4):
-                    ch = TwistedChain(rng, field, a1, a2, a2 + c)
-                    q = _quotient_by_sections(ch.ses23, ch.ses12)
+                    outer = rand_automorphism(rng, field, a2 + c)
+                    inner = rand_automorphism(rng, field, a2)
+                    q = _quotient_by_sections(
+                        twisted_split(*outer, a2), twisted_split(*inner, a1),
+                        _block_twist(inner, outer, a1))
                     want = split_tate_ses(field, a2 - a1, c)
                     assert (q.i, q.j) == (want.i, want.j), (a1, a2, c)
                     assert (q.ri, q.lj) == (want.ri, want.lj), (a1, a2, c)
-    # over the inner sequence with d = 1 + t
-    for c in (1, 2):
-        ch = TwistedChain(rng, field, 1, 2, 2 + c)
-        q = _quotient_by_sections(ch.ses23, _content_sequence(field))
-        want = split_tate_ses(field, 1, c)
-        assert (q.i, q.j, q.ri, q.lj) == (want.i, want.j, want.ri, want.lj)
 
 
 # --- oracles for the sliced chain: products of elementary and selection
@@ -1268,97 +1266,43 @@ def test_rand_automorphism_on_term_tuples_matches_the_poly_construction(
             assert rng.getstate() == oracle_rng.getstate()
 
 
-def _compose_by_polys(ses_outer, ses_inner):
-    """(i, j, ri, lj) of compose_filtration by LaurentPoly arithmetic on the
-    entries, as it was once built."""
-    field = ses_outer.field
-    one = LaurentPoly.one(field)
-    r23 = ses_outer.ri[0]
-    (n12, d12), (l12, e12), (l23, e23) = (ses_inner.ri, ses_inner.lj,
-                                          ses_outer.lj)
-    i23, j23 = ses_outer.i, ses_outer.j
-    part1 = r23.mul(ses_inner.j)
-    j13 = LaurentMatrix(field, [l + r for l, r in zip(
-        part1.entries, j23.entries)], part1.ncols + j23.ncols)
-    top, bottom = l12.mul(i23).entries, l23.entries
-    lr = l23.mul(r23)
-    if not lr.is_zero():
-        bottom = [[x.sub(y) for x, y in zip(r, s)]
-                  for r, s in zip(bottom, lr.mul(i23).entries)]
-    if e23 != one:
-        top = [[e23.mul(x) for x in r] for r in top]
-    if e12 != one:
-        bottom = [[e12.mul(x) for x in r] for r in bottom]
-    return (ses_inner.i.mul(i23), j13, (r23.mul(n12), d12),
-            (LaurentMatrix(field, [*top, *bottom], i23.ncols),
-             e12.mul(e23)))
-
-
-def _reseeded(rng, ses, e):
-    """ses with its lj = (L, d) reseeded as (e (L + X . i), e d) for a random
-    Laurent X; so is its ri = (N, d) as (e (N + j . Y), e d) when its d is
-    not 1 already (compose_filtration needs a Laurent retraction of the
-    outer mono): both pairs still pass, since i . j = 0."""
-    field = ses.field
-
-    def draw(r, c):
-        return LaurentMatrix(field, [[LaurentPoly(field, [
-            (rng.randint(-2, 2), rng.randrange(field.p))
-            for _ in range(2)]) for _ in range(c)] for _ in range(r)], c)
-
-    def scaled(m):
-        return LaurentMatrix(field, [[e.mul(x) for x in r]
-                                     for r in m.entries], m.ncols)
-
-    def plus(a, b):
-        return LaurentMatrix(field, [[x.add(y) for x, y in zip(r, s)]
-                                     for r, s in zip(a.entries, b.entries)],
-                             a.ncols)
-
-    (n, d), (l, dl) = ses.ri, ses.lj
-    a, b, c = ses.i.nrows, ses.i.ncols, ses.j.ncols
-    lj = (scaled(plus(l, draw(c, a).mul(ses.i))), e.mul(dl))
-    if d == LaurentPoly.one(field):
-        return TateSES(ses.i, ses.j, ses.ri, lj)
-    return TateSES(ses.i, ses.j,
-                   (scaled(plus(n, ses.j.mul(draw(c, a)))), e.mul(d)), lj)
-
-
-@pytest.mark.parametrize("field", [F2, F5])
-def test_compose_filtration_matches_the_poly_formula(field):
-    # the term-row composite equals the LaurentPoly formula on sequences
-    # whose denominators e12, e23 are not units and whose l23 . r23 is not
-    # zero, the branches that a TwistedChain never reaches
-    from satokit.verify import TwistedChain
-    one, t = LaurentPoly.one(field), LaurentPoly.t_power(field, 1)
-    rng = random.Random(3)
-    reached = set()
-    for seed in range(20):
-        ch = TwistedChain(random.Random(seed), field, 1, 2, 3)
-        inners = [ch.ses12, _reseeded(rng, ch.ses12, one.add(t)),
-                  _content_sequence(field)]
-        for outer in (ch.ses23, _reseeded(rng, ch.ses23, t.mul(t).add(one))):
-            for inner in inners:
-                got = compose_filtration(outer, inner)
-                assert (got.i, got.j, got.ri, got.lj) == _compose_by_polys(
-                    outer, inner), seed
-                reached.add((inner.lj[1] != one, outer.lj[1] != one,
-                             not outer.lj[0].mul(outer.ri[0]).is_zero()))
-    assert (True, True, True) in reached
-
-
-@pytest.mark.parametrize("field", [F2, F5])
-def test_twisted_chain_matches_the_selection_products(field):
+@pytest.mark.parametrize("field", [F2, F5, Field(7)],
+                         ids=["F2", "F5", "F7"])
+@pytest.mark.parametrize("dims", [(1, 2, 3), (0, 1, 2), (1, 1, 2),
+                                  (0, 2, 3), (2, 2, 4), (1, 3, 3),
+                                  (2, 3, 5)])
+def test_twisted_chain_matches_the_selection_products(field, dims):
     from satokit.verify import TwistedChain
     for seed in range(50):
-        ch = TwistedChain(random.Random(seed), field, 1, 2, 3)
-        want = _chain_by_selections(random.Random(seed), field, 1, 2, 3)
+        ch = TwistedChain(random.Random(seed), field, *dims)
+        want = _chain_by_selections(random.Random(seed), field, *dims)
         for name, (i, j, ri, lj) in want.items():
             ses = getattr(ch, name)
             assert (ses.i, ses.j) == (i, j), (seed, name)
             one = LaurentPoly.one(field)
             assert ses.ri == (ri, one), (seed, name)
             assert ses.lj == (lj, one), (seed, name)
+
+
+@pytest.mark.parametrize("field", [F2, F5, Field(7), QQ],
+                         ids=["F2", "F5", "F7", "Q"])
+def test_twisted_split_is_the_twist_formula(field):
+    # i = P . A, j = A^-1 . Q, ri = A^-1 . P^T and lj = Q^T . A for the
+    # selections P of the first a and Q of the last n - a coordinates
+    from satokit.verify import rand_automorphism
+    rng = random.Random(73)
+    one = LaurentPoly.one(field)
+    for n in range(1, 5):
+        for _ in range(10):
+            aut, aut_inv = (_rational_automorphism(rng, n) if field is QQ
+                            else rand_automorphism(rng, field, n))
+            for a in range(n + 1):
+                P = _selection(field, a, n)
+                Q = _selection(field, n - a, n, offset=a).transpose()
+                ses = twisted_split(aut, aut_inv, a)
+                assert (ses.i, ses.j) == (P.mul(aut), aut_inv.mul(Q)), (n, a)
+                assert ses.ri == (aut_inv.mul(P.transpose()), one), (n, a)
+                assert ses.lj == (Q.transpose().mul(aut), one), (n, a)
 
 
 @pytest.mark.parametrize("field", [F2, F5])
@@ -1377,19 +1321,14 @@ def test_split_tate_ses_is_seeded_without_an_echelon(monkeypatch, field):
             assert ses.ri == want.ri
             assert ses.lj == want.lj
             assert _diagnosis(ses.i, ses.j) is None, (a, c)
-    # twists and composites take their inverses from their inputs' pairs
-    generic = _content_sequence(field)
+    # twisted splits take their inverses from the automorphism's blocks
     for a in (1, 2):
         for c in (1, 2):
             aut = rand_automorphism(rng, field, a + c)
             inner_aut = rand_automorphism(rng, field, a)
             calls = _counting(monkeypatch, satokit.laurent, ["_echelon"])
-            outer = twist_tate_ses(split_tate_ses(field, a, c), *aut)
-            inner = twist_tate_ses(split_tate_ses(field, 1, a - 1),
-                                   *inner_aut)
-            compose_filtration(outer, inner)
-            if a == 2:
-                compose_filtration(outer, generic)
+            twisted_split(*aut, a)
+            twisted_split(*inner_aut, 1)
             assert not calls, (a, c)
             monkeypatch.undo()
 
@@ -1441,25 +1380,13 @@ def test_twisted_splits_have_polynomial_one_sided_inverses():
         for trial in range(4):
             k = (F5, F2)[trial % 2]
             a, c = rng.randint(1, 2), rng.randint(1, 2)
-            twisted = twist_tate_ses(split_tate_ses(k, a, c),
-                                     *rand_automorphism(rng, k, a + c))
+            twisted = twisted_split(*rand_automorphism(rng, k, a + c), a)
             ses = TateSES(twisted.i, twisted.j)
             witness = (seed, trial, k, a, c)
             (r, dr), (s, ds) = ses.ri, ses.lj
             assert dr == ds == LaurentPoly.one(k), witness
             assert ses.i.mul(r) == LaurentMatrix.identity(k, a), witness
             assert s.mul(ses.j) == LaurentMatrix.identity(k, c), witness
-
-
-def test_retraction_refuses_a_non_unit_minor():
-    # i = [1+t, 0]: every right inverse has first entry 1/(1+t), so there
-    # is no Laurent retraction to build the composite's j13 from
-    one, z = LaurentPoly.one(F5), LaurentPoly.zero(F5)
-    i = LaurentMatrix(F5, [[LaurentPoly(F5, [(0, 1), (1, 1)]), z]])
-    j = LaurentMatrix(F5, [[z], [one]])
-    ses = TateSES(i, j)
-    with pytest.raises(ValueError, match="nontrivial denominator"):
-        compose_filtration(ses, split_tate_ses(F5, 1, 0))
 
 
 # --- data read once per sequence ---------------------------------------------
@@ -1475,8 +1402,7 @@ def test_stencil_holds_the_pole_orders_of_the_inverses():
     scaled = TateSES(split.i, split.j,
                      (split.ri[0].mul(LaurentMatrix(QQ, [[t2]])), t2))
     seqs = [_content_sequence(QQ), scaled,
-            twist_tate_ses(split_tate_ses(QQ, 1, 2),
-                           *_rational_automorphism(rng, 3))]
+            twisted_split(*_rational_automorphism(rng, 3), 1)]
     for field in (F2, F5):
         for _ in range(10):
             ch = TwistedChain(rng, field, 1, 2, 3)
@@ -1770,7 +1696,7 @@ def test_lift_project_match_the_laurent_route_across_u_hi(data):
         a, c = rng.randint(1, 2), rng.randint(1, 2)
         aut = (_rational_automorphism(rng, a + c, emax=3) if field is QQ
                else rand_automorphism(rng, field, a + c, emax=3))
-        ses = twist_tate_ses(split_tate_ses(field, a, c), *aut)
+        ses = twisted_split(*aut, a)
     else:
         x, y = _drawn_poly(data, field, 7), _drawn_poly(data, field, 7)
         ses = TateSES(LaurentMatrix(field, [[x, y]]),
