@@ -124,10 +124,11 @@ _map_matrix = LinMap.matrix.__set__
 @lru_cache(maxsize=2048)
 def canonical_section(j):
     """Canonical linear section s of an epi j (s then j = identity)."""
-    if not j.is_epi():
-        raise ValueError("section of a non-epi")
     m = j.matrix
-    return LinMap.of(m.solve(Matrix.identity(m.field, m.ncols)))
+    s = m.solve(Matrix.identity(m.field, m.ncols))
+    if s is None:
+        raise ValueError("section of a non-epi")
+    return LinMap.of(s)
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,17 @@ subspaces is equality of data.
 
 Over F2, Matrix, Subspace, Quotient and tate's Lattice keep each row packed
 in one int, bit j for column j, from construction to result: products XOR
-the rows that set bits select, and one Gauss-Jordan elimination on ints
-gives rank, row space, join, the Zassenhaus meet, and (on rows with an
-identity bit appended) the rref transform and left kernel.  Over F_p with
-p (p - 1) < 256 (F3..F13) a row is one int of byte lanes, entry j at bits
-8j..8j+7: a row update r - c b is the multiply-add r + (p - c) b, whose
-lanes stay at most p (p - 1) < 256, so no carry crosses one, and one
-bytes.translate reduces every lane mod p.  Q and larger p keep tuples.
+the rows that set bits select, and one elimination on ints gives rank, row
+space, join, the Zassenhaus meet, and (on rows with an identity bit
+appended) the rref transform and left kernel.  It runs in two passes: each
+row is reduced by the pivot rows found before it only, and then one
+back-substitution, highest pivot first, turns the echelon rows into the
+rref.  Over F_p with p (p - 1) < 256 (F3..F13) a row is one int of byte
+lanes, entry j at bits 8j..8j+7: a row update r - c b is the multiply-add
+r + (p - c) b, which adds at most (p - 1)^2 to a lane, so one
+bytes.translate reduces every lane mod p only after _LIM[p] updates, just
+before a lane could pass 255 and a carry cross into the next; a
+coefficient is read as its lane mod p.  Q and larger p keep tuples.
 Matrix.entries, Subspace.rows and Lattice.rows are tuple views, built only
 when read.  Matrix, Subspace and Quotient are the one API; their
 constructors (Subspace.from_rows for a Subspace) check every scalar, and
@@ -91,6 +95,9 @@ def _is_prime(n):
 # p -> the table of v % p for every byte v, for the odd p with p (p - 1) < 256;
 # a Field's _bits, the width of an entry of an int row, is 8 over these p
 _LANES = {p: bytes([v % p for v in range(256)]) for p in (3, 5, 7, 11, 13)}
+# p -> lim, the most updates, each adding at most (p - 1)^2, that a lane of
+# at most p - 1 takes within its byte: (p - 1) + lim (p - 1)^2 <= 255
+_LIM = {p: (256 - p) // (p - 1) ** 2 for p in _LANES}
 
 
 class Field(Value):
@@ -191,9 +198,10 @@ QQ = Field(None)
 # row-level workhorses.  Matrix, Subspace, Quotient and tate's Lattice keep
 # their rows in an internal form: over F2 one int per row with bit j for
 # column j (the XOR rows of M4RI), over the p of _LANES one int with byte
-# lane j for column j (one word reduced at once, as in Dumas, Fousse and
-# Salvy), elsewhere tuples of normalized scalars; the private helpers work on
-# that form.
+# lane j for column j (the whole word reduced at once, and only every
+# _LIM[p] updates: the delayed reduction of Dumas, Fousse and Salvy),
+# elsewhere tuples of normalized scalars; the private helpers work on that
+# form.
 
 def _mod(r, table):
     """The lane row r with every lane v replaced by table[v]."""
@@ -205,9 +213,8 @@ def _row_in(field, row):
     """The internal row of a sequence of normalized scalars."""
     if field.p == 2:
         m = 0
-        for j, x in enumerate(row):
-            if x & 1:
-                m |= 1 << j
+        for x in reversed(row):
+            m = m << 1 | x & 1
         return m
     return int.from_bytes(bytes(row), "little") if field._bits else tuple(row)
 
@@ -292,45 +299,59 @@ def _gather(field, row, cols, n):
 
 
 def _rref_f2(rows):
-    """Gauss-Jordan elimination of int rows: (rows, pivots) as in _rref,
-    each pivot the lowest set bit of its row."""
+    """Elimination of int rows in two passes: (rows, pivots) as in _rref,
+    each pivot the lowest set bit of its row.  The forward pass reduces each
+    row by the earlier pivot rows only, in the order found, which leaves an
+    echelon basis; the back-substitution then clears each row at the higher
+    pivots, highest pivot first, by rows already cleared."""
     basis = []  # (pivot bit, row)
     for m in rows:
         for p, b in basis:
             if m & p:
                 m ^= b
         if m:
-            low = m & -m
-            for i, (p, b) in enumerate(basis):
-                if b & low:
-                    basis[i] = (p, b ^ m)
-            basis.append((low, m))
-    basis.sort()
-    return [b for _, b in basis], [p.bit_length() - 1 for p, _ in basis]
+            basis.append((m & -m, m))
+    done = []  # the rows cleared so far, highest pivot first
+    for q, m in sorted(basis, reverse=True):
+        for p, b in done:
+            if m & p:
+                m ^= b
+        done.append((q, m))
+    done.reverse()
+    return [b for _, b in done], [p.bit_length() - 1 for p, _ in done]
+
+
+def _clear_lanes(m, basis, p):
+    """The lane row m less the multiple of each (q, b) of basis that clears
+    m's lane at bit q, read mod p: each update m - c b is m + (p - c) b, and
+    one _mod reduces every lane of m after each _LIM[p] updates, before a
+    lane can pass 255, and at the end."""
+    t, lim, k = _LANES[p], _LIM[p], 0
+    for q, b in basis:
+        c = (m >> q & 255) % p
+        if c:
+            m += (p - c) * b
+            k += 1
+            if k == lim:
+                m, k = _mod(m, t), 0
+    return _mod(m, t) if k else m
 
 
 def _rref_lanes(rows, p):
-    """_rref_f2's elimination on lane rows of at most w bytes: a row update
-    b - c m is b + (p - c) m, then one translate reduces every lane mod p."""
-    t, fb, le, basis = _LANES[p], int.from_bytes, "little", []
-    w = (max(rows, default=0).bit_length() + 7) >> 3
-    for m in rows:  # basis holds (bit offset of the pivot lane, row)
-        for q, b in basis:
-            c = m >> q & 255
-            if c:
-                m += (p - c) * b
-                m = fb(m.to_bytes(w, le).translate(t), le)
+    """_rref_f2's two passes on lane rows, each row cleared by _clear_lanes;
+    a new pivot row is scaled to a unit pivot."""
+    t, basis = _LANES[p], []  # basis holds (bit offset of the pivot lane, row)
+    for m in rows:
+        m = _clear_lanes(m, basis, p)
         if m:
             q = (m & -m).bit_length() - 1 & ~7
-            m = _mod(m * pow(m >> q & 255, p - 2, p), t)
-            for i, (k, b) in enumerate(basis):
-                c = b >> q & 255
-                if c:
-                    b += (p - c) * m
-                    basis[i] = k, fb(b.to_bytes(w, le).translate(t), le)
-            basis.append((q, m))
-    basis.sort()
-    return [b for _, b in basis], [q >> 3 for q, _ in basis]
+            c = m >> q & 255
+            basis.append((q, m if c == 1 else _mod(m * pow(c, p - 2, p), t)))
+    done = []  # the rows cleared so far, highest pivot first
+    for q, m in sorted(basis, reverse=True):
+        done.append((q, _clear_lanes(m, done, p)))
+    done.reverse()
+    return [b for _, b in done], [q >> 3 for q, _ in done]
 
 
 def _rref(field, rows):
@@ -390,20 +411,26 @@ def _divide(field, v, rows, pivots):
     """(coefficients, remainder) of v against internal rows in rref."""
     p = field.p
     if p == 2:
-        c = 0
-        for i, (r, q) in enumerate(zip(rows, pivots)):
-            if (v >> q) & 1:
+        c, bit = 0, 1
+        for r, q in zip(rows, pivots):
+            if v >> q & 1:
                 v ^= r
-                c |= 1 << i
+                c |= bit
+            bit <<= 1
         return c, v
     if field._bits == 8:
-        c = 0
+        # rows in rref vanish at each other's pivots, so v's lane at a pivot
+        # is as given, and reduced, until its own row clears it
+        t, lim, c, k = _LANES[p], _LIM[p], 0, 0
         for i, (r, q) in enumerate(zip(rows, pivots)):
             x = v >> 8 * q & 255
             if x:
-                v = _mod(v + (p - x) * r, _LANES[p])
+                v += (p - x) * r
                 c |= x << 8 * i
-        return c, v
+                k += 1
+                if k == lim:
+                    v, k = _mod(v, t), 0
+        return c, _mod(v, t) if k else v
     coeffs = []
     for row, q in zip(rows, pivots):
         c = v[q]
@@ -423,26 +450,29 @@ def _mul(field, a, b, ncols):
     """Product of internal rows a (r x n) and b (n x ncols); over F2 each
     row is the XOR of the rows of b its set bits select, elsewhere the sum
     of the rows of b scaled by its entries, reduced mod p once (over lanes
-    after each term, before a lane can pass 255)."""
+    after each _LIM[p] terms, before a lane can pass 255, and at the end)."""
     p = field.p
     out = []
     if p == 2:
         for r in a:
-            acc = j = 0
+            acc = 0
             while r:
-                if r & 1:
-                    acc ^= b[j]
-                r >>= 1
-                j += 1
+                low = r & -r
+                acc ^= b[low.bit_length() - 1]
+                r ^= low
             out.append(acc)
         return out
     if field._bits == 8:
+        t, lim = _LANES[p], _LIM[p]
         for r in a:
-            acc = 0
+            acc = k = 0
             for x, row in zip(r.to_bytes(len(b), "little"), b):
                 if x:
-                    acc = _mod(acc + x * row, _LANES[p])
-            out.append(acc)
+                    acc += x * row
+                    k += 1
+                    if k == lim:
+                        acc, k = _mod(acc, t), 0
+            out.append(_mod(acc, t) if k else acc)
         return out
     zero = _zero_row(field, ncols)
     for r in a:
@@ -793,10 +823,14 @@ class Quotient(Value):
     __slots__ = ("small", "_basis", "_pivots")
 
     def __init__(self, small, big):
-        if not big.contains(small):
+        if not small._rows:  # big's rref basis is the answer
+            big._check(small)
+            basis, pivots = big._rows, big.pivots
+        elif not big.contains(small):
             raise ValueError("quotient requires containment")
-        basis, pivots = _rref(small.field,
-                              [small._reduce(r) for r in big._rows])
+        else:
+            basis, pivots = _rref(small.field,
+                                  [small._reduce(r) for r in big._rows])
         _quo_small(self, small)
         _quo_basis(self, basis)
         _quo_pivots(self, pivots)

@@ -102,11 +102,11 @@ def rand_automorphism(rng, field, n, n_factors=2, emax=2):
     """Random product E1 . E2 ... of elementary Laurent matrices and its exact
     inverse, built by applying each E as a column operation on the product
     and E^-1 as a row operation on the left of the inverse, on the entries'
-    term tuples."""
+    term tuples; for n = 0 both are empty, with no draw."""
     p, one = field.p, ((0, field.one()),)
     aut = [[one if i == j else () for j in range(n)] for i in range(n)]
     inv = [list(r) for r in aut]
-    for _ in range(n_factors):
+    for _ in range(n_factors if n else 0):
         if n >= 2 and rng.random() < 0.75:
             # E = 1 + c t^e e_ij: col_j += c t^e col_i, row_i -= c t^e row_j
             i, j = rng.sample(range(n), 2)
@@ -132,6 +132,9 @@ class TwistedChain:
     derived short exact sequence carrying exact polynomial inverses."""
 
     def __init__(self, rng, field, a1, a2, a3, emax=2):
+        if not 0 <= a1 <= a2 <= a3:
+            raise ValueError("dimensions %r are not a filtration: need "
+                             "0 <= a1 <= a2 <= a3" % ((a1, a2, a3),))
         self.field = field
         self.dims = (a1, a2, a3)
         A2, A2i = rand_automorphism(rng, field, a3, emax=emax)

@@ -606,7 +606,8 @@ _GRID_LEFT = [[1, 1, 0, 1, 1, 0, 1, 1], [0, 1, 0, 0, 1, 1, 0, 0],
 def test_inverse_ses_and_grid_elimination_counts(monkeypatch):
     # LinMap.inverse runs one elimination, invertible or not; SES decides
     # exactness by a count and builds no kernel; one grid on a fixed F2^8
-    # pair runs 13 eliminations (25 when the completion ended in
+    # pair runs 9 eliminations (13 when the four quotients over 0 each
+    # eliminated big's rref basis again; 25 when the completion ended in
     # Grid3x3.validate, whose six SES ranked their i and j: those 12 are now
     # run where validate is the point, by verify.suite_grid on every grid it
     # completes; 27 when the monos were ranked apart from their images, 33
@@ -652,7 +653,7 @@ def test_inverse_ses_and_grid_elimination_counts(monkeypatch):
     calls.clear()
     grid = complete_grid_3x3(top, left)
     assert grid.spaces["tl"].dim == 1
-    assert calls == ["rref"] * 13
+    assert calls == ["rref"] * 9
 
 
 def test_grid_reads_mono_off_the_images(monkeypatch):
@@ -680,10 +681,10 @@ def test_grid_reads_mono_off_the_images(monkeypatch):
         complete_grid_3x3(LinMap.of(twice), LinMap.of(Matrix(F2, [[1, 1]])))
     assert calls == []
     # the monos of a valid pair are ranked once each, by their images; the
-    # 13 are those of test_inverse_ses_and_grid_elimination_counts (25
-    # before the 12 ranks of the six SES in Grid3x3.validate moved to
-    # verify.suite_grid)
+    # 9 are those of test_inverse_ses_and_grid_elimination_counts (13 while
+    # the four quotients over 0 ran an elimination each; 25 before the 12
+    # ranks of the six SES in Grid3x3.validate moved to verify.suite_grid)
     top, left = Matrix(F2, _GRID_TOP), Matrix(F2, _GRID_LEFT)
     calls.clear()
     complete_grid_3x3(LinMap.of(top), LinMap.of(left))
-    assert calls[:2] == ["rref"] * 2 and len(calls) == 13
+    assert calls[:2] == ["rref"] * 2 and len(calls) == 9

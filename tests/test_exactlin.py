@@ -455,6 +455,50 @@ def test_packed_f2_against_mod_2_elimination(r, c, k, s, data):
             assert meet.contains_vector(rest)
 
 
+@pytest.mark.parametrize("density", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("rank", [3, 20, None])
+def test_packed_f2_wide_matrices_against_mod_2_elimination(density, rank):
+    # rows long enough that the forward pass and the back-substitution each
+    # run over dozens of pivots; below full rank, each row is a sum of some
+    # of `rank` random rows
+    rng = random.Random(repr((density, rank)))
+    r, c = rng.randint(40, 48), rng.randint(80, 96)
+    base = [[int(rng.random() < density) for _ in range(c)]
+            for _ in range(rank or r)]
+    rows = base if rank is None else [
+        [sum(x) % 2 for x in zip(*rng.sample(base, rng.randint(1, rank)))]
+        for _ in range(r)]
+    a = Matrix(F2, rows, c)
+    want_rows, want_pivots = _gf2_rref(rows, c)
+    u = a.row_space()
+    assert (list(u.rows), list(u.pivots)) == (want_rows, want_pivots)
+    assert a.rank() == len(want_pivots)
+    ker = a.left_kernel()
+    assert ker.dim == r - len(want_pivots)
+    assert all(not any(v) for v in _gf2_mul(ker.rows, rows, c))
+    assert (list(ker.rows), list(ker.pivots)) == _gf2_rref(ker.rows, r)
+    b = [[int(rng.random() < density) for _ in range(8)] for _ in range(c)]
+    assert a.mul(Matrix(F2, b, 8)).entries == _gf2_mul(rows, b, 8)
+    # targets in the row space, and one outside it when there is one
+    coeffs = [[rng.randint(0, 1) for _ in range(r)] for _ in range(4)]
+    targets = [list(v) for v in _gf2_mul(coeffs, rows, c)]
+    x = a.solve(Matrix(F2, targets, c))
+    assert _gf2_mul(x.entries, rows, c) == tuple(map(tuple, targets))
+    assert [u.contains_vector(t) for t in targets] == [True] * 4
+    if u.dim < c:
+        out = [int(j == u.nonpivots()[0]) for j in range(c)]
+        assert a.solve(Matrix(F2, [out], c)) is None
+        assert not u.contains_vector(out)
+    low = Matrix(F2, [[int(i == j or j < i and rng.random() < density)
+                       for j in range(40)] for i in range(40)])
+    sq = low.mul(low.transpose())  # invertible
+    unit = Matrix.identity(F2, 40).entries
+    assert _gf2_mul(sq.inverse().entries, sq.entries, 40) == unit
+    if rank is not None:  # 40 rows of rank at most 20
+        with pytest.raises(ValueError):
+            Matrix(F2, [row[:40] for row in rows[:40]]).inverse()
+
+
 @pytest.mark.parametrize("field", [F2, F5])
 @pytest.mark.parametrize("bad", [Fraction(1, 3), 2.5, 1.0, "1"])
 def test_non_integer_scalars_are_refused(field, bad):
@@ -1037,6 +1081,45 @@ def test_lane_long_eliminations_and_sums_agree_with_tuple_rows(p):
                 top.entries, m.mul(m.transpose()).entries)
     lanes, tuples = _lanes_and_tuples(views)
     assert lanes == tuples
+
+
+@pytest.mark.parametrize("p", LANE_PRIMES)
+def test_lane_reductions_come_just_before_a_lane_could_pass_255(p):
+    # each delayed step is driven to exactly lim updates, and to one more,
+    # of (p - 1)^2 each to the top lane from p - 1, the most a lane holds
+    # between two reductions: lim + 1 of them would pass 255
+    from satokit.exactlin import _LIM
+    lim = _LIM[p]
+    assert (p - 1) + lim * (p - 1) ** 2 <= 255 \
+        < (p - 1) + (lim + 1) * (p - 1) ** 2
+    for n in (lim, lim + 1):
+        # e_i + (p - 1) e_n in k^(n + 1), for i < n
+        units = [[int(j == i) for j in range(n)] + [p - 1] for i in range(n)]
+        # forward pass: the last row is cleared by the n rows above it
+        forward = units + [[1] * n + [p - 1]]
+        # back-substitution: the first row keeps its ones at pivots 1..n
+        # through the forward pass, and each is cleared after it
+        back = [[1] * (n + 1) + [p - 1]] + [[0] + u for u in units]
+        # _divide: v against the rref rows e_i + (p - 1) e_n
+        v = [1] * n + [p - 1]
+        # _mul: a sum of (p - 1) e_k times rows k whose entry in column z is
+        # 0 for k < z and p - 1 after, so the lanes meet every residue at a
+        # reduction, p - 1 included, before lim more terms of (p - 1)^2
+        terms = p + p * (lim + 2)
+        b = [[0 if k < z else p - 1 for z in range(p)] for k in range(terms)]
+
+        def views():
+            field = Field(p)
+            s = Subspace.from_rows(field, n + 1, units)
+            return (Subspace.from_rows(field, n + 1, forward).rows,
+                    Matrix(field, forward).rank(),
+                    Subspace.from_rows(field, n + 2, back).rows,
+                    s.proj_coords(v), s.contains_vector(v),
+                    _maybe(lambda: s.coordinates(Matrix(field, [v]))),
+                    Matrix(field, [[p - 1] * terms]).mul(
+                        Matrix(field, b)).entries)
+        lanes, tuples = _lanes_and_tuples(views)
+        assert lanes == tuples, n
 
 
 def test_lane_rows_are_the_internal_form():

@@ -787,7 +787,8 @@ def test_fd_ses_of_pair_validates():
 
 def test_fd_ses_of_pair_tests_each_nesting_once(monkeypatch):
     # u' <= u, lift u' <= lift u and proj u' <= proj u are each tested once,
-    # by the quotient that needs it
+    # by the quotient that needs it, and a nesting 0 <= X not at all: 38
+    # tests of the 60 quotients (60 while a quotient over 0 tested it too)
     from satokit.verify import TwistedChain, rand_lattice
     rng = random.Random(7)
     cases = []
@@ -798,7 +799,7 @@ def test_fd_ses_of_pair_tests_each_nesting_once(monkeypatch):
     calls = _counting(monkeypatch, Subspace, ["contains"])
     for ses, u_sub, u in cases:
         fd_ses_of_pair(ses, u_sub, u)
-    assert calls == {"contains": 60}
+    assert calls == {"contains": 38}
 
 
 # --- canonical lambda / delta scalars ------------------------------------
@@ -1282,6 +1283,51 @@ def test_twisted_chain_matches_the_selection_products(field, dims):
             one = LaurentPoly.one(field)
             assert ses.ri == (ri, one), (seed, name)
             assert ses.lj == (lj, one), (seed, name)
+
+
+@pytest.mark.parametrize("field", [F2, F5], ids=["F2", "F5"])
+@pytest.mark.parametrize("dims", [(0, 0, 1), (0, 2, 2), (2, 2, 2)])
+def test_twisted_chain_with_an_empty_step_lifts_and_projects(field, dims):
+    # X1 = 0, X1 = X2 or X2 = X3: the empty automorphism of k((t))^0 is
+    # drawn with no draw, and every sequence of the chain lifts and projects
+    # as the Laurent-row oracles do
+    from satokit.verify import TwistedChain, rand_automorphism, rand_lattice
+    rng = random.Random(5)
+    state = rng.getstate()
+    empty = LaurentMatrix(field, [], 0)
+    assert rand_automorphism(rng, field, 0) == (empty, empty)
+    assert rng.getstate() == state
+    for _ in range(10):
+        ch = TwistedChain(rng, field, *dims)
+        for name in ("ses12", "ses23", "ses13", "sesq"):
+            ses = getattr(ch, name)
+            u = rand_lattice(rng, ses.total_space)
+            assert lift_lattice(ses, u) == lift_by_laurent_rows(ses, u)
+            assert project_lattice(ses, u) == project_by_laurent_rows(ses, u)
+
+
+@pytest.mark.parametrize("dims", [(2, 1, 3), (1, 3, 2), (-1, 1, 2)])
+def test_twisted_chain_refuses_dimensions_that_are_not_a_filtration(dims):
+    from satokit.verify import TwistedChain
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=r"\(%d, %d, %d\) are not" % dims):
+        TwistedChain(rng, F5, *dims)
+    assert rng.getstate() == state  # refused before any draw
+
+
+@pytest.mark.parametrize("field", [F2, F5], ids=["F2", "F5"])
+@pytest.mark.parametrize("d", [50, 100, 200])
+def test_twisted_pair_lifts_and_projects_to_O(field, d):
+    # i = (1 + t, -t^d), j = (t^d; 1 + t) over O^2: the one-sided inverses
+    # have poles of order about d, so each window is about d levels wide
+    one_t = LaurentPoly(field, {0: 1, 1: 1})
+    ses = TateSES(LaurentMatrix(field, [[one_t, LaurentPoly(field, {d: -1})]]),
+                  LaurentMatrix(field, [[LaurentPoly(field, {d: 1})],
+                                        [one_t]]))
+    u = standard_lattice(TateSpace(field, 2))
+    assert lift_lattice(ses, u) == standard_lattice(TateSpace(field, 1))
+    assert project_lattice(ses, u) == standard_lattice(TateSpace(field, 1))
 
 
 @pytest.mark.parametrize("field", [F2, F5, Field(7), QQ],
