@@ -18,7 +18,7 @@ _HOMES = {name: words[0] for words in map(str.split, """
     split_tate_ses standard_lattice;
     dimtorsor DimTheory RelTheory mu_combine pushout_along torsor_difference;
     detline DetRule DetTheory GradedLine LineIso check_symmetry delta_relative
-    det_line graded_det koszul_swap lambda_ses ungraded_det;
+    det_line koszul_swap lambda_ses;
     simptors Cochain CohomologyResult GerbeRep MultTorsorRep SimplicialSet
     check_mult_torsor evaluate_even_odd gerbe_to_torsor street_boundaries
     validate_simplicial_set;

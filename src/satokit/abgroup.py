@@ -9,7 +9,7 @@ from __future__ import annotations
 from .exactlin import Value, _checked_int
 
 
-class AbelianGroup(Value):
+class AbelianGroup(Value, key=("factors",)):
     __slots__ = ("factors",)
 
     def __init__(self, factors):
@@ -17,12 +17,6 @@ class AbelianGroup(Value):
         if any(d == 1 or d < 0 for d in factors):
             raise ValueError("factors must be 0 (free) or >= 2")
         object.__setattr__(self, "factors", factors)
-
-    def __eq__(self, other):
-        return isinstance(other, AbelianGroup) and self.factors == other.factors
-
-    def __hash__(self):
-        return hash(self.factors)
 
     def __repr__(self):
         return "AbelianGroup(%s)" % (format_group(self),)
@@ -45,19 +39,12 @@ class AbelianGroup(Value):
         return GroupElem(self, (0,) * len(self.factors))
 
 
-class GroupElem(Value):
+class GroupElem(Value, key=("group", "coords")):
     __slots__ = ("group", "coords")
 
     def __init__(self, group, coords):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "coords", group.reduce(coords))
-
-    def __eq__(self, other):
-        return (isinstance(other, GroupElem) and self.group == other.group
-                and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash((self.group, self.coords))
 
     def __repr__(self):
         return "GroupElem%s" % (self.coords,)

@@ -189,9 +189,9 @@ def _coords(text, group):
 def cmd_det_symmetry(args):
     from random import Random
     from . import verify as verify_mod
-    from .detline import check_symmetry, graded_det, ungraded_det
+    from .detline import DetTheory, check_symmetry
     field = args.field
-    theory = ungraded_det(field) if args.ungraded else graded_det(field)
+    theory = DetTheory(field, graded=not args.ungraded)
     if field.p is None:
         raise CliError("det-symmetry needs a finite field")
     pairs = [(a, b) for a in range(3) for b in range(3)]

@@ -21,32 +21,25 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .exactcat import SES, FdSpace, LinMap, canonical_section, split_ses
-from .exactlin import Matrix, Value
+from .exactlin import Matrix, Value, _checked_int
 from .tate import (delta_scalar_canonical, fd_ses_of_pair,
                    lambda_scalar_chain, lattice_contains, lattice_meet,
                    relative_index, standard_lattice)
 
 
-class GradedLine(Value):
+class GradedLine(Value, key=("field", "degree", "label")):
     """One-dimensional space with an integer degree and a basis label."""
 
     __slots__ = ("field", "degree", "label")
 
     def __init__(self, field, degree, label="1"):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "degree", int(degree))
+        object.__setattr__(self, "degree", _checked_int(degree, "degree"))
         object.__setattr__(self, "label", str(label))
 
     @classmethod
     def unit(cls, field):
         return cls(field, 0, "1")
-
-    def __eq__(self, other):
-        return (isinstance(other, GradedLine) and self.field == other.field
-                and self.degree == other.degree and self.label == other.label)
-
-    def __hash__(self):
-        return hash((self.field, self.degree, self.label))
 
     def __repr__(self):
         return "GradedLine(deg %d, %s)" % (self.degree, self.label)
@@ -167,14 +160,6 @@ class DetTheory:
                                       "graded" if self.graded else "ungraded")
 
 
-def graded_det(field):
-    return DetTheory(field, graded=True)
-
-
-def ungraded_det(field):
-    return DetTheory(field, graded=False)
-
-
 # ---------------------------------------------------------------------------
 # symmetry criteria
 
@@ -281,7 +266,7 @@ class DetRule(namedtuple("DetRule", "field delta",
         scalar = self.field.normalize(scalar)
         if scalar == 0:
             raise ValueError("anchor scalar must be nonzero")
-        return int(degree), scalar
+        return _checked_int(degree, "degree"), scalar
 
     def add(self, a, b):
         return a[0] + b[0], self.field.mul(a[1], b[1])

@@ -19,7 +19,7 @@ from .tate import (lift_lattice, project_lattice, relative_index,
                    standard_lattice)
 
 
-class DimTheory(Value):
+class DimTheory(Value, key=("group", "generator_image")):
     """Additive G-valued function on finite dimensional spaces."""
 
     __slots__ = ("group", "generator_image")
@@ -69,13 +69,6 @@ class DimTheory(Value):
             if theory.eval(u) != formula(u):
                 raise AssertionError("anchored form disagrees with the "
                                      "combining formula")
-
-    def __eq__(self, other):
-        return (isinstance(other, DimTheory) and self.group == other.group
-                and self.generator_image == other.generator_image)
-
-    def __hash__(self):
-        return hash((self.group, self.generator_image))
 
     def __repr__(self):
         return "DimTheory(%s, gen -> %r)" % (format_group(self.group),

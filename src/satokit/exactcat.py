@@ -28,7 +28,7 @@ class FdSpace(namedtuple("FdSpace", "field dim")):
         return "FdSpace(%s^%d)" % (self.field, self.dim)
 
 
-class LinMap(Value):
+class LinMap(Value, key=("matrix",)):
     """Linear map between FdSpaces; matrix rows act on the source basis.
 
     The map is its matrix and nothing more: equality and hash are the
@@ -70,12 +70,6 @@ class LinMap(Value):
     @property
     def target(self):
         return FdSpace(self.matrix.field, self.matrix.ncols)
-
-    def __eq__(self, other):
-        return isinstance(other, LinMap) and self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
 
     def __repr__(self):
         m = self.matrix

@@ -23,12 +23,14 @@ constructors (Subspace.from_rows for a Subspace) check every scalar, and
 the row kernels are private.
 
 Every immutable value of satokit is a Value, which refuses __setattr__ and
-__delattr__.  The hot classes (Matrix, Subspace, Quotient, laurent's,
-tate's and exactcat's LinMap) fill their slots through the member
-descriptors' __set__, bound by name at import (_mat_rank =
-Matrix._rank.__set__), which skips object.__setattr__'s name lookup; the
-rest (Field, abgroup's, detline's and dimtorsor's values, exactcat's SES)
-call object.__setattr__.
+__delattr__.  A class that names a key on its class line (class
+Matrix(Value, key=("field", "ncols", "_rows"))) compares and hashes its
+values by those fields; the others compare by identity.  The hot classes
+(Matrix, Subspace, Quotient, laurent's, tate's and exactcat's LinMap) fill
+their slots through the member descriptors' __set__, bound by name at
+import (_mat_rank = Matrix._rank.__set__), which skips object.__setattr__'s
+name lookup; the rest (Field, abgroup's, detline's and dimtorsor's values,
+exactcat's SES, swald's SObject) call object.__setattr__.
 """
 
 from __future__ import annotations
@@ -36,16 +38,38 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, product
+from operator import attrgetter
 
 
 class Value:
     """Base of satokit's immutable values, which serve as dict and cache
-    keys: setting or deleting any attribute raises AttributeError.  Matrix,
-    Subspace, Quotient, LinMap and the laurent and tate values fill their
-    slots through their member descriptors' bound __set__, the others
-    through object.__setattr__; neither calls __setattr__."""
+    keys: setting or deleting any attribute raises AttributeError.
+
+    A value is its key.  A class that names one, as in
+    class Field(Value, key=("p",)), gets __eq__: the same object, or one of
+    exactly that class whose key fields are equal; and __hash__, the hash of
+    attrgetter(*key) of the value, the tuple of its key fields or the one
+    field of a one-field key.  A class with no key compares by identity.
+    No Value class has subclasses.  Matrix, Subspace, Quotient, LinMap
+    and the laurent and tate values fill their slots through their member
+    descriptors' bound __set__, the others through object.__setattr__;
+    neither calls __setattr__."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, key=None):
+        if key is None:
+            return
+        get = attrgetter(*key)
+
+        def __eq__(self, other):
+            return self is other or (type(other) is cls
+                                     and get(self) == get(other))
+
+        def __hash__(self):
+            return hash(get(self))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
 
     def __setattr__(self, *a):
         raise AttributeError("%s is immutable" % type(self).__name__)
@@ -100,7 +124,7 @@ _LANES = {p: bytes([v % p for v in range(256)]) for p in (3, 5, 7, 11, 13)}
 _LIM = {p: (256 - p) // (p - 1) ** 2 for p in _LANES}
 
 
-class Field(Value):
+class Field(Value, key=("p",)):
     """F_p (p prime) or the rationals.  Immutable, hashable."""
 
     __slots__ = ("p", "_bits")
@@ -128,13 +152,6 @@ class Field(Value):
         return "Q" if self.p is None else "F%d" % self.p
 
     __repr__ = __str__
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, Field)
-                                 and self.p == other.p)
-
-    def __hash__(self):
-        return hash(("Field", self.p))
 
     @property
     def is_rational(self):
@@ -488,7 +505,7 @@ def _mul(field, a, b, ncols):
 
 # ---------------------------------------------------------------------------
 
-class Matrix(Value):
+class Matrix(Value, key=("field", "ncols", "_rows")):
     """Immutable dense matrix over a Field.
 
     Its rows are kept in the internal form above (one int per row over F2);
@@ -540,13 +557,6 @@ class Matrix(Value):
     def identity(cls, field, n):
         _checked_int(n, "dimension", 0)
         return cls._raw(field, _units(field, n), n, n)
-
-    def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.field == other.field
-                and self.ncols == other.ncols and self._rows == other._rows)
-
-    def __hash__(self):
-        return hash((self.field, self.ncols, self._rows))
 
     def __repr__(self):
         return "Matrix(%s, %dx%d)" % (self.field, self.nrows, self.ncols)
@@ -673,7 +683,7 @@ class Matrix(Value):
         raise ValueError("matrix is not invertible")
 
 
-class Subspace(Value):
+class Subspace(Value, key=("field", "ambient", "_rows")):
     """Subspace of k^ambient, stored as a reduced-row-echelon basis.
 
     The representation is canonical: two Subspaces are equal iff they are the
@@ -726,13 +736,6 @@ class Subspace(Value):
     @property
     def dim(self):
         return len(self._rows)
-
-    def __eq__(self, other):
-        return (isinstance(other, Subspace) and self.field == other.field
-                and self.ambient == other.ambient and self._rows == other._rows)
-
-    def __hash__(self):
-        return hash((self.field, self.ambient, self._rows))
 
     def __repr__(self):
         return "Subspace(%s, dim %d of k^%d)" % (self.field, self.dim,

@@ -30,7 +30,7 @@ def _canonical(p, d):
                          [(e, c % p) for e, c in d.items()] if c]))
 
 
-class LaurentPoly(Value):
+class LaurentPoly(Value, key=("field", "terms")):
     """Finite map exponent -> nonzero scalar; canonical, immutable."""
 
     __slots__ = ("field", "terms")
@@ -123,13 +123,6 @@ class LaurentPoly(Value):
         """Multiply by t^k."""
         return self._times(k, 1)
 
-    def __eq__(self, other):
-        return (isinstance(other, LaurentPoly) and self.field == other.field
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.field, self.terms))
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -202,7 +195,7 @@ def poly_divmod(a, b):
             LaurentPoly._raw(f, tuple(sorted(rem.items()))))
 
 
-class LaurentMatrix(Value):
+class LaurentMatrix(Value, key=("field", "ncols", "_rows")):
     """Matrix of Laurent polynomials; acts on row vectors.  Its rows are
     kept as tuples of term tuples; entries is a view built on first read."""
 
@@ -253,13 +246,6 @@ class LaurentMatrix(Value):
     @classmethod
     def zero(cls, field, r, c):
         return cls._raw(field, (((),) * c,) * r, c)
-
-    def __eq__(self, other):
-        return (isinstance(other, LaurentMatrix) and self.field == other.field
-                and self.ncols == other.ncols and self._rows == other._rows)
-
-    def __hash__(self):
-        return hash((self.field, self.ncols, self._rows))
 
     def __repr__(self):
         return "LaurentMatrix(%s, %dx%d)" % (self.field, self.nrows,

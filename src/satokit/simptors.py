@@ -26,7 +26,8 @@ import math
 from functools import cached_property
 
 from .abgroup import GroupElem
-from .exactlin import invariant_factors, snf_with_transforms, solve_mod
+from .exactlin import (_checked_int, invariant_factors, snf_with_transforms,
+                       solve_mod)
 
 MAX_DIM_CAP = 5
 
@@ -157,7 +158,7 @@ class Cochain:
 
     def __init__(self, complex_, degree, group, values=None):
         self.complex = complex_
-        self.degree = degree
+        self.degree = _checked_int(degree, "degree")
         self.group = group
         vals = {}
         if values:
@@ -465,7 +466,7 @@ def _transpose(lines, n):
 
 
 def _check_degree_reliable(complex_, degree):
-    if degree < 0:
+    if _checked_int(degree, "degree") < 0:
         raise DegreeRangeError("negative degree")
     if degree > MAX_DIM_CAP - 1:
         raise DegreeRangeError(

@@ -13,36 +13,30 @@ its canonical coordinates, and degeneracies repeat a subspace.
 from __future__ import annotations
 
 from .exactcat import SES, FdSpace, induced_map
-from .exactlin import Quotient, Subspace, all_subspaces
+from .exactlin import Quotient, Subspace, Value, _checked_int, all_subspaces
 
 
 class SObjectError(Exception):
     pass
 
 
-class SObject:
+class SObject(Value, key=("field", "ambient", "chain")):
     """Rigidified admissible filtration of length n in a fixed ambient; its
     quotients a_ij carry their canonical bases, so the chain is all the data.
     The constructor only stores it: build_s_object validates outside data,
     and enumeration, faces and degeneracies nest their chains by
     construction."""
 
+    __slots__ = ("field", "ambient", "chain")
+
     def __init__(self, field, ambient, chain):
-        self.field = field
-        self.ambient = ambient
-        self.chain = tuple(chain)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "chain", tuple(chain))
 
     @property
     def level(self):
         return len(self.chain)
-
-    def __eq__(self, other):
-        return (isinstance(other, SObject) and self.field == other.field
-                and self.ambient == other.ambient
-                and self.chain == other.chain)
-
-    def __hash__(self):
-        return hash((self.field, self.ambient, self.chain))
 
     def __repr__(self):
         return "SObject(level %d, dims %s)" % (
@@ -74,33 +68,21 @@ class SObject:
                    self.array_map((i, k), (j, k)))
 
     def validate(self):
-        """All SES conditions and composition coherence; raises SObjectError
-        with the offending indices."""
+        """The SES conditions of the sequences (0, j, k); raises SObjectError
+        with the offending indices.  They decide the rest: a sequence
+        (i, j, k) with i >= 1 fails only where a nesting of V_i <= V_j <= V_k
+        or an ambient does, which an earlier (0, j', k') meets first, and
+        the maps of a nested chain, all induced by the identity of one
+        ambient, compose coherently."""
         n = self.level
-        for i in range(n + 1):
-            for j in range(i, n + 1):
-                for k in range(j, n + 1):
-                    try:
-                        self.row_ses(i, j, k)
-                    except Exception as exc:
-                        raise SObjectError(
-                            "sequence condition fails at (%d, %d, %d): %s"
-                            % (i, j, k, exc))
-        pairs = [(i, j) for i in range(n + 1) for j in range(i, n + 1)]
-        for (i, j) in pairs:
-            for (k, l) in pairs:
-                if not (i <= k and j <= l):
-                    continue
-                for (m, q) in pairs:
-                    if not (k <= m and l <= q):
-                        continue
-                    direct = self.array_map((i, j), (m, q))
-                    through = self.array_map((i, j), (k, l)).then(
-                        self.array_map((k, l), (m, q)))
-                    if direct != through:
-                        raise SObjectError(
-                            "coherence fails from (%d,%d) via (%d,%d) to "
-                            "(%d,%d)" % (i, j, k, l, m, q))
+        for j in range(n + 1):
+            for k in range(j, n + 1):
+                try:
+                    self.row_ses(0, j, k)
+                except Exception as exc:
+                    raise SObjectError(
+                        "sequence condition fails at (0, %d, %d): %s"
+                        % (j, k, exc))
         return True
 
 
@@ -217,9 +199,9 @@ def s_skeleton_counts(field, dim_cap, level_cap, budget):
     [n; d_p]_q [d_p; d_(p-1)]_q ... [d_2; d_1]_q.  Raises BudgetExceeded
     as soon as the total passes the budget or the incidence work
     sum_p |S_p| (p + 1)^2 passes MAX_INCIDENCE_WORK."""
-    if dim_cap < 0 or level_cap < 0:
-        raise ValueError("dim-cap and level-cap must be >= 0")
-    if budget < 1:
+    _checked_int(dim_cap, "dim-cap", 0)
+    _checked_int(level_cap, "level-cap", 0)
+    if _checked_int(budget, "budget") < 1:
         raise ValueError("budget must be at least 1, got %d" % budget)
     if field.p is None:
         raise ValueError("the S-construction enumerates over F_p only")

@@ -60,7 +60,7 @@ from .laurent import (LaurentMatrix, LaurentPoly, _product_terms,
                       left_inverse, right_inverse)
 
 
-class TateSpace(Value):
+class TateSpace(Value, key=("field", "rank")):
     """The space k((t))^n."""
 
     __slots__ = ("field", "rank")
@@ -70,19 +70,11 @@ class TateSpace(Value):
         _space_field(self, field)
         _space_rank(self, rank)
 
-    def __eq__(self, other):
-        return self is other or (isinstance(other, TateSpace)
-                                 and self.field == other.field
-                                 and self.rank == other.rank)
-
-    def __hash__(self):
-        return hash((self.field, self.rank))
-
     def __repr__(self):
         return "TateSpace(%s((t))^%d)" % (self.field, self.rank)
 
 
-class Lattice(Value):
+class Lattice(Value, key=("space", "lo", "hi", "basis")):
     """Element of the Sato Grassmannian of a TateSpace, canonical form.
 
     basis is the rref Subspace of the lattice modulo t^hi O^n in its window
@@ -102,14 +94,6 @@ class Lattice(Value):
     @property
     def rows(self):
         return self.basis.rows
-
-    def __eq__(self, other):
-        return (isinstance(other, Lattice) and self.space == other.space
-                and self.lo == other.lo and self.hi == other.hi
-                and self.basis == other.basis)
-
-    def __hash__(self):
-        return hash((self.space, self.lo, self.hi, self.basis))
 
     def __repr__(self):
         return "Lattice(%r, lo=%d, hi=%d, extra_dim=%d)" % (

@@ -16,7 +16,7 @@ from random import Random
 from .abgroup import AbelianGroup, ZZ
 from .complexes import (circle, full_simplex, projective_plane,
                         simplex_boundary, sphere_3, torus)
-from .detline import check_symmetry, graded_det, ungraded_det
+from .detline import DetTheory, check_symmetry
 from .dimtorsor import DimTheory, RelTheory, mu_combine
 from .exactcat import (LinMap, complete_grid_3x3,
                        epi_mono_factorize, factorization_connector,
@@ -160,32 +160,31 @@ class TwistedChain:
 # --- suites ----------------------------------------------------------------
 
 @_timed
-def suite_lattice_index(seed=0, trials=500, max_rank=4, max_shift=5):
+def suite_lattice_index(seed=0, trials=500):
     """relative index of a diagonal monomial lattice against O^n is the sum
     of the shifts."""
     rng = Random(seed)
     failures = []
     for t in range(trials):
         field = F2 if t % 2 else F5
-        n = rng.randint(1, max_rank)
-        shifts = [rng.randint(-max_shift, max_shift) for _ in range(n)]
+        n = rng.randint(1, 4)
+        shifts = [rng.randint(-5, 5) for _ in range(n)]
         space = TateSpace(field, n)
         lat = diag_lattice(space, [-a for a in shifts])
         got = relative_index(lat, standard_lattice(space))
         if got != sum(shifts):
             failures.append("shifts %r gave %d" % (shifts, got))
-    return "lattice-index", trials, failures, \
-        "rank <= %d, |shift| <= %d" % (max_rank, max_shift)
+    return "lattice-index", trials, failures, "rank <= 4, |shift| <= 5"
 
 
 @_timed
-def suite_index_laws(seed=0, trials=1000, max_rank=3):
+def suite_index_laws(seed=0, trials=1000):
     """Index cocycle on triples and the modular law on pairs."""
     rng = Random(seed)
     failures = []
     for t in range(trials):
         field = F2 if t % 2 else F5
-        space = TateSpace(field, rng.randint(1, max_rank))
+        space = TateSpace(field, rng.randint(1, 3))
         a = rand_lattice(rng, space)
         b = rand_lattice(rng, space)
         c = rand_lattice(rng, space)
@@ -198,18 +197,18 @@ def suite_index_laws(seed=0, trials=1000, max_rank=3):
             failures.append("modular law failure at trial %d" % t)
         if not (relative_index(a, m) >= 0 and relative_index(j, a) >= 0):
             failures.append("meet/join ordering failure at trial %d" % t)
-    return "index-laws", 2 * trials, failures, "rank <= %d" % max_rank
+    return "index-laws", 2 * trials, failures, "rank <= 3"
 
 
 @_timed
-def suite_lift_project(seed=0, trials=1000, emax=2):
+def suite_lift_project(seed=0, trials=1000):
     """Exactness of lift/project through twisted splits and the two-order
     lift/project equality on filtrations."""
     rng = Random(seed)
     failures = []
     for t in range(trials):
         field = F2 if t % 2 else F5
-        chain = TwistedChain(rng, field, 1, 2, 3, emax=emax)
+        chain = TwistedChain(rng, field, 1, 2, 3)
         space = chain.total
         u = rand_lattice(rng, space, bound=1)
         u0 = rand_lattice(rng, space, bound=1)
@@ -227,7 +226,7 @@ def suite_lift_project(seed=0, trials=1000, emax=2):
         if u21 != u21p:
             failures.append("lift/project order failure at trial %d" % t)
     return "lift-project", 2 * trials, failures, \
-        "twisted splits, exponents in [-%d, %d]" % (emax, emax)
+        "twisted splits, exponents in [-2, 2]"
 
 
 def _all_monos(field, a, b, vectors):
@@ -241,15 +240,15 @@ def _all_monos(field, a, b, vectors):
 
 
 @_timed
-def suite_factorization(max_dim=3):
+def suite_factorization():
     """Exhaustive mono-then-epi factorization over F_2 in dimensions up to
-    max_dim: canonical middle, and every basis-twist factorization connects
-    to the canonical one by the unique isomorphism."""
+    3: canonical middle, and every basis-twist factorization connects to the
+    canonical one by the unique isomorphism."""
     field = F2
-    vectors = {n: list(all_vectors(field, n)) for n in range(max_dim + 1)}
+    vectors = {n: list(all_vectors(field, n)) for n in range(4)}
     # GL(d, F2), each twist beside its inverse
     gl = {}
-    for d in range(max_dim + 1):
+    for d in range(4):
         squares = (Matrix(field, [list(r) for r in rows], d)
                    for rows in itertools.product(vectors[d], repeat=d))
         gl[d] = [(LinMap.of(g), LinMap.of(g.inverse())) for g in squares
@@ -257,7 +256,7 @@ def suite_factorization(max_dim=3):
     failures = []
     checked = 0
     seen_composites = set()
-    for b in range(max_dim + 1):
+    for b in range(4):
         monos = []
         for a in range(b + 1):
             monos.extend(_all_monos(field, a, b, vectors))
@@ -288,18 +287,17 @@ def suite_factorization(max_dim=3):
                         failures.append("connector failure at %r" % (
                             (f.source.dim, f.target.dim, f.matrix.entries),))
                         break
-    return "factorization", checked, failures, \
-        "exhaustive F2 dims <= %d" % max_dim
+    return "factorization", checked, failures, "exhaustive F2 dims <= 3"
 
 
 @_timed
-def suite_grid(max_dim=3):
+def suite_grid():
     """Exhaustive grid completion over F_2: every cartesian admissible square
     completes to a grid with exact rows and columns, and cartesian and
     cocartesian agree on the lower-left admissible square."""
     failures = []
     checked = 0
-    for ambient in range(max_dim + 1):
+    for ambient in range(4):
         subs = all_subspaces(F2, ambient)
         for u1 in subs:
             for u2 in subs:
@@ -318,7 +316,7 @@ def suite_grid(max_dim=3):
                     failures.append("bicartesian mismatch in ambient %d"
                                     % ambient)
     return "grid-completion", checked, failures, \
-        "exhaustive F2 ambient <= %d" % max_dim
+        "exhaustive F2 ambient <= 3"
 
 
 def random_grids(rng, field, trials):
@@ -350,16 +348,16 @@ def suite_det_symmetry(seed=0, trials=200):
         for u2 in all_subspaces(F2, 2):
             grids2.append(complete_grid_3x3(inclusion_map(u1),
                                             inclusion_map(u2)))
-    rep = check_symmetry(graded_det(F2), pairs2, grids2)
+    rep = check_symmetry(DetTheory(F2), pairs2, grids2)
     checked = len(rep.instances)
     if not rep.all_passed or not rep.criteria_agree:
         failures.append("graded determinant failed over F2")
     grids5 = random_grids(rng, F5, trials)
-    rep5 = check_symmetry(graded_det(F5), pairs2, grids5)
+    rep5 = check_symmetry(DetTheory(F5), pairs2, grids5)
     checked += len(rep5.instances)
     if not rep5.all_passed or not rep5.criteria_agree:
         failures.append("graded determinant failed over F5")
-    rep_un = check_symmetry(ungraded_det(F5), [(1, 1)], grids5)
+    rep_un = check_symmetry(DetTheory(F5, graded=False), [(1, 1)], grids5)
     checked += len(rep_un.instances)
     kk = [i for i in rep_un.instances if i.kind == "pair"][0]
     if kk.passed or kk.got != F5.normalize(-1) or kk.expected != 1:
@@ -367,7 +365,7 @@ def suite_det_symmetry(seed=0, trials=200):
                         "%r vs %r" % (kk.got, kk.expected))
     if not rep_un.criteria_agree:
         failures.append("pair and grid criteria disagree for ungraded det")
-    rep_un2 = check_symmetry(ungraded_det(F2), pairs2, grids2)
+    rep_un2 = check_symmetry(DetTheory(F2, graded=False), pairs2, grids2)
     checked += len(rep_un2.instances)
     if not rep_un2.all_passed:
         failures.append("ungraded det over F2 must pass (-1 = 1)")
@@ -508,12 +506,12 @@ def suite_pasting(seed=0):
 
 
 @_timed
-def suite_s_construction(level_cap=4, dim_cap=2):
+def suite_s_construction():
     """Skeleton enumeration over F_2 with all simplicial identities, the
     0-torsor check for the dimension theory, the 1-torsor check for the
     graded determinant, and detection of an injected grading fault."""
     failures = []
-    sk = enumerate_s_skeleton(F2, dim_cap, level_cap)
+    sk = enumerate_s_skeleton(F2, 2, 4)
     bad = sk.check_simplicial_identities()
     if bad is not None:
         failures.append("simplicial identity failure at %r" % (bad,))
@@ -522,7 +520,7 @@ def suite_s_construction(level_cap=4, dim_cap=2):
     rep_dim = verify_dim_theory(sk, DimTheory.universal())
     if not rep_dim.ok:
         failures.append("dimension theory failed the 0-torsor check")
-    rep_det = verify_det_theory(sk, graded_det(F2))
+    rep_det = verify_det_theory(sk, DetTheory(F2))
     if not rep_det.ok:
         failures.append("graded determinant failed the 1-torsor check")
 
@@ -543,12 +541,12 @@ def suite_s_construction(level_cap=4, dim_cap=2):
         def lambda_scalar(self, ses):
             return self.inner.lambda_scalar(ses)
 
-    rep_fault = verify_det_theory(sk, _Fault(graded_det(F2)))
+    rep_fault = verify_det_theory(sk, _Fault(DetTheory(F2)))
     if rep_fault.ok:
         failures.append("injected grading fault went undetected")
     checked = sum(sk.counts()) + rep_dim.checked + rep_det.checked
     return "s-construction", checked, failures, \
-        "F2, D = %d, N = %d, counts %r" % (dim_cap, level_cap, sk.counts())
+        "F2, D = 2, N = 4, counts %r" % (sk.counts(),)
 
 
 @_timed

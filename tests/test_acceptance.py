@@ -25,28 +25,27 @@ def _run(criterion, budget_s, fn, **kwargs):
 
 def test_criterion_1_lattice_index_suite():
     # 500 random diagonal monomial lattices, rank <= 4, |shift| <= 5
-    _run("1", 5, verify.suite_lattice_index, seed=101, trials=500,
-         max_rank=4, max_shift=5)
+    _run("1", 5, verify.suite_lattice_index, seed=101, trials=500)
 
 
 def test_criterion_2_index_cocycle_and_modular_law():
     # 10^3 random triples/pairs over F_2 and F_5, rank <= 3
-    _run("2", 30, verify.suite_index_laws, seed=102, trials=1000, max_rank=3)
+    _run("2", 30, verify.suite_index_laws, seed=102, trials=1000)
 
 
 def test_criterion_3_lift_project_exactness_and_order():
     # 10^3 split-then-twisted chains, automorphism exponents in [-2, 2]
-    _run("3", 60, verify.suite_lift_project, seed=103, trials=1000, emax=2)
+    _run("3", 60, verify.suite_lift_project, seed=103, trials=1000)
 
 
 def test_criterion_4_partially_abelian_witness():
     # exhaustive mono-then-epi factorization over F_2, dims <= 3
-    _run("4", 10, verify.suite_factorization, max_dim=3)
+    _run("4", 10, verify.suite_factorization)
 
 
 def test_criterion_5_grid_completion():
     # exhaustive cartesian admissible squares over F_2, ambient dim <= 3
-    _run("5", 10, verify.suite_grid, max_dim=3)
+    _run("5", 10, verify.suite_grid)
 
 
 def test_criterion_6_determinant_symmetry():
@@ -75,7 +74,7 @@ def test_criterion_10_s_construction():
     # simplicial identities on the full F_2, D = 2, N = 4 skeleton; the
     # dimension theory passes the 0-torsor check and the graded determinant
     # the 1-torsor check; an injected grading fault is detected
-    _run("10", 120, verify.suite_s_construction, level_cap=4, dim_cap=2)
+    _run("10", 120, verify.suite_s_construction)
 
 
 def test_criterion_11_gerbe_to_torsor():

@@ -750,11 +750,11 @@ def test_cli_det_symmetry_grids_are_the_suites(capsys):
             ("3", "2"), ("4", "1"), ("4", "1"), ("3", "2"), ("1", "4"),
             ("1", "4"), ("4", "1"), ("4", "1"), ("1", "4"))]
     from random import Random
-    from satokit.detline import check_symmetry, ungraded_det
+    from satokit.detline import DetTheory, check_symmetry
     grids = verify.random_grids(Random(7), F5, 100)
     pairs = [(a, b) for a in range(3) for b in range(3)]
     failed = [(i.got, i.expected) for i in check_symmetry(
-        ungraded_det(F5), pairs, grids).failures()]
+        DetTheory(F5, graded=False), pairs, grids).failures()]
     assert [(str(g), str(e)) for g, e in failed] \
         == [(f["got"], f["expected"]) for f in rep["failures"]]
 
@@ -1228,8 +1228,7 @@ EXPORTS = {
     "dimtorsor": "DimTheory RelTheory mu_combine pushout_along "
                  "torsor_difference",
     "detline": "DetRule DetTheory GradedLine LineIso check_symmetry "
-               "delta_relative det_line graded_det koszul_swap lambda_ses "
-               "ungraded_det",
+               "delta_relative det_line koszul_swap lambda_ses",
     "simptors": "Cochain CohomologyResult GerbeRep MultTorsorRep "
                 "SimplicialSet check_mult_torsor evaluate_even_odd "
                 "gerbe_to_torsor street_boundaries validate_simplicial_set",
@@ -1243,9 +1242,9 @@ def test_package_namespace_is_the_exported_names():
     import satokit
     homes = {name: module for module, names in EXPORTS.items()
              for name in names.split()}
-    assert len(homes) == 69
+    assert len(homes) == 67
     assert sorted(satokit.__all__) == sorted(homes)
-    assert len(satokit.__all__) == 69
+    assert len(satokit.__all__) == 67
     for name, module in homes.items():
         home = importlib.import_module("satokit." + module)
         assert getattr(satokit, name) is getattr(home, name), name

@@ -5,8 +5,7 @@ import pytest
 
 from satokit.detline import (
     DetRule, DetTheory, GradedLine, LineIso, check_symmetry, delta_relative,
-    det_line, det_map, graded_det, grid_criterion, koszul_swap, lambda_ses,
-    pair_criterion, ungraded_det,
+    det_line, det_map, grid_criterion, koszul_swap, lambda_ses, pair_criterion,
 )
 from satokit.dimtorsor import RelTheory, mu_combine, torsor_difference
 from satokit.exactcat import (SES, FdSpace, LinMap, canonical_section,
@@ -105,13 +104,13 @@ def test_lambda_naturality_under_sequence_isos():
 
 
 def test_pair_criterion_graded_vs_ungraded():
-    ok, got, want = pair_criterion(graded_det(F5), 1, 1)
+    ok, got, want = pair_criterion(DetTheory(F5), 1, 1)
     assert ok
-    ok, got, want = pair_criterion(ungraded_det(F5), 1, 1)
+    ok, got, want = pair_criterion(DetTheory(F5, graded=False), 1, 1)
     assert not ok
     assert got == F5.normalize(-1) and want == 1
     # characteristic 2 cannot see the sign
-    ok, _, _ = pair_criterion(ungraded_det(F2), 1, 1)
+    ok, _, _ = pair_criterion(DetTheory(F2, graded=False), 1, 1)
     assert ok
 
 
@@ -125,7 +124,7 @@ def _grids(field, ambient):
 def test_check_symmetry_graded_exhaustive_f2():
     pairs = [(a, b) for a in range(3) for b in range(3)]
     grids = list(_grids(F2, 2))
-    rep = check_symmetry(graded_det(F2), pairs, grids)
+    rep = check_symmetry(DetTheory(F2), pairs, grids)
     assert rep.all_passed and rep.criteria_agree
 
 
@@ -140,19 +139,19 @@ def test_check_symmetry_ungraded_f5():
             inclusion_map(Subspace.from_rows(F5, 3, rows2)))
         grids.append(g)
     pairs = [(a, b) for a in range(3) for b in range(3)]
-    rep = check_symmetry(ungraded_det(F5), pairs, grids)
+    rep = check_symmetry(DetTheory(F5, graded=False), pairs, grids)
     assert not rep.all_passed           # odd-by-odd instances fail
     assert rep.criteria_agree           # but pair and grid verdicts match
     failing = [i for i in rep.instances if i.kind == "pair" and not i.passed]
     assert {(1, 1), (1, 2), (2, 1)}.isdisjoint(
         {i.data for i in failing}) is False
-    rep_graded = check_symmetry(graded_det(F5), pairs, grids)
+    rep_graded = check_symmetry(DetTheory(F5), pairs, grids)
     assert rep_graded.all_passed and rep_graded.criteria_agree
 
 
 def test_mult_diagram_two_paths_exhaustive_f2():
     # associativity of lambda on filtrations a1 c a2 c a3
-    th = graded_det(F2)
+    th = DetTheory(F2)
     subs = all_subspaces(F2, 3)
     count = 0
     for a1 in subs:
@@ -178,6 +177,22 @@ def test_mult_diagram_two_paths_exhaustive_f2():
             assert F2.mul(lam_12, lam_23) == F2.mul(lam_13, lam_q)
             count += 1
     assert count > 0
+
+
+@pytest.mark.parametrize("degree", [2.5, 2.0, "3", None])
+def test_graded_line_refuses_a_degree_that_is_not_an_int(degree):
+    # GradedLine(F5, 2.5) is not read as degree 2, nor "3" as 3
+    with pytest.raises(ValueError, match="is not an int"):
+        GradedLine(F5, degree)
+    assert GradedLine(F5, -2).degree == -2
+
+
+@pytest.mark.parametrize("degree", [2.9, 2.0, "3", None])
+def test_det_rule_refuses_a_degree_that_is_not_an_int(degree):
+    # the anchor value (2.9, 3) is not read as (2, 3)
+    with pytest.raises(ValueError, match="is not an int"):
+        DetRule(F5).check((degree, 3))
+    assert DetRule(F5).check((-2, 8)) == (-2, 3)
 
 
 def test_delta_relative_identity_and_degree():

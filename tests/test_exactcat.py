@@ -532,7 +532,7 @@ def test_factorization_suite_inverts_each_twist_once(monkeypatch):
         return inverse(self)
 
     monkeypatch.setattr(Matrix, "inverse", counted)
-    assert verify.suite_factorization(max_dim=3).passed
+    assert verify.suite_factorization().passed
     assert len(calls) <= 176
 
 

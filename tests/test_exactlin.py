@@ -1156,6 +1156,7 @@ def _values():
     from satokit.dimtorsor import DimTheory, RelTheory
     from satokit.exactcat import LinMap, split_ses
     from satokit.laurent import LaurentMatrix, LaurentPoly
+    from satokit.swald import build_s_object
     from satokit.tate import TateSpace, lattice_normalize, split_tate_ses
     m = Matrix(F5, [[1, 2], [3, 4]])
     line = GradedLine(F5, 1, "e1")
@@ -1178,7 +1179,26 @@ def _values():
             LaurentMatrix.identity(F5, 2),
             TateSpace(F5, 1),
             lattice_normalize(TateSpace(F5, 1), -1, 1, [[1, 2]]),
-            split_tate_ses(F5, 1, 1)]
+            split_tate_ses(F5, 1, 1),
+            build_s_object(F5, 2, [m.left_kernel(), m.row_space()])]
+
+
+# the key each class names on its class line; the other Value classes
+# compare by identity, but for RelTheory's equality as functions
+_KEYS = {"AbelianGroup": ("factors",),
+         "GroupElem": ("group", "coords"),
+         "GradedLine": ("field", "degree", "label"),
+         "DimTheory": ("group", "generator_image"),
+         "LinMap": ("matrix",),
+         "Field": ("p",),
+         "Matrix": ("field", "ncols", "_rows"),
+         "Subspace": ("field", "ambient", "_rows"),
+         "LaurentPoly": ("field", "terms"),
+         "LaurentMatrix": ("field", "ncols", "_rows"),
+         "TateSpace": ("field", "rank"),
+         "Lattice": ("space", "lo", "hi", "basis"),
+         "SObject": ("field", "ambient", "chain")}
+_KEY_RULE = "Value.__init_subclass__.<locals>."
 
 
 def test_values_cover_every_value_class():
@@ -1192,6 +1212,65 @@ def test_values_cover_every_value_class():
 
     listed = {type(v) for v in _values()}  # imports every defining module
     assert set(subclasses(Value)) == listed
+
+
+def test_a_value_is_its_key():
+    # values built twice are equal, with equal hashes, exactly when their
+    # class names a key; the others are equal only to themselves, so the
+    # memoized split_tate_ses is equal to its second call
+    from operator import attrgetter
+    from satokit.dimtorsor import RelTheory
+    from satokit.tate import split_tate_ses
+    for a, b in zip(_values(), _values()):
+        name = type(a).__name__
+        if name in _KEYS:
+            key = attrgetter(*_KEYS[name])
+            assert a is not b and a == b and not a != b
+            assert hash(a) == hash(b) == hash(key(a))
+            assert a != key(a) and a != object()
+        elif type(a) is RelTheory:  # equal as functions on the Grassmannian
+            assert a is not b and a == b
+        else:
+            assert (a == b) is (a is b) and (a != b) is (a is not b)
+    assert split_tate_ses(F5, 1, 1) is split_tate_ses(F5, 1, 1)
+
+
+def test_equal_keys_of_different_classes_are_unequal():
+    from satokit.laurent import LaurentMatrix
+    m, lm = Matrix._raw(F5, (), 0), LaurentMatrix._raw(F5, (), 0)
+    assert (m.field, m.ncols, m._rows) == (lm.field, lm.ncols, lm._rows)
+    assert m != lm and lm != m and hash(m) == hash(lm)
+
+
+def test_no_class_writes_its_own_structural_equality():
+    # every class of satokit gets __eq__ and __hash__ from the key rule or
+    # from object, but for the semantic equalities of RelTheory (functions
+    # on the Grassmannian) and simptors.Cochain (up to explicit zeros); and
+    # no Value class has subclasses, so the rule's exact-class test is
+    # isinstance
+    import importlib
+    import inspect
+    import pkgutil
+    import satokit
+    from satokit.exactlin import Value
+    semantic = {"RelTheory", "Cochain"}
+    checked = set()
+    for info in pkgutil.iter_modules(satokit.__path__):
+        module = importlib.import_module("satokit." + info.name)
+        for cls in vars(module).values():
+            if not inspect.isclass(cls) or cls.__module__ != module.__name__:
+                continue
+            checked.add(cls.__name__)
+            keyed = cls.__name__ in _KEYS
+            for name in ("__eq__", "__hash__"):
+                own = vars(cls).get(name)
+                if keyed:
+                    assert own.__qualname__ == _KEY_RULE + name, cls
+                elif cls.__name__ not in semantic:
+                    assert own is None, (cls, name)
+            if cls is not Value and issubclass(cls, Value):
+                assert not cls.__subclasses__(), cls
+    assert set(_KEYS) | semantic <= checked
 
 
 @pytest.mark.parametrize("value", _values(), ids=lambda v: type(v).__name__)

@@ -363,6 +363,23 @@ def test_cohomology_degree_guard():
         CohomologyResult(cx, 5, ZZ)
 
 
+@pytest.mark.parametrize("degree", [1.5, 1.0, "1", True])
+def test_cohomology_refuses_a_degree_that_is_not_an_int(degree):
+    # H^1.5 is refused, not read as a zero group; a negative int degree
+    # keeps its DegreeRangeError
+    with pytest.raises(ValueError, match="is not an int"):
+        CohomologyResult(torus(), degree, ZZ)
+    with pytest.raises(DegreeRangeError, match="negative degree"):
+        CohomologyResult(torus(), -1, ZZ)
+
+
+@pytest.mark.parametrize("degree", [1.5, 1.0, "1", None])
+def test_cochain_refuses_a_degree_that_is_not_an_int(degree):
+    with pytest.raises(ValueError, match="is not an int"):
+        Cochain(torus(), degree, ZZ)
+    assert Cochain(torus(), 1, ZZ).degree == 1
+
+
 def _brute_force_h_order_mod2(cx, degree):
     """|H^degree(cx, Z/2)| by direct enumeration: rank arithmetic over F_2
     on the raw coboundary matrices, fully independent of the integer SNF."""

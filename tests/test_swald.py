@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from satokit.abgroup import AbelianGroup, ZZ
-from satokit.detline import DetTheory, graded_det
+from satokit.detline import DetTheory
 from satokit.dimtorsor import DimTheory
 from satokit.exactcat import SES, LinMap
 from satokit.exactlin import F2, F3, F5, QQ, Matrix, Subspace, all_subspaces
@@ -53,6 +55,83 @@ def test_build_refuses_each_bad_input(field, ambient, chain, message):
     with pytest.raises(SObjectError, match=message):
         build_s_object(field, ambient, chain)
     assert SObject(field, ambient, chain).chain == tuple(chain)
+
+
+def _validate_every_triple(obj):
+    """SObject.validate as it was: the sequence of every (i, j, k), then the
+    coherence of every composite a_ij -> a_kl -> a_mq."""
+    n = obj.level
+    for i in range(n + 1):
+        for j in range(i, n + 1):
+            for k in range(j, n + 1):
+                try:
+                    obj.row_ses(i, j, k)
+                except Exception as exc:
+                    raise SObjectError(
+                        "sequence condition fails at (%d, %d, %d): %s"
+                        % (i, j, k, exc))
+    pairs = [(i, j) for i in range(n + 1) for j in range(i, n + 1)]
+    for (i, j) in pairs:
+        for (k, l) in pairs:
+            if not (i <= k and j <= l):
+                continue
+            for (m, q) in pairs:
+                if not (k <= m and l <= q):
+                    continue
+                direct = obj.array_map((i, j), (m, q))
+                through = obj.array_map((i, j), (k, l)).then(
+                    obj.array_map((k, l), (m, q)))
+                if direct != through:
+                    raise SObjectError(
+                        "coherence fails from (%d,%d) via (%d,%d) to "
+                        "(%d,%d)" % (i, j, k, l, m, q))
+    return True
+
+
+def _random_chain(rng):
+    """A field, an ambient and a chain of up to 3 members, each of which
+    adds up to one row to the one before, or else is drawn afresh, with
+    even odds; a fifth of the chains get one member over another ambient or
+    another field."""
+    field, ambient = rng.choice([F2, F3]), rng.randint(0, 3)
+
+    def draw(k):
+        return [[rng.randrange(field.p) for _ in range(ambient)]
+                for _ in range(k)]
+
+    level, rows, chain = rng.randint(0, 3), [], []
+    for _ in range(level):
+        if rng.random() < 0.5:
+            rows += draw(rng.randint(0, 1))
+        else:
+            rows = draw(rng.randint(0, ambient))
+        chain.append(Subspace.from_rows(field, ambient, rows))
+    if chain and rng.random() < 0.2:
+        other = rng.choice([(field, ambient + 1), (F5, ambient)])
+        chain[rng.randrange(level)] = Subspace.full(*other)
+    return field, ambient, chain
+
+
+def test_validate_checks_the_sequences_from_zero_only():
+    # the sequences (0, j, k) decide every other (i, j, k) and the coherence
+    # of the array maps: the old loop over all of them gives the same
+    # outcome and message on random chains, nested or not, with members
+    # over other ambients and fields
+    rng = random.Random(41)
+
+    def outcome(validate, obj):
+        try:
+            return validate(obj)
+        except SObjectError as exc:
+            return str(exc)
+
+    failures = 0
+    for _ in range(1000):
+        obj = SObject(*_random_chain(rng))
+        got = outcome(SObject.validate, obj)
+        assert got == outcome(_validate_every_triple, obj), obj
+        failures += got is not True
+    assert failures > 150
 
 
 def test_face_zero_is_quotient():
@@ -156,6 +235,19 @@ def test_closed_form_counts_match_the_chains(field, n, level_cap):
     assert got == _counts_by_containment(field, n, level_cap)
     if sum(got) <= 2000:
         assert enumerate_s_skeleton(field, n, level_cap).counts() == got
+
+
+@pytest.mark.parametrize("caps", [
+    (1.5, 2, 100), (1, 2.0, 100), (1, 2, 100.0), ("1", 2, 100),
+    (True, 2, 100), (1, 2, None)])
+def test_caps_that_are_not_ints_are_refused(caps):
+    # a ValueError, before any count, where a float or a string used to
+    # reach range() or a comparison and raise TypeError
+    dim_cap, level_cap, budget = caps
+    with pytest.raises(ValueError, match="is not an int"):
+        s_skeleton_counts(F2, dim_cap, level_cap, budget)
+    with pytest.raises(ValueError, match="is not an int"):
+        enumerate_s_skeleton(F2, dim_cap, level_cap, budget)
 
 
 def test_budget_refused_before_any_subspace_is_built(monkeypatch):
@@ -272,13 +364,13 @@ def test_dim_theory_passes():
 
 def test_det_theory_passes():
     sk = enumerate_s_skeleton(F2, 2, 3)
-    rep = verify_det_theory(sk, graded_det(F2))
+    rep = verify_det_theory(sk, DetTheory(F2))
     assert rep.ok and rep.checked == 22
 
 
 def test_det_theory_passes_f5():
     sk = enumerate_s_skeleton(F5, 2, 3, budget=100000)
-    rep = verify_det_theory(sk, graded_det(F5))
+    rep = verify_det_theory(sk, DetTheory(F5))
     assert rep.ok
 
 
@@ -331,7 +423,7 @@ def test_scalar_fault_detected_f5():
                                      Subspace.full(F5, 2)])
     ses = witness.row_ses(0, 1, 2)
     target = (ses.i.matrix.entries, ses.j.matrix.entries)
-    faulty = _ScalarFault(graded_det(F5), F5.normalize(-1), target)
+    faulty = _ScalarFault(DetTheory(F5), F5.normalize(-1), target)
     rep = verify_det_theory(sk, faulty)
     assert not rep.ok
 
@@ -340,7 +432,7 @@ def test_degree_fault_detected_f2():
     # over F_2 there is no -1, but corrupting the grading (the carrier of
     # the Koszul sign) breaks the degree bookkeeping and is caught
     sk = enumerate_s_skeleton(F2, 2, 3)
-    faulty = _DegreeFault(graded_det(F2), 1)
+    faulty = _DegreeFault(DetTheory(F2), 1)
     rep = verify_det_theory(sk, faulty)
     assert not rep.ok
 
@@ -354,7 +446,7 @@ def test_naturality_under_array_isomorphisms():
     c02 = Matrix(F5, [[1, 1], [0, 3]])
     twisted = SES(LinMap.of(c01.mul(plain.i.matrix).mul(c02.inverse())),
                   LinMap.of(c02.mul(plain.j.matrix).mul(c12.inverse())))
-    th = graded_det(F5)
+    th = DetTheory(F5)
     lam_plain = th.lambda_scalar(plain)
     lam_tw = th.lambda_scalar(twisted)
     det01, det12, det02 = c01.det(), c12.det(), c02.det()
@@ -368,4 +460,4 @@ def test_naturality_under_array_isomorphisms():
 def test_verify_dispatch():
     sk = enumerate_s_skeleton(F2, 2, 3)
     assert verify_dim_theory(sk, DimTheory.universal()).ok
-    assert verify_det_theory(sk, graded_det(F2)).ok
+    assert verify_det_theory(sk, DetTheory(F2)).ok
