@@ -288,13 +288,14 @@ def factorization_connector(fac1, fac2):
     """
     (e1, m1), (e2, m2) = fac1, fac2
     a1, a2, b1, b2 = e1.matrix, e2.matrix, m1.matrix, m2.matrix
-    if (a1.field, a1.nrows) != (a2.field, a2.nrows) or \
+    if (a1.field, a1.nrows, a1.ncols) != (a2.field, a2.nrows, a2.ncols) or \
             (b1.field, b1.ncols) != (b2.field, b2.ncols):
         return None
-    if a1.ncols != a2.ncols or not e1.is_epi():
+    try:  # e1 epi forces u = section(e1) then e2; a non-epi has no section
+        s = canonical_section(e1)
+    except ValueError:
         return None
-    # e1 epi forces u to be section(e1) then e2; verify it connects
-    u = canonical_section(e1).then(e2)
+    u = s.then(e2)
     if e1.then(u) != e2 or u.then(m2) != m1:
         return None
     return u if m1.is_mono() or u.is_iso() else None

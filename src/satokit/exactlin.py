@@ -268,14 +268,13 @@ def _zero_row(field, n):
     return 0 if field._bits else (field.zero(),) * n
 
 
-def _units(field, n, start=0):
-    """Rows start, ..., n - 1 of the n x n identity."""
-    s = field._bits
+def _units(field, n, cols=None):
+    """The rows at cols (all n when None) of the n x n identity."""
+    s, cols = field._bits, range(n) if cols is None else cols
     if s:
-        return tuple([1 << s * i for i in range(start, n)])
+        return tuple([1 << s * i for i in cols])
     one, z = field.one(), field.zero()
-    return tuple([(z,) * i + (one,) + (z,) * (n - 1 - i)
-                  for i in range(start, n)])
+    return tuple([(z,) * i + (one,) + (z,) * (n - 1 - i) for i in cols])
 
 
 def _nonzero(row):
@@ -424,43 +423,54 @@ def _transform(field, rows, m):
             [p - m for p in pivots[k:]])
 
 
-def _divide(field, v, rows, pivots):
-    """(coefficients, remainder) of v against internal rows in rref."""
-    p = field.p
+def _divide(field, vs, rows, pivots):
+    """(coefficient rows, remainders) of the internal rows vs against
+    internal rows in rref, in one pass over vs."""
+    p, out = field.p, []
     if p == 2:
-        c, bit = 0, 1
-        for r, q in zip(rows, pivots):
-            if v >> q & 1:
-                v ^= r
-                c |= bit
-            bit <<= 1
-        return c, v
-    if field._bits == 8:
+        steps = [(1 << q, r, 1 << i)
+                 for i, (r, q) in enumerate(zip(rows, pivots))]
+        for v in vs:
+            c = 0
+            for q, r, bit in steps:
+                if v & q:
+                    v ^= r
+                    c |= bit
+            out.append((c, v))
+    elif field._bits == 8:
         # rows in rref vanish at each other's pivots, so v's lane at a pivot
         # is as given, and reduced, until its own row clears it
-        t, lim, c, k = _LANES[p], _LIM[p], 0, 0
-        for i, (r, q) in enumerate(zip(rows, pivots)):
-            x = v >> 8 * q & 255
-            if x:
-                v += (p - x) * r
-                c |= x << 8 * i
-                k += 1
-                if k == lim:
-                    v, k = _mod(v, t), 0
-        return c, _mod(v, t) if k else v
-    coeffs = []
-    for row, q in zip(rows, pivots):
-        c = v[q]
-        coeffs.append(c)
-        if c != 0:
-            v = ([x - c * y for x, y in zip(v, row)] if p is None
-                 else [(x - c * y) % p for x, y in zip(v, row)])
-    return tuple(coeffs), tuple(v)
+        t, lim = _LANES[p], _LIM[p]
+        steps = [(8 * q, r, 8 * i)
+                 for i, (r, q) in enumerate(zip(rows, pivots))]
+        for v in vs:
+            c = k = 0
+            for q, r, i in steps:
+                x = v >> q & 255
+                if x:
+                    v += (p - x) * r
+                    c |= x << i
+                    k += 1
+                    if k == lim:
+                        v, k = _mod(v, t), 0
+            out.append((c, _mod(v, t) if k else v))
+    else:
+        for v in vs:
+            c = []
+            for row, q in zip(rows, pivots):
+                x = v[q]
+                c.append(x)
+                if x != 0:
+                    v = ([y - x * z for y, z in zip(v, row)] if p is None
+                         else [(y - x * z) % p for y, z in zip(v, row)])
+            out.append((tuple(c), tuple(v)))
+    return [c for c, _ in out], [v for _, v in out]
 
 
-def _coeffs(field, v, rows, pivots):
-    c, rest = _divide(field, v, rows, pivots)
-    return None if _nonzero(rest) else c
+def _coeffs(field, vs, rows, pivots):
+    """The coefficient rows of vs, or None when one of vs is outside."""
+    cs, rests = _divide(field, vs, rows, pivots)
+    return None if any(map(_nonzero, rests)) else cs
 
 
 def _mul(field, a, b, ncols):
@@ -669,8 +679,8 @@ class Matrix(Value, key=("field", "ncols", "_rows")):
                              % (targets.ncols, self.ncols))
         f = self.field
         rref, piv, t, _, _ = self._reduced()
-        coeffs = [_coeffs(f, v, rref, piv) for v in targets._rows]
-        if None in coeffs:
+        coeffs = _coeffs(f, targets._rows, rref, piv)
+        if coeffs is None:
             return None
         return Matrix._raw(f, _mul(f, coeffs, t, self.nrows), self.nrows)
 
@@ -742,27 +752,40 @@ class Subspace(Value, key=("field", "ambient", "_rows")):
                                                  self.ambient)
 
     def _check(self, other):
-        if self.ambient != other.ambient or self.field != other.field:
+        if self.field != other.field:
+            raise ValueError("field mismatch")
+        if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
 
-    def _reduce(self, v):
-        """v less the combination of basis rows that clears every pivot."""
-        return _divide(self.field, v, self._rows, self.pivots)[1]
-
-    def _contains(self, v):
-        return not _nonzero(self._reduce(v))
+    def _reduce(self, vs):
+        """Each row of vs less the basis rows that clear its pivot entries."""
+        return _divide(self.field, vs, self._rows, self.pivots)[1]
 
     def contains_vector(self, v):
-        return self._contains(_checked_vector(self.field, self.ambient, v))
+        return not _nonzero(self._reduce(
+            [_checked_vector(self.field, self.ambient, v)])[0])
 
     def contains(self, other):
         self._check(other)
-        return all(map(self._contains, other._rows))
+        return not any(map(_nonzero, self._reduce(other._rows)))
+
+    def _decided(self, other, meet):
+        """The meet (or join) when an operand decides it, else None: zero
+        meets to itself and joins to the other, whole the other way round."""
+        self._check(other)
+        for x, y in ((self, other), (other, self)):
+            d = len(x._rows)
+            if d == 0 or d == x.ambient:
+                return x if (d == 0) == meet else y
+        return None
 
     def meet(self, other):
-        """Intersection by Zassenhaus: in the rref of the rows (u|u) of self
-        above (w|0) of other, the rows (0|x) are the rref basis of u n w."""
-        self._check(other)
+        """Intersection by Zassenhaus, unless an operand decides it: in the
+        rref of the rows (u|u) of self above (w|0) of other, the rows (0|x)
+        are the rref basis of u n w."""
+        s = self._decided(other, True)
+        if s is not None:
+            return s
         f, n = self.field, self.ambient
         z = _zero_row(f, n)
         red, pivots = _rref(f, [_hcat(f, u, u, n) for u in self._rows]
@@ -772,9 +795,9 @@ class Subspace(Value, key=("field", "ambient", "_rows")):
                              [p - n for p in pivots[k:]])
 
     def join(self, other):
-        self._check(other)
-        return Subspace._raw(self.field, self.ambient,
-                             *_rref(self.field, self._rows + other._rows))
+        return self._decided(other, False) or Subspace._raw(
+            self.field, self.ambient, *_rref(self.field,
+                                             self._rows + other._rows))
 
     def basis_matrix(self):
         """The basis as a dim x ambient matrix."""
@@ -788,8 +811,8 @@ class Subspace(Value, key=("field", "ambient", "_rows")):
         if m.ncols != self.ambient:
             raise ValueError("ambient mismatch")
         f = self.field
-        rows = [_coeffs(f, r, self._rows, self.pivots) for r in m._rows]
-        return None if None in rows else Matrix._raw(f, rows, self.dim)
+        rows = _coeffs(f, m._rows, self._rows, self.pivots)
+        return None if rows is None else Matrix._raw(f, rows, self.dim)
 
     # -- canonical quotient coordinates (non-pivot columns) -----------------
 
@@ -800,7 +823,7 @@ class Subspace(Value, key=("field", "ambient", "_rows")):
     def proj_coords(self, v):
         """Coordinates of v + self in the canonical quotient basis."""
         f, v = self.field, _checked_vector(self.field, self.ambient, v)
-        return _row_out(f, _gather(f, self._reduce(v), self.nonpivots(),
+        return _row_out(f, _gather(f, self._reduce([v])[0], self.nonpivots(),
                                    self.ambient), self.ambient - self.dim)
 
 
@@ -820,6 +843,8 @@ class Quotient(Value):
     coordinates.  They vanish at small's pivot columns, and deleting zero
     columns keeps an rref and its coefficients, so this is the rref basis in
     small's quotient coordinates (Subspace.proj_coords) with zeros put back.
+    Over small = 0 that is big's basis, and over big = k^n the unit rows at
+    small's non-pivot columns (Cohen, GTM 138, 2.3), with no elimination.
     lift(k), the canonical coset representative, is basis row k.
     """
 
@@ -829,11 +854,14 @@ class Quotient(Value):
         if not small._rows:  # big's rref basis is the answer
             big._check(small)
             basis, pivots = big._rows, big.pivots
+        elif len(big._rows) == big.ambient:  # k^n holds every small
+            big._check(small)
+            pivots = small.nonpivots()
+            basis = _units(small.field, big.ambient, pivots)
         elif not big.contains(small):
             raise ValueError("quotient requires containment")
         else:
-            basis, pivots = _rref(small.field,
-                                  [small._reduce(r) for r in big._rows])
+            basis, pivots = _rref(small.field, small._reduce(big._rows))
         _quo_small(self, small)
         _quo_basis(self, basis)
         _quo_pivots(self, pivots)
@@ -842,15 +870,17 @@ class Quotient(Value):
     def dim(self):
         return len(self._basis)
 
-    def _coords(self, v):
-        return _coeffs(self.small.field, self.small._reduce(v), self._basis,
+    def _coords(self, vs):
+        """The coordinate rows of the internal rows vs, or None when one is
+        not in big."""
+        return _coeffs(self.small.field, self.small._reduce(vs), self._basis,
                        self._pivots)
 
     def coords(self, v):
         """Coordinates of v + small in basis, or None when v is not in big."""
         f = self.small.field
-        c = self._coords(_checked_vector(f, self.small.ambient, v))
-        return None if c is None else _row_out(f, c, self.dim)
+        c = self._coords([_checked_vector(f, self.small.ambient, v)])
+        return None if c is None else _row_out(f, c[0], self.dim)
 
     def lift(self, k):
         return _row_out(self.small.field, self._basis[k], self.small.ambient)
@@ -858,11 +888,12 @@ class Quotient(Value):
     def map_to(self, dst):
         """The matrix of the map self -> dst that the identity of the ambient
         space induces, in the canonical bases, or None when it does not map
-        self into dst."""
-        rows = [dst._coords(b) for b in self._basis]
-        if None in rows:
-            return None
-        return Matrix._raw(self.small.field, rows, dst.dim)
+        self into dst; ValueError when dst lies over another field or
+        ambient."""
+        dst.small._check(self.small)
+        rows = dst._coords(self._basis)
+        return None if rows is None else Matrix._raw(self.small.field, rows,
+                                                     dst.dim)
 
 
 _quo_small, _quo_basis, _quo_pivots = (

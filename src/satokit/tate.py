@@ -176,7 +176,7 @@ def window_subspace(lat, LO, HI):
             rows.append(_shifted(field, r, off, width))
             pivots.append(p + off)
     units = range(max(lat.hi - LO, 0) * n, width)
-    rows += _units(field, width, units.start)
+    rows += _units(field, width, units)
     pivots += units
     return Subspace._raw(field, width, rows, pivots)
 
@@ -199,12 +199,14 @@ def lattice_meet(a, b):
     _check_same_space(a, b)
     LO, HI = max(a.lo, b.lo), max(a.hi, b.hi)
     n = a.space.rank
-    # the Zassenhaus stack: each lattice's rows (at most) and its unit rows
-    # up to t^HI, at twice the window's width
-    _check_window("meet", sum(x.basis.dim + n * (HI - max(x.hi, LO))
-                              for x in (a, b)), 2 * (HI - LO) * n)
-    return _stripped(a.space, LO, HI, window_subspace(a, LO, HI).meet(
-        window_subspace(b, LO, HI)))
+    # each window: its lattice's rows (at most) and unit rows up to t^HI
+    rows = [x.basis.dim + n * (HI - max(x.hi, LO)) for x in (a, b)]
+    width = (HI - LO) * n
+    _check_window("meet", max(rows), width)
+    wa, wb = window_subspace(a, LO, HI), window_subspace(b, LO, HI)
+    if wa._decided(wb, True) is None:  # the Zassenhaus stack is built
+        _check_window("meet", sum(rows), 2 * width)
+    return _stripped(a.space, LO, HI, wa.meet(wb))
 
 
 def lattice_join(a, b):
@@ -456,8 +458,8 @@ def lift_lattice(ses, u):
     _check_window("lift", max(u.basis.dim, (HI - LO) * a),
                   (u.hi - LO_t) * b, True)
     u_w = window_subspace(u, LO_t, u.hi)
-    gen = [u_w._reduce(r) for r in _monomial_images(
-        field, irows, b, LO_t, u.hi, LO, HI, a)]
+    gen = u_w._reduce(_monomial_images(field, irows, b, LO_t, u.hi, LO, HI,
+                                       a))
     kernel, pivots = _transform(field, gen, u_w.ambient)[3:]
     return _stripped(src, LO, HI, Subspace._raw(field, len(gen), kernel,
                                                 pivots))
@@ -507,8 +509,8 @@ def lambda_scalar_chain(a, b, c):
     a_w, b_w, c_w = (window_subspace(x, LO, HI) for x in (a, b, c))
     ca = Quotient(a_w, c_w)
     parts = (Quotient(a_w, b_w), Quotient(b_w, c_w))
-    return Matrix._raw(a.field, [ca._coords(r) for q in parts
-                                 for r in q._basis], ca.dim).det()
+    return Matrix._raw(a.field, ca._coords([r for q in parts
+                                            for r in q._basis]), ca.dim).det()
 
 
 def delta_scalar_canonical(u, v):
@@ -545,10 +547,10 @@ def fd_ses_of_pair(ses, u_sub, u):
     for name, (n, lo, _, src), (m, LO, HI, dst) in (("i", q_left, q_mid),
                                                    ("j", q_mid, q_right)):
         rows = _stencil(ses, name)[0]
-        coords = [dst._coords(_window_row(field, rows, m, LO, HI,
-                                          _window_terms(field, v, n, lo)))
-                  for v in src._basis]
-        if None in coords:
+        coords = dst._coords([_window_row(field, rows, m, LO, HI,
+                                          _window_terms(field, v, n, lo))
+                              for v in src._basis])
+        if coords is None:
             raise ValueError("vector does not lie in the quotient")
         maps.append(LinMap.of(Matrix._raw(field, coords, dst.dim)))
     return SES(*maps), (lifts, projs)

@@ -1324,3 +1324,187 @@ def test_trusted_values_equal_checked_ones(field):
                 for _ in range(2))
         for lat in (x, lattice_meet(x, y), lattice_join(x, y)):
             same(lat, lattice_normalize(space, lat.lo, lat.hi, lat.rows))
+
+
+# --- answers an operand decides, and division a list at a time ----------
+#
+# The oracles below are the code these paths replaced: division one vector
+# at a time, the quotient of k^n as reduce-then-rref, and meet and join
+# always by Zassenhaus and by rref of the stacked rows.
+
+def _divide_one(field, v, rows, pivots):
+    """(coefficients, remainder) of one internal row v against rref rows."""
+    from satokit.exactlin import _LANES, _LIM, _mod
+    p = field.p
+    if p == 2:
+        c, bit = 0, 1
+        for r, q in zip(rows, pivots):
+            if v >> q & 1:
+                v ^= r
+                c |= bit
+            bit <<= 1
+        return c, v
+    if field._bits == 8:
+        t, lim, c, k = _LANES[p], _LIM[p], 0, 0
+        for i, (r, q) in enumerate(zip(rows, pivots)):
+            x = v >> 8 * q & 255
+            if x:
+                v += (p - x) * r
+                c |= x << 8 * i
+                k += 1
+                if k == lim:
+                    v, k = _mod(v, t), 0
+        return c, _mod(v, t) if k else v
+    coeffs = []
+    for row, q in zip(rows, pivots):
+        c = v[q]
+        coeffs.append(c)
+        if c != 0:
+            v = ([x - c * y for x, y in zip(v, row)] if p is None
+                 else [(x - c * y) % p for x, y in zip(v, row)])
+    return tuple(coeffs), tuple(v)
+
+
+_DIVIDE_FIELDS = [F2, F3, F5, Field(7), Field(11), Field(13), Field(17), QQ]
+
+
+def _random_rows(rng, field, nrows, ncols, density=0.6):
+    p = field.p
+    return [[(rng.randrange(1, p) if p else
+              Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)))
+             if rng.random() < density else 0 for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+def _random_subspace(rng, field, n):
+    return Subspace.from_rows(field, n, _random_rows(
+        rng, field, rng.randrange(n + 2), n, rng.choice((0.3, 0.7))))
+
+
+@pytest.mark.parametrize("field", _DIVIDE_FIELDS, ids=str)
+def test_batched_divide_matches_the_one_vector_loop(field):
+    from satokit.exactlin import _checked_rows, _coeffs, _divide, _nonzero
+    rng = random.Random(field.p or 0)
+    for n in (0, 1, 3, 6, 9):
+        for _ in range(12):
+            s = _random_subspace(rng, field, n)
+            inside = _random_rows(rng, field, 2, s.dim)
+            vs = list(_checked_rows(field, _random_rows(rng, field, 3, n)))
+            vs += Matrix(field, inside, s.dim).mul(s.basis_matrix())._rows
+            vs += _checked_rows(field, [[0] * n])  # a zero row
+            for batch in ([], vs, vs[-3:]):
+                # the empty batch, and any basis: zero rows included
+                for rows, piv in ((s._rows, s.pivots), ((), ())):
+                    want = [_divide_one(field, v, rows, piv) for v in batch]
+                    cs, rests = _divide(field, batch, rows, piv)
+                    assert (cs, rests) == ([c for c, _ in want],
+                                           [r for _, r in want])
+                    outside = any(_nonzero(r) for _, r in want)
+                    assert _coeffs(field, batch, rows, piv) == (
+                        None if outside else [c for c, _ in want])
+
+
+def _quotient_by_reduction(small, big):
+    """The rref of big's rows reduced modulo small, one row at a time."""
+    from satokit.exactlin import _rref
+    f = small.field
+    rows, pivots = _rref(f, [_divide_one(f, r, small._rows, small.pivots)[1]
+                             for r in big._rows])
+    return list(rows), list(pivots)
+
+
+def _random_subspaces(field, n, count, seed):
+    rng = random.Random(seed)
+    return [_random_subspace(rng, field, n) for _ in range(count)]
+
+
+@pytest.mark.parametrize("field,subs", [
+    (F2, all_subspaces(F2, 4)), (F3, all_subspaces(F3, 3)),
+    (F5, _random_subspaces(F5, 6, 40, 5)),
+    (Field(13), _random_subspaces(Field(13), 5, 40, 13)),
+    (Field(17), _random_subspaces(Field(17), 5, 40, 17)),
+    (QQ, _random_subspaces(QQ, 5, 40, 0))], ids=["F2", "F3", "F5", "F13",
+                                                 "F17", "Q"])
+def test_quotient_of_the_whole_space_matches_reduce_then_rref(field, subs,
+                                                              monkeypatch):
+    # its basis is the unit rows off small's pivots, read with no elimination
+    # and no containment test
+    import satokit.exactlin
+    full = Subspace.full(field, subs[0].ambient)
+    oracles = [_quotient_by_reduction(small, full) for small in subs]
+    calls = []
+    monkeypatch.setattr(satokit.exactlin, "_rref", calls.append)
+    monkeypatch.setattr(Subspace, "contains", calls.append)
+    for small, (rows, pivots) in zip(subs, oracles):
+        q = Quotient(small, full)
+        assert (list(q._basis), list(q._pivots)) == (rows, pivots)
+        assert q.dim == full.ambient - small.dim
+    assert calls == []
+
+
+def _zassenhaus(u, w):
+    from satokit.exactlin import _hcat, _rref, _split, _zero_row
+    from bisect import bisect_left
+    f, n = u.field, u.ambient
+    z = _zero_row(f, n)
+    red, pivots = _rref(f, [_hcat(f, a, a, n) for a in u._rows]
+                        + [_hcat(f, b, z, n) for b in w._rows])
+    k = bisect_left(pivots, n)
+    return Subspace._raw(f, n, _split(f, red[k:], n)[1],
+                         [p - n for p in pivots[k:]])
+
+
+@pytest.mark.parametrize("field", [F2, F3, Field(13), Field(17), QQ],
+                         ids=str)
+def test_meet_and_join_with_a_whole_or_zero_operand(field):
+    # the deciding operand is the answer, and it is the one that Zassenhaus
+    # and the rref of the stacked rows give
+    from satokit.exactlin import _rref
+    rng = random.Random(field.p or 0)
+    for n in range(6):
+        for _ in range(8):
+            x = _random_subspace(rng, field, n)
+            for d in (Subspace.zero(field, n), Subspace.full(field, n)):
+                for u, w in ((x, d), (d, x), (d, d)):
+                    join = Subspace._raw(field, n,
+                                         *_rref(field, u._rows + w._rows))
+                    assert u.meet(w) == _zassenhaus(u, w)
+                    assert u.join(w) == join
+                    assert u.meet(w) in (u, w) and u.join(w) in (u, w)
+
+
+def test_meet_and_join_refuse_another_field_or_ambient():
+    # even where a zero or whole operand would decide the answer
+    for a, b in ((Subspace.zero(F3, 2), Subspace.full(F5, 2)),
+                 (Subspace.full(F3, 2), Subspace.from_rows(F5, 2, [(1, 0)]))):
+        for op in ("meet", "join", "contains"):
+            with pytest.raises(ValueError, match="^field mismatch$"):
+                getattr(a, op)(b)
+        with pytest.raises(ValueError, match="^field mismatch$"):
+            Quotient(b, a)
+    a, b = Subspace.full(F3, 2), Subspace.zero(F3, 3)
+    for op in ("meet", "join", "contains"):
+        with pytest.raises(ValueError, match="^ambient mismatch$"):
+            getattr(a, op)(b)
+
+
+def _whole_quotient(field, n):
+    return Quotient(Subspace.zero(field, n), Subspace.full(field, n))
+
+
+@pytest.mark.parametrize("dst", [_whole_quotient(F2, 4),
+                                 _whole_quotient(F5, 3)], ids=["F2^4", "F5^3"])
+def test_map_to_refuses_another_ambient_or_field(dst, monkeypatch):
+    # once a 3 x 4 "inclusion", or the 3 x 3 identity over F2; now refused
+    # before any reduction
+    import satokit.exactlin
+    from satokit.exactcat import induced_map
+    src = _whole_quotient(F2, 3)
+    calls = []
+    monkeypatch.setattr(satokit.exactlin, "_divide", calls.append)
+    what = "ambient" if dst.small.field == F2 else "field"
+    with pytest.raises(ValueError, match="^%s mismatch$" % what):
+        src.map_to(dst)
+    with pytest.raises(ValueError, match="^%s mismatch$" % what):
+        induced_map(src, dst)
+    assert calls == []

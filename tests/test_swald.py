@@ -48,7 +48,7 @@ def test_build_rejects_bad_chain():
     (F2, 2, [sub(F2, 2, (1, 0)), sub(F2, 3, (1, 0, 0))],
      r"\(0, 0, 2\): ambient mismatch"),
     (F3, 2, [sub(F3, 2, (1, 0)), sub(F5, 2, (1, 0))],
-     r"\(0, 0, 2\): ambient mismatch"),
+     r"\(0, 0, 2\): field mismatch"),
 ])
 def test_build_refuses_each_bad_input(field, ambient, chain, message):
     # build_s_object is the one validation path: SObject only stores

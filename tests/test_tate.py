@@ -787,8 +787,9 @@ def test_fd_ses_of_pair_validates():
 
 def test_fd_ses_of_pair_tests_each_nesting_once(monkeypatch):
     # u' <= u, lift u' <= lift u and proj u' <= proj u are each tested once,
-    # by the quotient that needs it, and a nesting 0 <= X not at all: 38
-    # tests of the 60 quotients (60 while a quotient over 0 tested it too)
+    # by the quotient that needs it, and a nesting 0 <= X or X <= k^n not
+    # at all: 34 tests of the 60 quotients (38 while a quotient of the
+    # whole window tested it too, 60 while a quotient over 0 did)
     from satokit.verify import TwistedChain, rand_lattice
     rng = random.Random(7)
     cases = []
@@ -799,7 +800,7 @@ def test_fd_ses_of_pair_tests_each_nesting_once(monkeypatch):
     calls = _counting(monkeypatch, Subspace, ["contains"])
     for ses, u_sub, u in cases:
         fd_ses_of_pair(ses, u_sub, u)
-    assert calls == {"contains": 38}
+    assert calls == {"contains": 34}
 
 
 # --- canonical lambda / delta scalars ------------------------------------
@@ -1758,3 +1759,33 @@ def test_lift_project_match_the_laurent_route_across_u_hi(data):
     u = lattice_normalize(space, lo, hi, rows)
     assert lift_lattice(ses, u) == lift_by_laurent_rows(ses, u)
     assert project_lattice(ses, u) == project_by_laurent_rows(ses, u)
+
+
+@pytest.mark.parametrize("W", [300, 400])
+def test_spread_lattice_meets_and_joins_o2_with_no_stack(W):
+    # t^-W O + t^W O and O^2: in the meet's window [0, W) the window of O^2
+    # is whole, so the meet is the other window and builds no Zassenhaus
+    # stack, whose 4W x 4W cells are over the cap (the meet was refused);
+    # in the join's window [-W, 0) the window of O^2 is zero
+    from satokit.tate import MAX_WINDOW_CELLS
+    from satokit.verify import diag_lattice
+    spread, o2 = diag_lattice(K2, [-W, W]), standard_lattice(K2)
+    assert (4 * W) ** 2 > MAX_WINDOW_CELLS
+    assert lattice_meet(spread, o2) == lattice_meet(o2, spread) \
+        == diag_lattice(K2, [0, W])
+    assert lattice_join(spread, o2) == lattice_join(o2, spread) \
+        == diag_lattice(K2, [-W, 0])
+
+
+def test_meet_that_needs_its_stack_is_refused_past_the_cap():
+    # t^-W O + t^W O and t^W O + t^-W O: each window holds 2W rows of 4W
+    # columns, under the cap, but neither decides the meet, and its stack
+    # of 4W rows by 8W columns is over it; a small pair is answered
+    from satokit.tate import WindowTooLarge
+    from satokit.verify import diag_lattice
+    W = 300
+    with pytest.raises(WindowTooLarge, match="meet needs a window of "
+                       "1200 x 2400 cells"):
+        lattice_meet(diag_lattice(K2, [-W, W]), diag_lattice(K2, [W, -W]))
+    assert lattice_meet(diag_lattice(K2, [-5, 5]), diag_lattice(
+        K2, [5, -5])) == standard_lattice(K2, 5)
